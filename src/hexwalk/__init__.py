@@ -9,7 +9,14 @@ out of pixel images through circular node masks.
 """
 
 from hexwalk.graphs import Graph, glued_tree, hexagonal_graph, hypercube_graph, path_graph
-from hexwalk.quantum import CouplingModel, Hamiltonian, evolve_quantum, site_probabilities
+from hexwalk.quantum import (
+    CouplingModel,
+    Hamiltonian,
+    build_hamiltonian,
+    entry_state,
+    evolve_quantum,
+    site_probabilities,
+)
 from hexwalk.stochastic import (
     ClassicalGenerator,
     IntegrationFailureError,
@@ -55,6 +62,8 @@ __all__ = [
     "path_graph",
     "CouplingModel",
     "Hamiltonian",
+    "build_hamiltonian",
+    "entry_state",
     "evolve_quantum",
     "site_probabilities",
     "ClassicalGenerator",

@@ -422,7 +422,8 @@ def cmd_analyze(args) -> int:
         image_text = Path(args.image).read_text()
         mask_text = Path(args.mask).read_text()
     except OSError as exc:
-        raise ImageParseError(f"cannot read input file: {exc}", 0) from exc
+        print(f"hexwalk: input error: cannot read input file: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     image = parse_image(image_text)
     mask = parse_mask(mask_text)
     result = extract_probabilities(image, mask, args.exit_node)

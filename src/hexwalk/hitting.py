@@ -4,7 +4,9 @@ The quantum side scans the exit-node probability over a grid of evolution
 lengths and refines the global grid maximum with a three-point parabola.
 The classical side finds the earliest time at which the walk's distribution
 has settled onto the uniform stationary distribution to within a relative
-tolerance, bracketing that time with a looser and a tighter tolerance.
+tolerance, bracketing that time with a looser and a tighter tolerance.  The
+max-norm deviation from uniform never increases, so that time is bisected
+directly, below a horizon set by the spectral gap.
 Depth sweeps collect both quantities across a family of hexagonal patches
 so their growth laws can be fitted: the optimal length grows linearly with
 depth while the classical convergence time grows roughly quadratically.
@@ -48,7 +50,7 @@ class BoundaryMaximumWarning(UserWarning):
 
 
 class ConvergenceError(RuntimeError):
-    """The classical walk cannot settle (disconnected graph or search cap hit)."""
+    """The classical walk cannot settle (disconnected graph, or numerics miss the horizon)."""
 
 
 class FitError(RuntimeError):
@@ -221,7 +223,8 @@ def classical_hitting_curve(
     if dt is None:
         dt = auto_dt
     ts = _scan_grid(t_max, dt)
-    p = distribution_grid(gen, entry_distribution(graph), ts)[:, graph.exit]
+    w, v = gen.spectrum
+    p = np.exp(np.outer(ts, w)) @ (v[graph.exit, :] * (v.T @ entry_distribution(graph)))
     i = int(np.argmax(p))
     return HittingCurve(ts, p, float(ts[i]), float(p[i]), "classical")
 
@@ -242,70 +245,54 @@ def _is_connected(graph: Graph) -> bool:
     return len(seen) == n
 
 
-def _deviation_curve(gen: ClassicalGenerator, p0: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    dist = distribution_grid(gen, p0, ts)
-    return np.max(np.abs(dist - 1.0 / gen.dim), axis=1)
-
-
 def _deviation_at(gen: ClassicalGenerator, p0: np.ndarray, t: float) -> float:
     w, v = gen.spectrum
     p = v @ (np.exp(w * t) * (v.T @ p0))
     return float(np.max(np.abs(p - 1.0 / gen.dim)))
 
 
-_STAY_POINTS = 10
-
-
-def _stable_crossing(
-    gen: ClassicalGenerator,
-    p0: np.ndarray,
-    threshold: float,
-    horizon: float,
-    samples: int,
+def _settling_time(
+    gen: ClassicalGenerator, p0: np.ndarray, threshold: float, horizon: float
 ) -> float:
-    """Earliest time the deviation passes below threshold and stays below.
+    """Earliest time the deviation max_i |p_i(t) - 1/N| is at most threshold.
 
-    Scans a uniform grid, demands the candidate and the next ten grid points
-    all pass, then bisects between the last failing and first passing
-    samples.  The horizon doubles a few times before giving up.
+    The deviation never increases (see :func:`classical_convergence_time`),
+    so the crossing is bisected on [0, horizon] until the midpoint stops
+    moving.  Failing at the analytic horizon means the numerics broke.
     """
-    for _ in range(6):
-        ts = np.linspace(0.0, horizon, samples)
-        dev = _deviation_curve(gen, p0, ts)
-        passing = dev <= threshold
-        for idx in np.flatnonzero(passing):
-            if idx + _STAY_POINTS >= samples:
-                break
-            if not np.all(passing[idx : idx + _STAY_POINTS + 1]):
-                continue
-            if idx == 0:
-                return 0.0
-            lo, hi = float(ts[idx - 1]), float(ts[idx])
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if _deviation_at(gen, p0, mid) <= threshold:
-                    hi = mid
-                else:
-                    lo = mid
-            return hi
-        horizon *= 2.0
-    raise ConvergenceError(
-        f"no settling below {threshold:.3e} found within the search cap (t <= {horizon:g})"
-    )
+    lo, hi = 0.0, horizon
+    if _deviation_at(gen, p0, lo) <= threshold:
+        return lo
+    if _deviation_at(gen, p0, hi) > threshold:
+        raise ConvergenceError(
+            f"no settling below {threshold:.3e} found within the spectral-gap horizon "
+            f"(t <= {horizon:g})"
+        )
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if _deviation_at(gen, p0, mid) <= threshold:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def classical_convergence_time(
     graph: Graph,
     rate: float = 1.0,
     epsilon: float = 1.0e-4,
-    samples: int = 4000,
 ) -> ConvergenceResult:
     """Time for the classical walk to settle onto the uniform distribution.
 
     Convergence means every site's probability is within epsilon * (1/N) of
-    the uniform value 1/N, verified to hold at ten subsequent check points
-    so a transient dip does not count.  The same search at relative
-    tolerances 1e-3 and 1e-5 gives the bracket (t_low, t_high).
+    the uniform value 1/N.  Once reached it holds for good: K = rate * (A - D)
+    is symmetric with zero row sums, so exp(K s) is doubly stochastic, each
+    entry of p(t + s) - 1/N is a convex combination of the entries of
+    p(t) - 1/N, and the max-norm deviation never increases.  The first
+    crossing is therefore the last, and it lies before the horizon
+    (ln(1/threshold) + ln N) / gap, where the spectral-gap decay
+    e^(-gap t) of the Euclidean deviation already bounds the max-norm one.
+    The same search at relative tolerances 1e-3 and 1e-5 gives the bracket
+    (t_low, t_high).
 
     Raises :class:`ConvergenceError` for a disconnected graph, which has no
     uniform limit from a localised start.
@@ -326,7 +313,7 @@ def classical_convergence_time(
     times = {}
     for tol in tolerances:
         horizon = (math.log(1.0 / (tol * p_uniform)) + math.log(graph.n_nodes)) / gap
-        times[tol] = _stable_crossing(gen, p0, tol * p_uniform, horizon, samples)
+        times[tol] = _settling_time(gen, p0, tol * p_uniform, horizon)
     return ConvergenceResult(
         t_converge=times[float(epsilon)],
         epsilon=float(epsilon),

@@ -250,6 +250,10 @@ def test_missing_input_file_exits_3(tmp_path, capsys):
     msk = tmp_path / "mask.csv"
     msk.write_text("node_id,cx,cy,radius\n0,5,5,2\n")
     assert main(["analyze", str(missing), str(msk), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "cannot read input file" in err
+    assert str(missing) in err
+    assert "line 0" not in err
 
 
 def test_degenerate_window_exits_4(tmp_path, capsys):

@@ -8,7 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
-from hexwalk.graphs import Graph, hexagonal_graph, path_graph
+from hexwalk.graphs import Graph, glued_tree, hexagonal_graph, hypercube_graph, path_graph
+from hexwalk import hitting
 from hexwalk.hitting import (
     BoundaryMaximumWarning,
     ConvergenceError,
@@ -162,6 +163,30 @@ def test_thirty_node_convergence_frozen_values():
     assert abs(res.p_uniform - 1.0 / 30.0) < 1e-15
 
 
+def _deviation_grid(g, ts, rate=1.0):
+    grid = distribution_grid(classical_generator(g, rate=rate), entry_distribution(g), ts)
+    return np.max(np.abs(grid - 1.0 / g.n_nodes), axis=1)
+
+
+# One small graph per family, each with a few hundred modes or fewer.
+SMALL_GRAPHS = {
+    "hexagonal-3": lambda: hexagonal_graph(3),
+    "glued-tree-4": lambda: glued_tree(4, gluing="random-cycle", seed=1),
+    "hypercube-5": lambda: hypercube_graph(5),
+    "path-21": lambda: path_graph(21),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_GRAPHS))
+def test_max_norm_deviation_never_increases(name):
+    # exp(K s) is doubly stochastic, so each entry of p(t + s) - u is a convex
+    # combination of the entries of p(t) - u: the bisection relies on this
+    g = SMALL_GRAPHS[name]()
+    t_end = classical_convergence_time(g, epsilon=1e-5).t_converge * 1.5
+    dev = _deviation_grid(g, np.linspace(0.0, t_end, 5001))
+    assert np.max(np.diff(dev)) <= 1e-15
+
+
 def test_convergence_matches_dense_grid_oracle():
     g = hexagonal_graph(2)
     rate, eps = 1.0, 1e-4
@@ -184,6 +209,40 @@ def test_convergence_deviation_is_threshold_tight():
     just_before = res.t_converge * (1.0 - 1e-6)
     before = np.max(np.abs(distribution_grid(gen, entry_distribution(g), np.array([just_before]))[0] - res.p_uniform))
     assert before > 1e-4 * res.p_uniform * (1.0 - 1e-6)
+
+
+@pytest.mark.parametrize("name", ["glued-tree-4", "hypercube-5"])
+def test_convergence_matches_dense_grid_oracle_beyond_hexagons(name):
+    g = SMALL_GRAPHS[name]()
+    res = classical_convergence_time(g)
+    ts = np.linspace(0.0, 2.0 * res.t_converge, 20001)
+    passing = np.nonzero(_deviation_grid(g, ts) <= 1e-4 * res.p_uniform)[0]
+    assert abs(res.t_converge - ts[passing[0]]) <= ts[1] - ts[0] + 1e-9
+
+
+@pytest.mark.parametrize("name", ["glued-tree-4", "hypercube-5"])
+def test_convergence_is_threshold_tight_beyond_hexagons(name):
+    g = SMALL_GRAPHS[name]()
+    res = classical_convergence_time(g)
+    at, before = _deviation_grid(g, np.array([res.t_converge, res.t_converge * (1.0 - 1e-6)]))
+    assert at <= 1e-4 * res.p_uniform * (1.0 + 1e-6)
+    assert before > 1e-4 * res.p_uniform * (1.0 - 1e-6)
+
+
+def test_convergence_at_start_when_tolerance_covers_the_launch():
+    # deviation at t = 0 is 1/2 on two sites, within 1 * (1/2)
+    res = classical_convergence_time(path_graph(2), epsilon=1.0)
+    assert res.t_converge == 0.0
+    assert 0.0 < res.t_low < res.t_high
+
+
+def test_disconnected_graph_fails_at_the_horizon_without_the_connectivity_check(monkeypatch):
+    # the doubled zero mode keeps the deviation up, so the horizon guard catches it
+    coords = [(0, 0), (2, 0), (4, 0), (6, 0)]
+    broken = Graph("path", coords, [(0, 1), (2, 3)], entry=0, exit=3)
+    monkeypatch.setattr(hitting, "_is_connected", lambda graph: True)
+    with pytest.raises(ConvergenceError, match="horizon"):
+        classical_convergence_time(broken)
 
 
 def test_convergence_bracket_ordering_and_uniform_share():
