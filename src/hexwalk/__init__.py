@@ -14,14 +14,13 @@ from hexwalk.quantum import (
     Hamiltonian,
     build_hamiltonian,
     entry_state,
-    evolve_quantum,
+    propagate,
     site_probabilities,
 )
 from hexwalk.stochastic import (
     ClassicalGenerator,
     IntegrationFailureError,
     QswParams,
-    evolve_classical,
     evolve_qsw,
     lindblad_rhs,
 )
@@ -64,11 +63,10 @@ __all__ = [
     "Hamiltonian",
     "build_hamiltonian",
     "entry_state",
-    "evolve_quantum",
+    "propagate",
     "site_probabilities",
     "ClassicalGenerator",
     "QswParams",
-    "evolve_classical",
     "lindblad_rhs",
     "evolve_qsw",
     "IntegrationFailureError",

@@ -59,13 +59,8 @@ from hexwalk.imaging import (
     parse_image,
     parse_mask,
 )
-from hexwalk.quantum import CouplingModel, Hamiltonian, entry_state, evolve_quantum
-from hexwalk.stochastic import (
-    ClassicalGenerator,
-    IntegrationFailureError,
-    entry_distribution,
-    evolve_classical,
-)
+from hexwalk.quantum import CouplingModel, Hamiltonian, entry_state, propagate
+from hexwalk.stochastic import ClassicalGenerator, IntegrationFailureError, entry_distribution
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -317,15 +312,13 @@ def cmd_scan(args) -> int:
     if args.dump_state:
         if args.engine == "quantum":
             h = Hamiltonian(graph, CouplingModel(coupling=coupling))
-            psi = evolve_quantum(h, entry_state(graph), curve.z_opt)
+            psi = propagate(h, entry_state(graph), curve.z_opt)
             state_rows = [
                 (i, psi[i].real, psi[i].imag, abs(psi[i]) ** 2) for i in range(graph.n_nodes)
             ]
             _write_table(out / "state.csv", header, ["node_id", "re", "im", "prob"], state_rows)
         else:
-            p = evolve_classical(
-                ClassicalGenerator(graph, rate), entry_distribution(graph), curve.z_opt
-            )
+            p = propagate(ClassicalGenerator(graph, rate), entry_distribution(graph), curve.z_opt)
             state_rows = [(i, p[i]) for i in range(graph.n_nodes)]
             _write_table(out / "state.csv", header, ["node_id", "probability"], state_rows)
     print(f"z_opt={_fmt(curve.z_opt)} p_opt={_fmt(curve.p_opt)}")

@@ -71,6 +71,7 @@ class Graph:
         self._params = dict(params or {})
         self._adjacency: np.ndarray | None = None
         self._degrees: np.ndarray | None = None
+        self._neighbors: tuple[tuple[int, ...], ...] | None = None
 
     @property
     def family(self) -> str:
@@ -130,15 +131,26 @@ class Graph:
         return self._degrees
 
     def neighbors(self, node: int) -> tuple[int, ...]:
+        """Sorted neighbour ids of a node (the per-node lists are cached)."""
         if not (0 <= node < self.n_nodes):
             raise ValueError(f"node {node} outside 0..{self.n_nodes - 1}")
-        out = []
-        for i, j in self._edges:
-            if i == node:
-                out.append(j)
-            elif j == node:
-                out.append(i)
-        return tuple(sorted(out))
+        if self._neighbors is None:
+            out: list[list[int]] = [[] for _ in range(self.n_nodes)]
+            for i, j in self._edges:
+                out[i].append(j)
+                out[j].append(i)
+            self._neighbors = tuple(tuple(sorted(nbs)) for nbs in out)
+        return self._neighbors[node]
+
+    @property
+    def connected(self) -> bool:
+        """Whether every node is reachable from node 0."""
+        seen, stack = {0}, [0]
+        while stack:
+            new = set(self.neighbors(stack.pop())) - seen
+            seen |= new
+            stack.extend(new)
+        return len(seen) == self.n_nodes
 
     def __repr__(self) -> str:
         return (

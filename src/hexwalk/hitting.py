@@ -22,14 +22,8 @@ from functools import lru_cache
 import numpy as np
 
 from hexwalk.graphs import Graph, hexagonal_graph, path_graph
-from hexwalk.quantum import (
-    CouplingModel,
-    Hamiltonian,
-    amplitude_grid,
-    entry_state,
-    site_probability_curve,
-)
-from hexwalk.stochastic import ClassicalGenerator, distribution_grid, entry_distribution
+from hexwalk.quantum import CouplingModel, Hamiltonian, entry_state, propagate
+from hexwalk.stochastic import ClassicalGenerator, entry_distribution
 
 #: Default scan window, in units of depth / coupling.  Wide enough to bracket
 #: the dominant early hitting peak (near 2.5 * depth / C on hexagonal patches)
@@ -187,7 +181,11 @@ def quantum_hitting_curve(
     zs = _scan_grid(z_max, dz)
     h = Hamiltonian(graph, model)
     psi0 = entry_state(graph)
-    p = site_probability_curve(h, psi0, zs, graph.exit)
+
+    def exit_probability(lengths):
+        return np.abs(propagate(h, psi0, lengths, graph.exit)) ** 2
+
+    p = exit_probability(zs)
     i = int(np.argmax(p))
     if i == 0 or i == len(zs) - 1:
         warnings.warn(
@@ -198,7 +196,7 @@ def quantum_hitting_curve(
         )
         return HittingCurve(zs, p, float(zs[i]), float(p[i]), "quantum")
     z_opt = _refine_parabolic(zs, p, i)
-    p_opt = float(site_probability_curve(h, psi0, np.array([z_opt]), graph.exit)[0])
+    p_opt = float(exit_probability(np.array([z_opt]))[0])
     if p_opt < p[i]:
         z_opt, p_opt = float(zs[i]), float(p[i])
     return HittingCurve(zs, p, z_opt, p_opt, "quantum")
@@ -214,7 +212,9 @@ def classical_hitting_curve(
 
     The curve rises monotonically towards the uniform share 1/N, so the
     reported optimum is simply the best sampled point (the grid end once
-    the walk has mixed) and no boundary warning is raised.
+    the walk has mixed) and no boundary warning is raised.  Spectral
+    rounding leaves residues of order 1e-16 around the true value, so
+    samples below 0 (at early times, where p_exit is ~0) are clipped to 0.
     """
     gen = ClassicalGenerator(graph, rate)
     auto_t_max, auto_dt = default_scan_window(graph, rate)
@@ -223,32 +223,13 @@ def classical_hitting_curve(
     if dt is None:
         dt = auto_dt
     ts = _scan_grid(t_max, dt)
-    w, v = gen.spectrum
-    p = np.exp(np.outer(ts, w)) @ (v[graph.exit, :] * (v.T @ entry_distribution(graph)))
+    p = np.maximum(propagate(gen, entry_distribution(graph), ts, graph.exit), 0.0)
     i = int(np.argmax(p))
     return HittingCurve(ts, p, float(ts[i]), float(p[i]), "classical")
 
 
-def _is_connected(graph: Graph) -> bool:
-    n = graph.n_nodes
-    neigh: list[list[int]] = [[] for _ in range(n)]
-    for a, b in graph.edges:
-        neigh[a].append(b)
-        neigh[b].append(a)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for v in neigh[stack.pop()]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == n
-
-
 def _deviation_at(gen: ClassicalGenerator, p0: np.ndarray, t: float) -> float:
-    w, v = gen.spectrum
-    p = v @ (np.exp(w * t) * (v.T @ p0))
-    return float(np.max(np.abs(p - 1.0 / gen.dim)))
+    return float(np.max(np.abs(propagate(gen, p0, t) - 1.0 / gen.dim)))
 
 
 def _settling_time(
@@ -299,7 +280,7 @@ def classical_convergence_time(
     """
     if not np.isfinite(epsilon) or epsilon <= 0.0:
         raise ValueError(f"relative tolerance must be finite and > 0, got {epsilon}")
-    if not _is_connected(graph):
+    if not graph.connected:
         raise ConvergenceError("graph is disconnected; the walk cannot reach uniformity")
     gen = ClassicalGenerator(graph, rate)
     w, _ = gen.spectrum
@@ -446,9 +427,9 @@ def variance_slope_1d(
     z_grid = np.asarray(z_grid, dtype=float)
     if engine == "quantum":
         h = Hamiltonian(g, CouplingModel(coupling=coupling))
-        dist = np.abs(amplitude_grid(h, entry_state(g), z_grid)) ** 2
+        dist = np.abs(propagate(h, entry_state(g), z_grid)) ** 2
     else:
-        dist = distribution_grid(ClassicalGenerator(g, rate), entry_distribution(g), z_grid)
+        dist = propagate(ClassicalGenerator(g, rate), entry_distribution(g), z_grid)
     offsets = np.arange(m) - g.entry
     variances = dist @ (offsets.astype(float) ** 2)
     keep = (

@@ -1,16 +1,24 @@
-"""Coherent walk evolution through the graph Hamiltonian's spectrum.
+"""One spectral propagator for the coherent and the classical walk.
+
+Both walks evolve a state on the graph under a real symmetric matrix M:
+the coherent walk as psi(z) = exp(-i H z) psi(0), the classical walk as
+p(t) = exp(K t) p(0).  With the cached eigendecomposition M = V diag(w) V^T
+both are the same computation,
+
+    x(t) = V exp(phase * w * t) V^T x(0),
+
+with phase = -i for the Hamiltonian and phase = 1 for the rate matrix, so a
+single factorisation serves every length on a scan grid.
+:class:`SpectralOperator` holds the matrix and its spectrum and
+:func:`propagate` evaluates the formula at one length, on a grid, or at one
+site across a grid.
 
 The Hamiltonian couples neighbouring sites with a uniform strength C (units
 1/mm, so the evolution parameter z is a propagation length in mm) and puts
 a common detuning on the diagonal.  Since only the product C*z enters the
 dynamics, everything defaults to C = 1 and physical couplings are applied
-by rescaling; see :func:`hexwalk.hitting.calibrated_coupling`.
-
-Evolution uses the cached eigendecomposition H = V diag(w) V^T of the real
-symmetric Hamiltonian, so a single factorisation serves every length on a
-scan grid:
-
-    psi(z) = V exp(-i w z) V^T psi(0)
+by rescaling; see :func:`hexwalk.hitting.calibrated_coupling`.  The rate
+matrix lives in :mod:`hexwalk.stochastic`.
 """
 
 from __future__ import annotations
@@ -36,22 +44,22 @@ class CouplingModel:
             raise ValueError(f"diagonal energy must be finite, got {self.diagonal}")
 
 
-class Hamiltonian:
-    """Real symmetric walk generator for a graph under a coupling model.
+class SpectralOperator:
+    """Real symmetric matrix on a graph, with its eigendecomposition cached.
 
-    The matrix has ``coupling`` at every adjacent pair and ``diagonal`` on
-    the diagonal.  The eigendecomposition is computed once on first use and
-    reused for every evolution length.
+    ``phase`` multiplies the eigenvalues in the propagator's exponent and
+    ``dtype`` is the element type of the states it evolves; subclasses set
+    both and build the matrix.  The matrix is read-only and the spectrum is
+    computed once on first use and reused for every evolution length.
     """
 
-    def __init__(self, graph: Graph, model: CouplingModel | None = None):
+    phase: complex | float = 1.0
+    dtype: type = float
+
+    def __init__(self, graph: Graph, matrix: np.ndarray):
+        matrix.flags.writeable = False
         self.graph = graph
-        self.model = model if model is not None else CouplingModel()
-        h = self.model.coupling * graph.adjacency
-        if self.model.diagonal != 0.0:
-            h = h + self.model.diagonal * np.eye(graph.n_nodes)
-        h.flags.writeable = False
-        self._matrix = h
+        self._matrix = matrix
         self._spectrum: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
@@ -73,6 +81,24 @@ class Hamiltonian:
         return self._spectrum
 
 
+class Hamiltonian(SpectralOperator):
+    """Coherent walk generator for a graph under a coupling model.
+
+    The matrix has ``coupling`` at every adjacent pair and ``diagonal`` on
+    the diagonal; states are complex amplitudes evolved by exp(-i H z).
+    """
+
+    phase = -1j
+    dtype = complex
+
+    def __init__(self, graph: Graph, model: CouplingModel | None = None):
+        self.model = model if model is not None else CouplingModel()
+        h = self.model.coupling * graph.adjacency
+        if self.model.diagonal != 0.0:
+            h = h + self.model.diagonal * np.eye(graph.n_nodes)
+        super().__init__(graph, h)
+
+
 def build_hamiltonian(graph: Graph, model: CouplingModel | None = None) -> Hamiltonian:
     return Hamiltonian(graph, model)
 
@@ -84,78 +110,34 @@ def entry_state(graph: Graph) -> np.ndarray:
     return psi
 
 
-def _check_length(z: float) -> float:
-    z = float(z)
-    if not np.isfinite(z):
-        raise ValueError(f"evolution length must be finite, got {z}")
-    if z < 0.0:
-        raise ValueError(f"evolution length must be >= 0, got {z}")
-    return z
+def propagate(op: SpectralOperator, x0: np.ndarray, ts, site: int | None = None) -> np.ndarray:
+    """Evolve the state x0 through the operator's cached spectrum.
 
-
-def evolve_quantum(hamiltonian: Hamiltonian, psi0: np.ndarray, z: float) -> np.ndarray:
-    """Propagate an amplitude vector over length z.
-
-    Parameters
-    ----------
-    hamiltonian : Hamiltonian
-        Generator whose cached spectrum drives the evolution.
-    psi0 : complex array, shape (N,)
-        Initial amplitudes over the graph's nodes.
-    z : float
-        Evolution length in mm, >= 0.
-
-    Returns
-    -------
-    complex array, shape (N,)
-        The evolved amplitudes.  The Euclidean norm of the input is
-        preserved to rounding because the propagator is unitary.
+    A single length ``ts`` (finite, >= 0) gives the evolved state, shape
+    (N,); a 1-D grid of lengths gives one state per row, shape (T, N).  With
+    a grid, ``site`` gives only that node's entry of each state, shape (T,),
+    without forming the full states.  The coherent propagator is unitary and
+    the classical one stochastic, so the norm, or the total probability, of
+    x0 is kept to rounding.
     """
-    z = _check_length(z)
-    psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.shape != (hamiltonian.dim,):
-        raise ValueError(
-            f"state has shape {psi0.shape}, expected ({hamiltonian.dim},)"
-        )
-    w, v = hamiltonian.spectrum
-    return v @ (np.exp(-1j * w * z) * (v.T @ psi0))
-
-
-def amplitude_grid(hamiltonian: Hamiltonian, psi0: np.ndarray, zs: np.ndarray) -> np.ndarray:
-    """Evolved amplitudes at every length of a grid, shape (len(zs), N).
-
-    One matrix product per grid instead of one factorisation per point;
-    scan loops should prefer this over repeated :func:`evolve_quantum`.
-    """
-    psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.shape != (hamiltonian.dim,):
-        raise ValueError(f"state has shape {psi0.shape}, expected ({hamiltonian.dim},)")
-    zs = np.asarray(zs, dtype=float)
-    if zs.ndim != 1:
+    x0 = np.asarray(x0, dtype=op.dtype)
+    if x0.shape != (op.dim,):
+        raise ValueError(f"state has shape {x0.shape}, expected ({op.dim},)")
+    ts = np.asarray(ts, dtype=float)
+    if ts.ndim > 1:
         raise ValueError("length grid must be one-dimensional")
-    if zs.size and (not np.all(np.isfinite(zs)) or zs.min() < 0.0):
-        raise ValueError("length grid must be finite and >= 0")
-    w, v = hamiltonian.spectrum
-    modes = v.T @ psi0
-    return (np.exp(-1j * np.outer(zs, w)) * modes) @ v.T
-
-
-def site_probability_curve(
-    hamiltonian: Hamiltonian, psi0: np.ndarray, zs: np.ndarray, site: int
-) -> np.ndarray:
-    """Probability at one site across a length grid, without forming full states."""
-    if not (0 <= site < hamiltonian.dim):
-        raise ValueError(f"site {site} outside 0..{hamiltonian.dim - 1}")
-    psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.shape != (hamiltonian.dim,):
-        raise ValueError(f"state has shape {psi0.shape}, expected ({hamiltonian.dim},)")
-    zs = np.asarray(zs, dtype=float)
-    if zs.size and (not np.all(np.isfinite(zs)) or zs.min() < 0.0):
-        raise ValueError("length grid must be finite and >= 0")
-    w, v = hamiltonian.spectrum
-    weights = v[site, :] * (v.T @ psi0)
-    amps = np.exp(-1j * np.outer(zs, w)) @ weights
-    return np.abs(amps) ** 2
+    if ts.size and not (0.0 <= ts.min() and ts.max() < np.inf):
+        raise ValueError("evolution lengths must be finite and >= 0")
+    if site is not None and (ts.ndim == 0 or not 0 <= site < op.dim):
+        raise ValueError(f"site {site} needs a length grid and a node in 0..{op.dim - 1}")
+    w, v = op.spectrum
+    modes = v.T @ x0
+    if ts.ndim == 0:
+        return v @ (np.exp(op.phase * w * float(ts)) * modes)
+    factors = np.exp(op.phase * np.outer(ts, w))
+    if site is None:
+        return (factors * modes) @ v.T
+    return factors @ (v[site, :] * modes)
 
 
 def site_probabilities(psi: np.ndarray) -> np.ndarray:

@@ -1,11 +1,14 @@
 """Classical and dissipative walk dynamics on the same graphs.
 
 Two engines live here.  The first is the continuous-time classical walk
-generated by K = gamma * (A - D), evolved exactly through the spectrum of
-the symmetric K; its stationary distribution on a connected graph is
-uniform, which is what makes the classical hitting efficiency collapse to
-1/N.  The second is a density-matrix walk that interpolates between the
-coherent and classical limits with a mixing weight omega in [0, 1]:
+generated by K = gamma * (A - D).  :class:`ClassicalGenerator` is the real
+half of the spectral operator in :mod:`hexwalk.quantum`: the same cached
+eigendecomposition and the same :func:`hexwalk.quantum.propagate` evolve
+p(t) = exp(K t) p(0), with phase 1 in place of the coherent walk's -i.  Its
+stationary distribution on a connected graph is uniform, which is what
+makes the classical hitting efficiency collapse to 1/N.  The second is a
+density-matrix walk that interpolates between the coherent and classical
+limits with a mixing weight omega in [0, 1]:
 
     drho/dt = -(1 - omega) * i [H, rho] + omega * dissipator(rho)
 
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from hexwalk.graphs import Graph
-from hexwalk.quantum import Hamiltonian
+from hexwalk.quantum import Hamiltonian, SpectralOperator
 
 #: Largest graph the density-matrix integrator accepts by default.
 DEFAULT_NODE_CAP = 64
@@ -43,11 +46,12 @@ class IntegrationFailureError(RuntimeError):
     """Raised when step halving cannot keep the integration's trace drift in check."""
 
 
-class ClassicalGenerator:
+class ClassicalGenerator(SpectralOperator):
     """Rate matrix K = gamma * (A - D) of the classical walk on a graph.
 
     K is symmetric because the walk hops along undirected edges at a uniform
-    rate, so the evolution is computed through its eigendecomposition.  The
+    rate, so it shares the coherent walk's spectral propagator with a real
+    phase; states are probability vectors evolved by exp(K t).  The
     all-ones direction is an exact null vector (column sums vanish), which
     pins the stationary distribution of a connected graph at uniform.
     """
@@ -56,29 +60,8 @@ class ClassicalGenerator:
         rate = float(rate)
         if not np.isfinite(rate) or rate <= 0.0:
             raise ValueError(f"hop rate must be finite and > 0, got {rate}")
-        self.graph = graph
         self.rate = rate
-        k = rate * (graph.adjacency - np.diag(graph.degrees.astype(float)))
-        k.flags.writeable = False
-        self._matrix = k
-        self._spectrum: tuple[np.ndarray, np.ndarray] | None = None
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self._matrix
-
-    @property
-    def dim(self) -> int:
-        return self.graph.n_nodes
-
-    @property
-    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._spectrum is None:
-            w, v = np.linalg.eigh(self._matrix)
-            w.flags.writeable = False
-            v.flags.writeable = False
-            self._spectrum = (w, v)
-        return self._spectrum
+        super().__init__(graph, rate * (graph.adjacency - np.diag(graph.degrees.astype(float))))
 
 
 def classical_generator(graph: Graph, rate: float = 1.0) -> ClassicalGenerator:
@@ -99,34 +82,6 @@ def _check_time(t: float) -> float:
     if t < 0.0:
         raise ValueError(f"evolution time must be >= 0, got {t}")
     return t
-
-
-def evolve_classical(generator: ClassicalGenerator, p0: np.ndarray, t: float) -> np.ndarray:
-    """Propagate a probability vector to time t: p(t) = expm(K t) p0.
-
-    Probability is conserved exactly up to rounding (K's columns sum to
-    zero) and entries stay non-negative to rounding because expm(K t) is a
-    stochastic matrix.
-    """
-    t = _check_time(t)
-    p0 = np.asarray(p0, dtype=float)
-    if p0.shape != (generator.dim,):
-        raise ValueError(f"distribution has shape {p0.shape}, expected ({generator.dim},)")
-    w, v = generator.spectrum
-    return v @ (np.exp(w * t) * (v.T @ p0))
-
-
-def distribution_grid(generator: ClassicalGenerator, p0: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """Distributions at every time on a grid, shape (len(ts), N)."""
-    p0 = np.asarray(p0, dtype=float)
-    if p0.shape != (generator.dim,):
-        raise ValueError(f"distribution has shape {p0.shape}, expected ({generator.dim},)")
-    ts = np.asarray(ts, dtype=float)
-    if ts.size and (not np.all(np.isfinite(ts)) or ts.min() < 0.0):
-        raise ValueError("time grid must be finite and >= 0")
-    w, v = generator.spectrum
-    modes = v.T @ p0
-    return (np.exp(np.outer(ts, w)) * modes) @ v.T
 
 
 @dataclass(frozen=True)

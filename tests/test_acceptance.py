@@ -35,7 +35,7 @@ from hexwalk.quantum import (
     CouplingModel,
     build_hamiltonian,
     entry_state,
-    evolve_quantum,
+    propagate,
     site_probabilities,
 )
 from hexwalk.stochastic import (
@@ -43,7 +43,6 @@ from hexwalk.stochastic import (
     basis_density,
     classical_generator,
     entry_distribution,
-    evolve_classical,
     evolve_qsw,
     lindblad_rhs,
 )
@@ -90,7 +89,7 @@ def test_criterion_02_classical_efficiency():
         for n in range(1, 5):
             g = hexagonal_graph(n)
             gen = classical_generator(g)
-            p = evolve_classical(gen, entry_distribution(g), 600.0)
+            p = propagate(gen, entry_distribution(g), 600.0)
             assert abs(p[g.exit] - 1.0 / (2 * n * n + 4 * n)) < 1e-6
             if n == 2:
                 assert abs(p[g.exit] - 0.0625) < 1e-6
@@ -146,11 +145,11 @@ def test_criterion_07_engine_cross_validation():
             rho0 = basis_density(g.n_nodes, g.entry)
 
             coherent = evolve_qsw(rho0, h, QswParams(omega=0.0), t)
-            psi = evolve_quantum(h, entry_state(g), t)
+            psi = propagate(h, entry_state(g), t)
             assert np.max(np.abs(np.diag(coherent).real - site_probabilities(psi))) < 1e-6
 
             hopping = evolve_qsw(rho0, h, QswParams(omega=1.0), t)
-            p = evolve_classical(classical_generator(g), entry_distribution(g), t)
+            p = propagate(classical_generator(g), entry_distribution(g), t)
             assert np.max(np.abs(np.diag(hopping).real - p)) < 1e-6
 
         # closed-form dissipator against the explicit operator sum
@@ -183,7 +182,7 @@ def test_criterion_07_engine_cross_validation():
             for k in range(1, 41):
                 term = (-1j / k) * (h.matrix @ term)
                 series = series + term
-            assert np.max(np.abs(evolve_quantum(h, psi0, 1.0) - series)) < 1e-8
+            assert np.max(np.abs(propagate(h, psi0, 1.0) - series)) < 1e-8
 
 
 def test_criterion_08_conservation_suite():
@@ -196,11 +195,11 @@ def test_criterion_08_conservation_suite():
             psi0 = rng.normal(size=g.n_nodes) + 1j * rng.normal(size=g.n_nodes)
             psi0 /= np.linalg.norm(psi0)
             z = rng.uniform(0.0, 100.0)
-            assert abs(np.linalg.norm(evolve_quantum(h, psi0, z)) - 1.0) < 1e-10
+            assert abs(np.linalg.norm(propagate(h, psi0, z)) - 1.0) < 1e-10
 
             p0 = rng.random(g.n_nodes)
             p0 /= p0.sum()
-            p = evolve_classical(gen, p0, rng.uniform(0.0, 80.0))
+            p = propagate(gen, p0, rng.uniform(0.0, 80.0))
             assert abs(p.sum() - 1.0) < 1e-10
             assert p.min() > -1e-12
 

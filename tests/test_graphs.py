@@ -282,6 +282,13 @@ def test_neighbors_agree_with_adjacency():
     for node in range(g.n_nodes):
         expected = tuple(sorted(np.nonzero(g.adjacency[node])[0].tolist()))
         assert g.neighbors(node) == expected
+    assert g.connected
+    for g in (hexagonal_graph(3), glued_tree(3, seed=5), hypercube_graph(4), path_graph(6)):
+        assert g.connected
+        assert len(bfs_layers(g, 0)) == g.n_nodes
+    two_parts = Graph("path", [(0, 0), (2, 0), (4, 0), (6, 0)], [(0, 1), (2, 3)], 0, 3)
+    assert not two_parts.connected
+    assert two_parts.neighbors(1) == (0,)
 
 
 # ---------------------------------------------------------------------------

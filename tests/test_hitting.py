@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from hexwalk.graphs import Graph, glued_tree, hexagonal_graph, hypercube_graph, path_graph
-from hexwalk import hitting
 from hexwalk.hitting import (
     BoundaryMaximumWarning,
     ConvergenceError,
@@ -25,8 +24,8 @@ from hexwalk.hitting import (
     quantum_hitting_curve,
     variance_slope_1d,
 )
-from hexwalk.quantum import CouplingModel, build_hamiltonian, entry_state, site_probability_curve
-from hexwalk.stochastic import classical_generator, distribution_grid, entry_distribution
+from hexwalk.quantum import CouplingModel, build_hamiltonian, entry_state, propagate
+from hexwalk.stochastic import classical_generator, entry_distribution
 
 # Refined optimum of the single-hexagon walk at C=1 (the peak sits at 2pi/3).
 HEX1_Z_OPT = 2.094390970657552
@@ -60,7 +59,7 @@ def test_single_hexagon_refinement_matches_dense_scan():
     # brute-force oracle: dense scan at 1e-4 resolution over the same window
     h = build_hamiltonian(g)
     zs = np.arange(0.0, curve.z[-1] + 1e-4, 1e-4)
-    dense = site_probability_curve(h, entry_state(g), zs, g.exit)
+    dense = np.abs(propagate(h, entry_state(g), zs, g.exit)) ** 2
     k = int(np.argmax(dense))
     assert abs(curve.z_opt - zs[k]) < 1e-3
     assert curve.p_opt >= dense[k] - 1e-9
@@ -144,6 +143,13 @@ def test_classical_curve_saturates_at_uniform_share():
     assert curve.p_opt <= 0.0625 + 1e-9
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_classical_exit_curve_is_never_negative(n):
+    # the exact curve starts at 0; spectral rounding must not show up below it
+    curve = classical_hitting_curve(hexagonal_graph(n))
+    assert curve.p_exit.min() >= 0.0
+
+
 def test_two_site_convergence_is_analytic():
     rate, eps = 0.7, 1e-4
     res = classical_convergence_time(path_graph(2), rate=rate, epsilon=eps)
@@ -164,7 +170,7 @@ def test_thirty_node_convergence_frozen_values():
 
 
 def _deviation_grid(g, ts, rate=1.0):
-    grid = distribution_grid(classical_generator(g, rate=rate), entry_distribution(g), ts)
+    grid = propagate(classical_generator(g, rate=rate), entry_distribution(g), ts)
     return np.max(np.abs(grid - 1.0 / g.n_nodes), axis=1)
 
 
@@ -193,7 +199,7 @@ def test_convergence_matches_dense_grid_oracle():
     res = classical_convergence_time(g, rate=rate, epsilon=eps)
     gen = classical_generator(g, rate=rate)
     ts = np.linspace(0.0, 2.0 * res.t_converge, 20001)
-    grid = distribution_grid(gen, entry_distribution(g), ts)
+    grid = propagate(gen, entry_distribution(g), ts)
     dev = np.max(np.abs(grid - res.p_uniform), axis=1)
     passing = np.nonzero(dev <= eps * res.p_uniform)[0]
     oracle_t = ts[passing[0]]
@@ -204,10 +210,10 @@ def test_convergence_deviation_is_threshold_tight():
     g = hexagonal_graph(2)
     res = classical_convergence_time(g)
     gen = classical_generator(g)
-    at = np.max(np.abs(distribution_grid(gen, entry_distribution(g), np.array([res.t_converge]))[0] - res.p_uniform))
+    at = np.max(np.abs(propagate(gen, entry_distribution(g), np.array([res.t_converge]))[0] - res.p_uniform))
     assert at <= 1e-4 * res.p_uniform * (1.0 + 1e-6)
     just_before = res.t_converge * (1.0 - 1e-6)
-    before = np.max(np.abs(distribution_grid(gen, entry_distribution(g), np.array([just_before]))[0] - res.p_uniform))
+    before = np.max(np.abs(propagate(gen, entry_distribution(g), np.array([just_before]))[0] - res.p_uniform))
     assert before > 1e-4 * res.p_uniform * (1.0 - 1e-6)
 
 
@@ -240,7 +246,7 @@ def test_disconnected_graph_fails_at_the_horizon_without_the_connectivity_check(
     # the doubled zero mode keeps the deviation up, so the horizon guard catches it
     coords = [(0, 0), (2, 0), (4, 0), (6, 0)]
     broken = Graph("path", coords, [(0, 1), (2, 3)], entry=0, exit=3)
-    monkeypatch.setattr(hitting, "_is_connected", lambda graph: True)
+    monkeypatch.setattr(Graph, "connected", property(lambda graph: True))
     with pytest.raises(ConvergenceError, match="horizon"):
         classical_convergence_time(broken)
 

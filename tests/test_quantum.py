@@ -1,4 +1,4 @@
-"""Tests for Hamiltonian construction and coherent evolution."""
+"""Tests for Hamiltonian construction and the spectral propagator of both walks."""
 
 from __future__ import annotations
 
@@ -10,13 +10,12 @@ import pytest
 from hexwalk.graphs import glued_tree, hexagonal_graph, path_graph
 from hexwalk.quantum import (
     CouplingModel,
-    amplitude_grid,
     build_hamiltonian,
     entry_state,
-    evolve_quantum,
+    propagate,
     site_probabilities,
-    site_probability_curve,
 )
+from hexwalk.stochastic import classical_generator, entry_distribution
 
 # Exit probability of the 6-node single-hexagon walk at C=1, z=1, computed
 # with a 40-term series expansion of the propagator and frozen here.
@@ -100,14 +99,14 @@ def test_zero_length_evolution_is_identity():
     g = glued_tree(2, gluing="identity")
     h = build_hamiltonian(g)
     psi0 = entry_state(g)
-    assert np.max(np.abs(evolve_quantum(h, psi0, 0.0) - psi0)) < 1e-12
+    assert np.max(np.abs(propagate(h, psi0, 0.0) - psi0)) < 1e-12
 
 
 def test_two_site_rabi_oscillation():
     h = build_hamiltonian(path_graph(2), CouplingModel(coupling=0.9))
     psi0 = entry_state(path_graph(2))
     for z in (0.3, 1.1, 2.5):
-        p = site_probabilities(evolve_quantum(h, psi0, z))
+        p = site_probabilities(propagate(h, psi0, z))
         assert abs(p[1] - math.sin(0.9 * z) ** 2) < 1e-12
 
 
@@ -119,7 +118,7 @@ def test_norm_is_conserved_for_random_states_and_lengths():
         psi0 = rng.normal(size=g.n_nodes) + 1j * rng.normal(size=g.n_nodes)
         psi0 /= np.linalg.norm(psi0)
         z = rng.uniform(0.0, 100.0 / 0.5)
-        psi = evolve_quantum(h, psi0, z)
+        psi = propagate(h, psi0, z)
         assert abs(np.linalg.norm(psi) - 1.0) < 1e-10
 
 
@@ -129,8 +128,8 @@ def test_diagonal_shift_is_a_pure_phase():
     plain = build_hamiltonian(g, CouplingModel(coupling=1.0))
     shifted = build_hamiltonian(g, CouplingModel(coupling=1.0, diagonal=2.5))
     for z in (0.7, 3.0):
-        p_plain = site_probabilities(evolve_quantum(plain, psi0, z))
-        p_shift = site_probabilities(evolve_quantum(shifted, psi0, z))
+        p_plain = site_probabilities(propagate(plain, psi0, z))
+        p_shift = site_probabilities(propagate(shifted, psi0, z))
         assert np.max(np.abs(p_plain - p_shift)) < 1e-10
 
 
@@ -140,8 +139,8 @@ def test_scaling_coupling_rescales_length():
     slow = build_hamiltonian(g, CouplingModel(coupling=1.0))
     fast = build_hamiltonian(g, CouplingModel(coupling=2.0))
     z = 4.2
-    psi_slow = evolve_quantum(slow, psi0, z)
-    psi_fast = evolve_quantum(fast, psi0, z / 2.0)
+    psi_slow = propagate(slow, psi0, z)
+    psi_fast = propagate(fast, psi0, z / 2.0)
     assert np.max(np.abs(psi_slow - psi_fast)) < 1e-9
 
 
@@ -149,8 +148,8 @@ def test_evolution_composes():
     g = glued_tree(2, gluing="identity")
     h = build_hamiltonian(g, CouplingModel(coupling=0.8))
     psi0 = entry_state(g)
-    direct = evolve_quantum(h, psi0, 3.7)
-    stepped = evolve_quantum(h, evolve_quantum(h, psi0, 1.4), 2.3)
+    direct = propagate(h, psi0, 3.7)
+    stepped = propagate(h, propagate(h, psi0, 1.4), 2.3)
     assert np.max(np.abs(direct - stepped)) < 1e-9
 
 
@@ -159,7 +158,7 @@ def test_propagator_matches_series_oracle_on_small_graphs():
         assert g.n_nodes <= 30
         h = build_hamiltonian(g)
         psi0 = entry_state(g)
-        spectral = evolve_quantum(h, psi0, 1.0)
+        spectral = propagate(h, psi0, 1.0)
         series = taylor_evolve(h.matrix, psi0, 1.0)
         assert np.max(np.abs(spectral - series)) < 1e-8
 
@@ -167,20 +166,59 @@ def test_propagator_matches_series_oracle_on_small_graphs():
 def test_single_hexagon_exit_probability_frozen_value():
     g = hexagonal_graph(1)
     h = build_hamiltonian(g)
-    psi = evolve_quantum(h, entry_state(g), 1.0)
+    psi = propagate(h, entry_state(g), 1.0)
     assert abs(site_probabilities(psi)[g.exit] - HEX1_EXIT_PROB_AT_Z1) < 1e-9
 
 
-def test_evolve_rejects_bad_lengths_and_shapes():
+# Both walks run through the one propagator.  Per walk: the operator at a
+# given coupling or hop rate, the launch state, the state's dtype, the
+# probability carried by a propagated entry, and the lowest probability
+# allowed.  The classical propagator is stochastic only to rounding, so its
+# raw exit curve may dip ~1e-16 below 0 (the hitting scan clips that).
+OPERATORS = {
+    "coherent": (
+        lambda g, c: build_hamiltonian(g, CouplingModel(coupling=c)),
+        entry_state,
+        np.complex128,
+        lambda x: np.abs(x) ** 2,
+        0.0,
+    ),
+    "classical": (
+        lambda g, c: classical_generator(g, rate=c),
+        entry_distribution,
+        np.float64,
+        lambda x: x,
+        -1e-15,
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(OPERATORS))
+def test_evolve_rejects_bad_lengths_and_shapes(kind):
     g = path_graph(3)
-    h = build_hamiltonian(g)
-    psi0 = entry_state(g)
+    make, launch, _, _, _ = OPERATORS[kind]
+    h = make(g, 1.0)
+    psi0 = launch(g)
     with pytest.raises(ValueError):
-        evolve_quantum(h, psi0, -0.1)
+        propagate(h, psi0, -0.1)
     with pytest.raises(ValueError):
-        evolve_quantum(h, psi0, float("nan"))
+        propagate(h, psi0, float("nan"))
     with pytest.raises(ValueError):
-        evolve_quantum(h, psi0[:2], 1.0)
+        propagate(h, psi0[:2], 1.0)
+    with pytest.raises(ValueError):
+        propagate(h, np.zeros((3, 3)), 1.0)
+    zs = np.linspace(0.0, 1.0, 3)
+    with pytest.raises(ValueError):
+        propagate(h, psi0, np.array([0.0, -0.1]))
+    with pytest.raises(ValueError):
+        propagate(h, psi0, np.array([0.0, np.nan]))
+    with pytest.raises(ValueError):
+        propagate(h, psi0, zs.reshape(1, 3))
+    for site in (-1, 3):
+        with pytest.raises(ValueError):
+            propagate(h, psi0, zs, site)
+    with pytest.raises(ValueError):
+        propagate(h, psi0, 1.0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -195,24 +233,35 @@ def test_site_probabilities_on_indicator_and_uniform():
     assert np.allclose(site_probabilities(quarter), 0.25)
 
 
-def test_amplitude_grid_matches_single_shot_evolution():
+@pytest.mark.parametrize("kind", sorted(OPERATORS))
+def test_amplitude_grid_matches_single_shot_evolution(kind):
     g = hexagonal_graph(1)
-    h = build_hamiltonian(g, CouplingModel(coupling=1.3))
-    psi0 = entry_state(g)
+    make, launch, dtype, _, _ = OPERATORS[kind]
+    h = make(g, 1.3)
+    psi0 = launch(g)
     zs = np.array([0.0, 0.5, 1.25, 4.0])
-    grid = amplitude_grid(h, psi0, zs)
+    grid = propagate(h, psi0, zs)
     assert grid.shape == (4, g.n_nodes)
+    assert grid.dtype == dtype
     for row, z in zip(grid, zs):
-        assert np.max(np.abs(row - evolve_quantum(h, psi0, z))) < 1e-12
+        single = propagate(h, psi0, z)
+        assert single.dtype == dtype
+        assert np.max(np.abs(row - single)) < 1e-12
 
 
-def test_site_probability_curve_matches_grid():
+@pytest.mark.parametrize("kind", sorted(OPERATORS))
+def test_site_probability_curve_matches_grid(kind):
     g = hexagonal_graph(2)
-    h = build_hamiltonian(g)
-    psi0 = entry_state(g)
+    make, launch, dtype, probability, floor = OPERATORS[kind]
+    h = make(g, 1.0)
+    psi0 = launch(g)
     zs = np.linspace(0.0, 8.0, 33)
-    curve = site_probability_curve(h, psi0, zs, g.exit)
-    grid = amplitude_grid(h, psi0, zs)
-    assert np.max(np.abs(curve - np.abs(grid[:, g.exit]) ** 2)) < 1e-12
-    assert np.all(curve >= 0.0)
+    site = propagate(h, psi0, zs, g.exit)
+    grid = propagate(h, psi0, zs)
+    assert site.shape == zs.shape
+    assert site.dtype == dtype
+    assert np.max(np.abs(site - grid[:, g.exit])) < 1e-12
+    curve = probability(site)
+    assert np.max(np.abs(curve - probability(grid[:, g.exit]))) < 1e-12
+    assert np.all(curve >= floor)
     assert np.all(curve <= 1.0 + 1e-12)

@@ -12,7 +12,7 @@ from hexwalk.quantum import (
     CouplingModel,
     build_hamiltonian,
     entry_state,
-    evolve_quantum,
+    propagate,
     site_probabilities,
 )
 from hexwalk.stochastic import (
@@ -21,9 +21,7 @@ from hexwalk.stochastic import (
     basis_density,
     classical_generator,
     density_from_state,
-    distribution_grid,
     entry_distribution,
-    evolve_classical,
     evolve_qsw,
     lindblad_rhs,
 )
@@ -73,14 +71,14 @@ def test_zero_time_returns_start():
     g = path_graph(5)
     gen = classical_generator(g)
     p0 = entry_distribution(g)
-    assert np.allclose(evolve_classical(gen, p0, 0.0), p0, atol=1e-12)
+    assert np.allclose(propagate(gen, p0, 0.0), p0, atol=1e-12)
 
 
 def test_two_site_relaxation_analytic():
     gen = classical_generator(path_graph(2), rate=0.7)
     p0 = np.array([1.0, 0.0])
     for t in (0.1, 0.5, 2.0, 10.0):
-        p = evolve_classical(gen, p0, t)
+        p = propagate(gen, p0, t)
         expected = (1.0 - math.exp(-2.0 * 0.7 * t)) / 2.0
         assert abs(p[1] - expected) < 1e-12
 
@@ -88,7 +86,7 @@ def test_two_site_relaxation_analytic():
 def test_sixteen_node_diamond_reaches_uniform():
     g = hexagonal_graph(2)
     gen = classical_generator(g)
-    p = evolve_classical(gen, entry_distribution(g), 200.0)
+    p = propagate(gen, entry_distribution(g), 200.0)
     assert np.max(np.abs(p - 0.0625)) < 1e-6
 
 
@@ -100,7 +98,7 @@ def test_simplex_is_preserved():
         p0 = rng.random(g.n_nodes)
         p0 /= p0.sum()
         t = rng.uniform(0.0, 50.0)
-        p = evolve_classical(gen, p0, t)
+        p = propagate(gen, p0, t)
         assert abs(p.sum() - 1.0) < 1e-10
         assert p.min() > -1e-12
 
@@ -109,7 +107,7 @@ def test_deviation_decays_after_transient():
     g = hexagonal_graph(3)
     gen = classical_generator(g)
     ts = np.linspace(5.0, 80.0, 40)
-    grid = distribution_grid(gen, entry_distribution(g), ts)
+    grid = propagate(gen, entry_distribution(g), ts)
     dev = np.max(np.abs(grid - 1.0 / g.n_nodes), axis=1)
     assert np.all(np.diff(dev) < 0.0)
 
@@ -118,9 +116,9 @@ def test_evolve_classical_rejects_bad_input():
     gen = classical_generator(path_graph(3))
     p0 = entry_distribution(path_graph(3))
     with pytest.raises(ValueError):
-        evolve_classical(gen, p0, -1.0)
+        propagate(gen, p0, -1.0)
     with pytest.raises(ValueError):
-        evolve_classical(gen, p0[:2], 1.0)
+        propagate(gen, p0[:2], 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -241,12 +239,12 @@ def test_qsw_limits_reproduce_dedicated_engines(graph):
     rho0 = basis_density(graph.n_nodes, graph.entry)
 
     coherent = evolve_qsw(rho0, h, QswParams(omega=0.0), t)
-    psi = evolve_quantum(h, entry_state(graph), t)
+    psi = propagate(h, entry_state(graph), t)
     assert np.max(np.abs(np.diag(coherent).real - site_probabilities(psi))) < 1e-6
 
     classical = evolve_qsw(rho0, h, QswParams(omega=1.0), t)
     gen = classical_generator(graph)
-    p = evolve_classical(gen, entry_distribution(graph), t)
+    p = propagate(gen, entry_distribution(graph), t)
     assert np.max(np.abs(np.diag(classical).real - p)) < 1e-6
     off = classical - np.diag(np.diag(classical))
     assert np.max(np.abs(off)) == 0.0
