@@ -22,22 +22,12 @@ import argparse
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 import hexwalk
-from hexwalk.graphs import (
-    GLUING_MODES,
-    Graph,
-    edge_csv,
-    glued_tree,
-    hexagonal_graph,
-    hypercube_graph,
-    node_csv,
-    path_graph,
-)
+from hexwalk.graphs import edge_csv, node_csv, parse_graph_selector
 from hexwalk.hitting import (
     ConvergenceError,
     FitError,
@@ -68,42 +58,14 @@ EXIT_INPUT = 3
 EXIT_NUMERICAL = 4
 
 
-@dataclass
-class RunConfig:
-    """Resolved settings of one CLI invocation, echoed into output headers."""
-
-    command: str
-    graph: str | None = None
-    coupling: float | None = None
-    rate: float | None = None
-    omega: float | None = None
-    z_max: float | None = None
-    dz: float | None = None
-    seed: int | None = None
-    out: str = "."
-    calibrate: bool = False
-
-    def header(self, **extra) -> str:
-        pairs = {}
-        if self.graph is not None:
-            pairs["graph"] = self.graph
-        if self.coupling is not None:
-            pairs["coupling"] = _fmt(self.coupling)
-        if self.rate is not None:
-            pairs["rate"] = _fmt(self.rate)
-        if self.omega is not None:
-            pairs["omega"] = _fmt(self.omega)
-        if self.z_max is not None:
-            pairs["z_max"] = _fmt(self.z_max)
-        if self.dz is not None:
-            pairs["dz"] = _fmt(self.dz)
-        if self.seed is not None:
-            pairs["seed"] = str(self.seed)
-        pairs["calibrate"] = str(int(self.calibrate))
-        for key, value in extra.items():
-            pairs[key] = value if isinstance(value, str) else _fmt(value)
-        body = " ".join(f"{k}={v}" for k, v in pairs.items())
-        return f"# hexwalk {hexwalk.__version__} | {self.command} | {body}"
+def _header(command: str, **pairs) -> str:
+    """Output header: the version, the subcommand and each setting that is not None, in order."""
+    body = " ".join(
+        f"{key}={value if isinstance(value, str) else _fmt(value)}"
+        for key, value in pairs.items()
+        if value is not None
+    )
+    return f"# hexwalk {hexwalk.__version__} | {command} | {body}"
 
 
 def _fmt(value) -> str:
@@ -132,58 +94,6 @@ def _write_table(path: Path, header: str, columns: list[str], rows, sep: str = "
     for row in rows:
         lines.append(sep.join(_fmt(cell) if not isinstance(cell, str) else cell for cell in row))
     _write_atomic(path, "\n".join(lines) + "\n")
-
-
-def parse_graph_selector(text: str, default_seed: int = 0) -> Graph:
-    """Build a graph from a selector such as ``hexagonal:n=4``.
-
-    Selectors are ``family:key=value,key=value``.  Families and keys:
-    ``hexagonal:n=4``, ``glued-tree:d=3,glue=random,seed=7`` (glue is
-    ``identity`` or ``random``; seed falls back to --seed),
-    ``hypercube:d=5``, ``path:m=101``.
-    """
-    family, _, tail = text.partition(":")
-    family = family.strip()
-    params: dict[str, str] = {}
-    if tail:
-        for chunk in tail.split(","):
-            key, eq, value = chunk.partition("=")
-            if not eq or not key.strip() or not value.strip():
-                raise ValueError(f"malformed selector parameter {chunk!r} in {text!r}")
-            params[key.strip()] = value.strip()
-
-    def want_int(key: str) -> int:
-        if key not in params:
-            raise ValueError(f"selector {text!r} is missing required parameter {key!r}")
-        raw = params.pop(key)
-        try:
-            return int(raw)
-        except ValueError:
-            raise ValueError(f"selector parameter {key}={raw!r} is not an integer") from None
-
-    if family == "hexagonal":
-        graph = hexagonal_graph(want_int("n"))
-    elif family == "glued-tree":
-        depth = want_int("d")
-        glue = params.pop("glue", "random")
-        if glue == "random":
-            glue = "random-cycle"
-        if glue not in GLUING_MODES:
-            raise ValueError(f"glue must be 'identity' or 'random', got {glue!r}")
-        seed = int(params.pop("seed", default_seed))
-        graph = glued_tree(depth, glue, seed)
-    elif family == "hypercube":
-        graph = hypercube_graph(want_int("d"))
-    elif family == "path":
-        graph = path_graph(want_int("m"))
-    else:
-        raise ValueError(
-            f"unknown graph family {family!r}; "
-            "expected hexagonal, glued-tree, hypercube, or path"
-        )
-    if params:
-        raise ValueError(f"unknown selector parameter(s) {sorted(params)} for {family!r}")
-    return graph
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -267,10 +177,10 @@ def _resolve_rates(args) -> tuple[float, float]:
 
 def cmd_generate(args) -> int:
     graph = parse_graph_selector(args.graph, args.seed)
-    config = RunConfig("generate", graph=args.graph, seed=args.seed, out=args.out)
+    header = _header("generate", graph=args.graph, seed=args.seed, calibrate=False)
     out = Path(args.out)
-    _write_atomic(out / "nodes.csv", config.header() + "\n" + node_csv(graph))
-    _write_atomic(out / "edges.csv", config.header() + "\n" + edge_csv(graph))
+    _write_atomic(out / "nodes.csv", header + "\n" + node_csv(graph))
+    _write_atomic(out / "edges.csv", header + "\n" + edge_csv(graph))
     print(
         f"{graph.family}: {graph.n_nodes} nodes, {graph.n_edges} edges, "
         f"entry={graph.entry}, exit={graph.exit}"
@@ -281,13 +191,15 @@ def cmd_generate(args) -> int:
 def cmd_scan(args) -> int:
     graph = parse_graph_selector(args.graph, args.seed)
     coupling, rate = _resolve_rates(args)
-    if args.engine == "quantum":
-        auto_z_max, auto_dz = default_scan_window(graph, coupling)
-    else:
-        auto_z_max, auto_dz = default_scan_window(graph, rate)
+    auto_z_max, auto_dz = default_scan_window(graph, coupling if args.engine == "quantum" else rate)
     z_max = args.z_max if args.z_max is not None else auto_z_max
     dz = args.dz if args.dz is not None else auto_dz
-    config = RunConfig(
+    if args.engine == "quantum":
+        curve = quantum_hitting_curve(graph, CouplingModel(coupling=coupling), z_max, dz)
+    else:
+        curve = classical_hitting_curve(graph, rate, z_max, dz)
+    out = Path(args.out)
+    header = _header(
         "scan",
         graph=args.graph,
         coupling=coupling,
@@ -296,15 +208,9 @@ def cmd_scan(args) -> int:
         z_max=z_max,
         dz=dz,
         seed=args.seed,
-        out=args.out,
         calibrate=args.calibrate,
+        engine=args.engine,
     )
-    if args.engine == "quantum":
-        curve = quantum_hitting_curve(graph, CouplingModel(coupling=coupling), z_max, dz)
-    else:
-        curve = classical_hitting_curve(graph, rate, z_max, dz)
-    out = Path(args.out)
-    header = config.header(engine=args.engine)
     rows = zip(curve.z, curve.p_exit)
     _write_table(out / "curve.csv", header, ["z", "p_exit"], rows)
     if args.dat:
@@ -327,30 +233,36 @@ def cmd_scan(args) -> int:
 
 def _parse_depths(text: str) -> list[int]:
     text = text.strip()
+
+    def depth(chunk: str) -> int:
+        try:
+            return int(chunk)
+        except ValueError:
+            raise ValueError(f"--depths {text!r}: {chunk.strip()!r} is not an integer") from None
+
     for sep in ("..", ":"):
         if sep in text:
             lo_s, _, hi_s = text.partition(sep)
-            lo, hi = int(lo_s), int(hi_s)
+            lo, hi = depth(lo_s), depth(hi_s)
             if hi < lo:
                 raise ValueError(f"empty depth range {text!r}")
             return list(range(lo, hi + 1))
-    return [int(chunk) for chunk in text.split(",") if chunk.strip()]
+    return [depth(chunk) for chunk in text.split(",") if chunk.strip()]
 
 
 def cmd_sweep(args) -> int:
     depths = _parse_depths(args.depths)
     coupling, rate = _resolve_rates(args)
-    config = RunConfig(
+    rows = depth_sweep(depths, CouplingModel(coupling=coupling), rate)
+    out = Path(args.out)
+    header = _header(
         "sweep",
         coupling=coupling,
         rate=rate,
         seed=args.seed,
-        out=args.out,
         calibrate=args.calibrate,
+        depths=",".join(str(r.n) for r in rows),
     )
-    rows = depth_sweep(depths, CouplingModel(coupling=coupling), rate)
-    out = Path(args.out)
-    header = config.header(depths=",".join(str(r.n) for r in rows))
     columns = ["n", "z_opt", "p_opt", "t_converge", "t_low", "t_high", "P_a"]
     table = [
         (r.n, r.z_opt, r.p_opt, r.t_converge, r.t_low, r.t_high, r.p_uniform) for r in rows
@@ -389,17 +301,17 @@ def cmd_variance(args) -> int:
         if args.z_max <= 0:
             raise ValueError(f"--z-max must be > 0, got {args.z_max}")
         z_grid = np.linspace(args.z_max / 48.0, args.z_max, 48)
-    config = RunConfig(
+    fit = variance_slope_1d(args.sites, args.engine, z_grid, coupling=coupling, rate=rate)
+    header = _header(
         "variance",
         coupling=coupling,
         rate=rate,
         z_max=args.z_max,
         seed=args.seed,
-        out=args.out,
         calibrate=args.calibrate,
+        engine=args.engine,
+        sites=args.sites,
     )
-    fit = variance_slope_1d(args.sites, args.engine, z_grid, coupling=coupling, rate=rate)
-    header = config.header(engine=args.engine, sites=args.sites)
     _write_table(
         Path(args.out) / "fit.csv",
         header,
@@ -420,8 +332,10 @@ def cmd_analyze(args) -> int:
     image = parse_image(image_text)
     mask = parse_mask(mask_text)
     result = extract_probabilities(image, mask, args.exit_node)
-    config = RunConfig("analyze", seed=args.seed, out=args.out)
-    header = config.header(
+    header = _header(
+        "analyze",
+        seed=args.seed,
+        calibrate=False,
         image=os.path.basename(args.image),
         mask=os.path.basename(args.mask),
         exit_node=int(result.node_ids[-1]) if args.exit_node is None else args.exit_node,

@@ -17,9 +17,28 @@ import random
 
 import numpy as np
 
-FAMILIES = ("hexagonal", "glued-tree", "hypercube", "path")
-
 GLUING_MODES = ("identity", "random-cycle")
+
+#: The one place that knows each family: family -> (build, scale).
+#: ``build(take, seed)`` builds the graph from a selector, where
+#: ``take(key, default=None, cast=int)`` hands out one parameter and ``seed``
+#: is the command-line --seed.  ``scale(params)`` is the depth-like size of a
+#: built graph that sets its default scan window.  Builders are looked up by
+#: their module-level names at call time, so a wrapper installed on those
+#: names sees every build.
+_FAMILY_TABLE = {
+    "hexagonal": (lambda take, seed: hexagonal_graph(take("n")), lambda p: p["n"]),
+    "glued-tree": (
+        lambda take, seed: glued_tree(
+            take("d"), _gluing(take("glue", "random", str)), take("seed", seed)
+        ),
+        lambda p: p["depth"],
+    ),
+    "hypercube": (lambda take, seed: hypercube_graph(take("d")), lambda p: p["d"]),
+    "path": (lambda take, seed: path_graph(take("m")), lambda p: max(1, p["m"] // 4)),
+}
+
+FAMILIES = tuple(_FAMILY_TABLE)
 
 
 class Graph:
@@ -159,6 +178,13 @@ class Graph:
         )
 
 
+def _check_size(value, label: str, minimum: int) -> None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{label} must be an integer")
+    if value < minimum:
+        raise ValueError(f"{label} must be >= {minimum}, got {value}")
+
+
 # Corner offsets of one hexagon around its centre, in cyclic order, so that
 # consecutive corners are joined by a side of physical length s.
 _HEX_CORNERS = ((2, 0), (1, 1), (-1, 1), (-2, 0), (-1, -1), (1, -1))
@@ -175,10 +201,7 @@ def hexagonal_graph(n: int) -> Graph:
     exit.  A patch of depth n always has 2n**2 + 4n nodes and
     3n**2 + 4n - 1 edges.
     """
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError("depth n must be an integer")
-    if n < 1:
-        raise ValueError(f"depth n must be >= 1, got {n}")
+    _check_size(n, "depth n", 1)
     corners: set[tuple[int, int]] = set()
     sides: set[tuple[tuple[int, int], tuple[int, int]]] = set()
     for c in range(2 * n - 1):
@@ -217,10 +240,7 @@ def glued_tree(depth: int, gluing: str = "random-cycle", seed: int = 0) -> Graph
     the mirrored right tree X = depth+1..2*depth+1, and siblings spread in Y
     so that every parent sits midway between its children.
     """
-    if not isinstance(depth, int) or isinstance(depth, bool):
-        raise ValueError("depth must be an integer")
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
+    _check_size(depth, "depth", 1)
     if gluing not in GLUING_MODES:
         raise ValueError(f"gluing must be one of {GLUING_MODES}, got {gluing!r}")
     leaves = 2**depth
@@ -265,10 +285,7 @@ def hypercube_graph(d: int) -> Graph:
     display only (X = Hamming weight, layers spread in Y) and do not affect
     the id assignment.
     """
-    if not isinstance(d, int) or isinstance(d, bool):
-        raise ValueError("dimension d must be an integer")
-    if d < 1:
-        raise ValueError(f"dimension d must be >= 1, got {d}")
+    _check_size(d, "dimension d", 1)
     n = 2**d
     layers: dict[int, list[int]] = {}
     for v in range(n):
@@ -291,13 +308,65 @@ def path_graph(m: int) -> Graph:
     entry is site (m - 1) // 2 and the exit the far end m - 1; taking the
     left-of-centre site for even m keeps entry and exit distinct down to
     m = 2."""
-    if not isinstance(m, int) or isinstance(m, bool):
-        raise ValueError("site count m must be an integer")
-    if m < 2:
-        raise ValueError(f"site count m must be >= 2, got {m}")
+    _check_size(m, "site count m", 2)
     coords = [(2 * i, 0) for i in range(m)]
     edges = [(i, i + 1) for i in range(m - 1)]
     return Graph("path", coords, edges, (m - 1) // 2, m - 1, params={"m": m})
+
+
+def _gluing(glue: str) -> str:
+    mode = "random-cycle" if glue == "random" else glue
+    if mode not in GLUING_MODES:
+        raise ValueError(f"glue must be 'identity' or 'random', got {mode!r}")
+    return mode
+
+
+def parse_graph_selector(text: str, default_seed: int = 0) -> Graph:
+    """Build a graph from a selector such as ``hexagonal:n=4``.
+
+    Selectors are ``family:key=value,key=value``, each key given once.
+    Families and keys: ``hexagonal:n=4``, ``glued-tree:d=3,glue=random,seed=7``
+    (glue is ``identity`` or ``random``; seed falls back to --seed),
+    ``hypercube:d=5``, ``path:m=101``.
+    """
+    family, _, tail = text.partition(":")
+    family = family.strip()
+    params: dict[str, str] = {}
+    if tail:
+        for chunk in tail.split(","):
+            key, eq, value = chunk.partition("=")
+            key = key.strip()
+            if not eq or not key or not value.strip():
+                raise ValueError(f"malformed selector parameter {chunk!r} in {text!r}")
+            if key in params:
+                raise ValueError(f"selector {text!r} repeats parameter {key!r}")
+            params[key] = value.strip()
+    if family not in _FAMILY_TABLE:
+        raise ValueError(
+            f"unknown graph family {family!r}; "
+            f"expected {', '.join(FAMILIES[:-1])}, or {FAMILIES[-1]}"
+        )
+
+    def take(key: str, default=None, cast=int):
+        if key not in params:
+            if default is None:
+                raise ValueError(f"selector {text!r} is missing required parameter {key!r}")
+            return default
+        raw = params.pop(key)
+        try:
+            return cast(raw)
+        except ValueError:
+            raise ValueError(f"selector parameter {key}={raw!r} is not an integer") from None
+
+    graph = _FAMILY_TABLE[family][0](take, default_seed)
+    if params:
+        raise ValueError(f"unknown selector parameter(s) {sorted(params)} for {family!r}")
+    return graph
+
+
+def depth_scale(graph: Graph) -> int:
+    """Depth-like size of a graph, which sets its default scan window."""
+    return _FAMILY_TABLE[graph.family][1](graph.params)
 
 
 def edge_csv(graph: Graph) -> str:

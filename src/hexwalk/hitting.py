@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from hexwalk.graphs import Graph, hexagonal_graph, path_graph
+from hexwalk.graphs import Graph, depth_scale, hexagonal_graph, path_graph
 from hexwalk.quantum import CouplingModel, Hamiltonian, entry_state, propagate
 from hexwalk.stochastic import ClassicalGenerator, entry_distribution
 
@@ -109,31 +109,21 @@ class FitResult:
         return np.exp(self.intercept) * x**self.slope
 
 
-def _depth_scale(graph: Graph) -> int:
-    """Depth-like size used for default scan windows."""
-    params = graph.params
-    if graph.family == "hexagonal":
-        return params["n"]
-    if graph.family == "glued-tree":
-        return params["depth"]
-    if graph.family == "hypercube":
-        return params["d"]
-    if graph.family == "path":
-        return max(1, params["m"] // 4)
-    return max(1, math.isqrt(graph.n_nodes))
-
-
 def default_scan_window(graph: Graph, coupling: float = 1.0) -> tuple[float, float]:
     """Default (z_max, dz) for a scan: 4 * depth / C in steps of 0.01 / C."""
     if not np.isfinite(coupling) or coupling <= 0.0:
         raise ValueError(f"coupling must be finite and > 0, got {coupling}")
     return (
-        SCAN_WINDOW_FACTOR * _depth_scale(graph) / coupling,
+        SCAN_WINDOW_FACTOR * depth_scale(graph) / coupling,
         SCAN_STEP_FACTOR / coupling,
     )
 
 
-def _scan_grid(z_max: float, dz: float) -> np.ndarray:
+def _scan_grid(graph: Graph, scale: float, z_max: float | None, dz: float | None) -> np.ndarray:
+    """Grid 0, dz, 2 dz, ... up to z_max; unset ends take the default window for ``scale``."""
+    auto_z_max, auto_dz = default_scan_window(graph, scale)
+    z_max = auto_z_max if z_max is None else z_max
+    dz = auto_dz if dz is None else dz
     if not np.isfinite(z_max) or z_max <= 0.0:
         raise ValueError(f"scan window must be finite and > 0, got {z_max}")
     if not np.isfinite(dz) or dz <= 0.0:
@@ -173,12 +163,7 @@ def quantum_hitting_curve(
     as-is under a :class:`BoundaryMaximumWarning`.
     """
     model = model if model is not None else CouplingModel()
-    auto_z_max, auto_dz = default_scan_window(graph, model.coupling)
-    if z_max is None:
-        z_max = auto_z_max
-    if dz is None:
-        dz = auto_dz
-    zs = _scan_grid(z_max, dz)
+    zs = _scan_grid(graph, model.coupling, z_max, dz)
     h = Hamiltonian(graph, model)
     psi0 = entry_state(graph)
 
@@ -217,12 +202,7 @@ def classical_hitting_curve(
     samples below 0 (at early times, where p_exit is ~0) are clipped to 0.
     """
     gen = ClassicalGenerator(graph, rate)
-    auto_t_max, auto_dt = default_scan_window(graph, rate)
-    if t_max is None:
-        t_max = auto_t_max
-    if dt is None:
-        dt = auto_dt
-    ts = _scan_grid(t_max, dt)
+    ts = _scan_grid(graph, rate, t_max, dt)
     p = np.maximum(propagate(gen, entry_distribution(graph), ts, graph.exit), 0.0)
     i = int(np.argmax(p))
     return HittingCurve(ts, p, float(ts[i]), float(p[i]), "classical")

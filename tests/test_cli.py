@@ -234,6 +234,19 @@ def test_bad_graph_parameters_exit_2(tmp_path, capsys):
     assert main(["generate", "--graph", "hexagonal:n=two", "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "hexwalk:" in err
+    assert main(["generate", "--graph", "hexagonal:n=4,n=5", "--out", str(tmp_path)]) == 2
+    assert "repeats parameter 'n'" in capsys.readouterr().err
+    assert not (tmp_path / "nodes.csv").exists()
+
+
+def test_bad_integers_are_named_and_exit_2(tmp_path, capsys):
+    graph = "glued-tree:d=3,seed=abc"
+    assert main(["generate", "--graph", graph, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "hexwalk: selector parameter seed='abc' is not an integer\n"
+    assert main(["sweep", "--depths", "2..x", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "hexwalk: --depths '2..x': 'x' is not an integer\n"
+    assert main(["sweep", "--depths", "2,3,four", "--out", str(tmp_path)]) == 2
+    assert "--depths '2,3,four': 'four' is not an integer" in capsys.readouterr().err
 
 
 def test_malformed_image_exits_3(tmp_path, capsys):

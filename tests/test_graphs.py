@@ -7,6 +7,7 @@ from collections import deque
 import numpy as np
 import pytest
 
+from hexwalk import graphs
 from hexwalk.graphs import (
     Graph,
     edge_csv,
@@ -14,8 +15,10 @@ from hexwalk.graphs import (
     hexagonal_graph,
     hypercube_graph,
     node_csv,
+    parse_graph_selector,
     path_graph,
 )
+from hexwalk.hitting import default_scan_window
 
 
 def bfs_layers(g: Graph, start: int) -> dict[int, int]:
@@ -262,6 +265,52 @@ def test_graph_rejects_bad_node_references():
 def test_graph_rejects_unknown_family():
     with pytest.raises(ValueError):
         Graph("moebius", [(0, 0), (1, 0)], [(0, 1)], entry=0, exit=1)
+
+
+# ---------------------------------------------------------------------------
+# family table and selectors
+# ---------------------------------------------------------------------------
+
+# One selector per family; a family added to the table without one fails here.
+SELECTOR_EXAMPLES = {
+    "hexagonal": "hexagonal:n=2",
+    "glued-tree": "glued-tree:d=3,glue=identity",
+    "hypercube": "hypercube:d=3",
+    "path": "path:m=9",
+}
+
+BUILDERS = ("hexagonal_graph", "glued_tree", "hypercube_graph", "path_graph")
+
+
+@pytest.mark.parametrize("family", graphs.FAMILIES)
+def test_every_family_selector_builds_through_the_module_name_and_scales(family, monkeypatch):
+    calls = []
+    for name in BUILDERS:
+        real = getattr(graphs, name)
+
+        def spy(*args, _real=real, _name=name):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(graphs, name, spy)
+    g = parse_graph_selector(SELECTOR_EXAMPLES[family])
+    assert g.family == family
+    assert len(calls) == 1
+    z_max, dz = default_scan_window(g)
+    assert z_max > 0.0 and dz > 0.0
+
+
+def test_unknown_family_error_lists_every_family():
+    with pytest.raises(ValueError, match="unknown graph family 'pentagon'") as err:
+        parse_graph_selector("pentagon:n=2")
+    for family in graphs.FAMILIES:
+        assert family in str(err.value)
+
+
+def test_glued_tree_selector_defaults_and_seed_fallback():
+    g = parse_graph_selector("glued-tree:d=3", default_seed=5)
+    assert g.params == {"depth": 3, "gluing": "random-cycle", "seed": 5}
+    assert parse_graph_selector("glued-tree:d=3,seed=2", default_seed=5).params["seed"] == 2
 
 
 def test_adjacency_matches_edge_list_and_is_frozen():
