@@ -19,7 +19,6 @@ from hexwalk.quantum import (
 )
 from hexwalk.stochastic import (
     ClassicalGenerator,
-    IntegrationFailureError,
     QswParams,
     evolve_qsw,
     lindblad_rhs,
@@ -69,7 +68,6 @@ __all__ = [
     "QswParams",
     "lindblad_rhs",
     "evolve_qsw",
-    "IntegrationFailureError",
     "HittingCurve",
     "ConvergenceResult",
     "ConvergenceError",

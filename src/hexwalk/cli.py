@@ -13,7 +13,8 @@ and the full run configuration, and is written atomically (temp file plus
 rename), so identical configurations rerun to byte-identical files.
 
 Exit codes: 0 success, 2 usage error, 3 input parse error, 4 numerical
-failure.
+failure.  A scan whose optimum sits on the window edge prints one
+``hexwalk: warning: ...`` line on stderr and still exits 0.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import argparse
 import os
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +31,7 @@ import numpy as np
 import hexwalk
 from hexwalk.graphs import edge_csv, node_csv, parse_graph_selector
 from hexwalk.hitting import (
+    BoundaryMaximumWarning,
     ConvergenceError,
     FitError,
     WindowError,
@@ -50,7 +53,7 @@ from hexwalk.imaging import (
     parse_mask,
 )
 from hexwalk.quantum import CouplingModel, Hamiltonian, entry_state, propagate
-from hexwalk.stochastic import ClassicalGenerator, IntegrationFailureError, entry_distribution
+from hexwalk.stochastic import ClassicalGenerator, entry_distribution
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -96,18 +99,19 @@ def _write_table(path: Path, header: str, columns: list[str], rows, sep: str = "
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, walk: bool = True) -> None:
     parser.add_argument("--out", default=".", help="output directory (default: current)")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomised gluings")
-    parser.add_argument("--coupling", type=float, default=1.0, help="edge coupling C in 1/mm")
-    parser.add_argument(
-        "--rate", type=float, default=None, help="classical hop rate (default: the coupling)"
-    )
-    parser.add_argument(
-        "--calibrate",
-        action="store_true",
-        help="rescale the coupling so the depth-2 hexagonal optimum sits at 25.2 mm",
-    )
+    if walk:
+        parser.add_argument("--coupling", type=float, default=1.0, help="edge coupling C in 1/mm")
+        parser.add_argument(
+            "--rate", type=float, default=None, help="classical hop rate (default: the coupling)"
+        )
+        parser.add_argument(
+            "--calibrate",
+            action="store_true",
+            help="rescale the coupling so the depth-2 hexagonal optimum sits at 25.2 mm",
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -120,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write node and edge tables of a graph")
     p.add_argument("--graph", required=True, help="graph selector, e.g. hexagonal:n=4")
-    _add_common(p)
+    _add_common(p, walk=False)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("scan", help="scan exit probability over evolution length")
@@ -163,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="node id whose share is the efficiency (default: highest id in the mask)",
     )
-    _add_common(p)
+    _add_common(p, walk=False)
     p.set_defaults(func=cmd_analyze)
 
     return parser
@@ -177,7 +181,7 @@ def _resolve_rates(args) -> tuple[float, float]:
 
 def cmd_generate(args) -> int:
     graph = parse_graph_selector(args.graph, args.seed)
-    header = _header("generate", graph=args.graph, seed=args.seed, calibrate=False)
+    header = _header("generate", graph=args.graph, seed=args.seed)
     out = Path(args.out)
     _write_atomic(out / "nodes.csv", header + "\n" + node_csv(graph))
     _write_atomic(out / "edges.csv", header + "\n" + edge_csv(graph))
@@ -335,7 +339,6 @@ def cmd_analyze(args) -> int:
     header = _header(
         "analyze",
         seed=args.seed,
-        calibrate=False,
         image=os.path.basename(args.image),
         mask=os.path.basename(args.mask),
         exit_node=int(result.node_ids[-1]) if args.exit_node is None else args.exit_node,
@@ -349,17 +352,28 @@ def cmd_analyze(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    python_format = warnings.formatwarning
+
+    def format_warning(message, category, *location):
+        # the warning is about the run, not about the source line that raised it
+        if issubclass(category, BoundaryMaximumWarning):
+            return f"hexwalk: warning: {message}\n"
+        return python_format(message, category, *location)
+
+    warnings.formatwarning = format_warning
     try:
         return args.func(args)
     except (ImageParseError, MaskError, DegenerateImageError) as exc:
         print(f"hexwalk: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (ConvergenceError, IntegrationFailureError, FitError, WindowError) as exc:
+    except (ConvergenceError, FitError, WindowError) as exc:
         print(f"hexwalk: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:
         print(f"hexwalk: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        warnings.formatwarning = python_format
 
 
 if __name__ == "__main__":

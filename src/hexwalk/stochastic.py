@@ -20,30 +20,23 @@ at the rate omega*gamma*(deg_i + deg_k)/2.  At omega = 0 the equation is
 the coherent walk on states; at omega = 1 the populations follow K and the
 coherences only decay.
 
-The density-matrix engine integrates with a fixed-step classic Runge-Kutta
-scheme and is meant for cross-checks on small graphs, hence the node cap.
+Both parts have exact solutions through the cached spectra of H and K;
+the density-matrix engine composes them by Strang splitting and is meant
+for cross-checks on small graphs, hence the node cap.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from hexwalk.graphs import Graph
-from hexwalk.quantum import Hamiltonian, SpectralOperator
+from hexwalk.quantum import Hamiltonian, SpectralOperator, propagate
 
-#: Largest graph the density-matrix integrator accepts by default.
+#: Largest graph the density-matrix engine accepts by default.
 DEFAULT_NODE_CAP = 64
-
-#: Trace drift tolerated over a full integration before the step is halved.
-TRACE_DRIFT_LIMIT = 1.0e-6
-
-_MAX_STEP_HALVINGS = 4
-
-
-class IntegrationFailureError(RuntimeError):
-    """Raised when step halving cannot keep the integration's trace drift in check."""
 
 
 class ClassicalGenerator(SpectralOperator):
@@ -64,24 +57,11 @@ class ClassicalGenerator(SpectralOperator):
         super().__init__(graph, rate * (graph.adjacency - np.diag(graph.degrees.astype(float))))
 
 
-def classical_generator(graph: Graph, rate: float = 1.0) -> ClassicalGenerator:
-    return ClassicalGenerator(graph, rate)
-
-
 def entry_distribution(graph: Graph) -> np.ndarray:
     """Probability 1 on the entry node."""
     p = np.zeros(graph.n_nodes)
     p[graph.entry] = 1.0
     return p
-
-
-def _check_time(t: float) -> float:
-    t = float(t)
-    if not np.isfinite(t):
-        raise ValueError(f"evolution time must be finite, got {t}")
-    if t < 0.0:
-        raise ValueError(f"evolution time must be >= 0, got {t}")
-    return t
 
 
 @dataclass(frozen=True)
@@ -90,7 +70,9 @@ class QswParams:
 
     omega = 0 reproduces the coherent walk, omega = 1 the classical one,
     and anything in between damps coherences at a rate proportional to
-    omega * rate.  ``step`` is the Runge-Kutta step in evolution length.
+    omega * rate.  ``step`` is the longest Strang splitting step in
+    evolution length for 0 < omega < 1; at omega = 0 and 1 the evolution
+    is exact and the step is not used.
     """
 
     omega: float
@@ -149,14 +131,6 @@ def lindblad_rhs(rho: np.ndarray, hamiltonian: Hamiltonian, params: QswParams) -
     return out
 
 
-def _rk4_step(rho: np.ndarray, dt: float, hamiltonian: Hamiltonian, params: QswParams) -> np.ndarray:
-    k1 = lindblad_rhs(rho, hamiltonian, params)
-    k2 = lindblad_rhs(rho + 0.5 * dt * k1, hamiltonian, params)
-    k3 = lindblad_rhs(rho + 0.5 * dt * k2, hamiltonian, params)
-    k4 = lindblad_rhs(rho + dt * k3, hamiltonian, params)
-    return rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def evolve_qsw(
     rho0: np.ndarray,
     hamiltonian: Hamiltonian,
@@ -164,27 +138,23 @@ def evolve_qsw(
     t: float,
     node_cap: int = DEFAULT_NODE_CAP,
 ) -> np.ndarray:
-    """Integrate the density-matrix walk from rho0 over time t.
+    """Evolve the density matrix rho0 of the walk on ``hamiltonian``'s graph over time t >= 0.
 
-    Fixed-step classic Runge-Kutta at ``params.step``; if the trace drifts
-    from one by more than 1e-6 anywhere along the run, the step is halved
-    and the run repeated, up to four times, after which
-    :class:`IntegrationFailureError` is raised.
-
-    Parameters
-    ----------
-    rho0 : complex array, shape (N, N)
-        Initial density matrix (Hermitian, unit trace).
-    hamiltonian : Hamiltonian
-        Coherent part's generator; its graph supplies the jump structure.
-    params : QswParams
-        Mixing weight, hop rate, and base step.
-    t : float
-        Total evolution time, >= 0.
-    node_cap : int
-        Dense-matrix safety cap on the graph size.
+    Strang splitting S = D(dt/2) U(dt) D(dt/2) into the generator's two
+    exact pieces: U is the unitary step through the cached spectrum of H,
+    D the dissipator, which moves the populations by the classical walk at
+    rate omega * rate and damps each coherence.  Both keep the trace, so
+    there is no failure mode.  The splitting error has only even powers of
+    dt, so for 0 < omega < 1 one Richardson step (4 S^2m - S^m) / 3, with
+    m = ceil(t / step), cancels its leading term.  At omega = 0 or 1 one
+    piece is left and a single step of length t is exact.  Graphs above
+    ``node_cap`` nodes are refused, since every state is a dense N x N matrix.
     """
-    t = _check_time(t)
+    t = float(t)
+    if not np.isfinite(t):
+        raise ValueError(f"evolution time must be finite, got {t}")
+    if t < 0.0:
+        raise ValueError(f"evolution time must be >= 0, got {t}")
     n = hamiltonian.dim
     if n > node_cap:
         raise ValueError(
@@ -195,25 +165,39 @@ def evolve_qsw(
         raise ValueError(f"density matrix has shape {rho0.shape}, expected ({n}, {n})")
     if t == 0.0:
         return rho0.copy()
-    step = params.step
-    for _ in range(_MAX_STEP_HALVINGS + 1):
-        steps = max(1, int(np.ceil(t / step)))
+    omega = params.omega
+    # a piece of weight 0 is skipped, so at omega = 1 zero coherences stay exactly zero
+    unitary, dissipative = omega < 1.0, omega > 0.0
+    if dissipative:
+        classical = ClassicalGenerator(hamiltonian.graph, omega * params.rate)
+        deg = hamiltonian.graph.degrees.astype(float)
+        pair = deg[:, None] + deg[None, :]
+
+    def strang(steps: int) -> np.ndarray:
         dt = t / steps
+        if unitary:
+            w, v = hamiltonian.spectrum
+            u = (v * np.exp(-1j * (1.0 - omega) * w * dt)) @ v.T
+        if dissipative:
+            # coherence rho_ik decays at omega * rate * (d_i + d_k) / 2
+            damp = {tau: np.exp(-0.5 * classical.rate * tau * pair) for tau in (0.5 * dt, dt)}
+
+        def dissipate(rho, tau):
+            if dissipative:
+                pops = propagate(classical, np.diagonal(rho).real, tau)
+                rho *= damp[tau]
+                np.fill_diagonal(rho, pops)
+
+        # D is a semigroup: the two half steps between consecutive U merge
         rho = rho0.copy()
-        drift = abs(np.trace(rho).real - 1.0)
-        # a diverging run may overflow before the drift check catches it;
-        # the drift test below is the real detector, so mute the noise
-        with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(steps):
-                rho = _rk4_step(rho, dt, hamiltonian, params)
-                here = abs(np.trace(rho).real - 1.0)
-                drift = max(drift, here) if np.isfinite(here) else np.inf
-                if drift > TRACE_DRIFT_LIMIT:
-                    break
-        if drift <= TRACE_DRIFT_LIMIT:
-            return rho
-        step *= 0.5
-    raise IntegrationFailureError(
-        f"trace drift {drift:.3e} still above {TRACE_DRIFT_LIMIT:.0e} "
-        f"after {_MAX_STEP_HALVINGS} step halvings (final step {step:.3e})"
-    )
+        dissipate(rho, 0.5 * dt)
+        for k in range(steps):
+            if unitary:
+                rho = u @ rho @ u.conj().T
+            dissipate(rho, dt if k < steps - 1 else 0.5 * dt)
+        return rho
+
+    if omega in (0.0, 1.0):
+        return strang(1)
+    m = max(1, math.ceil(t / params.step))
+    return (4.0 * strang(2 * m) - strang(m)) / 3.0

@@ -39,9 +39,9 @@ from hexwalk.quantum import (
     site_probabilities,
 )
 from hexwalk.stochastic import (
+    ClassicalGenerator,
     QswParams,
     basis_density,
-    classical_generator,
     entry_distribution,
     evolve_qsw,
     lindblad_rhs,
@@ -88,7 +88,7 @@ def test_criterion_02_classical_efficiency():
     with criterion(2, "classical efficiency"):
         for n in range(1, 5):
             g = hexagonal_graph(n)
-            gen = classical_generator(g)
+            gen = ClassicalGenerator(g)
             p = propagate(gen, entry_distribution(g), 600.0)
             assert abs(p[g.exit] - 1.0 / (2 * n * n + 4 * n)) < 1e-6
             if n == 2:
@@ -149,7 +149,7 @@ def test_criterion_07_engine_cross_validation():
             assert np.max(np.abs(np.diag(coherent).real - site_probabilities(psi))) < 1e-6
 
             hopping = evolve_qsw(rho0, h, QswParams(omega=1.0), t)
-            p = propagate(classical_generator(g), entry_distribution(g), t)
+            p = propagate(ClassicalGenerator(g), entry_distribution(g), t)
             assert np.max(np.abs(np.diag(hopping).real - p)) < 1e-6
 
         # closed-form dissipator against the explicit operator sum
@@ -190,7 +190,7 @@ def test_criterion_08_conservation_suite():
         rng = np.random.default_rng(33)
         g = hexagonal_graph(3)
         h = build_hamiltonian(g)
-        gen = classical_generator(g)
+        gen = ClassicalGenerator(g)
         for _ in range(8):
             psi0 = rng.normal(size=g.n_nodes) + 1j * rng.normal(size=g.n_nodes)
             psi0 /= np.linalg.norm(psi0)

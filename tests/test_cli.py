@@ -27,6 +27,19 @@ def data_rows(path):
     return lines[2:]
 
 
+def run_cli_process(*argv):
+    """Run ``hexwalk.cli.main`` in a child interpreter on the package this session imported."""
+    package_root = str(Path(hexwalk.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    wrapper = "import sys; from hexwalk.cli import main; sys.exit(main())"
+    return subprocess.run(
+        [sys.executable, "-c", wrapper, *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
 def stdout_value(capsys, key):
     out = capsys.readouterr().out
     match = re.search(rf"{key}=([-0-9.e+]+)", out)
@@ -62,6 +75,26 @@ def test_generate_is_reproducible_across_directories(tmp_path):
     assert main(["generate", "--graph", sel, "--out", str(b)]) == 0
     assert read(a / "nodes.csv") == read(b / "nodes.csv")
     assert read(a / "edges.csv") == read(b / "edges.csv")
+
+
+@pytest.mark.parametrize("command", ["generate", "analyze"])
+@pytest.mark.parametrize(
+    "flag", [["--coupling", "2"], ["--rate", "0.5"], ["--calibrate"]], ids=lambda f: f[0]
+)
+def test_walk_flags_are_refused_where_no_walk_runs(command, flag, tmp_path, capsys):
+    inputs = ["--graph", "hexagonal:n=1"] if command == "generate" else ["image.txt", "mask.csv"]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *inputs, *flag, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_generate_header_records_only_what_generate_uses(tmp_path):
+    code = main(["generate", "--graph", "hexagonal:n=1", "--seed", "3", "--out", str(tmp_path)])
+    assert code == 0
+    header = read(tmp_path / "nodes.csv").split("\n")[0]
+    assert header == f"# hexwalk {hexwalk.__version__} | generate | graph=hexagonal:n=1 seed=3"
 
 
 def test_generate_seed_flag_reaches_the_gluing(tmp_path):
@@ -223,6 +256,16 @@ def test_analyze_exit_node_override(rendered_fixture, tmp_path, capsys):
     assert abs(stdout_value(capsys, "efficiency") - p[0]) < 1e-3
 
 
+def test_analyze_header_records_only_what_analyze_uses(rendered_fixture, tmp_path):
+    image_path, mask_path, _ = rendered_fixture
+    assert main(["analyze", str(image_path), str(mask_path), "--out", str(tmp_path)]) == 0
+    header = read(tmp_path / "probabilities.csv").split("\n")[0]
+    assert header == (
+        f"# hexwalk {hexwalk.__version__} | analyze | "
+        "seed=0 image=image.txt mask=mask.csv exit_node=3"
+    )
+
+
 # ---------------------------------------------------------------------------
 # failure modes and exit codes
 # ---------------------------------------------------------------------------
@@ -281,6 +324,16 @@ def test_boundary_maximum_warning_is_emitted(tmp_path):
             ["scan", "--graph", "path:m=2", "--z-max", "1.0", "--out", str(tmp_path)]
         )
     assert code == 0
+
+
+def test_boundary_warning_is_one_plain_stderr_line(tmp_path):
+    proc = run_cli_process("scan", "--graph", "path:m=21", "--z-max", "3", "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == (
+        "hexwalk: warning: exit probability is maximal at the scan boundary (z = 3); "
+        "enlarge the window to bracket the true optimum\n"
+    )
+    assert "cli.py" not in proc.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from hexwalk.hitting import (
     variance_slope_1d,
 )
 from hexwalk.quantum import CouplingModel, build_hamiltonian, entry_state, propagate
-from hexwalk.stochastic import classical_generator, entry_distribution
+from hexwalk.stochastic import ClassicalGenerator, entry_distribution
 
 # Refined optimum of the single-hexagon walk at C=1 (the peak sits at 2pi/3).
 HEX1_Z_OPT = 2.094390970657552
@@ -170,7 +170,7 @@ def test_thirty_node_convergence_frozen_values():
 
 
 def _deviation_grid(g, ts, rate=1.0):
-    grid = propagate(classical_generator(g, rate=rate), entry_distribution(g), ts)
+    grid = propagate(ClassicalGenerator(g, rate=rate), entry_distribution(g), ts)
     return np.max(np.abs(grid - 1.0 / g.n_nodes), axis=1)
 
 
@@ -197,7 +197,7 @@ def test_convergence_matches_dense_grid_oracle():
     g = hexagonal_graph(2)
     rate, eps = 1.0, 1e-4
     res = classical_convergence_time(g, rate=rate, epsilon=eps)
-    gen = classical_generator(g, rate=rate)
+    gen = ClassicalGenerator(g, rate=rate)
     ts = np.linspace(0.0, 2.0 * res.t_converge, 20001)
     grid = propagate(gen, entry_distribution(g), ts)
     dev = np.max(np.abs(grid - res.p_uniform), axis=1)
@@ -209,7 +209,7 @@ def test_convergence_matches_dense_grid_oracle():
 def test_convergence_deviation_is_threshold_tight():
     g = hexagonal_graph(2)
     res = classical_convergence_time(g)
-    gen = classical_generator(g)
+    gen = ClassicalGenerator(g)
     at = np.max(np.abs(propagate(gen, entry_distribution(g), np.array([res.t_converge]))[0] - res.p_uniform))
     assert at <= 1e-4 * res.p_uniform * (1.0 + 1e-6)
     just_before = res.t_converge * (1.0 - 1e-6)

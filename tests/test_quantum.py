@@ -15,7 +15,7 @@ from hexwalk.quantum import (
     propagate,
     site_probabilities,
 )
-from hexwalk.stochastic import classical_generator, entry_distribution
+from hexwalk.stochastic import ClassicalGenerator, entry_distribution
 
 # Exit probability of the 6-node single-hexagon walk at C=1, z=1, computed
 # with a 40-term series expansion of the propagator and frozen here.
@@ -184,7 +184,7 @@ OPERATORS = {
         0.0,
     ),
     "classical": (
-        lambda g, c: classical_generator(g, rate=c),
+        lambda g, c: ClassicalGenerator(g, rate=c),
         entry_distribution,
         np.float64,
         lambda x: x,

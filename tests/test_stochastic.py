@@ -1,8 +1,9 @@
-"""Tests for the classical generator and the Lindblad integrator."""
+"""Tests for the classical generator and the density-matrix walk."""
 
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,10 +17,9 @@ from hexwalk.quantum import (
     site_probabilities,
 )
 from hexwalk.stochastic import (
-    IntegrationFailureError,
+    ClassicalGenerator,
     QswParams,
     basis_density,
-    classical_generator,
     density_from_state,
     entry_distribution,
     evolve_qsw,
@@ -50,7 +50,7 @@ def brute_force_dissipator(rho: np.ndarray, adjacency: np.ndarray, rate: float) 
 def test_generator_matrix_structure():
     g = hexagonal_graph(2)
     rate = 0.8
-    gen = classical_generator(g, rate=rate)
+    gen = ClassicalGenerator(g, rate=rate)
     k = gen.matrix
     assert np.array_equal(k, k.T)
     assert np.allclose(k.sum(axis=0), 0.0, atol=1e-12)
@@ -62,20 +62,20 @@ def test_generator_matrix_structure():
 
 def test_generator_rejects_bad_rate():
     with pytest.raises(ValueError):
-        classical_generator(path_graph(3), rate=0.0)
+        ClassicalGenerator(path_graph(3), rate=0.0)
     with pytest.raises(ValueError):
-        classical_generator(path_graph(3), rate=-1.0)
+        ClassicalGenerator(path_graph(3), rate=-1.0)
 
 
 def test_zero_time_returns_start():
     g = path_graph(5)
-    gen = classical_generator(g)
+    gen = ClassicalGenerator(g)
     p0 = entry_distribution(g)
     assert np.allclose(propagate(gen, p0, 0.0), p0, atol=1e-12)
 
 
 def test_two_site_relaxation_analytic():
-    gen = classical_generator(path_graph(2), rate=0.7)
+    gen = ClassicalGenerator(path_graph(2), rate=0.7)
     p0 = np.array([1.0, 0.0])
     for t in (0.1, 0.5, 2.0, 10.0):
         p = propagate(gen, p0, t)
@@ -85,7 +85,7 @@ def test_two_site_relaxation_analytic():
 
 def test_sixteen_node_diamond_reaches_uniform():
     g = hexagonal_graph(2)
-    gen = classical_generator(g)
+    gen = ClassicalGenerator(g)
     p = propagate(gen, entry_distribution(g), 200.0)
     assert np.max(np.abs(p - 0.0625)) < 1e-6
 
@@ -93,7 +93,7 @@ def test_sixteen_node_diamond_reaches_uniform():
 def test_simplex_is_preserved():
     rng = np.random.default_rng(5)
     g = glued_tree(2, gluing="random-cycle", seed=1)
-    gen = classical_generator(g, rate=1.3)
+    gen = ClassicalGenerator(g, rate=1.3)
     for _ in range(10):
         p0 = rng.random(g.n_nodes)
         p0 /= p0.sum()
@@ -105,7 +105,7 @@ def test_simplex_is_preserved():
 
 def test_deviation_decays_after_transient():
     g = hexagonal_graph(3)
-    gen = classical_generator(g)
+    gen = ClassicalGenerator(g)
     ts = np.linspace(5.0, 80.0, 40)
     grid = propagate(gen, entry_distribution(g), ts)
     dev = np.max(np.abs(grid - 1.0 / g.n_nodes), axis=1)
@@ -113,7 +113,7 @@ def test_deviation_decays_after_transient():
 
 
 def test_evolve_classical_rejects_bad_input():
-    gen = classical_generator(path_graph(3))
+    gen = ClassicalGenerator(path_graph(3))
     p0 = entry_distribution(path_graph(3))
     with pytest.raises(ValueError):
         propagate(gen, p0, -1.0)
@@ -172,7 +172,7 @@ def test_rhs_classical_limit_on_populations():
     g = hexagonal_graph(1)
     h = build_hamiltonian(g)
     rate = 1.4
-    gen = classical_generator(g, rate=rate)
+    gen = ClassicalGenerator(g, rate=rate)
     pops = np.array([0.4, 0.3, 0.1, 0.1, 0.05, 0.05])
     rho = np.diag(pops).astype(complex)
     rhs = lindblad_rhs(rho, h, QswParams(omega=1.0, rate=rate))
@@ -243,7 +243,7 @@ def test_qsw_limits_reproduce_dedicated_engines(graph):
     assert np.max(np.abs(np.diag(coherent).real - site_probabilities(psi))) < 1e-6
 
     classical = evolve_qsw(rho0, h, QswParams(omega=1.0), t)
-    gen = classical_generator(graph)
+    gen = ClassicalGenerator(graph)
     p = propagate(gen, entry_distribution(graph), t)
     assert np.max(np.abs(np.diag(classical).real - p)) < 1e-6
     off = classical - np.diag(np.diag(classical))
@@ -283,10 +283,49 @@ def test_qsw_node_cap():
     assert abs(np.trace(rho).real - 1.0) < 1e-6
 
 
-def test_qsw_reports_unrecoverable_drift():
+def test_qsw_coarse_step_stays_a_density_matrix():
     g = hexagonal_graph(1)
     h = build_hamiltonian(g, CouplingModel(coupling=40.0))
     rho0 = basis_density(g.n_nodes, g.entry)
-    # a step far too coarse for this coupling cannot be rescued by halving
-    with pytest.raises(IntegrationFailureError):
-        evolve_qsw(rho0, h, QswParams(omega=0.0, step=5.0), 50.0)
+    # a step far too coarse for this coupling still gives a finite,
+    # trace-one Hermitian matrix: every split piece is an exact map
+    for omega in (0.0, 0.5, 1.0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rho = evolve_qsw(rho0, h, QswParams(omega=omega, step=5.0), 50.0)
+        assert np.all(np.isfinite(rho))
+        assert abs(np.trace(rho) - 1.0) < 1e-12
+        assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
+        if omega in (0.0, 1.0):
+            assert np.linalg.eigvalsh(rho).min() >= -1e-12
+
+
+def expm_scaling_squaring(a: np.ndarray) -> np.ndarray:
+    """exp(a) by a Taylor series on a / 2^s, squared back s times."""
+    s = max(0, int(np.ceil(np.log2(max(np.linalg.norm(a, 1), 1e-300)))) + 1)
+    scaled = a / 2.0**s
+    term = np.eye(a.shape[0], dtype=a.dtype)
+    out = term.copy()
+    for k in range(1, 30):
+        term = term @ scaled / k
+        out += term
+    for _ in range(s):
+        out = out @ out
+    return out
+
+
+@pytest.mark.parametrize("omega", [0.25, 0.5, 0.75])
+def test_qsw_matches_exponential_of_lindblad_rhs(omega):
+    g = hexagonal_graph(1)
+    n = g.n_nodes
+    h = build_hamiltonian(g)
+    params = QswParams(omega=omega, rate=1.3)
+    generator = np.zeros((n * n, n * n), dtype=complex)
+    for col in range(n * n):
+        unit = np.zeros(n * n, dtype=complex)
+        unit[col] = 1.0
+        generator[:, col] = lindblad_rhs(unit.reshape(n, n), h, params).ravel()
+    rho0 = basis_density(n, g.entry)
+    t = 2.0
+    exact = (expm_scaling_squaring(generator * t) @ rho0.ravel()).reshape(n, n)
+    assert np.max(np.abs(evolve_qsw(rho0, h, params, t) - exact)) < 1e-9
