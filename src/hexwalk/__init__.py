@@ -9,14 +9,7 @@ out of pixel images through circular node masks.
 """
 
 from hexwalk.graphs import Graph, glued_tree, hexagonal_graph, hypercube_graph, path_graph
-from hexwalk.quantum import (
-    CouplingModel,
-    Hamiltonian,
-    build_hamiltonian,
-    entry_state,
-    propagate,
-    site_probabilities,
-)
+from hexwalk.quantum import Hamiltonian, entry_state, propagate
 from hexwalk.stochastic import (
     ClassicalGenerator,
     QswParams,
@@ -58,12 +51,9 @@ __all__ = [
     "glued_tree",
     "hypercube_graph",
     "path_graph",
-    "CouplingModel",
     "Hamiltonian",
-    "build_hamiltonian",
     "entry_state",
     "propagate",
-    "site_probabilities",
     "ClassicalGenerator",
     "QswParams",
     "lindblad_rhs",

@@ -37,7 +37,6 @@ from hexwalk.hitting import (
     WindowError,
     calibrated_coupling,
     classical_hitting_curve,
-    default_scan_window,
     depth_sweep,
     fit_linear,
     fit_power,
@@ -52,8 +51,8 @@ from hexwalk.imaging import (
     parse_image,
     parse_mask,
 )
-from hexwalk.quantum import CouplingModel, Hamiltonian, entry_state, propagate
-from hexwalk.stochastic import ClassicalGenerator, entry_distribution
+from hexwalk.quantum import Hamiltonian, entry_state, propagate
+from hexwalk.stochastic import ClassicalGenerator
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -99,9 +98,13 @@ def _write_table(path: Path, header: str, columns: list[str], rows, sep: str = "
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
+def _add_graph(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--graph", required=True, help="graph selector, e.g. hexagonal:n=2")
+    parser.add_argument("--seed", type=int, default=0, help="seed for randomised gluings")
+
+
 def _add_common(parser: argparse.ArgumentParser, walk: bool = True) -> None:
     parser.add_argument("--out", default=".", help="output directory (default: current)")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomised gluings")
     if walk:
         parser.add_argument("--coupling", type=float, default=1.0, help="edge coupling C in 1/mm")
         parser.add_argument(
@@ -123,12 +126,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="write node and edge tables of a graph")
-    p.add_argument("--graph", required=True, help="graph selector, e.g. hexagonal:n=4")
+    _add_graph(p)
     _add_common(p, walk=False)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("scan", help="scan exit probability over evolution length")
-    p.add_argument("--graph", required=True, help="graph selector, e.g. hexagonal:n=2")
+    _add_graph(p)
     p.add_argument("--engine", choices=("quantum", "classical"), default="quantum")
     p.add_argument("--z-max", type=float, default=None, help="scan window (default 4*depth/C)")
     p.add_argument("--dz", type=float, default=None, help="scan step (default 0.01/C)")
@@ -195,13 +198,10 @@ def cmd_generate(args) -> int:
 def cmd_scan(args) -> int:
     graph = parse_graph_selector(args.graph, args.seed)
     coupling, rate = _resolve_rates(args)
-    auto_z_max, auto_dz = default_scan_window(graph, coupling if args.engine == "quantum" else rate)
-    z_max = args.z_max if args.z_max is not None else auto_z_max
-    dz = args.dz if args.dz is not None else auto_dz
     if args.engine == "quantum":
-        curve = quantum_hitting_curve(graph, CouplingModel(coupling=coupling), z_max, dz)
+        curve = quantum_hitting_curve(graph, coupling, args.z_max, args.dz)
     else:
-        curve = classical_hitting_curve(graph, rate, z_max, dz)
+        curve = classical_hitting_curve(graph, rate, args.z_max, args.dz)
     out = Path(args.out)
     header = _header(
         "scan",
@@ -209,8 +209,8 @@ def cmd_scan(args) -> int:
         coupling=coupling,
         rate=rate,
         omega=0.0 if args.engine == "quantum" else 1.0,
-        z_max=z_max,
-        dz=dz,
+        z_max=curve.z_max,
+        dz=curve.dz,
         seed=args.seed,
         calibrate=args.calibrate,
         engine=args.engine,
@@ -221,14 +221,13 @@ def cmd_scan(args) -> int:
         _write_table(out / "curve.dat", header, ["z", "p_exit"], zip(curve.z, curve.p_exit), sep=" ")
     if args.dump_state:
         if args.engine == "quantum":
-            h = Hamiltonian(graph, CouplingModel(coupling=coupling))
-            psi = propagate(h, entry_state(graph), curve.z_opt)
+            psi = propagate(Hamiltonian(graph, coupling), entry_state(graph), curve.z_opt)
             state_rows = [
                 (i, psi[i].real, psi[i].imag, abs(psi[i]) ** 2) for i in range(graph.n_nodes)
             ]
             _write_table(out / "state.csv", header, ["node_id", "re", "im", "prob"], state_rows)
         else:
-            p = propagate(ClassicalGenerator(graph, rate), entry_distribution(graph), curve.z_opt)
+            p = propagate(ClassicalGenerator(graph, rate), entry_state(graph), curve.z_opt)
             state_rows = [(i, p[i]) for i in range(graph.n_nodes)]
             _write_table(out / "state.csv", header, ["node_id", "probability"], state_rows)
     print(f"z_opt={_fmt(curve.z_opt)} p_opt={_fmt(curve.p_opt)}")
@@ -257,13 +256,12 @@ def _parse_depths(text: str) -> list[int]:
 def cmd_sweep(args) -> int:
     depths = _parse_depths(args.depths)
     coupling, rate = _resolve_rates(args)
-    rows = depth_sweep(depths, CouplingModel(coupling=coupling), rate)
+    rows = depth_sweep(depths, coupling, rate)
     out = Path(args.out)
     header = _header(
         "sweep",
         coupling=coupling,
         rate=rate,
-        seed=args.seed,
         calibrate=args.calibrate,
         depths=",".join(str(r.n) for r in rows),
     )
@@ -311,7 +309,6 @@ def cmd_variance(args) -> int:
         coupling=coupling,
         rate=rate,
         z_max=args.z_max,
-        seed=args.seed,
         calibrate=args.calibrate,
         engine=args.engine,
         sites=args.sites,
@@ -338,7 +335,6 @@ def cmd_analyze(args) -> int:
     result = extract_probabilities(image, mask, args.exit_node)
     header = _header(
         "analyze",
-        seed=args.seed,
         image=os.path.basename(args.image),
         mask=os.path.basename(args.mask),
         exit_node=int(result.node_ids[-1]) if args.exit_node is None else args.exit_node,

@@ -22,8 +22,8 @@ from functools import lru_cache
 import numpy as np
 
 from hexwalk.graphs import Graph, depth_scale, hexagonal_graph, path_graph
-from hexwalk.quantum import CouplingModel, Hamiltonian, entry_state, propagate
-from hexwalk.stochastic import ClassicalGenerator, entry_distribution
+from hexwalk.quantum import Hamiltonian, entry_state, propagate
+from hexwalk.stochastic import ClassicalGenerator
 
 #: Default scan window, in units of depth / coupling.  Wide enough to bracket
 #: the dominant early hitting peak (near 2.5 * depth / C on hexagonal patches)
@@ -60,7 +60,9 @@ class HittingCurve:
     """Exit-probability samples over an evolution grid plus the located optimum.
 
     ``kind`` records which engine produced the curve; classical curves use
-    the same ``z`` axis for their evolution time.
+    the same ``z`` axis for their evolution time.  ``z_max`` and ``dz`` are
+    the scan window as resolved, defaults filled in; the grid runs in steps
+    of ``dz`` to the nearest whole step to ``z_max``.
     """
 
     z: np.ndarray
@@ -68,6 +70,8 @@ class HittingCurve:
     z_opt: float
     p_opt: float
     kind: str
+    z_max: float
+    dz: float
 
 
 @dataclass
@@ -119,8 +123,13 @@ def default_scan_window(graph: Graph, coupling: float = 1.0) -> tuple[float, flo
     )
 
 
-def _scan_grid(graph: Graph, scale: float, z_max: float | None, dz: float | None) -> np.ndarray:
-    """Grid 0, dz, 2 dz, ... up to z_max; unset ends take the default window for ``scale``."""
+def _scan_grid(
+    graph: Graph, scale: float, z_max: float | None, dz: float | None
+) -> tuple[np.ndarray, float, float]:
+    """Grid 0, dz, 2 dz, ... up to z_max, and the window (z_max, dz) it was built from.
+
+    Unset ends take the default window for ``scale``.
+    """
     auto_z_max, auto_dz = default_scan_window(graph, scale)
     z_max = auto_z_max if z_max is None else z_max
     dz = auto_dz if dz is None else dz
@@ -131,7 +140,7 @@ def _scan_grid(graph: Graph, scale: float, z_max: float | None, dz: float | None
     count = int(round(z_max / dz))
     if count < 2:
         raise ValueError("scan window must span at least two steps")
-    return dz * np.arange(count + 1)
+    return dz * np.arange(count + 1), z_max, dz
 
 
 def _refine_parabolic(z: np.ndarray, p: np.ndarray, i: int) -> float:
@@ -146,7 +155,7 @@ def _refine_parabolic(z: np.ndarray, p: np.ndarray, i: int) -> float:
 
 def quantum_hitting_curve(
     graph: Graph,
-    model: CouplingModel | None = None,
+    coupling: float = 1.0,
     z_max: float | None = None,
     dz: float | None = None,
 ) -> HittingCurve:
@@ -162,9 +171,8 @@ def quantum_hitting_curve(
     length.  A maximum on the window edge cannot be refined; it is returned
     as-is under a :class:`BoundaryMaximumWarning`.
     """
-    model = model if model is not None else CouplingModel()
-    zs = _scan_grid(graph, model.coupling, z_max, dz)
-    h = Hamiltonian(graph, model)
+    zs, z_max, dz = _scan_grid(graph, coupling, z_max, dz)
+    h = Hamiltonian(graph, coupling)
     psi0 = entry_state(graph)
 
     def exit_probability(lengths):
@@ -179,12 +187,12 @@ def quantum_hitting_curve(
             BoundaryMaximumWarning,
             stacklevel=2,
         )
-        return HittingCurve(zs, p, float(zs[i]), float(p[i]), "quantum")
+        return HittingCurve(zs, p, float(zs[i]), float(p[i]), "quantum", z_max, dz)
     z_opt = _refine_parabolic(zs, p, i)
     p_opt = float(exit_probability(np.array([z_opt]))[0])
     if p_opt < p[i]:
         z_opt, p_opt = float(zs[i]), float(p[i])
-    return HittingCurve(zs, p, z_opt, p_opt, "quantum")
+    return HittingCurve(zs, p, z_opt, p_opt, "quantum", z_max, dz)
 
 
 def classical_hitting_curve(
@@ -202,10 +210,10 @@ def classical_hitting_curve(
     samples below 0 (at early times, where p_exit is ~0) are clipped to 0.
     """
     gen = ClassicalGenerator(graph, rate)
-    ts = _scan_grid(graph, rate, t_max, dt)
-    p = np.maximum(propagate(gen, entry_distribution(graph), ts, graph.exit), 0.0)
+    ts, t_max, dt = _scan_grid(graph, rate, t_max, dt)
+    p = np.maximum(propagate(gen, entry_state(graph), ts, graph.exit), 0.0)
     i = int(np.argmax(p))
-    return HittingCurve(ts, p, float(ts[i]), float(p[i]), "classical")
+    return HittingCurve(ts, p, float(ts[i]), float(p[i]), "classical", t_max, dt)
 
 
 def _deviation_at(gen: ClassicalGenerator, p0: np.ndarray, t: float) -> float:
@@ -269,7 +277,7 @@ def classical_convergence_time(
         raise ConvergenceError("generator has no relaxing modes")
     gap = -float(np.max(nonzero))
     p_uniform = 1.0 / graph.n_nodes
-    p0 = entry_distribution(graph)
+    p0 = entry_state(graph)
     tolerances = sorted({1.0e-3, float(epsilon), 1.0e-5}, reverse=True)
     times = {}
     for tol in tolerances:
@@ -299,7 +307,7 @@ class SweepRow:
 
 def depth_sweep(
     depths,
-    model: CouplingModel | None = None,
+    coupling: float = 1.0,
     rate: float | None = None,
 ) -> list[SweepRow]:
     """Optimal hitting and classical settling across hexagonal depths.
@@ -307,16 +315,15 @@ def depth_sweep(
     The hop rate defaults to the coupling strength so both walks move on
     the same timescale.  Depths are deduplicated and sorted ascending.
     """
-    model = model if model is not None else CouplingModel()
     if rate is None:
-        rate = model.coupling
+        rate = coupling
     depths = sorted(set(int(n) for n in depths))
     if not depths:
         raise ValueError("depth sweep needs at least one depth")
     rows = []
     for n in depths:
         g = hexagonal_graph(n)
-        curve = quantum_hitting_curve(g, model)
+        curve = quantum_hitting_curve(g, coupling)
         conv = classical_convergence_time(g, rate)
         rows.append(
             SweepRow(
@@ -406,10 +413,9 @@ def variance_slope_1d(
         z_grid = np.linspace(z_top / 48.0, z_top, 48)
     z_grid = np.asarray(z_grid, dtype=float)
     if engine == "quantum":
-        h = Hamiltonian(g, CouplingModel(coupling=coupling))
-        dist = np.abs(propagate(h, entry_state(g), z_grid)) ** 2
+        dist = np.abs(propagate(Hamiltonian(g, coupling), entry_state(g), z_grid)) ** 2
     else:
-        dist = propagate(ClassicalGenerator(g, rate), entry_distribution(g), z_grid)
+        dist = propagate(ClassicalGenerator(g, rate), entry_state(g), z_grid)
     offsets = np.arange(m) - g.entry
     variances = dist @ (offsets.astype(float) ** 2)
     keep = (
@@ -435,5 +441,5 @@ def calibrated_coupling(target_z_opt: float = DEFAULT_CALIBRATION_LENGTH_MM) -> 
     """
     if not np.isfinite(target_z_opt) or target_z_opt <= 0.0:
         raise ValueError(f"target length must be finite and > 0, got {target_z_opt}")
-    curve = quantum_hitting_curve(hexagonal_graph(2), CouplingModel())
+    curve = quantum_hitting_curve(hexagonal_graph(2))
     return curve.z_opt / target_z_opt

@@ -14,34 +14,19 @@ single factorisation serves every length on a scan grid.
 site across a grid.
 
 The Hamiltonian couples neighbouring sites with a uniform strength C (units
-1/mm, so the evolution parameter z is a propagation length in mm) and puts
-a common detuning on the diagonal.  Since only the product C*z enters the
-dynamics, everything defaults to C = 1 and physical couplings are applied
-by rescaling; see :func:`hexwalk.hitting.calibrated_coupling`.  The rate
-matrix lives in :mod:`hexwalk.stochastic`.
+1/mm, so the evolution parameter z is a propagation length in mm) and has
+no on-site term: a common one would only add a global phase.  Since only
+the product C*z enters the dynamics, everything defaults to C = 1 and
+physical couplings are applied by rescaling; see
+:func:`hexwalk.hitting.calibrated_coupling`.  The rate matrix lives in
+:mod:`hexwalk.stochastic`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from hexwalk.graphs import Graph
-
-
-@dataclass(frozen=True)
-class CouplingModel:
-    """Uniform per-edge coupling (1/mm) and on-site diagonal energy."""
-
-    coupling: float = 1.0
-    diagonal: float = 0.0
-
-    def __post_init__(self):
-        if not np.isfinite(self.coupling) or self.coupling <= 0.0:
-            raise ValueError(f"coupling must be finite and > 0, got {self.coupling}")
-        if not np.isfinite(self.diagonal):
-            raise ValueError(f"diagonal energy must be finite, got {self.diagonal}")
 
 
 class SpectralOperator:
@@ -82,32 +67,28 @@ class SpectralOperator:
 
 
 class Hamiltonian(SpectralOperator):
-    """Coherent walk generator for a graph under a coupling model.
+    """Coherent walk generator H = coupling * A of a graph.
 
-    The matrix has ``coupling`` at every adjacent pair and ``diagonal`` on
-    the diagonal; states are complex amplitudes evolved by exp(-i H z).
+    The coupling C (1/mm) sits at every adjacent pair; states are complex
+    amplitudes evolved by exp(-i H z).
     """
 
     phase = -1j
     dtype = complex
 
-    def __init__(self, graph: Graph, model: CouplingModel | None = None):
-        self.model = model if model is not None else CouplingModel()
-        h = self.model.coupling * graph.adjacency
-        if self.model.diagonal != 0.0:
-            h = h + self.model.diagonal * np.eye(graph.n_nodes)
-        super().__init__(graph, h)
-
-
-def build_hamiltonian(graph: Graph, model: CouplingModel | None = None) -> Hamiltonian:
-    return Hamiltonian(graph, model)
+    def __init__(self, graph: Graph, coupling: float = 1.0):
+        coupling = float(coupling)
+        if not np.isfinite(coupling) or coupling <= 0.0:
+            raise ValueError(f"coupling must be finite and > 0, got {coupling}")
+        self.coupling = coupling
+        super().__init__(graph, coupling * graph.adjacency)
 
 
 def entry_state(graph: Graph) -> np.ndarray:
-    """Unit amplitude on the graph's entry node."""
-    psi = np.zeros(graph.n_nodes, dtype=complex)
-    psi[graph.entry] = 1.0
-    return psi
+    """Indicator of the graph's entry node: unit amplitude, or probability 1."""
+    x = np.zeros(graph.n_nodes)
+    x[graph.entry] = 1.0
+    return x
 
 
 def propagate(op: SpectralOperator, x0: np.ndarray, ts, site: int | None = None) -> np.ndarray:
@@ -138,9 +119,3 @@ def propagate(op: SpectralOperator, x0: np.ndarray, ts, site: int | None = None)
     if site is None:
         return (factors * modes) @ v.T
     return factors @ (v[site, :] * modes)
-
-
-def site_probabilities(psi: np.ndarray) -> np.ndarray:
-    """Born-rule site distribution |psi_i|^2 of an amplitude vector."""
-    psi = np.asarray(psi, dtype=complex)
-    return np.abs(psi) ** 2

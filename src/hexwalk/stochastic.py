@@ -57,13 +57,6 @@ class ClassicalGenerator(SpectralOperator):
         super().__init__(graph, rate * (graph.adjacency - np.diag(graph.degrees.astype(float))))
 
 
-def entry_distribution(graph: Graph) -> np.ndarray:
-    """Probability 1 on the entry node."""
-    p = np.zeros(graph.n_nodes)
-    p[graph.entry] = 1.0
-    return p
-
-
 @dataclass(frozen=True)
 class QswParams:
     """Mixing weight, hop rate, and step size of the density-matrix walk.

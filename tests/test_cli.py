@@ -90,6 +90,16 @@ def test_walk_flags_are_refused_where_no_walk_runs(command, flag, tmp_path, caps
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command", ["sweep", "variance", "analyze"])
+def test_seed_is_refused_where_no_graph_is_built(command, tmp_path, capsys):
+    inputs = ["image.txt", "mask.csv"] if command == "analyze" else []
+    with pytest.raises(SystemExit) as exc:
+        main([command, *inputs, "--seed", "9", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 9" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_generate_header_records_only_what_generate_uses(tmp_path):
     code = main(["generate", "--graph", "hexagonal:n=1", "--seed", "3", "--out", str(tmp_path)])
     assert code == 0
@@ -157,6 +167,22 @@ def test_scan_classical_engine(tmp_path, capsys):
     header = read(tmp_path / "curve.csv").split("\n")[0]
     assert "engine=classical" in header
     assert "omega=1" in header
+
+
+def test_scan_header_records_the_resolved_window(tmp_path):
+    argv = ["scan", "--graph", "hexagonal:n=1", "--engine", "classical", "--rate", "0.5"]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert read(tmp_path / "curve.csv").split("\n")[0] == (
+        f"# hexwalk {hexwalk.__version__} | scan | graph=hexagonal:n=1 coupling=1 rate=0.5 "
+        "omega=1 z_max=8 dz=0.02 seed=0 calibrate=0 engine=classical"
+    )
+
+
+def test_scan_classical_bad_rate_is_named_as_a_hop_rate(tmp_path, capsys):
+    argv = ["scan", "--graph", "hexagonal:n=2", "--engine", "classical", "--rate", "-1"]
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "hexwalk: hop rate must be finite and > 0, got -1.0\n"
+    assert not any(tmp_path.iterdir())
 
 
 def test_scan_reruns_are_byte_identical(tmp_path):
@@ -262,7 +288,7 @@ def test_analyze_header_records_only_what_analyze_uses(rendered_fixture, tmp_pat
     header = read(tmp_path / "probabilities.csv").split("\n")[0]
     assert header == (
         f"# hexwalk {hexwalk.__version__} | analyze | "
-        "seed=0 image=image.txt mask=mask.csv exit_node=3"
+        "image=image.txt mask=mask.csv exit_node=3"
     )
 
 

@@ -24,8 +24,8 @@ from hexwalk.hitting import (
     quantum_hitting_curve,
     variance_slope_1d,
 )
-from hexwalk.quantum import CouplingModel, build_hamiltonian, entry_state, propagate
-from hexwalk.stochastic import ClassicalGenerator, entry_distribution
+from hexwalk.quantum import Hamiltonian, entry_state, propagate
+from hexwalk.stochastic import ClassicalGenerator
 
 # Refined optimum of the single-hexagon walk at C=1 (the peak sits at 2pi/3).
 HEX1_Z_OPT = 2.094390970657552
@@ -47,7 +47,7 @@ HEX3_T_HIGH = 91.808428
 
 
 def test_two_site_peak_is_exact():
-    curve = quantum_hitting_curve(path_graph(2), CouplingModel(coupling=1.0), z_max=math.pi)
+    curve = quantum_hitting_curve(path_graph(2), 1.0, z_max=math.pi)
     assert abs(curve.z_opt - math.pi / 2.0) < 1e-6
     assert abs(curve.p_opt - 1.0) < 1e-9
     assert curve.kind == "quantum"
@@ -57,7 +57,7 @@ def test_single_hexagon_refinement_matches_dense_scan():
     g = hexagonal_graph(1)
     curve = quantum_hitting_curve(g)
     # brute-force oracle: dense scan at 1e-4 resolution over the same window
-    h = build_hamiltonian(g)
+    h = Hamiltonian(g)
     zs = np.arange(0.0, curve.z[-1] + 1e-4, 1e-4)
     dense = np.abs(propagate(h, entry_state(g), zs, g.exit)) ** 2
     k = int(np.argmax(dense))
@@ -100,8 +100,8 @@ def test_refined_optimum_is_grid_phase_insensitive():
 
 def test_doubling_coupling_halves_the_optimal_length():
     g = hexagonal_graph(2)
-    base = quantum_hitting_curve(g, CouplingModel(coupling=1.0))
-    double = quantum_hitting_curve(g, CouplingModel(coupling=2.0))
+    base = quantum_hitting_curve(g, 1.0)
+    double = quantum_hitting_curve(g, 2.0)
     assert abs(double.z_opt - base.z_opt / 2.0) < 1e-6
     assert abs(double.p_opt - base.p_opt) < 1e-6
 
@@ -123,9 +123,18 @@ def test_scan_rejects_bad_window():
         quantum_hitting_curve(path_graph(2), z_max=1.0, dz=0.9)
 
 
+def test_curve_carries_the_resolved_window():
+    g = hexagonal_graph(1)
+    classical = classical_hitting_curve(g, 0.5)
+    assert (classical.z_max, classical.dz) == default_scan_window(g, 0.5)
+    quantum = quantum_hitting_curve(g, 1.0, z_max=3.0, dz=0.7)
+    assert (quantum.z_max, quantum.dz) == (3.0, 0.7)
+    assert quantum.z[-1] == pytest.approx(2.8)
+
+
 def test_calibrated_coupling_pins_the_diamond_peak():
     c = calibrated_coupling()
-    curve = quantum_hitting_curve(hexagonal_graph(2), CouplingModel(coupling=c))
+    curve = quantum_hitting_curve(hexagonal_graph(2), c)
     assert abs(curve.z_opt - 25.2) < 1e-3
     assert 24.0 <= curve.z_opt <= 26.0
 
@@ -170,7 +179,7 @@ def test_thirty_node_convergence_frozen_values():
 
 
 def _deviation_grid(g, ts, rate=1.0):
-    grid = propagate(ClassicalGenerator(g, rate=rate), entry_distribution(g), ts)
+    grid = propagate(ClassicalGenerator(g, rate=rate), entry_state(g), ts)
     return np.max(np.abs(grid - 1.0 / g.n_nodes), axis=1)
 
 
@@ -199,7 +208,7 @@ def test_convergence_matches_dense_grid_oracle():
     res = classical_convergence_time(g, rate=rate, epsilon=eps)
     gen = ClassicalGenerator(g, rate=rate)
     ts = np.linspace(0.0, 2.0 * res.t_converge, 20001)
-    grid = propagate(gen, entry_distribution(g), ts)
+    grid = propagate(gen, entry_state(g), ts)
     dev = np.max(np.abs(grid - res.p_uniform), axis=1)
     passing = np.nonzero(dev <= eps * res.p_uniform)[0]
     oracle_t = ts[passing[0]]
@@ -210,10 +219,10 @@ def test_convergence_deviation_is_threshold_tight():
     g = hexagonal_graph(2)
     res = classical_convergence_time(g)
     gen = ClassicalGenerator(g)
-    at = np.max(np.abs(propagate(gen, entry_distribution(g), np.array([res.t_converge]))[0] - res.p_uniform))
+    at = np.max(np.abs(propagate(gen, entry_state(g), np.array([res.t_converge]))[0] - res.p_uniform))
     assert at <= 1e-4 * res.p_uniform * (1.0 + 1e-6)
     just_before = res.t_converge * (1.0 - 1e-6)
-    before = np.max(np.abs(propagate(gen, entry_distribution(g), np.array([just_before]))[0] - res.p_uniform))
+    before = np.max(np.abs(propagate(gen, entry_state(g), np.array([just_before]))[0] - res.p_uniform))
     assert before > 1e-4 * res.p_uniform * (1.0 - 1e-6)
 
 

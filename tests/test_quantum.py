@@ -8,14 +8,8 @@ import numpy as np
 import pytest
 
 from hexwalk.graphs import glued_tree, hexagonal_graph, path_graph
-from hexwalk.quantum import (
-    CouplingModel,
-    build_hamiltonian,
-    entry_state,
-    propagate,
-    site_probabilities,
-)
-from hexwalk.stochastic import ClassicalGenerator, entry_distribution
+from hexwalk.quantum import Hamiltonian, entry_state, propagate
+from hexwalk.stochastic import ClassicalGenerator
 
 # Exit probability of the 6-node single-hexagon walk at C=1, z=1, computed
 # with a 40-term series expansion of the propagator and frozen here.
@@ -38,46 +32,37 @@ def taylor_evolve(matrix: np.ndarray, psi0: np.ndarray, z: float, terms: int = 4
 
 
 def test_two_site_hamiltonian_is_pauli_x():
-    h = build_hamiltonian(path_graph(2), CouplingModel(coupling=1.0))
+    h = Hamiltonian(path_graph(2), 1.0)
     assert np.array_equal(h.matrix, np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
 def test_row_sums_equal_scaled_degrees():
     g = hexagonal_graph(2)
     c = 0.7
-    h = build_hamiltonian(g, CouplingModel(coupling=c))
+    h = Hamiltonian(g, c)
     assert np.allclose(h.matrix.sum(axis=1), c * g.degrees)
 
 
-def test_diagonal_term_shifts_identity():
-    g = hexagonal_graph(1)
-    base = build_hamiltonian(g, CouplingModel(coupling=1.0))
-    shifted = build_hamiltonian(g, CouplingModel(coupling=1.0, diagonal=5.0))
-    assert np.allclose(shifted.matrix - base.matrix, 5.0 * np.eye(g.n_nodes))
-
-
 def test_model_defaults_and_validation():
-    assert CouplingModel().coupling == 1.0
-    assert CouplingModel().diagonal == 0.0
+    g = path_graph(2)
+    assert Hamiltonian(g).coupling == 1.0
     with pytest.raises(ValueError):
-        CouplingModel(coupling=0.0)
+        Hamiltonian(g, 0.0)
     with pytest.raises(ValueError):
-        CouplingModel(coupling=-1.0)
+        Hamiltonian(g, -1.0)
     with pytest.raises(ValueError):
-        CouplingModel(coupling=float("nan"))
-    with pytest.raises(ValueError):
-        CouplingModel(diagonal=float("inf"))
+        Hamiltonian(g, float("nan"))
 
 
 def test_spectrum_reconstructs_hamiltonian():
-    h = build_hamiltonian(hexagonal_graph(2))
+    h = Hamiltonian(hexagonal_graph(2))
     w, v = h.spectrum
     assert np.max(np.abs(v @ np.diag(w) @ v.T - h.matrix)) < 1e-9
     assert np.max(np.abs(v.T @ v - np.eye(h.dim))) < 1e-12
 
 
 def test_matrix_is_read_only():
-    h = build_hamiltonian(path_graph(3))
+    h = Hamiltonian(path_graph(3))
     with pytest.raises(ValueError):
         h.matrix[0, 0] = 9.0
 
@@ -85,7 +70,7 @@ def test_matrix_is_read_only():
 def test_entry_state_is_entry_indicator():
     g = hexagonal_graph(2)
     psi = entry_state(g)
-    assert psi.dtype == complex
+    assert psi.dtype == np.float64
     assert psi[g.entry] == 1.0
     assert np.count_nonzero(psi) == 1
 
@@ -97,23 +82,23 @@ def test_entry_state_is_entry_indicator():
 
 def test_zero_length_evolution_is_identity():
     g = glued_tree(2, gluing="identity")
-    h = build_hamiltonian(g)
+    h = Hamiltonian(g)
     psi0 = entry_state(g)
     assert np.max(np.abs(propagate(h, psi0, 0.0) - psi0)) < 1e-12
 
 
 def test_two_site_rabi_oscillation():
-    h = build_hamiltonian(path_graph(2), CouplingModel(coupling=0.9))
+    h = Hamiltonian(path_graph(2), 0.9)
     psi0 = entry_state(path_graph(2))
     for z in (0.3, 1.1, 2.5):
-        p = site_probabilities(propagate(h, psi0, z))
+        p = np.abs(propagate(h, psi0, z)) ** 2
         assert abs(p[1] - math.sin(0.9 * z) ** 2) < 1e-12
 
 
 def test_norm_is_conserved_for_random_states_and_lengths():
     rng = np.random.default_rng(11)
     g = hexagonal_graph(2)
-    h = build_hamiltonian(g, CouplingModel(coupling=0.5))
+    h = Hamiltonian(g, 0.5)
     for _ in range(10):
         psi0 = rng.normal(size=g.n_nodes) + 1j * rng.normal(size=g.n_nodes)
         psi0 /= np.linalg.norm(psi0)
@@ -122,22 +107,11 @@ def test_norm_is_conserved_for_random_states_and_lengths():
         assert abs(np.linalg.norm(psi) - 1.0) < 1e-10
 
 
-def test_diagonal_shift_is_a_pure_phase():
-    g = hexagonal_graph(1)
-    psi0 = entry_state(g)
-    plain = build_hamiltonian(g, CouplingModel(coupling=1.0))
-    shifted = build_hamiltonian(g, CouplingModel(coupling=1.0, diagonal=2.5))
-    for z in (0.7, 3.0):
-        p_plain = site_probabilities(propagate(plain, psi0, z))
-        p_shift = site_probabilities(propagate(shifted, psi0, z))
-        assert np.max(np.abs(p_plain - p_shift)) < 1e-10
-
-
 def test_scaling_coupling_rescales_length():
     g = hexagonal_graph(2)
     psi0 = entry_state(g)
-    slow = build_hamiltonian(g, CouplingModel(coupling=1.0))
-    fast = build_hamiltonian(g, CouplingModel(coupling=2.0))
+    slow = Hamiltonian(g, 1.0)
+    fast = Hamiltonian(g, 2.0)
     z = 4.2
     psi_slow = propagate(slow, psi0, z)
     psi_fast = propagate(fast, psi0, z / 2.0)
@@ -146,7 +120,7 @@ def test_scaling_coupling_rescales_length():
 
 def test_evolution_composes():
     g = glued_tree(2, gluing="identity")
-    h = build_hamiltonian(g, CouplingModel(coupling=0.8))
+    h = Hamiltonian(g, 0.8)
     psi0 = entry_state(g)
     direct = propagate(h, psi0, 3.7)
     stepped = propagate(h, propagate(h, psi0, 1.4), 2.3)
@@ -156,7 +130,7 @@ def test_evolution_composes():
 def test_propagator_matches_series_oracle_on_small_graphs():
     for g in (hexagonal_graph(1), hexagonal_graph(2), glued_tree(2, gluing="identity")):
         assert g.n_nodes <= 30
-        h = build_hamiltonian(g)
+        h = Hamiltonian(g)
         psi0 = entry_state(g)
         spectral = propagate(h, psi0, 1.0)
         series = taylor_evolve(h.matrix, psi0, 1.0)
@@ -165,9 +139,9 @@ def test_propagator_matches_series_oracle_on_small_graphs():
 
 def test_single_hexagon_exit_probability_frozen_value():
     g = hexagonal_graph(1)
-    h = build_hamiltonian(g)
+    h = Hamiltonian(g)
     psi = propagate(h, entry_state(g), 1.0)
-    assert abs(site_probabilities(psi)[g.exit] - HEX1_EXIT_PROB_AT_Z1) < 1e-9
+    assert abs(abs(psi[g.exit]) ** 2 - HEX1_EXIT_PROB_AT_Z1) < 1e-9
 
 
 # Both walks run through the one propagator.  Per walk: the operator at a
@@ -177,7 +151,7 @@ def test_single_hexagon_exit_probability_frozen_value():
 # raw exit curve may dip ~1e-16 below 0 (the hitting scan clips that).
 OPERATORS = {
     "coherent": (
-        lambda g, c: build_hamiltonian(g, CouplingModel(coupling=c)),
+        lambda g, c: Hamiltonian(g, c),
         entry_state,
         np.complex128,
         lambda x: np.abs(x) ** 2,
@@ -185,7 +159,7 @@ OPERATORS = {
     ),
     "classical": (
         lambda g, c: ClassicalGenerator(g, rate=c),
-        entry_distribution,
+        entry_state,
         np.float64,
         lambda x: x,
         -1e-15,
@@ -224,13 +198,6 @@ def test_evolve_rejects_bad_lengths_and_shapes(kind):
 # ---------------------------------------------------------------------------
 # probabilities and grids
 # ---------------------------------------------------------------------------
-
-
-def test_site_probabilities_on_indicator_and_uniform():
-    e2 = np.array([0.0, 1.0, 0.0], dtype=complex)
-    assert np.array_equal(site_probabilities(e2), [0.0, 1.0, 0.0])
-    quarter = np.full(4, 0.5, dtype=complex)
-    assert np.allclose(site_probabilities(quarter), 0.25)
 
 
 @pytest.mark.parametrize("kind", sorted(OPERATORS))

@@ -9,19 +9,12 @@ import numpy as np
 import pytest
 
 from hexwalk.graphs import glued_tree, hexagonal_graph, hypercube_graph, path_graph
-from hexwalk.quantum import (
-    CouplingModel,
-    build_hamiltonian,
-    entry_state,
-    propagate,
-    site_probabilities,
-)
+from hexwalk.quantum import Hamiltonian, entry_state, propagate
 from hexwalk.stochastic import (
     ClassicalGenerator,
     QswParams,
     basis_density,
     density_from_state,
-    entry_distribution,
     evolve_qsw,
     lindblad_rhs,
 )
@@ -70,7 +63,7 @@ def test_generator_rejects_bad_rate():
 def test_zero_time_returns_start():
     g = path_graph(5)
     gen = ClassicalGenerator(g)
-    p0 = entry_distribution(g)
+    p0 = entry_state(g)
     assert np.allclose(propagate(gen, p0, 0.0), p0, atol=1e-12)
 
 
@@ -86,7 +79,7 @@ def test_two_site_relaxation_analytic():
 def test_sixteen_node_diamond_reaches_uniform():
     g = hexagonal_graph(2)
     gen = ClassicalGenerator(g)
-    p = propagate(gen, entry_distribution(g), 200.0)
+    p = propagate(gen, entry_state(g), 200.0)
     assert np.max(np.abs(p - 0.0625)) < 1e-6
 
 
@@ -107,14 +100,14 @@ def test_deviation_decays_after_transient():
     g = hexagonal_graph(3)
     gen = ClassicalGenerator(g)
     ts = np.linspace(5.0, 80.0, 40)
-    grid = propagate(gen, entry_distribution(g), ts)
+    grid = propagate(gen, entry_state(g), ts)
     dev = np.max(np.abs(grid - 1.0 / g.n_nodes), axis=1)
     assert np.all(np.diff(dev) < 0.0)
 
 
 def test_evolve_classical_rejects_bad_input():
     gen = ClassicalGenerator(path_graph(3))
-    p0 = entry_distribution(path_graph(3))
+    p0 = entry_state(path_graph(3))
     with pytest.raises(ValueError):
         propagate(gen, p0, -1.0)
     with pytest.raises(ValueError):
@@ -161,7 +154,7 @@ def test_qsw_params_validation():
 
 def test_rhs_coherent_limit_is_commutator():
     g = hexagonal_graph(1)
-    h = build_hamiltonian(g)
+    h = Hamiltonian(g)
     rho = density_from_state(entry_state(g))
     rhs = lindblad_rhs(rho, h, QswParams(omega=0.0))
     expected = -1j * (h.matrix @ rho - rho @ h.matrix)
@@ -170,7 +163,7 @@ def test_rhs_coherent_limit_is_commutator():
 
 def test_rhs_classical_limit_on_populations():
     g = hexagonal_graph(1)
-    h = build_hamiltonian(g)
+    h = Hamiltonian(g)
     rate = 1.4
     gen = ClassicalGenerator(g, rate=rate)
     pops = np.array([0.4, 0.3, 0.1, 0.1, 0.05, 0.05])
@@ -183,7 +176,7 @@ def test_rhs_classical_limit_on_populations():
 def test_rhs_matches_operator_sum_oracle():
     rng = np.random.default_rng(3)
     g = hexagonal_graph(1)
-    h = build_hamiltonian(g, CouplingModel(coupling=0.9))
+    h = Hamiltonian(g, 0.9)
     raw = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
     rho = raw @ raw.conj().T
     rho /= np.trace(rho).real
@@ -197,7 +190,7 @@ def test_rhs_matches_operator_sum_oracle():
 def test_rhs_preserves_trace_and_hermiticity():
     rng = np.random.default_rng(9)
     g = glued_tree(1, gluing="identity")
-    h = build_hamiltonian(g)
+    h = Hamiltonian(g)
     raw = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
     rho = raw @ raw.conj().T
     rho /= np.trace(rho).real
@@ -213,7 +206,7 @@ def test_rhs_preserves_trace_and_hermiticity():
 
 def test_qsw_zero_time_copies_input():
     g = path_graph(3)
-    h = build_hamiltonian(g)
+    h = Hamiltonian(g)
     rho0 = basis_density(3, 1)
     rho = evolve_qsw(rho0, h, QswParams(omega=0.5), 0.0)
     assert np.array_equal(rho, rho0)
@@ -234,17 +227,17 @@ def test_qsw_zero_time_copies_input():
 )
 def test_qsw_limits_reproduce_dedicated_engines(graph):
     assert graph.n_nodes <= 30
-    h = build_hamiltonian(graph)
+    h = Hamiltonian(graph)
     t = 1.5
     rho0 = basis_density(graph.n_nodes, graph.entry)
 
     coherent = evolve_qsw(rho0, h, QswParams(omega=0.0), t)
     psi = propagate(h, entry_state(graph), t)
-    assert np.max(np.abs(np.diag(coherent).real - site_probabilities(psi))) < 1e-6
+    assert np.max(np.abs(np.diag(coherent).real - np.abs(psi) ** 2)) < 1e-6
 
     classical = evolve_qsw(rho0, h, QswParams(omega=1.0), t)
     gen = ClassicalGenerator(graph)
-    p = propagate(gen, entry_distribution(graph), t)
+    p = propagate(gen, entry_state(graph), t)
     assert np.max(np.abs(np.diag(classical).real - p)) < 1e-6
     off = classical - np.diag(np.diag(classical))
     assert np.max(np.abs(off)) == 0.0
@@ -252,7 +245,7 @@ def test_qsw_limits_reproduce_dedicated_engines(graph):
 
 def test_qsw_midpoint_agrees_with_finer_steps():
     g = hexagonal_graph(1)
-    h = build_hamiltonian(g)
+    h = Hamiltonian(g)
     rho0 = basis_density(g.n_nodes, g.entry)
     t = 2.0
     coarse = evolve_qsw(rho0, h, QswParams(omega=0.5, step=0.01), t)
@@ -262,7 +255,7 @@ def test_qsw_midpoint_agrees_with_finer_steps():
 
 def test_qsw_output_is_a_valid_density_matrix():
     g = hexagonal_graph(2)
-    h = build_hamiltonian(g)
+    h = Hamiltonian(g)
     rho0 = basis_density(g.n_nodes, g.entry)
     for omega in (0.0, 0.3, 1.0):
         rho = evolve_qsw(rho0, h, QswParams(omega=omega), 3.0)
@@ -274,7 +267,7 @@ def test_qsw_output_is_a_valid_density_matrix():
 def test_qsw_node_cap():
     g = hexagonal_graph(6)
     assert g.n_nodes > 64
-    h = build_hamiltonian(g)
+    h = Hamiltonian(g)
     rho0 = basis_density(g.n_nodes, g.entry)
     with pytest.raises(ValueError):
         evolve_qsw(rho0, h, QswParams(omega=0.5), 1.0)
@@ -285,7 +278,7 @@ def test_qsw_node_cap():
 
 def test_qsw_coarse_step_stays_a_density_matrix():
     g = hexagonal_graph(1)
-    h = build_hamiltonian(g, CouplingModel(coupling=40.0))
+    h = Hamiltonian(g, 40.0)
     rho0 = basis_density(g.n_nodes, g.entry)
     # a step far too coarse for this coupling still gives a finite,
     # trace-one Hermitian matrix: every split piece is an exact map
@@ -318,7 +311,7 @@ def expm_scaling_squaring(a: np.ndarray) -> np.ndarray:
 def test_qsw_matches_exponential_of_lindblad_rhs(omega):
     g = hexagonal_graph(1)
     n = g.n_nodes
-    h = build_hamiltonian(g)
+    h = Hamiltonian(g)
     params = QswParams(omega=omega, rate=1.3)
     generator = np.zeros((n * n, n * n), dtype=complex)
     for col in range(n * n):
