@@ -9,7 +9,7 @@ out of pixel images through circular node masks.
 """
 
 from hexwalk.graphs import Graph, glued_tree, hexagonal_graph, hypercube_graph, path_graph
-from hexwalk.quantum import Hamiltonian, entry_state, propagate
+from hexwalk.quantum import Hamiltonian, entry_state, propagate, propagate_entry
 from hexwalk.stochastic import (
     ClassicalGenerator,
     QswParams,
@@ -54,6 +54,7 @@ __all__ = [
     "Hamiltonian",
     "entry_state",
     "propagate",
+    "propagate_entry",
     "ClassicalGenerator",
     "QswParams",
     "lindblad_rhs",

@@ -51,7 +51,7 @@ from hexwalk.imaging import (
     parse_image,
     parse_mask,
 )
-from hexwalk.quantum import Hamiltonian, entry_state, propagate
+from hexwalk.quantum import Hamiltonian, propagate_entry
 from hexwalk.stochastic import ClassicalGenerator
 
 EXIT_OK = 0
@@ -179,12 +179,21 @@ def build_parser() -> argparse.ArgumentParser:
 def _resolve_rates(args) -> tuple[float, float]:
     coupling = calibrated_coupling() if args.calibrate else args.coupling
     rate = args.rate if args.rate is not None else coupling
+    # checked here, since a walk that does not use one of them never would
+    for label, value in (("coupling", coupling), ("hop rate", rate)):
+        if not np.isfinite(value) or value <= 0.0:
+            raise ValueError(f"{label} must be finite and > 0, got {value}")
     return coupling, rate
+
+
+def _walk_pairs(engine: str, coupling: float, rate: float) -> dict:
+    """Header pairs of the one walk parameter the engine uses."""
+    return {"coupling": coupling} if engine == "quantum" else {"rate": rate}
 
 
 def cmd_generate(args) -> int:
     graph = parse_graph_selector(args.graph, args.seed)
-    header = _header("generate", graph=args.graph, seed=args.seed)
+    header = _header("generate", graph=args.graph, seed=graph.params.get("seed"))
     out = Path(args.out)
     _write_atomic(out / "nodes.csv", header + "\n" + node_csv(graph))
     _write_atomic(out / "edges.csv", header + "\n" + edge_csv(graph))
@@ -206,12 +215,11 @@ def cmd_scan(args) -> int:
     header = _header(
         "scan",
         graph=args.graph,
-        coupling=coupling,
-        rate=rate,
+        **_walk_pairs(args.engine, coupling, rate),
         omega=0.0 if args.engine == "quantum" else 1.0,
         z_max=curve.z_max,
         dz=curve.dz,
-        seed=args.seed,
+        seed=graph.params.get("seed"),
         calibrate=args.calibrate,
         engine=args.engine,
     )
@@ -221,13 +229,13 @@ def cmd_scan(args) -> int:
         _write_table(out / "curve.dat", header, ["z", "p_exit"], zip(curve.z, curve.p_exit), sep=" ")
     if args.dump_state:
         if args.engine == "quantum":
-            psi = propagate(Hamiltonian(graph, coupling), entry_state(graph), curve.z_opt)
+            psi = propagate_entry(Hamiltonian(graph, coupling), curve.z_opt)
             state_rows = [
                 (i, psi[i].real, psi[i].imag, abs(psi[i]) ** 2) for i in range(graph.n_nodes)
             ]
             _write_table(out / "state.csv", header, ["node_id", "re", "im", "prob"], state_rows)
         else:
-            p = propagate(ClassicalGenerator(graph, rate), entry_state(graph), curve.z_opt)
+            p = propagate_entry(ClassicalGenerator(graph, rate), curve.z_opt)
             state_rows = [(i, p[i]) for i in range(graph.n_nodes)]
             _write_table(out / "state.csv", header, ["node_id", "probability"], state_rows)
     print(f"z_opt={_fmt(curve.z_opt)} p_opt={_fmt(curve.p_opt)}")
@@ -306,8 +314,7 @@ def cmd_variance(args) -> int:
     fit = variance_slope_1d(args.sites, args.engine, z_grid, coupling=coupling, rate=rate)
     header = _header(
         "variance",
-        coupling=coupling,
-        rate=rate,
+        **_walk_pairs(args.engine, coupling, rate),
         z_max=args.z_max,
         calibrate=args.calibrate,
         engine=args.engine,

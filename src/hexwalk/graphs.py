@@ -91,6 +91,7 @@ class Graph:
         self._adjacency: np.ndarray | None = None
         self._degrees: np.ndarray | None = None
         self._neighbors: tuple[tuple[int, ...], ...] | None = None
+        self._entry_cells: np.ndarray | None = None
 
     @property
     def family(self) -> str:
@@ -160,6 +161,42 @@ class Graph:
                 out[j].append(i)
             self._neighbors = tuple(tuple(sorted(nbs)) for nbs in out)
         return self._neighbors[node]
+
+    @property
+    def entry_cells(self) -> np.ndarray:
+        """Cell id of every node in the entry partition (read-only, cached).
+
+        The entry partition is the coarsest equitable partition in which the
+        entry is alone in its cell: every node of a cell has the same number
+        of neighbours in each cell.  Every symmetry of the graph that keeps
+        the entry in place maps each cell onto itself, so a walk launched at
+        the entry stays constant on the cells.  Colour refinement finds it
+        from {entry} | rest: each round recolours a node by its own colour
+        and the sorted colours of its neighbours, compared as whole rows, so
+        the partition is exact, and stops when the cell count stops growing.
+        """
+        if self._entry_cells is None:
+            n = self.n_nodes
+            a, b = np.array(self._edges).T
+            src, dst = np.r_[a, b], np.r_[b, a]
+            order = np.argsort(src, kind="stable")
+            src, dst = src[order], dst[order]
+            deg = np.bincount(src, minlength=n)
+            # neighbour table padded with node n, whose colour -1 no node has
+            table = np.full((n, deg.max()), n)
+            table[src, np.arange(len(src)) - (np.cumsum(deg) - deg)[src]] = dst
+            colour = np.zeros(n + 1, dtype=np.int64)
+            colour[self._entry] = 1
+            colour[n] = -1
+            cells = 0
+            while colour.max() + 1 > cells:
+                cells = colour.max() + 1
+                rows = np.column_stack((colour[:n], np.sort(colour[table], axis=1)))
+                colour[:n] = np.unique(rows, axis=0, return_inverse=True)[1].reshape(-1)
+            cell = colour[:n]
+            cell.flags.writeable = False
+            self._entry_cells = cell
+        return self._entry_cells
 
     @property
     def connected(self) -> bool:

@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from hexwalk.graphs import Graph, depth_scale, hexagonal_graph, path_graph
-from hexwalk.quantum import Hamiltonian, entry_state, propagate
+from hexwalk.quantum import Hamiltonian, propagate_entry
 from hexwalk.stochastic import ClassicalGenerator
 
 #: Default scan window, in units of depth / coupling.  Wide enough to bracket
@@ -173,10 +173,9 @@ def quantum_hitting_curve(
     """
     zs, z_max, dz = _scan_grid(graph, coupling, z_max, dz)
     h = Hamiltonian(graph, coupling)
-    psi0 = entry_state(graph)
 
     def exit_probability(lengths):
-        return np.abs(propagate(h, psi0, lengths, graph.exit)) ** 2
+        return np.abs(propagate_entry(h, lengths, graph.exit)) ** 2
 
     p = exit_probability(zs)
     i = int(np.argmax(p))
@@ -211,18 +210,12 @@ def classical_hitting_curve(
     """
     gen = ClassicalGenerator(graph, rate)
     ts, t_max, dt = _scan_grid(graph, rate, t_max, dt)
-    p = np.maximum(propagate(gen, entry_state(graph), ts, graph.exit), 0.0)
+    p = np.maximum(propagate_entry(gen, ts, graph.exit), 0.0)
     i = int(np.argmax(p))
     return HittingCurve(ts, p, float(ts[i]), float(p[i]), "classical", t_max, dt)
 
 
-def _deviation_at(gen: ClassicalGenerator, p0: np.ndarray, t: float) -> float:
-    return float(np.max(np.abs(propagate(gen, p0, t) - 1.0 / gen.dim)))
-
-
-def _settling_time(
-    gen: ClassicalGenerator, p0: np.ndarray, threshold: float, horizon: float
-) -> float:
+def _settling_time(deviation, threshold: float, horizon: float) -> float:
     """Earliest time the deviation max_i |p_i(t) - 1/N| is at most threshold.
 
     The deviation never increases (see :func:`classical_convergence_time`),
@@ -230,15 +223,15 @@ def _settling_time(
     moving.  Failing at the analytic horizon means the numerics broke.
     """
     lo, hi = 0.0, horizon
-    if _deviation_at(gen, p0, lo) <= threshold:
+    if deviation(lo) <= threshold:
         return lo
-    if _deviation_at(gen, p0, hi) > threshold:
+    if deviation(hi) > threshold:
         raise ConvergenceError(
             f"no settling below {threshold:.3e} found within the spectral-gap horizon "
             f"(t <= {horizon:g})"
         )
     while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if _deviation_at(gen, p0, mid) <= threshold:
+        if deviation(mid) <= threshold:
             hi = mid
         else:
             lo = mid
@@ -263,6 +256,12 @@ def classical_convergence_time(
     The same search at relative tolerances 1e-3 and 1e-5 gives the bracket
     (t_low, t_high).
 
+    The walk runs on the entry quotient (see
+    :func:`hexwalk.quantum.propagate_entry`): p(0) - 1/N lies in span(S),
+    so only quotient modes enter it and the gap is taken among them.  The
+    state is constant on cells, so the deviation is the maximum over cells
+    of |y_c / sqrt(|c|) - 1/N|, with the entry's modes projected once.
+
     Raises :class:`ConvergenceError` for a disconnected graph, which has no
     uniform limit from a localised start.
     """
@@ -270,19 +269,24 @@ def classical_convergence_time(
         raise ValueError(f"relative tolerance must be finite and > 0, got {epsilon}")
     if not graph.connected:
         raise ConvergenceError("graph is disconnected; the walk cannot reach uniformity")
-    gen = ClassicalGenerator(graph, rate)
-    w, _ = gen.spectrum
+    w, v = ClassicalGenerator(graph, rate).quotient.spectrum
     nonzero = w[w < -1.0e-12 * max(1.0, float(np.max(np.abs(w))))]
     if nonzero.size == 0:
         raise ConvergenceError("generator has no relaxing modes")
     gap = -float(np.max(nonzero))
     p_uniform = 1.0 / graph.n_nodes
-    p0 = entry_state(graph)
+    cell = graph.entry_cells
+    lift = 1.0 / np.sqrt(np.bincount(cell))
+    modes = v[cell[graph.entry], :]
+
+    def deviation(t: float) -> float:
+        return float(np.max(np.abs(lift * (v @ (np.exp(w * t) * modes)) - p_uniform)))
+
     tolerances = sorted({1.0e-3, float(epsilon), 1.0e-5}, reverse=True)
     times = {}
     for tol in tolerances:
         horizon = (math.log(1.0 / (tol * p_uniform)) + math.log(graph.n_nodes)) / gap
-        times[tol] = _settling_time(gen, p0, tol * p_uniform, horizon)
+        times[tol] = _settling_time(deviation, tol * p_uniform, horizon)
     return ConvergenceResult(
         t_converge=times[float(epsilon)],
         epsilon=float(epsilon),
@@ -413,9 +417,9 @@ def variance_slope_1d(
         z_grid = np.linspace(z_top / 48.0, z_top, 48)
     z_grid = np.asarray(z_grid, dtype=float)
     if engine == "quantum":
-        dist = np.abs(propagate(Hamiltonian(g, coupling), entry_state(g), z_grid)) ** 2
+        dist = np.abs(propagate_entry(Hamiltonian(g, coupling), z_grid)) ** 2
     else:
-        dist = propagate(ClassicalGenerator(g, rate), entry_state(g), z_grid)
+        dist = propagate_entry(ClassicalGenerator(g, rate), z_grid)
     offsets = np.arange(m) - g.entry
     variances = dist @ (offsets.astype(float) ** 2)
     keep = (

@@ -13,6 +13,21 @@ single factorisation serves every length on a scan grid.
 :func:`propagate` evaluates the formula at one length, on a grid, or at one
 site across a grid.
 
+A walk launched at the entry never needs the N x N matrix.  Every symmetry
+of the graph that keeps the entry in place also keeps the launch state, so
+the state stays constant on the cells of the entry partition
+(:attr:`hexwalk.graphs.Graph.entry_cells`): the coarsest equitable
+partition with the entry alone in its cell (Krovi & Brun, PRA 75, 062332,
+2007).  With S the N x k cell indicator, columns scaled to unit norm, M
+maps span(S) into itself because degrees are constant on cells, so
+exp(phase M t) S = S exp(phase S^T M S t) exactly.  :func:`propagate_entry`
+therefore runs :func:`propagate` on the k x k quotient S^T M S and lifts
+the result back.  A hexagonal patch halves (n^2 + 3n cells of 2n^2 + 4n
+nodes), a glued tree of depth d shrinks to 2d + 2 cells and a hypercube of
+dimension d to d + 1, so glued trees of depth 12 (16382 nodes) and larger
+scan without forming a dense matrix.  States that do not start at the entry,
+such as the density-matrix walk's, keep the full spectrum.
+
 The Hamiltonian couples neighbouring sites with a uniform strength C (units
 1/mm, so the evolution parameter z is a propagation length in mm) and has
 no on-site term: a common one would only add a global phase.  Since only
@@ -30,22 +45,27 @@ from hexwalk.graphs import Graph
 
 
 class SpectralOperator:
-    """Real symmetric matrix on a graph, with its eigendecomposition cached.
+    """Real symmetric matrix with its eigendecomposition cached.
 
-    ``phase`` multiplies the eigenvalues in the propagator's exponent and
-    ``dtype`` is the element type of the states it evolves; subclasses set
-    both and build the matrix.  The matrix is read-only and the spectrum is
-    computed once on first use and reused for every evolution length.
+    ``phase`` multiplies the eigenvalues in the propagator's exponent: -1j
+    for the coherent walk, whose states are complex amplitudes, and 1 for
+    the classical walk, whose states are real probabilities.  The matrix is
+    read-only and the spectrum is computed once on first use and reused for
+    every evolution length.  A subclass that forms its matrix on demand
+    passes None.
     """
 
-    phase: complex | float = 1.0
-    dtype: type = float
-
-    def __init__(self, graph: Graph, matrix: np.ndarray):
-        matrix.flags.writeable = False
-        self.graph = graph
+    def __init__(self, matrix: np.ndarray | None, phase: complex | float = 1.0):
+        if matrix is not None:
+            matrix.flags.writeable = False
         self._matrix = matrix
+        self.phase = phase
         self._spectrum: tuple[np.ndarray, np.ndarray] | None = None
+
+    @property
+    def dtype(self) -> type:
+        """Element type of the states the operator evolves."""
+        return float if self.phase == 1.0 else complex
 
     @property
     def matrix(self) -> np.ndarray:
@@ -53,35 +73,87 @@ class SpectralOperator:
 
     @property
     def dim(self) -> int:
-        return self.graph.n_nodes
+        return len(self.matrix)
 
     @property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues (ascending) and orthonormal eigenvectors of the matrix."""
         if self._spectrum is None:
-            w, v = np.linalg.eigh(self._matrix)
+            w, v = np.linalg.eigh(self.matrix)
             w.flags.writeable = False
             v.flags.writeable = False
             self._spectrum = (w, v)
         return self._spectrum
 
 
-class Hamiltonian(SpectralOperator):
+class WalkOperator(SpectralOperator):
+    """Walk matrix M = scale * (A - diagonal * D) of a graph.
+
+    The Hamiltonian has ``diagonal`` 0 and the rate matrix 1.  The dense
+    N x N matrix, and with it the N x N spectrum, is formed only when it is
+    asked for; a walk launched at the entry runs on :attr:`quotient`.
+    """
+
+    diagonal = 0.0
+
+    def __init__(self, graph: Graph, scale: float, phase: complex | float):
+        super().__init__(None, phase)
+        self.graph = graph
+        self.scale = scale
+        self._quotient: SpectralOperator | None = None
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            m = self.graph.adjacency
+            if self.diagonal:
+                m = m - self.diagonal * np.diag(self.graph.degrees.astype(float))
+            m = self.scale * m
+            m.flags.writeable = False
+            self._matrix = m
+        return self._matrix
+
+    @property
+    def dim(self) -> int:
+        return self.graph.n_nodes
+
+    @property
+    def quotient(self) -> SpectralOperator:
+        """The k x k matrix S^T M S on the cells of the entry partition.
+
+        S is the N x k indicator of :attr:`Graph.entry_cells` with each
+        column divided by sqrt(|cell|).  Cells a and b joined by e_ab edges
+        meet at e_ab / sqrt(|a| |b|), and D is constant on every cell; the
+        matrix is assembled from those counts, never from the dense one.
+        """
+        if self._quotient is None:
+            g = self.graph
+            cell = g.entry_cells
+            size = np.bincount(cell)
+            k = len(size)
+            a, b = np.array(g.edges).T
+            links = np.bincount(cell[a] * k + cell[b], minlength=k * k).reshape(k, k)
+            degree = np.zeros(k)
+            degree[cell] = g.degrees
+            m = (links + links.T) / np.sqrt(np.outer(size, size))
+            m -= self.diagonal * np.diag(degree)
+            self._quotient = SpectralOperator(self.scale * m, self.phase)
+        return self._quotient
+
+
+class Hamiltonian(WalkOperator):
     """Coherent walk generator H = coupling * A of a graph.
 
     The coupling C (1/mm) sits at every adjacent pair; states are complex
     amplitudes evolved by exp(-i H z).
     """
 
-    phase = -1j
-    dtype = complex
-
     def __init__(self, graph: Graph, coupling: float = 1.0):
         coupling = float(coupling)
         if not np.isfinite(coupling) or coupling <= 0.0:
             raise ValueError(f"coupling must be finite and > 0, got {coupling}")
         self.coupling = coupling
-        super().__init__(graph, coupling * graph.adjacency)
+        super().__init__(graph, coupling, -1j)
 
 
 def entry_state(graph: Graph) -> np.ndarray:
@@ -119,3 +191,24 @@ def propagate(op: SpectralOperator, x0: np.ndarray, ts, site: int | None = None)
     if site is None:
         return (factors * modes) @ v.T
     return factors @ (v[site, :] * modes)
+
+
+def propagate_entry(op: WalkOperator, ts, site: int | None = None) -> np.ndarray:
+    """``propagate(op, entry_state(op.graph), ts, site)``, run on the quotient.
+
+    The state stays in span(S), so it is evolved as y = S^T x on
+    ``op.quotient`` from the entry's cell and lifted back as x = S y: node i
+    holds y[cell(i)] / sqrt(|cell(i)|).  Shapes are those of
+    :func:`propagate`; neither the N x N matrix nor its spectrum is formed.
+    """
+    g = op.graph
+    if site is not None and not 0 <= site < g.n_nodes:
+        raise ValueError(f"site {site} outside 0..{g.n_nodes - 1}")
+    cell = g.entry_cells
+    lift = 1.0 / np.sqrt(np.bincount(cell))
+    q = op.quotient
+    y0 = np.zeros(q.dim)
+    y0[cell[g.entry]] = 1.0
+    if site is not None:
+        return propagate(q, y0, ts, cell[site]) * lift[cell[site]]
+    return (propagate(q, y0, ts) * lift)[..., cell]

@@ -33,13 +33,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from hexwalk.graphs import Graph
-from hexwalk.quantum import Hamiltonian, SpectralOperator, propagate
+from hexwalk.quantum import Hamiltonian, WalkOperator, propagate
 
 #: Largest graph the density-matrix engine accepts by default.
 DEFAULT_NODE_CAP = 64
 
 
-class ClassicalGenerator(SpectralOperator):
+class ClassicalGenerator(WalkOperator):
     """Rate matrix K = gamma * (A - D) of the classical walk on a graph.
 
     K is symmetric because the walk hops along undirected edges at a uniform
@@ -49,12 +49,14 @@ class ClassicalGenerator(SpectralOperator):
     pins the stationary distribution of a connected graph at uniform.
     """
 
+    diagonal = 1.0
+
     def __init__(self, graph: Graph, rate: float = 1.0):
         rate = float(rate)
         if not np.isfinite(rate) or rate <= 0.0:
             raise ValueError(f"hop rate must be finite and > 0, got {rate}")
         self.rate = rate
-        super().__init__(graph, rate * (graph.adjacency - np.diag(graph.degrees.astype(float))))
+        super().__init__(graph, rate, 1.0)
 
 
 @dataclass(frozen=True)

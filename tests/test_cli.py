@@ -104,7 +104,27 @@ def test_generate_header_records_only_what_generate_uses(tmp_path):
     code = main(["generate", "--graph", "hexagonal:n=1", "--seed", "3", "--out", str(tmp_path)])
     assert code == 0
     header = read(tmp_path / "nodes.csv").split("\n")[0]
-    assert header == f"# hexwalk {hexwalk.__version__} | generate | graph=hexagonal:n=1 seed=3"
+    assert header == f"# hexwalk {hexwalk.__version__} | generate | graph=hexagonal:n=1"
+
+
+@pytest.mark.parametrize("command", ["generate", "scan"])
+@pytest.mark.parametrize(
+    "selector, seed",
+    [
+        ("glued-tree:d=3", "seed=9"),
+        ("glued-tree:d=3,seed=2", "seed=2"),
+        ("glued-tree:d=3,glue=identity", None),
+        ("hexagonal:n=1", None),
+        ("hypercube:d=2", None),
+    ],
+)
+def test_header_records_the_seed_only_where_the_graph_drew_from_it(
+    command, selector, seed, tmp_path
+):
+    assert main([command, "--graph", selector, "--seed", "9", "--out", str(tmp_path)]) == 0
+    header = read(tmp_path / ("nodes.csv" if command == "generate" else "curve.csv"))
+    seeds = re.findall(r" (seed=\d+)", header.split("\n")[0])
+    assert seeds == ([] if seed is None else [seed])
 
 
 def test_generate_seed_flag_reaches_the_gluing(tmp_path):
@@ -130,7 +150,7 @@ def test_scan_single_hexagon(tmp_path, capsys):
     assert first_p < 1e-12
     header = read(tmp_path / "curve.csv").split("\n")[0]
     assert "engine=quantum" in header
-    assert "seed=0" in header
+    assert "seed=" not in header
 
 
 def test_scan_calibrated_diamond_peaks_near_25mm(tmp_path, capsys):
@@ -173,9 +193,60 @@ def test_scan_header_records_the_resolved_window(tmp_path):
     argv = ["scan", "--graph", "hexagonal:n=1", "--engine", "classical", "--rate", "0.5"]
     assert main(argv + ["--out", str(tmp_path)]) == 0
     assert read(tmp_path / "curve.csv").split("\n")[0] == (
-        f"# hexwalk {hexwalk.__version__} | scan | graph=hexagonal:n=1 coupling=1 rate=0.5 "
-        "omega=1 z_max=8 dz=0.02 seed=0 calibrate=0 engine=classical"
+        f"# hexwalk {hexwalk.__version__} | scan | graph=hexagonal:n=1 rate=0.5 "
+        "omega=1 z_max=8 dz=0.02 calibrate=0 engine=classical"
     )
+
+
+@pytest.mark.parametrize(
+    "command, engine, used, unused",
+    [
+        ("scan", "quantum", "coupling=2", "rate="),
+        ("scan", "classical", "rate=2", "coupling="),
+        ("variance", "quantum", "coupling=2", "rate="),
+        ("variance", "classical", "rate=2", "coupling="),
+    ],
+)
+def test_header_records_only_the_walk_parameter_the_engine_uses(
+    command, engine, used, unused, tmp_path
+):
+    inputs = ["--graph", "hexagonal:n=1"] if command == "scan" else ["--sites", "21"]
+    argv = [command, *inputs, "--engine", engine, "--coupling", "2", "--rate", "2"]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    header = read(tmp_path / ("curve.csv" if command == "scan" else "fit.csv")).split("\n")[0]
+    assert f" {used} " in header
+    assert f" {unused}" not in header
+
+
+@pytest.mark.parametrize(
+    "engine, flags, message",
+    [
+        ("quantum", ["--rate", "-1"], "hop rate must be finite and > 0, got -1.0"),
+        ("quantum", ["--rate", "nan"], "hop rate must be finite and > 0, got nan"),
+        ("classical", ["--coupling", "-1", "--rate", "1"], "coupling must be finite and > 0, got -1.0"),
+    ],
+)
+def test_scan_refuses_a_bad_walk_parameter_its_engine_does_not_use(
+    engine, flags, message, tmp_path, capsys
+):
+    argv = ["scan", "--graph", "hexagonal:n=1", "--engine", engine, *flags]
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"hexwalk: {message}\n"
+    assert not any(tmp_path.iterdir())
+
+
+def test_scan_runs_a_glued_tree_too_large_for_a_dense_matrix(tmp_path, capsys, monkeypatch):
+    # 16382 nodes: the dense H alone would take 2.1 GB; the walk lives on 26 cells
+    from hexwalk.graphs import Graph
+
+    sizes = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(Graph, "adjacency", property(lambda self: pytest.fail("dense adjacency")))
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: sizes.append(len(m)) or eigh(m))
+    assert main(["scan", "--graph", "glued-tree:d=12", "--dump-state", "--out", str(tmp_path)]) == 0
+    assert sizes == [26, 26]
+    assert 0.4 < stdout_value(capsys, "p_opt") < 1.0
+    assert len(data_rows(tmp_path / "state.csv")) == 16382
 
 
 def test_scan_classical_bad_rate_is_named_as_a_hop_rate(tmp_path, capsys):

@@ -341,6 +341,41 @@ def test_neighbors_agree_with_adjacency():
 
 
 # ---------------------------------------------------------------------------
+# entry partition
+# ---------------------------------------------------------------------------
+
+# Every family at the sizes the quotient is checked on, with the cell count
+# that proves the partition coarsest where a closed form is known: a
+# hexagonal patch folds only about its horizontal axis, glued trees and
+# hypercubes down to their distance layers from the entry, and a path of
+# odd length onto its mirror pairs.
+PARTITION_CASES = (
+    [(f"hexagonal-{n}", lambda n=n: hexagonal_graph(n), n * n + 3 * n) for n in range(1, 7)]
+    + [(f"glued-random-{d}", lambda d=d: glued_tree(d, seed=d), 2 * d + 2) for d in range(1, 6)]
+    + [(f"glued-identity-{d}", lambda d=d: glued_tree(d, "identity"), None) for d in range(1, 6)]
+    + [(f"hypercube-{d}", lambda d=d: hypercube_graph(d), d + 1) for d in range(1, 7)]
+    + [(f"path-{m}", lambda m=m: path_graph(m), (m + 1) // 2 if m % 2 else None) for m in (2, 3, 8, 9, 21)]
+)
+
+
+@pytest.mark.parametrize("build, cells", [c[1:] for c in PARTITION_CASES], ids=[c[0] for c in PARTITION_CASES])
+def test_entry_partition_is_equitable_with_the_entry_alone(build, cells):
+    g = build()
+    cell = g.entry_cells
+    k = int(cell.max()) + 1
+    assert sorted(set(cell.tolist())) == list(range(k))
+    assert np.count_nonzero(cell == cell[g.entry]) == 1
+    # equitable: all nodes of a cell have the same neighbour count in every cell
+    counts = g.adjacency @ (cell[:, None] == np.arange(k)[None, :])
+    for c in range(k):
+        assert np.all(counts[cell == c] == counts[cell == c][0])
+    if cells is not None:
+        assert k == cells
+    with pytest.raises(ValueError):
+        cell[0] = 5
+
+
+# ---------------------------------------------------------------------------
 # CSV export
 # ---------------------------------------------------------------------------
 

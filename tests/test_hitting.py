@@ -106,6 +106,22 @@ def test_doubling_coupling_halves_the_optimal_length():
     assert abs(double.p_opt - base.p_opt) < 1e-6
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda: hexagonal_graph(4), lambda: glued_tree(4, seed=2), lambda: hypercube_graph(5), lambda: path_graph(9)],
+    ids=["hexagonal-4", "glued-tree-4", "hypercube-5", "path-9"],
+)
+def test_scaling_coupling_rescales_the_optimum_on_the_quotient(build):
+    g = build()
+    base = quantum_hitting_curve(g, 1.0)
+    fast = quantum_hitting_curve(g, 2.5)
+    assert abs(fast.z_opt - base.z_opt / 2.5) < 1e-9
+    assert abs(fast.p_opt - base.p_opt) < 1e-9
+    # and the optimum is the dense walk's
+    dense = propagate(Hamiltonian(g), entry_state(g), base.z_opt)
+    assert abs(abs(dense[g.exit]) ** 2 - base.p_opt) < 1e-12
+
+
 def test_default_window_grows_with_depth():
     z3, dz3 = default_scan_window(hexagonal_graph(3))
     z5, dz5 = default_scan_window(hexagonal_graph(5))

@@ -7,8 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from hexwalk.graphs import glued_tree, hexagonal_graph, path_graph
-from hexwalk.quantum import Hamiltonian, entry_state, propagate
+from hexwalk.graphs import glued_tree, hexagonal_graph, hypercube_graph, path_graph
+from hexwalk.quantum import Hamiltonian, entry_state, propagate, propagate_entry
 from hexwalk.stochastic import ClassicalGenerator
 
 # Exit probability of the 6-node single-hexagon walk at C=1, z=1, computed
@@ -232,3 +232,66 @@ def test_site_probability_curve_matches_grid(kind):
     assert np.max(np.abs(curve - probability(grid[:, g.exit]))) < 1e-12
     assert np.all(curve >= floor)
     assert np.all(curve <= 1.0 + 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the entry quotient
+# ---------------------------------------------------------------------------
+
+# Path m odd puts the exit in one cell with site 0; m even leaves every
+# site its own cell.
+QUOTIENT_GRAPHS = (
+    [(f"hexagonal-{n}", lambda n=n: hexagonal_graph(n)) for n in range(1, 7)]
+    + [(f"glued-{glue}-{d}", lambda d=d, glue=glue: glued_tree(d, glue, seed=d))
+       for d in range(1, 6) for glue in ("identity", "random-cycle")]
+    + [(f"hypercube-{d}", lambda d=d: hypercube_graph(d)) for d in range(1, 7)]
+    + [(f"path-{m}", lambda m=m: path_graph(m)) for m in (2, 9, 10)]
+)
+
+
+@pytest.mark.parametrize("kind", sorted(OPERATORS))
+@pytest.mark.parametrize("build", [b for _, b in QUOTIENT_GRAPHS], ids=[n for n, _ in QUOTIENT_GRAPHS])
+def test_quotient_matches_dense_propagation(kind, build):
+    g = build()
+    make, launch, dtype, _, _ = OPERATORS[kind]
+    zs = np.linspace(0.0, 6.0, 25)
+    dense = propagate(make(g, 0.8), launch(g), zs)
+    op = make(g, 0.8)
+    grid = propagate_entry(op, zs)
+    assert grid.shape == dense.shape
+    assert grid.dtype == dtype
+    assert np.max(np.abs(grid - dense)) < 1e-12
+    for site in (g.exit, 0):
+        assert np.max(np.abs(propagate_entry(op, zs, site) - dense[:, site])) < 1e-12
+    assert np.max(np.abs(propagate_entry(op, zs[7]) - dense[7])) < 1e-12
+    # the quotient is S^T M S with S the cell indicator, columns scaled to unit norm
+    cell = g.entry_cells
+    s = (cell[:, None] == np.arange(cell.max() + 1)[None, :]).astype(float)
+    s /= np.sqrt(s.sum(axis=0))
+    assert np.max(np.abs(op.quotient.matrix - s.T @ op.matrix @ s)) < 1e-12
+
+
+@pytest.mark.parametrize("kind", sorted(OPERATORS))
+def test_entry_propagation_never_forms_the_dense_matrix(kind, monkeypatch):
+    g = hexagonal_graph(3)
+    op = OPERATORS[kind][0](g, 1.0)
+    sizes = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(type(g), "adjacency", property(lambda self: pytest.fail("dense adjacency")))
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: sizes.append(len(m)) or eigh(m))
+    propagate_entry(op, np.linspace(0.0, 2.0, 5), g.exit)
+    propagate_entry(op, 1.5)
+    assert sizes == [18]
+
+
+def test_entry_propagation_rejects_bad_sites():
+    g = path_graph(5)
+    h = Hamiltonian(g)
+    zs = np.linspace(0.0, 1.0, 3)
+    for site in (-1, 5):
+        with pytest.raises(ValueError):
+            propagate_entry(h, zs, site)
+    with pytest.raises(ValueError):
+        propagate_entry(h, 1.0, 0)
+    with pytest.raises(ValueError):
+        propagate_entry(h, -1.0)
