@@ -92,10 +92,22 @@ def _write_atomic(path: Path, text: str) -> None:
 
 
 def _write_table(path: Path, header: str, columns: list[str], rows, sep: str = ",") -> None:
-    lines = [header, sep.join(columns)]
-    for row in rows:
-        lines.append(sep.join(_fmt(cell) if not isinstance(cell, str) else cell for cell in row))
+    cells = [_column_text(column) for column in zip(*rows)]
+    lines = [header, sep.join(columns), *(sep.join(row) for row in zip(*cells))]
     _write_atomic(path, "\n".join(lines) + "\n")
+
+
+def _column_text(column) -> list[str]:
+    """One table column as text: ints and bools as integers, floats to 12 digits, text as is.
+
+    A column holding any float is written as floats, as numpy types it.
+    """
+    values = np.asarray(column)
+    if values.dtype.kind in "biu":
+        return [str(int(v)) for v in values.tolist()]
+    if values.dtype.kind == "f":
+        return [f"{v:.12g}" for v in values.tolist()]
+    return list(column)
 
 
 def _add_graph(parser: argparse.ArgumentParser) -> None:

@@ -86,13 +86,29 @@ def parse_image(text: str) -> PixelImage:
     Every row must hold the same number of values and every value must be
     a non-negative number.  Violations raise :class:`ImageParseError`
     carrying the 1-based line number; trailing blank lines are ignored.
+    The first offending line wins, and within a line the checks run in the
+    order row width, numeric tokens, finiteness, sign.
+
+    Each row is converted by numpy in one call (it accepts exactly the
+    tokens ``float()`` accepts) and the whole matrix is checked at once;
+    only a frame that fails is walked again line by line to word the error.
     """
     lines = text.splitlines()
     while lines and not lines[-1].strip():
         lines.pop()
     if not lines:
         raise ImageParseError("image is empty", 1)
-    rows: list[list[float]] = []
+    try:
+        pixels = np.stack([np.array(line.split(), dtype=float) for line in lines])
+    except ValueError:  # a ragged or blank row, or a token that is not a number
+        pixels = None
+    if pixels is None or not (np.isfinite(pixels).all() and (pixels >= 0.0).all()):
+        _raise_first_error(lines)
+    return PixelImage(pixels)
+
+
+def _raise_first_error(lines: list[str]) -> None:
+    """Raise :class:`ImageParseError` for the first line that breaks a rule."""
     width = -1
     for lineno, line in enumerate(lines, start=1):
         tokens = line.split()
@@ -113,8 +129,6 @@ def parse_image(text: str) -> PixelImage:
             raise ImageParseError("non-finite value", lineno)
         if any(v < 0.0 for v in values):
             raise ImageParseError("negative intensity", lineno)
-        rows.append(values)
-    return PixelImage(np.array(rows))
 
 
 def _is_number(token: str) -> bool:
@@ -173,23 +187,41 @@ class MaskSpec:
         return len(self._entries)
 
     def validate_for(self, image: PixelImage) -> None:
-        """Check circles sit fully inside the image and do not overlap."""
-        for e in self._entries:
-            if (
-                e.cx - e.radius < 0.0
-                or e.cy - e.radius < 0.0
-                or e.cx + e.radius > image.cols - 1
-                or e.cy + e.radius > image.rows - 1
-            ):
-                raise MaskError(
-                    f"node {e.node_id}: circle at ({e.cx:g}, {e.cy:g}) r={e.radius:g} "
-                    f"reaches outside a {image.rows}x{image.cols} image"
-                )
-        for i, a in enumerate(self._entries):
-            for b in self._entries[i + 1 :]:
-                gap2 = (a.cx - b.cx) ** 2 + (a.cy - b.cy) ** 2
-                if gap2 < (a.radius + b.radius) ** 2:
-                    raise MaskError(f"circles of nodes {a.node_id} and {b.node_id} overlap")
+        """Check circles sit fully inside the image and do not overlap.
+
+        The first circle outside the image, in node-id order, is reported
+        before any overlap.  Overlaps are found by sort-and-sweep: with the
+        centres sorted by x, neighbours k = 1, 2, ... places apart are
+        compared until no pair k apart is closer than 2 * max(radius) in x,
+        since pairs further apart in that order are further apart in x.
+        Circles overlap when gap^2 < (r_a + r_b)^2, so tangent circles pass.
+        Of the overlapping pairs, the first in node-id order is named.
+        """
+        cx, cy, r = np.array([(e.cx, e.cy, e.radius) for e in self._entries]).T
+        outside = (
+            (cx - r < 0.0) | (cy - r < 0.0) | (cx + r > image.cols - 1) | (cy + r > image.rows - 1)
+        )
+        if outside.any():
+            e = self._entries[int(np.argmax(outside))]
+            raise MaskError(
+                f"node {e.node_id}: circle at ({e.cx:g}, {e.cy:g}) r={e.radius:g} "
+                f"reaches outside a {image.rows}x{image.cols} image"
+            )
+        n = len(self._entries)
+        order = np.argsort(cx, kind="stable")
+        x, y, rad = cx[order], cy[order], r[order]
+        reach = 2.0 * rad.max()
+        first = n * n  # i * n + j of the first overlapping pair i < j in node-id order
+        for k in range(1, n):
+            dx = x[k:] - x[:-k]
+            if not (dx < reach).any():
+                break
+            hit = np.flatnonzero(dx**2 + (y[k:] - y[:-k]) ** 2 < (rad[k:] + rad[:-k]) ** 2)
+            a, b = order[hit], order[hit + k]
+            first = int((np.minimum(a, b) * n + np.maximum(a, b)).min(initial=first))
+        if first < n * n:
+            a, b = self._entries[first // n], self._entries[first % n]
+            raise MaskError(f"circles of nodes {a.node_id} and {b.node_id} overlap")
 
     def validate_against(self, graph: Graph) -> None:
         """Check the mask covers exactly the graph's node set."""

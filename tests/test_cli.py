@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import hexwalk
-from hexwalk.cli import main
+from hexwalk.cli import _write_table, main
 from hexwalk.imaging import MaskEntry, MaskSpec, format_image, mask_csv, render_synthetic
 
 
@@ -361,6 +361,43 @@ def test_analyze_header_records_only_what_analyze_uses(rendered_fixture, tmp_pat
         f"# hexwalk {hexwalk.__version__} | analyze | "
         "image=image.txt mask=mask.csv exit_node=3"
     )
+
+
+# ---------------------------------------------------------------------------
+# table writer
+# ---------------------------------------------------------------------------
+
+
+def test_write_table_formats_each_column_by_its_type(tmp_path):
+    nan, inf = float("nan"), float("inf")
+    columns = {
+        "ints": [0, np.int64(-7), True, np.bool_(False), 10**13, np.int32(3), 2**53 + 1],
+        "floats": [-0.0, 1e-300, nan, inf, -inf, np.float64(0.1), 1.0 / 3.0],
+        "ints_nan": [np.int64(5), True, nan, 2, -3, np.int16(4), 0],
+        "floats_inf": [1e-300, np.bool_(True), 7, inf, -0.0, np.int64(-2), 2.5e12],
+        "text": ["a", "bb", "", "c d", "e", "f", "g"],
+    }
+
+    def rule(cells):
+        # a column holding any float is written as floats, the others as integers
+        if any(isinstance(c, (float, np.floating)) for c in cells):
+            return [f"{float(c):.12g}" for c in cells]
+        if all(isinstance(c, str) for c in cells):
+            return cells
+        return [str(int(c)) for c in cells]
+
+    rows = list(zip(*columns.values()))
+    _write_table(tmp_path / "t.csv", "# head", list(columns), rows)
+    expected = [",".join(row) for row in zip(*(rule(c) for c in columns.values()))]
+    assert read(tmp_path / "t.csv") == "\n".join(["# head", ",".join(columns), *expected]) + "\n"
+    assert expected[0] == "0,-0,5,1e-300,a"
+    assert expected[1] == "-7,1e-300,1,1,bb"
+    assert expected[2] == "1,nan,nan,7,"
+    assert expected[4] == "10000000000000,-inf,-3,-0,e"
+    assert expected[6] == "9007199254740993,0.333333333333,0,2.5e+12,g"
+
+    _write_table(tmp_path / "empty.dat", "# head", ["a", "b"], [], sep=" ")
+    assert read(tmp_path / "empty.dat") == "# head\na b\n"
 
 
 # ---------------------------------------------------------------------------

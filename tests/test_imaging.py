@@ -78,6 +78,62 @@ def test_parse_rejects_blank_interior_line_and_empty_text():
         parse_image("")
 
 
+def test_first_offending_line_wins_over_later_errors():
+    # a later ragged row must not hide the negative value on line 2
+    with pytest.raises(ImageParseError, match=r"^line 2: negative intensity$"):
+        parse_image("1 2 3\n-1 2 3\n1 2 3\n1 2")
+    with pytest.raises(ImageParseError, match=r"^line 2: non-finite value$"):
+        parse_image("1 2\ninf 2\n1 -2\n1 1")
+    with pytest.raises(ImageParseError, match=r"^line 3: non-numeric value 'x'$"):
+        parse_image("1 2\n3 4\n-5 x\n1 2 3")
+
+
+# Tokens at the edges of what ``float()`` reads: underscores, spelled-out and
+# overflowing infinities, signed zero, hex, Fortran exponents, non-ASCII digits.
+EDGE_TOKENS = (
+    "1_0", "Infinity", "1e400", "-0", "0x10", "1d3", "\u0661", "1e-400", "-1e-400",
+    "+1.5", ".5", "5.", "nan", "-nan", "INF", "-inf", "1e", "_1", "1__0", "0_1",
+    "1,5", "+", "\uff11", "\u0663.\u0665", "\u2212" "1", "\u00bd", "1j", "0b1", "00012",
+)
+
+
+def float_reference(lines):
+    """Read a rectangular frame token by token with ``float()``: (matrix, None) or (None, error)."""
+    rows = []
+    for lineno, line in enumerate(lines, start=1):
+        values = []
+        for tok in line.split():
+            try:
+                values.append(float(tok))
+            except ValueError:
+                return None, f"line {lineno}: non-numeric value {tok!r}"
+        if not all(np.isfinite(values)):
+            return None, f"line {lineno}: non-finite value"
+        if any(v < 0.0 for v in values):
+            return None, f"line {lineno}: negative intensity"
+        rows.append(values)
+    return np.array(rows), None
+
+
+def test_edge_tokens_are_read_as_float_reads_them():
+    rng = np.random.default_rng(2024)
+    for _ in range(300):
+        rows, cols = rng.integers(1, 5, size=2)
+        cells = rng.choice(["1", "2.5", "0"], size=(rows, cols)).astype(object)
+        for _ in range(rng.integers(1, 3)):
+            cells[rng.integers(rows), rng.integers(cols)] = rng.choice(EDGE_TOKENS)
+        lines = [" ".join(row) for row in cells]
+        expected, error = float_reference(lines)
+        if error is None:
+            got = parse_image("\n".join(lines)).intensities
+            assert np.array_equal(got, expected), lines
+            assert np.array_equal(np.signbit(got), np.signbit(expected)), lines
+        else:
+            with pytest.raises(ImageParseError) as caught:
+                parse_image("\n".join(lines))
+            assert str(caught.value) == error, lines
+
+
 def test_format_parse_round_trip():
     img = PixelImage(np.array([[0.0, 1.25], [3.5, 10.0]]))
     again = parse_image(format_image(img))
@@ -127,6 +183,85 @@ def test_mask_out_of_bounds_rejected():
     sticking_out = MaskSpec([MaskEntry(0, 2.0, 10.0, 5.0)])
     with pytest.raises(MaskError, match="outside"):
         sticking_out.validate_for(image)
+
+
+def brute_force_overlap(mask: MaskSpec):
+    """The message of the first overlapping pair in node-id order, by checking every pair."""
+    entries = mask.entries
+    for i, a in enumerate(entries):
+        for b in entries[i + 1 :]:
+            if (a.cx - b.cx) ** 2 + (a.cy - b.cy) ** 2 < (a.radius + b.radius) ** 2:
+                return f"circles of nodes {a.node_id} and {b.node_id} overlap"
+    return None
+
+
+def overlap_message(mask: MaskSpec, image: PixelImage):
+    try:
+        mask.validate_for(image)
+    except MaskError as exc:
+        return str(exc)
+    return None
+
+
+def test_sweep_names_the_pair_a_brute_force_check_names():
+    rng = np.random.default_rng(77)
+    image = PixelImage(np.zeros((101, 101)))
+    outcomes = set()
+    for trial in range(400):
+        n = int(rng.integers(2, 60))
+        ids = rng.choice(1000, size=n, replace=False)
+        xy = rng.uniform(10.0, 90.0, size=(n, 2))
+        radii = rng.uniform(0.5, 6.0 * rng.uniform(0.1, 1.0), size=n)
+        if trial % 2:  # a half-pixel lattice, so equal x and tangency are common
+            xy, radii = np.round(2.0 * xy) / 2.0, np.ceil(2.0 * radii) / 2.0
+        mask = MaskSpec(
+            MaskEntry(int(i), float(x), float(y), float(r)) for i, (x, y), r in zip(ids, xy, radii)
+        )
+        expected = brute_force_overlap(mask)
+        assert overlap_message(mask, image) == expected
+        outcomes.add(expected is None)
+    assert outcomes == {True, False}
+
+
+def test_tangent_circles_pass_at_any_angle():
+    image = PixelImage(np.zeros((101, 101)))
+    # centre gaps (6, 8), (0, 10), (10, 0) and (8, 6) of length 10 = 4 + 6
+    for dx, dy in ((6.0, 8.0), (0.0, 10.0), (10.0, 0.0), (8.0, -6.0)):
+        mask = MaskSpec([MaskEntry(0, 40.0, 40.0, 4.0), MaskEntry(1, 40.0 + dx, 40.0 + dy, 6.0)])
+        mask.validate_for(image)
+        closer = MaskSpec([MaskEntry(0, 40.0, 40.0, 4.0), MaskEntry(1, 40.0 + dx, 40.0 + dy, 6.5)])
+        with pytest.raises(MaskError, match="^circles of nodes 0 and 1 overlap$"):
+            closer.validate_for(image)
+
+
+def test_bounds_error_comes_before_overlap_error():
+    image = PixelImage(np.zeros((41, 41)))
+    mask = MaskSpec(
+        [
+            MaskEntry(0, 10.0, 10.0, 5.0),
+            MaskEntry(1, 12.0, 10.0, 5.0),  # overlaps node 0
+            MaskEntry(5, 38.0, 20.0, 5.0),  # reaches past column 40
+            MaskEntry(3, 20.0, 2.0, 5.0),  # reaches above row 0
+        ]
+    )
+    outside = r"^node 3: circle at \(20, 2\) r=5 reaches outside a 41x41 image$"
+    with pytest.raises(MaskError, match=outside):
+        mask.validate_for(image)
+
+
+def test_ten_thousand_circle_lattice_validates():
+    # 100 x 100 tangent circles: every row and column of centres shares its coordinate
+    centres = 5.0 + 10.0 * np.arange(100)
+    mask = MaskSpec(
+        MaskEntry(100 * i + j, float(x), float(y), 5.0)
+        for i, y in enumerate(centres)
+        for j, x in enumerate(centres)
+    )
+    image = PixelImage(np.zeros((1001, 1001)))
+    mask.validate_for(image)
+    crowded = MaskSpec(mask.entries[:-1] + (MaskEntry(10000, 500.0, 497.0, 1.0),))
+    with pytest.raises(MaskError, match="^circles of nodes 4949 and 10000 overlap$"):
+        crowded.validate_for(image)
 
 
 def test_mask_checked_against_graph_node_set():
