@@ -90,7 +90,6 @@ class Graph:
         self._params = dict(params or {})
         self._adjacency: np.ndarray | None = None
         self._degrees: np.ndarray | None = None
-        self._neighbors: tuple[tuple[int, ...], ...] | None = None
         self._entry_cells: np.ndarray | None = None
 
     @property
@@ -150,18 +149,6 @@ class Graph:
             self._degrees = d
         return self._degrees
 
-    def neighbors(self, node: int) -> tuple[int, ...]:
-        """Sorted neighbour ids of a node (the per-node lists are cached)."""
-        if not (0 <= node < self.n_nodes):
-            raise ValueError(f"node {node} outside 0..{self.n_nodes - 1}")
-        if self._neighbors is None:
-            out: list[list[int]] = [[] for _ in range(self.n_nodes)]
-            for i, j in self._edges:
-                out[i].append(j)
-                out[j].append(i)
-            self._neighbors = tuple(tuple(sorted(nbs)) for nbs in out)
-        return self._neighbors[node]
-
     @property
     def entry_cells(self) -> np.ndarray:
         """Cell id of every node in the entry partition (read-only, cached).
@@ -177,7 +164,7 @@ class Graph:
         """
         if self._entry_cells is None:
             n = self.n_nodes
-            a, b = np.array(self._edges).T
+            a, b = np.array(self._edges, dtype=np.int64).reshape(-1, 2).T
             src, dst = np.r_[a, b], np.r_[b, a]
             order = np.argsort(src, kind="stable")
             src, dst = src[order], dst[order]
@@ -197,16 +184,6 @@ class Graph:
             cell.flags.writeable = False
             self._entry_cells = cell
         return self._entry_cells
-
-    @property
-    def connected(self) -> bool:
-        """Whether every node is reachable from node 0."""
-        seen, stack = {0}, [0]
-        while stack:
-            new = set(self.neighbors(stack.pop())) - seen
-            seen |= new
-            stack.extend(new)
-        return len(seen) == self.n_nodes
 
     def __repr__(self) -> str:
         return (
@@ -403,7 +380,13 @@ def parse_graph_selector(text: str, default_seed: int = 0) -> Graph:
 
 def depth_scale(graph: Graph) -> int:
     """Depth-like size of a graph, which sets its default scan window."""
-    return _FAMILY_TABLE[graph.family][1](graph.params)
+    try:
+        return _FAMILY_TABLE[graph.family][1](graph.params)
+    except KeyError as exc:
+        raise ValueError(
+            f"{graph.family} graph has no size parameter {exc.args[0]!r}; "
+            "give the scan window explicitly"
+        ) from None
 
 
 def edge_csv(graph: Graph) -> str:

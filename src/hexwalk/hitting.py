@@ -6,7 +6,9 @@ The classical side finds the earliest time at which the walk's distribution
 has settled onto the uniform stationary distribution to within a relative
 tolerance, bracketing that time with a looser and a tighter tolerance.  The
 max-norm deviation from uniform never increases, so that time is bisected
-directly, below a horizon set by the spectral gap.
+directly, below a horizon set by the spectral gap.  Whether the walk can
+settle at all is read off the same entry-quotient spectrum: the graph is
+connected exactly when that spectrum has one zero mode.
 Depth sweeps collect both quantities across a family of hexagonal patches
 so their growth laws can be fitted: the optimal length grows linearly with
 depth while the classical convergence time grows roughly quadratically.
@@ -128,11 +130,13 @@ def _scan_grid(
 ) -> tuple[np.ndarray, float, float]:
     """Grid 0, dz, 2 dz, ... up to z_max, and the window (z_max, dz) it was built from.
 
-    Unset ends take the default window for ``scale``.
+    Unset ends take the default window for ``scale``, which the caller has
+    checked; only an unset ``z_max`` needs the family's size parameter.
     """
-    auto_z_max, auto_dz = default_scan_window(graph, scale)
-    z_max = auto_z_max if z_max is None else z_max
-    dz = auto_dz if dz is None else dz
+    if z_max is None:
+        z_max = default_scan_window(graph, scale)[0]
+    if dz is None:
+        dz = SCAN_STEP_FACTOR / scale
     if not np.isfinite(z_max) or z_max <= 0.0:
         raise ValueError(f"scan window must be finite and > 0, got {z_max}")
     if not np.isfinite(dz) or dz <= 0.0:
@@ -145,12 +149,9 @@ def _scan_grid(
 
 def _refine_parabolic(z: np.ndarray, p: np.ndarray, i: int) -> float:
     """Vertex of the parabola through the three equally spaced points around i."""
-    denom = p[i - 1] - 2.0 * p[i] + p[i + 1]
-    if denom >= 0.0:
-        return float(z[i])
-    shift = 0.5 * (p[i - 1] - p[i + 1]) / denom
-    shift = min(0.5, max(-0.5, shift))
-    return float(z[i] + shift * (z[i] - z[i - 1]))
+    # i is the first argmax inside the grid, so a > 0 and b >= 0: a + b > 0, |shift| <= 1/2
+    a, b = p[i] - p[i - 1], p[i] - p[i + 1]
+    return float(z[i] + 0.5 * (a - b) / (a + b) * (z[i] - z[i - 1]))
 
 
 def quantum_hitting_curve(
@@ -171,8 +172,8 @@ def quantum_hitting_curve(
     length.  A maximum on the window edge cannot be refined; it is returned
     as-is under a :class:`BoundaryMaximumWarning`.
     """
-    zs, z_max, dz = _scan_grid(graph, coupling, z_max, dz)
     h = Hamiltonian(graph, coupling)
+    zs, z_max, dz = _scan_grid(graph, coupling, z_max, dz)
 
     def exit_probability(lengths):
         return np.abs(propagate_entry(h, lengths, graph.exit)) ** 2
@@ -262,18 +263,22 @@ def classical_convergence_time(
     state is constant on cells, so the deviation is the maximum over cells
     of |y_c / sqrt(|c|) - 1/N|, with the entry's modes projected once.
 
-    Raises :class:`ConvergenceError` for a disconnected graph, which has no
-    uniform limit from a localised start.
+    The same spectrum decides connectivity.  The null space of K is spanned
+    by the indicators of the connected components (Fiedler 1973).  The cells
+    separate nodes by their distance from the entry, so the nodes the walk
+    can reach, and the rest, are unions of cells: both indicators lie in
+    span(S).  The quotient thus has one zero mode exactly when the graph is
+    connected; w counts as zero when w >= -1e-12 * max|w|.  A disconnected
+    graph, which has no uniform limit from a localised start, raises
+    :class:`ConvergenceError`.
     """
     if not np.isfinite(epsilon) or epsilon <= 0.0:
         raise ValueError(f"relative tolerance must be finite and > 0, got {epsilon}")
-    if not graph.connected:
-        raise ConvergenceError("graph is disconnected; the walk cannot reach uniformity")
     w, v = ClassicalGenerator(graph, rate).quotient.spectrum
-    nonzero = w[w < -1.0e-12 * max(1.0, float(np.max(np.abs(w))))]
-    if nonzero.size == 0:
-        raise ConvergenceError("generator has no relaxing modes")
-    gap = -float(np.max(nonzero))
+    zero = w >= -1.0e-12 * float(np.max(np.abs(w)))
+    if np.count_nonzero(zero) > 1:
+        raise ConvergenceError("graph is disconnected; the walk cannot reach uniformity")
+    gap = -float(np.max(w[~zero]))
     p_uniform = 1.0 / graph.n_nodes
     cell = graph.entry_cells
     lift = 1.0 / np.sqrt(np.bincount(cell))

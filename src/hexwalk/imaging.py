@@ -163,8 +163,8 @@ class MaskSpec:
         if not entries:
             raise MaskError("mask needs at least one entry")
         ids = [e.node_id for e in entries]
-        if len(set(ids)) != len(ids):
-            dup = next(i for i in ids if ids.count(i) > 1)
+        dup = next((a for a, b in zip(ids, ids[1:]) if a == b), None)
+        if dup is not None:
             raise MaskError(f"duplicate node id {dup} in mask")
         for e in entries:
             if e.node_id < 0:

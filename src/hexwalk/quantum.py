@@ -131,7 +131,7 @@ class WalkOperator(SpectralOperator):
             cell = g.entry_cells
             size = np.bincount(cell)
             k = len(size)
-            a, b = np.array(g.edges).T
+            a, b = np.array(g.edges, dtype=np.int64).reshape(-1, 2).T
             links = np.bincount(cell[a] * k + cell[b], minlength=k * k).reshape(k, k)
             degree = np.zeros(k)
             degree[cell] = g.degrees

@@ -314,6 +314,15 @@ def test_variance_classical_exponent(tmp_path, capsys):
     assert abs(stdout_value(capsys, "exponent") - 1.0) < 0.05
 
 
+@pytest.mark.parametrize("z_max", ["nan", "inf", "0"])
+def test_variance_refuses_a_non_finite_or_empty_window(z_max, tmp_path, capsys):
+    code = main(["variance", "--sites", "41", "--z-max", z_max, "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"hexwalk: --z-max must be finite and > 0, got {float(z_max)}\n"
+    assert not (tmp_path / "fit.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # analyze
 # ---------------------------------------------------------------------------

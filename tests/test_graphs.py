@@ -18,7 +18,8 @@ from hexwalk.graphs import (
     parse_graph_selector,
     path_graph,
 )
-from hexwalk.hitting import default_scan_window
+from hexwalk.hitting import ConvergenceError, classical_convergence_time, default_scan_window
+from hexwalk.stochastic import ClassicalGenerator
 
 
 def bfs_layers(g: Graph, start: int) -> dict[int, int]:
@@ -27,7 +28,7 @@ def bfs_layers(g: Graph, start: int) -> dict[int, int]:
     queue = deque([start])
     while queue:
         node = queue.popleft()
-        for nb in g.neighbors(node):
+        for nb in np.flatnonzero(g.adjacency[node]).tolist():
             if nb not in dist:
                 dist[nb] = dist[node] + 1
                 queue.append(nb)
@@ -178,7 +179,7 @@ def test_glued_tree_random_cycle_alternates_sides():
     left_leaves = {i for i, d_ in dist.items() if d_ == 2 and g.coords[i][0] == 2}
     # each left leaf must connect to exactly two right leaves
     for leaf in left_leaves:
-        right = [nb for nb in g.neighbors(leaf) if g.coords[nb][0] == 3]
+        right = [nb for nb in np.flatnonzero(g.adjacency[leaf]) if g.coords[nb][0] == 3]
         assert len(right) == 2
 
 
@@ -326,18 +327,21 @@ def test_adjacency_matches_edge_list_and_is_frozen():
     assert np.array_equal(g.degrees, adj.sum(axis=0))
 
 
-def test_neighbors_agree_with_adjacency():
-    g = glued_tree(2, gluing="identity")
-    for node in range(g.n_nodes):
-        expected = tuple(sorted(np.nonzero(g.adjacency[node])[0].tolist()))
-        assert g.neighbors(node) == expected
-    assert g.connected
-    for g in (hexagonal_graph(3), glued_tree(3, seed=5), hypercube_graph(4), path_graph(6)):
-        assert g.connected
+def test_classical_quotient_of_every_family_has_one_zero_mode():
+    # the quotient has one zero mode exactly when the graph is connected
+    for g in (
+        hexagonal_graph(3),
+        glued_tree(2, gluing="identity"),
+        glued_tree(3, seed=5),
+        hypercube_graph(4),
+        path_graph(6),
+    ):
         assert len(bfs_layers(g, 0)) == g.n_nodes
+        w = ClassicalGenerator(g).quotient.spectrum[0]
+        assert np.count_nonzero(w >= -1e-12 * np.max(np.abs(w))) == 1
     two_parts = Graph("path", [(0, 0), (2, 0), (4, 0), (6, 0)], [(0, 1), (2, 3)], 0, 3)
-    assert not two_parts.connected
-    assert two_parts.neighbors(1) == (0,)
+    with pytest.raises(ConvergenceError, match="disconnected"):
+        classical_convergence_time(two_parts)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from hexwalk.hitting import (
     fit_power,
     quantum_hitting_curve,
     variance_slope_1d,
+    _settling_time,
 )
 from hexwalk.quantum import Hamiltonian, entry_state, propagate
 from hexwalk.stochastic import ClassicalGenerator
@@ -137,6 +138,20 @@ def test_scan_rejects_bad_window():
         quantum_hitting_curve(path_graph(2), z_max=-1.0)
     with pytest.raises(ValueError):
         quantum_hitting_curve(path_graph(2), z_max=1.0, dz=0.9)
+
+
+def test_hand_built_graph_scans_with_an_explicit_window():
+    # a graph built without a family size parameter has no default window
+    g = Graph("path", [(0, 0), (2, 0), (4, 0), (6, 0)], [(0, 1), (1, 2), (2, 3)], 0, 3)
+    quantum = quantum_hitting_curve(g, z_max=5.0, dz=0.01)
+    dense = propagate(Hamiltonian(g), entry_state(g), quantum.z_opt)
+    assert abs(dense[g.exit]) ** 2 == pytest.approx(quantum.p_opt, abs=1e-12)
+    classical = classical_hitting_curve(g, 1.0, 5.0, 0.01)
+    dense = propagate(ClassicalGenerator(g), entry_state(g), 5.0)
+    assert classical.p_exit[-1] == pytest.approx(dense[g.exit], abs=1e-12)
+    for scan in (lambda: quantum_hitting_curve(g, dz=0.01), lambda: classical_hitting_curve(g)):
+        with pytest.raises(ValueError, match="size parameter 'm'"):
+            scan()
 
 
 def test_curve_carries_the_resolved_window():
@@ -267,13 +282,10 @@ def test_convergence_at_start_when_tolerance_covers_the_launch():
     assert 0.0 < res.t_low < res.t_high
 
 
-def test_disconnected_graph_fails_at_the_horizon_without_the_connectivity_check(monkeypatch):
-    # the doubled zero mode keeps the deviation up, so the horizon guard catches it
-    coords = [(0, 0), (2, 0), (4, 0), (6, 0)]
-    broken = Graph("path", coords, [(0, 1), (2, 3)], entry=0, exit=3)
-    monkeypatch.setattr(Graph, "connected", property(lambda graph: True))
+def test_settling_search_fails_at_the_horizon():
+    # a deviation that never drops below the threshold is caught at the horizon
     with pytest.raises(ConvergenceError, match="horizon"):
-        classical_convergence_time(broken)
+        _settling_time(lambda t: 0.5, 1e-4, 10.0)
 
 
 def test_convergence_bracket_ordering_and_uniform_share():
@@ -283,11 +295,32 @@ def test_convergence_bracket_ordering_and_uniform_share():
     assert res.epsilon == 1e-4
 
 
+def _two_hexagons(n: int) -> Graph:
+    one = hexagonal_graph(n)
+    shift = one.coords[-1][0] + 4
+    coords = list(one.coords) + [(x + shift, y) for x, y in one.coords]
+    edges = list(one.edges) + [(a + one.n_nodes, b + one.n_nodes) for a, b in one.edges]
+    return Graph("hexagonal", coords, edges, one.entry, one.exit)
+
+
 def test_disconnected_graph_never_converges():
-    coords = [(0, 0), (2, 0), (4, 0), (6, 0)]
-    broken = Graph("path", coords, [(0, 1), (2, 3)], entry=0, exit=3)
-    with pytest.raises(ConvergenceError):
-        classical_convergence_time(broken)
+    two_parts = Graph("path", [(0, 0), (2, 0), (4, 0), (6, 0)], [(0, 1), (2, 3)], 0, 3)
+    edgeless = Graph("path", [(0, 0), (2, 0)], [], 0, 1)
+    two_hexagons = _two_hexagons(4)
+    w = ClassicalGenerator(two_hexagons).quotient.spectrum[0]
+    assert (two_hexagons.n_nodes, len(w)) == (96, 42)
+    assert np.count_nonzero(w >= -1e-12 * np.max(np.abs(w))) == 2
+    for g in (two_parts, edgeless, two_hexagons):
+        with pytest.raises(ConvergenceError, match="disconnected"):
+            classical_convergence_time(g)
+
+
+def test_convergence_times_scale_inversely_with_any_valid_rate():
+    g = hexagonal_graph(2)
+    base = classical_convergence_time(g)
+    slow = classical_convergence_time(g, rate=1e-13)
+    for name in ("t_converge", "t_low", "t_high"):
+        assert getattr(slow, name) * 1e-13 == pytest.approx(getattr(base, name), rel=1e-9)
 
 
 # ---------------------------------------------------------------------------

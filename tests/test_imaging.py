@@ -169,6 +169,17 @@ def test_mask_rejects_duplicates_and_bad_fields():
         MaskSpec([MaskEntry(0, float("nan"), 10.0, 5.0)])
 
 
+def test_mask_names_the_smallest_duplicate_id():
+    entries = [MaskEntry(i, 10.0 * i, 10.0, 1.0) for i in (4, 2, 7, 4, 2, 1)]
+    with pytest.raises(MaskError, match="^duplicate node id 2 in mask$"):
+        MaskSpec(entries)
+    # sorted order finds a duplicate in one pass, so a large mask fails fast
+    large = [MaskEntry(i, 10.0 * i, 10.0, 1.0) for i in range(20000)]
+    large.append(MaskEntry(19999, 0.0, 0.0, 1.0))
+    with pytest.raises(MaskError, match="^duplicate node id 19999 in mask$"):
+        MaskSpec(large)
+
+
 def test_mask_overlap_rejected_tangency_allowed():
     image = PixelImage(np.ones((21, 61)))
     touching = MaskSpec([MaskEntry(0, 10.0, 10.0, 5.0), MaskEntry(1, 20.0, 10.0, 5.0)])

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from hexwalk.graphs import glued_tree, hexagonal_graph, hypercube_graph, path_graph
+from hexwalk.graphs import Graph, glued_tree, hexagonal_graph, hypercube_graph, path_graph
 from hexwalk.quantum import Hamiltonian, entry_state, propagate, propagate_entry
 from hexwalk.stochastic import ClassicalGenerator
 
@@ -282,6 +282,14 @@ def test_entry_propagation_never_forms_the_dense_matrix(kind, monkeypatch):
     propagate_entry(op, np.linspace(0.0, 2.0, 5), g.exit)
     propagate_entry(op, 1.5)
     assert sizes == [18]
+
+
+@pytest.mark.parametrize("kind", sorted(OPERATORS))
+def test_entry_propagation_on_an_edgeless_graph_stays_at_the_entry(kind):
+    g = Graph("path", [(0, 0), (2, 0)], [], 0, 1)
+    op = OPERATORS[kind][0](g, 1.0)
+    assert np.array_equal(propagate_entry(op, 1.0), entry_state(g))
+    assert np.array_equal(propagate_entry(op, np.linspace(0.0, 2.0, 3), g.exit), np.zeros(3))
 
 
 def test_entry_propagation_rejects_bad_sites():
