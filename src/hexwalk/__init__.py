@@ -10,12 +10,7 @@ out of pixel images through circular node masks.
 
 from hexwalk.graphs import Graph, glued_tree, hexagonal_graph, hypercube_graph, path_graph
 from hexwalk.quantum import Hamiltonian, entry_state, propagate, propagate_entry
-from hexwalk.stochastic import (
-    ClassicalGenerator,
-    QswParams,
-    evolve_qsw,
-    lindblad_rhs,
-)
+from hexwalk.stochastic import ClassicalGenerator, QswParams, evolve_qsw
 from hexwalk.hitting import (
     BoundaryMaximumWarning,
     ConvergenceError,
@@ -57,7 +52,6 @@ __all__ = [
     "propagate_entry",
     "ClassicalGenerator",
     "QswParams",
-    "lindblad_rhs",
     "evolve_qsw",
     "HittingCurve",
     "ConvergenceResult",

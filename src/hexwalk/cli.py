@@ -118,14 +118,15 @@ def _add_graph(parser: argparse.ArgumentParser) -> None:
 def _add_common(parser: argparse.ArgumentParser, walk: bool = True) -> None:
     parser.add_argument("--out", default=".", help="output directory (default: current)")
     if walk:
-        parser.add_argument("--coupling", type=float, default=1.0, help="edge coupling C in 1/mm")
-        parser.add_argument(
-            "--rate", type=float, default=None, help="classical hop rate (default: the coupling)"
-        )
-        parser.add_argument(
+        coupling = parser.add_mutually_exclusive_group()
+        coupling.add_argument("--coupling", type=float, default=1.0, help="edge coupling C in 1/mm")
+        coupling.add_argument(
             "--calibrate",
             action="store_true",
             help="rescale the coupling so the depth-2 hexagonal optimum sits at 25.2 mm",
+        )
+        parser.add_argument(
+            "--rate", type=float, default=None, help="classical hop rate (default: the coupling)"
         )
 
 

@@ -45,9 +45,10 @@ class Graph:
     """Immutable undirected graph with integer display coordinates.
 
     Instances are meant to be built by the module-level constructors and
-    never mutated; the adjacency matrix and degree vector are cached on
-    first use and handed out as read-only arrays, so a single graph can be
-    shared freely between scan workers.
+    never mutated.  The edges are stored once, as a read-only (E, 2) array;
+    the adjacency matrix and degree vector are derived from it, cached on
+    first use and handed out read-only too, so a single graph can be shared
+    freely between scan workers.
     """
 
     def __init__(
@@ -84,7 +85,9 @@ class Graph:
             raise ValueError("entry and exit must be distinct nodes")
         self._family = family
         self._coords = coords
-        self._edges = tuple(sorted(canon))
+        edge_array = np.array(sorted(canon), dtype=np.int64).reshape(-1, 2)
+        edge_array.flags.writeable = False
+        self._edges = edge_array
         self._entry = int(entry)
         self._exit = int(exit)
         self._params = dict(params or {})
@@ -101,7 +104,8 @@ class Graph:
         return self._coords
 
     @property
-    def edges(self) -> tuple[tuple[int, int], ...]:
+    def edges(self) -> np.ndarray:
+        """Edge list, shape (E, 2), each row (a, b) with a < b, rows sorted (read-only)."""
         return self._edges
 
     @property
@@ -130,9 +134,8 @@ class Graph:
         """Dense symmetric 0/1 adjacency matrix (read-only, cached)."""
         if self._adjacency is None:
             a = np.zeros((self.n_nodes, self.n_nodes))
-            for i, j in self._edges:
-                a[i, j] = 1.0
-                a[j, i] = 1.0
+            i, j = self._edges.T
+            a[i, j] = a[j, i] = 1.0
             a.flags.writeable = False
             self._adjacency = a
         return self._adjacency
@@ -141,10 +144,7 @@ class Graph:
     def degrees(self) -> np.ndarray:
         """Per-node degree vector (read-only, cached)."""
         if self._degrees is None:
-            d = np.zeros(self.n_nodes, dtype=np.int64)
-            for i, j in self._edges:
-                d[i] += 1
-                d[j] += 1
+            d = np.bincount(self._edges.ravel(), minlength=self.n_nodes)
             d.flags.writeable = False
             self._degrees = d
         return self._degrees
@@ -164,7 +164,7 @@ class Graph:
         """
         if self._entry_cells is None:
             n = self.n_nodes
-            a, b = np.array(self._edges, dtype=np.int64).reshape(-1, 2).T
+            a, b = self._edges.T
             src, dst = np.r_[a, b], np.r_[b, a]
             order = np.argsort(src, kind="stable")
             src, dst = src[order], dst[order]
@@ -392,7 +392,7 @@ def depth_scale(graph: Graph) -> int:
 def edge_csv(graph: Graph) -> str:
     """Edge list as CSV text with header ``node_a,node_b``."""
     lines = ["node_a,node_b"]
-    lines.extend(f"{a},{b}" for a, b in graph.edges)
+    lines.extend(f"{a},{b}" for a, b in graph.edges.tolist())
     return "\n".join(lines) + "\n"
 
 

@@ -36,9 +36,15 @@ SCAN_WINDOW_FACTOR = 4.0
 #: Default scan step, in units of 1 / coupling.
 SCAN_STEP_FACTOR = 0.01
 
+#: Most grid points a scan may have.  Scans in use stay far below it (a
+#: classical scan to z = 300 at the default step has 30001 points); each
+#: point costs a row of k mode factors, so a window far beyond this could
+#: not be held in memory anyway.
+MAX_SCAN_POINTS = 10**6
+
 #: Physical length (mm) at which the depth-2 patch's optimum is pinned when
 #: calibrating the dimensionless coupling onto a real device.
-DEFAULT_CALIBRATION_LENGTH_MM = 25.2
+CALIBRATION_LENGTH_MM = 25.2
 
 
 class BoundaryMaximumWarning(UserWarning):
@@ -115,33 +121,31 @@ class FitResult:
         return np.exp(self.intercept) * x**self.slope
 
 
-def default_scan_window(graph: Graph, coupling: float = 1.0) -> tuple[float, float]:
-    """Default (z_max, dz) for a scan: 4 * depth / C in steps of 0.01 / C."""
-    if not np.isfinite(coupling) or coupling <= 0.0:
-        raise ValueError(f"coupling must be finite and > 0, got {coupling}")
-    return (
-        SCAN_WINDOW_FACTOR * depth_scale(graph) / coupling,
-        SCAN_STEP_FACTOR / coupling,
-    )
-
-
 def _scan_grid(
     graph: Graph, scale: float, z_max: float | None, dz: float | None
 ) -> tuple[np.ndarray, float, float]:
     """Grid 0, dz, 2 dz, ... up to z_max, and the window (z_max, dz) it was built from.
 
-    Unset ends take the default window for ``scale``, which the caller has
-    checked; only an unset ``z_max`` needs the family's size parameter.
+    An unset end takes the default window, 4 * depth / scale in steps of
+    0.01 / scale, for a ``scale`` the caller has checked; only an unset
+    ``z_max`` needs the family's size parameter.  A window of more than
+    :data:`MAX_SCAN_POINTS` points is refused before anything is allocated.
     """
     if z_max is None:
-        z_max = default_scan_window(graph, scale)[0]
+        z_max = SCAN_WINDOW_FACTOR * depth_scale(graph) / scale
     if dz is None:
         dz = SCAN_STEP_FACTOR / scale
     if not np.isfinite(z_max) or z_max <= 0.0:
         raise ValueError(f"scan window must be finite and > 0, got {z_max}")
     if not np.isfinite(dz) or dz <= 0.0:
         raise ValueError(f"scan step must be finite and > 0, got {dz}")
-    count = int(round(z_max / dz))
+    steps = z_max / dz
+    if not np.isfinite(steps) or round(steps) >= MAX_SCAN_POINTS:
+        raise ValueError(
+            f"scan window z_max/dz (--z-max/--dz) = {steps:g} steps is more than "
+            f"the {MAX_SCAN_POINTS} grid points a scan may take"
+        )
+    count = round(steps)
     if count < 2:
         raise ValueError("scan window must span at least two steps")
     return dz * np.arange(count + 1), z_max, dz
@@ -441,14 +445,12 @@ def variance_slope_1d(
 
 
 @lru_cache(maxsize=None)
-def calibrated_coupling(target_z_opt: float = DEFAULT_CALIBRATION_LENGTH_MM) -> float:
-    """Coupling (1/mm) that places the depth-2 patch's optimum at the target length.
+def calibrated_coupling() -> float:
+    """Coupling (1/mm) that places the depth-2 patch's optimum at 25.2 mm.
 
     The scan itself is coupling-invariant in the product C * z, so the
-    calibration just rescales the dimensionless optimum onto the requested
-    physical length.
+    calibration just rescales the dimensionless optimum onto that physical
+    length.
     """
-    if not np.isfinite(target_z_opt) or target_z_opt <= 0.0:
-        raise ValueError(f"target length must be finite and > 0, got {target_z_opt}")
     curve = quantum_hitting_curve(hexagonal_graph(2))
-    return curve.z_opt / target_z_opt
+    return curve.z_opt / CALIBRATION_LENGTH_MM

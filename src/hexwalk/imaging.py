@@ -23,8 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hexwalk.graphs import Graph
-
 
 class ImageParseError(ValueError):
     """Malformed pixel-matrix text; carries the 1-based offending line number."""
@@ -222,14 +220,6 @@ class MaskSpec:
         if first < n * n:
             a, b = self._entries[first // n], self._entries[first % n]
             raise MaskError(f"circles of nodes {a.node_id} and {b.node_id} overlap")
-
-    def validate_against(self, graph: Graph) -> None:
-        """Check the mask covers exactly the graph's node set."""
-        expected = tuple(range(graph.n_nodes))
-        if self.node_ids != expected:
-            raise MaskError(
-                f"mask covers nodes {self.node_ids}, expected 0..{graph.n_nodes - 1}"
-            )
 
 
 def parse_mask(text: str) -> MaskSpec:

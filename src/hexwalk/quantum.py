@@ -91,7 +91,8 @@ class WalkOperator(SpectralOperator):
 
     The Hamiltonian has ``diagonal`` 0 and the rate matrix 1.  The dense
     N x N matrix, and with it the N x N spectrum, is formed only when it is
-    asked for; a walk launched at the entry runs on :attr:`quotient`.
+    asked for; a walk launched at the entry runs on :attr:`quotient`.  Both
+    are the same assembly S^T M S, on singleton cells for the dense matrix.
     """
 
     diagonal = 0.0
@@ -102,13 +103,31 @@ class WalkOperator(SpectralOperator):
         self.scale = scale
         self._quotient: SpectralOperator | None = None
 
+    def _assemble(self, cell: np.ndarray) -> np.ndarray:
+        """S^T M S for an equitable partition of the nodes into cells ``cell``.
+
+        S is the N x k indicator of the cells with each column divided by
+        sqrt(|cell|).  Cells a and b joined by e_ab edges meet at
+        e_ab / sqrt(|a| |b|), and D is constant on every cell because the
+        partition is equitable; the matrix is assembled from those counts,
+        never from the dense one.  With one node per cell, S = I and the
+        result is M itself.
+        """
+        g = self.graph
+        size = np.bincount(cell)
+        k = len(size)
+        a, b = g.edges.T
+        links = np.bincount(cell[a] * k + cell[b], minlength=k * k).reshape(k, k)
+        degree = np.zeros(k)
+        degree[cell] = g.degrees
+        m = (links + links.T) / np.sqrt(np.outer(size, size))
+        m -= self.diagonal * np.diag(degree)
+        return self.scale * m
+
     @property
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
-            m = self.graph.adjacency
-            if self.diagonal:
-                m = m - self.diagonal * np.diag(self.graph.degrees.astype(float))
-            m = self.scale * m
+            m = self._assemble(np.arange(self.graph.n_nodes))
             m.flags.writeable = False
             self._matrix = m
         return self._matrix
@@ -119,25 +138,9 @@ class WalkOperator(SpectralOperator):
 
     @property
     def quotient(self) -> SpectralOperator:
-        """The k x k matrix S^T M S on the cells of the entry partition.
-
-        S is the N x k indicator of :attr:`Graph.entry_cells` with each
-        column divided by sqrt(|cell|).  Cells a and b joined by e_ab edges
-        meet at e_ab / sqrt(|a| |b|), and D is constant on every cell; the
-        matrix is assembled from those counts, never from the dense one.
-        """
+        """The k x k matrix S^T M S on the cells of :attr:`Graph.entry_cells`."""
         if self._quotient is None:
-            g = self.graph
-            cell = g.entry_cells
-            size = np.bincount(cell)
-            k = len(size)
-            a, b = np.array(g.edges, dtype=np.int64).reshape(-1, 2).T
-            links = np.bincount(cell[a] * k + cell[b], minlength=k * k).reshape(k, k)
-            degree = np.zeros(k)
-            degree[cell] = g.degrees
-            m = (links + links.T) / np.sqrt(np.outer(size, size))
-            m -= self.diagonal * np.diag(degree)
-            self._quotient = SpectralOperator(self.scale * m, self.phase)
+            self._quotient = SpectralOperator(self._assemble(self.graph.entry_cells), self.phase)
         return self._quotient
 
 

@@ -35,8 +35,9 @@ import numpy as np
 from hexwalk.graphs import Graph
 from hexwalk.quantum import Hamiltonian, WalkOperator, propagate
 
-#: Largest graph the density-matrix engine accepts by default.
-DEFAULT_NODE_CAP = 64
+#: Largest graph the density-matrix engine accepts: every state is a dense
+#: N x N matrix and every step multiplies two of them.
+NODE_CAP = 64
 
 
 class ClassicalGenerator(WalkOperator):
@@ -89,49 +90,11 @@ def density_from_state(psi: np.ndarray) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def basis_density(n: int, site: int) -> np.ndarray:
-    """Density matrix of a walker localised on one site."""
-    if not (0 <= site < n):
-        raise ValueError(f"site {site} outside 0..{n - 1}")
-    rho = np.zeros((n, n), dtype=complex)
-    rho[site, site] = 1.0
-    return rho
-
-
-def lindblad_rhs(rho: np.ndarray, hamiltonian: Hamiltonian, params: QswParams) -> np.ndarray:
-    """Right-hand side of the interpolating master equation.
-
-    Evaluates the closed form of the edge-jump dissipator rather than the
-    O(N^4) sum over jump operators; the two agree to rounding and the test
-    suite holds the brute-force sum as an oracle.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    n = hamiltonian.dim
-    if rho.shape != (n, n):
-        raise ValueError(f"density matrix has shape {rho.shape}, expected ({n}, {n})")
-    omega = params.omega
-    out = np.zeros_like(rho)
-    if omega < 1.0:
-        h = hamiltonian.matrix
-        out += -(1.0 - omega) * 1j * (h @ rho - rho @ h)
-    if omega > 0.0:
-        gamma = params.rate
-        adj = hamiltonian.graph.adjacency
-        deg = hamiltonian.graph.degrees.astype(float)
-        pops = np.diagonal(rho)
-        gain = np.zeros_like(rho)
-        np.fill_diagonal(gain, adj @ pops)
-        damp = 0.5 * (deg[:, None] + deg[None, :])
-        out += omega * gamma * (gain - damp * rho)
-    return out
-
-
 def evolve_qsw(
     rho0: np.ndarray,
     hamiltonian: Hamiltonian,
     params: QswParams,
     t: float,
-    node_cap: int = DEFAULT_NODE_CAP,
 ) -> np.ndarray:
     """Evolve the density matrix rho0 of the walk on ``hamiltonian``'s graph over time t >= 0.
 
@@ -143,7 +106,7 @@ def evolve_qsw(
     dt, so for 0 < omega < 1 one Richardson step (4 S^2m - S^m) / 3, with
     m = ceil(t / step), cancels its leading term.  At omega = 0 or 1 one
     piece is left and a single step of length t is exact.  Graphs above
-    ``node_cap`` nodes are refused, since every state is a dense N x N matrix.
+    :data:`NODE_CAP` nodes are refused.
     """
     t = float(t)
     if not np.isfinite(t):
@@ -151,10 +114,8 @@ def evolve_qsw(
     if t < 0.0:
         raise ValueError(f"evolution time must be >= 0, got {t}")
     n = hamiltonian.dim
-    if n > node_cap:
-        raise ValueError(
-            f"graph has {n} nodes, above the density-matrix cap of {node_cap}"
-        )
+    if n > NODE_CAP:
+        raise ValueError(f"graph has {n} nodes, above the density-matrix cap of {NODE_CAP}")
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (n, n):
         raise ValueError(f"density matrix has shape {rho0.shape}, expected ({n}, {n})")

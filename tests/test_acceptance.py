@@ -32,13 +32,8 @@ from hexwalk.imaging import (
     render_synthetic,
 )
 from hexwalk.quantum import Hamiltonian, entry_state, propagate
-from hexwalk.stochastic import (
-    ClassicalGenerator,
-    QswParams,
-    basis_density,
-    evolve_qsw,
-    lindblad_rhs,
-)
+from hexwalk.stochastic import ClassicalGenerator, QswParams, density_from_state, evolve_qsw
+from lindblad_oracle import lindblad_rhs
 
 # Best sample lengths in mm reported for depths 3 through 8; used in the
 # calibrated cross-check of criterion 4.
@@ -135,7 +130,7 @@ def test_criterion_07_engine_cross_validation():
         for g in SMALL_GRAPHS:
             assert g.n_nodes <= 30
             h = Hamiltonian(g)
-            rho0 = basis_density(g.n_nodes, g.entry)
+            rho0 = density_from_state(entry_state(g))
 
             coherent = evolve_qsw(rho0, h, QswParams(omega=0.0), t)
             psi = propagate(h, entry_state(g), t)
@@ -198,7 +193,7 @@ def test_criterion_08_conservation_suite():
 
         small = hexagonal_graph(1)
         hs = Hamiltonian(small)
-        rho0 = basis_density(small.n_nodes, small.entry)
+        rho0 = density_from_state(entry_state(small))
         for omega in (0.0, 0.4, 1.0):
             rho = evolve_qsw(rho0, hs, QswParams(omega=omega), 2.5)
             assert abs(np.trace(rho).real - 1.0) < 1e-6

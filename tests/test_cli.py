@@ -237,11 +237,11 @@ def test_scan_refuses_a_bad_walk_parameter_its_engine_does_not_use(
 
 def test_scan_runs_a_glued_tree_too_large_for_a_dense_matrix(tmp_path, capsys, monkeypatch):
     # 16382 nodes: the dense H alone would take 2.1 GB; the walk lives on 26 cells
-    from hexwalk.graphs import Graph
+    from hexwalk.quantum import WalkOperator
 
     sizes = []
     eigh = np.linalg.eigh
-    monkeypatch.setattr(Graph, "adjacency", property(lambda self: pytest.fail("dense adjacency")))
+    monkeypatch.setattr(WalkOperator, "matrix", property(lambda self: pytest.fail("dense matrix")))
     monkeypatch.setattr(np.linalg, "eigh", lambda m: sizes.append(len(m)) or eigh(m))
     assert main(["scan", "--graph", "glued-tree:d=12", "--dump-state", "--out", str(tmp_path)]) == 0
     assert sizes == [26, 26]
@@ -321,6 +321,29 @@ def test_variance_refuses_a_non_finite_or_empty_window(z_max, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == f"hexwalk: --z-max must be finite and > 0, got {float(z_max)}\n"
     assert not (tmp_path / "fit.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "window, steps",
+    [(["--z-max", "1e300"], "1e+302"), (["--z-max", "1e300", "--dz", "1e-300"], "inf")],
+)
+def test_scan_refuses_a_window_over_the_point_budget(window, steps, tmp_path, capsys):
+    code = main(["scan", "--graph", "hexagonal:n=2", *window, "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"hexwalk: scan window z_max/dz (--z-max/--dz) = {steps} steps is more than "
+        "the 1000000 grid points a scan may take\n"
+    )
+    assert not any(tmp_path.iterdir())
+
+
+def test_calibrate_and_coupling_are_exclusive(tmp_path, capsys):
+    argv = ["scan", "--graph", "hexagonal:n=2", "--coupling", "3", "--calibrate"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--calibrate: not allowed with argument --coupling" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 from hexwalk import graphs
 from hexwalk.graphs import (
     Graph,
+    depth_scale,
     edge_csv,
     glued_tree,
     hexagonal_graph,
@@ -18,7 +19,7 @@ from hexwalk.graphs import (
     parse_graph_selector,
     path_graph,
 )
-from hexwalk.hitting import ConvergenceError, classical_convergence_time, default_scan_window
+from hexwalk.hitting import ConvergenceError, classical_convergence_time
 from hexwalk.stochastic import ClassicalGenerator
 
 
@@ -110,7 +111,7 @@ def test_hexagonal_mirror_symmetry():
             assert mirrored in index
             perm[i] = index[mirrored]
         mapped = {tuple(sorted((perm[a], perm[b]))) for a, b in g.edges}
-        assert mapped == set(g.edges)
+        assert mapped == set(map(tuple, g.edges.tolist()))
         assert perm[g.entry] == g.exit
 
 
@@ -168,9 +169,9 @@ def test_glued_tree_random_cycle_is_seed_deterministic():
     a = glued_tree(3, gluing="random-cycle", seed=7)
     b = glued_tree(3, gluing="random-cycle", seed=7)
     c = glued_tree(3, gluing="random-cycle", seed=8)
-    assert a.edges == b.edges
+    assert np.array_equal(a.edges, b.edges)
     assert a.coords == b.coords
-    assert c.edges != a.edges
+    assert not np.array_equal(c.edges, a.edges)
 
 
 def test_glued_tree_random_cycle_alternates_sides():
@@ -297,8 +298,7 @@ def test_every_family_selector_builds_through_the_module_name_and_scales(family,
     g = parse_graph_selector(SELECTOR_EXAMPLES[family])
     assert g.family == family
     assert len(calls) == 1
-    z_max, dz = default_scan_window(g)
-    assert z_max > 0.0 and dz > 0.0
+    assert depth_scale(g) > 0
 
 
 def test_unknown_family_error_lists_every_family():
@@ -325,6 +325,38 @@ def test_adjacency_matches_edge_list_and_is_frozen():
     with pytest.raises(ValueError):
         adj[0, 0] = 5.0
     assert np.array_equal(g.degrees, adj.sum(axis=0))
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        hexagonal_graph(3),
+        glued_tree(3, gluing="random-cycle", seed=2),
+        glued_tree(2, gluing="identity"),
+        hypercube_graph(4),
+        path_graph(7),
+        Graph("path", [(0, 0), (2, 0), (4, 0)], [(2, 1), (1, 0)], 0, 2),
+        Graph("path", [(0, 0), (2, 0)], [], 0, 1),
+    ],
+    ids=["hex3", "glued-cycle", "glued-id", "cube4", "path7", "hand-built", "edgeless"],
+)
+def test_adjacency_and_degrees_match_a_per_edge_loop(graph):
+    n = graph.n_nodes
+    adj = np.zeros((n, n))
+    deg = np.zeros(n, dtype=np.int64)
+    for a, b in graph.edges.tolist():
+        adj[a, b] = adj[b, a] = 1.0
+        deg[a] += 1
+        deg[b] += 1
+    assert np.array_equal(graph.adjacency, adj)
+    assert graph.degrees.dtype == np.int64
+    assert np.array_equal(graph.degrees, deg)
+    # the edges are stored once: sorted (a, b) rows with a < b, read-only
+    edges = graph.edges
+    assert edges.dtype == np.int64 and edges.shape == (graph.n_edges, 2)
+    assert not edges.flags.writeable
+    assert np.all(edges[:, 0] < edges[:, 1])
+    assert edges.tolist() == sorted(edges.tolist())
 
 
 def test_classical_quotient_of_every_family_has_one_zero_mode():

@@ -13,16 +13,17 @@ from hexwalk.hitting import (
     BoundaryMaximumWarning,
     ConvergenceError,
     FitError,
+    MAX_SCAN_POINTS,
     WindowError,
     calibrated_coupling,
     classical_convergence_time,
     classical_hitting_curve,
-    default_scan_window,
     depth_sweep,
     fit_linear,
     fit_power,
     quantum_hitting_curve,
     variance_slope_1d,
+    _scan_grid,
     _settling_time,
 )
 from hexwalk.quantum import Hamiltonian, entry_state, propagate
@@ -124,13 +125,12 @@ def test_scaling_coupling_rescales_the_optimum_on_the_quotient(build):
 
 
 def test_default_window_grows_with_depth():
-    z3, dz3 = default_scan_window(hexagonal_graph(3))
-    z5, dz5 = default_scan_window(hexagonal_graph(5))
-    assert z5 > z3
-    assert dz3 == dz5 == 0.01
-    zc, dzc = default_scan_window(hexagonal_graph(3), coupling=2.0)
-    assert abs(zc - z3 / 2.0) < 1e-12
-    assert abs(dzc - 0.005) < 1e-15
+    three = quantum_hitting_curve(hexagonal_graph(3))
+    five = quantum_hitting_curve(hexagonal_graph(5))
+    assert (three.z_max, three.dz) == (12.0, 0.01)
+    assert (five.z_max, five.dz) == (20.0, 0.01)
+    fast = quantum_hitting_curve(hexagonal_graph(3), coupling=2.0)
+    assert (fast.z_max, fast.dz) == (6.0, 0.005)
 
 
 def test_scan_rejects_bad_window():
@@ -138,6 +138,15 @@ def test_scan_rejects_bad_window():
         quantum_hitting_curve(path_graph(2), z_max=-1.0)
     with pytest.raises(ValueError):
         quantum_hitting_curve(path_graph(2), z_max=1.0, dz=0.9)
+
+
+def test_scan_grid_refuses_a_window_over_the_point_budget():
+    g = path_graph(2)
+    zs, _, _ = _scan_grid(g, 1.0, MAX_SCAN_POINTS - 1.0, 1.0)
+    assert len(zs) == MAX_SCAN_POINTS
+    for z_max, dz in ((float(MAX_SCAN_POINTS), 1.0), (1e300, 0.01), (1e300, 1e-300)):
+        with pytest.raises(ValueError, match=r"z_max/dz \(--z-max/--dz\)"):
+            _scan_grid(g, 1.0, z_max, dz)
 
 
 def test_hand_built_graph_scans_with_an_explicit_window():
@@ -157,7 +166,7 @@ def test_hand_built_graph_scans_with_an_explicit_window():
 def test_curve_carries_the_resolved_window():
     g = hexagonal_graph(1)
     classical = classical_hitting_curve(g, 0.5)
-    assert (classical.z_max, classical.dz) == default_scan_window(g, 0.5)
+    assert (classical.z_max, classical.dz) == (8.0, 0.02)
     quantum = quantum_hitting_curve(g, 1.0, z_max=3.0, dz=0.7)
     assert (quantum.z_max, quantum.dz) == (3.0, 0.7)
     assert quantum.z[-1] == pytest.approx(2.8)

@@ -275,15 +275,6 @@ def test_ten_thousand_circle_lattice_validates():
         crowded.validate_for(image)
 
 
-def test_mask_checked_against_graph_node_set():
-    g = path_graph(3)
-    good = three_spot_mask()
-    good.validate_against(g)
-    missing = MaskSpec([MaskEntry(0, 10.0, 10.0, 5.0), MaskEntry(2, 30.0, 10.0, 5.0)])
-    with pytest.raises(MaskError):
-        missing.validate_against(g)
-
-
 def test_parse_mask_and_csv_round_trip():
     text = "node_id,cx,cy,radius\n0,10,10,6\n1,30,10.5,6\n2,50,10,6\n"
     mask = parse_mask(text)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hexwalk.graphs import Graph, glued_tree, hexagonal_graph, hypercube_graph, path_graph
-from hexwalk.quantum import Hamiltonian, entry_state, propagate, propagate_entry
+from hexwalk.quantum import Hamiltonian, WalkOperator, entry_state, propagate, propagate_entry
 from hexwalk.stochastic import ClassicalGenerator
 
 # Exit probability of the 6-node single-hexagon walk at C=1, z=1, computed
@@ -272,12 +272,22 @@ def test_quotient_matches_dense_propagation(kind, build):
 
 
 @pytest.mark.parametrize("kind", sorted(OPERATORS))
+@pytest.mark.parametrize("build", [b for _, b in QUOTIENT_GRAPHS], ids=[n for n, _ in QUOTIENT_GRAPHS])
+def test_dense_matrix_is_scale_times_adjacency_minus_diagonal_degrees(kind, build):
+    # the dense matrix is the quotient's assembly on singleton cells
+    g = build()
+    op = OPERATORS[kind][0](g, 0.8)
+    expected = op.scale * (g.adjacency - op.diagonal * np.diag(g.degrees.astype(float)))
+    assert np.array_equal(op.matrix, expected)
+
+
+@pytest.mark.parametrize("kind", sorted(OPERATORS))
 def test_entry_propagation_never_forms_the_dense_matrix(kind, monkeypatch):
     g = hexagonal_graph(3)
     op = OPERATORS[kind][0](g, 1.0)
     sizes = []
     eigh = np.linalg.eigh
-    monkeypatch.setattr(type(g), "adjacency", property(lambda self: pytest.fail("dense adjacency")))
+    monkeypatch.setattr(WalkOperator, "matrix", property(lambda self: pytest.fail("dense matrix")))
     monkeypatch.setattr(np.linalg, "eigh", lambda m: sizes.append(len(m)) or eigh(m))
     propagate_entry(op, np.linspace(0.0, 2.0, 5), g.exit)
     propagate_entry(op, 1.5)

@@ -10,14 +10,8 @@ import pytest
 
 from hexwalk.graphs import glued_tree, hexagonal_graph, hypercube_graph, path_graph
 from hexwalk.quantum import Hamiltonian, entry_state, propagate
-from hexwalk.stochastic import (
-    ClassicalGenerator,
-    QswParams,
-    basis_density,
-    density_from_state,
-    evolve_qsw,
-    lindblad_rhs,
-)
+from hexwalk.stochastic import ClassicalGenerator, QswParams, density_from_state, evolve_qsw
+from lindblad_oracle import lindblad_rhs
 
 
 def brute_force_dissipator(rho: np.ndarray, adjacency: np.ndarray, rate: float) -> np.ndarray:
@@ -127,13 +121,6 @@ def test_density_from_state_is_projector():
     assert np.allclose(rho @ rho, rho, atol=1e-12)
 
 
-def test_basis_density_is_diagonal_indicator():
-    rho = basis_density(4, 2)
-    assert rho.shape == (4, 4)
-    assert rho[2, 2] == 1.0
-    assert np.count_nonzero(rho) == 1
-
-
 def test_qsw_params_validation():
     QswParams(omega=0.0)
     QswParams(omega=1.0)
@@ -207,7 +194,7 @@ def test_rhs_preserves_trace_and_hermiticity():
 def test_qsw_zero_time_copies_input():
     g = path_graph(3)
     h = Hamiltonian(g)
-    rho0 = basis_density(3, 1)
+    rho0 = density_from_state(entry_state(g))
     rho = evolve_qsw(rho0, h, QswParams(omega=0.5), 0.0)
     assert np.array_equal(rho, rho0)
     assert rho is not rho0
@@ -229,7 +216,7 @@ def test_qsw_limits_reproduce_dedicated_engines(graph):
     assert graph.n_nodes <= 30
     h = Hamiltonian(graph)
     t = 1.5
-    rho0 = basis_density(graph.n_nodes, graph.entry)
+    rho0 = density_from_state(entry_state(graph))
 
     coherent = evolve_qsw(rho0, h, QswParams(omega=0.0), t)
     psi = propagate(h, entry_state(graph), t)
@@ -246,7 +233,7 @@ def test_qsw_limits_reproduce_dedicated_engines(graph):
 def test_qsw_midpoint_agrees_with_finer_steps():
     g = hexagonal_graph(1)
     h = Hamiltonian(g)
-    rho0 = basis_density(g.n_nodes, g.entry)
+    rho0 = density_from_state(entry_state(g))
     t = 2.0
     coarse = evolve_qsw(rho0, h, QswParams(omega=0.5, step=0.01), t)
     fine = evolve_qsw(rho0, h, QswParams(omega=0.5, step=0.001), t)
@@ -256,7 +243,7 @@ def test_qsw_midpoint_agrees_with_finer_steps():
 def test_qsw_output_is_a_valid_density_matrix():
     g = hexagonal_graph(2)
     h = Hamiltonian(g)
-    rho0 = basis_density(g.n_nodes, g.entry)
+    rho0 = density_from_state(entry_state(g))
     for omega in (0.0, 0.3, 1.0):
         rho = evolve_qsw(rho0, h, QswParams(omega=omega), 3.0)
         assert abs(np.trace(rho).real - 1.0) < 1e-6
@@ -265,21 +252,20 @@ def test_qsw_output_is_a_valid_density_matrix():
 
 
 def test_qsw_node_cap():
-    g = hexagonal_graph(6)
-    assert g.n_nodes > 64
-    h = Hamiltonian(g)
-    rho0 = basis_density(g.n_nodes, g.entry)
-    with pytest.raises(ValueError):
-        evolve_qsw(rho0, h, QswParams(omega=0.5), 1.0)
-    # a higher explicit cap lets the same evolution run
-    rho = evolve_qsw(rho0, h, QswParams(omega=0.0, step=0.05), 0.1, node_cap=128)
-    assert abs(np.trace(rho).real - 1.0) < 1e-6
+    # every state is a dense N x N matrix: 64 nodes run, 65 are refused
+    at_cap, over = path_graph(64), path_graph(65)
+    rho0 = density_from_state(entry_state(at_cap))
+    rho = evolve_qsw(rho0, Hamiltonian(at_cap), QswParams(omega=0.5, step=0.05), 0.1)
+    assert abs(np.trace(rho).real - 1.0) < 1e-12
+    rho0 = density_from_state(entry_state(over))
+    with pytest.raises(ValueError, match="65 nodes, above the density-matrix cap of 64"):
+        evolve_qsw(rho0, Hamiltonian(over), QswParams(omega=0.5), 1.0)
 
 
 def test_qsw_coarse_step_stays_a_density_matrix():
     g = hexagonal_graph(1)
     h = Hamiltonian(g, 40.0)
-    rho0 = basis_density(g.n_nodes, g.entry)
+    rho0 = density_from_state(entry_state(g))
     # a step far too coarse for this coupling still gives a finite,
     # trace-one Hermitian matrix: every split piece is an exact map
     for omega in (0.0, 0.5, 1.0):
@@ -318,7 +304,7 @@ def test_qsw_matches_exponential_of_lindblad_rhs(omega):
         unit = np.zeros(n * n, dtype=complex)
         unit[col] = 1.0
         generator[:, col] = lindblad_rhs(unit.reshape(n, n), h, params).ravel()
-    rho0 = basis_density(n, g.entry)
+    rho0 = density_from_state(entry_state(g))
     t = 2.0
     exact = (expm_scaling_squaring(generator * t) @ rho0.ravel()).reshape(n, n)
     assert np.max(np.abs(evolve_qsw(rho0, h, params, t) - exact)) < 1e-9
