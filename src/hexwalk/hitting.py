@@ -37,9 +37,10 @@ SCAN_WINDOW_FACTOR = 4.0
 SCAN_STEP_FACTOR = 0.01
 
 #: Most grid points a scan may have.  Scans in use stay far below it (a
-#: classical scan to z = 300 at the default step has 30001 points); each
-#: point costs a row of k mode factors, so a window far beyond this could
-#: not be held in memory anyway.
+#: classical scan to z = 300 at the default step has 30001 points).  The
+#: exit curve costs a few numbers per point plus about 2 sqrt(T) k mode
+#: factors (:func:`hexwalk.quantum.propagate`), so a scan at the budget
+#: holds tens of MiB; writing its million-row curve.csv costs more.
 MAX_SCAN_POINTS = 10**6
 
 #: Physical length (mm) at which the depth-2 patch's optimum is pinned when

@@ -13,6 +13,15 @@ single factorisation serves every length on a scan grid.
 :func:`propagate` evaluates the formula at one length, on a grid, or at one
 site across a grid.
 
+One site's curve x_s(t_j) = sum_m c_m exp(phase w_m t_j), with
+c = V[s, :] * (V^T x(0)), is what every hitting scan samples, on an evenly
+spaced grid t_j = t0 + j dz of T points.  Writing j = b q + r with
+b = ceil(sqrt(T)) splits each exponential into a block start and an offset,
+exp(phase w (t0 + dz b q)) * exp(phase w dz r), so the curve is one
+(T/b x k) by (k x b) matrix product: about 2 sqrt(T) k exponentials and
+O(T + sqrt(T) k) memory in place of T k of each.  For the classical walk
+w <= 0 and both factors lie in [0, 1], so nothing overflows.
+
 A walk launched at the entry never needs the N x N matrix.  Every symmetry
 of the graph that keeps the entry in place also keeps the launch state, so
 the state stays constant on the cells of the entry partition
@@ -38,6 +47,8 @@ physical couplings are applied by rescaling; see
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -116,13 +127,16 @@ class WalkOperator(SpectralOperator):
         g = self.graph
         size = np.bincount(cell)
         k = len(size)
-        a, b = g.edges.T
-        links = np.bincount(cell[a] * k + cell[b], minlength=k * k).reshape(k, k)
+        a, b = cell[g.edges.T]
+        pair, links = np.unique(np.concatenate([a * k + b, b * k + a]), return_counts=True)
+        i, j = np.divmod(pair, k)
         degree = np.zeros(k)
         degree[cell] = g.degrees
-        m = (links + links.T) / np.sqrt(np.outer(size, size))
-        m -= self.diagonal * np.diag(degree)
-        return self.scale * m
+        m = np.zeros((k, k))
+        m[i, j] = links / np.sqrt(size[i] * size[j])
+        m.flat[:: k + 1] -= self.diagonal * degree
+        m *= self.scale
+        return m
 
     @property
     def matrix(self) -> np.ndarray:
@@ -172,7 +186,9 @@ def propagate(op: SpectralOperator, x0: np.ndarray, ts, site: int | None = None)
     A single length ``ts`` (finite, >= 0) gives the evolved state, shape
     (N,); a 1-D grid of lengths gives one state per row, shape (T, N).  With
     a grid, ``site`` gives only that node's entry of each state, shape (T,),
-    without forming the full states.  The coherent propagator is unitary and
+    without forming the full states; that grid must be evenly spaced, from
+    any start, and is evaluated as the blocked product described in the
+    module docstring.  The coherent propagator is unitary and
     the classical one stochastic, so the norm, or the total probability, of
     x0 is kept to rounding.
     """
@@ -190,10 +206,21 @@ def propagate(op: SpectralOperator, x0: np.ndarray, ts, site: int | None = None)
     modes = v.T @ x0
     if ts.ndim == 0:
         return v @ (np.exp(op.phase * w * float(ts)) * modes)
-    factors = np.exp(op.phase * np.outer(ts, w))
     if site is None:
-        return (factors * modes) @ v.T
-    return factors @ (v[site, :] * modes)
+        return (np.exp(op.phase * np.outer(ts, w)) * modes) @ v.T
+    n = len(ts)
+    if n > 1 and ts[-1] < ts[0]:  # ascending, so the classical offsets exp(w dz r) stay <= 1
+        return propagate(op, x0, ts[::-1], site)[::-1]
+    t0 = ts[0] if n else 0.0
+    dz = (ts[-1] - t0) / (n - 1) if n > 1 else 0.0
+    slack = 8 * np.finfo(float).eps * ts.max(initial=0.0)
+    if np.any(np.abs(ts - (t0 + dz * np.arange(n))) > slack):
+        raise ValueError("a site curve needs an evenly spaced length grid")
+    # t_j = t0 + dz (b q + r) for j = b q + r: rows carry the block starts, columns the offsets
+    b = max(1, math.ceil(math.sqrt(n)))
+    rows = np.exp(op.phase * np.outer(t0 + dz * b * np.arange(-(-n // b)), w))
+    cols = np.exp(op.phase * np.outer(dz * np.arange(b), w))
+    return ((rows * (v[site, :] * modes)) @ cols.T).ravel()[:n]
 
 
 def propagate_entry(op: WalkOperator, ts, site: int | None = None) -> np.ndarray:

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from hexwalk.graphs import Graph, glued_tree, hexagonal_graph, hypercube_graph, path_graph
+from hexwalk.hitting import quantum_hitting_curve
 from hexwalk.quantum import Hamiltonian, WalkOperator, entry_state, propagate, propagate_entry
 from hexwalk.stochastic import ClassicalGenerator
 
@@ -193,6 +195,11 @@ def test_evolve_rejects_bad_lengths_and_shapes(kind):
             propagate(h, psi0, zs, site)
     with pytest.raises(ValueError):
         propagate(h, psi0, 1.0, 0)
+    uneven = np.array([0.0, 1.0, 5.0])
+    with pytest.raises(ValueError, match="evenly spaced"):
+        propagate(h, psi0, uneven, 0)
+    with pytest.raises(ValueError, match="evenly spaced"):
+        propagate_entry(h, uneven, g.exit)
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +239,72 @@ def test_site_probability_curve_matches_grid(kind):
     assert np.max(np.abs(curve - probability(grid[:, g.exit]))) < 1e-12
     assert np.all(curve >= floor)
     assert np.all(curve <= 1.0 + 1e-12)
+
+
+def peak_traced_bytes(run) -> int:
+    """Peak bytes allocated while ``run()`` executes, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind", sorted(OPERATORS))
+@pytest.mark.parametrize("t0", [0.0, 2.5])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 97, 100, 101])
+def test_site_curve_matches_scalar_propagation(kind, t0, n):
+    # n = 0 is an empty grid, n = 1 a single point, and 97 and 101 leave the
+    # last block of ceil(sqrt(n)) offsets partly filled
+    g = hexagonal_graph(2)
+    make, launch, dtype, _, _ = OPERATORS[kind]
+    op = make(g, 1.3)
+    psi0 = launch(g)
+    zs = t0 + 0.07 * np.arange(n)
+    expected = np.array([propagate(op, psi0, z)[g.exit] for z in zs], dtype=dtype)
+    for curve in (propagate(op, psi0, zs, g.exit), propagate_entry(op, zs, g.exit)):
+        assert curve.shape == (n,)
+        assert curve.dtype == dtype
+        assert np.max(np.abs(curve - expected), initial=0.0) < 1e-12
+    descending = propagate(op, psi0, zs[::-1], g.exit)
+    assert np.max(np.abs(descending - expected[::-1]), initial=0.0) < 1e-12
+
+
+@pytest.mark.parametrize("kind", sorted(OPERATORS))
+def test_site_curve_to_long_lengths_is_within_phase_rounding(kind):
+    # Each mode's phase w t is rounded to within eps |w| t once per point on
+    # the scalar side and twice (block start, offset) on the blocked side,
+    # and the grid check admits t_j off t0 + j dz by 8 eps t_max, so the
+    # phases differ by at most ~10 eps |w|_max z_max.  The curve is sum_m c_m
+    # exp(phase w_m t) with sum |c_m| <= 1 for a unit launch state, so it
+    # differs by no more: 6.7e-11 here for |w| <= 3 at z = 10^4.
+    g = hexagonal_graph(3)
+    make, launch, dtype, _, _ = OPERATORS[kind]
+    op = make(g, 1.0)
+    psi0 = launch(g)
+    zs = np.linspace(0.0, 1e4, 1001)
+    expected = np.array([propagate(op, psi0, z)[g.exit] for z in zs], dtype=dtype)
+    bound = 10 * np.finfo(float).eps * np.abs(op.spectrum[0]).max() * zs[-1]
+    assert np.max(np.abs(propagate_entry(op, zs, g.exit) - expected)) < bound
+
+
+def test_million_point_scan_stays_small():
+    # a T x k matrix of mode factors would be 999999 x 180 complex, 2.7 GiB
+    g = hexagonal_graph(12)
+    curves = []
+    peak = peak_traced_bytes(
+        lambda: curves.append(quantum_hitting_curve(g, 1.0, z_max=9999.98, dz=0.01))
+    )
+    assert len(curves[0].z) == 999_999
+    assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize("kind", sorted(OPERATORS))
+def test_dense_assembly_peaks_below_two_matrices(kind):
+    op = OPERATORS[kind][0](hexagonal_graph(30), 1.0)
+    peak = peak_traced_bytes(lambda: op.matrix)
+    assert peak <= 2 * op.matrix.nbytes
 
 
 # ---------------------------------------------------------------------------
