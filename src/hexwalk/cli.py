@@ -20,6 +20,7 @@ failure.  A scan whose optimum sits on the window edge prints one
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 import tempfile
@@ -29,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 import hexwalk
-from hexwalk.graphs import edge_csv, node_csv, parse_graph_selector
+from hexwalk.graphs import parse_graph_selector
 from hexwalk.hitting import (
     BoundaryMaximumWarning,
     ConvergenceError,
@@ -71,43 +72,56 @@ def _header(command: str, **pairs) -> str:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (int, np.integer, np.bool_)):
         return str(int(value))
     return format(float(value), ".12g")
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+#: Rows formatted and written per step, so a table never sits in memory as text.
+_BLOCK_ROWS = 4096
+
+#: Cell format by numpy dtype kind: bools and ints as integers, floats to 12 digits.  Any
+#: other column is text, written as is.  A column holding any float is a float column.
+_CELL_FORMATS = {"b": "{:d}", "i": "{:d}", "u": "{:d}", "f": "{:.12g}"}
 
 
-def _write_table(path: Path, header: str, columns: list[str], rows, sep: str = ",") -> None:
-    cells = [_column_text(column) for column in zip(*rows)]
-    lines = [header, sep.join(columns), *(sep.join(row) for row in zip(*cells))]
-    _write_atomic(path, "\n".join(lines) + "\n")
+def _write_table(path: Path, header: str, columns: dict, dat: bool = False) -> None:
+    """Write ``header``, the names of ``columns`` (name -> values), then one line per row.
 
-
-def _column_text(column) -> list[str]:
-    """One table column as text: ints and bools as integers, floats to 12 digits, text as is.
-
-    A column holding any float is written as floats, as numpy types it.
+    With ``dat`` the same table also goes to ``path`` with suffix ``.dat``, a
+    space for every comma below the header line.  Rows stream a block at a
+    time into temp files, renamed into place once complete and given the
+    mode of a plain ``open``.
     """
-    values = np.asarray(column)
-    if values.dtype.kind in "biu":
-        return [str(int(v)) for v in values.tolist()]
-    if values.dtype.kind == "f":
-        return [f"{v:.12g}" for v in values.tolist()]
-    return list(column)
+    values = [np.asarray(column) for column in columns.values()]
+    row = ",".join(_CELL_FORMATS.get(v.dtype.kind, "{}") for v in values) + "\n"
+    targets = [(path, ",")] + [(path.with_suffix(".dat"), " ")] * dat
+    umask = os.umask(0)
+    os.umask(umask)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    temps = []
+    try:
+        with contextlib.ExitStack() as stack:
+            files = []
+            for target, sep in targets:
+                fd, temp = tempfile.mkstemp(dir=path.parent, prefix=target.name, suffix=".tmp")
+                temps.append(temp)
+                fh = stack.enter_context(os.fdopen(fd, "w"))
+                fh.write(f"{header}\n{sep.join(columns)}\n")
+                files.append((fh, sep))
+            for start in range(0, len(values[0]), _BLOCK_ROWS):
+                block = (v[start : start + _BLOCK_ROWS].tolist() for v in values)
+                text = "".join(map(row.format, *block))
+                for fh, sep in files:
+                    fh.write(text.replace(",", sep))
+        for (target, _), temp in zip(targets, temps):
+            os.chmod(temp, 0o666 & ~umask)
+            os.replace(temp, target)
+    except BaseException:
+        for temp in temps:
+            if os.path.exists(temp):
+                os.unlink(temp)
+        raise
 
 
 def _add_graph(parser: argparse.ArgumentParser) -> None:
@@ -208,8 +222,12 @@ def cmd_generate(args) -> int:
     graph = parse_graph_selector(args.graph, args.seed)
     header = _header("generate", graph=args.graph, seed=graph.params.get("seed"))
     out = Path(args.out)
-    _write_atomic(out / "nodes.csv", header + "\n" + node_csv(graph))
-    _write_atomic(out / "edges.csv", header + "\n" + edge_csv(graph))
+    ids = np.arange(graph.n_nodes)
+    x, y = np.array(graph.coords).T
+    flags = {"is_entry": ids == graph.entry, "is_exit": ids == graph.exit}
+    _write_table(out / "nodes.csv", header, {"id": ids, "X": x, "Y": y, **flags})
+    a, b = graph.edges.T
+    _write_table(out / "edges.csv", header, {"node_a": a, "node_b": b})
     print(
         f"{graph.family}: {graph.n_nodes} nodes, {graph.n_edges} edges, "
         f"entry={graph.entry}, exit={graph.exit}"
@@ -236,21 +254,16 @@ def cmd_scan(args) -> int:
         calibrate=args.calibrate,
         engine=args.engine,
     )
-    rows = zip(curve.z, curve.p_exit)
-    _write_table(out / "curve.csv", header, ["z", "p_exit"], rows)
-    if args.dat:
-        _write_table(out / "curve.dat", header, ["z", "p_exit"], zip(curve.z, curve.p_exit), sep=" ")
+    _write_table(out / "curve.csv", header, {"z": curve.z, "p_exit": curve.p_exit}, args.dat)
     if args.dump_state:
+        ids = np.arange(graph.n_nodes)
         if args.engine == "quantum":
             psi = propagate_entry(Hamiltonian(graph, coupling), curve.z_opt)
-            state_rows = [
-                (i, psi[i].real, psi[i].imag, abs(psi[i]) ** 2) for i in range(graph.n_nodes)
-            ]
-            _write_table(out / "state.csv", header, ["node_id", "re", "im", "prob"], state_rows)
+            state = {"node_id": ids, "re": psi.real, "im": psi.imag, "prob": np.abs(psi) ** 2}
         else:
             p = propagate_entry(ClassicalGenerator(graph, rate), curve.z_opt)
-            state_rows = [(i, p[i]) for i in range(graph.n_nodes)]
-            _write_table(out / "state.csv", header, ["node_id", "probability"], state_rows)
+            state = {"node_id": ids, "probability": p}
+        _write_table(out / "state.csv", header, state)
     print(f"z_opt={_fmt(curve.z_opt)} p_opt={_fmt(curve.p_opt)}")
     return EXIT_OK
 
@@ -274,6 +287,12 @@ def _parse_depths(text: str) -> list[int]:
     return [depth(chunk) for chunk in text.split(",") if chunk.strip()]
 
 
+def _fit_columns(*fits) -> dict:
+    """The fit table, one row per fit."""
+    names = ("model", "slope", "intercept", "r_squared")
+    return {name: [getattr(fit, name) for fit in fits] for name in names}
+
+
 def cmd_sweep(args) -> int:
     depths = _parse_depths(args.depths)
     coupling, rate = _resolve_rates(args)
@@ -286,34 +305,20 @@ def cmd_sweep(args) -> int:
         calibrate=args.calibrate,
         depths=",".join(str(r.n) for r in rows),
     )
-    columns = ["n", "z_opt", "p_opt", "t_converge", "t_low", "t_high", "P_a"]
-    table = [
-        (r.n, r.z_opt, r.p_opt, r.t_converge, r.t_low, r.t_high, r.p_uniform) for r in rows
-    ]
-    _write_table(out / "sweep.csv", header, columns, table)
-    fits = []
+    names = ("n", "z_opt", "p_opt", "t_converge", "t_low", "t_high", "P_a")
+    cells = [(r.n, r.z_opt, r.p_opt, r.t_converge, r.t_low, r.t_high, r.p_uniform) for r in rows]
+    table = dict(zip(names, zip(*cells)))
+    _write_table(out / "sweep.csv", header, table, args.dat)
     if len(rows) >= 3:
         linear = fit_linear([(r.n, r.z_opt) for r in rows])
         power = fit_power([(r.n, r.t_converge) for r in rows])
-        fits = [
-            ("linear", linear.slope, linear.intercept, linear.r_squared),
-            ("power-law", power.slope, power.intercept, power.r_squared),
-        ]
-        _write_table(
-            out / "fit.csv", header, ["model", "slope", "intercept", "r_squared"], fits
-        )
+        _write_table(out / "fit.csv", header, _fit_columns(linear, power), args.dat)
         print(
             f"linear z_opt(n): slope={_fmt(linear.slope)} r2={_fmt(linear.r_squared)}; "
             f"power t_converge(n): exponent={_fmt(power.slope)} r2={_fmt(power.r_squared)}"
         )
     else:
         print("sweep of fewer than 3 depths: tables written, fits skipped")
-    if args.dat:
-        _write_table(out / "sweep.dat", header, columns, table, sep=" ")
-        if fits:
-            _write_table(
-                out / "fit.dat", header, ["model", "slope", "intercept", "r_squared"], fits, sep=" "
-            )
     return EXIT_OK
 
 
@@ -333,25 +338,22 @@ def cmd_variance(args) -> int:
         engine=args.engine,
         sites=args.sites,
     )
-    _write_table(
-        Path(args.out) / "fit.csv",
-        header,
-        ["model", "slope", "intercept", "r_squared"],
-        [(fit.model, fit.slope, fit.intercept, fit.r_squared)],
-    )
+    _write_table(Path(args.out) / "fit.csv", header, _fit_columns(fit))
     print(f"engine={args.engine} exponent={_fmt(fit.slope)} r2={_fmt(fit.r_squared)}")
     return EXIT_OK
 
 
 def cmd_analyze(args) -> int:
-    try:
-        image_text = Path(args.image).read_text()
-        mask_text = Path(args.mask).read_text()
-    except OSError as exc:
-        print(f"hexwalk: input error: cannot read input file: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    image = parse_image(image_text)
-    mask = parse_mask(mask_text)
+    texts = []
+    for name in (args.image, args.mask):
+        try:
+            texts.append(Path(name).read_text())
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            print(f"hexwalk: input error: cannot read input file {name}: {reason}", file=sys.stderr)
+            return EXIT_INPUT
+    image = parse_image(texts[0])
+    mask = parse_mask(texts[1])
     result = extract_probabilities(image, mask, args.exit_node)
     header = _header(
         "analyze",
@@ -359,8 +361,8 @@ def cmd_analyze(args) -> int:
         mask=os.path.basename(args.mask),
         exit_node=int(result.node_ids[-1]) if args.exit_node is None else args.exit_node,
     )
-    rows = list(zip(result.node_ids, result.probabilities))
-    _write_table(Path(args.out) / "probabilities.csv", header, ["node_id", "probability"], rows)
+    table = {"node_id": result.node_ids, "probability": result.probabilities}
+    _write_table(Path(args.out) / "probabilities.csv", header, table)
     print(f"efficiency={_fmt(result.efficiency)}")
     return EXIT_OK
 

@@ -8,7 +8,7 @@ corners shared by neighbouring hexagons never depends on a float tolerance.
 
 Node ids are dense 0..N-1.  For the coordinate-built families they follow
 the lexicographic (X, then Y) order of the coordinates, which makes every
-CSV export reproducible and puts the entry at id 0 and the exit at id N-1.
+node table reproducible and puts the entry at id 0 and the exit at id N-1.
 """
 
 from __future__ import annotations
@@ -387,18 +387,3 @@ def depth_scale(graph: Graph) -> int:
             f"{graph.family} graph has no size parameter {exc.args[0]!r}; "
             "give the scan window explicitly"
         ) from None
-
-
-def edge_csv(graph: Graph) -> str:
-    """Edge list as CSV text with header ``node_a,node_b``."""
-    lines = ["node_a,node_b"]
-    lines.extend(f"{a},{b}" for a, b in graph.edges.tolist())
-    return "\n".join(lines) + "\n"
-
-
-def node_csv(graph: Graph) -> str:
-    """Node table as CSV text with header ``id,X,Y,is_entry,is_exit``."""
-    lines = ["id,X,Y,is_entry,is_exit"]
-    for i, (x, y) in enumerate(graph.coords):
-        lines.append(f"{i},{x},{y},{int(i == graph.entry)},{int(i == graph.exit)}")
-    return "\n".join(lines) + "\n"

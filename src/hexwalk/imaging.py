@@ -254,19 +254,29 @@ def mask_csv(mask: MaskSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _circle_sum(image: PixelImage, entry: MaskEntry) -> float:
-    r = entry.radius
-    x0 = max(0, int(np.ceil(entry.cx - r)))
-    x1 = min(image.cols - 1, int(np.floor(entry.cx + r)))
-    y0 = max(0, int(np.ceil(entry.cy - r)))
-    y1 = min(image.rows - 1, int(np.floor(entry.cy + r)))
+def _disk_window(cx: float, cy: float, reach: float, shape: tuple[int, int]):
+    """The box of half-width ``reach`` round (cx, cy) clipped to ``shape``, or None if empty.
+
+    Returns the box as (row slice, column slice) and its pixel centres' squared distances.
+    """
+    x0 = max(0, int(np.ceil(cx - reach)))
+    x1 = min(shape[1] - 1, int(np.floor(cx + reach)))
+    y0 = max(0, int(np.ceil(cy - reach)))
+    y1 = min(shape[0] - 1, int(np.floor(cy + reach)))
     if x0 > x1 or y0 > y1:
-        return 0.0
+        return None
     xs = np.arange(x0, x1 + 1)
     ys = np.arange(y0, y1 + 1)
-    inside = (xs[None, :] - entry.cx) ** 2 + (ys[:, None] - entry.cy) ** 2 <= r * r
-    patch = image.intensities[y0 : y1 + 1, x0 : x1 + 1]
-    return float(patch[inside].sum())
+    d2 = (xs[None, :] - cx) ** 2 + (ys[:, None] - cy) ** 2
+    return (slice(y0, y1 + 1), slice(x0, x1 + 1)), d2
+
+
+def _circle_sum(image: PixelImage, entry: MaskEntry) -> float:
+    window = _disk_window(entry.cx, entry.cy, entry.radius, (image.rows, image.cols))
+    if window is None:
+        return 0.0
+    box, d2 = window
+    return float(image.intensities[box][d2 <= entry.radius * entry.radius].sum())
 
 
 @dataclass
@@ -348,15 +358,10 @@ def render_synthetic(
     for p, e in zip(probabilities, mask.entries):
         if p == 0.0:
             continue
-        x0 = max(0, int(np.ceil(e.cx - cut)))
-        x1 = min(cols - 1, int(np.floor(e.cx + cut)))
-        y0 = max(0, int(np.ceil(e.cy - cut)))
-        y1 = min(rows - 1, int(np.floor(e.cy + cut)))
-        if x0 > x1 or y0 > y1:
+        window = _disk_window(e.cx, e.cy, cut, (rows, cols))
+        if window is None:
             continue
-        xs = np.arange(x0, x1 + 1)
-        ys = np.arange(y0, y1 + 1)
-        d2 = (xs[None, :] - e.cx) ** 2 + (ys[:, None] - e.cy) ** 2
+        box, d2 = window
         spot = np.where(d2 <= cut * cut, np.exp(-d2 / (2.0 * sigma * sigma)), 0.0)
-        canvas[y0 : y1 + 1, x0 : x1 + 1] += p * spot
+        canvas[box] += p * spot
     return PixelImage(canvas)

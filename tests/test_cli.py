@@ -6,12 +6,14 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hexwalk
+from hexwalk import hexagonal_graph
 from hexwalk.cli import _write_table, main
 from hexwalk.imaging import MaskEntry, MaskSpec, format_image, mask_csv, render_synthetic
 
@@ -60,6 +62,24 @@ def test_generate_diamond_writes_both_tables(tmp_path, capsys):
     assert len(nodes) == 16
     assert len(edges) == 19
     assert "16 nodes" in capsys.readouterr().out
+
+
+def test_node_csv_shape_and_flags(tmp_path):
+    assert main(["generate", "--graph", "path:m=3", "--out", str(tmp_path)]) == 0
+    lines = read(tmp_path / "nodes.csv").strip().split("\n")[1:]
+    assert lines[0] == "id,X,Y,is_entry,is_exit"
+    assert len(lines) == 4
+    assert lines[2] == "1,2,0,1,0"
+    assert lines[3] == "2,4,0,0,1"
+
+
+def test_edge_csv_is_sorted_and_complete(tmp_path):
+    assert main(["generate", "--graph", "hexagonal:n=1", "--out", str(tmp_path)]) == 0
+    lines = read(tmp_path / "edges.csv").strip().split("\n")[1:]
+    assert lines[0] == "node_a,node_b"
+    pairs = [tuple(int(x) for x in ln.split(",")) for ln in lines[1:]]
+    assert pairs == sorted(pairs)
+    assert len(pairs) == hexagonal_graph(1).n_edges
 
 
 def test_generate_hypercube_counts(tmp_path):
@@ -269,6 +289,13 @@ def test_scan_dat_mirror_is_whitespace_separated(tmp_path):
     dat = data_rows(tmp_path / "curve.dat")
     assert "," not in dat[0]
     assert len(dat[0].split()) == 2
+    assert main(["sweep", "--depths", "2..4", "--dat", "--out", str(tmp_path)]) == 0
+    for name in ("curve", "sweep", "fit"):
+        csv = read(tmp_path / f"{name}.csv").split("\n")
+        dat = read(tmp_path / f"{name}.dat").split("\n")
+        # the header line records the run, commas and all
+        assert dat[0] == csv[0]
+        assert dat[1:] == [line.replace(",", " ") for line in csv[1:]]
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +445,7 @@ def test_write_table_formats_each_column_by_its_type(tmp_path):
             return cells
         return [str(int(c)) for c in cells]
 
-    rows = list(zip(*columns.values()))
-    _write_table(tmp_path / "t.csv", "# head", list(columns), rows)
+    _write_table(tmp_path / "t.csv", "# head", columns)
     expected = [",".join(row) for row in zip(*(rule(c) for c in columns.values()))]
     assert read(tmp_path / "t.csv") == "\n".join(["# head", ",".join(columns), *expected]) + "\n"
     assert expected[0] == "0,-0,5,1e-300,a"
@@ -428,8 +454,52 @@ def test_write_table_formats_each_column_by_its_type(tmp_path):
     assert expected[4] == "10000000000000,-inf,-3,-0,e"
     assert expected[6] == "9007199254740993,0.333333333333,0,2.5e+12,g"
 
-    _write_table(tmp_path / "empty.dat", "# head", ["a", "b"], [], sep=" ")
+    _write_table(tmp_path / "empty.csv", "# head", {"a": [], "b": []}, dat=True)
+    assert read(tmp_path / "empty.csv") == "# head\na,b\n"
     assert read(tmp_path / "empty.dat") == "# head\na b\n"
+
+
+def test_write_table_streams_a_million_rows_in_bounded_memory(tmp_path):
+    z = np.linspace(0.0, 1.0, 10**6)
+    p = np.sin(z) ** 2
+    tracemalloc.start()
+    try:
+        _write_table(tmp_path / "big.csv", "# head", {"z": z, "p_exit": p})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    with open(tmp_path / "big.csv") as fh:
+        assert sum(1 for _ in fh) == 2 + 10**6
+    assert read(tmp_path / "big.csv").endswith(f"\n1,{p[-1]:.12g}\n")
+
+
+def test_write_table_failure_keeps_the_old_file_and_leaves_no_temp(tmp_path):
+    class Unprintable:
+        def __format__(self, spec):
+            raise RuntimeError("unprintable cell")
+
+    (tmp_path / "t.csv").write_text("old\n")
+    # the bad cell sits in the second block, after the first was written
+    cells = [0] * 5000 + [Unprintable()]
+    with pytest.raises(RuntimeError, match="unprintable cell"):
+        _write_table(tmp_path / "t.csv", "# head", {"a": range(5001), "b": cells}, dat=True)
+    assert [path.name for path in tmp_path.iterdir()] == ["t.csv"]
+    assert read(tmp_path / "t.csv") == "old\n"
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_written_files_get_the_umask_mode(tmp_path, umask, mode):
+    old = os.umask(umask)
+    try:
+        assert main(["generate", "--graph", "hexagonal:n=1", "--out", str(tmp_path)]) == 0
+        scan = ["scan", "--graph", "hexagonal:n=1", "--dat", "--dump-state"]
+        assert main(scan + ["--out", str(tmp_path)]) == 0
+    finally:
+        os.umask(old)
+    written = sorted(path.name for path in tmp_path.iterdir())
+    assert written == ["curve.csv", "curve.dat", "edges.csv", "nodes.csv", "state.csv"]
+    assert {(tmp_path / name).stat().st_mode & 0o777 for name in written} == {mode}
 
 
 # ---------------------------------------------------------------------------
@@ -473,9 +543,20 @@ def test_missing_input_file_exits_3(tmp_path, capsys):
     msk.write_text("node_id,cx,cy,radius\n0,5,5,2\n")
     assert main(["analyze", str(missing), str(msk), "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
-    assert "cannot read input file" in err
-    assert str(missing) in err
+    assert f"cannot read input file {missing}: No such file or directory" in err
     assert "line 0" not in err
+
+
+@pytest.mark.parametrize("bad", ["image", "mask"])
+def test_non_utf8_input_exits_3(tmp_path, capsys, bad):
+    files = {"image": tmp_path / "image.txt", "mask": tmp_path / "mask.csv"}
+    files["image"].write_text("0 1 0\n1 2 1\n0 1 0\n")
+    files["mask"].write_text("node_id,cx,cy,radius\n0,1,1,1\n")
+    files[bad].write_bytes(b"\xff\xfe")
+    assert main(["analyze", str(files["image"]), str(files["mask"]), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert f"cannot read input file {files[bad]}: 'utf-8' codec can't decode byte 0xff" in err
+    assert not (tmp_path / "probabilities.csv").exists()
 
 
 def test_degenerate_window_exits_4(tmp_path, capsys):

@@ -11,11 +11,9 @@ from hexwalk import graphs
 from hexwalk.graphs import (
     Graph,
     depth_scale,
-    edge_csv,
     glued_tree,
     hexagonal_graph,
     hypercube_graph,
-    node_csv,
     parse_graph_selector,
     path_graph,
 )
@@ -409,26 +407,3 @@ def test_entry_partition_is_equitable_with_the_entry_alone(build, cells):
         assert k == cells
     with pytest.raises(ValueError):
         cell[0] = 5
-
-
-# ---------------------------------------------------------------------------
-# CSV export
-# ---------------------------------------------------------------------------
-
-
-def test_node_csv_shape_and_flags():
-    g = path_graph(3)
-    lines = node_csv(g).strip().split("\n")
-    assert lines[0] == "id,X,Y,is_entry,is_exit"
-    assert len(lines) == 4
-    assert lines[2] == "1,2,0,1,0"
-    assert lines[3] == "2,4,0,0,1"
-
-
-def test_edge_csv_is_sorted_and_complete():
-    g = hexagonal_graph(1)
-    lines = edge_csv(g).strip().split("\n")
-    assert lines[0] == "node_a,node_b"
-    pairs = [tuple(int(x) for x in ln.split(",")) for ln in lines[1:]]
-    assert pairs == sorted(pairs)
-    assert len(pairs) == g.n_edges
