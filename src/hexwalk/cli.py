@@ -324,12 +324,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_variance(args) -> int:
     coupling, rate = _resolve_rates(args)
-    z_grid = None
-    if args.z_max is not None:
-        if not np.isfinite(args.z_max) or args.z_max <= 0:
-            raise ValueError(f"--z-max must be finite and > 0, got {args.z_max}")
-        z_grid = np.linspace(args.z_max / 48.0, args.z_max, 48)
-    fit = variance_slope_1d(args.sites, args.engine, z_grid, coupling=coupling, rate=rate)
+    fit = variance_slope_1d(args.sites, args.engine, args.z_max, coupling=coupling, rate=rate)
     header = _header(
         "variance",
         **_walk_pairs(args.engine, coupling, rate),

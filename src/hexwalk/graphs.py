@@ -13,6 +13,7 @@ node table reproducible and puts the entry at id 0 and the exit at id N-1.
 
 from __future__ import annotations
 
+import operator
 import random
 
 import numpy as np
@@ -48,7 +49,9 @@ class Graph:
     never mutated.  The edges are stored once, as a read-only (E, 2) array;
     the adjacency matrix and degree vector are derived from it, cached on
     first use and handed out read-only too, so a single graph can be shared
-    freely between scan workers.
+    freely between scan workers.  Coordinates, node ids, entry and exit
+    must be integers, numpy's included; any other value raises
+    ``ValueError`` rather than being truncated.
     """
 
     def __init__(
@@ -62,7 +65,7 @@ class Graph:
     ):
         if family not in FAMILIES:
             raise ValueError(f"unknown graph family {family!r}")
-        coords = tuple((int(x), int(y)) for x, y in coords)
+        coords = tuple((_integer(x, "coordinate"), _integer(y, "coordinate")) for x, y in coords)
         n = len(coords)
         if n < 2:
             raise ValueError("graph needs at least two nodes")
@@ -70,6 +73,7 @@ class Graph:
             raise ValueError("node coordinates must be unique")
         canon = set()
         for a, b in edges:
+            a, b = _integer(a, "node id"), _integer(b, "node id")
             if a == b:
                 raise ValueError(f"self-loop at node {a}")
             if not (0 <= a < n and 0 <= b < n):
@@ -78,6 +82,7 @@ class Graph:
             if pair in canon:
                 raise ValueError(f"duplicate edge ({pair[0]}, {pair[1]})")
             canon.add(pair)
+        entry, exit = _integer(entry, "entry node"), _integer(exit, "exit node")
         for label, node in (("entry", entry), ("exit", exit)):
             if not (0 <= node < n):
                 raise ValueError(f"{label} node {node} outside 0..{n - 1}")
@@ -88,8 +93,8 @@ class Graph:
         edge_array = np.array(sorted(canon), dtype=np.int64).reshape(-1, 2)
         edge_array.flags.writeable = False
         self._edges = edge_array
-        self._entry = int(entry)
-        self._exit = int(exit)
+        self._entry = entry
+        self._exit = exit
         self._params = dict(params or {})
         self._adjacency: np.ndarray | None = None
         self._degrees: np.ndarray | None = None
@@ -192,6 +197,14 @@ class Graph:
         )
 
 
+def _integer(value, label: str) -> int:
+    """``value`` as an int, through ``__index__``: numpy integers pass, 1.5 and 2.0 do not."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{label} {value!r} is not an integer") from None
+
+
 def _check_size(value, label: str, minimum: int) -> None:
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{label} must be an integer")
@@ -212,8 +225,9 @@ def hexagonal_graph(n: int) -> Graph:
     hexagons in total.  Corners shared between neighbouring cells are merged
     exactly via their doubled-lattice integer coordinates.  The unique
     leftmost corner (-2, 0) is the entry and the unique rightmost corner the
-    exit.  A patch of depth n always has 2n**2 + 4n nodes and
-    3n**2 + 4n - 1 edges.
+    exit: each end column holds one hexagon, on the axis, so those corners
+    are the first and last coordinates in order.  A patch of depth n always
+    has 2n**2 + 4n nodes and 3n**2 + 4n - 1 edges.
     """
     _check_size(n, "depth n", 1)
     corners: set[tuple[int, int]] = set()
@@ -231,12 +245,6 @@ def hexagonal_graph(n: int) -> Graph:
     coords = sorted(corners)
     index = {xy: i for i, xy in enumerate(coords)}
     edges = [(index[a], index[b]) for a, b in sides]
-    min_x = coords[0][0]
-    max_x = coords[-1][0]
-    if sum(1 for x, _ in coords if x == min_x) != 1:
-        raise ValueError("leftmost corner is not unique; cannot place the entry")
-    if sum(1 for x, _ in coords if x == max_x) != 1:
-        raise ValueError("rightmost corner is not unique; cannot place the exit")
     return Graph("hexagonal", coords, edges, 0, len(coords) - 1, params={"n": n})
 
 

@@ -4,7 +4,7 @@ The quantum side scans the exit-node probability over a grid of evolution
 lengths and refines the global grid maximum with a three-point parabola.
 The classical side finds the earliest time at which the walk's distribution
 has settled onto the uniform stationary distribution to within a relative
-tolerance, bracketing that time with a looser and a tighter tolerance.  The
+tolerance of 1e-4, bracketed by the times for 1e-3 and 1e-5.  The
 max-norm deviation from uniform never increases, so that time is bisected
 directly, below a horizon set by the spectral gap.  Whether the walk can
 settle at all is read off the same entry-quotient spectrum: the graph is
@@ -85,14 +85,13 @@ class HittingCurve:
 
 @dataclass
 class ConvergenceResult:
-    """Earliest settling time onto the uniform distribution, with brackets.
+    """Earliest settling times onto the uniform distribution ``p_uniform`` = 1/N.
 
-    ``t_low`` and ``t_high`` repeat the search at relative tolerances 1e-3
-    and 1e-5; for the default tolerance they bracket ``t_converge``.
+    ``t_low``, ``t_converge`` and ``t_high`` are the times at relative
+    tolerances 1e-3, 1e-4 and 1e-5, so they come in that order.
     """
 
     t_converge: float
-    epsilon: float
     p_uniform: float
     t_low: float
     t_high: float
@@ -210,13 +209,12 @@ def classical_hitting_curve(
 
     The curve rises monotonically towards the uniform share 1/N, so the
     reported optimum is simply the best sampled point (the grid end once
-    the walk has mixed) and no boundary warning is raised.  Spectral
-    rounding leaves residues of order 1e-16 around the true value, so
-    samples below 0 (at early times, where p_exit is ~0) are clipped to 0.
+    the walk has mixed) and no boundary warning is raised.  The samples are
+    clipped at 0 by :func:`hexwalk.quantum.propagate_entry`.
     """
     gen = ClassicalGenerator(graph, rate)
     ts, t_max, dt = _scan_grid(graph, rate, t_max, dt)
-    p = np.maximum(propagate_entry(gen, ts, graph.exit), 0.0)
+    p = propagate_entry(gen, ts, graph.exit)
     i = int(np.argmax(p))
     return HittingCurve(ts, p, float(ts[i]), float(p[i]), "classical", t_max, dt)
 
@@ -224,13 +222,12 @@ def classical_hitting_curve(
 def _settling_time(deviation, threshold: float, horizon: float) -> float:
     """Earliest time the deviation max_i |p_i(t) - 1/N| is at most threshold.
 
-    The deviation never increases (see :func:`classical_convergence_time`),
-    so the crossing is bisected on [0, horizon] until the midpoint stops
-    moving.  Failing at the analytic horizon means the numerics broke.
+    The deviation never increases (see :func:`classical_convergence_time`)
+    and starts above every threshold, so the crossing is bisected on
+    [0, horizon] until the midpoint stops moving.  Failing at the analytic
+    horizon means the numerics broke.
     """
     lo, hi = 0.0, horizon
-    if deviation(lo) <= threshold:
-        return lo
     if deviation(hi) > threshold:
         raise ConvergenceError(
             f"no settling below {threshold:.3e} found within the spectral-gap horizon "
@@ -244,23 +241,20 @@ def _settling_time(deviation, threshold: float, horizon: float) -> float:
     return hi
 
 
-def classical_convergence_time(
-    graph: Graph,
-    rate: float = 1.0,
-    epsilon: float = 1.0e-4,
-) -> ConvergenceResult:
-    """Time for the classical walk to settle onto the uniform distribution.
+def classical_convergence_time(graph: Graph, rate: float = 1.0) -> ConvergenceResult:
+    """Times for the classical walk to settle onto the uniform distribution.
 
-    Convergence means every site's probability is within epsilon * (1/N) of
-    the uniform value 1/N.  Once reached it holds for good: K = rate * (A - D)
+    Convergence at relative tolerance tol means every site's probability is
+    within tol * (1/N) of the uniform value 1/N; ``t_converge`` takes
+    tol = 1e-4 and the bracket (``t_low``, ``t_high``) tol = 1e-3 and 1e-5.
+    At t = 0 the deviation is 1 - 1/N >= 1/2, above every such threshold.
+    Once reached it holds for good: K = rate * (A - D)
     is symmetric with zero row sums, so exp(K s) is doubly stochastic, each
     entry of p(t + s) - 1/N is a convex combination of the entries of
     p(t) - 1/N, and the max-norm deviation never increases.  The first
     crossing is therefore the last, and it lies before the horizon
     (ln(1/threshold) + ln N) / gap, where the spectral-gap decay
     e^(-gap t) of the Euclidean deviation already bounds the max-norm one.
-    The same search at relative tolerances 1e-3 and 1e-5 gives the bracket
-    (t_low, t_high).
 
     The walk runs on the entry quotient (see
     :func:`hexwalk.quantum.propagate_entry`): p(0) - 1/N lies in span(S),
@@ -277,8 +271,6 @@ def classical_convergence_time(
     graph, which has no uniform limit from a localised start, raises
     :class:`ConvergenceError`.
     """
-    if not np.isfinite(epsilon) or epsilon <= 0.0:
-        raise ValueError(f"relative tolerance must be finite and > 0, got {epsilon}")
     w, v = ClassicalGenerator(graph, rate).quotient.spectrum
     zero = w >= -1.0e-12 * float(np.max(np.abs(w)))
     if np.count_nonzero(zero) > 1:
@@ -292,18 +284,15 @@ def classical_convergence_time(
     def deviation(t: float) -> float:
         return float(np.max(np.abs(lift * (v @ (np.exp(w * t) * modes)) - p_uniform)))
 
-    tolerances = sorted({1.0e-3, float(epsilon), 1.0e-5}, reverse=True)
-    times = {}
-    for tol in tolerances:
-        horizon = (math.log(1.0 / (tol * p_uniform)) + math.log(graph.n_nodes)) / gap
-        times[tol] = _settling_time(deviation, tol * p_uniform, horizon)
-    return ConvergenceResult(
-        t_converge=times[float(epsilon)],
-        epsilon=float(epsilon),
-        p_uniform=p_uniform,
-        t_low=times[1.0e-3],
-        t_high=times[1.0e-5],
+    t_low, t_converge, t_high = (
+        _settling_time(
+            deviation,
+            tol * p_uniform,
+            (math.log(1.0 / (tol * p_uniform)) + math.log(graph.n_nodes)) / gap,
+        )
+        for tol in (1.0e-3, 1.0e-4, 1.0e-5)
     )
+    return ConvergenceResult(t_converge, p_uniform, t_low, t_high)
 
 
 @dataclass
@@ -399,50 +388,45 @@ BOUNDARY_LEAK_TOL = 1.0e-6
 def variance_slope_1d(
     m: int,
     engine: str,
-    z_grid: np.ndarray | None = None,
+    z_max: float | None = None,
     coupling: float = 1.0,
     rate: float = 1.0,
 ) -> FitResult:
     """Growth exponent of the positional variance of a centred 1D walk.
 
-    Runs the chosen engine on an m-site path from the central site and fits
-    Var(x) = sum_i p_i (i - i_entry)^2 against the evolution parameter as a
-    power law.  Samples where either end site already holds more than 1e-6
-    probability are dropped (the boundary would bend the growth law), as is
-    z = 0 where the variance vanishes.  The coherent walk spreads
-    ballistically (exponent 2), the classical walk diffusively (exponent 1).
+    Runs the chosen engine on an m-site path from the central site over the
+    48 evenly spaced lengths z_max / 48, ..., z_max and fits
+    Var(x) = sum_i p_i (i - i_entry)^2 against them as a power law.  An
+    unset ``z_max`` takes (m - 1) / (8 coupling) for the coherent walk and
+    (m - 1)^2 / (250 rate) for the classical one.  Samples where either end
+    site already holds more than 1e-6 probability are dropped (the boundary
+    would bend the growth law).  The coherent walk spreads ballistically
+    (exponent 2), the classical walk diffusively (exponent 1).
 
     Raises :class:`WindowError` when no samples survive the windowing.
     """
+    if z_max is not None and (not np.isfinite(z_max) or z_max <= 0.0):
+        raise ValueError(f"--z-max must be finite and > 0, got {z_max}")
     if engine not in ("quantum", "classical"):
         raise ValueError(f"engine must be 'quantum' or 'classical', got {engine!r}")
     if m % 2 == 0:
         raise ValueError("site count m must be odd so the launch is centred")
     g = path_graph(m)
-    if z_grid is None:
-        if engine == "quantum":
-            z_top = (m - 1) / (8.0 * coupling)
-        else:
-            z_top = (m - 1) ** 2 / (250.0 * rate)
-        z_grid = np.linspace(z_top / 48.0, z_top, 48)
-    z_grid = np.asarray(z_grid, dtype=float)
+    if z_max is None:
+        z_max = (m - 1) / (8.0 * coupling) if engine == "quantum" else (m - 1) ** 2 / (250.0 * rate)
+    zs = np.linspace(z_max / 48.0, z_max, 48)
     if engine == "quantum":
-        dist = np.abs(propagate_entry(Hamiltonian(g, coupling), z_grid)) ** 2
+        dist = np.abs(propagate_entry(Hamiltonian(g, coupling), zs)) ** 2
     else:
-        dist = propagate_entry(ClassicalGenerator(g, rate), z_grid)
+        dist = propagate_entry(ClassicalGenerator(g, rate), zs)
     offsets = np.arange(m) - g.entry
     variances = dist @ (offsets.astype(float) ** 2)
-    keep = (
-        (z_grid > 0.0)
-        & (variances > 0.0)
-        & (dist[:, 0] < BOUNDARY_LEAK_TOL)
-        & (dist[:, -1] < BOUNDARY_LEAK_TOL)
-    )
+    keep = (variances > 0.0) & (dist[:, 0] < BOUNDARY_LEAK_TOL) & (dist[:, -1] < BOUNDARY_LEAK_TOL)
     if not np.any(keep):
         raise WindowError(
             "no variance samples left after excluding z = 0 and boundary-touching walks"
         )
-    return fit_power(np.column_stack((z_grid[keep], variances[keep])))
+    return fit_power(np.column_stack((zs[keep], variances[keep])))
 
 
 @lru_cache(maxsize=None)

@@ -230,6 +230,9 @@ def propagate_entry(op: WalkOperator, ts, site: int | None = None) -> np.ndarray
     ``op.quotient`` from the entry's cell and lifted back as x = S y: node i
     holds y[cell(i)] / sqrt(|cell(i)|).  Shapes are those of
     :func:`propagate`; neither the N x N matrix nor its spectrum is formed.
+    The classical walk's probabilities are clipped at 0: spectral rounding
+    leaves residues of order 1e-16 around the true value, below 0 where
+    the walk has not arrived yet.
     """
     g = op.graph
     if site is not None and not 0 <= site < g.n_nodes:
@@ -240,5 +243,7 @@ def propagate_entry(op: WalkOperator, ts, site: int | None = None) -> np.ndarray
     y0 = np.zeros(q.dim)
     y0[cell[g.entry]] = 1.0
     if site is not None:
-        return propagate(q, y0, ts, cell[site]) * lift[cell[site]]
-    return (propagate(q, y0, ts) * lift)[..., cell]
+        x = propagate(q, y0, ts, cell[site]) * lift[cell[site]]
+    else:
+        x = (propagate(q, y0, ts) * lift)[..., cell]
+    return x if q.dtype is complex else np.maximum(x, 0.0)

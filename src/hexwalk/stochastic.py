@@ -39,6 +39,9 @@ from hexwalk.quantum import Hamiltonian, WalkOperator, propagate
 #: N x N matrix and every step multiplies two of them.
 NODE_CAP = 64
 
+#: Longest Strang splitting step, in evolution length, for 0 < omega < 1.
+STEP = 0.01
+
 
 class ClassicalGenerator(WalkOperator):
     """Rate matrix K = gamma * (A - D) of the classical walk on a graph.
@@ -62,26 +65,21 @@ class ClassicalGenerator(WalkOperator):
 
 @dataclass(frozen=True)
 class QswParams:
-    """Mixing weight, hop rate, and step size of the density-matrix walk.
+    """Mixing weight and hop rate of the density-matrix walk.
 
     omega = 0 reproduces the coherent walk, omega = 1 the classical one,
     and anything in between damps coherences at a rate proportional to
-    omega * rate.  ``step`` is the longest Strang splitting step in
-    evolution length for 0 < omega < 1; at omega = 0 and 1 the evolution
-    is exact and the step is not used.
+    omega * rate.
     """
 
     omega: float
     rate: float = 1.0
-    step: float = 0.01
 
     def __post_init__(self):
         if not np.isfinite(self.omega) or not (0.0 <= self.omega <= 1.0):
             raise ValueError(f"mixing weight omega must lie in [0, 1], got {self.omega}")
         if not np.isfinite(self.rate) or self.rate <= 0.0:
             raise ValueError(f"hop rate must be finite and > 0, got {self.rate}")
-        if not np.isfinite(self.step) or self.step <= 0.0:
-            raise ValueError(f"step must be finite and > 0, got {self.step}")
 
 
 def density_from_state(psi: np.ndarray) -> np.ndarray:
@@ -104,9 +102,11 @@ def evolve_qsw(
     rate omega * rate and damps each coherence.  Both keep the trace, so
     there is no failure mode.  The splitting error has only even powers of
     dt, so for 0 < omega < 1 one Richardson step (4 S^2m - S^m) / 3, with
-    m = ceil(t / step), cancels its leading term.  At omega = 0 or 1 one
-    piece is left and a single step of length t is exact.  Graphs above
-    :data:`NODE_CAP` nodes are refused.
+    m = ceil(t / :data:`STEP`), cancels its leading term.  At omega = 0 or
+    1 one piece is left and a single step of length t is exact.  Only the
+    products coupling * t and rate * t enter, so dividing both by a and
+    evolving over a * t runs the same walk in steps a times finer.  Graphs
+    above :data:`NODE_CAP` nodes are refused.
     """
     t = float(t)
     if not np.isfinite(t):
@@ -155,5 +155,5 @@ def evolve_qsw(
 
     if omega in (0.0, 1.0):
         return strang(1)
-    m = max(1, math.ceil(t / params.step))
+    m = math.ceil(t / STEP)
     return (4.0 * strang(2 * m) - strang(m)) / 3.0

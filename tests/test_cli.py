@@ -193,6 +193,16 @@ def test_scan_dump_state_holds_one_probability_per_node(tmp_path, capsys):
     assert abs(probs[-1] - p_opt) < 1e-9
 
 
+def test_scan_classical_dump_state_has_no_negative_probability(tmp_path):
+    # before the walk arrives the exact probabilities are 0; rounding must not go below
+    argv = ["scan", "--graph", "hexagonal:n=12", "--engine", "classical", "--z-max", "3"]
+    assert main(argv + ["--dump-state", "--out", str(tmp_path)]) == 0
+    probs = [float(r.split(",")[1]) for r in data_rows(tmp_path / "state.csv")]
+    assert len(probs) == 336
+    assert min(probs) >= 0.0
+    assert abs(sum(probs) - 1.0) < 1e-9
+
+
 def test_scan_classical_engine(tmp_path, capsys):
     code = main(
         [

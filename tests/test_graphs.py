@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from collections import deque
 
 import numpy as np
@@ -260,6 +261,31 @@ def test_graph_rejects_bad_node_references():
         Graph("path", coords, [(0, 5)], entry=0, exit=1)
     with pytest.raises(ValueError):
         Graph("path", coords, [(0, 1)], entry=0, exit=0)
+
+
+@pytest.mark.parametrize(
+    "coords, edges, entry, exit, message",
+    [
+        ([(0, 0), (2, 0), (4, 0)], [(0, 1.5), (1, 2)], 0, 2, "node id 1.5"),
+        ([(0, 0), (2.7, 0), (4, 0)], [(0, 1), (1, 2)], 0, 2, "coordinate 2.7"),
+        ([(0, 0), (2, 0), (4, 0)], [(0, 1), (1, 2)], 0.5, 2, "entry node 0.5"),
+        ([(0, 0), (2, 0), (4, 0)], [(0, 1), (1, 2)], 0, 2.0, "exit node 2.0"),
+    ],
+    ids=["node-id", "coordinate", "entry", "exit"],
+)
+def test_graph_refuses_non_integral_input(coords, edges, entry, exit, message):
+    # int() would truncate each of these to a valid graph
+    with pytest.raises(ValueError, match=f"^{re.escape(message)} is not an integer$"):
+        Graph("path", coords, edges, entry, exit, params={"m": 3})
+
+
+def test_graph_takes_numpy_integers_as_plain_ints():
+    ids = np.arange(3)
+    g = Graph("path", np.array([(0, 0), (2, 0), (4, 0)]), [(ids[0], ids[1]), (1, 2)], ids[0], ids[2])
+    assert g.coords == ((0, 0), (2, 0), (4, 0))
+    assert all(type(x) is int for xy in g.coords for x in xy)
+    assert (type(g.entry), type(g.exit)) == (int, int)
+    assert g.edges.tolist() == [[0, 1], [1, 2]]
 
 
 def test_graph_rejects_unknown_family():

@@ -130,8 +130,6 @@ def test_qsw_params_validation():
         QswParams(omega=1.01)
     with pytest.raises(ValueError):
         QswParams(omega=0.5, rate=0.0)
-    with pytest.raises(ValueError):
-        QswParams(omega=0.5, step=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -232,11 +230,11 @@ def test_qsw_limits_reproduce_dedicated_engines(graph):
 
 def test_qsw_midpoint_agrees_with_finer_steps():
     g = hexagonal_graph(1)
-    h = Hamiltonian(g)
     rho0 = density_from_state(entry_state(g))
     t = 2.0
-    coarse = evolve_qsw(rho0, h, QswParams(omega=0.5, step=0.01), t)
-    fine = evolve_qsw(rho0, h, QswParams(omega=0.5, step=0.001), t)
+    coarse = evolve_qsw(rho0, Hamiltonian(g), QswParams(omega=0.5), t)
+    # only C t and rate t enter: C = rate = 0.1 over 10 t is the same walk in steps 10x finer
+    fine = evolve_qsw(rho0, Hamiltonian(g, 0.1), QswParams(omega=0.5, rate=0.1), 10.0 * t)
     assert np.max(np.abs(coarse - fine)) < 1e-6
 
 
@@ -255,7 +253,7 @@ def test_qsw_node_cap():
     # every state is a dense N x N matrix: 64 nodes run, 65 are refused
     at_cap, over = path_graph(64), path_graph(65)
     rho0 = density_from_state(entry_state(at_cap))
-    rho = evolve_qsw(rho0, Hamiltonian(at_cap), QswParams(omega=0.5, step=0.05), 0.1)
+    rho = evolve_qsw(rho0, Hamiltonian(at_cap), QswParams(omega=0.5), 0.1)
     assert abs(np.trace(rho).real - 1.0) < 1e-12
     rho0 = density_from_state(entry_state(over))
     with pytest.raises(ValueError, match="65 nodes, above the density-matrix cap of 64"):
@@ -264,14 +262,15 @@ def test_qsw_node_cap():
 
 def test_qsw_coarse_step_stays_a_density_matrix():
     g = hexagonal_graph(1)
-    h = Hamiltonian(g, 40.0)
+    # C t = 2000 and rate t = 50 in 10 steps: C = 40 at step 5, scaled to the fixed step
+    h = Hamiltonian(g, 20000.0)
     rho0 = density_from_state(entry_state(g))
     # a step far too coarse for this coupling still gives a finite,
     # trace-one Hermitian matrix: every split piece is an exact map
     for omega in (0.0, 0.5, 1.0):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            rho = evolve_qsw(rho0, h, QswParams(omega=omega, step=5.0), 50.0)
+            rho = evolve_qsw(rho0, h, QswParams(omega=omega, rate=500.0), 0.1)
         assert np.all(np.isfinite(rho))
         assert abs(np.trace(rho) - 1.0) < 1e-12
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
