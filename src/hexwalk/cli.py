@@ -13,8 +13,8 @@ and the full run configuration, and is written atomically (temp file plus
 rename), so identical configurations rerun to byte-identical files.
 
 Exit codes: 0 success, 2 usage error, 3 input parse error, 4 numerical
-failure.  A scan whose optimum sits on the window edge prints one
-``hexwalk: warning: ...`` line on stderr and still exits 0.
+failure.  A scan whose optimum sits on the window edge, or beyond it,
+prints one ``hexwalk: warning: ...`` line on stderr and still exits 0.
 """
 
 from __future__ import annotations

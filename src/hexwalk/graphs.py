@@ -316,12 +316,7 @@ def hypercube_graph(d: int) -> Graph:
     for weight, members in layers.items():
         for pos, v in enumerate(sorted(members)):
             coords[v] = (weight, 2 * pos - (len(members) - 1))
-    edges = []
-    for v in range(n):
-        for b in range(d):
-            u = v ^ (1 << b)
-            if u > v:
-                edges.append((v, u))
+    edges = [(v, v | 1 << b) for v in range(n) for b in range(d) if not v >> b & 1]
     return Graph("hypercube", coords, edges, 0, n - 1, params={"d": d})
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -43,13 +43,17 @@ SCAN_STEP_FACTOR = 0.01
 #: holds tens of MiB; writing its million-row curve.csv costs more.
 MAX_SCAN_POINTS = 10**6
 
+#: Classical exit probability below which a sample is rounding residue of
+#: the spectral sum (about 1e-16 on quotients of up to 1720 cells).
+_RESIDUE_FLOOR = 1e-12
+
 #: Physical length (mm) at which the depth-2 patch's optimum is pinned when
 #: calibrating the dimensionless coupling onto a real device.
 CALIBRATION_LENGTH_MM = 25.2
 
 
 class BoundaryMaximumWarning(UserWarning):
-    """The best exit probability sat on the edge of the scan window."""
+    """The best exit probability sat on the edge of the scan window, or beyond it."""
 
 
 class ConvergenceError(RuntimeError):
@@ -209,12 +213,24 @@ def classical_hitting_curve(
 
     The curve rises monotonically towards the uniform share 1/N, so the
     reported optimum is simply the best sampled point (the grid end once
-    the walk has mixed) and no boundary warning is raised.  The samples are
-    clipped at 0 by :func:`hexwalk.quantum.propagate_entry`.
+    the walk has mixed).  The samples are clipped at 0 by
+    :func:`hexwalk.quantum.propagate_entry`.  Before the walk reaches the
+    exit they are spectral rounding residue, of order 1e-16 and different
+    for each BLAS thread count, so a curve wholly below the floor
+    :data:`_RESIDUE_FLOOR` = 1e-12 is returned as zeros with the optimum at
+    the window end, p_opt = 0, under a :class:`BoundaryMaximumWarning`.
     """
     gen = ClassicalGenerator(graph, rate)
     ts, t_max, dt = _scan_grid(graph, rate, t_max, dt)
     p = propagate_entry(gen, ts, graph.exit)
+    if p.max() < _RESIDUE_FLOOR:
+        warnings.warn(
+            f"exit probability stays below the rounding floor {_RESIDUE_FLOOR:g} "
+            f"up to the scan boundary (t = {ts[-1]:g}); enlarge the window to reach the exit",
+            BoundaryMaximumWarning,
+            stacklevel=2,
+        )
+        return HittingCurve(ts, np.zeros_like(p), float(ts[-1]), 0.0, "classical", t_max, dt)
     i = int(np.argmax(p))
     return HittingCurve(ts, p, float(ts[i]), float(p[i]), "classical", t_max, dt)
 
@@ -328,17 +344,7 @@ def depth_sweep(
         g = hexagonal_graph(n)
         curve = quantum_hitting_curve(g, coupling)
         conv = classical_convergence_time(g, rate)
-        rows.append(
-            SweepRow(
-                n=n,
-                z_opt=curve.z_opt,
-                p_opt=curve.p_opt,
-                t_converge=conv.t_converge,
-                t_low=conv.t_low,
-                t_high=conv.t_high,
-                p_uniform=conv.p_uniform,
-            )
-        )
+        rows.append(SweepRow(n, curve.z_opt, curve.p_opt, **asdict(conv)))
     return rows
 
 

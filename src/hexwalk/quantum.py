@@ -34,8 +34,8 @@ therefore runs :func:`propagate` on the k x k quotient S^T M S and lifts
 the result back.  A hexagonal patch halves (n^2 + 3n cells of 2n^2 + 4n
 nodes), a glued tree of depth d shrinks to 2d + 2 cells and a hypercube of
 dimension d to d + 1, so glued trees of depth 12 (16382 nodes) and larger
-scan without forming a dense matrix.  States that do not start at the entry,
-such as the density-matrix walk's, keep the full spectrum.
+scan without forming a dense matrix.  States that do not start at the entry
+keep the full spectrum.
 
 The Hamiltonian couples neighbouring sites with a uniform strength C (units
 1/mm, so the evolution parameter z is a propagation length in mm) and has

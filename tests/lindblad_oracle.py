@@ -1,7 +1,8 @@
 """Right-hand side of the density-matrix walk's master equation, as a test oracle.
 
-``evolve_qsw`` never evaluates the generator: it composes the exact unitary
-and dissipative pieces.  This module writes the generator out directly, so
+``evolve_qsw`` applies the same closed form, but folded for speed: one
+product H rho per term, with rho H taken as its adjoint.  This module
+writes the generator out term by term, with both commutator products, so
 the tests can check it against the explicit sum over jump operators and
 check ``evolve_qsw`` against its exponential.
 """

@@ -196,7 +196,8 @@ def test_scan_dump_state_holds_one_probability_per_node(tmp_path, capsys):
 def test_scan_classical_dump_state_has_no_negative_probability(tmp_path):
     # before the walk arrives the exact probabilities are 0; rounding must not go below
     argv = ["scan", "--graph", "hexagonal:n=12", "--engine", "classical", "--z-max", "3"]
-    assert main(argv + ["--dump-state", "--out", str(tmp_path)]) == 0
+    with pytest.warns(Warning, match="rounding floor"):
+        assert main(argv + ["--dump-state", "--out", str(tmp_path)]) == 0
     probs = [float(r.split(",")[1]) for r in data_rows(tmp_path / "state.csv")]
     assert len(probs) == 336
     assert min(probs) >= 0.0
@@ -591,6 +592,26 @@ def test_boundary_warning_is_one_plain_stderr_line(tmp_path):
         "enlarge the window to bracket the true optimum\n"
     )
     assert "cli.py" not in proc.stderr
+
+
+def test_classical_scan_short_of_the_exit_is_the_same_at_any_blas_thread_count(tmp_path, monkeypatch):
+    runs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        out = tmp_path / threads
+        proc = run_cli_process(
+            "scan", "--graph", "hexagonal:n=12", "--engine", "classical", "--z-max", "3",
+            "--out", str(out),
+        )
+        assert proc.returncode == 0, proc.stderr
+        runs.append((proc.stdout, proc.stderr, read(out / "curve.csv")))
+    assert runs[0] == runs[1]
+    stdout, stderr, _ = runs[0]
+    assert stdout == "z_opt=3 p_opt=0\n"
+    assert stderr == (
+        "hexwalk: warning: exit probability stays below the rounding floor 1e-12 "
+        "up to the scan boundary (t = 3); enlarge the window to reach the exit\n"
+    )
 
 
 # ---------------------------------------------------------------------------

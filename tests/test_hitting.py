@@ -199,6 +199,23 @@ def test_classical_exit_curve_is_never_negative(n):
     assert curve.p_exit.min() >= 0.0
 
 
+def test_classical_window_short_of_the_exit_warns_and_reports_zero():
+    # up to t = 3 the exit is about 50 hops away and the exact curve lies below
+    # 1e-40: what the spectral sum leaves there is rounding residue
+    g = hexagonal_graph(12)
+    with pytest.warns(BoundaryMaximumWarning, match="below the rounding floor 1e-12"):
+        curve = classical_hitting_curve(g, 1.0, 3.0)
+    assert not np.any(curve.p_exit)
+    assert (curve.z_opt, curve.p_opt) == (curve.z[-1], 0.0) == (3.0, 0.0)
+
+
+def test_classical_window_that_reaches_the_exit_does_not_warn():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", BoundaryMaximumWarning)
+        curve = classical_hitting_curve(hexagonal_graph(2), t_max=30.0)
+    assert curve.p_opt == curve.p_exit.max() > 1e-12
+
+
 def test_two_site_convergence_is_analytic():
     rate = 0.7
     res = classical_convergence_time(path_graph(2), rate=rate)

@@ -8,7 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
-from hexwalk.graphs import glued_tree, hexagonal_graph, hypercube_graph, path_graph
+from hexwalk import stochastic
+from hexwalk.graphs import Graph, glued_tree, hexagonal_graph, hypercube_graph, path_graph
 from hexwalk.quantum import Hamiltonian, entry_state, propagate
 from hexwalk.stochastic import ClassicalGenerator, QswParams, density_from_state, evolve_qsw
 from lindblad_oracle import lindblad_rhs
@@ -262,11 +263,11 @@ def test_qsw_node_cap():
 
 def test_qsw_coarse_step_stays_a_density_matrix():
     g = hexagonal_graph(1)
-    # C t = 2000 and rate t = 50 in 10 steps: C = 40 at step 5, scaled to the fixed step
+    # C t = 2000 and rate t = 50: at omega = 0, beta t = 8000 in 1334 substeps
     h = Hamiltonian(g, 20000.0)
     rho0 = density_from_state(entry_state(g))
-    # a step far too coarse for this coupling still gives a finite,
-    # trace-one Hermitian matrix: every split piece is an exact map
+    # a run this long for its coupling still gives a finite, trace-one
+    # Hermitian matrix: every series term is exactly Hermitian
     for omega in (0.0, 0.5, 1.0):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -292,18 +293,112 @@ def expm_scaling_squaring(a: np.ndarray) -> np.ndarray:
     return out
 
 
-@pytest.mark.parametrize("omega", [0.25, 0.5, 0.75])
-def test_qsw_matches_exponential_of_lindblad_rhs(omega):
-    g = hexagonal_graph(1)
-    n = g.n_nodes
-    h = Hamiltonian(g)
-    params = QswParams(omega=omega, rate=1.3)
+def oracle_evolution(rho0: np.ndarray, h: Hamiltonian, params: QswParams, t: float) -> np.ndarray:
+    """exp(t L) rho0 with L assembled column by column from the ``lindblad_rhs`` oracle."""
+    n = h.dim
     generator = np.zeros((n * n, n * n), dtype=complex)
     for col in range(n * n):
         unit = np.zeros(n * n, dtype=complex)
         unit[col] = 1.0
         generator[:, col] = lindblad_rhs(unit.reshape(n, n), h, params).ravel()
+    return (expm_scaling_squaring(generator * t) @ rho0.ravel()).reshape(n, n)
+
+
+@pytest.mark.parametrize("omega", [0.25, 0.5, 0.75])
+def test_qsw_matches_exponential_of_lindblad_rhs(omega):
+    g = hexagonal_graph(1)
+    h = Hamiltonian(g)
+    params = QswParams(omega=omega, rate=1.3)
     rho0 = density_from_state(entry_state(g))
     t = 2.0
-    exact = (expm_scaling_squaring(generator * t) @ rho0.ravel()).reshape(n, n)
+    exact = oracle_evolution(rho0, h, params, t)
     assert np.max(np.abs(evolve_qsw(rho0, h, params, t) - exact)) < 1e-9
+
+
+@pytest.mark.parametrize("omega", [0.25, 0.5, 0.75])
+@pytest.mark.parametrize(
+    "graph, t",
+    [(hexagonal_graph(1), 2.0), (glued_tree(1, gluing="random-cycle", seed=2), 5.0)],
+    ids=["hex1", "glued1"],
+)
+def test_qsw_series_matches_oracle_exponential_to_rounding(graph, t, omega):
+    h = Hamiltonian(graph, 0.8)
+    params = QswParams(omega=omega, rate=1.3)
+    rho0 = density_from_state(entry_state(graph))
+    exact = oracle_evolution(rho0, h, params, t)
+    assert np.max(np.abs(evolve_qsw(rho0, h, params, t) - exact)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [hexagonal_graph(2), glued_tree(2, gluing="random-cycle", seed=4), hypercube_graph(4), path_graph(9)],
+    ids=["hex2", "glued-cycle", "cube4", "path9"],
+)
+@pytest.mark.parametrize("t", [1.5, 12.0])
+def test_qsw_limits_equal_propagate_to_rounding(graph, t):
+    h = Hamiltonian(graph, 0.7)
+    start = entry_state(graph)
+    rho0 = density_from_state(start)
+
+    psi = propagate(h, start, t)
+    coherent = evolve_qsw(rho0, h, QswParams(omega=0.0, rate=1.3), t)
+    assert np.max(np.abs(coherent - np.outer(psi, psi.conj()))) < 1e-12
+
+    p = propagate(ClassicalGenerator(graph, 1.3), start, t)
+    classical = evolve_qsw(rho0, h, QswParams(omega=1.0, rate=1.3), t)
+    assert np.max(np.abs(np.diag(classical) - p)) < 1e-12
+    assert not np.any(classical - np.diag(np.diag(classical)))
+
+
+@pytest.mark.parametrize("beta_t", [0.0, 1e-9, 0.4, 6.0, 6.000001, 48.0, 336.7, 8000.0])
+def test_series_plan_meets_its_truncation_bound(beta_t):
+    s, m = stochastic._series_plan(beta_t)
+
+    def tail(theta, degree):
+        return theta ** (degree + 1) / math.factorial(degree + 1) * math.exp(theta)
+
+    if beta_t == 0.0:
+        assert (s, m) == (0, 0)
+        return
+    theta = beta_t / s
+    assert theta <= stochastic._THETA
+    assert s == 1 or beta_t / (s - 1) > stochastic._THETA
+    assert tail(theta, m) <= 2.0**-53
+    assert m == 0 or tail(theta, m - 1) > 2.0**-53
+
+
+def test_series_plan_at_the_benchmark_sizes():
+    # beta = 2 d_max C at omega = 0: hexagonal n = 4 to t = 8, hypercube d = 6 to t = 3
+    assert stochastic._series_plan(2 * 3 * 8.0) == (8, 42)
+    assert stochastic._series_plan(2 * 6 * 3.0) == (6, 42)
+
+
+def test_qsw_on_an_edgeless_graph_keeps_the_start():
+    g = Graph("path", [(0, 0), (2, 0), (4, 0)], [], 0, 2)
+    rho0 = density_from_state(np.array([0.6, 0.8j, 0.0]))
+    rho = evolve_qsw(rho0, Hamiltonian(g), QswParams(omega=0.5), 7.0)
+    assert np.array_equal(rho, rho0)
+    assert rho is not rho0
+
+
+def test_qsw_refuses_a_start_that_is_not_hermitian():
+    g = hexagonal_graph(1)
+    h = Hamiltonian(g)
+    rho0 = density_from_state(entry_state(g))
+    rho0[0, 1] = 0.25
+    with pytest.raises(ValueError, match="density matrix is not Hermitian"):
+        evolve_qsw(rho0, h, QswParams(omega=0.5), 1.0)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        evolve_qsw(1j * density_from_state(entry_state(g)), h, QswParams(omega=0.5), 0.0)
+
+
+def test_qsw_evolves_the_hermitian_part_of_a_start_within_rounding():
+    g = hexagonal_graph(1)
+    h = Hamiltonian(g)
+    params = QswParams(omega=0.5)
+    rho0 = density_from_state(np.full(g.n_nodes, 1.0 / math.sqrt(g.n_nodes)))
+    skewed = rho0.copy()
+    skewed[0, 1] += 1e-14
+    rho = evolve_qsw(skewed, h, params, 2.0)
+    assert np.array_equal(rho, rho.conj().T)
+    assert np.max(np.abs(rho - evolve_qsw(rho0, h, params, 2.0))) < 1e-14
