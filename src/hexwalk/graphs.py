@@ -163,9 +163,12 @@ class Graph:
         of neighbours in each cell.  Every symmetry of the graph that keeps
         the entry in place maps each cell onto itself, so a walk launched at
         the entry stays constant on the cells.  Colour refinement finds it
-        from {entry} | rest: each round recolours a node by its own colour
-        and the sorted colours of its neighbours, compared as whole rows, so
-        the partition is exact, and stops when the cell count stops growing.
+        from {entry} | rest: each round recolours a node by the rank of the
+        row [own colour, sorted neighbour colours] among the distinct rows,
+        in lexicographic order (one ``np.lexsort`` over the columns, then a
+        running count of rows that differ from the one before).  Rows are
+        compared entry by entry, so the partition is exact; the refinement
+        stops when the cell count stops growing.
         """
         if self._entry_cells is None:
             n = self.n_nodes
@@ -184,7 +187,9 @@ class Graph:
             while colour.max() + 1 > cells:
                 cells = colour.max() + 1
                 rows = np.column_stack((colour[:n], np.sort(colour[table], axis=1)))
-                colour[:n] = np.unique(rows, axis=0, return_inverse=True)[1].reshape(-1)
+                order = np.lexsort(rows.T[::-1])
+                rows = rows[order]
+                colour[order] = np.cumsum(np.r_[False, np.any(rows[1:] != rows[:-1], axis=1)])
             cell = colour[:n]
             cell.flags.writeable = False
             self._entry_cells = cell

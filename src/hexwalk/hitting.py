@@ -5,8 +5,10 @@ lengths and refines the global grid maximum with a three-point parabola.
 The classical side finds the earliest time at which the walk's distribution
 has settled onto the uniform stationary distribution to within a relative
 tolerance of 1e-4, bracketed by the times for 1e-3 and 1e-5.  The
-max-norm deviation from uniform never increases, so that time is bisected
-directly, below a horizon set by the spectral gap.  Whether the walk can
+max-norm deviation from uniform never increases and decays exponentially
+once the transient has passed, so each time is a root of its logarithm,
+found by safeguarded regula falsi below a horizon set by the spectral gap,
+the three searches sharing their samples.  Whether the walk can
 settle at all is read off the same entry-quotient spectrum: the graph is
 connected exactly when that spectrum has one zero mode.
 Depth sweeps collect both quantities across a family of hexagonal patches
@@ -235,25 +237,56 @@ def classical_hitting_curve(
     return HittingCurve(ts, p, float(ts[i]), float(p[i]), "classical", t_max, dt)
 
 
-def _settling_time(deviation, threshold: float, horizon: float) -> float:
-    """Earliest time the deviation max_i |p_i(t) - 1/N| is at most threshold.
+def _settling_time(
+    deviation, threshold: float, horizon: float, samples: dict | None = None
+) -> float:
+    """Earliest time the deviation D(t) = max_i |p_i(t) - 1/N| is at most threshold.
 
-    The deviation never increases (see :func:`classical_convergence_time`)
-    and starts above every threshold, so the crossing is bisected on
-    [0, horizon] until the midpoint stops moving.  Failing at the analytic
-    horizon means the numerics broke.
+    D never increases (see :func:`classical_convergence_time`) and D(0)
+    exceeds every threshold, so [0, horizon] brackets one crossing.  Past
+    the transient D decays like e^(-gap t), so the crossing is found by
+    Illinois regula falsi on the nearly linear f = ln D - ln threshold
+    (Dowell & Jarratt, BIT 11, 168, 1971): the secant root of the bracket
+    [lo, hi] (its midpoint if f is 0 at both ends) replaces the end of its
+    sign, and an end kept twice running has its f halved, so a kink or a
+    plateau cannot pin it.  D = 0 counts as the least positive double.
+    Each step lands at least 0.5e-13 hi inside the bracket (Brent's
+    minimum step), so the step after an iterate on the crossing closes it.
+    The bracket keeps D(lo) > threshold >= D(hi) and shrinks to
+    hi - lo <= 1e-13 hi, below the 12 digits the CSV prints; hi is
+    returned.  Failing at the horizon means the numerics broke.
+    ``samples`` maps each t evaluated to D(t) and is filled in; as D never
+    increases, searches for several thresholds can share it and each
+    start from the tightest bracket it holds.
     """
-    lo, hi = 0.0, horizon
-    if deviation(hi) > threshold:
+    samples = {} if samples is None else samples
+
+    def f(t: float) -> tuple[bool, float]:
+        if t not in samples:
+            samples[t] = deviation(t)
+        return samples[t] > threshold, math.log(max(samples[t], 5e-324)) - math.log(threshold)
+
+    lo = max((t for t, d in samples.items() if d > threshold), default=0.0)
+    hi = min((t for t, d in samples.items() if d <= threshold), default=horizon)
+    above, f_hi = f(hi)
+    if above:
         raise ConvergenceError(
             f"no settling below {threshold:.3e} found within the spectral-gap horizon "
             f"(t <= {horizon:g})"
         )
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if deviation(mid) <= threshold:
-            hi = mid
+    f_lo, moved = f(lo)[1], None
+    while hi - lo > 1e-13 * hi:
+        t = hi - f_hi * (hi - lo) / (f_hi - f_lo) if f_lo > f_hi else 0.5 * (lo + hi)
+        t = min(max(t, lo + 0.5e-13 * hi), hi - 0.5e-13 * hi)
+        above, f_t = f(t)
+        if above:
+            if moved == "lo":
+                f_hi *= 0.5
+            lo, f_lo, moved = t, f_t, "lo"
         else:
-            lo = mid
+            if moved == "hi":
+                f_lo *= 0.5
+            hi, f_hi, moved = t, f_t, "hi"
     return hi
 
 
@@ -300,11 +333,13 @@ def classical_convergence_time(graph: Graph, rate: float = 1.0) -> ConvergenceRe
     def deviation(t: float) -> float:
         return float(np.max(np.abs(lift * (v @ (np.exp(w * t) * modes)) - p_uniform)))
 
+    samples = {}  # every (t, D(t)) evaluated, shared by the three searches
     t_low, t_converge, t_high = (
         _settling_time(
             deviation,
             tol * p_uniform,
             (math.log(1.0 / (tol * p_uniform)) + math.log(graph.n_nodes)) / gap,
+            samples,
         )
         for tol in (1.0e-3, 1.0e-4, 1.0e-5)
     )

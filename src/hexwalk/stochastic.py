@@ -121,10 +121,10 @@ def evolve_qsw(
     trace-preserving, so it contracts the Frobenius norm and no substep
     amplifies the errors before it: the run is within s 2^-53 |rho0| of the
     exact solution, to first order, plus rounding.  Every term is exactly
-    Hermitian, and at omega = 1 the coherent weight is an exact zero, so
-    zero coherences stay zero.  rho0 must be Hermitian to 1e-12 of its
-    largest entry; its Hermitian part is evolved.  Graphs above
-    :data:`NODE_CAP` nodes are refused.
+    Hermitian.  At omega = 1 the coherent weight is an exact zero, so no
+    product with H is formed and zero coherences stay zero.  rho0 must be
+    Hermitian to 1e-12 of its largest entry; its Hermitian part is
+    evolved.  Graphs above :data:`NODE_CAP` nodes are refused.
     """
     t = float(t)
     if not 0.0 <= t < np.inf:
@@ -147,9 +147,12 @@ def evolve_qsw(
         term = rho.copy()
         for j in range(1, m + 1):
             c = t / s / j
-            z = (h @ term.view(float)).view(complex)
-            z *= -1j * (1.0 - omega) * c
-            z -= (0.5 * omega * gamma * c * deg)[:, None] * term
+            if omega < 1.0:
+                z = (h @ term.view(float)).view(complex)
+                z *= -1j * (1.0 - omega) * c
+                z -= (0.5 * omega * gamma * c * deg)[:, None] * term
+            else:
+                z = (-0.5 * gamma * c * deg)[:, None] * term
             gain = (omega * gamma * c) * (adj @ term.diagonal().real)
             term = z + z.conj().T
             term.flat[:: n + 1] += gain

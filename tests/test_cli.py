@@ -6,7 +6,6 @@ import os
 import re
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -29,17 +28,21 @@ def data_rows(path):
     return lines[2:]
 
 
-def run_cli_process(*argv):
-    """Run ``hexwalk.cli.main`` in a child interpreter on the package this session imported."""
+def run_child(code, *argv):
+    """Run ``code`` in a child interpreter on the package this session imported."""
     package_root = str(Path(hexwalk.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    wrapper = "import sys; from hexwalk.cli import main; sys.exit(main())"
     return subprocess.run(
-        [sys.executable, "-c", wrapper, *argv],
+        [sys.executable, "-c", code, *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def run_cli_process(*argv):
+    """Run ``hexwalk.cli.main`` in a child interpreter on the package this session imported."""
+    return run_child("import sys; from hexwalk.cli import main; sys.exit(main())", *argv)
 
 
 def stdout_value(capsys, key):
@@ -470,16 +473,30 @@ def test_write_table_formats_each_column_by_its_type(tmp_path):
     assert read(tmp_path / "empty.dat") == "# head\na b\n"
 
 
+# Builds the columns of a million-row table, writes it only when told to, and
+# prints the peak resident memory of its own process image.  VmHWM starts at
+# exec; ru_maxrss would carry the parent's peak across it.
+_TABLE_CHILD = """
+import sys
+from pathlib import Path
+import numpy as np
+from hexwalk.cli import _write_table
+z = np.linspace(0.0, 1.0, 10**6)
+p = np.sin(z) ** 2
+if sys.argv[1] == "write":
+    _write_table(Path(sys.argv[2]) / "big.csv", "# head", {"z": z, "p_exit": p})
+status = Path("/proc/self/status").read_text().splitlines()
+print(next(int(row.split()[1]) for row in status if row.startswith("VmHWM:")) * 1024)
+"""
+
+
 def test_write_table_streams_a_million_rows_in_bounded_memory(tmp_path):
+    # the write's own cost: a child that writes against one that builds the same columns only
+    write, skip = (run_child(_TABLE_CHILD, mode, str(tmp_path)) for mode in ("write", "skip"))
+    assert write.returncode == skip.returncode == 0, write.stderr + skip.stderr
+    assert int(write.stdout) - int(skip.stdout) < 32 * 2**20
     z = np.linspace(0.0, 1.0, 10**6)
     p = np.sin(z) ** 2
-    tracemalloc.start()
-    try:
-        _write_table(tmp_path / "big.csv", "# head", {"z": z, "p_exit": p})
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 32 * 2**20
     with open(tmp_path / "big.csv") as fh:
         assert sum(1 for _ in fh) == 2 + 10**6
     assert read(tmp_path / "big.csv").endswith(f"\n1,{p[-1]:.12g}\n")

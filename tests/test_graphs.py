@@ -20,6 +20,7 @@ from hexwalk.graphs import (
 )
 from hexwalk.hitting import ConvergenceError, classical_convergence_time
 from hexwalk.stochastic import ClassicalGenerator
+from refinement_oracle import unique_row_cells
 
 
 def bfs_layers(g: Graph, start: int) -> dict[int, int]:
@@ -433,3 +434,23 @@ def test_entry_partition_is_equitable_with_the_entry_alone(build, cells):
         assert k == cells
     with pytest.raises(ValueError):
         cell[0] = 5
+
+
+@pytest.mark.parametrize(
+    "build",
+    [c[1] for c in PARTITION_CASES]
+    + [
+        lambda spec=spec: parse_graph_selector(spec)
+        for spec in ("hexagonal:n=24", "glued-tree:d=9,seed=1", "hypercube:d=9")
+    ]
+    + [
+        lambda: Graph("path", [(0, 0), (2, 0), (4, 0), (6, 0)], [(0, 1), (2, 3)], 0, 3),
+        lambda: Graph("path", [(0, 0), (2, 0)], [], 0, 1),
+    ],
+    ids=[c[0] for c in PARTITION_CASES]
+    + ["hexagonal-24", "glued-random-9", "hypercube-9", "two-parts", "edgeless"],
+)
+def test_entry_cells_equal_the_whole_row_refinement(build):
+    # the same lexicographic ranks as np.unique over whole rows: the same ids, not just the same cells
+    g = build()
+    assert np.array_equal(g.entry_cells, unique_row_cells(g))

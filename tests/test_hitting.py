@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from hexwalk import hitting
 from hexwalk.graphs import Graph, glued_tree, hexagonal_graph, hypercube_graph, path_graph
 from hexwalk.hitting import (
     BoundaryMaximumWarning,
@@ -252,7 +253,7 @@ SMALL_GRAPHS = {
 @pytest.mark.parametrize("name", sorted(SMALL_GRAPHS))
 def test_max_norm_deviation_never_increases(name):
     # exp(K s) is doubly stochastic, so each entry of p(t + s) - u is a convex
-    # combination of the entries of p(t) - u: the bisection relies on this
+    # combination of the entries of p(t) - u: the settling search relies on this
     g = SMALL_GRAPHS[name]()
     t_end = classical_convergence_time(g).t_high * 1.5
     dev = _deviation_grid(g, np.linspace(0.0, t_end, 5001))
@@ -305,6 +306,90 @@ def test_settling_search_fails_at_the_horizon():
     # a deviation that never drops below the threshold is caught at the horizon
     with pytest.raises(ConvergenceError, match="horizon"):
         _settling_time(lambda t: 0.5, 1e-4, 10.0)
+
+
+def _settle(deviation, threshold, horizon):
+    """The settling time, the last sampled t above threshold, and the deviation calls made."""
+    calls = []
+    samples = {}
+    t = _settling_time(lambda s: calls.append(s) or deviation(s), threshold, horizon, samples)
+    assert len(calls) == len(set(calls)) == len(samples)
+    return t, max(s for s, d in samples.items() if d > threshold), len(calls)
+
+
+@pytest.mark.parametrize("horizon", [12.0, 30.0, 1000.0])
+def test_settling_search_solves_an_exponential_in_few_calls(horizon):
+    # ln D is linear: the secant lands on ln 1e4, and one minimum step closes the bracket
+    t, lo, calls = _settle(lambda s: math.exp(-s), 1e-4, horizon)
+    assert abs(t - math.log(1e4)) <= 1e-13 * math.log(1e4)
+    assert math.exp(-lo) > 1e-4 >= math.exp(-t)
+    assert 0.0 < t - lo <= 1e-13 * t
+    assert calls <= 6
+
+
+# Deviations that defeat a bare secant, each with its crossing of threshold 1e-4: the kink
+# pins one end of plain regula falsi (47 calls, against 6 with the Illinois halving), and
+# two samples on a plateau give a flat secant with no root.
+HARD_DEVIATIONS = {
+    # a fast decay that hands over to a slow one: ln D is kinked at t = 2 ln(100) / 9
+    "kink": (lambda s: max(math.exp(-5.0 * s), 1e-2 * math.exp(-0.5 * s)), 4.0 * math.log(10.0)),
+    # no decay at all until t = 5
+    "plateau": (lambda s: min(1.0, math.exp(5.0 - s)), 5.0 + math.log(1e4)),
+    # a long plateau just above the threshold, then a drop
+    "ledge": (
+        lambda s: max(math.exp(-s), 2e-4) if s < 20.0 else 2e-4 * math.exp(20.0 - s),
+        20.0 + math.log(2.0),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HARD_DEVIATIONS))
+def test_settling_search_crosses_kinks_and_plateaus(name):
+    deviation, crossing = HARD_DEVIATIONS[name]
+    t, lo, calls = _settle(deviation, 1e-4, 40.0)
+    assert deviation(lo) > 1e-4 >= deviation(t)
+    assert 0.0 < t - lo <= 1e-13 * t
+    assert abs(t - crossing) <= 1e-12 * crossing
+    assert calls <= 16
+
+
+def test_settling_search_takes_no_log_of_a_zero_deviation():
+    # D = 0 past t = 1 counts as the least positive double: the search still closes
+    t, lo, calls = _settle(lambda s: max(0.0, 1.0 - s), 1e-3, 30.0)
+    assert 1.0 - lo > 1e-3 >= 1.0 - t
+    assert 0.0 < t - lo <= 1e-13 * t
+    assert calls < 54  # bisection's count to the last bit of [0, 30]
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_GRAPHS))
+def test_settling_times_carry_their_certificate(name, monkeypatch):
+    # each time t has D(t (1 - 1e-12)) > threshold >= D(t), for the deviation the search used
+    searches = []
+
+    def recording(deviation, threshold, horizon, samples):
+        t = _settling_time(deviation, threshold, horizon, samples)
+        searches.append((deviation, threshold, t, samples))
+        return t
+
+    monkeypatch.setattr(hitting, "_settling_time", recording)
+    res = classical_convergence_time(SMALL_GRAPHS[name]())
+    assert [t for *_, t, _ in searches] == [res.t_low, res.t_converge, res.t_high]
+    for deviation, threshold, t, samples in searches:
+        assert deviation(t * (1.0 - 1e-12)) > threshold >= deviation(t)
+        lo = max(s for s, d in samples.items() if d > threshold)
+        assert 0.0 < t - lo <= 1e-13 * t
+
+
+def test_depth_sweep_evaluates_the_deviation_a_few_times_per_search(monkeypatch):
+    # bisection to the last bit took 2449 deviation calls over depths 2..16
+    calls = []
+
+    def counting(deviation, threshold, horizon, samples):
+        return _settling_time(lambda s: calls.append(s) or deviation(s), threshold, horizon, samples)
+
+    monkeypatch.setattr(hitting, "_settling_time", counting)
+    depth_sweep(range(2, 17))
+    assert len(calls) <= 600
 
 
 def test_convergence_bracket_ordering_and_uniform_share():

@@ -232,11 +232,27 @@ def test_qsw_limits_reproduce_dedicated_engines(graph):
 def test_qsw_midpoint_agrees_with_finer_steps():
     g = hexagonal_graph(1)
     rho0 = density_from_state(entry_state(g))
-    t = 2.0
-    coarse = evolve_qsw(rho0, Hamiltonian(g), QswParams(omega=0.5), t)
-    # only C t and rate t enter: C = rate = 0.1 over 10 t is the same walk in steps 10x finer
-    fine = evolve_qsw(rho0, Hamiltonian(g, 0.1), QswParams(omega=0.5, rate=0.1), 10.0 * t)
-    assert np.max(np.abs(coarse - fine)) < 1e-6
+    h, params, t = Hamiltonian(g), QswParams(omega=0.5), 3.5
+    whole = evolve_qsw(rho0, h, params, t)
+    # beta = 2 d_max ((1 - omega) C + omega rate) = 4: the whole run takes 3 substeps of
+    # degree 36, each half 2 finer substeps of degree 31, so the two plans differ
+    assert (stochastic._series_plan(4.0 * t), stochastic._series_plan(2.0 * t)) == ((3, 36), (2, 31))
+    halves = evolve_qsw(evolve_qsw(rho0, h, params, t / 2), h, params, t / 2)
+    assert np.max(np.abs(whole - halves)) < 1e-12
+    # only C t and rate t enter: C = rate = 0.1 over 10 t is the same walk with the same plan
+    scaled = evolve_qsw(rho0, Hamiltonian(g, 0.1), QswParams(omega=0.5, rate=0.1), 10.0 * t)
+    assert np.max(np.abs(whole - scaled)) < 1e-12
+
+
+def test_qsw_at_omega_one_forms_no_product_with_h():
+    # the coherent weight is an exact zero: a coupling whose products with rho would
+    # overflow to inf, and inf * 0 to nan, leaves the walk exactly as at C = 1
+    g = hexagonal_graph(2)
+    rho0 = density_from_state(entry_state(g))
+    params = QswParams(omega=1.0, rate=1.3)
+    at_one = evolve_qsw(rho0, Hamiltonian(g), params, 4.0)
+    huge = evolve_qsw(rho0, Hamiltonian(g, 1e308), params, 4.0)
+    assert np.array_equal(huge, at_one)
 
 
 def test_qsw_output_is_a_valid_density_matrix():
