@@ -85,11 +85,16 @@ def parse_image(text: str) -> PixelImage:
     a non-negative number.  Violations raise :class:`ImageParseError`
     carrying the 1-based line number; trailing blank lines are ignored.
     The first offending line wins, and within a line the checks run in the
-    order row width, numeric tokens, finiteness, sign.
+    order row width, numeric tokens, finiteness, sign.  Tokens are read as
+    Python's ``float()`` reads them.
 
-    Each row is converted by numpy in one call (it accepts exactly the
-    tokens ``float()`` accepts) and the whole matrix is checked at once;
-    only a frame that fails is walked again line by line to word the error.
+    numpy's C text reader (``np.loadtxt``) reads the lines first.  It splits
+    on the same whitespace as ``str.split`` and accepts no token that
+    ``float()`` rejects, so its matrix stands when it has one row per line
+    and :class:`PixelImage` accepts every value.  Otherwise (a blank, ragged
+    or bad row, or a token such as ``1_0`` that ``float()`` reads and numpy
+    does not) the lines are walked again with ``float()``, which returns
+    the matrix or raises the first error.
     """
     lines = text.splitlines()
     while lines and not lines[-1].strip():
@@ -97,17 +102,19 @@ def parse_image(text: str) -> PixelImage:
     if not lines:
         raise ImageParseError("image is empty", 1)
     try:
-        pixels = np.stack([np.array(line.split(), dtype=float) for line in lines])
-    except ValueError:  # a ragged or blank row, or a token that is not a number
-        pixels = None
-    if pixels is None or not (np.isfinite(pixels).all() and (pixels >= 0.0).all()):
-        _raise_first_error(lines)
-    return PixelImage(pixels)
+        image = PixelImage(np.loadtxt(lines, dtype=float, ndmin=2, comments=None))
+    except ValueError:  # a ragged row, a token numpy does not read, a bad value
+        pass
+    else:
+        if image.rows == len(lines):  # loadtxt skips blank rows
+            return image
+    return PixelImage(_walk_lines(lines))
 
 
-def _raise_first_error(lines: list[str]) -> None:
-    """Raise :class:`ImageParseError` for the first line that breaks a rule."""
+def _walk_lines(lines: list[str]) -> np.ndarray:
+    """Read the lines with ``float()``; raise :class:`ImageParseError` at the first bad line."""
     width = -1
+    rows = []
     for lineno, line in enumerate(lines, start=1):
         tokens = line.split()
         if not tokens:
@@ -127,6 +134,8 @@ def _raise_first_error(lines: list[str]) -> None:
             raise ImageParseError("non-finite value", lineno)
         if any(v < 0.0 for v in values):
             raise ImageParseError("negative intensity", lineno)
+        rows.append(values)
+    return np.array(rows)
 
 
 def _is_number(token: str) -> bool:
@@ -172,6 +181,8 @@ class MaskSpec:
             if not (np.isfinite(e.cx) and np.isfinite(e.cy)):
                 raise MaskError(f"node {e.node_id}: centre must be finite")
         self._entries = entries
+        self._circles = np.array([(e.cx, e.cy, e.radius) for e in entries], dtype=float)
+        self._circles.flags.writeable = False
 
     @property
     def entries(self) -> tuple[MaskEntry, ...]:
@@ -180,6 +191,11 @@ class MaskSpec:
     @property
     def node_ids(self) -> tuple[int, ...]:
         return tuple(e.node_id for e in self._entries)
+
+    @property
+    def circles(self) -> np.ndarray:
+        """Read-only (n, 3) array of the entries' (cx, cy, radius), in node-id order."""
+        return self._circles
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -195,7 +211,7 @@ class MaskSpec:
         Circles overlap when gap^2 < (r_a + r_b)^2, so tangent circles pass.
         Of the overlapping pairs, the first in node-id order is named.
         """
-        cx, cy, r = np.array([(e.cx, e.cy, e.radius) for e in self._entries]).T
+        cx, cy, r = self._circles.T
         outside = (
             (cx - r < 0.0) | (cy - r < 0.0) | (cx + r > image.cols - 1) | (cy + r > image.rows - 1)
         )
@@ -254,29 +270,48 @@ def mask_csv(mask: MaskSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _disk_window(cx: float, cy: float, reach: float, shape: tuple[int, int]):
-    """The box of half-width ``reach`` round (cx, cy) clipped to ``shape``, or None if empty.
+#: Box pixels :func:`_disk_pixels` enumerates at once; a larger box goes alone.
+_GATHER_PIXELS = 1 << 15
 
-    Returns the box as (row slice, column slice) and its pixel centres' squared distances.
+
+def _disk_pixels(cx: np.ndarray, cy: np.ndarray, reach, shape: tuple[int, int]):
+    """The pixels within ``reach`` of each centre (cx, cy), in chunks of circles.
+
+    Yields ``(first, counts, pixels, d2)`` for the circles ``first,
+    first + 1, ...``: each one's number of member pixels, and their flat
+    indices into ``shape`` and squared centre distances, circle by circle
+    and row by row.  Membership is d2 <= reach^2 at pixel centres inside
+    each circle's box of half-width ``reach``, clipped to ``shape``.  A
+    chunk's boxes hold at most ``_GATHER_PIXELS`` pixels unless one box is
+    larger, so memory follows the boxes themselves.
     """
-    x0 = max(0, int(np.ceil(cx - reach)))
-    x1 = min(shape[1] - 1, int(np.floor(cx + reach)))
-    y0 = max(0, int(np.ceil(cy - reach)))
-    y1 = min(shape[0] - 1, int(np.floor(cy + reach)))
-    if x0 > x1 or y0 > y1:
-        return None
-    xs = np.arange(x0, x1 + 1)
-    ys = np.arange(y0, y1 + 1)
-    d2 = (xs[None, :] - cx) ** 2 + (ys[:, None] - cy) ** 2
-    return (slice(y0, y1 + 1), slice(x0, x1 + 1)), d2
-
-
-def _circle_sum(image: PixelImage, entry: MaskEntry) -> float:
-    window = _disk_window(entry.cx, entry.cy, entry.radius, (image.rows, image.cols))
-    if window is None:
-        return 0.0
-    box, d2 = window
-    return float(image.intensities[box][d2 <= entry.radius * entry.radius].sum())
+    rows, cols = shape
+    reach = np.broadcast_to(np.asarray(reach, dtype=float), np.shape(cx))
+    with np.errstate(over="ignore"):  # a reach past 1e154 squares to inf: every pixel is in
+        reach2 = reach * reach
+    x0 = np.clip(np.ceil(cx - reach), 0, cols).astype(np.intp)
+    y0 = np.clip(np.ceil(cy - reach), 0, rows).astype(np.intp)
+    width = np.maximum(np.clip(np.floor(cx + reach), -1, cols - 1).astype(np.intp) + 1 - x0, 0)
+    height = np.maximum(np.clip(np.floor(cy + reach), -1, rows - 1).astype(np.intp) + 1 - y0, 0)
+    area = width * height
+    end = np.cumsum(area)
+    first = 0
+    while first < len(area):
+        start = end[first] - area[first]
+        stop = max(first + 1, int(np.searchsorted(end, start + _GATHER_PIXELS, side="right")))
+        # one entry per box row, then one per box pixel
+        h = height[first:stop]
+        circle = np.repeat(np.arange(first, stop), h)
+        y = y0[circle] + np.arange(len(circle)) - np.repeat(np.cumsum(h) - h, h)
+        w = width[circle]
+        line = np.repeat(np.arange(len(circle)), w)
+        x = x0[circle][line] + np.arange(len(line)) - np.repeat(np.cumsum(w) - w, w)
+        d2 = (x - cx[circle][line]) ** 2 + ((y - cy[circle]) ** 2)[line]
+        (inside,) = np.nonzero(d2 <= reach2[circle][line])
+        line = line[inside]
+        counts = np.bincount(circle[line] - first, minlength=stop - first)
+        yield first, counts, y[line] * cols + x[inside], d2[inside]
+        first = stop
 
 
 @dataclass
@@ -298,6 +333,13 @@ def extract_probabilities(
     The exit defaults to the largest node id in the mask, which is where
     every graph family here places its exit.
 
+    The member pixels of all circles are gathered together (see
+    :func:`_disk_pixels`), and circles with the same pixel count are summed
+    together as the rows of one C-ordered matrix.  numpy sums each row by
+    the same pairwise scheme as a vector of that length, so every circle's
+    sum is bit-identical to summing its own pixels, in row-major order, on
+    their own.
+
     Raises :class:`MaskError` for circles outside the image, overlapping
     circles, or an unknown exit node, and :class:`DegenerateImageError`
     when the masked regions hold no intensity at all.
@@ -308,13 +350,27 @@ def extract_probabilities(
         exit_node = int(ids[-1])
     elif exit_node not in set(mask.node_ids):
         raise MaskError(f"exit node {exit_node} has no mask entry")
-    sums = np.array([_circle_sum(image, e) for e in mask.entries])
+    sums = _circle_sums(image, mask)
     total = float(sums.sum())
     if total <= 0.0:
         raise DegenerateImageError("masked regions hold zero total intensity")
     probs = sums / total
     efficiency = float(probs[ids == exit_node][0])
     return ExtractionResult(ids, probs, efficiency)
+
+
+def _circle_sums(image: PixelImage, mask: MaskSpec) -> np.ndarray:
+    """The intensity inside each mask circle, in node-id order."""
+    cx, cy, r = mask.circles.T
+    sums = np.zeros(len(mask))
+    flat = image.intensities.reshape(-1)
+    for first, counts, pixels, _ in _disk_pixels(cx, cy, r, (image.rows, image.cols)):
+        values = flat[pixels]
+        starts = np.cumsum(counts) - counts
+        for m in np.unique(counts):
+            (same,) = np.nonzero(counts == m)
+            sums[first + same] = values[starts[same, None] + np.arange(m)].sum(axis=1)
+    return sums
 
 
 def render_synthetic(
@@ -354,14 +410,9 @@ def render_synthetic(
             stacklevel=2,
         )
     canvas = np.zeros((rows, cols))
-    cut = 4.0 * sigma
-    for p, e in zip(probabilities, mask.entries):
-        if p == 0.0:
-            continue
-        window = _disk_window(e.cx, e.cy, cut, (rows, cols))
-        if window is None:
-            continue
-        box, d2 = window
-        spot = np.where(d2 <= cut * cut, np.exp(-d2 / (2.0 * sigma * sigma)), 0.0)
-        canvas[box] += p * spot
+    cx, cy, _ = mask.circles.T
+    for first, counts, pixels, d2 in _disk_pixels(cx, cy, 4.0 * sigma, (rows, cols)):
+        weight = np.repeat(probabilities[first : first + len(counts)], counts)
+        # unbuffered, in circle order: overlapping spots add in mask order
+        np.add.at(canvas.reshape(-1), pixels, weight * np.exp(-d2 / (2.0 * sigma * sigma)))
     return PixelImage(canvas)

@@ -380,6 +380,21 @@ def test_settling_times_carry_their_certificate(name, monkeypatch):
         assert 0.0 < t - lo <= 1e-13 * t
 
 
+@pytest.mark.parametrize("n", [3, 10])
+def test_settling_deviation_decays_below_the_rounding_of_one_over_n(n, monkeypatch):
+    # the zero mode is exactly 1/N and left out: summing it from eigenvectors and
+    # subtracting 1/N floored the deviation near 1.5e-14 on these graphs
+    deviations = []
+
+    def recording(deviation, threshold, horizon, samples):
+        deviations.append(deviation)
+        return _settling_time(deviation, threshold, horizon, samples)
+
+    monkeypatch.setattr(hitting, "_settling_time", recording)
+    res = classical_convergence_time(hexagonal_graph(n))
+    assert deviations and all(d(3.0 * res.t_high) < 1e-16 for d in deviations)
+
+
 def test_depth_sweep_evaluates_the_deviation_a_few_times_per_search(monkeypatch):
     # bisection to the last bit took 2449 deviation calls over depths 2..16
     calls = []

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
+from readout_oracle import circle_sum, render_one_by_one
 
+from hexwalk import imaging
 from hexwalk.graphs import path_graph
 from hexwalk.imaging import (
     DegenerateImageError,
@@ -89,12 +94,19 @@ def test_first_offending_line_wins_over_later_errors():
 
 
 # Tokens at the edges of what ``float()`` reads: underscores, spelled-out and
-# overflowing infinities, signed zero, hex, Fortran exponents, non-ASCII digits.
+# overflowing infinities, signed zero, hex, Fortran exponents, non-ASCII digits;
+# and a comment mark and a quoted number, which a text reader may treat apart.
 EDGE_TOKENS = (
     "1_0", "Infinity", "1e400", "-0", "0x10", "1d3", "\u0661", "1e-400", "-1e-400",
     "+1.5", ".5", "5.", "nan", "-nan", "INF", "-inf", "1e", "_1", "1__0", "0_1",
     "1,5", "+", "\uff11", "\u0663.\u0665", "\u2212" "1", "\u00bd", "1j", "0b1", "00012",
+    "#", '"1"',
 )
+
+# Whitespace that ``str.split`` splits on but ``str.splitlines`` does not break
+# at, and the line breaks ``str.splitlines`` knows beyond "\n".
+SEPARATORS = (" ", "\t", "\x1f", "\xa0", "\u3000")
+LINE_BREAKS = ("\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028")
 
 
 def float_reference(lines):
@@ -117,21 +129,36 @@ def float_reference(lines):
 
 def test_edge_tokens_are_read_as_float_reads_them():
     rng = np.random.default_rng(2024)
-    for _ in range(300):
+    for trial in range(600):
         rows, cols = rng.integers(1, 5, size=2)
         cells = rng.choice(["1", "2.5", "0"], size=(rows, cols)).astype(object)
         for _ in range(rng.integers(1, 3)):
             cells[rng.integers(rows), rng.integers(cols)] = rng.choice(EDGE_TOKENS)
-        lines = [" ".join(row) for row in cells]
-        expected, error = float_reference(lines)
+        if trial % 2:  # single spaces and newlines
+            text = "\n".join(" ".join(row) for row in cells)
+        else:  # any whitespace between and around tokens, any line break between rows
+            lines = []
+            for row in cells:
+                gaps = rng.choice(SEPARATORS, size=len(row) + 1)
+                edge = rng.random(2) < 0.3
+                lines.append(
+                    (gaps[0] if edge[0] else "")
+                    + "".join(tok + gap for tok, gap in zip(row[:-1], gaps[1:]))
+                    + row[-1]
+                    + (gaps[-1] if edge[1] else "")
+                )
+            breaks = rng.choice(LINE_BREAKS, size=len(lines))
+            text = "".join(line + brk for line, brk in zip(lines[:-1], breaks)) + lines[-1]
+            text += breaks[-1] if rng.random() < 0.5 else ""
+        expected, error = float_reference(text.splitlines())
         if error is None:
-            got = parse_image("\n".join(lines)).intensities
-            assert np.array_equal(got, expected), lines
-            assert np.array_equal(np.signbit(got), np.signbit(expected)), lines
+            got = parse_image(text).intensities
+            assert np.array_equal(got, expected), repr(text)
+            assert np.array_equal(np.signbit(got), np.signbit(expected)), repr(text)
         else:
             with pytest.raises(ImageParseError) as caught:
-                parse_image("\n".join(lines))
-            assert str(caught.value) == error, lines
+                parse_image(text)
+            assert str(caught.value) == error, repr(text)
 
 
 def test_format_parse_round_trip():
@@ -275,6 +302,14 @@ def test_ten_thousand_circle_lattice_validates():
         crowded.validate_for(image)
 
 
+def test_mask_keeps_its_circles_as_one_read_only_array():
+    mask = MaskSpec([MaskEntry(2, 50.0, 10.5, 5.0), MaskEntry(0, 10.0, 10.0, 4.0)])
+    assert np.array_equal(mask.circles, [[10.0, 10.0, 4.0], [50.0, 10.5, 5.0]])
+    assert mask.circles.dtype == float
+    with pytest.raises(ValueError):
+        mask.circles[0, 0] = 1.0
+
+
 def test_parse_mask_and_csv_round_trip():
     text = "node_id,cx,cy,radius\n0,10,10,6\n1,30,10.5,6\n2,50,10,6\n"
     mask = parse_mask(text)
@@ -353,6 +388,69 @@ def test_exit_node_defaults_to_highest_id_and_can_be_overridden():
         extract_probabilities(image, mask, exit_node=9)
 
 
+def random_mask(rng, rows: int, cols: int, n: int) -> MaskSpec:
+    """Circles of radius 0.5 to 7 with non-integral centres, some reaching past the frame."""
+    xy = rng.uniform([-3.0, -3.0], [cols + 3.0, rows + 3.0], size=(n, 2))
+    radii = rng.uniform(0.5, 7.0, size=n)
+    if rng.random() < 0.5:  # half-pixel centres and radii: touching circles, ties at d^2 = r^2
+        xy, radii = np.round(2.0 * xy) / 2.0, np.ceil(2.0 * radii) / 2.0
+    return MaskSpec(
+        MaskEntry(i, float(x), float(y), float(r)) for i, ((x, y), r) in enumerate(zip(xy, radii))
+    )
+
+
+@pytest.mark.parametrize("budget", [imaging._GATHER_PIXELS, 40])
+def test_gathered_circle_sums_equal_one_circle_at_a_time(budget, monkeypatch):
+    # a budget of 40 box pixels splits every mask into many chunks
+    monkeypatch.setattr(imaging, "_GATHER_PIXELS", budget)
+    rng = np.random.default_rng(31)
+    for _ in range(300):
+        rows, cols = (int(v) for v in rng.integers(4, 60, size=2))
+        image = PixelImage(rng.random((rows, cols)) * 10.0 ** rng.uniform(-3, 3, size=(rows, cols)))
+        mask = random_mask(rng, rows, cols, int(rng.integers(1, 40)))
+        expected = [circle_sum(image, e) for e in mask.entries]
+        assert np.array_equal(imaging._circle_sums(image, mask), expected)
+    # circles far off the frame, and a radius whose square overflows to inf
+    image = PixelImage(np.ones((7, 9)))
+    far = MaskSpec(
+        [MaskEntry(0, 1e300, -1e300, 1.0), MaskEntry(1, 5.0, 5.0, 1e300), MaskEntry(2, -1e308, 3.0, 2.0)]
+    )
+    assert np.array_equal(imaging._circle_sums(image, far), [0.0, 63.0, 0.0])
+    assert [circle_sum(image, e) for e in far.entries] == [0.0, 63.0, 0.0]
+
+
+def test_extraction_equals_the_one_circle_at_a_time_readout():
+    # a row of tangent circles at quarter-pixel centres, radii 0.5 to 7 in halves (exact sums)
+    rng = np.random.default_rng(5)
+    radii = np.ceil(rng.uniform(1.0, 14.0, size=30)) / 2.0
+    cx = 8.25 + np.cumsum(radii) + np.r_[0.0, np.cumsum(radii[:-1])]
+    mask = MaskSpec(MaskEntry(i, float(x), 8.25, float(r)) for i, (x, r) in enumerate(zip(cx, radii)))
+    image = PixelImage(rng.random((18, int(cx[-1] + radii[-1]) + 3)))
+    sums = np.array([circle_sum(image, e) for e in mask.entries])
+    result = extract_probabilities(image, mask)
+    assert np.array_equal(result.probabilities, sums / float(sums.sum()))
+
+
+def test_extraction_memory_follows_the_circles_own_boxes():
+    # 2000 circles of radius 1 beside one of radius 300: one matrix of
+    # 2001 x 601^2 boxes would take 5.8 GB; the boxes themselves hold 0.4 M pixels
+    small = [(603.0 + 2.0 * (k % 48), 1.0 + 2.0 * (k // 48)) for k in range(2000)]
+    mask = MaskSpec(
+        [MaskEntry(0, 300.0, 300.0, 300.0)]
+        + [MaskEntry(k + 1, x, y, 1.0) for k, (x, y) in enumerate(small)]
+    )
+    image = PixelImage(np.ones((601, 700)))
+    tracemalloc.start()
+    try:
+        result = extract_probabilities(image, mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    big = circle_sum(image, mask.entries[0])
+    assert np.array_equal(result.probabilities, np.r_[big, np.full(2000, 5.0)] / (big + 10000.0))
+    assert peak < 16 * 8 * 601**2  # sixteen float64 copies of the largest box
+
+
 def test_dark_image_is_degenerate():
     image = PixelImage(np.zeros((21, 61)))
     with pytest.raises(DegenerateImageError):
@@ -401,6 +499,24 @@ def test_render_validation():
         render_synthetic(np.array([0.2, -0.1, 0.9]), mask, (21, 61), sigma=2.0)
     with pytest.raises(ValueError):
         render_synthetic(np.full(3, 1.0 / 3.0), mask, (21, 61), sigma=0.0)
+
+
+@pytest.mark.parametrize("budget", [imaging._GATHER_PIXELS, 40])
+def test_render_matches_one_spot_at_a_time(budget, monkeypatch):
+    # wide spots overlap, so pixels gather up to many spots in mask order
+    monkeypatch.setattr(imaging, "_GATHER_PIXELS", budget)
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        rows, cols = (int(v) for v in rng.integers(4, 60, size=2))
+        mask = random_mask(rng, rows, cols, int(rng.integers(1, 30)))
+        p = rng.random(len(mask)) * (rng.random(len(mask)) < 0.8)
+        sigma = float(rng.uniform(0.2, 6.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SpotWidthWarning)
+            got = render_synthetic(p, mask, (rows, cols), sigma)
+        expected = render_one_by_one(p, mask, (rows, cols), sigma)
+        assert got.intensities.tobytes() == expected.intensities.tobytes()
+        assert format_image(got) == format_image(expected)
 
 
 @pytest.mark.parametrize("radius", [6.0, 9.0])
