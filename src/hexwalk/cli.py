@@ -82,7 +82,7 @@ _BLOCK_ROWS = 4096
 
 #: Cell format by numpy dtype kind: bools and ints as integers, floats to 12 digits.  Any
 #: other column is text, written as is.  A column holding any float is a float column.
-_CELL_FORMATS = {"b": "{:d}", "i": "{:d}", "u": "{:d}", "f": "{:.12g}"}
+_CELL_FORMATS = {"b": "%d", "i": "%d", "u": "%d", "f": "%.12g"}
 
 
 def _write_table(path: Path, header: str, columns: dict, dat: bool = False) -> None:
@@ -91,10 +91,13 @@ def _write_table(path: Path, header: str, columns: dict, dat: bool = False) -> N
     With ``dat`` the same table also goes to ``path`` with suffix ``.dat``, a
     space for every comma below the header line.  Rows stream a block at a
     time into temp files, renamed into place once complete and given the
-    mode of a plain ``open``.
+    mode of a plain ``open``.  Each block is one ``%`` operation: the row
+    format repeated once per row, applied to the block's cells in row order.
+    Text cells are formatted by ``format(cell)`` first, as ``str.format``
+    would.
     """
     values = [np.asarray(column) for column in columns.values()]
-    row = ",".join(_CELL_FORMATS.get(v.dtype.kind, "{}") for v in values) + "\n"
+    row = ",".join(_CELL_FORMATS.get(v.dtype.kind, "%s") for v in values) + "\n"
     targets = [(path, ",")] + [(path.with_suffix(".dat"), " ")] * dat
     umask = os.umask(0)
     os.umask(umask)
@@ -110,8 +113,12 @@ def _write_table(path: Path, header: str, columns: dict, dat: bool = False) -> N
                 fh.write(f"{header}\n{sep.join(columns)}\n")
                 files.append((fh, sep))
             for start in range(0, len(values[0]), _BLOCK_ROWS):
-                block = (v[start : start + _BLOCK_ROWS].tolist() for v in values)
-                text = "".join(map(row.format, *block))
+                block = [v[start : start + _BLOCK_ROWS].tolist() for v in values]
+                cells = [None] * (len(values) * len(block[0]))
+                for j, (v, column) in enumerate(zip(values, block)):
+                    text_cells = v.dtype.kind not in _CELL_FORMATS
+                    cells[j :: len(values)] = map(format, column) if text_cells else column
+                text = row * len(block[0]) % tuple(cells)
                 for fh, sep in files:
                     fh.write(text.replace(",", sep))
         for (target, _), temp in zip(targets, temps):

@@ -52,6 +52,12 @@ class Graph:
     freely between scan workers.  Coordinates, node ids, entry and exit
     must be integers, numpy's included; any other value raises
     ``ValueError`` rather than being truncated.
+
+    ``mirror``, when given, is an involution tau of the nodes (tau[v] is
+    the image of node v) that maps edges onto edges and the entry onto the
+    exit: the reflection that swaps the two ends of the walk.  Builders that
+    know one declare it; the graph checks it but never searches for one.
+    Walk operators split their spectra by it (see :mod:`hexwalk.quantum`).
     """
 
     def __init__(
@@ -62,6 +68,7 @@ class Graph:
         entry: int,
         exit: int,
         params: dict | None = None,
+        mirror: np.ndarray | list[int] | None = None,
     ):
         if family not in FAMILIES:
             raise ValueError(f"unknown graph family {family!r}")
@@ -96,6 +103,9 @@ class Graph:
         self._entry = entry
         self._exit = exit
         self._params = dict(params or {})
+        if mirror is not None:
+            mirror = _checked_mirror(mirror, n, edge_array, entry, exit)
+        self._mirror = mirror
         self._adjacency: np.ndarray | None = None
         self._degrees: np.ndarray | None = None
         self._entry_cells: np.ndarray | None = None
@@ -125,6 +135,11 @@ class Graph:
     def params(self) -> dict:
         """Constructor parameters (a copy; the graph itself stays frozen)."""
         return dict(self._params)
+
+    @property
+    def mirror(self) -> np.ndarray | None:
+        """Node permutation tau that swaps entry and exit (read-only), or None."""
+        return self._mirror
 
     @property
     def n_nodes(self) -> int:
@@ -210,6 +225,35 @@ def _integer(value, label: str) -> int:
         raise ValueError(f"{label} {value!r} is not an integer") from None
 
 
+def _checked_mirror(mirror, n: int, edges: np.ndarray, entry: int, exit: int) -> np.ndarray:
+    """``mirror`` as a read-only node permutation; ``ValueError`` naming the fault
+    unless it is an involutive automorphism that maps ``entry`` to ``exit``."""
+    tau = np.asarray(mirror)
+    if tau.dtype.kind not in "iu":
+        items = np.asarray(mirror, dtype=object).ravel()
+        tau = np.array([_integer(v, "mirror entry") for v in items], dtype=np.int64)
+    if tau.shape != (n,):
+        raise ValueError(f"mirror has shape {tau.shape}, expected ({n},)")
+    tau = tau.astype(np.int64)
+    if not np.array_equal(np.sort(tau), np.arange(n)):
+        raise ValueError(f"mirror is not a permutation of the nodes 0..{n - 1}")
+    moved = np.flatnonzero(tau[tau] != np.arange(n))
+    if moved.size:
+        v, w = moved[0], tau[moved[0]]
+        raise ValueError(f"mirror is not an involution: it maps {v} to {w} and {w} to {tau[w]}")
+    key = edges[:, 0] * n + edges[:, 1]  # ascending, as the rows are sorted
+    image = np.sort(tau[edges], axis=1)
+    image_key = image[:, 0] * n + image[:, 1]
+    lost = np.flatnonzero(np.r_[key, -1][np.searchsorted(key, image_key)] != image_key)
+    if lost.size:
+        (a, b), (c, d) = edges[lost[0]], image[lost[0]]
+        raise ValueError(f"mirror maps edge ({a}, {b}) onto ({c}, {d}), which is not an edge")
+    if tau[entry] != exit:
+        raise ValueError(f"mirror maps the entry {entry} to {tau[entry]}, not to the exit {exit}")
+    tau.flags.writeable = False
+    return tau
+
+
 def _check_size(value, label: str, minimum: int) -> None:
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{label} must be an integer")
@@ -232,7 +276,9 @@ def hexagonal_graph(n: int) -> Graph:
     leftmost corner (-2, 0) is the entry and the unique rightmost corner the
     exit: each end column holds one hexagon, on the axis, so those corners
     are the first and last coordinates in order.  A patch of depth n always
-    has 2n**2 + 4n nodes and 3n**2 + 4n - 1 edges.
+    has 2n**2 + 4n nodes and 3n**2 + 4n - 1 edges.  Its mirror is the
+    reflection X -> 6(n - 1) - X across the middle column, which swaps the
+    entry and exit corners.
     """
     _check_size(n, "depth n", 1)
     corners: set[tuple[int, int]] = set()
@@ -250,7 +296,8 @@ def hexagonal_graph(n: int) -> Graph:
     coords = sorted(corners)
     index = {xy: i for i, xy in enumerate(coords)}
     edges = [(index[a], index[b]) for a, b in sides]
-    return Graph("hexagonal", coords, edges, 0, len(coords) - 1, params={"n": n})
+    mirror = [index[(6 * (n - 1) - x, y)] for x, y in coords]
+    return Graph("hexagonal", coords, edges, 0, len(coords) - 1, {"n": n}, mirror)
 
 
 def glued_tree(depth: int, gluing: str = "random-cycle", seed: int = 0) -> Graph:
@@ -265,7 +312,10 @@ def glued_tree(depth: int, gluing: str = "random-cycle", seed: int = 0) -> Graph
 
     Coordinates are a layered drawing: the left tree occupies X = 0..depth,
     the mirrored right tree X = depth+1..2*depth+1, and siblings spread in Y
-    so that every parent sits midway between its children.
+    so that every parent sits midway between its children.  The identity
+    gluing carries a mirror, which swaps node i of each level of the left
+    tree with node i of the same level of the right tree; a random cycle
+    carries none.
     """
     _check_size(depth, "depth", 1)
     if gluing not in GLUING_MODES:
@@ -299,18 +349,23 @@ def glued_tree(depth: int, gluing: str = "random-cycle", seed: int = 0) -> Graph
     coords = [coords_by_key[key] for key in order]
     edges = [(index[a], index[b]) for a, b in pairs]
     params = {"depth": depth, "gluing": gluing}
+    mirror = None
     if gluing == "random-cycle":
         params["seed"] = seed
-    return Graph("glued-tree", coords, edges, index[("L", 0, 0)], index[("R", 0, 0)], params=params)
+    else:
+        mirror = [index[("R" if side == "L" else "L", level, i)] for side, level, i in order]
+    entry, exit = index[("L", 0, 0)], index[("R", 0, 0)]
+    return Graph("glued-tree", coords, edges, entry, exit, params, mirror)
 
 
 def hypercube_graph(d: int) -> Graph:
     """d-dimensional hypercube: node ids are the bitstrings 0..2**d - 1.
 
     Edges join ids at Hamming distance one; the entry is the all-zeros
-    corner 0 and the exit the all-ones corner 2**d - 1.  Coordinates are for
-    display only (X = Hamming weight, layers spread in Y) and do not affect
-    the id assignment.
+    corner 0 and the exit the all-ones corner 2**d - 1, and the mirror is the
+    complement v -> 2**d - 1 - v.  Coordinates are for display only
+    (X = Hamming weight, layers spread in Y) and do not affect the id
+    assignment.
     """
     _check_size(d, "dimension d", 1)
     n = 2**d
@@ -322,7 +377,7 @@ def hypercube_graph(d: int) -> Graph:
         for pos, v in enumerate(sorted(members)):
             coords[v] = (weight, 2 * pos - (len(members) - 1))
     edges = [(v, v | 1 << b) for v in range(n) for b in range(d) if not v >> b & 1]
-    return Graph("hypercube", coords, edges, 0, n - 1, params={"d": d})
+    return Graph("hypercube", coords, edges, 0, n - 1, {"d": d}, np.arange(n)[::-1])
 
 
 def path_graph(m: int) -> Graph:

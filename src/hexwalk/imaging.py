@@ -45,10 +45,26 @@ class SpotWidthWarning(UserWarning):
 
 
 class PixelImage:
-    """Immutable matrix of non-negative pixel intensities."""
+    """Immutable matrix of non-negative pixel intensities.
+
+    The image keeps a read-only copy of ``intensities``, so later writes to
+    the caller's array do not reach it.  The parser and the renderer, which
+    build a fresh matrix that nothing else holds, hand it over through
+    :meth:`_adopt` without that copy.
+    """
 
     def __init__(self, intensities: np.ndarray):
-        arr = np.array(intensities, dtype=float)
+        self._keep(np.array(intensities, dtype=float))
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray) -> PixelImage:
+        """The image of the float matrix ``arr``, taken over without a copy."""
+        image = cls.__new__(cls)
+        image._keep(arr)
+        return image
+
+    def _keep(self, arr: np.ndarray) -> None:
+        """Check ``arr`` and freeze it as the image's matrix."""
         if arr.ndim != 2 or arr.size == 0:
             raise ValueError("pixel matrix must be two-dimensional and non-empty")
         if not np.all(np.isfinite(arr)):
@@ -102,13 +118,13 @@ def parse_image(text: str) -> PixelImage:
     if not lines:
         raise ImageParseError("image is empty", 1)
     try:
-        image = PixelImage(np.loadtxt(lines, dtype=float, ndmin=2, comments=None))
+        image = PixelImage._adopt(np.loadtxt(lines, dtype=float, ndmin=2, comments=None))
     except ValueError:  # a ragged row, a token numpy does not read, a bad value
         pass
     else:
         if image.rows == len(lines):  # loadtxt skips blank rows
             return image
-    return PixelImage(_walk_lines(lines))
+    return PixelImage._adopt(_walk_lines(lines))
 
 
 def _walk_lines(lines: list[str]) -> np.ndarray:
@@ -415,4 +431,4 @@ def render_synthetic(
         weight = np.repeat(probabilities[first : first + len(counts)], counts)
         # unbuffered, in circle order: overlapping spots add in mask order
         np.add.at(canvas.reshape(-1), pixels, weight * np.exp(-d2 / (2.0 * sigma * sigma)))
-    return PixelImage(canvas)
+    return PixelImage._adopt(canvas)

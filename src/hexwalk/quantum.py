@@ -37,6 +37,19 @@ dimension d to d + 1, so glued trees of depth 12 (16382 nodes) and larger
 scan without forming a dense matrix.  States that do not start at the entry
 keep the full spectrum.
 
+A graph whose builder declares a mirror (:attr:`hexwalk.graphs.Graph.mirror`,
+an involutive automorphism tau that swaps entry and exit) halves each
+``eigh`` once more.  M commutes with the permutation tau, so its spectrum
+splits into an even sector, the states with x[tau[i]] = x[i], and an odd
+sector, x[tau[i]] = -x[i], and M couples neither to the other.  The quotient
+inherits the mirror as r[cell[v]] = cell[tau[v]].  Each sector gets its own
+``eigh`` of about k/2 rows, one more than k/2 for every cell the mirror
+fixes, and the eigenvectors are lifted back into one k x k orthonormal V
+(:attr:`SpectralOperator.spectrum`), so :func:`propagate` does not see the
+split.  A hexagonal patch, a hypercube and a glued tree with the identity
+gluing carry a mirror; a path, a random-cycle glued tree and a hand-built
+graph do not, and take one ``eigh`` of size k.
+
 The Hamiltonian couples neighbouring sites with a uniform strength C (units
 1/mm, so the evolution parameter z is a propagation length in mm) and has
 no on-site term: a common one would only add a global phase.  Since only
@@ -63,14 +76,22 @@ class SpectralOperator:
     the classical walk, whose states are real probabilities.  The matrix is
     read-only and the spectrum is computed once on first use and reused for
     every evolution length.  A subclass that forms its matrix on demand
-    passes None.
+    passes None.  ``mirror``, an involution r of the indices with
+    M[r[i], r[j]] = M[i, j], splits the spectrum into its two sectors; None
+    stands for the identity.
     """
 
-    def __init__(self, matrix: np.ndarray | None, phase: complex | float = 1.0):
+    def __init__(
+        self,
+        matrix: np.ndarray | None,
+        phase: complex | float = 1.0,
+        mirror: np.ndarray | None = None,
+    ):
         if matrix is not None:
             matrix.flags.writeable = False
         self._matrix = matrix
         self.phase = phase
+        self.mirror = mirror
         self._spectrum: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
@@ -88,9 +109,37 @@ class SpectralOperator:
 
     @property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues (ascending) and orthonormal eigenvectors of the matrix."""
+        """Eigenvalues and orthonormal eigenvectors of the matrix, even sector first.
+
+        The eigenvalues ascend within each sector.  Cells i < r[i] pair with
+        their mirror images; cells with r[i] = i are fixed.  The even sector
+        has the basis (e_i + e_r[i]) / sqrt(2) for pairs and e_i for fixed
+        cells, the odd sector (e_i - e_r[i]) / sqrt(2) for pairs, and M has
+        no element between the two.  In those bases the blocks are
+        [[A + B, sqrt(2) C], [sqrt(2) C^T, F]] and A - B, with A, B, C and F
+        the blocks M[p, p], M[p, r[p]], M[p, f] and M[f, f] of pair cells p
+        and fixed cells f; each goes to its own ``eigh`` and the eigenvectors
+        are lifted back to k rows.  Without a mirror every cell is fixed, the
+        odd sector is empty and M goes to ``eigh`` whole.
+        """
         if self._spectrum is None:
-            w, v = np.linalg.eigh(self.matrix)
+            m = self.matrix
+            i = np.arange(len(m))
+            r = i if self.mirror is None else self.mirror
+            p, f = np.flatnonzero(i < r), np.flatnonzero(i == r)
+            if len(p):
+                a, b, c = m[np.ix_(p, p)], m[np.ix_(p, r[p])], math.sqrt(2.0) * m[np.ix_(p, f)]
+                w_even, y_even = np.linalg.eigh(np.block([[a + b, c], [c.T, m[np.ix_(f, f)]]]))
+                w_odd, y_odd = np.linalg.eigh(a - b)
+                v = np.zeros(m.shape)
+                even, odd = v[:, : len(w_even)], v[:, len(w_even) :]
+                even[p] = even[r[p]] = math.sqrt(0.5) * y_even[: len(p)]
+                even[f] = y_even[len(p) :]
+                odd[p] = math.sqrt(0.5) * y_odd
+                odd[r[p]] = -odd[p]
+                w = np.concatenate([w_even, w_odd])
+            else:
+                w, v = np.linalg.eigh(m)
             w.flags.writeable = False
             v.flags.writeable = False
             self._spectrum = (w, v)
@@ -109,7 +158,7 @@ class WalkOperator(SpectralOperator):
     diagonal = 0.0
 
     def __init__(self, graph: Graph, scale: float, phase: complex | float):
-        super().__init__(None, phase)
+        super().__init__(None, phase, graph.mirror)
         self.graph = graph
         self.scale = scale
         self._quotient: SpectralOperator | None = None
@@ -152,9 +201,22 @@ class WalkOperator(SpectralOperator):
 
     @property
     def quotient(self) -> SpectralOperator:
-        """The k x k matrix S^T M S on the cells of :attr:`Graph.entry_cells`."""
+        """The k x k matrix S^T M S on the cells of :attr:`Graph.entry_cells`.
+
+        Its mirror is the graph's, carried to the cells: r[cell[v]] =
+        cell[tau[v]].  That is well defined when tau maps every cell onto a
+        cell, as it does whenever the exit is alone in its cell; otherwise
+        the quotient has no mirror.
+        """
         if self._quotient is None:
-            self._quotient = SpectralOperator(self._assemble(self.graph.entry_cells), self.phase)
+            g = self.graph
+            cell, tau, r = g.entry_cells, g.mirror, None
+            if tau is not None:
+                r = np.empty(cell.max() + 1, dtype=np.int64)
+                r[cell] = cell[tau]
+                if not np.array_equal(r[cell], cell[tau]):
+                    r = None
+            self._quotient = SpectralOperator(self._assemble(cell), self.phase, r)
         return self._quotient
 
 

@@ -100,8 +100,8 @@ def test_hexagonal_is_connected_and_bipartite():
 
 def test_hexagonal_mirror_symmetry():
     # Reflecting X about the diamond midline maps the node set onto itself
-    # and preserves adjacency.
-    for n in (2, 3):
+    # and preserves adjacency; the graph carries that reflection as its mirror.
+    for n in range(1, 7):
         g = hexagonal_graph(n)
         span = 6 * (n - 1)
         index = {xy: i for i, xy in enumerate(g.coords)}
@@ -113,6 +113,8 @@ def test_hexagonal_mirror_symmetry():
         mapped = {tuple(sorted((perm[a], perm[b]))) for a, b in g.edges}
         assert mapped == set(map(tuple, g.edges.tolist()))
         assert perm[g.entry] == g.exit
+        assert g.mirror.tolist() == [perm[i] for i in range(g.n_nodes)]
+        assert not g.mirror.flags.writeable
 
 
 def test_hexagonal_rejects_bad_depth():
@@ -287,6 +289,48 @@ def test_graph_takes_numpy_integers_as_plain_ints():
     assert all(type(x) is int for xy in g.coords for x in xy)
     assert (type(g.entry), type(g.exit)) == (int, int)
     assert g.edges.tolist() == [[0, 1], [1, 2]]
+
+
+def test_builders_declare_the_mirror_that_swaps_entry_and_exit():
+    for d in range(1, 7):
+        assert hypercube_graph(d).mirror.tolist() == [2**d - 1 - v for v in range(2**d)]
+    for d in range(1, 5):
+        g = glued_tree(d, gluing="identity")
+        # left tree at X = level, right tree at X = 2d + 1 - level, same Y
+        index = {xy: i for i, xy in enumerate(g.coords)}
+        assert g.mirror.tolist() == [index[(2 * d + 1 - x, y)] for x, y in g.coords]
+    for g in (path_graph(9), glued_tree(3, seed=4), Graph("path", [(0, 0), (2, 0)], [(0, 1)], 0, 1)):
+        assert g.mirror is None
+
+
+def test_graph_keeps_its_own_copy_of_the_mirror():
+    tau = np.array([1, 0])
+    g = Graph("path", [(0, 0), (2, 0)], [(0, 1)], 0, 1, mirror=tau)
+    tau[:] = 0
+    assert g.mirror.tolist() == [1, 0]
+
+
+# One hexagon: nodes 0 (-2, 0), 1 (-1, -1), 2 (-1, 1), 3 (1, -1), 4 (1, 1), 5 (2, 0)
+# and the six sides 0-1, 0-2, 1-3, 2-4, 3-5, 4-5; its mirror is [5, 3, 4, 1, 2, 0].
+@pytest.mark.parametrize(
+    "mirror, message",
+    [
+        ([5, 3, 4, 1, 2], r"mirror has shape \(5,\), expected \(6,\)"),
+        ([5, 3, 3, 1, 2, 0], r"mirror is not a permutation of the nodes 0\.\.5"),
+        ([5, 3, 4, 2, 1, 0], r"mirror is not an involution: it maps 1 to 3 and 3 to 2"),
+        ([5, 1, 2, 3, 4, 0], r"mirror maps edge \(0, 1\) onto \(1, 5\), which is not an edge"),
+        ([0, 2, 1, 4, 3, 5], r"mirror maps the entry 0 to 0, not to the exit 5"),
+        ([5, 3, 4, 1, 2.5, 0], r"mirror entry 2\.5 is not an integer"),
+        ([5.0, 3, 4, 1, 2, 0], r"mirror entry 5\.0 is not an integer"),
+    ],
+    ids=["length", "permutation", "involution", "edge", "entry", "fraction", "float"],
+)
+def test_graph_refuses_a_mirror_that_does_not_swap_entry_and_exit(mirror, message):
+    one = hexagonal_graph(1)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Graph("hexagonal", one.coords, one.edges, one.entry, one.exit, mirror=mirror)
+    fine = Graph("hexagonal", one.coords, one.edges, one.entry, one.exit, mirror=one.mirror)
+    assert fine.mirror.tolist() == [5, 3, 4, 1, 2, 0]
 
 
 def test_graph_rejects_unknown_family():

@@ -174,6 +174,26 @@ def test_pixel_image_validation():
         PixelImage(np.array([[1.0, -2.0]]))
 
 
+def test_pixel_image_keeps_its_own_copy_of_a_callers_array():
+    pixels = np.array([[0.0, 1.25], [3.5, 10.0]])
+    image = PixelImage(pixels)
+    pixels[0, 0] = 7.0
+    assert np.array_equal(image.intensities, [[0.0, 1.25], [3.5, 10.0]])
+    assert not image.intensities.flags.writeable
+    assert pixels.flags.writeable
+
+
+def test_parsed_image_holds_the_matrix_the_reader_built(monkeypatch):
+    built = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: built.append(loadtxt(*a, **k)) or built[-1])
+    image = parse_image("0 1.5\n2 3\n")
+    assert image.intensities is built[0]
+    assert not image.intensities.flags.writeable
+    with pytest.raises(ValueError, match="negative intensity"):
+        parse_image("0 -1\n")
+
+
 # ---------------------------------------------------------------------------
 # masks
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from hexwalk.graphs import Graph, glued_tree, hexagonal_graph, hypercube_graph, 
 from hexwalk.hitting import quantum_hitting_curve
 from hexwalk.quantum import Hamiltonian, WalkOperator, entry_state, propagate, propagate_entry
 from hexwalk.stochastic import ClassicalGenerator
+from test_hitting import _two_hexagons as two_hexagons
 
 # Exit probability of the 6-node single-hexagon walk at C=1, z=1, computed
 # with a 40-term series expansion of the propagator and frozen here.
@@ -364,7 +365,7 @@ def test_entry_propagation_never_forms_the_dense_matrix(kind, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", lambda m: sizes.append(len(m)) or eigh(m))
     propagate_entry(op, np.linspace(0.0, 2.0, 5), g.exit)
     propagate_entry(op, 1.5)
-    assert sizes == [18]
+    assert sizes == [9, 9]  # the 18 cells split into the two mirror sectors
 
 
 @pytest.mark.parametrize("kind", sorted(OPERATORS))
@@ -386,3 +387,101 @@ def test_entry_propagation_rejects_bad_sites():
         propagate_entry(h, 1.0, 0)
     with pytest.raises(ValueError):
         propagate_entry(h, -1.0)
+
+
+# ---------------------------------------------------------------------------
+# mirror sectors
+# ---------------------------------------------------------------------------
+
+
+# Graphs whose builders declare a mirror: an even-dimensional hypercube has
+# one fixed cell, the middle Hamming layer; the others have none.  Then
+# graphs without one.
+SECTOR_GRAPHS = (
+    [(f"hexagonal-{n}", lambda n=n: hexagonal_graph(n)) for n in range(1, 7)]
+    + [(f"hypercube-{d}", lambda d=d: hypercube_graph(d)) for d in range(1, 7)]
+    + [(f"glued-identity-{d}", lambda d=d: glued_tree(d, "identity")) for d in range(1, 5)]
+    + [
+        ("path-9", lambda: path_graph(9)),
+        ("glued-random-cycle-3", lambda: glued_tree(3, "random-cycle", seed=3)),
+        ("two-hexagons", lambda: two_hexagons(2)),  # built by hand
+    ]
+)
+SECTOR_IDS = [name for name, _ in SECTOR_GRAPHS]
+SECTOR_BUILDS = [build for _, build in SECTOR_GRAPHS]
+
+
+def sector_operator(kind: str, build, part: str):
+    g = build()
+    op = OPERATORS[kind][0](g, 0.8)
+    return g, (op if part == "dense" else op.quotient)
+
+
+@pytest.mark.parametrize("kind", sorted(OPERATORS))
+@pytest.mark.parametrize("part", ["dense", "quotient"])
+@pytest.mark.parametrize("build", SECTOR_BUILDS, ids=SECTOR_IDS)
+def test_sector_spectrum_rebuilds_its_matrix(kind, part, build):
+    _, op = sector_operator(kind, build, part)
+    m = op.matrix
+    w, v = op.spectrum
+    scale = np.max(np.abs(m))
+    assert np.max(np.abs((v * w) @ v.T - m)) <= 1e-12 * scale
+    assert np.max(np.abs(v.T @ v - np.eye(len(m)))) <= 1e-12
+    assert np.max(np.abs(np.sort(w) - np.linalg.eigvalsh(m))) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("kind", sorted(OPERATORS))
+@pytest.mark.parametrize("part", ["dense", "quotient"])
+@pytest.mark.parametrize("build", SECTOR_BUILDS, ids=SECTOR_IDS)
+def test_mirror_splits_eigh_into_two_sectors(kind, part, build, monkeypatch):
+    g, op = sector_operator(kind, build, part)
+    k = len(op.matrix)
+    sizes = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: sizes.append(len(m)) or eigh(m))
+    op.spectrum
+    if g.mirror is None:
+        assert sizes == [k]
+        return
+    # f nodes, or cells, that the mirror maps onto themselves
+    if part == "dense":
+        f = int(np.sum(g.mirror == np.arange(k)))
+    else:
+        cell = g.entry_cells
+        f = len(np.unique(cell[cell[g.mirror] == cell]))
+    assert f == int(g.family == "hypercube" and part == "quotient" and k % 2 == 1)
+    assert sizes == [size for size in ((k + f) // 2, (k - f) // 2) if size]
+
+
+@pytest.mark.parametrize("kind", sorted(OPERATORS))
+@pytest.mark.parametrize("build", SECTOR_BUILDS, ids=SECTOR_IDS)
+def test_entry_propagation_matches_the_dense_adjacency_spectrum(kind, build):
+    # oracle: eigh of the whole N x N walk matrix, no quotient and no mirror
+    g = build()
+    op = OPERATORS[kind][0](g, 0.8)
+    m = 0.8 * (g.adjacency - op.diagonal * np.diag(g.degrees.astype(float)))
+    w, v = np.linalg.eigh(m)
+    zs = np.linspace(0.0, 6.0, 25)
+    oracle = (np.exp(op.phase * np.outer(zs, w)) * v[g.entry]) @ v.T
+    assert np.max(np.abs(propagate_entry(op, zs) - oracle)) <= 1e-12
+    for site in (g.exit, g.entry):
+        assert np.max(np.abs(propagate_entry(op, zs, site) - oracle[:, site])) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", sorted(OPERATORS))
+def test_a_mirror_that_splits_a_cell_leaves_the_quotient_whole(kind, monkeypatch):
+    # a star with centre 0: the mirror swaps the entry leaf 1 and the exit leaf 2, but the
+    # exit shares its entry cell {2, 3} with leaf 3, so the cells are not mapped onto cells
+    coords, edges = [(0, 0), (-2, 0), (2, 0), (0, 2)], [(0, 1), (0, 2), (0, 3)]
+    g = Graph("path", coords, edges, 1, 2, mirror=[0, 2, 1, 3])
+    op = OPERATORS[kind][0](g, 0.8)
+    sizes = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: sizes.append(len(m)) or eigh(m))
+    assert op.quotient.mirror is None
+    zs = np.linspace(0.0, 6.0, 25)
+    grid = propagate_entry(op, zs)
+    assert sizes == [3]
+    # the dense matrix keeps the mirror: nodes 0 and 3 are fixed, so the sectors have 3 and 1 rows
+    assert np.max(np.abs(grid - propagate(op, entry_state(g), zs))) <= 1e-12
+    assert sizes == [3, 3, 1]
