@@ -230,7 +230,7 @@ def cmd_generate(args) -> int:
     header = _header("generate", graph=args.graph, seed=graph.params.get("seed"))
     out = Path(args.out)
     ids = np.arange(graph.n_nodes)
-    x, y = np.array(graph.coords).T
+    x, y = graph.coord_array.T
     flags = {"is_entry": ids == graph.entry, "is_exit": ids == graph.exit}
     _write_table(out / "nodes.csv", header, {"id": ids, "X": x, "Y": y, **flags})
     a, b = graph.edges.T

@@ -9,6 +9,8 @@ corners shared by neighbouring hexagons never depends on a float tolerance.
 Node ids are dense 0..N-1.  For the coordinate-built families they follow
 the lexicographic (X, then Y) order of the coordinates, which makes every
 node table reproducible and puts the entry at id 0 and the exit at id N-1.
+The builders make each family as int64 arrays, with no loop over nodes,
+and refuse a graph of more than :data:`MAX_NODES` nodes before building it.
 """
 
 from __future__ import annotations
@@ -20,6 +22,10 @@ import numpy as np
 
 GLUING_MODES = ("identity", "random-cycle")
 
+#: Largest node count a builder makes; a larger graph is refused before any
+#: array is allocated.
+MAX_NODES = 10**6
+
 #: The one place that knows each family: family -> (build, scale).
 #: ``build(take, seed)`` builds the graph from a selector, where
 #: ``take(key, default=None, cast=int)`` hands out one parameter and ``seed``
@@ -29,12 +35,7 @@ GLUING_MODES = ("identity", "random-cycle")
 #: names sees every build.
 _FAMILY_TABLE = {
     "hexagonal": (lambda take, seed: hexagonal_graph(take("n")), lambda p: p["n"]),
-    "glued-tree": (
-        lambda take, seed: glued_tree(
-            take("d"), _gluing(take("glue", "random", str)), take("seed", seed)
-        ),
-        lambda p: p["depth"],
-    ),
+    "glued-tree": (lambda take, seed: _glued_tree_from(take, seed), lambda p: p["depth"]),
     "hypercube": (lambda take, seed: hypercube_graph(take("d")), lambda p: p["d"]),
     "path": (lambda take, seed: path_graph(take("m")), lambda p: max(1, p["m"] // 4)),
 }
@@ -46,12 +47,19 @@ class Graph:
     """Immutable undirected graph with integer display coordinates.
 
     Instances are meant to be built by the module-level constructors and
-    never mutated.  The edges are stored once, as a read-only (E, 2) array;
-    the adjacency matrix and degree vector are derived from it, cached on
-    first use and handed out read-only too, so a single graph can be shared
-    freely between scan workers.  Coordinates, node ids, entry and exit
-    must be integers, numpy's included; any other value raises
-    ``ValueError`` rather than being truncated.
+    never mutated.  ``coords`` and ``edges`` are sequences of pairs or (R, 2)
+    arrays.  The coordinates are stored as a read-only int64 array
+    (:attr:`coord_array`; :attr:`coords` is the same as tuples of ``int``)
+    and the edges once, as a read-only (E, 2) array; the adjacency matrix
+    and degree vector are derived from it, cached on first use and handed
+    out read-only too, so a single graph can be shared freely between scan
+    workers.  Coordinates, node ids, entry and exit must be integers,
+    numpy's included; any other value raises ``ValueError`` rather than
+    being truncated, and so does a coordinate beyond int64.  The graph
+    needs two nodes, unique coordinates, and no self-loop, edge outside
+    0..N-1 or repeated edge; the ``ValueError`` names the first faulty edge
+    in input order.  An integer array is checked in one numpy pass; any
+    other input is read one value at a time, with the same messages.
 
     ``mirror``, when given, is an involution tau of the nodes (tau[v] is
     the image of node v) that maps edges onto edges and the entry onto the
@@ -63,8 +71,8 @@ class Graph:
     def __init__(
         self,
         family: str,
-        coords: list[tuple[int, int]],
-        edges: list[tuple[int, int]],
+        coords,
+        edges,
         entry: int,
         exit: int,
         params: dict | None = None,
@@ -72,23 +80,19 @@ class Graph:
     ):
         if family not in FAMILIES:
             raise ValueError(f"unknown graph family {family!r}")
-        coords = tuple((_integer(x, "coordinate"), _integer(y, "coordinate")) for x, y in coords)
-        n = len(coords)
+        xy, fault = _int64_pairs(coords, "coordinate", _wide_coordinate)
+        if fault is not None:
+            raise fault
+        n = len(xy)
         if n < 2:
             raise ValueError("graph needs at least two nodes")
-        if len(set(coords)) != n:
+        ranked = xy[np.lexsort((xy[:, 1], xy[:, 0]))]
+        if np.any((ranked[1:] == ranked[:-1]).all(axis=1)):
             raise ValueError("node coordinates must be unique")
-        canon = set()
-        for a, b in edges:
-            a, b = _integer(a, "node id"), _integer(b, "node id")
-            if a == b:
-                raise ValueError(f"self-loop at node {a}")
-            if not (0 <= a < n and 0 <= b < n):
-                raise ValueError(f"edge ({a}, {b}) references a node outside 0..{n - 1}")
-            pair = (a, b) if a < b else (b, a)
-            if pair in canon:
-                raise ValueError(f"duplicate edge ({pair[0]}, {pair[1]})")
-            canon.add(pair)
+        pairs, fault = _int64_pairs(edges, "node id", lambda a, b: _edge_fault(a, b, n))
+        key = _edge_keys(pairs, n)
+        if fault is not None:
+            raise fault
         entry, exit = _integer(entry, "entry node"), _integer(exit, "exit node")
         for label, node in (("entry", entry), ("exit", exit)):
             if not (0 <= node < n):
@@ -96,8 +100,10 @@ class Graph:
         if entry == exit:
             raise ValueError("entry and exit must be distinct nodes")
         self._family = family
-        self._coords = coords
-        edge_array = np.array(sorted(canon), dtype=np.int64).reshape(-1, 2)
+        xy.flags.writeable = False
+        self._xy = xy
+        self._coords: tuple[tuple[int, int], ...] | None = None
+        edge_array = np.column_stack((key // n, key % n))
         edge_array.flags.writeable = False
         self._edges = edge_array
         self._entry = entry
@@ -116,7 +122,15 @@ class Graph:
 
     @property
     def coords(self) -> tuple[tuple[int, int], ...]:
+        """Node coordinates as (X, Y) pairs of ``int``, indexed by node id (cached)."""
+        if self._coords is None:
+            self._coords = tuple(map(tuple, self._xy.tolist()))
         return self._coords
+
+    @property
+    def coord_array(self) -> np.ndarray:
+        """Node coordinates, shape (N, 2), int64 (read-only)."""
+        return self._xy
 
     @property
     def edges(self) -> np.ndarray:
@@ -143,7 +157,7 @@ class Graph:
 
     @property
     def n_nodes(self) -> int:
-        return len(self._coords)
+        return len(self._xy)
 
     @property
     def n_edges(self) -> int:
@@ -225,6 +239,71 @@ def _integer(value, label: str) -> int:
         raise ValueError(f"{label} {value!r} is not an integer") from None
 
 
+_INT64 = np.iinfo(np.int64)
+
+
+def _int64_pairs(rows, label: str, wide) -> tuple[np.ndarray, Exception | None]:
+    """``rows`` as an (R, 2) int64 array, and the error of the first row that is
+    not a pair of integers, or None.
+
+    An integer ndarray of that shape whose values fit int64 is taken whole
+    (copied).  Anything else is read as ``for a, b in rows``, one value at a
+    time through :func:`_integer`, up to the first row that fails: the rows
+    before it come back with that row's error, which for a value beyond
+    int64 is ``wide(a, b)``.
+    """
+    if (
+        isinstance(rows, np.ndarray)
+        and rows.dtype.kind in "iu"
+        and rows.ndim == 2
+        and rows.shape[1] == 2
+        and (rows.dtype.kind == "i" or rows.size == 0 or rows.max() <= _INT64.max)
+    ):
+        return rows.astype(np.int64), None
+    done, fault = [], None
+    try:
+        for a, b in rows:
+            a, b = _integer(a, label), _integer(b, label)
+            if not (_INT64.min <= a <= _INT64.max and _INT64.min <= b <= _INT64.max):
+                raise wide(a, b)
+            done.append((a, b))
+    except (TypeError, ValueError) as exc:
+        fault = exc
+    return np.array(done, dtype=np.int64).reshape(-1, 2), fault
+
+
+def _wide_coordinate(x: int, y: int) -> ValueError:
+    wide = y if _INT64.min <= x <= _INT64.max else x
+    return ValueError(f"coordinate {wide} is outside the int64 range")
+
+
+def _edge_fault(a: int, b: int, n: int) -> ValueError:
+    """The error for edge (a, b) of an n-node graph, known to be at fault."""
+    if a == b:
+        return ValueError(f"self-loop at node {a}")
+    if 0 <= a < n and 0 <= b < n:
+        return ValueError(f"duplicate edge ({min(a, b)}, {max(a, b)})")
+    return ValueError(f"edge ({a}, {b}) references a node outside 0..{n - 1}")
+
+
+def _edge_keys(pairs: np.ndarray, n: int) -> np.ndarray:
+    """Ascending keys a * n + b of the edges as rows (a, b) with a < b;
+    ``ValueError`` naming the first self-loop, edge outside 0..n-1 or repeat
+    of an earlier edge, in input order."""
+    a, b = pairs.T
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    bad = (lo == hi) | (lo < 0) | (hi >= n)
+    # a faulty row gets a negative key of its own, so it repeats nothing
+    key = np.where(bad, -1 - np.arange(len(pairs)), lo * n + hi)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    bad[order[1:][key[1:] == key[:-1]]] = True  # stable: the first of equal keys stays
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise _edge_fault(int(a[i]), int(b[i]), n)
+    return key
+
+
 def _checked_mirror(mirror, n: int, edges: np.ndarray, entry: int, exit: int) -> np.ndarray:
     """``mirror`` as a read-only node permutation; ``ValueError`` naming the fault
     unless it is an involutive automorphism that maps ``entry`` to ``exit``."""
@@ -261,9 +340,16 @@ def _check_size(value, label: str, minimum: int) -> None:
         raise ValueError(f"{label} must be >= {minimum}, got {value}")
 
 
+def _check_nodes(count: int | str) -> None:
+    """Refuse a graph of more than :data:`MAX_NODES` nodes before it is built.
+    A count too large to work out is given as text, and always refused."""
+    if isinstance(count, str) or count > MAX_NODES:
+        raise ValueError(f"graph would have {count} nodes, above the cap of {MAX_NODES}")
+
+
 # Corner offsets of one hexagon around its centre, in cyclic order, so that
 # consecutive corners are joined by a side of physical length s.
-_HEX_CORNERS = ((2, 0), (1, 1), (-1, 1), (-2, 0), (-1, -1), (1, -1))
+_HEX_CORNERS = np.array(((2, 0), (1, 1), (-1, 1), (-2, 0), (-1, -1), (1, -1)))
 
 
 def hexagonal_graph(n: int) -> Graph:
@@ -276,28 +362,30 @@ def hexagonal_graph(n: int) -> Graph:
     leftmost corner (-2, 0) is the entry and the unique rightmost corner the
     exit: each end column holds one hexagon, on the axis, so those corners
     are the first and last coordinates in order.  A patch of depth n always
-    has 2n**2 + 4n nodes and 3n**2 + 4n - 1 edges.  Its mirror is the
+    has 2n**2 + 4n nodes and 3n**2 + 4n - 1 edges; a depth whose patch
+    would exceed :data:`MAX_NODES` is refused.  Its mirror is the
     reflection X -> 6(n - 1) - X across the middle column, which swaps the
     entry and exit corners.
     """
     _check_size(n, "depth n", 1)
-    corners: set[tuple[int, int]] = set()
-    sides: set[tuple[tuple[int, int], tuple[int, int]]] = set()
-    for c in range(2 * n - 1):
-        rows = n - abs(c - (n - 1))
-        cx = 3 * c
-        for j in range(rows):
-            cy = 2 * j - (rows - 1)
-            ring = [(cx + dx, cy + dy) for dx, dy in _HEX_CORNERS]
-            corners.update(ring)
-            for k in range(6):
-                a, b = ring[k], ring[(k + 1) % 6]
-                sides.add((a, b) if a < b else (b, a))
-    coords = sorted(corners)
-    index = {xy: i for i, xy in enumerate(coords)}
-    edges = [(index[a], index[b]) for a, b in sides]
-    mirror = [index[(6 * (n - 1) - x, y)] for x, y in coords]
-    return Graph("hexagonal", coords, edges, 0, len(coords) - 1, {"n": n}, mirror)
+    _check_nodes(2 * n * n + 4 * n)
+    rows = n - np.abs(np.arange(2 * n - 1) - (n - 1))  # hexagons per column
+    col = np.repeat(np.arange(2 * n - 1), rows)
+    j = np.arange(n * n) - np.repeat(np.cumsum(rows) - rows, rows)
+    centre = np.column_stack((3 * col, 2 * j - (rows[col] - 1)))
+    corner = centre[:, None, :] + _HEX_CORNERS  # (n**2, 6, 2)
+    # X >= -2 and |Y| <= n, so this key orders corners as (X, Y) pairs do
+    span = 2 * n + 1
+    keys, node = np.unique((corner[..., 0] + 2) * span + corner[..., 1] + n, return_inverse=True)
+    node = node.reshape(corner.shape[:2])
+    coords = np.column_stack((keys // span - 2, keys % span - n))
+    count = len(keys)
+    a, b = node, np.roll(node, -1, axis=1)
+    sides = np.sort(np.minimum(a, b) * count + np.maximum(a, b), axis=None)
+    sides = sides[np.r_[True, sides[1:] != sides[:-1]]]  # each inner side once
+    edges = np.column_stack((sides // count, sides % count))
+    mirror = np.searchsorted(keys, (6 * n - 4 - coords[:, 0]) * span + coords[:, 1] + n)
+    return Graph("hexagonal", coords, edges, 0, count - 1, {"n": n}, mirror)
 
 
 def glued_tree(depth: int, gluing: str = "random-cycle", seed: int = 0) -> Graph:
@@ -308,7 +396,9 @@ def glued_tree(depth: int, gluing: str = "random-cycle", seed: int = 0) -> Graph
     other (each leaf gains one edge); with ``gluing="random-cycle"`` the
     leaves are joined by a seeded alternating cycle through both leaf sets,
     so every leaf gains exactly two edges and ends up with degree 3.  The
-    cycle is a deterministic function of ``seed``.
+    cycle is a deterministic function of ``seed``.  The graph has
+    2**(depth + 2) - 2 nodes; a depth whose graph would exceed
+    :data:`MAX_NODES` is refused.
 
     Coordinates are a layered drawing: the left tree occupies X = 0..depth,
     the mirrored right tree X = depth+1..2*depth+1, and siblings spread in Y
@@ -320,42 +410,37 @@ def glued_tree(depth: int, gluing: str = "random-cycle", seed: int = 0) -> Graph
     _check_size(depth, "depth", 1)
     if gluing not in GLUING_MODES:
         raise ValueError(f"gluing must be one of {GLUING_MODES}, got {gluing!r}")
+    _check_nodes(2 ** (depth + 2) - 2 if depth < 64 else f"2**{depth + 2} - 2")
+    half = 2 ** (depth + 1) - 1  # nodes per tree
     leaves = 2**depth
-    coords_by_key: dict[tuple[str, int, int], tuple[int, int]] = {}
-    for level in range(depth + 1):
-        span = 2 ** (depth - level)
-        for i in range(2**level):
-            y = (2 * i + 1 - 2**level) * span
-            coords_by_key[("L", level, i)] = (level, y)
-            coords_by_key[("R", level, i)] = (2 * depth + 1 - level, y)
-    pairs = []
-    for level in range(depth):
-        for i in range(2**level):
-            for child in (2 * i, 2 * i + 1):
-                pairs.append((("L", level, i), ("L", level + 1, child)))
-                pairs.append((("R", level, i), ("R", level + 1, child)))
-    if gluing == "identity":
-        for i in range(leaves):
-            pairs.append((("L", depth, i), ("R", depth, i)))
-    else:
-        rng = random.Random(seed)
-        left_order = rng.sample(range(leaves), leaves)
-        right_order = rng.sample(range(leaves), leaves)
-        for k in range(leaves):
-            pairs.append((("L", depth, left_order[k]), ("R", depth, right_order[k])))
-            pairs.append((("R", depth, right_order[k]), ("L", depth, left_order[(k + 1) % leaves])))
-    order = sorted(coords_by_key, key=coords_by_key.__getitem__)
-    index = {key: i for i, key in enumerate(order)}
-    coords = [coords_by_key[key] for key in order]
-    edges = [(index[a], index[b]) for a, b in pairs]
+    # In (X, Y) order the left tree's ids are its heap indices h (children
+    # 2h + 1 and 2h + 2), level by level; the right tree follows, deepest
+    # level first, and its node in the place of h gets id ``right[h]``.
+    h = np.arange(half)
+    level = np.repeat(np.arange(depth + 1), 2 ** np.arange(depth + 1))
+    first = 2**level
+    y = (2 * (h + 1 - first) + 1 - first) * 2 ** (depth - level)
+    right = 2 * half + 2 + h - 3 * first
+    coords = np.empty((2 * half, 2), dtype=np.int64)
+    coords[h] = np.column_stack((level, y))
+    coords[right] = np.column_stack((2 * depth + 1 - level, y))
+    parent = (h[1:] - 1) // 2
+    trees = np.r_[np.column_stack((parent, h[1:])), np.column_stack((right[parent], right[1:]))]
+    left_leaf, right_leaf = h[-leaves:], right[-leaves:]
     params = {"depth": depth, "gluing": gluing}
     mirror = None
-    if gluing == "random-cycle":
-        params["seed"] = seed
+    if gluing == "identity":
+        glue = np.column_stack((left_leaf, right_leaf))
+        mirror = np.empty(2 * half, dtype=np.int64)
+        mirror[h], mirror[right] = right, h
     else:
-        mirror = [index[("R" if side == "L" else "L", level, i)] for side, level, i in order]
-    entry, exit = index[("L", 0, 0)], index[("R", 0, 0)]
-    return Graph("glued-tree", coords, edges, entry, exit, params, mirror)
+        rng = random.Random(seed)
+        lo = left_leaf[rng.sample(range(leaves), leaves)]
+        ro = right_leaf[rng.sample(range(leaves), leaves)]
+        glue = np.column_stack((lo, ro, ro, np.roll(lo, -1))).reshape(-1, 2)
+        params["seed"] = seed
+    edges = np.r_[trees, glue]
+    return Graph("glued-tree", coords, edges, 0, 2 * half - 1, params, mirror)
 
 
 def hypercube_graph(d: int) -> Graph:
@@ -365,29 +450,36 @@ def hypercube_graph(d: int) -> Graph:
     corner 0 and the exit the all-ones corner 2**d - 1, and the mirror is the
     complement v -> 2**d - 1 - v.  Coordinates are for display only
     (X = Hamming weight, layers spread in Y) and do not affect the id
-    assignment.
+    assignment.  A dimension whose 2**d nodes exceed :data:`MAX_NODES` is
+    refused.
     """
     _check_size(d, "dimension d", 1)
+    _check_nodes(2**d if d < 64 else f"2**{d}")
     n = 2**d
-    layers: dict[int, list[int]] = {}
-    for v in range(n):
-        layers.setdefault(bin(v).count("1"), []).append(v)
-    coords = [(0, 0)] * n
-    for weight, members in layers.items():
-        for pos, v in enumerate(sorted(members)):
-            coords[v] = (weight, 2 * pos - (len(members) - 1))
-    edges = [(v, v | 1 << b) for v in range(n) for b in range(d) if not v >> b & 1]
-    return Graph("hypercube", coords, edges, 0, n - 1, {"d": d}, np.arange(n)[::-1])
+    v = np.arange(n)
+    flip = 1 << np.arange(d)
+    unset = (v[:, None] & flip) == 0  # (v, b): bit b of v is 0
+    weight = d - np.count_nonzero(unset, axis=1)
+    size = np.bincount(weight)
+    order = np.argsort(weight, kind="stable")
+    pos = np.empty(n, dtype=np.int64)
+    pos[order] = v - (np.cumsum(size) - size)[weight[order]]
+    coords = np.column_stack((weight, 2 * pos - (size[weight] - 1)))
+    low, b = np.nonzero(unset)
+    edges = np.column_stack((low, low | flip[b]))
+    return Graph("hypercube", coords, edges, 0, n - 1, {"d": d}, v[::-1])
 
 
 def path_graph(m: int) -> Graph:
     """Path of m sites.  Spreading walks launch from the middle, so the
     entry is site (m - 1) // 2 and the exit the far end m - 1; taking the
     left-of-centre site for even m keeps entry and exit distinct down to
-    m = 2."""
+    m = 2.  More than :data:`MAX_NODES` sites are refused."""
     _check_size(m, "site count m", 2)
-    coords = [(2 * i, 0) for i in range(m)]
-    edges = [(i, i + 1) for i in range(m - 1)]
+    _check_nodes(m)
+    i = np.arange(m)
+    coords = np.column_stack((2 * i, np.zeros_like(i)))
+    edges = np.column_stack((i[:-1], i[1:]))
     return Graph("path", coords, edges, (m - 1) // 2, m - 1, params={"m": m})
 
 
@@ -398,12 +490,21 @@ def _gluing(glue: str) -> str:
     return mode
 
 
+def _glued_tree_from(take, seed: int) -> Graph:
+    """A glued tree from its selector; only the random gluing takes a seed."""
+    depth, gluing = take("d"), _gluing(take("glue", "random", str))
+    if gluing == "identity":
+        return glued_tree(depth, gluing)
+    return glued_tree(depth, gluing, take("seed", seed))
+
+
 def parse_graph_selector(text: str, default_seed: int = 0) -> Graph:
     """Build a graph from a selector such as ``hexagonal:n=4``.
 
     Selectors are ``family:key=value,key=value``, each key given once.
     Families and keys: ``hexagonal:n=4``, ``glued-tree:d=3,glue=random,seed=7``
-    (glue is ``identity`` or ``random``; seed falls back to --seed),
+    (glue is ``identity`` or ``random``; only a random gluing takes a seed,
+    which falls back to --seed),
     ``hypercube:d=5``, ``path:m=101``.
     """
     family, _, tail = text.partition(":")

@@ -157,6 +157,33 @@ def test_generate_seed_flag_reaches_the_gluing(tmp_path):
     assert read(a / "edges.csv") != read(b / "edges.csv")
 
 
+def test_identity_gluing_refuses_a_seed(tmp_path, capsys):
+    # the identity gluing draws nothing, so a seed there is an unused key
+    argv = ["generate", "--graph", "glued-tree:d=2,glue=identity,seed=4", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "hexwalk: unknown selector parameter(s) ['seed'] for 'glued-tree'\n"
+    )
+    assert not any(tmp_path.iterdir())
+    assert main(["generate", "--graph", "glued-tree:d=2,glue=random,seed=4", "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize(
+    "selector, count",
+    [
+        ("hypercube:d=40", 2**40),
+        ("glued-tree:d=40", 2**42 - 2),
+        ("hexagonal:n=100000", 2 * 10**10 + 4 * 10**5),
+        ("path:m=1000000000000", 10**12),
+    ],
+)
+def test_generate_refuses_a_graph_above_the_node_cap(selector, count, tmp_path, capsys):
+    assert main(["generate", "--graph", selector, "--out", str(tmp_path)]) == 2
+    cap = hexwalk.graphs.MAX_NODES
+    assert capsys.readouterr().err == f"hexwalk: graph would have {count} nodes, above the cap of {cap}\n"
+    assert not any(tmp_path.iterdir())
+
+
 # ---------------------------------------------------------------------------
 # scan
 # ---------------------------------------------------------------------------

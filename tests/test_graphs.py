@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import time
 from collections import deque
 
 import numpy as np
@@ -20,6 +21,7 @@ from hexwalk.graphs import (
 )
 from hexwalk.hitting import ConvergenceError, classical_convergence_time
 from hexwalk.stochastic import ClassicalGenerator
+import graph_oracle
 from refinement_oracle import unique_row_cells
 
 
@@ -498,3 +500,188 @@ def test_entry_cells_equal_the_whole_row_refinement(build):
     # the same lexicographic ranks as np.unique over whole rows: the same ids, not just the same cells
     g = build()
     assert np.array_equal(g.entry_cells, unique_row_cells(g))
+
+
+# ---------------------------------------------------------------------------
+# array builders and checks against the loop oracle
+# ---------------------------------------------------------------------------
+
+ORACLE_CASES = (
+    [(f"hexagonal-{n}", "hexagonal_graph", (n,)) for n in range(1, 41)]
+    + [(f"glued-identity-{d}", "glued_tree", (d, "identity")) for d in range(1, 13)]
+    + [
+        (f"glued-random-{d}-seed{s}", "glued_tree", (d, "random-cycle", s))
+        for d in range(1, 13)
+        for s in range(10)
+    ]
+    + [(f"hypercube-{d}", "hypercube_graph", (d,)) for d in range(1, 13)]
+    + [(f"path-{m}", "path_graph", (m,)) for m in range(2, 61)]
+)
+
+
+@pytest.mark.parametrize("name, args", [c[1:] for c in ORACLE_CASES], ids=[c[0] for c in ORACLE_CASES])
+def test_array_builders_equal_the_loop_builders(name, args):
+    g, ref = getattr(graphs, name)(*args), getattr(graph_oracle, name)(*args)
+    assert g.coords == ref.coords
+    assert all(type(v) is int for xy in g.coords for v in xy)
+    assert g.coord_array.dtype == np.int64 and g.coord_array.tolist() == list(map(list, ref.coords))
+    assert not g.coord_array.flags.writeable
+    assert g.edges.dtype == ref.edges.dtype and np.array_equal(g.edges, ref.edges)
+    assert (type(g.entry), type(g.exit)) == (int, int)
+    assert (g.entry, g.exit, g.params) == (ref.entry, ref.exit, ref.params)
+    if ref.mirror is None:
+        assert g.mirror is None
+    else:
+        assert g.mirror.dtype == np.int64 and np.array_equal(g.mirror, ref.mirror)
+
+
+_LINE = [(0, 0), (2, 0), (4, 0)]
+_ONE = graph_oracle.hexagonal_graph(1)
+
+# (coords, edges, entry, exit, mirror): each is refused, or accepted as the
+# same graph, by Graph and by the loop oracle alike.
+GRAPH_INPUTS = {
+    "coordinate-1.5": ([(0, 0), (1.5, 0), (4, 0)], [(0, 1)], 0, 2, None),
+    "coordinate-2.0": ([(0, 0), (2.0, 0), (4, 0)], [(0, 1)], 0, 2, None),
+    "coordinate-str": ([(0, 0), ("1", 0), (4, 0)], [(0, 1)], 0, 2, None),
+    "coordinate-float-array": (np.array([(0, 0), (2.0, 0)]), [(0, 1)], 0, 1, None),
+    "coordinate-numpy-ints": ([(np.int32(0), np.int64(0)), (np.uint8(2), 0)], [(0, 1)], 0, 1, None),
+    "coordinate-int32-array": (np.array([(0, 0), (2, 0)], dtype=np.int32), [(0, 1)], 0, 1, None),
+    "coordinate-bools": ([(False, True), (True, True)], [(0, 1)], 0, 1, None),
+    "coordinate-numpy-bool": ([(0, 0), (np.True_, 0)], [(0, 1)], 0, 1, None),
+    "coordinate-bool-array": (np.array([(False, True), (True, True)]), [(0, 1)], 0, 1, None),
+    "coordinate-triple": ([(0, 0), (2, 0, 1)], [(0, 1)], 0, 1, None),
+    "coordinate-not-a-pair": ([(0, 0), 2], [(0, 1)], 0, 1, None),
+    "one-node": ([(0, 0)], [], 0, 0, None),
+    "no-nodes": (np.empty((0, 2), dtype=np.int64), [], 0, 1, None),
+    "duplicate-coordinates": ([(0, 0), (2, 0), (0, 0)], [(0, 1)], 0, 2, None),
+    "duplicate-coordinates-array": (np.array([(4, 0), (0, 0), (4, 0)]), [(0, 1)], 0, 2, None),
+    "self-loop": (_LINE, [(0, 1), (2, 2)], 0, 2, None),
+    "node-above": (_LINE, [(0, 1), (1, 3)], 0, 2, None),
+    "node-below": (_LINE, [(0, 1), (-1, 2)], 0, 2, None),
+    "node-beyond-int64": (_LINE, [(0, 1), (1, 2**70)], 0, 2, None),
+    "self-loop-beyond-int64": (_LINE, [(0, 1), (-(2**70), -(2**70))], 0, 2, None),
+    "node-beyond-int64-uint64": (_LINE, np.array([(0, 1), (1, 2**63)], dtype=np.uint64), 0, 2, None),
+    "duplicate-same-way": (_LINE, [(0, 1), (1, 2), (0, 1)], 0, 2, None),
+    "duplicate-reversed": (_LINE, [(1, 0), (1, 2), (0, 1)], 0, 2, None),
+    "duplicate-array": (_LINE, np.array([(2, 1), (0, 1), (1, 2)]), 0, 2, None),
+    "node-id-1.5": (_LINE, [(0, 1.5)], 0, 2, None),
+    "node-id-2.0": (_LINE, [(0, 1), (1, 2.0)], 0, 2, None),
+    "node-id-str": (_LINE, [(0, "1")], 0, 2, None),
+    "node-id-numpy-bool": (_LINE, [(0, np.True_)], 0, 2, None),
+    "node-ids-bools-and-numpy": (_LINE, [(False, True), (np.int16(1), np.uint64(2))], 0, 2, None),
+    "edge-not-a-pair": (_LINE, [(0, 1), 2], 0, 2, None),
+    "edge-triple": (_LINE, [(0, 1), (1, 2, 0)], 0, 2, None),
+    "edges-int32-array": (_LINE, np.array([(1, 2), (1, 0)], dtype=np.int32), 0, 2, None),
+    "no-edges": (_LINE, [], 0, 2, None),
+    # several faults: the first in input order wins
+    "loop-before-outside-and-repeat": (_LINE, [(0, 1), (1, 1), (0, 7), (1, 0)], 0, 2, None),
+    "outside-before-loop": (_LINE, [(0, 7), (1, 1)], 0, 2, None),
+    "outside-and-loop-in-one-edge": (_LINE, [(0, 1), (5, 5)], 0, 2, None),
+    "repeat-before-loop-and-outside": (_LINE, [(1, 0), (0, 1), (2, 2), (9, 0)], 0, 2, None),
+    "repeat-before-loop-array": (_LINE, np.array([(1, 0), (0, 1), (2, 2), (9, 0)]), 0, 2, None),
+    "fraction-before-loop": (_LINE, [(0, 1), (1.5, 2), (1, 1)], 0, 2, None),
+    "loop-before-fraction": (_LINE, [(0, 1), (1, 1), (1.5, 2)], 0, 2, None),
+    "repeat-before-fraction": (_LINE, [(0, 1), (1, 0), (0, 2.5)], 0, 2, None),
+    "outside-before-not-a-pair": (_LINE, [(0, 9), 2], 0, 2, None),
+    "repeat-before-beyond-int64": (_LINE, [(0, 1), (1, 0), (0, 2**64)], 0, 2, None),
+    "entry-outside": (_LINE, [(0, 1)], 3, 2, None),
+    "entry-negative": (_LINE, [(0, 1)], -1, 2, None),
+    "exit-outside": (_LINE, [(0, 1)], 0, 5, None),
+    "entry-is-exit": (_LINE, [(0, 1)], 1, 1, None),
+    "entry-fraction": (_LINE, [(0, 1)], 0.5, 2, None),
+    "exit-float": (_LINE, [(0, 1)], 0, 2.0, None),
+    "entry-numpy": (_LINE, [(0, 1)], np.int64(0), np.uint8(2), None),
+    "mirror-length": (_ONE.coords, _ONE.edges, 0, 5, [5, 3, 4, 1, 2]),
+    "mirror-permutation": (_ONE.coords, _ONE.edges, 0, 5, [5, 3, 3, 1, 2, 0]),
+    "mirror-involution": (_ONE.coords, _ONE.edges, 0, 5, [5, 3, 4, 2, 1, 0]),
+    "mirror-edge": (_ONE.coords, _ONE.edges, 0, 5, [5, 1, 2, 3, 4, 0]),
+    "mirror-entry": (_ONE.coords, _ONE.edges, 0, 5, [0, 2, 1, 4, 3, 5]),
+    "mirror-fraction": (_ONE.coords, _ONE.edges, 0, 5, [5, 3, 4, 1, 2.5, 0]),
+    "mirror-float": (_ONE.coords, _ONE.edges, 0, 5, [5.0, 3, 4, 1, 2, 0]),
+    "mirror-fine": (_ONE.coords, _ONE.edges, 0, 5, [5, 3, 4, 1, 2, 0]),
+}
+
+
+def _outcome(cls, coords, edges, entry, exit, mirror):
+    """What building a graph gives: the exception type and message, or the graph's fields."""
+    try:
+        g = cls("path", coords, edges, entry, exit, {"m": 3}, mirror)
+    except Exception as exc:  # noqa: BLE001 - the type is part of what is compared
+        return type(exc), str(exc)
+    m = None if g.mirror is None else g.mirror.tolist()
+    return g.coords, g.edges.tolist(), (g.entry, g.exit), type(g.entry), g.params, m
+
+
+@pytest.mark.parametrize("inputs", GRAPH_INPUTS.values(), ids=GRAPH_INPUTS.keys())
+def test_graph_checks_equal_the_loop_checks(inputs):
+    assert _outcome(Graph, *inputs) == _outcome(graph_oracle.LoopGraph, *inputs)
+
+
+def test_graph_refuses_coordinates_beyond_int64():
+    # the loop constructor kept them as Python ints; the int64 array cannot
+    wide = [(0, 0), (2**63, 0)]
+    assert graph_oracle.LoopGraph("path", wide, [(0, 1)], 0, 1).coords == ((0, 0), (2**63, 0))
+    for coords, value in (
+        (wide, 2**63),
+        ([(0, 0), (0, -(2**63) - 1)], -(2**63) - 1),
+        ([(2**70, 0), (0, 0)], 2**70),
+        (np.array([(0, 0), (2**63, 0)], dtype=np.uint64), 2**63),
+        (np.array([(0, 0), (0, 2**70)], dtype=object), 2**70),
+    ):
+        with pytest.raises(ValueError, match=f"^coordinate {value} is outside the int64 range$"):
+            Graph("path", coords, [(0, 1)], 0, 1)
+    # the int64 extremes themselves are kept exactly
+    ends = [(-(2**63), 2**63 - 1), (2**63 - 1, -(2**63))]
+    assert Graph("path", ends, [(0, 1)], 0, 1).coords == tuple(ends)
+    assert Graph("path", np.array(ends, dtype=object), [(0, 1)], 0, 1).coords == tuple(ends)
+
+
+def test_graph_keeps_its_own_copy_of_an_array_input():
+    coords, edges = np.array([(0, 0), (2, 0), (4, 0)]), np.array([(1, 2), (0, 1)])
+    g = Graph("path", coords, edges, 0, 2)
+    coords[:] = 7
+    edges[:] = 0
+    assert g.coords == ((0, 0), (2, 0), (4, 0)) and g.edges.tolist() == [[0, 1], [1, 2]]
+    assert g.coord_array.tolist() == [[0, 0], [2, 0], [4, 0]]
+
+
+@pytest.mark.parametrize(
+    "build, count",
+    [
+        (lambda: hypercube_graph(40), 2**40),
+        (lambda: glued_tree(40), 2**42 - 2),
+        (lambda: glued_tree(40, "identity"), 2**42 - 2),
+        (lambda: hexagonal_graph(10**6), 2 * 10**12 + 4 * 10**6),
+        (lambda: path_graph(10**12), 10**12),
+        (lambda: hypercube_graph(10**12), "2**1000000000000"),
+        (lambda: glued_tree(10**12), "2**1000000000002 - 2"),
+    ],
+    ids=["hypercube-40", "glued-40", "glued-identity-40", "hexagonal-1e6", "path-1e12", "hypercube-1e12", "glued-1e12"],
+)
+def test_builders_refuse_graphs_above_the_node_cap_at_once(build, count):
+    message = f"graph would have {count} nodes, above the cap of {graphs.MAX_NODES}"
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+    assert time.perf_counter() - start < 0.1
+
+
+def test_node_cap_counts_follow_the_closed_forms(monkeypatch):
+    # at a cap of 16 nodes each family builds up to 16 and refuses the next size
+    monkeypatch.setattr(graphs, "MAX_NODES", 16)
+    for ok, refused, count in (
+        (lambda: hexagonal_graph(2), lambda: hexagonal_graph(3), 30),
+        (lambda: glued_tree(2), lambda: glued_tree(3), 30),
+        (lambda: hypercube_graph(4), lambda: hypercube_graph(5), 32),
+        (lambda: path_graph(16), lambda: path_graph(17), 17),
+    ):
+        assert ok().n_nodes <= 16
+        with pytest.raises(ValueError, match=f"^graph would have {count} nodes, above the cap of 16$"):
+            refused()
+
+
+def test_node_cap_admits_every_size_the_docs_name():
+    assert hexagonal_graph(200).n_nodes == 80800 <= graphs.MAX_NODES
+    for nodes in (2**14 - 2, 2**16 - 2, 2**14):  # glued d = 12 and 14, hypercube d = 14
+        assert nodes <= graphs.MAX_NODES
