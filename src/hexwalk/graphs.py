@@ -91,6 +91,7 @@ class Graph:
             raise ValueError("node coordinates must be unique")
         pairs, fault = _int64_pairs(edges, "node id", lambda a, b: _edge_fault(a, b, n))
         key = _edge_keys(pairs, n)
+        del pairs
         if fault is not None:
             raise fault
         entry, exit = _integer(entry, "entry node"), _integer(exit, "exit node")
@@ -103,15 +104,16 @@ class Graph:
         xy.flags.writeable = False
         self._xy = xy
         self._coords: tuple[tuple[int, int], ...] | None = None
+        if mirror is not None:
+            mirror = _checked_mirror(mirror, n, key, entry, exit)
+        self._mirror = mirror
         edge_array = np.column_stack((key // n, key % n))
+        del key
         edge_array.flags.writeable = False
         self._edges = edge_array
         self._entry = entry
         self._exit = exit
         self._params = dict(params or {})
-        if mirror is not None:
-            mirror = _checked_mirror(mirror, n, edge_array, entry, exit)
-        self._mirror = mirror
         self._adjacency: np.ndarray | None = None
         self._degrees: np.ndarray | None = None
         self._entry_cells: np.ndarray | None = None
@@ -205,7 +207,7 @@ class Graph:
             src, dst = np.r_[a, b], np.r_[b, a]
             order = np.argsort(src, kind="stable")
             src, dst = src[order], dst[order]
-            deg = np.bincount(src, minlength=n)
+            deg = self.degrees
             # neighbour table padded with node n, whose colour -1 no node has
             table = np.full((n, deg.max()), n)
             table[src, np.arange(len(src)) - (np.cumsum(deg) - deg)[src]] = dst
@@ -291,10 +293,13 @@ def _edge_keys(pairs: np.ndarray, n: int) -> np.ndarray:
     ``ValueError`` naming the first self-loop, edge outside 0..n-1 or repeat
     of an earlier edge, in input order."""
     a, b = pairs.T
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    bad = (lo == hi) | (lo < 0) | (hi >= n)
+    key, hi = np.minimum(a, b), np.maximum(a, b)
+    bad = (key == hi) | (key < 0) | (hi >= n)
+    key *= n
+    key += hi
+    del hi
     # a faulty row gets a negative key of its own, so it repeats nothing
-    key = np.where(bad, -1 - np.arange(len(pairs)), lo * n + hi)
+    key[bad] = -1 - np.flatnonzero(bad)
     order = np.argsort(key, kind="stable")
     key = key[order]
     bad[order[1:][key[1:] == key[:-1]]] = True  # stable: the first of equal keys stays
@@ -304,9 +309,10 @@ def _edge_keys(pairs: np.ndarray, n: int) -> np.ndarray:
     return key
 
 
-def _checked_mirror(mirror, n: int, edges: np.ndarray, entry: int, exit: int) -> np.ndarray:
+def _checked_mirror(mirror, n: int, key: np.ndarray, entry: int, exit: int) -> np.ndarray:
     """``mirror`` as a read-only node permutation; ``ValueError`` naming the fault
-    unless it is an involutive automorphism that maps ``entry`` to ``exit``."""
+    unless it is an involutive automorphism that maps ``entry`` to ``exit``.
+    ``key`` holds the edges as ascending keys a * n + b with a < b."""
     tau = np.asarray(mirror)
     if tau.dtype.kind not in "iu":
         items = np.asarray(mirror, dtype=object).ravel()
@@ -320,12 +326,14 @@ def _checked_mirror(mirror, n: int, edges: np.ndarray, entry: int, exit: int) ->
     if moved.size:
         v, w = moved[0], tau[moved[0]]
         raise ValueError(f"mirror is not an involution: it maps {v} to {w} and {w} to {tau[w]}")
-    key = edges[:, 0] * n + edges[:, 1]  # ascending, as the rows are sorted
-    image = np.sort(tau[edges], axis=1)
-    image_key = image[:, 0] * n + image[:, 1]
-    lost = np.flatnonzero(np.r_[key, -1][np.searchsorted(key, image_key)] != image_key)
+    a, b = tau[key // n], tau[key % n]
+    image = np.minimum(a, b) * n
+    image += np.maximum(a, b)
+    del a, b
+    at = np.searchsorted(key, image)
+    lost = np.flatnonzero(key[np.minimum(at, len(key) - 1)] != image)
     if lost.size:
-        (a, b), (c, d) = edges[lost[0]], image[lost[0]]
+        (a, b), (c, d) = divmod(key[lost[0]], n), divmod(image[lost[0]], n)
         raise ValueError(f"mirror maps edge ({a}, {b}) onto ({c}, {d}), which is not an edge")
     if tau[entry] != exit:
         raise ValueError(f"mirror maps the entry {entry} to {tau[entry]}, not to the exit {exit}")
@@ -483,16 +491,12 @@ def path_graph(m: int) -> Graph:
     return Graph("path", coords, edges, (m - 1) // 2, m - 1, params={"m": m})
 
 
-def _gluing(glue: str) -> str:
-    mode = "random-cycle" if glue == "random" else glue
-    if mode not in GLUING_MODES:
-        raise ValueError(f"glue must be 'identity' or 'random', got {mode!r}")
-    return mode
-
-
 def _glued_tree_from(take, seed: int) -> Graph:
     """A glued tree from its selector; only the random gluing takes a seed."""
-    depth, gluing = take("d"), _gluing(take("glue", "random", str))
+    depth, glue = take("d"), take("glue", "random", str)
+    gluing = "random-cycle" if glue == "random" else glue
+    if gluing not in GLUING_MODES:
+        raise ValueError(f"glue must be 'identity' or 'random', got {gluing!r}")
     if gluing == "identity":
         return glued_tree(depth, gluing)
     return glued_tree(depth, gluing, take("seed", seed))

@@ -141,25 +141,18 @@ def _walk_lines(lines: list[str]) -> np.ndarray:
             raise ImageParseError(
                 f"row has {len(tokens)} values, expected {width}", lineno
             )
-        try:
-            values = [float(tok) for tok in tokens]
-        except ValueError:
-            bad = next(tok for tok in tokens if not _is_number(tok))
-            raise ImageParseError(f"non-numeric value {bad!r}", lineno) from None
+        values = []
+        for tok in tokens:
+            try:
+                values.append(float(tok))
+            except ValueError:
+                raise ImageParseError(f"non-numeric value {tok!r}", lineno) from None
         if any(not np.isfinite(v) for v in values):
             raise ImageParseError("non-finite value", lineno)
         if any(v < 0.0 for v in values):
             raise ImageParseError("negative intensity", lineno)
         rows.append(values)
     return np.array(rows)
-
-
-def _is_number(token: str) -> bool:
-    try:
-        float(token)
-    except ValueError:
-        return False
-    return True
 
 
 def format_image(image: PixelImage) -> str:

@@ -120,26 +120,23 @@ class SpectralOperator:
         the blocks M[p, p], M[p, r[p]], M[p, f] and M[f, f] of pair cells p
         and fixed cells f; each goes to its own ``eigh`` and the eigenvectors
         are lifted back to k rows.  Without a mirror every cell is fixed, the
-        odd sector is empty and M goes to ``eigh`` whole.
+        even block is M itself and the empty odd block's ``eigh`` is skipped.
         """
         if self._spectrum is None:
             m = self.matrix
             i = np.arange(len(m))
             r = i if self.mirror is None else self.mirror
             p, f = np.flatnonzero(i < r), np.flatnonzero(i == r)
-            if len(p):
-                a, b, c = m[np.ix_(p, p)], m[np.ix_(p, r[p])], math.sqrt(2.0) * m[np.ix_(p, f)]
-                w_even, y_even = np.linalg.eigh(np.block([[a + b, c], [c.T, m[np.ix_(f, f)]]]))
-                w_odd, y_odd = np.linalg.eigh(a - b)
-                v = np.zeros(m.shape)
-                even, odd = v[:, : len(w_even)], v[:, len(w_even) :]
-                even[p] = even[r[p]] = math.sqrt(0.5) * y_even[: len(p)]
-                even[f] = y_even[len(p) :]
-                odd[p] = math.sqrt(0.5) * y_odd
-                odd[r[p]] = -odd[p]
-                w = np.concatenate([w_even, w_odd])
-            else:
-                w, v = np.linalg.eigh(m)
+            a, b, c = m[np.ix_(p, p)], m[np.ix_(p, r[p])], math.sqrt(2.0) * m[np.ix_(p, f)]
+            w_even, y_even = np.linalg.eigh(np.block([[a + b, c], [c.T, m[np.ix_(f, f)]]]))
+            w_odd, y_odd = np.linalg.eigh(a - b) if len(p) else (w_even[:0], a)
+            v = np.zeros(m.shape)
+            even, odd = v[:, : len(w_even)], v[:, len(w_even) :]
+            even[p] = even[r[p]] = math.sqrt(0.5) * y_even[: len(p)]
+            even[f] = y_even[len(p) :]
+            odd[p] = math.sqrt(0.5) * y_odd
+            odd[r[p]] = -odd[p]
+            w = np.concatenate([w_even, w_odd])
             w.flags.writeable = False
             v.flags.writeable = False
             self._spectrum = (w, v)

@@ -39,6 +39,11 @@ from hexwalk.quantum import Hamiltonian, WalkOperator
 #: N x N matrix and every series term multiplies it by H.
 NODE_CAP = 64
 
+#: Most Taylor substeps one run may take (see :func:`evolve_qsw`).  The run's
+#: a-priori error bound s 2^-53 stays at 1.1e-12 and its work near 20 s for a
+#: 64-node graph on a 2-core machine; the longest run in the tests takes 1334.
+SUBSTEP_CAP = 10**4
+
 #: Largest Taylor substep beta * tau (see :func:`evolve_qsw`).  Products per
 #: unit of beta * t, m / theta, fall as it grows (9.7 at 3, 7.0 at 6, 6.25 at
 #: 8), but terms up to e^theta cancel: at 8 a run of beta t = 8000 rounds 3x worse.
@@ -90,7 +95,12 @@ def density_from_state(psi: np.ndarray) -> np.ndarray:
 
 
 def _series_plan(beta_t: float) -> tuple[int, int]:
-    """Substeps s and degree m of the Taylor series of exp(t L), for beta * t = ``beta_t``."""
+    """Substeps s and degree m of the Taylor series of exp(t L), for beta * t = ``beta_t``;
+    ``ValueError`` if s would exceed :data:`SUBSTEP_CAP` (or beta * t is not finite)."""
+    if not beta_t / _THETA <= SUBSTEP_CAP:
+        raise ValueError(
+            f"the series needs {beta_t / _THETA:.3g} substeps, above the cap of {SUBSTEP_CAP}"
+        )
     s = math.ceil(beta_t / _THETA)
     theta, m = (beta_t / s if s else 0.0), 0
     while theta ** (m + 1) / math.factorial(m + 1) * math.exp(theta) > 2.0**-53:
@@ -124,7 +134,8 @@ def evolve_qsw(
     Hermitian.  At omega = 1 the coherent weight is an exact zero, so no
     product with H is formed and zero coherences stay zero.  rho0 must be
     Hermitian to 1e-12 of its largest entry; its Hermitian part is
-    evolved.  Graphs above :data:`NODE_CAP` nodes are refused.
+    evolved.  Graphs above :data:`NODE_CAP` nodes, and runs of more than
+    :data:`SUBSTEP_CAP` substeps, are refused before the series starts.
     """
     t = float(t)
     if not 0.0 <= t < np.inf:
@@ -140,19 +151,19 @@ def evolve_qsw(
         raise ValueError(f"density matrix is not Hermitian: max |rho - rho^dagger| = {skew:.3g}")
     rho = 0.5 * (rho0 + rho0.conj().T)
     omega, gamma, deg = params.omega, params.rate, hamiltonian.graph.degrees.astype(float)
-    beta = 2.0 * deg.max(initial=0.0) * ((1.0 - omega) * hamiltonian.coupling + omega * gamma)
-    s, m = _series_plan(beta * t)
+    beta = 2.0 * float(deg.max(initial=0.0))
+    beta *= (1.0 - omega) * hamiltonian.coupling + omega * gamma
+    s, m = _series_plan(beta * t if t else 0.0)
     h, adj = hamiltonian.matrix, hamiltonian.graph.adjacency
     for _ in range(s):
         term = rho.copy()
         for j in range(1, m + 1):
             c = t / s / j
+            z = (-0.5 * omega * gamma * c * deg)[:, None] * term
             if omega < 1.0:
-                z = (h @ term.view(float)).view(complex)
-                z *= -1j * (1.0 - omega) * c
-                z -= (0.5 * omega * gamma * c * deg)[:, None] * term
-            else:
-                z = (-0.5 * gamma * c * deg)[:, None] * term
+                hz = (h @ term.view(float)).view(complex)
+                hz *= -1j * (1.0 - omega) * c
+                z += hz
             gain = (omega * gamma * c) * (adj @ term.diagonal().real)
             term = z + z.conj().T
             term.flat[:: n + 1] += gain

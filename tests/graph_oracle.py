@@ -54,7 +54,8 @@ class LoopGraph:
         self.exit = exit
         self.params = dict(params or {})
         if mirror is not None:
-            mirror = _checked_mirror(mirror, n, self.edges, entry, exit)
+            key = self.edges[:, 0] * n + self.edges[:, 1]
+            mirror = _checked_mirror(mirror, n, key, entry, exit)
         self.mirror = mirror
 
 

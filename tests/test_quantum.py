@@ -454,6 +454,29 @@ def test_mirror_splits_eigh_into_two_sectors(kind, part, build, monkeypatch):
 
 
 @pytest.mark.parametrize("kind", sorted(OPERATORS))
+@pytest.mark.parametrize(
+    "build, part",
+    [
+        (lambda: path_graph(9), "dense"),
+        (lambda: path_graph(9), "quotient"),
+        (lambda: glued_tree(4, "random-cycle", seed=5), "quotient"),
+        (lambda: two_hexagons(2), "dense"),
+        (lambda: two_hexagons(2), "quotient"),
+    ],
+    ids=["path-9-dense", "path-9-quotient", "glued-random-cycle-4", "two-hexagons-dense",
+         "two-hexagons-quotient"],
+)
+def test_spectrum_without_a_mirror_is_exactly_eigh(kind, build, part):
+    # every cell is fixed, so the even block is the matrix itself: the same bits as eigh
+    _, op = sector_operator(kind, build, part)
+    assert op.mirror is None
+    w, v = op.spectrum
+    w_ref, v_ref = np.linalg.eigh(op.matrix)
+    assert np.array_equal(w, w_ref)
+    assert np.array_equal(v, v_ref)
+
+
+@pytest.mark.parametrize("kind", sorted(OPERATORS))
 @pytest.mark.parametrize("build", SECTOR_BUILDS, ids=SECTOR_IDS)
 def test_entry_propagation_matches_the_dense_adjacency_spectrum(kind, build):
     # oracle: eigh of the whole N x N walk matrix, no quotient and no mirror

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 import warnings
 
 import numpy as np
@@ -277,6 +278,30 @@ def test_qsw_node_cap():
         evolve_qsw(rho0, Hamiltonian(over), QswParams(omega=0.5), 1.0)
 
 
+@pytest.mark.parametrize(
+    "coupling, t, work",
+    [
+        (1.0, 1e12, "1e\\+12 substeps"),  # beta t = 6e12: about 10^12 substeps of 42 products
+        (1e308, 1.0, "inf substeps"),  # beta overflows to inf
+    ],
+)
+def test_qsw_refuses_a_run_above_the_substep_cap(coupling, t, work):
+    g = hexagonal_graph(4)
+    rho0 = density_from_state(entry_state(g))
+    start = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"needs {work}, above the cap of 10000$"):
+            evolve_qsw(rho0, Hamiltonian(g, coupling), QswParams(omega=0.5), t)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_qsw_with_an_overflowing_bound_still_runs_for_no_time():
+    g = hexagonal_graph(1)
+    rho0 = density_from_state(entry_state(g))
+    assert np.array_equal(evolve_qsw(rho0, Hamiltonian(g, 1e308), QswParams(omega=0.5), 0.0), rho0)
+
+
 def test_qsw_coarse_step_stays_a_density_matrix():
     g = hexagonal_graph(1)
     # C t = 2000 and rate t = 50: at omega = 0, beta t = 8000 in 1334 substeps
@@ -381,6 +406,15 @@ def test_series_plan_meets_its_truncation_bound(beta_t):
     assert s == 1 or beta_t / (s - 1) > stochastic._THETA
     assert tail(theta, m) <= 2.0**-53
     assert m == 0 or tail(theta, m - 1) > 2.0**-53
+
+
+def test_series_plan_stops_at_the_substep_cap():
+    cap = stochastic.SUBSTEP_CAP
+    assert stochastic._series_plan(cap * stochastic._THETA)[0] == cap
+    with pytest.raises(ValueError, match=f"above the cap of {cap}"):
+        stochastic._series_plan(math.nextafter(cap * stochastic._THETA, math.inf))
+    with pytest.raises(ValueError, match="needs nan substeps"):
+        stochastic._series_plan(math.nan)
 
 
 def test_series_plan_at_the_benchmark_sizes():
