@@ -474,7 +474,9 @@ def hypercube_graph(d: int) -> Graph:
     pos[order] = v - (np.cumsum(size) - size)[weight[order]]
     coords = np.column_stack((weight, 2 * pos - (size[weight] - 1)))
     low, b = np.nonzero(unset)
+    del unset
     edges = np.column_stack((low, low | flip[b]))
+    del low, b
     return Graph("hypercube", coords, edges, 0, n - 1, {"d": d}, v[::-1])
 
 

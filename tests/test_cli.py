@@ -15,6 +15,7 @@ import hexwalk
 from hexwalk import hexagonal_graph
 from hexwalk.cli import _write_table, main
 from hexwalk.imaging import MaskEntry, MaskSpec, format_image, mask_csv, render_synthetic
+from child_process import run_child
 
 
 def read(path):
@@ -26,18 +27,6 @@ def data_rows(path):
     lines = read(path).strip().split("\n")
     assert lines[0].startswith("# hexwalk ")
     return lines[2:]
-
-
-def run_child(code, *argv):
-    """Run ``code`` in a child interpreter on the package this session imported."""
-    package_root = str(Path(hexwalk.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-c", code, *argv],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
 
 
 def run_cli_process(*argv):
@@ -168,19 +157,31 @@ def test_identity_gluing_refuses_a_seed(tmp_path, capsys):
     assert main(["generate", "--graph", "glued-tree:d=2,glue=random,seed=4", "--out", str(tmp_path)]) == 0
 
 
-@pytest.mark.parametrize(
-    "selector, count",
-    [
-        ("hypercube:d=40", 2**40),
-        ("glued-tree:d=40", 2**42 - 2),
-        ("hexagonal:n=100000", 2 * 10**10 + 4 * 10**5),
-        ("path:m=1000000000000", 10**12),
-    ],
-)
-def test_generate_refuses_a_graph_above_the_node_cap(selector, count, tmp_path, capsys):
-    assert main(["generate", "--graph", selector, "--out", str(tmp_path)]) == 2
+# Runs ``generate`` on each selector after the first argument (the output
+# directory) and prints each exit code.
+_GENERATE_CHILD = """
+import sys
+from hexwalk.cli import main
+for selector in sys.argv[2:]:
+    print(main(["generate", "--graph", selector, "--out", sys.argv[1]]), flush=True)
+"""
+
+
+def test_generate_refuses_a_graph_above_the_node_cap(tmp_path):
+    # in a child with a deadline: a builder without its cap runs until killed
+    counts = {
+        "hypercube:d=40": 2**40,
+        "glued-tree:d=40": 2**42 - 2,
+        "hexagonal:n=100000": 2 * 10**10 + 4 * 10**5,
+        "path:m=1000000000000": 10**12,
+    }
+    proc = run_child(_GENERATE_CHILD, str(tmp_path), *counts, timeout=10)
+    assert proc.stdout == "2\n" * len(counts), proc.stderr
     cap = hexwalk.graphs.MAX_NODES
-    assert capsys.readouterr().err == f"hexwalk: graph would have {count} nodes, above the cap of {cap}\n"
+    assert proc.stderr == "".join(
+        f"hexwalk: graph would have {count} nodes, above the cap of {cap}\n"
+        for count in counts.values()
+    )
     assert not any(tmp_path.iterdir())
 
 
@@ -366,14 +367,20 @@ def test_sweep_range_syntax_writes_fits(tmp_path, capsys):
     assert (tmp_path / "fit.dat").exists()
 
 
-def test_variance_quantum_exponent(tmp_path, capsys):
-    code = main(["variance", "--sites", "41", "--out", str(tmp_path)])
+@pytest.mark.parametrize("window", [[], ["--z-max", "5"]], ids=["default", "z-max-5"])
+def test_variance_quantum_exponent(window, tmp_path, capsys):
+    code = main(["variance", "--sites", "41", *window, "--out", str(tmp_path)])
     assert code == 0
     exponent = stdout_value(capsys, "exponent")
     assert abs(exponent - 2.0) < 0.05
     fits = data_rows(tmp_path / "fit.csv")
     assert len(fits) == 1
     assert fits[0].startswith("power-law,")
+    if window:
+        assert read(tmp_path / "fit.csv").split("\n")[0] == (
+            f"# hexwalk {hexwalk.__version__} | variance | coupling=1 z_max=5 calibrate=0 "
+            "engine=quantum sites=41"
+        )
 
 
 def test_variance_classical_exponent(tmp_path, capsys):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-import time
+import re
 import warnings
 
 import numpy as np
@@ -13,6 +13,7 @@ from hexwalk import stochastic
 from hexwalk.graphs import Graph, glued_tree, hexagonal_graph, hypercube_graph, path_graph
 from hexwalk.quantum import Hamiltonian, entry_state, propagate
 from hexwalk.stochastic import ClassicalGenerator, QswParams, density_from_state, evolve_qsw
+from child_process import run_child
 from lindblad_oracle import lindblad_rhs
 
 
@@ -269,13 +270,35 @@ def test_qsw_output_is_a_valid_density_matrix():
 
 def test_qsw_node_cap():
     # every state is a dense N x N matrix: 64 nodes run, 65 are refused
-    at_cap, over = path_graph(64), path_graph(65)
-    rho0 = density_from_state(entry_state(at_cap))
-    rho = evolve_qsw(rho0, Hamiltonian(at_cap), QswParams(omega=0.5), 0.1)
-    assert abs(np.trace(rho).real - 1.0) < 1e-12
+    for at_cap, t in ((path_graph(64), 0.1), (hypercube_graph(6), 3.0)):
+        rho0 = density_from_state(entry_state(at_cap))
+        rho = evolve_qsw(rho0, Hamiltonian(at_cap), QswParams(omega=0.5), t)
+        assert abs(np.trace(rho) - 1.0) < 1e-12
+        assert np.array_equal(rho, rho.conj().T)
+    over = path_graph(65)
     rho0 = density_from_state(entry_state(over))
     with pytest.raises(ValueError, match="65 nodes, above the density-matrix cap of 64"):
         evolve_qsw(rho0, Hamiltonian(over), QswParams(omega=0.5), 1.0)
+
+
+# Evolves hexagonal_graph(4) at omega = 0.5 with the coupling and time given,
+# warnings as errors, and prints how long the ValueError took and its message.
+_SUBSTEP_CAP_CHILD = """
+import sys, time, warnings
+from hexwalk import Hamiltonian, QswParams, entry_state, evolve_qsw, hexagonal_graph
+from hexwalk.stochastic import density_from_state
+g = hexagonal_graph(4)
+rho0 = density_from_state(entry_state(g))
+h = Hamiltonian(g, float(sys.argv[1]))
+warnings.simplefilter("error")
+start = time.perf_counter()
+try:
+    evolve_qsw(rho0, h, QswParams(omega=0.5), float(sys.argv[2]))
+except ValueError as exc:
+    print(time.perf_counter() - start, exc)
+else:
+    print("0 no error")
+"""
 
 
 @pytest.mark.parametrize(
@@ -286,14 +309,12 @@ def test_qsw_node_cap():
     ],
 )
 def test_qsw_refuses_a_run_above_the_substep_cap(coupling, t, work):
-    g = hexagonal_graph(4)
-    rho0 = density_from_state(entry_state(g))
-    start = time.perf_counter()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=f"needs {work}, above the cap of 10000$"):
-            evolve_qsw(rho0, Hamiltonian(g, coupling), QswParams(omega=0.5), t)
-    assert time.perf_counter() - start < 0.1
+    # in a child with a deadline: a run that is not refused goes on for years
+    proc = run_child(_SUBSTEP_CAP_CHILD, repr(coupling), repr(t), timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    seconds, message = proc.stdout.rstrip("\n").split(" ", 1)
+    assert re.search(f"needs {work}, above the cap of 10000$", message), message
+    assert float(seconds) < 0.1
 
 
 def test_qsw_with_an_overflowing_bound_still_runs_for_no_time():
