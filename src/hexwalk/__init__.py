@@ -9,7 +9,7 @@ out of pixel images through circular node masks.
 """
 
 from hexwalk.graphs import Graph, glued_tree, hexagonal_graph, hypercube_graph, path_graph
-from hexwalk.quantum import Hamiltonian, entry_state, propagate, propagate_entry
+from hexwalk.quantum import Hamiltonian, entry_state, propagate
 from hexwalk.stochastic import ClassicalGenerator, QswParams, evolve_qsw
 from hexwalk.hitting import (
     BoundaryMaximumWarning,
@@ -49,7 +49,6 @@ __all__ = [
     "Hamiltonian",
     "entry_state",
     "propagate",
-    "propagate_entry",
     "ClassicalGenerator",
     "QswParams",
     "evolve_qsw",

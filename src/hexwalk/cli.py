@@ -52,8 +52,7 @@ from hexwalk.imaging import (
     parse_image,
     parse_mask,
 )
-from hexwalk.quantum import Hamiltonian, propagate_entry
-from hexwalk.stochastic import ClassicalGenerator
+from hexwalk.quantum import entry_state, propagate
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -249,6 +248,15 @@ def cmd_scan(args) -> int:
         curve = quantum_hitting_curve(graph, coupling, args.z_max, args.dz)
     else:
         curve = classical_hitting_curve(graph, rate, args.z_max, args.dz)
+    state = None
+    if args.dump_state:
+        ids = np.arange(graph.n_nodes)
+        x = propagate(curve.operator, entry_state(graph), curve.z_opt)
+        if args.engine == "quantum":
+            state = {"node_id": ids, "re": x.real, "im": x.imag, "prob": np.abs(x) ** 2}
+        else:
+            state = {"node_id": ids, "probability": x}
+    curve.operator = None  # the tables need no spectrum: free it before they are written
     out = Path(args.out)
     header = _header(
         "scan",
@@ -262,14 +270,7 @@ def cmd_scan(args) -> int:
         engine=args.engine,
     )
     _write_table(out / "curve.csv", header, {"z": curve.z, "p_exit": curve.p_exit}, args.dat)
-    if args.dump_state:
-        ids = np.arange(graph.n_nodes)
-        if args.engine == "quantum":
-            psi = propagate_entry(Hamiltonian(graph, coupling), curve.z_opt)
-            state = {"node_id": ids, "re": psi.real, "im": psi.imag, "prob": np.abs(psi) ** 2}
-        else:
-            p = propagate_entry(ClassicalGenerator(graph, rate), curve.z_opt)
-            state = {"node_id": ids, "probability": p}
+    if state is not None:
         _write_table(out / "state.csv", header, state)
     print(f"z_opt={_fmt(curve.z_opt)} p_opt={_fmt(curve.p_opt)}")
     return EXIT_OK

@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from hexwalk.graphs import Graph, depth_scale, hexagonal_graph, path_graph
-from hexwalk.quantum import Hamiltonian, propagate_entry
+from hexwalk.quantum import Hamiltonian, SpectralOperator, entry_state, propagate
 from hexwalk.stochastic import ClassicalGenerator
 
 #: Default scan window, in units of depth / coupling.  Wide enough to bracket
@@ -77,7 +77,9 @@ class HittingCurve:
     ``kind`` records which engine produced the curve; classical curves use
     the same ``z`` axis for their evolution time.  ``z_max`` and ``dz`` are
     the scan window as resolved, defaults filled in; the grid runs in steps
-    of ``dz`` to the nearest whole step to ``z_max``.
+    of ``dz`` to the nearest whole step to ``z_max``.  ``operator`` is the
+    walk operator the scan ran, its spectrum cached, so the state at the
+    optimum costs no second ``eigh``.
     """
 
     z: np.ndarray
@@ -87,6 +89,7 @@ class HittingCurve:
     kind: str
     z_max: float
     dz: float
+    operator: SpectralOperator = field(repr=False)
 
 
 @dataclass
@@ -186,7 +189,7 @@ def quantum_hitting_curve(
     zs, z_max, dz = _scan_grid(graph, coupling, z_max, dz)
 
     def exit_probability(lengths):
-        return np.abs(propagate_entry(h, lengths, graph.exit)) ** 2
+        return np.abs(propagate(h, entry_state(graph), lengths, graph.exit)) ** 2
 
     p = exit_probability(zs)
     i = int(np.argmax(p))
@@ -197,12 +200,12 @@ def quantum_hitting_curve(
             BoundaryMaximumWarning,
             stacklevel=2,
         )
-        return HittingCurve(zs, p, float(zs[i]), float(p[i]), "quantum", z_max, dz)
+        return HittingCurve(zs, p, float(zs[i]), float(p[i]), "quantum", z_max, dz, h)
     z_opt = _refine_parabolic(zs, p, i)
     p_opt = float(exit_probability(np.array([z_opt]))[0])
     if p_opt < p[i]:
         z_opt, p_opt = float(zs[i]), float(p[i])
-    return HittingCurve(zs, p, z_opt, p_opt, "quantum", z_max, dz)
+    return HittingCurve(zs, p, z_opt, p_opt, "quantum", z_max, dz, h)
 
 
 def classical_hitting_curve(
@@ -216,7 +219,7 @@ def classical_hitting_curve(
     The curve rises monotonically towards the uniform share 1/N, so the
     reported optimum is simply the best sampled point (the grid end once
     the walk has mixed).  The samples are clipped at 0 by
-    :func:`hexwalk.quantum.propagate_entry`.  Before the walk reaches the
+    :func:`hexwalk.quantum.propagate`.  Before the walk reaches the
     exit they are spectral rounding residue, of order 1e-16 and different
     for each BLAS thread count, so a curve wholly below the floor
     :data:`_RESIDUE_FLOOR` = 1e-12 is returned as zeros with the optimum at
@@ -224,7 +227,7 @@ def classical_hitting_curve(
     """
     gen = ClassicalGenerator(graph, rate)
     ts, t_max, dt = _scan_grid(graph, rate, t_max, dt)
-    p = propagate_entry(gen, ts, graph.exit)
+    p = propagate(gen, entry_state(graph), ts, graph.exit)
     if p.max() < _RESIDUE_FLOOR:
         warnings.warn(
             f"exit probability stays below the rounding floor {_RESIDUE_FLOOR:g} "
@@ -232,9 +235,9 @@ def classical_hitting_curve(
             BoundaryMaximumWarning,
             stacklevel=2,
         )
-        return HittingCurve(ts, np.zeros_like(p), float(ts[-1]), 0.0, "classical", t_max, dt)
+        return HittingCurve(ts, np.zeros_like(p), float(ts[-1]), 0.0, "classical", t_max, dt, gen)
     i = int(np.argmax(p))
-    return HittingCurve(ts, p, float(ts[i]), float(p[i]), "classical", t_max, dt)
+    return HittingCurve(ts, p, float(ts[i]), float(p[i]), "classical", t_max, dt, gen)
 
 
 def _settling_time(
@@ -306,7 +309,7 @@ def classical_convergence_time(graph: Graph, rate: float = 1.0) -> ConvergenceRe
     e^(-gap t) of the Euclidean deviation already bounds the max-norm one.
 
     The walk runs on the entry quotient (see
-    :func:`hexwalk.quantum.propagate_entry`): p(0) - 1/N lies in span(S),
+    :func:`hexwalk.quantum.propagate`): p(0) - 1/N lies in span(S),
     so only quotient modes enter it and the gap is taken among them.  The
     state is constant on cells, so the deviation is the maximum over cells
     of |y_c / sqrt(|c|) - 1/N|, with the entry's modes projected once.
@@ -382,8 +385,10 @@ def depth_sweep(
     for n in depths:
         g = hexagonal_graph(n)
         curve = quantum_hitting_curve(g, coupling)
+        z_opt, p_opt = curve.z_opt, curve.p_opt
+        del curve  # and the coherent spectrum it holds, before the classical one is formed
         conv = classical_convergence_time(g, rate)
-        rows.append(SweepRow(n, curve.z_opt, curve.p_opt, **asdict(conv)))
+        rows.append(SweepRow(n, z_opt, p_opt, **asdict(conv)))
     return rows
 
 
@@ -461,9 +466,9 @@ def variance_slope_1d(
         z_max = (m - 1) / (8.0 * coupling) if engine == "quantum" else (m - 1) ** 2 / (250.0 * rate)
     zs = np.linspace(z_max / 48.0, z_max, 48)
     if engine == "quantum":
-        dist = np.abs(propagate_entry(Hamiltonian(g, coupling), zs)) ** 2
+        dist = np.abs(propagate(Hamiltonian(g, coupling), entry_state(g), zs)) ** 2
     else:
-        dist = propagate_entry(ClassicalGenerator(g, rate), zs)
+        dist = propagate(ClassicalGenerator(g, rate), entry_state(g), zs)
     offsets = np.arange(m) - g.entry
     variances = dist @ (offsets.astype(float) ** 2)
     keep = (variances > 0.0) & (dist[:, 0] < BOUNDARY_LEAK_TOL) & (dist[:, -1] < BOUNDARY_LEAK_TOL)

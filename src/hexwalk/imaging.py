@@ -248,15 +248,18 @@ class MaskSpec:
 
 
 def parse_mask(text: str) -> MaskSpec:
-    """Parse a mask CSV with header ``node_id,cx,cy,radius``."""
-    lines = [line for line in text.splitlines() if line.strip()]
+    """Parse a mask CSV with header ``node_id,cx,cy,radius``.
+
+    Blank lines are skipped; errors name the line of the file itself.
+    """
+    lines = [(lineno, line) for lineno, line in enumerate(text.splitlines(), 1) if line.strip()]
     if not lines:
         raise MaskError("mask file is empty")
-    header = [col.strip() for col in lines[0].split(",")]
+    header = [col.strip() for col in lines[0][1].split(",")]
     if header != ["node_id", "cx", "cy", "radius"]:
-        raise MaskError(f"mask header must be 'node_id,cx,cy,radius', got {lines[0]!r}")
+        raise MaskError(f"mask header must be 'node_id,cx,cy,radius', got {lines[0][1]!r}")
     entries = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         fields = [f.strip() for f in line.split(",")]
         if len(fields) != 4:
             raise MaskError(f"line {lineno}: expected 4 fields, got {len(fields)}")

@@ -29,13 +29,14 @@ the state stays constant on the cells of the entry partition
 partition with the entry alone in its cell (Krovi & Brun, PRA 75, 062332,
 2007).  With S the N x k cell indicator, columns scaled to unit norm, M
 maps span(S) into itself because degrees are constant on cells, so
-exp(phase M t) S = S exp(phase S^T M S t) exactly.  :func:`propagate_entry`
-therefore runs :func:`propagate` on the k x k quotient S^T M S and lifts
-the result back.  A hexagonal patch halves (n^2 + 3n cells of 2n^2 + 4n
+exp(phase M t) S = S exp(phase S^T M S t) exactly.  On a walk operator
+:func:`propagate` therefore runs every state constant on the cells, the
+launch state among them, on the k x k quotient S^T M S and lifts the
+result back.  A hexagonal patch halves (n^2 + 3n cells of 2n^2 + 4n
 nodes), a glued tree of depth d shrinks to 2d + 2 cells and a hypercube of
 dimension d to d + 1, so glued trees of depth 12 (16382 nodes) and larger
-scan without forming a dense matrix.  States that do not start at the entry
-keep the full spectrum.
+scan without forming a dense matrix.  Any other state keeps the full
+spectrum.
 
 A graph whose builder declares a mirror (:attr:`hexwalk.graphs.Graph.mirror`,
 an involutive automorphism tau that swaps entry and exit) halves each
@@ -66,6 +67,16 @@ import math
 import numpy as np
 
 from hexwalk.graphs import Graph
+
+#: Most bytes a walk spectrum may take (see :meth:`WalkOperator._assemble`).
+#: ``hexagonal_graph(100)`` (10300 cells, 3.6 GiB predicted) fits.
+MAX_SPECTRUM_BYTES = 4 * 2**30
+
+#: k x k float arrays a walk on k cells holds at its peak: the matrix, V, the
+#: sector blocks and ``eigh`` workspace, and the complex copy of V that a
+#: coherent state's modes take.  Fitted to the peak RSS of coherent scans,
+#: less the interpreter's: 4.36 arrays at hexagonal n = 60, 4.06 at n = 100.
+_SPECTRUM_ARRAYS = 4.5
 
 
 class SpectralOperator:
@@ -148,7 +159,7 @@ class WalkOperator(SpectralOperator):
 
     The Hamiltonian has ``diagonal`` 0 and the rate matrix 1.  The dense
     N x N matrix, and with it the N x N spectrum, is formed only when it is
-    asked for; a walk launched at the entry runs on :attr:`quotient`.  Both
+    asked for; a state constant on the entry cells runs on :attr:`quotient`.  Both
     are the same assembly S^T M S, on singleton cells for the dense matrix.
     """
 
@@ -168,11 +179,19 @@ class WalkOperator(SpectralOperator):
         e_ab / sqrt(|a| |b|), and D is constant on every cell because the
         partition is equitable; the matrix is assembled from those counts,
         never from the dense one.  With one node per cell, S = I and the
-        result is M itself.
+        result is M itself.  A spectrum predicted to take more than
+        :data:`MAX_SPECTRUM_BYTES` is refused with ``ValueError`` before
+        anything is allocated.
         """
         g = self.graph
         size = np.bincount(cell)
         k = len(size)
+        need = _SPECTRUM_ARRAYS * 8 * k * k
+        if need > MAX_SPECTRUM_BYTES:
+            raise ValueError(
+                f"the walk spectrum on {k} cells would take about {need / 2**30:.3g} GiB, "
+                f"above the limit of {MAX_SPECTRUM_BYTES / 2**30:.3g} GiB"
+            )
         a, b = cell[g.edges.T]
         pair, links = np.unique(np.concatenate([a * k + b, b * k + a]), return_counts=True)
         i, j = np.divmod(pair, k)
@@ -250,6 +269,15 @@ def propagate(op: SpectralOperator, x0: np.ndarray, ts, site: int | None = None)
     module docstring.  The coherent propagator is unitary and
     the classical one stochastic, so the norm, or the total probability, of
     x0 is kept to rounding.
+
+    On a :class:`WalkOperator`, an x0 that equals itself read at one node of
+    each cell of the entry partition is evolved as y = S^T x on
+    ``op.quotient`` and lifted back as x = S y: node i holds
+    y[cell(i)] / sqrt(|cell(i)|).  Neither the N x N matrix nor its spectrum
+    is formed.  A classical walk from a non-negative x0 is then clipped at
+    0: spectral rounding leaves residues of order 1e-16 around the true
+    value, below 0 where the walk has not arrived yet.  A signed x0 is not
+    clipped, as its true evolution can go negative.
     """
     x0 = np.asarray(x0, dtype=op.dtype)
     if x0.shape != (op.dim,):
@@ -261,6 +289,18 @@ def propagate(op: SpectralOperator, x0: np.ndarray, ts, site: int | None = None)
         raise ValueError("evolution lengths must be finite and >= 0")
     if site is not None and (ts.ndim == 0 or not 0 <= site < op.dim):
         raise ValueError(f"site {site} needs a length grid and a node in 0..{op.dim - 1}")
+    if isinstance(op, WalkOperator):
+        cell = op.graph.entry_cells
+        lift = 1.0 / np.sqrt(np.bincount(cell))
+        node = np.empty(len(lift), dtype=np.intp)
+        node[cell] = np.arange(len(cell))  # some node of each cell
+        if np.array_equal(x0[node][cell], x0):
+            q, y0 = op.quotient, x0[node] / lift
+            if site is not None:
+                x = propagate(q, y0, ts, cell[site]) * lift[cell[site]]
+            else:
+                x = (propagate(q, y0, ts) * lift)[..., cell]
+            return x if q.dtype is complex or x0.min() < 0.0 else np.maximum(x, 0.0)
     w, v = op.spectrum
     modes = v.T @ x0
     if ts.ndim == 0:
@@ -280,29 +320,3 @@ def propagate(op: SpectralOperator, x0: np.ndarray, ts, site: int | None = None)
     rows = np.exp(op.phase * np.outer(t0 + dz * b * np.arange(-(-n // b)), w))
     cols = np.exp(op.phase * np.outer(dz * np.arange(b), w))
     return ((rows * (v[site, :] * modes)) @ cols.T).ravel()[:n]
-
-
-def propagate_entry(op: WalkOperator, ts, site: int | None = None) -> np.ndarray:
-    """``propagate(op, entry_state(op.graph), ts, site)``, run on the quotient.
-
-    The state stays in span(S), so it is evolved as y = S^T x on
-    ``op.quotient`` from the entry's cell and lifted back as x = S y: node i
-    holds y[cell(i)] / sqrt(|cell(i)|).  Shapes are those of
-    :func:`propagate`; neither the N x N matrix nor its spectrum is formed.
-    The classical walk's probabilities are clipped at 0: spectral rounding
-    leaves residues of order 1e-16 around the true value, below 0 where
-    the walk has not arrived yet.
-    """
-    g = op.graph
-    if site is not None and not 0 <= site < g.n_nodes:
-        raise ValueError(f"site {site} outside 0..{g.n_nodes - 1}")
-    cell = g.entry_cells
-    lift = 1.0 / np.sqrt(np.bincount(cell))
-    q = op.quotient
-    y0 = np.zeros(q.dim)
-    y0[cell[g.entry]] = 1.0
-    if site is not None:
-        x = propagate(q, y0, ts, cell[site]) * lift[cell[site]]
-    else:
-        x = (propagate(q, y0, ts) * lift)[..., cell]
-    return x if q.dtype is complex else np.maximum(x, 0.0)

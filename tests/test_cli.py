@@ -16,6 +16,7 @@ from hexwalk import hexagonal_graph
 from hexwalk.cli import _write_table, main
 from hexwalk.imaging import MaskEntry, MaskSpec, format_image, mask_csv, render_synthetic
 from child_process import run_child
+from test_quantum import count_eigh
 
 
 def read(path):
@@ -301,14 +302,36 @@ def test_scan_runs_a_glued_tree_too_large_for_a_dense_matrix(tmp_path, capsys, m
     # 16382 nodes: the dense H alone would take 2.1 GB; the walk lives on 26 cells
     from hexwalk.quantum import WalkOperator
 
-    sizes = []
-    eigh = np.linalg.eigh
     monkeypatch.setattr(WalkOperator, "matrix", property(lambda self: pytest.fail("dense matrix")))
-    monkeypatch.setattr(np.linalg, "eigh", lambda m: sizes.append(len(m)) or eigh(m))
+    sizes = count_eigh(monkeypatch)
     assert main(["scan", "--graph", "glued-tree:d=12", "--dump-state", "--out", str(tmp_path)]) == 0
-    assert sizes == [26, 26]
+    assert sizes == [26]  # the random gluing has no mirror; the dump reuses the scan's spectrum
     assert 0.4 < stdout_value(capsys, "p_opt") < 1.0
     assert len(data_rows(tmp_path / "state.csv")) == 16382
+
+
+@pytest.mark.parametrize("engine", ["quantum", "classical"])
+def test_scan_dump_state_diagonalises_nothing_more(engine, tmp_path, monkeypatch):
+    sizes = count_eigh(monkeypatch)
+    scan = ["scan", "--graph", "hexagonal:n=3", "--engine", engine, "--z-max", "12"]
+    assert main(scan + ["--out", str(tmp_path / "plain")]) == 0
+    assert sizes == [9, 9]  # the 18 entry cells split into the two mirror sectors
+    sizes.clear()
+    assert main(scan + ["--dump-state", "--out", str(tmp_path / "dump")]) == 0
+    assert sizes == [9, 9]
+    assert len(data_rows(tmp_path / "dump" / "state.csv")) == 30
+
+
+def test_scan_refuses_a_spectrum_over_the_memory_limit(tmp_path, capsys, monkeypatch):
+    from hexwalk import quantum
+
+    monkeypatch.setattr(quantum, "MAX_SPECTRUM_BYTES", 2**20)
+    assert main(["scan", "--graph", "hexagonal:n=12", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "hexwalk: the walk spectrum on 180 cells would take about 0.00109 GiB, "
+        "above the limit of 0.000977 GiB\n"
+    )
+    assert not any(tmp_path.iterdir())
 
 
 def test_scan_classical_bad_rate_is_named_as_a_hop_rate(tmp_path, capsys):

@@ -346,6 +346,13 @@ def test_parse_mask_errors_carry_line_numbers():
         parse_mask("node_id,cx,cy,radius\n0,10,10\n")
     with pytest.raises(MaskError, match="line 3"):
         parse_mask("node_id,cx,cy,radius\n0,10,10,5\nx,30,10,5\n")
+    # blank lines count: the numbers are the file's own
+    with pytest.raises(MaskError, match="line 3: expected 4 fields"):
+        parse_mask("node_id,cx,cy,radius\n\n0,1,2\n")
+    with pytest.raises(MaskError, match="line 4: malformed mask row"):
+        parse_mask("node_id,cx,cy,radius\r\n0,10,10,5\r\n\r\n1,30,10,bad\r\n")
+    with pytest.raises(MaskError, match="line 4: malformed mask row"):
+        parse_mask("\n\nnode_id,cx,cy,radius\n0,x,10,5\n")
 
 
 # ---------------------------------------------------------------------------

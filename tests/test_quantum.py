@@ -8,11 +8,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from child_process import run_child
+from hexwalk import quantum
 from hexwalk.graphs import Graph, glued_tree, hexagonal_graph, hypercube_graph, path_graph
 from hexwalk.hitting import quantum_hitting_curve
-from hexwalk.quantum import Hamiltonian, WalkOperator, entry_state, propagate, propagate_entry
+from hexwalk.quantum import Hamiltonian, WalkOperator, entry_state, propagate
 from hexwalk.stochastic import ClassicalGenerator
-from test_hitting import _two_hexagons as two_hexagons
+from test_hitting import _two_hexagons as two_hexagons, dense
 
 # Exit probability of the 6-node single-hexagon walk at C=1, z=1, computed
 # with a 40-term series expansion of the propagator and frozen here.
@@ -116,7 +118,7 @@ def test_scaling_coupling_rescales_length():
     slow = Hamiltonian(g, 1.0)
     fast = Hamiltonian(g, 2.0)
     z = 4.2
-    psi_slow = propagate(slow, psi0, z)
+    psi_slow = propagate(dense(slow), psi0, z)
     psi_fast = propagate(fast, psi0, z / 2.0)
     assert np.max(np.abs(psi_slow - psi_fast)) < 1e-9
 
@@ -125,7 +127,7 @@ def test_evolution_composes():
     g = glued_tree(2, gluing="identity")
     h = Hamiltonian(g, 0.8)
     psi0 = entry_state(g)
-    direct = propagate(h, psi0, 3.7)
+    direct = propagate(dense(h), psi0, 3.7)
     stepped = propagate(h, propagate(h, psi0, 1.4), 2.3)
     assert np.max(np.abs(direct - stepped)) < 1e-9
 
@@ -197,10 +199,9 @@ def test_evolve_rejects_bad_lengths_and_shapes(kind):
     with pytest.raises(ValueError):
         propagate(h, psi0, 1.0, 0)
     uneven = np.array([0.0, 1.0, 5.0])
-    with pytest.raises(ValueError, match="evenly spaced"):
-        propagate(h, psi0, uneven, 0)
-    with pytest.raises(ValueError, match="evenly spaced"):
-        propagate_entry(h, uneven, g.exit)
+    for op in (h, dense(h)):
+        with pytest.raises(ValueError, match="evenly spaced"):
+            propagate(op, psi0, uneven, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +213,7 @@ def test_evolve_rejects_bad_lengths_and_shapes(kind):
 def test_amplitude_grid_matches_single_shot_evolution(kind):
     g = hexagonal_graph(1)
     make, launch, dtype, _, _ = OPERATORS[kind]
-    h = make(g, 1.3)
+    h = dense(make(g, 1.3))
     psi0 = launch(g)
     zs = np.array([0.0, 0.5, 1.25, 4.0])
     grid = propagate(h, psi0, zs)
@@ -228,7 +229,7 @@ def test_amplitude_grid_matches_single_shot_evolution(kind):
 def test_site_probability_curve_matches_grid(kind):
     g = hexagonal_graph(2)
     make, launch, dtype, probability, floor = OPERATORS[kind]
-    h = make(g, 1.0)
+    h = dense(make(g, 1.0))
     psi0 = launch(g)
     zs = np.linspace(0.0, 8.0, 33)
     site = propagate(h, psi0, zs, g.exit)
@@ -263,12 +264,12 @@ def test_site_curve_matches_scalar_propagation(kind, t0, n):
     op = make(g, 1.3)
     psi0 = launch(g)
     zs = t0 + 0.07 * np.arange(n)
-    expected = np.array([propagate(op, psi0, z)[g.exit] for z in zs], dtype=dtype)
-    for curve in (propagate(op, psi0, zs, g.exit), propagate_entry(op, zs, g.exit)):
+    expected = np.array([propagate(dense(op), psi0, z)[g.exit] for z in zs], dtype=dtype)
+    for curve in (propagate(dense(op), psi0, zs, g.exit), propagate(op, psi0, zs, g.exit)):
         assert curve.shape == (n,)
         assert curve.dtype == dtype
         assert np.max(np.abs(curve - expected), initial=0.0) < 1e-12
-    descending = propagate(op, psi0, zs[::-1], g.exit)
+    descending = propagate(dense(op), psi0, zs[::-1], g.exit)
     assert np.max(np.abs(descending - expected[::-1]), initial=0.0) < 1e-12
 
 
@@ -285,9 +286,9 @@ def test_site_curve_to_long_lengths_is_within_phase_rounding(kind):
     op = make(g, 1.0)
     psi0 = launch(g)
     zs = np.linspace(0.0, 1e4, 1001)
-    expected = np.array([propagate(op, psi0, z)[g.exit] for z in zs], dtype=dtype)
+    expected = np.array([propagate(dense(op), psi0, z)[g.exit] for z in zs], dtype=dtype)
     bound = 10 * np.finfo(float).eps * np.abs(op.spectrum[0]).max() * zs[-1]
-    assert np.max(np.abs(propagate_entry(op, zs, g.exit) - expected)) < bound
+    assert np.max(np.abs(propagate(op, psi0, zs, g.exit) - expected)) < bound
 
 
 def test_million_point_scan_stays_small():
@@ -306,6 +307,56 @@ def test_dense_assembly_peaks_below_two_matrices(kind):
     op = OPERATORS[kind][0](hexagonal_graph(30), 1.0)
     peak = peak_traced_bytes(lambda: op.matrix)
     assert peak <= 2 * op.matrix.nbytes
+
+
+@pytest.mark.parametrize("kind", sorted(OPERATORS))
+def test_spectrum_limit_refuses_one_byte_over_the_prediction(kind, monkeypatch):
+    # hexagonal_graph(3) has 18 entry cells
+    need = quantum._SPECTRUM_ARRAYS * 8 * 18**2
+    monkeypatch.setattr(quantum, "MAX_SPECTRUM_BYTES", need)
+    assert OPERATORS[kind][0](hexagonal_graph(3), 1.0).quotient.dim == 18
+    monkeypatch.setattr(quantum, "MAX_SPECTRUM_BYTES", need - 1)
+    op = OPERATORS[kind][0](hexagonal_graph(3), 1.0)
+    with pytest.raises(ValueError, match="the walk spectrum on 18 cells would take about"):
+        op.quotient
+    with pytest.raises(ValueError, match="on 30 cells"):
+        op.matrix
+    # the default limit admits a depth-100 patch, 10300 cells
+    monkeypatch.undo()
+    assert quantum._SPECTRUM_ARRAYS * 8 * 10300**2 <= quantum.MAX_SPECTRUM_BYTES
+
+
+# A ring of 40000 nodes with a seeded chord matching: no two nodes look alike from the
+# entry, so every node is its own cell and a k x k array alone would take 11.9 GiB.
+# The address-space limit makes the allocation fail at once wherever the refusal is lost.
+_RING_CHILD = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, 3 * 2**30))
+import numpy as np
+from hexwalk.graphs import Graph
+from hexwalk.quantum import Hamiltonian
+n = 40000
+nodes = np.arange(n)
+chords = np.random.default_rng(7).permutation(n).reshape(-1, 2)
+gap = np.abs(chords[:, 0] - chords[:, 1])
+chords = chords[(gap != 1) & (gap != n - 1)]
+edges = np.concatenate([np.column_stack((nodes, (nodes + 1) % n)), chords])
+g = Graph("path", np.column_stack((2 * nodes, 0 * nodes)), edges, 0, n // 2)
+print(g.entry_cells.max() + 1)
+try:
+    Hamiltonian(g).quotient
+except ValueError as exc:
+    print(exc)
+"""
+
+
+def test_an_oversized_quotient_is_refused_before_it_is_allocated():
+    proc = run_child(_RING_CHILD, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "40000\nthe walk spectrum on 40000 cells would take about 53.6 GiB, "
+        "above the limit of 4 GiB\n"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -329,15 +380,15 @@ def test_quotient_matches_dense_propagation(kind, build):
     g = build()
     make, launch, dtype, _, _ = OPERATORS[kind]
     zs = np.linspace(0.0, 6.0, 25)
-    dense = propagate(make(g, 0.8), launch(g), zs)
     op = make(g, 0.8)
-    grid = propagate_entry(op, zs)
-    assert grid.shape == dense.shape
+    reference = propagate(dense(op), launch(g), zs)
+    grid = propagate(op, launch(g), zs)
+    assert grid.shape == reference.shape
     assert grid.dtype == dtype
-    assert np.max(np.abs(grid - dense)) < 1e-12
+    assert np.max(np.abs(grid - reference)) < 1e-12
     for site in (g.exit, 0):
-        assert np.max(np.abs(propagate_entry(op, zs, site) - dense[:, site])) < 1e-12
-    assert np.max(np.abs(propagate_entry(op, zs[7]) - dense[7])) < 1e-12
+        assert np.max(np.abs(propagate(op, launch(g), zs, site) - reference[:, site])) < 1e-12
+    assert np.max(np.abs(propagate(op, launch(g), zs[7]) - reference[7])) < 1e-12
     # the quotient is S^T M S with S the cell indicator, columns scaled to unit norm
     cell = g.entry_cells
     s = (cell[:, None] == np.arange(cell.max() + 1)[None, :]).astype(float)
@@ -355,38 +406,98 @@ def test_dense_matrix_is_scale_times_adjacency_minus_diagonal_degrees(kind, buil
     assert np.array_equal(op.matrix, expected)
 
 
-@pytest.mark.parametrize("kind", sorted(OPERATORS))
-def test_entry_propagation_never_forms_the_dense_matrix(kind, monkeypatch):
-    g = hexagonal_graph(3)
-    op = OPERATORS[kind][0](g, 1.0)
+def count_eigh(monkeypatch) -> list[int]:
+    """Record the size of every ``eigh`` from here on."""
     sizes = []
     eigh = np.linalg.eigh
-    monkeypatch.setattr(WalkOperator, "matrix", property(lambda self: pytest.fail("dense matrix")))
     monkeypatch.setattr(np.linalg, "eigh", lambda m: sizes.append(len(m)) or eigh(m))
-    propagate_entry(op, np.linspace(0.0, 2.0, 5), g.exit)
-    propagate_entry(op, 1.5)
+    return sizes
+
+
+def forbid_dense_matrix(monkeypatch) -> None:
+    monkeypatch.setattr(WalkOperator, "matrix", property(lambda self: pytest.fail("dense matrix")))
+
+
+def entry_plus_exit(g: Graph) -> np.ndarray:
+    return entry_state(g) + np.eye(g.n_nodes)[g.exit]
+
+
+def uniform(g: Graph) -> np.ndarray:
+    return np.full(g.n_nodes, 1.0 / g.n_nodes)
+
+
+@pytest.mark.parametrize("kind", sorted(OPERATORS))
+@pytest.mark.parametrize(
+    "state", [entry_state, entry_plus_exit, uniform], ids=["entry", "entry-plus-exit", "uniform"]
+)
+def test_states_constant_on_the_cells_never_form_the_dense_matrix(kind, state, monkeypatch):
+    # the entry and the exit are each alone in a cell, and the uniform state is constant on all
+    g = hexagonal_graph(3)
+    make, _, dtype, _, _ = OPERATORS[kind]
+    zs = np.linspace(0.0, 6.0, 25)
+    reference = propagate(dense(make(g, 1.0)), state(g), zs)
+    op = make(g, 1.0)
+    forbid_dense_matrix(monkeypatch)
+    sizes = count_eigh(monkeypatch)
+    grid = propagate(op, state(g), zs)
+    assert grid.dtype == dtype
+    assert np.max(np.abs(grid - reference)) <= 1e-12
+    for site in (g.exit, 4):
+        assert np.max(np.abs(propagate(op, state(g), zs, site) - reference[:, site])) <= 1e-12
+    assert np.max(np.abs(propagate(op, state(g), zs[7]) - reference[7])) <= 1e-12
     assert sizes == [9, 9]  # the 18 cells split into the two mirror sectors
+
+
+@pytest.mark.parametrize("kind", sorted(OPERATORS))
+def test_a_state_not_constant_on_the_cells_takes_the_dense_spectrum(kind, monkeypatch):
+    g = hexagonal_graph(3)
+    cell = g.entry_cells
+    node = int(np.flatnonzero(np.bincount(cell)[cell] > 1)[0])  # shares its cell
+    x0 = entry_state(g)
+    x0[node] = 1e-300
+    op = OPERATORS[kind][0](g, 1.0)
+    sizes = count_eigh(monkeypatch)
+    grid = propagate(op, x0, np.linspace(0.0, 2.0, 5))
+    assert sizes == [15, 15]  # the 30 nodes split into the two mirror sectors
+    assert np.array_equal(grid, propagate(dense(op), x0, np.linspace(0.0, 2.0, 5)))
+
+
+def test_a_signed_classical_state_is_not_clipped(monkeypatch):
+    # exp(K t) of e_entry - e_exit goes negative at the exit: the quotient must keep it
+    g = hexagonal_graph(3)
+    x0 = entry_state(g) - np.eye(g.n_nodes)[g.exit]
+    zs = np.linspace(0.0, 6.0, 25)
+    reference = propagate(dense(ClassicalGenerator(g)), x0, zs)
+    op = ClassicalGenerator(g)
+    forbid_dense_matrix(monkeypatch)
+    sizes = count_eigh(monkeypatch)
+    grid = propagate(op, x0, zs)
+    assert sizes == [9, 9]
+    assert grid.min() < -0.1
+    assert np.max(np.abs(grid - reference)) <= 1e-12
+    assert np.max(np.abs(propagate(op, x0, zs, g.exit) - reference[:, g.exit])) <= 1e-12
 
 
 @pytest.mark.parametrize("kind", sorted(OPERATORS))
 def test_entry_propagation_on_an_edgeless_graph_stays_at_the_entry(kind):
     g = Graph("path", [(0, 0), (2, 0)], [], 0, 1)
     op = OPERATORS[kind][0](g, 1.0)
-    assert np.array_equal(propagate_entry(op, 1.0), entry_state(g))
-    assert np.array_equal(propagate_entry(op, np.linspace(0.0, 2.0, 3), g.exit), np.zeros(3))
+    assert np.array_equal(propagate(op, entry_state(g), 1.0), entry_state(g))
+    assert np.array_equal(propagate(op, entry_state(g), np.linspace(0.0, 2.0, 3), g.exit), np.zeros(3))
 
 
 def test_entry_propagation_rejects_bad_sites():
     g = path_graph(5)
     h = Hamiltonian(g)
+    x0 = entry_state(g)
     zs = np.linspace(0.0, 1.0, 3)
     for site in (-1, 5):
         with pytest.raises(ValueError):
-            propagate_entry(h, zs, site)
+            propagate(h, x0, zs, site)
     with pytest.raises(ValueError):
-        propagate_entry(h, 1.0, 0)
+        propagate(h, x0, 1.0, 0)
     with pytest.raises(ValueError):
-        propagate_entry(h, -1.0)
+        propagate(h, x0, -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -436,9 +547,7 @@ def test_sector_spectrum_rebuilds_its_matrix(kind, part, build):
 def test_mirror_splits_eigh_into_two_sectors(kind, part, build, monkeypatch):
     g, op = sector_operator(kind, build, part)
     k = len(op.matrix)
-    sizes = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda m: sizes.append(len(m)) or eigh(m))
+    sizes = count_eigh(monkeypatch)
     op.spectrum
     if g.mirror is None:
         assert sizes == [k]
@@ -486,9 +595,9 @@ def test_entry_propagation_matches_the_dense_adjacency_spectrum(kind, build):
     w, v = np.linalg.eigh(m)
     zs = np.linspace(0.0, 6.0, 25)
     oracle = (np.exp(op.phase * np.outer(zs, w)) * v[g.entry]) @ v.T
-    assert np.max(np.abs(propagate_entry(op, zs) - oracle)) <= 1e-12
+    assert np.max(np.abs(propagate(op, entry_state(g), zs) - oracle)) <= 1e-12
     for site in (g.exit, g.entry):
-        assert np.max(np.abs(propagate_entry(op, zs, site) - oracle[:, site])) <= 1e-12
+        assert np.max(np.abs(propagate(op, entry_state(g), zs, site) - oracle[:, site])) <= 1e-12
 
 
 @pytest.mark.parametrize("kind", sorted(OPERATORS))
@@ -498,13 +607,11 @@ def test_a_mirror_that_splits_a_cell_leaves_the_quotient_whole(kind, monkeypatch
     coords, edges = [(0, 0), (-2, 0), (2, 0), (0, 2)], [(0, 1), (0, 2), (0, 3)]
     g = Graph("path", coords, edges, 1, 2, mirror=[0, 2, 1, 3])
     op = OPERATORS[kind][0](g, 0.8)
-    sizes = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda m: sizes.append(len(m)) or eigh(m))
+    sizes = count_eigh(monkeypatch)
     assert op.quotient.mirror is None
     zs = np.linspace(0.0, 6.0, 25)
-    grid = propagate_entry(op, zs)
+    grid = propagate(op, entry_state(g), zs)
     assert sizes == [3]
     # the dense matrix keeps the mirror: nodes 0 and 3 are fixed, so the sectors have 3 and 1 rows
-    assert np.max(np.abs(grid - propagate(op, entry_state(g), zs))) <= 1e-12
+    assert np.max(np.abs(grid - propagate(dense(op), entry_state(g), zs))) <= 1e-12
     assert sizes == [3, 3, 1]
