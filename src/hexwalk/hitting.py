@@ -313,9 +313,11 @@ def classical_convergence_time(graph: Graph, rate: float = 1.0) -> ConvergenceRe
     so only quotient modes enter it and the gap is taken among them.  The
     state is constant on cells, so the deviation is the maximum over cells
     of |y_c / sqrt(|c|) - 1/N|, with the entry's modes projected once.
-    The zero mode carries exactly the 1/N, so the deviation sums only the
-    nonzero modes: summing it from eigenvectors and subtracting 1/N would
-    leave an absolute rounding floor near 1e-16 instead of decaying to 0.
+    The zero mode carries exactly the 1/N, so the deviation gives it weight
+    0 and sums the nonzero modes only, through V whole rather than a copy
+    without its column: summing it from eigenvectors and subtracting 1/N
+    would leave an absolute rounding floor near 1e-16 instead of decaying
+    to 0.
 
     The same spectrum decides connectivity.  The null space of K is spanned
     by the indicators of the connected components (Fiedler 1973).  The cells
@@ -334,8 +336,7 @@ def classical_convergence_time(graph: Graph, rate: float = 1.0) -> ConvergenceRe
     p_uniform = 1.0 / graph.n_nodes
     cell = graph.entry_cells
     lift = 1.0 / np.sqrt(np.bincount(cell))
-    w, v = w[~zero], v[:, ~zero]
-    modes = v[cell[graph.entry], :]
+    modes = np.where(zero, 0.0, v[cell[graph.entry], :])
 
     def deviation(t: float) -> float:
         return float(np.max(np.abs(lift * (v @ (np.exp(w * t) * modes)))))

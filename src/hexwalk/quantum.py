@@ -51,6 +51,14 @@ split.  A hexagonal patch, a hypercube and a glued tree with the identity
 gluing carry a mirror; a path, a random-cycle glued tree and a hand-built
 graph do not, and take one ``eigh`` of size k.
 
+No walk keeps a dense matrix beside its spectrum.  A walk operator holds
+its node pairs (i, j, value) and its quotient the cell pairs
+(:class:`PairOperator`); each sector block is scattered from them, goes to
+``eigh`` and is freed before the next is built, and V comes last.  So a
+spectrum peaks at about 1.55 k x k float arrays with a mirror and 5.2
+without (:func:`_spectrum_bytes`), and a complex state meets V a block of
+rows at a time, never as a complex copy of all of V.
+
 The Hamiltonian couples neighbouring sites with a uniform strength C (units
 1/mm, so the evolution parameter z is a propagation length in mm) and has
 no on-site term: a common one would only add a global phase.  Since only
@@ -68,15 +76,37 @@ import numpy as np
 
 from hexwalk.graphs import Graph
 
-#: Most bytes a walk spectrum may take (see :meth:`WalkOperator._assemble`).
-#: ``hexagonal_graph(100)`` (10300 cells, 3.6 GiB predicted) fits.
+#: Most bytes a walk spectrum may take (see :func:`_spectrum_bytes`).
+#: ``hexagonal_graph(133)`` (18088 cells, 3.9 GiB predicted) fits.
 MAX_SPECTRUM_BYTES = 4 * 2**30
 
-#: k x k float arrays a walk on k cells holds at its peak: the matrix, V, the
-#: sector blocks and ``eigh`` workspace, and the complex copy of V that a
-#: coherent state's modes take.  Fitted to the peak RSS of coherent scans,
-#: less the interpreter's: 4.36 arrays at hexagonal n = 60, 4.06 at n = 100.
-_SPECTRUM_ARRAYS = 4.5
+#: n x n float arrays an ``eigh`` of order n holds at its peak: its input,
+#: its result, and LAPACK's copy and workspace (``dsyevd``, 2 n^2 and more)
+#: inside the call; measured at 5.1 and 5.2 for n = 3000 and 1890.
+_EIGH_ARRAYS = 5.2
+
+#: Resident bytes beside a spectrum's arrays: the graph, its cells and the
+#: curve, and freed blocks under glibc's 32 MiB mmap threshold that stay in
+#: its heap (about 0.6 k x k arrays at hexagonal n = 60, none at n = 100).
+_RESIDENT_SLACK = 128 * 2**20
+
+
+def _spectrum_bytes(k: int, odd: int) -> float:
+    """Peak resident bytes of a walk on k cells whose spectrum has ``odd`` odd rows.
+
+    :attr:`SpectralOperator.spectrum` holds, one stage after another, the
+    even sector's ``eigh`` (e = k - odd rows), the odd sector's beside the
+    even eigenvectors, and V beside both: max(5.2 e^2, e^2 + 5.2 odd^2,
+    k^2 + e^2 + odd^2) floats.  Evolving a state adds vectors and
+    sqrt(T) x k mode factors only.  So a mirror that halves the cells
+    needs 1.55 k x k arrays and a graph without one 5.2.  Against the peak
+    RSS of runs less the interpreter's: coherent and classical scans at
+    hexagonal n = 100 (k = 10300) took 1.53 arrays, the dense spectrum of
+    hexagonal n = 60 (7440 nodes) 1.53, and a path of 4000 cells 5.08.
+    """
+    even = k - odd
+    arrays = max(_EIGH_ARRAYS * even**2, even**2 + _EIGH_ARRAYS * odd**2, k**2 + even**2 + odd**2)
+    return 8.0 * arrays + _RESIDENT_SLACK
 
 
 class SpectralOperator:
@@ -86,8 +116,7 @@ class SpectralOperator:
     for the coherent walk, whose states are complex amplitudes, and 1 for
     the classical walk, whose states are real probabilities.  The matrix is
     read-only and the spectrum is computed once on first use and reused for
-    every evolution length.  A subclass that forms its matrix on demand
-    passes None.  ``mirror``, an involution r of the indices with
+    every evolution length.  ``mirror``, an involution r of the indices with
     M[r[i], r[j]] = M[i, j], splits the spectrum into its two sectors; None
     stands for the identity.
     """
@@ -118,6 +147,10 @@ class SpectralOperator:
     def dim(self) -> int:
         return len(self.matrix)
 
+    def _block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """A new array of the entries M[rows[a], cols[b]]."""
+        return self.matrix[np.ix_(rows, cols)]
+
     @property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues and orthonormal eigenvectors of the matrix, even sector first.
@@ -129,24 +162,38 @@ class SpectralOperator:
         no element between the two.  In those bases the blocks are
         [[A + B, sqrt(2) C], [sqrt(2) C^T, F]] and A - B, with A, B, C and F
         the blocks M[p, p], M[p, r[p]], M[p, f] and M[f, f] of pair cells p
-        and fixed cells f; each goes to its own ``eigh`` and the eigenvectors
-        are lifted back to k rows.  Without a mirror every cell is fixed, the
-        even block is M itself and the empty odd block's ``eigh`` is skipped.
+        and fixed cells f.  Each block is built, goes to its own ``eigh`` and
+        is freed before the next is built, and V is allocated last, so the
+        peak is the one :func:`_spectrum_bytes` counts.  Without a mirror
+        every cell is fixed, the even block is M itself and the empty odd
+        block's ``eigh`` is skipped.
         """
         if self._spectrum is None:
-            m = self.matrix
-            i = np.arange(len(m))
+            k = self.dim
+            i = np.arange(k)
             r = i if self.mirror is None else self.mirror
             p, f = np.flatnonzero(i < r), np.flatnonzero(i == r)
-            a, b, c = m[np.ix_(p, p)], m[np.ix_(p, r[p])], math.sqrt(2.0) * m[np.ix_(p, f)]
-            w_even, y_even = np.linalg.eigh(np.block([[a + b, c], [c.T, m[np.ix_(f, f)]]]))
-            w_odd, y_odd = np.linalg.eigh(a - b) if len(p) else (w_even[:0], a)
-            v = np.zeros(m.shape)
+            n = len(p)
+            block = np.empty((k - n, k - n))
+            np.add(self._block(p, p), self._block(p, r[p]), out=block[:n, :n])
+            np.multiply(math.sqrt(2.0), self._block(p, f), out=block[:n, n:])
+            block[n:, :n] = block[:n, n:].T
+            block[n:, n:] = self._block(f, f)
+            w_even, y_even = np.linalg.eigh(block)
+            block = self._block(p, p)
+            block -= self._block(p, r[p])
+            w_odd, y_odd = np.linalg.eigh(block) if n else (w_even[:0], block)
+            del block
+            v = np.zeros((k, k))
             even, odd = v[:, : len(w_even)], v[:, len(w_even) :]
-            even[p] = even[r[p]] = math.sqrt(0.5) * y_even[: len(p)]
-            even[f] = y_even[len(p) :]
-            odd[p] = math.sqrt(0.5) * y_odd
-            odd[r[p]] = -odd[p]
+            even[f] = y_even[n:]
+            y_even = y_even[:n]
+            y_even *= math.sqrt(0.5)
+            even[p] = even[r[p]] = y_even
+            y_odd *= math.sqrt(0.5)
+            odd[p] = y_odd
+            odd[r[p]] = np.negative(y_odd, out=y_odd)
+            del y_even, y_odd
             w = np.concatenate([w_even, w_odd])
             w.flags.writeable = False
             v.flags.writeable = False
@@ -154,39 +201,89 @@ class SpectralOperator:
         return self._spectrum
 
 
-class WalkOperator(SpectralOperator):
+class PairOperator(SpectralOperator):
+    """Real symmetric matrix held as its entries (i, j, value), never as a dense array.
+
+    ``pairs`` lists every entry that may be nonzero once, the diagonal
+    among them.  The spectrum scatters each sector block straight from the
+    pairs, and :attr:`matrix` forms the dense ``dim`` x ``dim`` matrix anew
+    on each request, for callers that want it.
+    """
+
+    def __init__(
+        self,
+        dim: int,
+        pairs: tuple[np.ndarray, np.ndarray, np.ndarray] | None,
+        phase: complex | float = 1.0,
+        mirror: np.ndarray | None = None,
+    ):
+        super().__init__(None, phase, mirror)
+        self._dim = dim
+        self._pairs = pairs
+
+    @property
+    def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self._pairs
+
+    @property
+    def dim(self) -> int:
+        return self._dim
+
+    @property
+    def matrix(self) -> np.ndarray:
+        m = self._block(np.arange(self.dim), np.arange(self.dim))
+        m.flags.writeable = False
+        return m
+
+    def _block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        i, j, value = self.pairs
+        at = np.full((2, self.dim), -1)  # each index's place among rows, and among cols
+        at[0, rows] = np.arange(len(rows))
+        at[1, cols] = np.arange(len(cols))
+        a, b = at[0, i], at[1, j]
+        (keep,) = np.nonzero((a >= 0) & (b >= 0))
+        out = np.zeros((len(rows), len(cols)))
+        out[a[keep], b[keep]] = value[keep]
+        return out
+
+
+class WalkOperator(PairOperator):
     """Walk matrix M = scale * (A - diagonal * D) of a graph.
 
-    The Hamiltonian has ``diagonal`` 0 and the rate matrix 1.  The dense
-    N x N matrix, and with it the N x N spectrum, is formed only when it is
-    asked for; a state constant on the entry cells runs on :attr:`quotient`.  Both
-    are the same assembly S^T M S, on singleton cells for the dense matrix.
+    The Hamiltonian has ``diagonal`` 0 and the rate matrix 1.  The operator
+    holds M as its node pairs, and :attr:`quotient` as the pairs of its
+    entry cells; a state constant on the entry cells runs on the quotient.
+    Both are the same assembly S^T M S, on singleton cells for the nodes.
+    No dense matrix outlives a request for it.
     """
 
     diagonal = 0.0
 
     def __init__(self, graph: Graph, scale: float, phase: complex | float):
-        super().__init__(None, phase, graph.mirror)
+        super().__init__(graph.n_nodes, None, phase, graph.mirror)
         self.graph = graph
         self.scale = scale
-        self._quotient: SpectralOperator | None = None
+        self._quotient: PairOperator | None = None
 
-    def _assemble(self, cell: np.ndarray) -> np.ndarray:
-        """S^T M S for an equitable partition of the nodes into cells ``cell``.
+    def _assemble(
+        self, cell: np.ndarray, mirror: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The pairs (i, j, value) of S^T M S for an equitable partition into cells ``cell``.
 
         S is the N x k indicator of the cells with each column divided by
         sqrt(|cell|).  Cells a and b joined by e_ab edges meet at
         e_ab / sqrt(|a| |b|), and D is constant on every cell because the
-        partition is equitable; the matrix is assembled from those counts,
-        never from the dense one.  With one node per cell, S = I and the
-        result is M itself.  A spectrum predicted to take more than
-        :data:`MAX_SPECTRUM_BYTES` is refused with ``ValueError`` before
-        anything is allocated.
+        partition is equitable; the pairs come from those counts, and
+        every cell's diagonal entry is listed.  With one node per cell,
+        S = I and the pairs are M's.  A spectrum predicted to take more
+        than :data:`MAX_SPECTRUM_BYTES`, given the cells' ``mirror``, is
+        refused with ``ValueError`` before anything is allocated.
         """
         g = self.graph
         size = np.bincount(cell)
         k = len(size)
-        need = _SPECTRUM_ARRAYS * 8 * k * k
+        odd = 0 if mirror is None else int(np.count_nonzero(np.arange(k) < mirror))
+        need = _spectrum_bytes(k, odd)
         if need > MAX_SPECTRUM_BYTES:
             raise ValueError(
                 f"the walk spectrum on {k} cells would take about {need / 2**30:.3g} GiB, "
@@ -195,44 +292,44 @@ class WalkOperator(SpectralOperator):
         a, b = cell[g.edges.T]
         pair, links = np.unique(np.concatenate([a * k + b, b * k + a]), return_counts=True)
         i, j = np.divmod(pair, k)
+        value = links / np.sqrt(size[i] * size[j])
         degree = np.zeros(k)
         degree[cell] = g.degrees
-        m = np.zeros((k, k))
-        m[i, j] = links / np.sqrt(size[i] * size[j])
-        m.flat[:: k + 1] -= self.diagonal * degree
-        m *= self.scale
-        return m
+        diagonal = np.zeros(k)
+        on = i == j
+        diagonal[i[on]] = value[on]
+        diagonal -= self.diagonal * degree
+        cells = np.arange(k)
+        i, j = np.concatenate([i[~on], cells]), np.concatenate([j[~on], cells])
+        return i, j, np.concatenate([value[~on], diagonal]) * self.scale
 
     @property
-    def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            m = self._assemble(np.arange(self.graph.n_nodes))
-            m.flags.writeable = False
-            self._matrix = m
-        return self._matrix
+    def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if self._pairs is None:
+            self._pairs = self._assemble(np.arange(self.dim), self.mirror)
+        return self._pairs
 
     @property
-    def dim(self) -> int:
-        return self.graph.n_nodes
-
-    @property
-    def quotient(self) -> SpectralOperator:
-        """The k x k matrix S^T M S on the cells of :attr:`Graph.entry_cells`.
+    def quotient(self) -> PairOperator:
+        """S^T M S on the cells of :attr:`Graph.entry_cells`, held as its cell pairs.
 
         Its mirror is the graph's, carried to the cells: r[cell[v]] =
         cell[tau[v]].  That is well defined when tau maps every cell onto a
         cell, as it does whenever the exit is alone in its cell; otherwise
-        the quotient has no mirror.
+        the quotient has no mirror.  The quotient refers to nothing of the
+        walk operator, so both are freed as soon as the last reference to
+        either goes.
         """
         if self._quotient is None:
             g = self.graph
             cell, tau, r = g.entry_cells, g.mirror, None
+            k = int(cell.max()) + 1
             if tau is not None:
-                r = np.empty(cell.max() + 1, dtype=np.int64)
+                r = np.empty(k, dtype=np.int64)
                 r[cell] = cell[tau]
                 if not np.array_equal(r[cell], cell[tau]):
                     r = None
-            self._quotient = SpectralOperator(self._assemble(cell), self.phase, r)
+            self._quotient = PairOperator(k, self._assemble(cell, r), self.phase, r)
         return self._quotient
 
 
@@ -256,6 +353,32 @@ def entry_state(graph: Graph) -> np.ndarray:
     x = np.zeros(graph.n_nodes)
     x[graph.entry] = 1.0
     return x
+
+
+#: Rows, or columns, of V that :func:`_matmul` casts to complex at a time.
+_V_BLOCK = 64
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for a real matrix and a real or complex operand, without a complex copy of the matrix.
+
+    numpy casts a real factor of a complex product to complex whole, for V
+    a temporary twice its size.  Here :data:`_V_BLOCK` rows of a real a, or
+    columns of a real b, are cast at a time.  BLAS computes each row of the
+    product from its own row of a and each column from its own column of
+    b, so the product is bit for bit numpy's.
+    """
+    if a.dtype == complex:
+        out = np.empty(a.shape[:-1] + b.shape[1:], dtype=complex)
+        for s in range(0, b.shape[1], _V_BLOCK):
+            out[..., s : s + _V_BLOCK] = a @ b[:, s : s + _V_BLOCK]
+        return out
+    if b.dtype == complex:
+        out = np.empty(a.shape[:1] + b.shape[1:], dtype=complex)
+        for s in range(0, len(a), _V_BLOCK):
+            out[s : s + _V_BLOCK] = a[s : s + _V_BLOCK] @ b
+        return out
+    return a @ b
 
 
 def propagate(op: SpectralOperator, x0: np.ndarray, ts, site: int | None = None) -> np.ndarray:
@@ -302,11 +425,11 @@ def propagate(op: SpectralOperator, x0: np.ndarray, ts, site: int | None = None)
                 x = (propagate(q, y0, ts) * lift)[..., cell]
             return x if q.dtype is complex or x0.min() < 0.0 else np.maximum(x, 0.0)
     w, v = op.spectrum
-    modes = v.T @ x0
+    modes = _matmul(v.T, x0)
     if ts.ndim == 0:
-        return v @ (np.exp(op.phase * w * float(ts)) * modes)
+        return _matmul(v, np.exp(op.phase * w * float(ts)) * modes)
     if site is None:
-        return (np.exp(op.phase * np.outer(ts, w)) * modes) @ v.T
+        return _matmul(np.exp(op.phase * np.outer(ts, w)) * modes, v.T)
     n = len(ts)
     if n > 1 and ts[-1] < ts[0]:  # ascending, so the classical offsets exp(w dz r) stay <= 1
         return propagate(op, x0, ts[::-1], site)[::-1]

@@ -328,7 +328,7 @@ def test_scan_refuses_a_spectrum_over_the_memory_limit(tmp_path, capsys, monkeyp
     monkeypatch.setattr(quantum, "MAX_SPECTRUM_BYTES", 2**20)
     assert main(["scan", "--graph", "hexagonal:n=12", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == (
-        "hexwalk: the walk spectrum on 180 cells would take about 0.00109 GiB, "
+        "hexwalk: the walk spectrum on 180 cells would take about 0.125 GiB, "
         "above the limit of 0.000977 GiB\n"
     )
     assert not any(tmp_path.iterdir())

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -310,9 +312,45 @@ def test_dense_assembly_peaks_below_two_matrices(kind):
 
 
 @pytest.mark.parametrize("kind", sorted(OPERATORS))
+def test_quotient_spectrum_and_a_site_curve_peak_below_three_cell_arrays(kind):
+    # k = 990 cells: the two sector blocks and V, never the k x k quotient or a complex V
+    g = hexagonal_graph(30)
+    k = int(g.entry_cells.max()) + 1
+    op = OPERATORS[kind][0](g, 1.0)
+    grid = 0.01 * np.arange(12001)
+    peak = peak_traced_bytes(lambda: propagate(op, entry_state(g), grid, g.exit))
+    assert op.quotient.dim == k == 990
+    assert peak <= 3 * 8 * k * k
+
+
+def test_a_coherent_state_is_projected_without_a_complex_copy_of_v():
+    g = hexagonal_graph(30)
+    h = Hamiltonian(g)
+    v = h.quotient.spectrum[1]
+    x0 = entry_state(g) * np.exp(0.3j)
+    peak = peak_traced_bytes(lambda: propagate(h, x0, 1.0))
+    assert peak <= 0.25 * v.nbytes
+
+
+def test_a_curve_frees_its_operator_and_quotient_without_the_collector():
+    # a reference cycle between operator and quotient would keep both until gc runs
+    g = hexagonal_graph(4)
+    gc.disable()
+    try:
+        curve = quantum_hitting_curve(g)
+        operator = weakref.ref(curve.operator)
+        v = weakref.ref(curve.operator.quotient.spectrum[1])
+        del curve
+        assert operator() is None
+        assert v() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("kind", sorted(OPERATORS))
 def test_spectrum_limit_refuses_one_byte_over_the_prediction(kind, monkeypatch):
-    # hexagonal_graph(3) has 18 entry cells
-    need = quantum._SPECTRUM_ARRAYS * 8 * 18**2
+    # hexagonal_graph(3) has 18 entry cells, 9 of them in the odd sector
+    need = quantum._spectrum_bytes(18, 9)
     monkeypatch.setattr(quantum, "MAX_SPECTRUM_BYTES", need)
     assert OPERATORS[kind][0](hexagonal_graph(3), 1.0).quotient.dim == 18
     monkeypatch.setattr(quantum, "MAX_SPECTRUM_BYTES", need - 1)
@@ -321,9 +359,10 @@ def test_spectrum_limit_refuses_one_byte_over_the_prediction(kind, monkeypatch):
         op.quotient
     with pytest.raises(ValueError, match="on 30 cells"):
         op.matrix
-    # the default limit admits a depth-100 patch, 10300 cells
+    # the default limit admits a depth-133 patch, 18088 cells, and no deeper one
     monkeypatch.undo()
-    assert quantum._SPECTRUM_ARRAYS * 8 * 10300**2 <= quantum.MAX_SPECTRUM_BYTES
+    assert quantum._spectrum_bytes(18088, 9044) <= quantum.MAX_SPECTRUM_BYTES
+    assert quantum._spectrum_bytes(18358, 9179) > quantum.MAX_SPECTRUM_BYTES
 
 
 # A ring of 40000 nodes with a seeded chord matching: no two nodes look alike from the
@@ -354,7 +393,7 @@ def test_an_oversized_quotient_is_refused_before_it_is_allocated():
     proc = run_child(_RING_CHILD, timeout=10)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (
-        "40000\nthe walk spectrum on 40000 cells would take about 53.6 GiB, "
+        "40000\nthe walk spectrum on 40000 cells would take about 62.1 GiB, "
         "above the limit of 4 GiB\n"
     )
 
@@ -581,6 +620,34 @@ def test_spectrum_without_a_mirror_is_exactly_eigh(kind, build, part):
     assert op.mirror is None
     w, v = op.spectrum
     w_ref, v_ref = np.linalg.eigh(op.matrix)
+    assert np.array_equal(w, w_ref)
+    assert np.array_equal(v, v_ref)
+
+
+def ix_block_spectrum(m: np.ndarray, mirror: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """The sector spectrum with its blocks gathered from the dense matrix by ``np.ix_``."""
+    i = np.arange(len(m))
+    r = i if mirror is None else mirror
+    p, f = np.flatnonzero(i < r), np.flatnonzero(i == r)
+    a, b, c = m[np.ix_(p, p)], m[np.ix_(p, r[p])], math.sqrt(2.0) * m[np.ix_(p, f)]
+    w_even, y_even = np.linalg.eigh(np.block([[a + b, c], [c.T, m[np.ix_(f, f)]]]))
+    w_odd, y_odd = np.linalg.eigh(a - b) if len(p) else (w_even[:0], a)
+    v = np.zeros(m.shape)
+    even, odd = v[:, : len(w_even)], v[:, len(w_even) :]
+    even[p] = even[r[p]] = math.sqrt(0.5) * y_even[: len(p)]
+    even[f] = y_even[len(p) :]
+    odd[p] = math.sqrt(0.5) * y_odd
+    odd[r[p]] = -odd[p]
+    return np.concatenate([w_even, w_odd]), v
+
+
+@pytest.mark.parametrize("kind", sorted(OPERATORS))
+@pytest.mark.parametrize("part", ["dense", "quotient"])
+@pytest.mark.parametrize("build", SECTOR_BUILDS, ids=SECTOR_IDS)
+def test_spectrum_from_pairs_is_bit_for_bit_the_gathered_one(kind, part, build):
+    _, op = sector_operator(kind, build, part)
+    w_ref, v_ref = ix_block_spectrum(op.matrix, op.mirror)
+    w, v = op.spectrum
     assert np.array_equal(w, w_ref)
     assert np.array_equal(v, v_ref)
 
