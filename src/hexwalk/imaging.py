@@ -172,62 +172,34 @@ class MaskEntry:
 
 
 class MaskSpec:
-    """Circular readout regions for a set of nodes, kept sorted by node id.
-
-    The mask holds its node ids and circles as arrays, checked together;
-    :attr:`entries` builds the :class:`MaskEntry` rows on request.
-    """
+    """Circular readout regions for a set of nodes, kept sorted by node id."""
 
     def __init__(self, entries):
-        entries = list(entries)
-        self._keep(
-            np.array([e.node_id for e in entries], dtype=np.int64),
-            np.array([(e.cx, e.cy, e.radius) for e in entries], dtype=float).reshape(-1, 3),
-        )
-
-    @classmethod
-    def _adopt(cls, ids: np.ndarray, circles: np.ndarray) -> MaskSpec:
-        """The mask of the int64 ``ids`` and the (n, 3) float ``circles``, in any order."""
-        mask = cls.__new__(cls)
-        mask._keep(ids, circles)
-        return mask
-
-    def _keep(self, ids: np.ndarray, circles: np.ndarray) -> None:
-        """Sort by node id, check, and freeze ``ids`` and ``circles`` as the mask's.
-
-        A duplicate id is reported first, the smallest one; then the first
-        entry in node-id order with a negative id, a radius that is not
-        finite and > 0, or a centre that is not finite, in that order.
-        """
-        if not len(ids):
+        entries = tuple(sorted(entries, key=lambda e: e.node_id))
+        if not entries:
             raise MaskError("mask needs at least one entry")
-        order = np.argsort(ids, kind="stable")
-        ids, circles = self._ids, self._circles = ids[order], circles[order]
-        ids.flags.writeable = circles.flags.writeable = False
-        (dup,) = np.nonzero(ids[1:] == ids[:-1])
-        if len(dup):
-            raise MaskError(f"duplicate node id {ids[dup[0]]} in mask")
-        cx, cy, r = circles.T
-        bad = (ids < 0) | ~(np.isfinite(r) & (r > 0.0)) | ~(np.isfinite(cx) & np.isfinite(cy))
-        if bad.any():
-            e = self._entry(int(np.argmax(bad)))
+        ids = [e.node_id for e in entries]
+        dup = next((a for a, b in zip(ids, ids[1:]) if a == b), None)
+        if dup is not None:
+            raise MaskError(f"duplicate node id {dup} in mask")
+        for e in entries:
             if e.node_id < 0:
                 raise MaskError(f"node id must be >= 0, got {e.node_id}")
             if not np.isfinite(e.radius) or e.radius <= 0.0:
                 raise MaskError(f"node {e.node_id}: radius must be > 0, got {e.radius}")
-            raise MaskError(f"node {e.node_id}: centre must be finite")
-
-    def _entry(self, i: int) -> MaskEntry:
-        cx, cy, r = self._circles[i].tolist()
-        return MaskEntry(int(self._ids[i]), cx, cy, r)
+            if not (np.isfinite(e.cx) and np.isfinite(e.cy)):
+                raise MaskError(f"node {e.node_id}: centre must be finite")
+        self._entries = entries
+        self._circles = np.array([(e.cx, e.cy, e.radius) for e in entries], dtype=float)
+        self._circles.flags.writeable = False
 
     @property
     def entries(self) -> tuple[MaskEntry, ...]:
-        return tuple(self._entry(i) for i in range(len(self)))
+        return self._entries
 
     @property
     def node_ids(self) -> tuple[int, ...]:
-        return tuple(self._ids.tolist())
+        return tuple(e.node_id for e in self._entries)
 
     @property
     def circles(self) -> np.ndarray:
@@ -235,7 +207,7 @@ class MaskSpec:
         return self._circles
 
     def __len__(self) -> int:
-        return len(self._ids)
+        return len(self._entries)
 
     def validate_for(self, image: PixelImage) -> None:
         """Check circles sit fully inside the image and do not overlap.
@@ -253,12 +225,12 @@ class MaskSpec:
             (cx - r < 0.0) | (cy - r < 0.0) | (cx + r > image.cols - 1) | (cy + r > image.rows - 1)
         )
         if outside.any():
-            e = self._entry(int(np.argmax(outside)))
+            e = self._entries[int(np.argmax(outside))]
             raise MaskError(
                 f"node {e.node_id}: circle at ({e.cx:g}, {e.cy:g}) r={e.radius:g} "
                 f"reaches outside a {image.rows}x{image.cols} image"
             )
-        n = len(self)
+        n = len(self._entries)
         order = np.argsort(cx, kind="stable")
         x, y, rad = cx[order], cy[order], r[order]
         reach = 2.0 * rad.max()
@@ -271,25 +243,14 @@ class MaskSpec:
             a, b = order[hit], order[hit + k]
             first = int((np.minimum(a, b) * n + np.maximum(a, b)).min(initial=first))
         if first < n * n:
-            a, b = self._ids[first // n], self._ids[first % n]
-            raise MaskError(f"circles of nodes {a} and {b} overlap")
-
-
-#: The columns of a mask CSV, as numpy's C text reader reads them.
-_MASK_COLUMNS = np.dtype([("node_id", np.int64), ("cx", float), ("cy", float), ("radius", float)])
+            a, b = self._entries[first // n], self._entries[first % n]
+            raise MaskError(f"circles of nodes {a.node_id} and {b.node_id} overlap")
 
 
 def parse_mask(text: str) -> MaskSpec:
     """Parse a mask CSV with header ``node_id,cx,cy,radius``.
 
     Blank lines are skipped; errors name the line of the file itself.
-    numpy's C text reader (``np.loadtxt``) reads the rows first.  It reads
-    no field that ``int()`` or ``float()`` rejects, and gives the same
-    value for every field it reads, so its columns stand when it reads
-    them all.  Otherwise (a row with another number of fields, a bad
-    field, or one such as ``1_0`` that Python reads and numpy does not)
-    the rows are walked again with ``int()`` and ``float()``, which raise
-    at the first bad row.
     """
     lines = [(lineno, line) for lineno, line in enumerate(text.splitlines(), 1) if line.strip()]
     if not lines:
@@ -297,20 +258,8 @@ def parse_mask(text: str) -> MaskSpec:
     header = [col.strip() for col in lines[0][1].split(",")]
     if header != ["node_id", "cx", "cy", "radius"]:
         raise MaskError(f"mask header must be 'node_id,cx,cy,radius', got {lines[0][1]!r}")
-    rows = [line for _, line in lines[1:]]
-    try:
-        table = np.loadtxt(rows, _MASK_COLUMNS, delimiter=",", comments=None, ndmin=1) if rows else None
-    except ValueError:  # a bad row, or a field numpy does not read
-        table = None
-    if table is None:
-        return MaskSpec(_walk_mask_rows(lines[1:]))
-    return MaskSpec._adopt(table["node_id"], np.column_stack([table[c] for c in ("cx", "cy", "radius")]))
-
-
-def _walk_mask_rows(lines: list[tuple[int, str]]) -> list[MaskEntry]:
-    """Read numbered rows with ``int()`` and ``float()``; raise :class:`MaskError` at the first bad one."""
     entries = []
-    for lineno, line in lines:
+    for lineno, line in lines[1:]:
         fields = [f.strip() for f in line.split(",")]
         if len(fields) != 4:
             raise MaskError(f"line {lineno}: expected 4 fields, got {len(fields)}")
@@ -320,7 +269,7 @@ def _walk_mask_rows(lines: list[tuple[int, str]]) -> list[MaskEntry]:
             )
         except ValueError:
             raise MaskError(f"line {lineno}: malformed mask row {line!r}") from None
-    return entries
+    return MaskSpec(entries)
 
 
 def mask_csv(mask: MaskSpec) -> str:
@@ -473,7 +422,7 @@ def render_synthetic(
         raise ValueError(f"image shape must be positive, got {shape}")
     if not np.isfinite(sigma) or sigma <= 0.0:
         raise ValueError(f"spot width must be finite and > 0, got {sigma}")
-    min_radius = float(mask.circles[:, 2].min())
+    min_radius = min(e.radius for e in mask.entries)
     if sigma >= min_radius:
         warnings.warn(
             f"spot width {sigma:g} is at or above the smallest mask radius "

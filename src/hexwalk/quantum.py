@@ -56,8 +56,9 @@ its node pairs (i, j, value) and its quotient the cell pairs
 (:class:`PairOperator`); each sector block is scattered from them, goes to
 ``eigh`` and is freed before the next is built, and V comes last.  So a
 spectrum peaks at about 1.55 k x k float arrays with a mirror and 5.2
-without (:func:`_spectrum_bytes`), and a complex state meets V a block of
-rows at a time, never as a complex copy of all of V.
+without (:func:`_spectrum_bytes`).  A complex state is projected onto V,
+and a single length lifted back, a block of rows of V at a time, never
+through a complex copy of all of V.
 
 The Hamiltonian couples neighbouring sites with a uniform strength C (units
 1/mm, so the evolution parameter z is a propagation length in mm) and has
@@ -355,30 +356,28 @@ def entry_state(graph: Graph) -> np.ndarray:
     return x
 
 
-#: Rows, or columns, of V that :func:`_matmul` casts to complex at a time.
+#: Rows of V that :func:`_matmul` casts to complex at a time.
 _V_BLOCK = 64
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for a real matrix and a real or complex operand, without a complex copy of the matrix.
+    """a @ b for a real matrix a and a real or complex vector b, without a complex copy of a.
 
     numpy casts a real factor of a complex product to complex whole, for V
-    a temporary twice its size.  Here :data:`_V_BLOCK` rows of a real a, or
-    columns of a real b, are cast at a time.  BLAS computes each row of the
-    product from its own row of a and each column from its own column of
-    b, so the product is bit for bit numpy's.
+    a temporary twice its size.  Here :data:`_V_BLOCK` rows of a are cast
+    at a time.  Each entry of the product comes from its own row of a, and
+    numpy sends a block of two or more rows to the same BLAS routine
+    (gemv) as the whole matrix, so the product is numpy's bit for bit.  A
+    block of one row would go to a dot product instead, so a last lone row
+    joins the block before it.
     """
-    if a.dtype == complex:
-        out = np.empty(a.shape[:-1] + b.shape[1:], dtype=complex)
-        for s in range(0, b.shape[1], _V_BLOCK):
-            out[..., s : s + _V_BLOCK] = a @ b[:, s : s + _V_BLOCK]
-        return out
-    if b.dtype == complex:
-        out = np.empty(a.shape[:1] + b.shape[1:], dtype=complex)
-        for s in range(0, len(a), _V_BLOCK):
-            out[s : s + _V_BLOCK] = a[s : s + _V_BLOCK] @ b
-        return out
-    return a @ b
+    if b.dtype != complex:
+        return a @ b
+    out = np.empty(len(a), dtype=complex)
+    starts = list(range(0, len(a) - 1, _V_BLOCK)) or [0]
+    for s, e in zip(starts, starts[1:] + [len(a)]):
+        out[s:e] = a[s:e] @ b
+    return out
 
 
 def propagate(op: SpectralOperator, x0: np.ndarray, ts, site: int | None = None) -> np.ndarray:
@@ -429,7 +428,7 @@ def propagate(op: SpectralOperator, x0: np.ndarray, ts, site: int | None = None)
     if ts.ndim == 0:
         return _matmul(v, np.exp(op.phase * w * float(ts)) * modes)
     if site is None:
-        return _matmul(np.exp(op.phase * np.outer(ts, w)) * modes, v.T)
+        return (np.exp(op.phase * np.outer(ts, w)) * modes) @ v.T
     n = len(ts)
     if n > 1 and ts[-1] < ts[0]:  # ascending, so the classical offsets exp(w dz r) stay <= 1
         return propagate(op, x0, ts[::-1], site)[::-1]

@@ -332,6 +332,17 @@ def test_a_coherent_state_is_projected_without_a_complex_copy_of_v():
     assert peak <= 0.25 * v.nbytes
 
 
+@pytest.mark.parametrize("k", [1, 2, 64, 65, 129, 130])
+def test_blocked_products_are_numpys_whole_ones(k):
+    # 65 and 129 leave one row past a block, which must not go alone to a dot product
+    rng = np.random.default_rng(k)
+    v = rng.standard_normal((k, k))
+    x = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    for a in (v, v.T):
+        assert np.array_equal(quantum._matmul(a, x), a @ x)
+        assert np.array_equal(quantum._matmul(a, x.real), a @ x.real)
+
+
 def test_a_curve_frees_its_operator_and_quotient_without_the_collector():
     # a reference cycle between operator and quotient would keep both until gc runs
     g = hexagonal_graph(4)
