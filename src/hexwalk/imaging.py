@@ -185,6 +185,8 @@ class MaskSpec:
         for e in entries:
             if e.node_id < 0:
                 raise MaskError(f"node id must be >= 0, got {e.node_id}")
+            if e.node_id >= 2**63:  # node ids are read back as int64
+                raise MaskError(f"node id must be below 2**63, got {e.node_id}")
             if not np.isfinite(e.radius) or e.radius <= 0.0:
                 raise MaskError(f"node {e.node_id}: radius must be > 0, got {e.radius}")
             if not (np.isfinite(e.cx) and np.isfinite(e.cy)):

@@ -51,9 +51,9 @@ split.  A hexagonal patch, a hypercube and a glued tree with the identity
 gluing carry a mirror; a path, a random-cycle glued tree and a hand-built
 graph do not, and take one ``eigh`` of size k.
 
-No walk keeps a dense matrix beside its spectrum.  A walk operator holds
-its node pairs (i, j, value) and its quotient the cell pairs
-(:class:`PairOperator`); each sector block is scattered from them, goes to
+No operator keeps a dense matrix beside its spectrum.  Each holds its
+entries as pairs (i, j, value), a walk operator its node pairs and its
+quotient the cell pairs; each sector block is scattered from them, goes to
 ``eigh`` and is freed before the next is built, and V comes last.  So a
 spectrum peaks at about 1.55 k x k float arrays with a mirror and 5.2
 without (:func:`_spectrum_bytes`).  A complex state is projected onto V,
@@ -111,26 +111,31 @@ def _spectrum_bytes(k: int, odd: int) -> float:
 
 
 class SpectralOperator:
-    """Real symmetric matrix with its eigendecomposition cached.
+    """Real symmetric matrix held as its entries, with its eigendecomposition cached.
 
-    ``phase`` multiplies the eigenvalues in the propagator's exponent: -1j
-    for the coherent walk, whose states are complex amplitudes, and 1 for
-    the classical walk, whose states are real probabilities.  The matrix is
-    read-only and the spectrum is computed once on first use and reused for
-    every evolution length.  ``mirror``, an involution r of the indices with
-    M[r[i], r[j]] = M[i, j], splits the spectrum into its two sectors; None
-    stands for the identity.
+    ``pairs`` is three equal-length arrays (i, j, value) that list each
+    entry that may be nonzero once, the diagonal among them; a repeated
+    (i, j) is overwritten, not summed.  The spectrum scatters each sector
+    block straight from the pairs, and :attr:`matrix` forms the dense
+    ``dim`` x ``dim`` matrix anew, read-only, on each request.  ``phase``
+    multiplies the eigenvalues in the propagator's exponent: -1j for the
+    coherent walk, whose states are complex amplitudes, and 1 for the
+    classical walk, whose states are real probabilities.  The spectrum is
+    computed once on first use and reused for every evolution length.
+    ``mirror``, an involution r of the indices with M[r[i], r[j]] =
+    M[i, j], splits the spectrum into its two sectors; None stands for the
+    identity.
     """
 
     def __init__(
         self,
-        matrix: np.ndarray | None,
+        dim: int,
+        pairs: tuple[np.ndarray, np.ndarray, np.ndarray] | None,
         phase: complex | float = 1.0,
         mirror: np.ndarray | None = None,
     ):
-        if matrix is not None:
-            matrix.flags.writeable = False
-        self._matrix = matrix
+        self.dim = dim
+        self._pairs = pairs
         self.phase = phase
         self.mirror = mirror
         self._spectrum: tuple[np.ndarray, np.ndarray] | None = None
@@ -141,16 +146,26 @@ class SpectralOperator:
         return float if self.phase == 1.0 else complex
 
     @property
-    def matrix(self) -> np.ndarray:
-        return self._matrix
+    def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self._pairs
 
     @property
-    def dim(self) -> int:
-        return len(self.matrix)
+    def matrix(self) -> np.ndarray:
+        m = self._block(np.arange(self.dim), np.arange(self.dim))
+        m.flags.writeable = False
+        return m
 
     def _block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """A new array of the entries M[rows[a], cols[b]]."""
-        return self.matrix[np.ix_(rows, cols)]
+        """A new array of the entries M[rows[a], cols[b]], scattered from the pairs."""
+        i, j, value = self.pairs
+        at = np.full((2, self.dim), -1)  # each index's place among rows, and among cols
+        at[0, rows] = np.arange(len(rows))
+        at[1, cols] = np.arange(len(cols))
+        a, b = at[0, i], at[1, j]
+        (keep,) = np.nonzero((a >= 0) & (b >= 0))
+        out = np.zeros((len(rows), len(cols)))
+        out[a[keep], b[keep]] = value[keep]
+        return out
 
     @property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
@@ -202,59 +217,14 @@ class SpectralOperator:
         return self._spectrum
 
 
-class PairOperator(SpectralOperator):
-    """Real symmetric matrix held as its entries (i, j, value), never as a dense array.
-
-    ``pairs`` lists every entry that may be nonzero once, the diagonal
-    among them.  The spectrum scatters each sector block straight from the
-    pairs, and :attr:`matrix` forms the dense ``dim`` x ``dim`` matrix anew
-    on each request, for callers that want it.
-    """
-
-    def __init__(
-        self,
-        dim: int,
-        pairs: tuple[np.ndarray, np.ndarray, np.ndarray] | None,
-        phase: complex | float = 1.0,
-        mirror: np.ndarray | None = None,
-    ):
-        super().__init__(None, phase, mirror)
-        self._dim = dim
-        self._pairs = pairs
-
-    @property
-    def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self._pairs
-
-    @property
-    def dim(self) -> int:
-        return self._dim
-
-    @property
-    def matrix(self) -> np.ndarray:
-        m = self._block(np.arange(self.dim), np.arange(self.dim))
-        m.flags.writeable = False
-        return m
-
-    def _block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        i, j, value = self.pairs
-        at = np.full((2, self.dim), -1)  # each index's place among rows, and among cols
-        at[0, rows] = np.arange(len(rows))
-        at[1, cols] = np.arange(len(cols))
-        a, b = at[0, i], at[1, j]
-        (keep,) = np.nonzero((a >= 0) & (b >= 0))
-        out = np.zeros((len(rows), len(cols)))
-        out[a[keep], b[keep]] = value[keep]
-        return out
-
-
-class WalkOperator(PairOperator):
+class WalkOperator(SpectralOperator):
     """Walk matrix M = scale * (A - diagonal * D) of a graph.
 
     The Hamiltonian has ``diagonal`` 0 and the rate matrix 1.  The operator
-    holds M as its node pairs, and :attr:`quotient` as the pairs of its
-    entry cells; a state constant on the entry cells runs on the quotient.
-    Both are the same assembly S^T M S, on singleton cells for the nodes.
+    holds M as its node pairs, assembled on first use, and :attr:`quotient`
+    as the pairs of its entry cells; a state constant on the entry cells
+    runs on the quotient.  Both are the same assembly S^T M S, on singleton
+    cells for the nodes.
     No dense matrix outlives a request for it.
     """
 
@@ -264,7 +234,7 @@ class WalkOperator(PairOperator):
         super().__init__(graph.n_nodes, None, phase, graph.mirror)
         self.graph = graph
         self.scale = scale
-        self._quotient: PairOperator | None = None
+        self._quotient: SpectralOperator | None = None
 
     def _assemble(
         self, cell: np.ndarray, mirror: np.ndarray | None
@@ -311,7 +281,7 @@ class WalkOperator(PairOperator):
         return self._pairs
 
     @property
-    def quotient(self) -> PairOperator:
+    def quotient(self) -> SpectralOperator:
         """S^T M S on the cells of :attr:`Graph.entry_cells`, held as its cell pairs.
 
         Its mirror is the graph's, carried to the cells: r[cell[v]] =
@@ -330,7 +300,7 @@ class WalkOperator(PairOperator):
                 r[cell] = cell[tau]
                 if not np.array_equal(r[cell], cell[tau]):
                     r = None
-            self._quotient = PairOperator(k, self._assemble(cell, r), self.phase, r)
+            self._quotient = SpectralOperator(k, self._assemble(cell, r), self.phase, r)
         return self._quotient
 
 

@@ -644,6 +644,17 @@ def test_non_utf8_input_exits_3(tmp_path, capsys, bad):
     assert not (tmp_path / "probabilities.csv").exists()
 
 
+def test_mask_node_id_beyond_int64_exits_3(tmp_path, capsys):
+    img, msk = tmp_path / "image.txt", tmp_path / "mask.csv"
+    img.write_text("0 1 0\n1 2 1\n0 1 0\n")
+    msk.write_text("node_id,cx,cy,radius\n99999999999999999999,1,1,0.5\n")
+    assert main(["analyze", str(img), str(msk), "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == (
+        "hexwalk: input error: node id must be below 2**63, got 99999999999999999999\n"
+    )
+    assert not (tmp_path / "probabilities.csv").exists()
+
+
 def test_degenerate_window_exits_4(tmp_path, capsys):
     code = main(["variance", "--sites", "5", "--z-max", "100", "--out", str(tmp_path)])
     assert code == 4

@@ -33,7 +33,7 @@ from hexwalk.stochastic import ClassicalGenerator
 
 def dense(op: WalkOperator) -> SpectralOperator:
     """The walk's whole N x N operator, which propagates every state on the dense spectrum."""
-    return SpectralOperator(op.matrix, op.phase, op.mirror)
+    return SpectralOperator(op.dim, op.pairs, op.phase, op.mirror)
 
 
 # Refined optimum of the single-hexagon walk at C=1 (the peak sits at 2pi/3).

@@ -216,6 +216,14 @@ def test_mask_rejects_duplicates_and_bad_fields():
         MaskSpec([MaskEntry(0, float("nan"), 10.0, 5.0)])
 
 
+def test_mask_refuses_a_node_id_beyond_int64():
+    with pytest.raises(MaskError, match=r"^node id must be below 2\*\*63, got 99999999999999999999$"):
+        parse_mask("node_id,cx,cy,radius\n99999999999999999999,1,1,0.5\n")
+    image = PixelImage(np.ones((3, 3)))
+    top = MaskSpec([MaskEntry(2**63 - 1, 1.0, 1.0, 0.5)])
+    assert extract_probabilities(image, top).node_ids.tolist() == [2**63 - 1]
+
+
 def test_mask_names_the_smallest_duplicate_id():
     entries = [MaskEntry(i, 10.0 * i, 10.0, 1.0) for i in (4, 2, 7, 4, 2, 1)]
     with pytest.raises(MaskError, match="^duplicate node id 2 in mask$"):

@@ -575,7 +575,9 @@ SECTOR_BUILDS = [build for _, build in SECTOR_GRAPHS]
 def sector_operator(kind: str, build, part: str):
     g = build()
     op = OPERATORS[kind][0](g, 0.8)
-    return g, (op if part == "dense" else op.quotient)
+    if part == "quotient":
+        return g, op.quotient
+    return g, (op if part == "dense" else dense(op))
 
 
 @pytest.mark.parametrize("kind", sorted(OPERATORS))
@@ -592,18 +594,21 @@ def test_sector_spectrum_rebuilds_its_matrix(kind, part, build):
 
 
 @pytest.mark.parametrize("kind", sorted(OPERATORS))
-@pytest.mark.parametrize("part", ["dense", "quotient"])
+@pytest.mark.parametrize("part", ["dense", "quotient", "reference"])
 @pytest.mark.parametrize("build", SECTOR_BUILDS, ids=SECTOR_IDS)
 def test_mirror_splits_eigh_into_two_sectors(kind, part, build, monkeypatch):
+    # "reference" is the tests' dense(op): node-level sectors, never the quotient's
     g, op = sector_operator(kind, build, part)
+    assert isinstance(op, WalkOperator) == (part == "dense")
     k = len(op.matrix)
+    assert k == (g.n_nodes if part != "quotient" else int(g.entry_cells.max()) + 1)
     sizes = count_eigh(monkeypatch)
     op.spectrum
     if g.mirror is None:
         assert sizes == [k]
         return
     # f nodes, or cells, that the mirror maps onto themselves
-    if part == "dense":
+    if part != "quotient":
         f = int(np.sum(g.mirror == np.arange(k)))
     else:
         cell = g.entry_cells
