@@ -36,12 +36,13 @@ from hexwalk.graphs import Graph
 from hexwalk.quantum import Hamiltonian, WalkOperator
 
 #: Largest graph the density-matrix engine accepts: every state is a dense
-#: N x N matrix and every series term multiplies it by H.
+#: N x N matrix and every series term multiplies it by A twice.
 NODE_CAP = 64
 
 #: Most Taylor substeps one run may take (see :func:`evolve_qsw`).  The run's
-#: a-priori error bound s 2^-53 stays at 1.1e-12 and its work near 20 s for a
-#: 64-node graph on a 2-core machine; the longest run in the tests takes 1334.
+#: a-priori error bound s 2^-53 stays at 1.1e-12 and its work near 15 s for a
+#: 64-node graph on one core: up to 42 terms a substep, each two real 64 x 64
+#: products (about 36 us a term); the longest run in the tests takes 1334.
 SUBSTEP_CAP = 10**4
 
 #: Largest Taylor substep beta * tau (see :func:`evolve_qsw`).  Products per
@@ -116,26 +117,33 @@ def evolve_qsw(
 ) -> np.ndarray:
     """Evolve the density matrix rho0 of the walk on ``hamiltonian``'s graph over time t >= 0.
 
-    The generator is applied in closed form, L(rho) = Z + Z^dagger +
-    omega * rate * diag(A p) with Z = (-i (1 - omega) H - omega * rate * Deg / 2) rho
-    and p = diag(rho): one real product of H with the N x 2N float view of
-    rho per application, rho H being (H rho)^dagger as every iterate is
-    Hermitian.  exp(t L) is s substeps of its degree-m Taylor series
-    (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488, 2011).  beta =
-    2 d_max ((1 - omega) C + omega * rate) bounds L in the Frobenius norm:
-    |H| <= C d_max, the damping rates are at most rate * d_max and
-    |A p| <= d_max |rho|.  With s = ceil(beta t / theta), tau = t / s and m
-    the smallest degree with (beta tau)^(m+1) / (m+1)! e^(beta tau) <= 2^-53,
-    each substep is within 2^-53 |rho| of exp(tau L) rho.  A symmetric A
+    The state is held as one real N x N array R = X + Y, for rho = X + iY:
+    X is symmetric and Y antisymmetric, so tr(X^T Y) = 0 and |R| = |rho| in
+    the Frobenius norm, and rho = (R + R^T) / 2 + i (R - R^T) / 2 unpacks it
+    exactly Hermitian at the end.  On R the generator is L(R) =
+    (1 - omega) C [A, R]^T - omega * rate * (d_i + d_k) / 2 R_ik (entrywise)
+    + omega * rate * diag(A p), with p = diag(R) the populations: two real
+    N x N products with A per application, and H = C A is never formed.
+    exp(t L) = e^(-r t) exp(t (L + r I)), and the series runs on the centred
+    generator L + r I with r = omega * rate * d_max (Al-Mohy & Higham,
+    SIAM J. Sci. Comput. 33, 488, 2011).  beta = q + r bounds it in the
+    Frobenius norm, with q = 2 d_max (1 - omega) C: |[A, R]| <= 2 d_max |R|;
+    the shifted damping rates lie in [0, r]; and on the populations the
+    shifted dissipator is omega * rate * (d_max - D + A), a nonnegative
+    symmetric matrix with row sums d_max.  s = ceil(beta t / theta) substeps
+    of tau = t / s, each e^(-r tau) times the degree-m Taylor series, where
+    m is the smallest degree with (beta tau)^(m+1) / (m+1)! e^(beta tau) <=
+    2^-53, are each within 2^-53 |rho| of exp(tau L) rho.  A symmetric A
     makes the semigroup unital as well as completely positive and
     trace-preserving, so it contracts the Frobenius norm and no substep
     amplifies the errors before it: the run is within s 2^-53 |rho0| of the
-    exact solution, to first order, plus rounding.  Every term is exactly
-    Hermitian.  At omega = 1 the coherent weight is an exact zero, so no
-    product with H is formed and zero coherences stay zero.  rho0 must be
-    Hermitian to 1e-12 of its largest entry; its Hermitian part is
-    evolved.  Graphs above :data:`NODE_CAP` nodes, and runs of more than
-    :data:`SUBSTEP_CAP` substeps, are refused before the series starts.
+    exact solution, to first order, plus rounding.  At omega = 1 the
+    coherent weight is an exact zero, so no commutator is formed and zero
+    coherences stay zero.  rho0 must be finite and Hermitian to 1e-12
+    of its largest entry; its Hermitian part is evolved, and returned as it
+    is when the series has no substeps.  Graphs above :data:`NODE_CAP`
+    nodes, and runs of more than :data:`SUBSTEP_CAP` substeps, are refused
+    before the series starts.
     """
     t = float(t)
     if not 0.0 <= t < np.inf:
@@ -146,26 +154,30 @@ def evolve_qsw(
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (n, n):
         raise ValueError(f"density matrix has shape {rho0.shape}, expected ({n}, {n})")
+    if not np.isfinite(rho0).all():
+        raise ValueError("density matrix has entries that are not finite")
     skew = np.max(np.abs(rho0 - rho0.conj().T), initial=0.0)
     if skew > 1e-12 * np.max(np.abs(rho0), initial=0.0):
         raise ValueError(f"density matrix is not Hermitian: max |rho - rho^dagger| = {skew:.3g}")
     rho = 0.5 * (rho0 + rho0.conj().T)
     omega, gamma, deg = params.omega, params.rate, hamiltonian.graph.degrees.astype(float)
-    beta = 2.0 * float(deg.max(initial=0.0))
-    beta *= (1.0 - omega) * hamiltonian.coupling + omega * gamma
-    s, m = _series_plan(beta * t if t else 0.0)
-    h, adj = hamiltonian.matrix, hamiltonian.graph.adjacency
+    d_max = float(deg.max(initial=0.0))
+    coherent, r = (1.0 - omega) * hamiltonian.coupling, omega * gamma * d_max
+    s, m = _series_plan((2.0 * d_max * coherent + r) * t if t else 0.0)
+    if s == 0:
+        return rho
+    tau, adj = t / s, hamiltonian.graph.adjacency
+    hop, shift = coherent * adj, r - 0.5 * omega * gamma * (deg[:, None] + deg)
+    state = rho.real + rho.imag
     for _ in range(s):
-        term = rho.copy()
+        term = state * math.exp(-r * tau)
+        state = term.copy()
         for j in range(1, m + 1):
-            c = t / s / j
-            z = (-0.5 * omega * gamma * c * deg)[:, None] * term
+            prev, term = term, shift * term
             if omega < 1.0:
-                hz = (h @ term.view(float)).view(complex)
-                hz *= -1j * (1.0 - omega) * c
-                z += hz
-            gain = (omega * gamma * c) * (adj @ term.diagonal().real)
-            term = z + z.conj().T
-            term.flat[:: n + 1] += gain
-            rho += term
-    return rho
+                term += prev.T @ hop
+                term -= hop @ prev.T
+            term.flat[:: n + 1] += (omega * gamma) * (adj @ prev.diagonal())
+            term *= tau / j
+            state += term
+    return 0.5 * (state + state.T) + 0.5j * (state - state.T)

@@ -1,10 +1,10 @@
 """Right-hand side of the density-matrix walk's master equation, as a test oracle.
 
-``evolve_qsw`` applies the same closed form, but folded for speed: one
-product H rho per term, with rho H taken as its adjoint.  This module
-writes the generator out term by term, with both commutator products, so
-the tests can check it against the explicit sum over jump operators and
-check ``evolve_qsw`` against its exponential.
+``evolve_qsw`` applies the same closed form, but folded for speed onto one
+real array Re rho + Im rho, shifted by a multiple of the identity.  This
+module writes the generator out term by term on the complex rho, with both
+commutator products, so the tests can check it against the explicit sum
+over jump operators and check ``evolve_qsw`` against its exponential.
 """
 
 from __future__ import annotations

@@ -193,6 +193,33 @@ def test_rhs_preserves_trace_and_hermiticity():
 # ---------------------------------------------------------------------------
 
 
+def test_qsw_zero_time_returns_a_complex_start_bit_for_bit():
+    # entries with both a real and an imaginary part would not survive packing
+    # into one real array, so a run with no substeps does not pack
+    g = hexagonal_graph(1)
+    psi = np.exp(1j * np.arange(g.n_nodes)) * np.linspace(1.0, 2.0, g.n_nodes)
+    rho0 = density_from_state(psi / np.linalg.norm(psi))
+    rho0 = 0.5 * (rho0 + rho0.conj().T)  # the outer product's diagonal has imaginary rounding
+    assert np.all(rho0.real[~np.eye(g.n_nodes, dtype=bool)] != 0.0)
+    assert np.all(rho0.imag[~np.eye(g.n_nodes, dtype=bool)] != 0.0)
+    assert np.array_equal(evolve_qsw(rho0, Hamiltonian(g), QswParams(omega=0.5), 0.0), rho0)
+    for omega in (0.0, 0.5, 1.0):
+        rho = evolve_qsw(rho0, Hamiltonian(g), QswParams(omega=omega), 2.0)
+        assert np.array_equal(rho, rho.conj().T)
+        assert abs(np.trace(rho) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+def test_qsw_refuses_a_start_that_is_not_finite(bad):
+    g = hexagonal_graph(1)
+    rho0 = density_from_state(entry_state(g))
+    rho0[0, 0] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="density matrix has entries that are not finite"):
+            evolve_qsw(rho0, Hamiltonian(g), QswParams(omega=0.5), 1.0)
+
+
 def test_qsw_zero_time_copies_input():
     g = path_graph(3)
     h = Hamiltonian(g)
@@ -235,11 +262,11 @@ def test_qsw_limits_reproduce_dedicated_engines(graph):
 def test_qsw_midpoint_agrees_with_finer_steps():
     g = hexagonal_graph(1)
     rho0 = density_from_state(entry_state(g))
-    h, params, t = Hamiltonian(g), QswParams(omega=0.5), 3.5
+    h, params, t = Hamiltonian(g), QswParams(omega=0.5), 5.0
     whole = evolve_qsw(rho0, h, params, t)
-    # beta = 2 d_max ((1 - omega) C + omega rate) = 4: the whole run takes 3 substeps of
-    # degree 36, each half 2 finer substeps of degree 31, so the two plans differ
-    assert (stochastic._series_plan(4.0 * t), stochastic._series_plan(2.0 * t)) == ((3, 36), (2, 31))
+    # beta = 2 d_max (1 - omega) C + omega rate d_max = 3: the whole run takes 3 substeps
+    # of degree 37, each half 2 finer substeps of degree 32, so the two plans differ
+    assert (stochastic._series_plan(3.0 * t), stochastic._series_plan(1.5 * t)) == ((3, 37), (2, 32))
     halves = evolve_qsw(evolve_qsw(rho0, h, params, t / 2), h, params, t / 2)
     assert np.max(np.abs(whole - halves)) < 1e-12
     # only C t and rate t enter: C = rate = 0.1 over 10 t is the same walk with the same plan
@@ -305,7 +332,7 @@ else:
 @pytest.mark.parametrize(
     "coupling, t, work",
     [
-        (1.0, 1e12, "1e\\+12 substeps"),  # beta t = 6e12: about 10^12 substeps of 42 products
+        (1.0, 1e12, "7\\.5e\\+11 substeps"),  # beta t = 4.5e12: 7.5 10^11 substeps of 42 terms
         (1e308, 1.0, "inf substeps"),  # beta overflows to inf
     ],
 )
@@ -381,8 +408,13 @@ def test_qsw_matches_exponential_of_lindblad_rhs(omega):
 @pytest.mark.parametrize("omega", [0.25, 0.5, 0.75])
 @pytest.mark.parametrize(
     "graph, t",
-    [(hexagonal_graph(1), 2.0), (glued_tree(1, gluing="random-cycle", seed=2), 5.0)],
-    ids=["hex1", "glued1"],
+    # hex2 has nodes of degree 2 and 3, so the centring shift differs between entries
+    [
+        (hexagonal_graph(1), 2.0),
+        (glued_tree(1, gluing="random-cycle", seed=2), 5.0),
+        (hexagonal_graph(2), 2.0),
+    ],
+    ids=["hex1", "glued1", "hex2"],
 )
 def test_qsw_series_matches_oracle_exponential_to_rounding(graph, t, omega):
     h = Hamiltonian(graph, 0.8)
@@ -392,12 +424,23 @@ def test_qsw_series_matches_oracle_exponential_to_rounding(graph, t, omega):
     assert np.max(np.abs(evolve_qsw(rho0, h, params, t) - exact)) < 1e-12
 
 
+_LIMIT_GRAPHS = {
+    "hex2": hexagonal_graph(2),
+    "glued-cycle": glued_tree(2, gluing="random-cycle", seed=4),
+    "cube4": hypercube_graph(4),
+    "path9": path_graph(9),
+}
+
+
 @pytest.mark.parametrize(
-    "graph",
-    [hexagonal_graph(2), glued_tree(2, gluing="random-cycle", seed=4), hypercube_graph(4), path_graph(9)],
-    ids=["hex2", "glued-cycle", "cube4", "path9"],
+    "graph, t",
+    [pytest.param(g, t, id=f"{t}-{name}") for t in (1.5, 12.0) for name, g in _LIMIT_GRAPHS.items()]
+    # the benchmark's sizes and times
+    + [
+        pytest.param(hexagonal_graph(4), 8.0, id="8.0-hex4"),
+        pytest.param(hypercube_graph(6), 3.0, id="3.0-cube6"),
+    ],
 )
-@pytest.mark.parametrize("t", [1.5, 12.0])
 def test_qsw_limits_equal_propagate_to_rounding(graph, t):
     h = Hamiltonian(graph, 0.7)
     start = entry_state(graph)
@@ -443,6 +486,9 @@ def test_series_plan_at_the_benchmark_sizes():
     # beta = 2 d_max C at omega = 0: hexagonal n = 4 to t = 8, hypercube d = 6 to t = 3
     assert stochastic._series_plan(2 * 3 * 8.0) == (8, 42)
     assert stochastic._series_plan(2 * 6 * 3.0) == (6, 42)
+    # the centred bound beta = rate d_max at omega = 1 halves the substeps
+    assert stochastic._series_plan(3 * 8.0) == (4, 42)
+    assert stochastic._series_plan(6 * 3.0) == (3, 42)
 
 
 def test_qsw_on_an_edgeless_graph_keeps_the_start():
