@@ -116,6 +116,9 @@ class Graph:
         self._params = dict(params or {})
         self._adjacency: np.ndarray | None = None
         self._degrees: np.ndarray | None = None
+        self._neighbours: np.ndarray | None = None
+        self._distances: np.ndarray | None = None
+        self._parity: tuple[np.ndarray | None] | None = None
         self._entry_cells: np.ndarray | None = None
 
     @property
@@ -186,6 +189,70 @@ class Graph:
         return self._degrees
 
     @property
+    def neighbours(self) -> np.ndarray:
+        """Neighbour table, shape (N, max degree): row v lists the neighbours of
+        node v, padded with the node id N, which no node has (read-only, cached)."""
+        if self._neighbours is None:
+            n, deg = self.n_nodes, self.degrees
+            a, b = self._edges.T
+            src, dst = np.r_[a, b], np.r_[b, a]
+            order = np.argsort(src, kind="stable")
+            src, dst = src[order], dst[order]
+            table = np.full((n, deg.max()), n)
+            table[src, np.arange(len(src)) - (np.cumsum(deg) - deg)[src]] = dst
+            table.flags.writeable = False
+            self._neighbours = table
+        return self._neighbours
+
+    @property
+    def distances(self) -> np.ndarray:
+        """Distance of every node from the entry, in edges (read-only, cached).
+
+        A breadth-first search, one frontier of nodes at a time through
+        :attr:`neighbours`.  Nodes the entry cannot reach sit in one layer
+        past the last, so the layers are the contiguous ids 0..L.  A node
+        that several frontier nodes reach joins the next frontier once: of
+        its places in the list of reached nodes, the one that ``owner``
+        keeps, whichever write lands last.
+        """
+        if self._distances is None:
+            n, table = self.n_nodes, self.neighbours
+            dist, owner = np.full(n + 1, -1), np.empty(n + 1, dtype=np.int64)
+            dist[[n, self._entry]] = 0  # the padding node n is never visited
+            frontier, layer = np.array([self._entry]), 0
+            while frontier.size:
+                layer += 1
+                reached = table[frontier].ravel()
+                reached = reached[dist[reached] < 0]
+                place = np.arange(len(reached))
+                owner[reached] = place
+                frontier = reached[owner[reached] == place]
+                dist[frontier] = layer
+            dist = dist[:n]
+            dist[dist < 0] = layer
+            dist.flags.writeable = False
+            self._distances = dist
+        return self._distances
+
+    @property
+    def parity(self) -> np.ndarray | None:
+        """Distance from the entry mod 2 of every node when the graph is connected
+        and every edge joins an even and an odd layer, else None (read-only, cached).
+
+        Such a parity is the graph's 2-colouring: the adjacency matrix only
+        couples nodes of opposite parity.
+        """
+        if self._parity is None:
+            a, b = self._edges.T
+            parity = self.distances % 2
+            # unreached nodes share one layer: an edge among them fails the first test,
+            # an isolated node the second
+            bipartite = np.all(parity[a] != parity[b]) and self.degrees.min() > 0
+            parity.flags.writeable = False
+            self._parity = (parity if bipartite else None,)
+        return self._parity[0]
+
+    @property
     def entry_cells(self) -> np.ndarray:
         """Cell id of every node in the entry partition (read-only, cached).
 
@@ -193,27 +260,24 @@ class Graph:
         entry is alone in its cell: every node of a cell has the same number
         of neighbours in each cell.  Every symmetry of the graph that keeps
         the entry in place maps each cell onto itself, so a walk launched at
-        the entry stays constant on the cells.  Colour refinement finds it
-        from {entry} | rest: each round recolours a node by the rank of the
-        row [own colour, sorted neighbour colours] among the distinct rows,
-        in lexicographic order (one ``np.lexsort`` over the columns, then a
-        running count of rows that differ from the one before).  Rows are
-        compared entry by entry, so the partition is exact; the refinement
-        stops when the cell count stops growing.
+        the entry stays constant on the cells.  Any such partition refines
+        the distance layers (:attr:`distances`): by induction on the
+        distance, the nodes of one cell have the same number of neighbours
+        in each layer, so they lie in one layer.  Colour refinement therefore
+        starts from the layers: each round recolours a node by the rank of
+        the row [own colour, sorted neighbour colours] among the distinct
+        rows, in lexicographic order (one ``np.lexsort`` over the columns,
+        then a running count of rows that differ from the one before).  Rows
+        are compared entry by entry, so the partition is exact; the
+        refinement stops when the cell count stops growing.  The own colour
+        leads each row, so cell ids ascend with the distance.
         """
         if self._entry_cells is None:
             n = self.n_nodes
-            a, b = self._edges.T
-            src, dst = np.r_[a, b], np.r_[b, a]
-            order = np.argsort(src, kind="stable")
-            src, dst = src[order], dst[order]
-            deg = self.degrees
-            # neighbour table padded with node n, whose colour -1 no node has
-            table = np.full((n, deg.max()), n)
-            table[src, np.arange(len(src)) - (np.cumsum(deg) - deg)[src]] = dst
-            colour = np.zeros(n + 1, dtype=np.int64)
-            colour[self._entry] = 1
-            colour[n] = -1
+            table = self.neighbours
+            colour = np.empty(n + 1, dtype=np.int64)
+            colour[:n] = self.distances
+            colour[n] = -1  # the padding node's colour, which no node has
             cells = 0
             while colour.max() + 1 > cells:
                 cells = colour.max() + 1

@@ -51,6 +51,21 @@ split.  A hexagonal patch, a hypercube and a glued tree with the identity
 gluing carry a mirror; a path, a random-cycle glued tree and a hand-built
 graph do not, and take one ``eigh`` of size k.
 
+The coherent walk on a patch, an identity-glued tree or an odd-dimensional
+hypercube takes one ``eigh`` in all.  Those graphs are connected and
+bipartite, with Gamma = +-1 by the parity of the distance from the entry
+(:attr:`hexwalk.graphs.Graph.parity`), so Gamma H Gamma = -H; and their
+mirror maps every node, and every cell, to one of the opposite parity, so
+Gamma carries the even sector onto the odd one.  The odd sector's
+eigenpairs are then the even ones' with the eigenvalues negated and Gamma
+applied (:attr:`SpectralOperator.chirality`).  V stays complete, so every
+state evolves as before.  A site curve from a real start x0 of one parity,
+Gamma x0 = s x0, also needs only half the modes: with S the blocked sum
+over the even modes, the odd ones add sigma conj(S), sigma =
+Gamma[site] s.  At the exit, of the parity the entry does not have, the
+amplitude is S - conj(S) = 2i Im S.  The classical walk keeps both
+``eigh`` calls: its diagonal -D breaks Gamma K Gamma = -K.
+
 No operator keeps a dense matrix beside its spectrum.  Each holds its
 entries as pairs (i, j, value), a walk operator its node pairs and its
 quotient the cell pairs; each sector block is scattered from them, goes to
@@ -104,6 +119,8 @@ def _spectrum_bytes(k: int, odd: int) -> float:
     RSS of runs less the interpreter's: coherent and classical scans at
     hexagonal n = 100 (k = 10300) took 1.53 arrays, the dense spectrum of
     hexagonal n = 60 (7440 nodes) 1.53, and a path of 4000 cells 5.08.
+    A spectrum that derives its odd sector (:attr:`SpectralOperator.chirality`)
+    runs no odd ``eigh``, so for it the count is an upper bound.
     """
     even = k - odd
     arrays = max(_EIGH_ARRAYS * even**2, even**2 + _EIGH_ARRAYS * odd**2, k**2 + even**2 + odd**2)
@@ -124,7 +141,9 @@ class SpectralOperator:
     computed once on first use and reused for every evolution length.
     ``mirror``, an involution r of the indices with M[r[i], r[j]] =
     M[i, j], splits the spectrum into its two sectors; None stands for the
-    identity.
+    identity.  ``parity``, a 0/1 label of the indices with M[i, j] = 0
+    wherever i and j share a label, lets the spectrum derive one sector
+    from the other when the mirror flips every label (:attr:`chirality`).
     """
 
     def __init__(
@@ -133,11 +152,13 @@ class SpectralOperator:
         pairs: tuple[np.ndarray, np.ndarray, np.ndarray] | None,
         phase: complex | float = 1.0,
         mirror: np.ndarray | None = None,
+        parity: np.ndarray | None = None,
     ):
         self.dim = dim
         self._pairs = pairs
         self.phase = phase
         self.mirror = mirror
+        self._parity = parity
         self._spectrum: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
@@ -148,6 +169,24 @@ class SpectralOperator:
     @property
     def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self._pairs
+
+    @property
+    def parity(self) -> np.ndarray | None:
+        return self._parity
+
+    @property
+    def chirality(self) -> np.ndarray | None:
+        """Gamma = (-1)^parity as floats when the mirror maps every index to one of
+        the opposite parity, else None.
+
+        Then Gamma M Gamma = -M and Gamma r = -r Gamma, so Gamma carries the
+        even mirror sector onto the odd one and the odd block is
+        -Gamma (even block) Gamma (:attr:`spectrum`).
+        """
+        parity, r = self.parity, self.mirror
+        if parity is None or r is None or np.any(parity[r] == parity):
+            return None
+        return 1.0 - 2.0 * parity
 
     @property
     def matrix(self) -> np.ndarray:
@@ -183,6 +222,12 @@ class SpectralOperator:
         peak is the one :func:`_spectrum_bytes` counts.  Without a mirror
         every cell is fixed, the even block is M itself and the empty odd
         block's ``eigh`` is skipped.
+
+        With a :attr:`chirality` Gamma no cell is fixed, and Gamma on the
+        pair cells gives A - B = -Gamma (A + B) Gamma (Coulson & Rushbrooke,
+        Proc. Camb. Phil. Soc. 36, 193, 1940).  The odd sector is then not
+        diagonalised but derived: its eigenvalues are the even ones negated
+        and reversed, its eigenvectors Gamma times the even ones reversed.
         """
         if self._spectrum is None:
             k = self.dim
@@ -196,9 +241,13 @@ class SpectralOperator:
             block[n:, :n] = block[:n, n:].T
             block[n:, n:] = self._block(f, f)
             w_even, y_even = np.linalg.eigh(block)
-            block = self._block(p, p)
-            block -= self._block(p, r[p])
-            w_odd, y_odd = np.linalg.eigh(block) if n else (w_even[:0], block)
+            gamma = self.chirality
+            if gamma is None:
+                block = self._block(p, p)
+                block -= self._block(p, r[p])
+                w_odd, y_odd = np.linalg.eigh(block) if n else (w_even[:0], block)
+            else:
+                w_odd, y_odd = -w_even[::-1], gamma[p, None] * y_even[:, ::-1]
             del block
             v = np.zeros((k, k))
             even, odd = v[:, : len(w_even)], v[:, len(w_even) :]
@@ -275,6 +324,11 @@ class WalkOperator(SpectralOperator):
         return i, j, np.concatenate([value[~on], diagonal]) * self.scale
 
     @property
+    def parity(self) -> np.ndarray | None:
+        """The graph's :attr:`Graph.parity` for a walk without a diagonal, else None."""
+        return None if self.diagonal else self.graph.parity
+
+    @property
     def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if self._pairs is None:
             self._pairs = self._assemble(np.arange(self.dim), self.mirror)
@@ -287,20 +341,24 @@ class WalkOperator(SpectralOperator):
         Its mirror is the graph's, carried to the cells: r[cell[v]] =
         cell[tau[v]].  That is well defined when tau maps every cell onto a
         cell, as it does whenever the exit is alone in its cell; otherwise
-        the quotient has no mirror.  The quotient refers to nothing of the
-        walk operator, so both are freed as soon as the last reference to
-        either goes.
+        the quotient has no mirror.  Cells lie within distance layers, so
+        the walk's :attr:`parity` carries to them too.  The quotient refers
+        to nothing of the walk operator, so both are freed as soon as the
+        last reference to either goes.
         """
         if self._quotient is None:
             g = self.graph
-            cell, tau, r = g.entry_cells, g.mirror, None
+            cell, tau, r, parity = g.entry_cells, g.mirror, None, None
             k = int(cell.max()) + 1
             if tau is not None:
                 r = np.empty(k, dtype=np.int64)
                 r[cell] = cell[tau]
                 if not np.array_equal(r[cell], cell[tau]):
                     r = None
-            self._quotient = SpectralOperator(k, self._assemble(cell, r), self.phase, r)
+            if self.parity is not None:
+                parity = np.empty(k, dtype=np.int64)
+                parity[cell] = self.parity
+            self._quotient = SpectralOperator(k, self._assemble(cell, r), self.phase, r, parity)
         return self._quotient
 
 
@@ -358,9 +416,10 @@ def propagate(op: SpectralOperator, x0: np.ndarray, ts, site: int | None = None)
     a grid, ``site`` gives only that node's entry of each state, shape (T,),
     without forming the full states; that grid must be evenly spaced, from
     any start, and is evaluated as the blocked product described in the
-    module docstring.  The coherent propagator is unitary and
-    the classical one stochastic, so the norm, or the total probability, of
-    x0 is kept to rounding.
+    module docstring, over the even modes only when the operator has a
+    :attr:`SpectralOperator.chirality` and x0 is real and of one parity.
+    The coherent propagator is unitary and the classical one stochastic, so
+    the norm, or the total probability, of x0 is kept to rounding.
 
     On a :class:`WalkOperator`, an x0 that equals itself read at one node of
     each cell of the entry partition is evolved as y = S^T x on
@@ -394,10 +453,10 @@ def propagate(op: SpectralOperator, x0: np.ndarray, ts, site: int | None = None)
                 x = (propagate(q, y0, ts) * lift)[..., cell]
             return x if q.dtype is complex or x0.min() < 0.0 else np.maximum(x, 0.0)
     w, v = op.spectrum
-    modes = _matmul(v.T, x0)
-    if ts.ndim == 0:
-        return _matmul(v, np.exp(op.phase * w * float(ts)) * modes)
     if site is None:
+        modes = _matmul(v.T, x0)
+        if ts.ndim == 0:
+            return _matmul(v, np.exp(op.phase * w * float(ts)) * modes)
         return (np.exp(op.phase * np.outer(ts, w)) * modes) @ v.T
     n = len(ts)
     if n > 1 and ts[-1] < ts[0]:  # ascending, so the classical offsets exp(w dz r) stay <= 1
@@ -407,8 +466,26 @@ def propagate(op: SpectralOperator, x0: np.ndarray, ts, site: int | None = None)
     slack = 8 * np.finfo(float).eps * ts.max(initial=0.0)
     if np.any(np.abs(ts - (t0 + dz * np.arange(n))) > slack):
         raise ValueError("a site curve needs an evenly spaced length grid")
+    gamma = op.chirality
+    sign = _parity_sign(gamma, x0)
+    if sign:  # S over the even modes; the odd ones add gamma[site] sign conj(S) (module docstring)
+        half = len(w) // 2
+        w, v, x0 = w[:half], v[:, :half], x0.real
+    modes = _matmul(v.T, x0)
     # t_j = t0 + dz (b q + r) for j = b q + r: rows carry the block starts, columns the offsets
     b = max(1, math.ceil(math.sqrt(n)))
     rows = np.exp(op.phase * np.outer(t0 + dz * b * np.arange(-(-n // b)), w))
     cols = np.exp(op.phase * np.outer(dz * np.arange(b), w))
-    return ((rows * (v[site, :] * modes)) @ cols.T).ravel()[:n]
+    curve = ((rows * (v[site, :] * modes)) @ cols.T).ravel()[:n]
+    if sign:
+        curve += gamma[site] * sign * curve.conj()
+    return curve
+
+
+def _parity_sign(gamma: np.ndarray | None, x0: np.ndarray) -> int:
+    """s with Gamma x0 = s x0 for a real x0 and a chirality Gamma, or 0 when there is none."""
+    if gamma is None or np.any(x0.imag):
+        return 0
+    if not np.any(x0.real[gamma < 0]):
+        return 1
+    return 0 if np.any(x0.real[gamma > 0]) else -1

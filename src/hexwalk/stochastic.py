@@ -90,9 +90,15 @@ class QswParams:
 
 
 def density_from_state(psi: np.ndarray) -> np.ndarray:
-    """Pure-state density matrix |psi><psi|."""
+    """Pure-state density matrix |psi><psi|, exactly Hermitian.
+
+    The outer product alone rounds psi_i conj(psi_k) and psi_k conj(psi_i)
+    apart, and leaves imaginary residue on the diagonal; its Hermitian part
+    0.5 (r + r^H) does not.  For a real psi the two are the same bits.
+    """
     psi = np.asarray(psi, dtype=complex)
-    return np.outer(psi, psi.conj())
+    r = np.outer(psi, psi.conj())
+    return 0.5 * (r + r.conj().T)
 
 
 def _series_plan(beta_t: float) -> tuple[int, int]:

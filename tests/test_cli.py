@@ -314,11 +314,13 @@ def test_scan_runs_a_glued_tree_too_large_for_a_dense_matrix(tmp_path, capsys, m
 def test_scan_dump_state_diagonalises_nothing_more(engine, tmp_path, monkeypatch):
     sizes = count_eigh(monkeypatch)
     scan = ["scan", "--graph", "hexagonal:n=3", "--engine", engine, "--z-max", "12"]
+    # the 18 entry cells split into the two mirror sectors; the coherent odd sector is derived
+    expected = [9] if engine == "quantum" else [9, 9]
     assert main(scan + ["--out", str(tmp_path / "plain")]) == 0
-    assert sizes == [9, 9]  # the 18 entry cells split into the two mirror sectors
+    assert sizes == expected
     sizes.clear()
     assert main(scan + ["--dump-state", "--out", str(tmp_path / "dump")]) == 0
-    assert sizes == [9, 9]
+    assert sizes == expected
     assert len(data_rows(tmp_path / "dump" / "state.csv")) == 30
 
 

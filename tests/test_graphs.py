@@ -21,9 +21,10 @@ from hexwalk.graphs import (
     path_graph,
 )
 from hexwalk.hitting import ConvergenceError, classical_convergence_time
+from hexwalk.quantum import Hamiltonian
 from hexwalk.stochastic import ClassicalGenerator
 import graph_oracle
-from refinement_oracle import unique_row_cells
+from refinement_oracle import queue_distances, unique_row_cells, unseeded_cells
 
 
 def bfs_layers(g: Graph, start: int) -> dict[int, int]:
@@ -496,24 +497,86 @@ def test_entry_partition_is_equitable_with_the_entry_alone(build, cells):
         cell[0] = 5
 
 
-@pytest.mark.parametrize(
-    "build",
-    [c[1] for c in PARTITION_CASES]
+# The partition cases, three graphs of the benchmark's size, two
+# disconnected graphs and a long path, whose layers the unseeded refinement
+# found one round at a time.
+REFINEMENT_CASES = (
+    [c[:2] for c in PARTITION_CASES]
     + [
-        lambda spec=spec: parse_graph_selector(spec)
-        for spec in ("hexagonal:n=24", "glued-tree:d=9,seed=1", "hypercube:d=9")
+        (name, lambda spec=spec: parse_graph_selector(spec))
+        for name, spec in (
+            ("hexagonal-24", "hexagonal:n=24"),
+            ("glued-random-9", "glued-tree:d=9,seed=1"),
+            ("hypercube-9", "hypercube:d=9"),
+        )
     ]
     + [
-        lambda: Graph("path", [(0, 0), (2, 0), (4, 0), (6, 0)], [(0, 1), (2, 3)], 0, 3),
-        lambda: Graph("path", [(0, 0), (2, 0)], [], 0, 1),
-    ],
-    ids=[c[0] for c in PARTITION_CASES]
-    + ["hexagonal-24", "glued-random-9", "hypercube-9", "two-parts", "edgeless"],
+        ("two-parts", lambda: Graph("path", [(0, 0), (2, 0), (4, 0), (6, 0)], [(0, 1), (2, 3)], 0, 3)),
+        ("edgeless", lambda: Graph("path", [(0, 0), (2, 0)], [], 0, 1)),
+        ("path-1001", lambda: path_graph(1001)),
+    ]
 )
+REFINEMENT_IDS = [name for name, _ in REFINEMENT_CASES]
+REFINEMENT_BUILDS = [build for _, build in REFINEMENT_CASES]
+
+
+@pytest.mark.parametrize("build", REFINEMENT_BUILDS, ids=REFINEMENT_IDS)
 def test_entry_cells_equal_the_whole_row_refinement(build):
     # the same lexicographic ranks as np.unique over whole rows: the same ids, not just the same cells
     g = build()
     assert np.array_equal(g.entry_cells, unique_row_cells(g))
+
+
+@pytest.mark.parametrize("build", REFINEMENT_BUILDS, ids=REFINEMENT_IDS)
+def test_distance_seed_gives_the_unseeded_partition(build):
+    # every equitable partition with the entry alone refines the distance layers
+    g = build()
+    seeded, unseeded = g.entry_cells, unseeded_cells(g)
+    pairs = np.unique(np.column_stack((seeded, unseeded)), axis=0)
+    assert len(pairs) == len(np.unique(seeded)) == len(np.unique(unseeded))
+
+
+@pytest.mark.parametrize("build", REFINEMENT_BUILDS, ids=REFINEMENT_IDS)
+def test_distances_and_parity_match_networkx(build):
+    nx = pytest.importorskip("networkx")
+    g = build()
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n_nodes))
+    h.add_edges_from(g.edges.tolist())
+    reached = nx.single_source_shortest_path_length(h, g.entry)
+    last = max(reached.values())
+    expected = [reached.get(v, last + 1) for v in range(g.n_nodes)]
+    assert g.distances.dtype == np.int64 and g.distances.tolist() == expected
+    assert np.array_equal(g.distances, queue_distances(g))
+    bipartite = nx.is_connected(h) and nx.is_bipartite(h)
+    assert (g.parity is not None) == bipartite
+    if bipartite:
+        assert np.array_equal(g.parity, g.distances % 2)
+        assert not g.parity.flags.writeable
+    assert not g.distances.flags.writeable
+    table = g.neighbours
+    assert not table.flags.writeable and table.shape == (g.n_nodes, g.degrees.max())
+    for v in range(g.n_nodes):
+        row = table[v].tolist()
+        assert sorted(row) == sorted(h[v]) + [g.n_nodes] * (len(row) - len(h[v]))
+
+
+def test_building_a_graph_and_its_walk_runs_no_search(monkeypatch):
+    # the density-matrix walk builds both and needs neither distances nor cells
+    monkeypatch.setattr(Graph, "distances", property(lambda self: pytest.fail("distances")))
+    g = hexagonal_graph(3)
+    h = Hamiltonian(g)
+    assert len(h.pairs[0]) == g.n_nodes + 2 * g.n_edges
+
+
+def test_a_long_path_refines_in_one_round():
+    # seeded with its layers, a path is equitable at once: 50001 cells in well under a second
+    g = path_graph(100001)
+    start = time.perf_counter()
+    cells = g.entry_cells
+    assert time.perf_counter() - start < 5.0
+    assert cells.max() + 1 == 50001
+    assert np.array_equal(cells, g.distances)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from child_process import run_child
 from hexwalk import quantum
 from hexwalk.graphs import Graph, glued_tree, hexagonal_graph, hypercube_graph, path_graph
 from hexwalk.hitting import quantum_hitting_curve
-from hexwalk.quantum import Hamiltonian, WalkOperator, entry_state, propagate
+from hexwalk.quantum import Hamiltonian, SpectralOperator, WalkOperator, entry_state, propagate
 from hexwalk.stochastic import ClassicalGenerator
 from test_hitting import _two_hexagons as two_hexagons, dense
 
@@ -495,7 +495,8 @@ def test_states_constant_on_the_cells_never_form_the_dense_matrix(kind, state, m
     for site in (g.exit, 4):
         assert np.max(np.abs(propagate(op, state(g), zs, site) - reference[:, site])) <= 1e-12
     assert np.max(np.abs(propagate(op, state(g), zs[7]) - reference[7])) <= 1e-12
-    assert sizes == [9, 9]  # the 18 cells split into the two mirror sectors
+    # the 18 cells split into the two mirror sectors; the coherent odd sector is derived
+    assert sizes == ([9] if kind == "coherent" else [9, 9])
 
 
 @pytest.mark.parametrize("kind", sorted(OPERATORS))
@@ -508,8 +509,10 @@ def test_a_state_not_constant_on_the_cells_takes_the_dense_spectrum(kind, monkey
     op = OPERATORS[kind][0](g, 1.0)
     sizes = count_eigh(monkeypatch)
     grid = propagate(op, x0, np.linspace(0.0, 2.0, 5))
-    assert sizes == [15, 15]  # the 30 nodes split into the two mirror sectors
-    assert np.array_equal(grid, propagate(dense(op), x0, np.linspace(0.0, 2.0, 5)))
+    # the 30 nodes split into the two mirror sectors; the coherent odd sector is derived
+    assert sizes == ([15] if kind == "coherent" else [15, 15])
+    whole = SpectralOperator(op.dim, op.pairs, op.phase, op.mirror, op.parity)
+    assert np.array_equal(grid, propagate(whole, x0, np.linspace(0.0, 2.0, 5)))
 
 
 def test_a_signed_classical_state_is_not_clipped(monkeypatch):
@@ -557,7 +560,9 @@ def test_entry_propagation_rejects_bad_sites():
 
 # Graphs whose builders declare a mirror: an even-dimensional hypercube has
 # one fixed cell, the middle Hamming layer; the others have none.  Then
-# graphs without one.
+# graphs without one.  On the hexagonal patches, the identity-glued trees
+# and the odd-dimensional hypercubes the mirror flips the parity of every
+# node, so the coherent walk's odd sector is derived from the even one.
 SECTOR_GRAPHS = (
     [(f"hexagonal-{n}", lambda n=n: hexagonal_graph(n)) for n in range(1, 7)]
     + [(f"hypercube-{d}", lambda d=d: hypercube_graph(d)) for d in range(1, 7)]
@@ -570,6 +575,13 @@ SECTOR_GRAPHS = (
 )
 SECTOR_IDS = [name for name, _ in SECTOR_GRAPHS]
 SECTOR_BUILDS = [build for _, build in SECTOR_GRAPHS]
+
+
+def paired(g: Graph) -> bool:
+    """Whether the graph's mirror maps every node to one of the opposite parity."""
+    if g.mirror is None or g.family not in ("hexagonal", "hypercube", "glued-tree"):
+        return False
+    return g.family != "hypercube" or g.params["d"] % 2 == 1
 
 
 def sector_operator(kind: str, build, part: str):
@@ -614,7 +626,11 @@ def test_mirror_splits_eigh_into_two_sectors(kind, part, build, monkeypatch):
         cell = g.entry_cells
         f = len(np.unique(cell[cell[g.mirror] == cell]))
     assert f == int(g.family == "hypercube" and part == "quotient" and k % 2 == 1)
-    assert sizes == [size for size in ((k + f) // 2, (k - f) // 2) if size]
+    # the coherent walk derives its odd sector where the mirror flips the parity
+    derived = kind == "coherent" and part != "reference" and paired(g)
+    assert (op.chirality is not None) == derived
+    sectors = ((k + f) // 2, (k - f) // 2)[: 1 if derived else 2]
+    assert sizes == [size for size in sectors if size]
 
 
 @pytest.mark.parametrize("kind", sorted(OPERATORS))
@@ -640,14 +656,24 @@ def test_spectrum_without_a_mirror_is_exactly_eigh(kind, build, part):
     assert np.array_equal(v, v_ref)
 
 
-def ix_block_spectrum(m: np.ndarray, mirror: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """The sector spectrum with its blocks gathered from the dense matrix by ``np.ix_``."""
+def ix_block_spectrum(
+    m: np.ndarray, mirror: np.ndarray | None, parity: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The sector spectrum with its blocks gathered from the dense matrix by ``np.ix_``.
+
+    Where the mirror maps every index to one of the opposite parity, the odd
+    sector is the even one with its eigenvalues negated and reversed and its
+    eigenvectors reversed and signed by (-1)^parity.
+    """
     i = np.arange(len(m))
     r = i if mirror is None else mirror
     p, f = np.flatnonzero(i < r), np.flatnonzero(i == r)
     a, b, c = m[np.ix_(p, p)], m[np.ix_(p, r[p])], math.sqrt(2.0) * m[np.ix_(p, f)]
     w_even, y_even = np.linalg.eigh(np.block([[a + b, c], [c.T, m[np.ix_(f, f)]]]))
-    w_odd, y_odd = np.linalg.eigh(a - b) if len(p) else (w_even[:0], a)
+    if parity is not None and mirror is not None and np.all(parity[r] != parity):
+        w_odd, y_odd = -w_even[::-1], np.where(parity[p, None] == 1, -1.0, 1.0) * y_even[:, ::-1]
+    else:
+        w_odd, y_odd = np.linalg.eigh(a - b) if len(p) else (w_even[:0], a)
     v = np.zeros(m.shape)
     even, odd = v[:, : len(w_even)], v[:, len(w_even) :]
     even[p] = even[r[p]] = math.sqrt(0.5) * y_even[: len(p)]
@@ -662,10 +688,97 @@ def ix_block_spectrum(m: np.ndarray, mirror: np.ndarray | None) -> tuple[np.ndar
 @pytest.mark.parametrize("build", SECTOR_BUILDS, ids=SECTOR_IDS)
 def test_spectrum_from_pairs_is_bit_for_bit_the_gathered_one(kind, part, build):
     _, op = sector_operator(kind, build, part)
-    w_ref, v_ref = ix_block_spectrum(op.matrix, op.mirror)
+    w_ref, v_ref = ix_block_spectrum(op.matrix, op.mirror, op.parity)
     w, v = op.spectrum
     assert np.array_equal(w, w_ref)
     assert np.array_equal(v, v_ref)
+
+
+PAIRED_GRAPHS = [(name, build) for name, build in SECTOR_GRAPHS if paired(build())]
+
+
+@pytest.mark.parametrize("part", ["dense", "quotient"])
+@pytest.mark.parametrize(
+    "build", [b for _, b in PAIRED_GRAPHS], ids=[n for n, _ in PAIRED_GRAPHS]
+)
+def test_derived_odd_sector_solves_the_odd_block(part, build):
+    # oracle: an explicit eigh of the odd block A - B, in the basis (e_i - e_r[i]) / sqrt(2)
+    _, op = sector_operator("coherent", build, part)
+    m, r = op.matrix, op.mirror
+    p = np.flatnonzero(np.arange(len(m)) < r)
+    odd_block = m[np.ix_(p, p)] - m[np.ix_(p, r[p])]
+    w, v = op.spectrum
+    w_odd, y = w[len(p) :], math.sqrt(2.0) * v[p, len(p) :]
+    scale = np.max(np.abs(m))
+    assert op.chirality is not None
+    assert np.max(np.abs(w_odd - np.linalg.eigvalsh(odd_block))) <= 1e-12 * scale
+    assert np.linalg.norm(odd_block @ y - y * w_odd) <= 1e-12 * scale
+    assert np.array_equal(w_odd, -w[: len(p)][::-1])
+
+
+# (id, kind, build, part) where the odd sector keeps its own eigh, or where there is none
+UNPAIRED_CASES = (
+    [(f"classical-{n}-{part}", "classical", b, part) for n, b in PAIRED_GRAPHS for part in ("dense", "quotient")]
+    + [
+        (f"hypercube-{d}-{part}", "coherent", lambda d=d: hypercube_graph(d), part)
+        for d in (2, 4, 6)
+        for part in ("dense", "quotient")
+    ]
+    + [
+        (f"glued-random-{s}-{part}", "coherent", lambda s=s: glued_tree(4, "random-cycle", seed=s), part)
+        for s in (1, 2)
+        for part in ("dense", "quotient")
+    ]
+    + [(f"path-{m}-{part}", "coherent", lambda m=m: path_graph(m), part) for m in (8, 9) for part in ("dense", "quotient")]
+)
+
+
+@pytest.mark.parametrize(
+    "kind, build, part", [c[1:] for c in UNPAIRED_CASES], ids=[c[0] for c in UNPAIRED_CASES]
+)
+def test_odd_sector_is_diagonalised_where_the_pairing_fails(kind, build, part, monkeypatch):
+    # the classical walk has a diagonal; an even hypercube's mirror keeps the parity, and on its
+    # quotient fixes the middle layer; random glued trees and paths have no mirror at all
+    _, op = sector_operator(kind, build, part)
+    assert op.chirality is None
+    sizes = count_eigh(monkeypatch)
+    w, v = op.spectrum
+    if op.mirror is None:
+        assert sizes == [op.dim]
+    else:
+        assert len(sizes) == 2 and sum(sizes) == op.dim
+    w_ref, v_ref = ix_block_spectrum(op.matrix, op.mirror, None)
+    assert np.array_equal(w, w_ref)
+    assert np.array_equal(v, v_ref)
+
+
+def _node_of_parity(g: Graph, parity: int) -> int:
+    return int(np.flatnonzero(g.parity == parity)[3])
+
+
+@pytest.mark.parametrize(
+    "state",
+    [
+        lambda g: entry_state(g),
+        lambda g: np.eye(g.n_nodes)[_node_of_parity(g, 1)],
+        lambda g: entry_state(g) - 0.5 * np.eye(g.n_nodes)[_node_of_parity(g, 0)],
+        lambda g: entry_state(g) + np.eye(g.n_nodes)[_node_of_parity(g, 1)],
+        lambda g: 1j * entry_state(g),
+    ],
+    ids=["entry", "odd-node", "even-pair", "mixed-parity", "complex"],
+)
+@pytest.mark.parametrize("build", [hexagonal_graph, lambda n: glued_tree(n, "identity")], ids=["hex", "glued"])
+def test_site_curves_over_half_the_modes_match_both_sectors(state, build):
+    # a real start of one parity runs on the even modes only; any other start on all of them
+    g = build(3)
+    op, reference = Hamiltonian(g, 0.8), dense(Hamiltonian(g, 0.8))
+    assert op.chirality is not None and reference.chirality is None
+    zs = np.linspace(0.5, 9.0, 37)
+    whole = propagate(reference, state(g), zs)
+    for site in (g.entry, g.exit, _node_of_parity(g, 0), _node_of_parity(g, 1)):
+        curve = propagate(op, state(g), zs, site)
+        assert curve.dtype == complex
+        assert np.max(np.abs(curve - whole[:, site])) <= 1e-12
 
 
 @pytest.mark.parametrize("kind", sorted(OPERATORS))

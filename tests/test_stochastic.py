@@ -125,6 +125,23 @@ def test_density_from_state_is_projector():
     assert np.allclose(rho @ rho, rho, atol=1e-12)
 
 
+def test_density_from_state_is_exactly_hermitian():
+    # a complex state whose plain outer product leaves imaginary residue on the diagonal
+    g = hexagonal_graph(1)
+    k = np.arange(g.n_nodes)
+    psi = np.exp(1j * k) * (1.0 + k / 5.0)
+    psi /= np.linalg.norm(psi)
+    outer = np.outer(psi, psi.conj())
+    assert not np.array_equal(outer, outer.conj().T)
+    rho = density_from_state(psi)
+    assert np.array_equal(rho, rho.conj().T)
+    assert not np.any(np.diag(rho).imag)
+    assert np.max(np.abs(rho - outer)) <= 1e-16
+    # a real state keeps its plain outer product, bit for bit
+    real = entry_state(g) + 0.3 * np.cos(k)
+    assert np.array_equal(density_from_state(real), np.outer(real, real).astype(complex))
+
+
 def test_qsw_params_validation():
     QswParams(omega=0.0)
     QswParams(omega=1.0)
