@@ -43,6 +43,28 @@ _FAMILY_TABLE = {
 FAMILIES = tuple(_FAMILY_TABLE)
 
 
+def cached(compute):
+    """A read-only property whose value ``compute(self)`` makes on first read.
+
+    The value is kept in the instance's ``__dict__`` under the property's own
+    name, an entry the property (a data descriptor) shadows.  Every ndarray
+    in it, or in the tuple it is, is made read-only.  The factory returns a
+    plain :class:`property`, so a wrapper around its ``fget`` sees every read.
+    """
+    name = compute.__name__
+
+    def get(self):
+        store = vars(self)
+        if name not in store:
+            store[name] = value = compute(self)
+            for part in value if isinstance(value, tuple) else (value,):
+                if isinstance(part, np.ndarray):
+                    part.flags.writeable = False
+        return store[name]
+
+    return property(get, doc=compute.__doc__)
+
+
 class Graph:
     """Immutable undirected graph with integer display coordinates.
 
@@ -103,7 +125,6 @@ class Graph:
         self._family = family
         xy.flags.writeable = False
         self._xy = xy
-        self._coords: tuple[tuple[int, int], ...] | None = None
         if mirror is not None:
             mirror = _checked_mirror(mirror, n, key, entry, exit)
         self._mirror = mirror
@@ -114,23 +135,15 @@ class Graph:
         self._entry = entry
         self._exit = exit
         self._params = dict(params or {})
-        self._adjacency: np.ndarray | None = None
-        self._degrees: np.ndarray | None = None
-        self._neighbours: np.ndarray | None = None
-        self._distances: np.ndarray | None = None
-        self._parity: tuple[np.ndarray | None] | None = None
-        self._entry_cells: np.ndarray | None = None
 
     @property
     def family(self) -> str:
         return self._family
 
-    @property
+    @cached
     def coords(self) -> tuple[tuple[int, int], ...]:
         """Node coordinates as (X, Y) pairs of ``int``, indexed by node id (cached)."""
-        if self._coords is None:
-            self._coords = tuple(map(tuple, self._xy.tolist()))
-        return self._coords
+        return tuple(map(tuple, self._xy.tolist()))
 
     @property
     def coord_array(self) -> np.ndarray:
@@ -168,43 +181,33 @@ class Graph:
     def n_edges(self) -> int:
         return len(self._edges)
 
-    @property
+    @cached
     def adjacency(self) -> np.ndarray:
         """Dense symmetric 0/1 adjacency matrix (read-only, cached)."""
-        if self._adjacency is None:
-            a = np.zeros((self.n_nodes, self.n_nodes))
-            i, j = self._edges.T
-            a[i, j] = a[j, i] = 1.0
-            a.flags.writeable = False
-            self._adjacency = a
-        return self._adjacency
+        a = np.zeros((self.n_nodes, self.n_nodes))
+        i, j = self._edges.T
+        a[i, j] = a[j, i] = 1.0
+        return a
 
-    @property
+    @cached
     def degrees(self) -> np.ndarray:
         """Per-node degree vector (read-only, cached)."""
-        if self._degrees is None:
-            d = np.bincount(self._edges.ravel(), minlength=self.n_nodes)
-            d.flags.writeable = False
-            self._degrees = d
-        return self._degrees
+        return np.bincount(self._edges.ravel(), minlength=self.n_nodes)
 
-    @property
+    @cached
     def neighbours(self) -> np.ndarray:
         """Neighbour table, shape (N, max degree): row v lists the neighbours of
         node v, padded with the node id N, which no node has (read-only, cached)."""
-        if self._neighbours is None:
-            n, deg = self.n_nodes, self.degrees
-            a, b = self._edges.T
-            src, dst = np.r_[a, b], np.r_[b, a]
-            order = np.argsort(src, kind="stable")
-            src, dst = src[order], dst[order]
-            table = np.full((n, deg.max()), n)
-            table[src, np.arange(len(src)) - (np.cumsum(deg) - deg)[src]] = dst
-            table.flags.writeable = False
-            self._neighbours = table
-        return self._neighbours
+        n, deg = self.n_nodes, self.degrees
+        a, b = self._edges.T
+        src, dst = np.r_[a, b], np.r_[b, a]
+        order = np.argsort(src, kind="stable")
+        src, dst = src[order], dst[order]
+        table = np.full((n, deg.max()), n)
+        table[src, np.arange(len(src)) - (np.cumsum(deg) - deg)[src]] = dst
+        return table
 
-    @property
+    @cached
     def distances(self) -> np.ndarray:
         """Distance of every node from the entry, in edges (read-only, cached).
 
@@ -215,26 +218,23 @@ class Graph:
         its places in the list of reached nodes, the one that ``owner``
         keeps, whichever write lands last.
         """
-        if self._distances is None:
-            n, table = self.n_nodes, self.neighbours
-            dist, owner = np.full(n + 1, -1), np.empty(n + 1, dtype=np.int64)
-            dist[[n, self._entry]] = 0  # the padding node n is never visited
-            frontier, layer = np.array([self._entry]), 0
-            while frontier.size:
-                layer += 1
-                reached = table[frontier].ravel()
-                reached = reached[dist[reached] < 0]
-                place = np.arange(len(reached))
-                owner[reached] = place
-                frontier = reached[owner[reached] == place]
-                dist[frontier] = layer
-            dist = dist[:n]
-            dist[dist < 0] = layer
-            dist.flags.writeable = False
-            self._distances = dist
-        return self._distances
+        n, table = self.n_nodes, self.neighbours
+        dist, owner = np.full(n + 1, -1), np.empty(n + 1, dtype=np.int64)
+        dist[[n, self._entry]] = 0  # the padding node n is never visited
+        frontier, layer = np.array([self._entry]), 0
+        while frontier.size:
+            layer += 1
+            reached = table[frontier].ravel()
+            reached = reached[dist[reached] < 0]
+            place = np.arange(len(reached))
+            owner[reached] = place
+            frontier = reached[owner[reached] == place]
+            dist[frontier] = layer
+        dist = dist[:n]
+        dist[dist < 0] = layer
+        return dist
 
-    @property
+    @cached
     def parity(self) -> np.ndarray | None:
         """Distance from the entry mod 2 of every node when the graph is connected
         and every edge joins an even and an odd layer, else None (read-only, cached).
@@ -242,17 +242,14 @@ class Graph:
         Such a parity is the graph's 2-colouring: the adjacency matrix only
         couples nodes of opposite parity.
         """
-        if self._parity is None:
-            a, b = self._edges.T
-            parity = self.distances % 2
-            # unreached nodes share one layer: an edge among them fails the first test,
-            # an isolated node the second
-            bipartite = np.all(parity[a] != parity[b]) and self.degrees.min() > 0
-            parity.flags.writeable = False
-            self._parity = (parity if bipartite else None,)
-        return self._parity[0]
+        a, b = self._edges.T
+        parity = self.distances % 2
+        # unreached nodes share one layer: an edge among them fails the first test,
+        # an isolated node the second
+        bipartite = np.all(parity[a] != parity[b]) and self.degrees.min() > 0
+        return parity if bipartite else None
 
-    @property
+    @cached
     def entry_cells(self) -> np.ndarray:
         """Cell id of every node in the entry partition (read-only, cached).
 
@@ -272,23 +269,19 @@ class Graph:
         refinement stops when the cell count stops growing.  The own colour
         leads each row, so cell ids ascend with the distance.
         """
-        if self._entry_cells is None:
-            n = self.n_nodes
-            table = self.neighbours
-            colour = np.empty(n + 1, dtype=np.int64)
-            colour[:n] = self.distances
-            colour[n] = -1  # the padding node's colour, which no node has
-            cells = 0
-            while colour.max() + 1 > cells:
-                cells = colour.max() + 1
-                rows = np.column_stack((colour[:n], np.sort(colour[table], axis=1)))
-                order = np.lexsort(rows.T[::-1])
-                rows = rows[order]
-                colour[order] = np.cumsum(np.r_[False, np.any(rows[1:] != rows[:-1], axis=1)])
-            cell = colour[:n]
-            cell.flags.writeable = False
-            self._entry_cells = cell
-        return self._entry_cells
+        n = self.n_nodes
+        table = self.neighbours
+        colour = np.empty(n + 1, dtype=np.int64)
+        colour[:n] = self.distances
+        colour[n] = -1  # the padding node's colour, which no node has
+        cells = 0
+        while colour.max() + 1 > cells:
+            cells = colour.max() + 1
+            rows = np.column_stack((colour[:n], np.sort(colour[table], axis=1)))
+            order = np.lexsort(rows.T[::-1])
+            rows = rows[order]
+            colour[order] = np.cumsum(np.r_[False, np.any(rows[1:] != rows[:-1], axis=1)])
+        return colour[:n]
 
     def __repr__(self) -> str:
         return (
@@ -379,8 +372,11 @@ def _checked_mirror(mirror, n: int, key: np.ndarray, entry: int, exit: int) -> n
     ``key`` holds the edges as ascending keys a * n + b with a < b."""
     tau = np.asarray(mirror)
     if tau.dtype.kind not in "iu":
-        items = np.asarray(mirror, dtype=object).ravel()
-        tau = np.array([_integer(v, "mirror entry") for v in items], dtype=np.int64)
+        items = [_integer(v, "mirror entry") for v in np.asarray(mirror, dtype=object).ravel()]
+        wide = [v for v in items if not _INT64.min <= v <= _INT64.max]
+        if wide:
+            raise ValueError(f"mirror entry {wide[0]} is outside the int64 range")
+        tau = np.array(items, dtype=np.int64)
     if tau.shape != (n,):
         raise ValueError(f"mirror has shape {tau.shape}, expected ({n},)")
     tau = tau.astype(np.int64)

@@ -328,15 +328,15 @@ def classical_convergence_time(graph: Graph, rate: float = 1.0) -> ConvergenceRe
     graph, which has no uniform limit from a localised start, raises
     :class:`ConvergenceError`.
     """
-    w, v = ClassicalGenerator(graph, rate).quotient.spectrum
+    op = ClassicalGenerator(graph, rate)
+    w, v = op.quotient.spectrum
     zero = w >= -1.0e-12 * float(np.max(np.abs(w)))
     if np.count_nonzero(zero) > 1:
         raise ConvergenceError("graph is disconnected; the walk cannot reach uniformity")
     gap = -float(np.max(w[~zero]))
     p_uniform = 1.0 / graph.n_nodes
-    cell = graph.entry_cells
-    lift = 1.0 / np.sqrt(np.bincount(cell))
-    modes = np.where(zero, 0.0, v[cell[graph.entry], :])
+    lift = op.lift
+    modes = np.where(zero, 0.0, v[graph.entry_cells[graph.entry], :])
 
     def deviation(t: float) -> float:
         return float(np.max(np.abs(lift * (v @ (np.exp(w * t) * modes)))))

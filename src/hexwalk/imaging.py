@@ -390,7 +390,7 @@ def _circle_sums(image: PixelImage, mask: MaskSpec) -> np.ndarray:
     for first, counts, pixels, _ in _disk_pixels(cx, cy, r, (image.rows, image.cols)):
         values = flat[pixels]
         starts = np.cumsum(counts) - counts
-        for m in np.unique(counts):
+        for m in set(counts.tolist()):  # not np.unique, which imports numpy.ma on first use
             (same,) = np.nonzero(counts == m)
             sums[first + same] = values[starts[same, None] + np.arange(m)].sum(axis=1)
     return sums

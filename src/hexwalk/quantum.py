@@ -90,7 +90,7 @@ import math
 
 import numpy as np
 
-from hexwalk.graphs import Graph
+from hexwalk.graphs import Graph, _integer, cached
 
 #: Most bytes a walk spectrum may take (see :func:`_spectrum_bytes`).
 #: ``hexagonal_graph(133)`` (18088 cells, 3.9 GiB predicted) fits.
@@ -159,7 +159,6 @@ class SpectralOperator:
         self.phase = phase
         self.mirror = mirror
         self._parity = parity
-        self._spectrum: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def dtype(self) -> type:
@@ -174,10 +173,10 @@ class SpectralOperator:
     def parity(self) -> np.ndarray | None:
         return self._parity
 
-    @property
+    @cached
     def chirality(self) -> np.ndarray | None:
         """Gamma = (-1)^parity as floats when the mirror maps every index to one of
-        the opposite parity, else None.
+        the opposite parity, else None (read-only, cached).
 
         Then Gamma M Gamma = -M and Gamma r = -r Gamma, so Gamma carries the
         even mirror sector onto the odd one and the odd block is
@@ -206,7 +205,7 @@ class SpectralOperator:
         out[a[keep], b[keep]] = value[keep]
         return out
 
-    @property
+    @cached
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues and orthonormal eigenvectors of the matrix, even sector first.
 
@@ -229,41 +228,36 @@ class SpectralOperator:
         diagonalised but derived: its eigenvalues are the even ones negated
         and reversed, its eigenvectors Gamma times the even ones reversed.
         """
-        if self._spectrum is None:
-            k = self.dim
-            i = np.arange(k)
-            r = i if self.mirror is None else self.mirror
-            p, f = np.flatnonzero(i < r), np.flatnonzero(i == r)
-            n = len(p)
-            block = np.empty((k - n, k - n))
-            np.add(self._block(p, p), self._block(p, r[p]), out=block[:n, :n])
-            np.multiply(math.sqrt(2.0), self._block(p, f), out=block[:n, n:])
-            block[n:, :n] = block[:n, n:].T
-            block[n:, n:] = self._block(f, f)
-            w_even, y_even = np.linalg.eigh(block)
-            gamma = self.chirality
-            if gamma is None:
-                block = self._block(p, p)
-                block -= self._block(p, r[p])
-                w_odd, y_odd = np.linalg.eigh(block) if n else (w_even[:0], block)
-            else:
-                w_odd, y_odd = -w_even[::-1], gamma[p, None] * y_even[:, ::-1]
-            del block
-            v = np.zeros((k, k))
-            even, odd = v[:, : len(w_even)], v[:, len(w_even) :]
-            even[f] = y_even[n:]
-            y_even = y_even[:n]
-            y_even *= math.sqrt(0.5)
-            even[p] = even[r[p]] = y_even
-            y_odd *= math.sqrt(0.5)
-            odd[p] = y_odd
-            odd[r[p]] = np.negative(y_odd, out=y_odd)
-            del y_even, y_odd
-            w = np.concatenate([w_even, w_odd])
-            w.flags.writeable = False
-            v.flags.writeable = False
-            self._spectrum = (w, v)
-        return self._spectrum
+        k = self.dim
+        i = np.arange(k)
+        r = i if self.mirror is None else self.mirror
+        p, f = np.flatnonzero(i < r), np.flatnonzero(i == r)
+        n = len(p)
+        block = np.empty((k - n, k - n))
+        np.add(self._block(p, p), self._block(p, r[p]), out=block[:n, :n])
+        np.multiply(math.sqrt(2.0), self._block(p, f), out=block[:n, n:])
+        block[n:, :n] = block[:n, n:].T
+        block[n:, n:] = self._block(f, f)
+        w_even, y_even = np.linalg.eigh(block)
+        gamma = self.chirality
+        if gamma is None:
+            block = self._block(p, p)
+            block -= self._block(p, r[p])
+            w_odd, y_odd = np.linalg.eigh(block) if n else (w_even[:0], block)
+        else:
+            w_odd, y_odd = -w_even[::-1], gamma[p, None] * y_even[:, ::-1]
+        del block
+        v = np.zeros((k, k))
+        even, odd = v[:, : len(w_even)], v[:, len(w_even) :]
+        even[f] = y_even[n:]
+        y_even = y_even[:n]
+        y_even *= math.sqrt(0.5)
+        even[p] = even[r[p]] = y_even
+        y_odd *= math.sqrt(0.5)
+        odd[p] = y_odd
+        odd[r[p]] = np.negative(y_odd, out=y_odd)
+        del y_even, y_odd
+        return np.concatenate([w_even, w_odd]), v
 
 
 class WalkOperator(SpectralOperator):
@@ -283,7 +277,6 @@ class WalkOperator(SpectralOperator):
         super().__init__(graph.n_nodes, None, phase, graph.mirror)
         self.graph = graph
         self.scale = scale
-        self._quotient: SpectralOperator | None = None
 
     def _assemble(
         self, cell: np.ndarray, mirror: np.ndarray | None
@@ -328,13 +321,17 @@ class WalkOperator(SpectralOperator):
         """The graph's :attr:`Graph.parity` for a walk without a diagonal, else None."""
         return None if self.diagonal else self.graph.parity
 
-    @property
+    @cached
     def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self._pairs is None:
-            self._pairs = self._assemble(np.arange(self.dim), self.mirror)
-        return self._pairs
+        return self._assemble(np.arange(self.dim), self.mirror)
 
-    @property
+    @cached
+    def lift(self) -> np.ndarray:
+        """1 / sqrt(|c|) for every cell c of :attr:`Graph.entry_cells` (read-only,
+        cached): the quotient state y lifts to the node state y[cell(v)] * lift[cell(v)]."""
+        return 1.0 / np.sqrt(np.bincount(self.graph.entry_cells))
+
+    @cached
     def quotient(self) -> SpectralOperator:
         """S^T M S on the cells of :attr:`Graph.entry_cells`, held as its cell pairs.
 
@@ -346,20 +343,18 @@ class WalkOperator(SpectralOperator):
         to nothing of the walk operator, so both are freed as soon as the
         last reference to either goes.
         """
-        if self._quotient is None:
-            g = self.graph
-            cell, tau, r, parity = g.entry_cells, g.mirror, None, None
-            k = int(cell.max()) + 1
-            if tau is not None:
-                r = np.empty(k, dtype=np.int64)
-                r[cell] = cell[tau]
-                if not np.array_equal(r[cell], cell[tau]):
-                    r = None
-            if self.parity is not None:
-                parity = np.empty(k, dtype=np.int64)
-                parity[cell] = self.parity
-            self._quotient = SpectralOperator(k, self._assemble(cell, r), self.phase, r, parity)
-        return self._quotient
+        g = self.graph
+        cell, tau, r, parity = g.entry_cells, g.mirror, None, None
+        k = int(cell.max()) + 1
+        if tau is not None:
+            r = np.empty(k, dtype=np.int64)
+            r[cell] = cell[tau]
+            if not np.array_equal(r[cell], cell[tau]):
+                r = None
+        if self.parity is not None:
+            parity = np.empty(k, dtype=np.int64)
+            parity[cell] = self.parity
+        return SpectralOperator(k, self._assemble(cell, r), self.phase, r, parity)
 
 
 class Hamiltonian(WalkOperator):
@@ -419,13 +414,15 @@ def propagate(op: SpectralOperator, x0: np.ndarray, ts, site: int | None = None)
     module docstring, over the even modes only when the operator has a
     :attr:`SpectralOperator.chirality` and x0 is real and of one parity.
     The coherent propagator is unitary and the classical one stochastic, so
-    the norm, or the total probability, of x0 is kept to rounding.
+    the norm, or the total probability, of x0 is kept to rounding.  An x0
+    with an entry that is not finite, or a ``site`` that is not an integer,
+    raises ``ValueError`` before any spectrum is built.
 
     On a :class:`WalkOperator`, an x0 that equals itself read at one node of
     each cell of the entry partition is evolved as y = S^T x on
     ``op.quotient`` and lifted back as x = S y: node i holds
-    y[cell(i)] / sqrt(|cell(i)|).  Neither the N x N matrix nor its spectrum
-    is formed.  A classical walk from a non-negative x0 is then clipped at
+    y[cell(i)] / sqrt(|cell(i)|) (:attr:`WalkOperator.lift`).  Neither the
+    N x N matrix nor its spectrum is formed.  A classical walk from a non-negative x0 is then clipped at
     0: spectral rounding leaves residues of order 1e-16 around the true
     value, below 0 where the walk has not arrived yet.  A signed x0 is not
     clipped, as its true evolution can go negative.
@@ -433,16 +430,19 @@ def propagate(op: SpectralOperator, x0: np.ndarray, ts, site: int | None = None)
     x0 = np.asarray(x0, dtype=op.dtype)
     if x0.shape != (op.dim,):
         raise ValueError(f"state has shape {x0.shape}, expected ({op.dim},)")
+    if not np.isfinite(x0).all():
+        raise ValueError("state has entries that are not finite")
     ts = np.asarray(ts, dtype=float)
     if ts.ndim > 1:
         raise ValueError("length grid must be one-dimensional")
     if ts.size and not (0.0 <= ts.min() and ts.max() < np.inf):
         raise ValueError("evolution lengths must be finite and >= 0")
-    if site is not None and (ts.ndim == 0 or not 0 <= site < op.dim):
-        raise ValueError(f"site {site} needs a length grid and a node in 0..{op.dim - 1}")
+    if site is not None:
+        site = _integer(site, "site")
+        if ts.ndim == 0 or not 0 <= site < op.dim:
+            raise ValueError(f"site {site} needs a length grid and a node in 0..{op.dim - 1}")
     if isinstance(op, WalkOperator):
-        cell = op.graph.entry_cells
-        lift = 1.0 / np.sqrt(np.bincount(cell))
+        cell, lift = op.graph.entry_cells, op.lift
         node = np.empty(len(lift), dtype=np.intp)
         node[cell] = np.arange(len(cell))  # some node of each cell
         if np.array_equal(x0[node][cell], x0):

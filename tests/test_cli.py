@@ -485,6 +485,14 @@ def test_analyze_exit_node_override(rendered_fixture, tmp_path, capsys):
     assert abs(stdout_value(capsys, "efficiency") - p[0]) < 1e-3
 
 
+def test_analyze_leaves_numpy_ma_unimported(rendered_fixture, tmp_path):
+    # a plain np.unique imports numpy.ma on first use, a cost nothing in analyze needs
+    image_path, mask_path, _ = rendered_fixture
+    code = "import sys; from hexwalk.cli import main; print(main(), 'numpy.ma' in sys.modules)"
+    proc = run_child(code, "analyze", str(image_path), str(mask_path), "--out", str(tmp_path))
+    assert proc.stdout.splitlines()[-1] == "0 False", proc.stderr
+
+
 def test_analyze_header_records_only_what_analyze_uses(rendered_fixture, tmp_path):
     image_path, mask_path, _ = rendered_fixture
     assert main(["analyze", str(image_path), str(mask_path), "--out", str(tmp_path)]) == 0

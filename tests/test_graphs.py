@@ -339,8 +339,10 @@ def test_graph_keeps_its_own_copy_of_the_mirror():
         ([0, 2, 1, 4, 3, 5], r"mirror maps the entry 0 to 0, not to the exit 5"),
         ([5, 3, 4, 1, 2.5, 0], r"mirror entry 2\.5 is not an integer"),
         ([5.0, 3, 4, 1, 2, 0], r"mirror entry 5\.0 is not an integer"),
+        ([5, 3, 4, 1, 2**70, 0], r"mirror entry 1180591620717411303424 is outside the int64 range"),
+        ([5, 3, 4, 1, -(2**63) - 1, 0], r"mirror entry -9223372036854775809 is outside the int64 range"),
     ],
-    ids=["length", "permutation", "involution", "edge", "entry", "fraction", "float"],
+    ids=["length", "permutation", "involution", "edge", "entry", "fraction", "float", "wide", "wide-low"],
 )
 def test_graph_refuses_a_mirror_that_does_not_swap_entry_and_exit(mirror, message):
     one = hexagonal_graph(1)
