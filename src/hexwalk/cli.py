@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 import hexwalk
-from hexwalk.graphs import parse_graph_selector
+from hexwalk.graphs import _positive, parse_graph_selector
 from hexwalk.hitting import (
     BoundaryMaximumWarning,
     ConvergenceError,
@@ -213,10 +213,7 @@ def _resolve_rates(args) -> tuple[float, float]:
     coupling = calibrated_coupling() if args.calibrate else args.coupling
     rate = args.rate if args.rate is not None else coupling
     # checked here, since a walk that does not use one of them never would
-    for label, value in (("coupling", coupling), ("hop rate", rate)):
-        if not np.isfinite(value) or value <= 0.0:
-            raise ValueError(f"{label} must be finite and > 0, got {value}")
-    return coupling, rate
+    return _positive(coupling, "coupling"), _positive(rate, "hop rate")
 
 
 def _walk_pairs(engine: str, coupling: float, rate: float) -> dict:

@@ -298,6 +298,13 @@ def _integer(value, label: str) -> int:
         raise ValueError(f"{label} {value!r} is not an integer") from None
 
 
+def _positive(value, label: str):
+    """``value`` if it is finite and > 0, else ``ValueError`` naming ``label``."""
+    if not np.isfinite(value) or value <= 0.0:
+        raise ValueError(f"{label} must be finite and > 0, got {value}")
+    return value
+
+
 _INT64 = np.iinfo(np.int64)
 
 
@@ -401,11 +408,14 @@ def _checked_mirror(mirror, n: int, key: np.ndarray, entry: int, exit: int) -> n
     return tau
 
 
-def _check_size(value, label: str, minimum: int) -> None:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{label} must be an integer")
+def _check_size(value, label: str, minimum: int) -> int:
+    """``value`` as an int of at least ``minimum``, read by :func:`_integer`; bools are refused."""
+    if isinstance(value, bool):
+        raise ValueError(f"{label} {value!r} is not an integer")
+    value = _integer(value, label)
     if value < minimum:
         raise ValueError(f"{label} must be >= {minimum}, got {value}")
+    return value
 
 
 def _check_nodes(count: int | str) -> None:
@@ -435,7 +445,7 @@ def hexagonal_graph(n: int) -> Graph:
     reflection X -> 6(n - 1) - X across the middle column, which swaps the
     entry and exit corners.
     """
-    _check_size(n, "depth n", 1)
+    n = _check_size(n, "depth n", 1)
     _check_nodes(2 * n * n + 4 * n)
     rows = n - np.abs(np.arange(2 * n - 1) - (n - 1))  # hexagons per column
     col = np.repeat(np.arange(2 * n - 1), rows)
@@ -475,7 +485,7 @@ def glued_tree(depth: int, gluing: str = "random-cycle", seed: int = 0) -> Graph
     tree with node i of the same level of the right tree; a random cycle
     carries none.
     """
-    _check_size(depth, "depth", 1)
+    depth = _check_size(depth, "depth", 1)
     if gluing not in GLUING_MODES:
         raise ValueError(f"gluing must be one of {GLUING_MODES}, got {gluing!r}")
     _check_nodes(2 ** (depth + 2) - 2 if depth < 64 else f"2**{depth + 2} - 2")
@@ -521,7 +531,7 @@ def hypercube_graph(d: int) -> Graph:
     assignment.  A dimension whose 2**d nodes exceed :data:`MAX_NODES` is
     refused.
     """
-    _check_size(d, "dimension d", 1)
+    d = _check_size(d, "dimension d", 1)
     _check_nodes(2**d if d < 64 else f"2**{d}")
     n = 2**d
     v = np.arange(n)
@@ -545,7 +555,7 @@ def path_graph(m: int) -> Graph:
     entry is site (m - 1) // 2 and the exit the far end m - 1; taking the
     left-of-centre site for even m keeps entry and exit distinct down to
     m = 2.  More than :data:`MAX_NODES` sites are refused."""
-    _check_size(m, "site count m", 2)
+    m = _check_size(m, "site count m", 2)
     _check_nodes(m)
     i = np.arange(m)
     coords = np.column_stack((2 * i, np.zeros_like(i)))

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from hexwalk.graphs import Graph, depth_scale, hexagonal_graph, path_graph
+from hexwalk.graphs import Graph, _integer, _positive, depth_scale, hexagonal_graph, path_graph
 from hexwalk.quantum import Hamiltonian, SpectralOperator, entry_state, propagate
 from hexwalk.stochastic import ClassicalGenerator
 
@@ -144,11 +144,7 @@ def _scan_grid(
         z_max = SCAN_WINDOW_FACTOR * depth_scale(graph) / scale
     if dz is None:
         dz = SCAN_STEP_FACTOR / scale
-    if not np.isfinite(z_max) or z_max <= 0.0:
-        raise ValueError(f"scan window must be finite and > 0, got {z_max}")
-    if not np.isfinite(dz) or dz <= 0.0:
-        raise ValueError(f"scan step must be finite and > 0, got {dz}")
-    steps = z_max / dz
+    steps = _positive(z_max, "scan window") / _positive(dz, "scan step")
     if not np.isfinite(steps) or round(steps) >= MAX_SCAN_POINTS:
         raise ValueError(
             f"scan window z_max/dz (--z-max/--dz) = {steps:g} steps is more than "
@@ -379,7 +375,7 @@ def depth_sweep(
     """
     if rate is None:
         rate = coupling
-    depths = sorted(set(int(n) for n in depths))
+    depths = sorted(set(_integer(n, "depth") for n in depths))
     if not depths:
         raise ValueError("depth sweep needs at least one depth")
     rows = []
@@ -456,8 +452,8 @@ def variance_slope_1d(
 
     Raises :class:`WindowError` when no samples survive the windowing.
     """
-    if z_max is not None and (not np.isfinite(z_max) or z_max <= 0.0):
-        raise ValueError(f"--z-max must be finite and > 0, got {z_max}")
+    if z_max is not None:
+        _positive(z_max, "--z-max")
     if engine not in ("quantum", "classical"):
         raise ValueError(f"engine must be 'quantum' or 'classical', got {engine!r}")
     if m % 2 == 0:

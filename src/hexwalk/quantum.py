@@ -71,9 +71,11 @@ entries as pairs (i, j, value), a walk operator its node pairs and its
 quotient the cell pairs; each sector block is scattered from them, goes to
 ``eigh`` and is freed before the next is built, and V comes last.  So a
 spectrum peaks at about 1.55 k x k float arrays with a mirror and 5.2
-without (:func:`_spectrum_bytes`).  A complex state is projected onto V,
-and a single length lifted back, a block of rows of V at a time, never
-through a complex copy of all of V.
+without (:func:`_spectrum_bytes`).  Every product of the real V with a
+complex state is two real products, with its real and its imaginary part,
+never through a complex copy of V.  A classical result from a start with
+no negative entry is clipped at 0 once, on every route, as it leaves
+:func:`propagate`.
 
 The Hamiltonian couples neighbouring sites with a uniform strength C (units
 1/mm, so the evolution parameter z is a propagation length in mm) and has
@@ -90,7 +92,7 @@ import math
 
 import numpy as np
 
-from hexwalk.graphs import Graph, _integer, cached
+from hexwalk.graphs import Graph, _integer, _positive, cached
 
 #: Most bytes a walk spectrum may take (see :func:`_spectrum_bytes`).
 #: ``hexagonal_graph(133)`` (18088 cells, 3.9 GiB predicted) fits.
@@ -365,11 +367,8 @@ class Hamiltonian(WalkOperator):
     """
 
     def __init__(self, graph: Graph, coupling: float = 1.0):
-        coupling = float(coupling)
-        if not np.isfinite(coupling) or coupling <= 0.0:
-            raise ValueError(f"coupling must be finite and > 0, got {coupling}")
-        self.coupling = coupling
-        super().__init__(graph, coupling, -1j)
+        self.coupling = _positive(float(coupling), "coupling")
+        super().__init__(graph, self.coupling, -1j)
 
 
 def entry_state(graph: Graph) -> np.ndarray:
@@ -379,27 +378,14 @@ def entry_state(graph: Graph) -> np.ndarray:
     return x
 
 
-#: Rows of V that :func:`_matmul` casts to complex at a time.
-_V_BLOCK = 64
-
-
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for a real matrix a and a real or complex vector b, without a complex copy of a.
-
-    numpy casts a real factor of a complex product to complex whole, for V
-    a temporary twice its size.  Here :data:`_V_BLOCK` rows of a are cast
-    at a time.  Each entry of the product comes from its own row of a, and
-    numpy sends a block of two or more rows to the same BLAS routine
-    (gemv) as the whole matrix, so the product is numpy's bit for bit.  A
-    block of one row would go to a dot product instead, so a last lone row
-    joins the block before it.
-    """
-    if b.dtype != complex:
+def _real_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for a real factor and a real or complex one, in real products only:
+    numpy would cast the real factor to complex whole, for V twice its size."""
+    if a.dtype != complex and b.dtype != complex:
         return a @ b
-    out = np.empty(len(a), dtype=complex)
-    starts = list(range(0, len(a) - 1, _V_BLOCK)) or [0]
-    for s, e in zip(starts, starts[1:] + [len(a)]):
-        out[s:e] = a[s:e] @ b
+    re, im = (a.real @ b, a.imag @ b) if a.dtype == complex else (a @ b.real, a @ b.imag)
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
     return out
 
 
@@ -422,10 +408,10 @@ def propagate(op: SpectralOperator, x0: np.ndarray, ts, site: int | None = None)
     each cell of the entry partition is evolved as y = S^T x on
     ``op.quotient`` and lifted back as x = S y: node i holds
     y[cell(i)] / sqrt(|cell(i)|) (:attr:`WalkOperator.lift`).  Neither the
-    N x N matrix nor its spectrum is formed.  A classical walk from a non-negative x0 is then clipped at
-    0: spectral rounding leaves residues of order 1e-16 around the true
-    value, below 0 where the walk has not arrived yet.  A signed x0 is not
-    clipped, as its true evolution can go negative.
+    N x N matrix nor its spectrum is formed.  A real result from an x0 with no
+    negative entry is clipped at 0 on every route: spectral rounding leaves
+    residues of order 1e-16 below 0 where the walk has not arrived yet.  A
+    signed x0 is not clipped, as its true evolution can go negative.
     """
     x0 = np.asarray(x0, dtype=op.dtype)
     if x0.shape != (op.dim,):
@@ -441,6 +427,14 @@ def propagate(op: SpectralOperator, x0: np.ndarray, ts, site: int | None = None)
         site = _integer(site, "site")
         if ts.ndim == 0 or not 0 <= site < op.dim:
             raise ValueError(f"site {site} needs a length grid and a node in 0..{op.dim - 1}")
+    x = _evolve(op, x0, ts, site)
+    if op.dtype is complex or x0.min() < 0.0:
+        return x
+    return np.maximum(x, 0.0, out=x)
+
+
+def _evolve(op: SpectralOperator, x0: np.ndarray, ts: np.ndarray, site: int | None) -> np.ndarray:
+    """:func:`propagate` for checked arguments, without the clip."""
     if isinstance(op, WalkOperator):
         cell, lift = op.graph.entry_cells, op.lift
         node = np.empty(len(lift), dtype=np.intp)
@@ -448,19 +442,17 @@ def propagate(op: SpectralOperator, x0: np.ndarray, ts, site: int | None = None)
         if np.array_equal(x0[node][cell], x0):
             q, y0 = op.quotient, x0[node] / lift
             if site is not None:
-                x = propagate(q, y0, ts, cell[site]) * lift[cell[site]]
-            else:
-                x = (propagate(q, y0, ts) * lift)[..., cell]
-            return x if q.dtype is complex or x0.min() < 0.0 else np.maximum(x, 0.0)
+                return _evolve(q, y0, ts, cell[site]) * lift[cell[site]]
+            return (_evolve(q, y0, ts, None) * lift)[..., cell]
     w, v = op.spectrum
     if site is None:
-        modes = _matmul(v.T, x0)
+        modes = _real_product(v.T, x0)
         if ts.ndim == 0:
-            return _matmul(v, np.exp(op.phase * w * float(ts)) * modes)
-        return (np.exp(op.phase * np.outer(ts, w)) * modes) @ v.T
+            return _real_product(v, np.exp(op.phase * w * float(ts)) * modes)
+        return _real_product(np.exp(op.phase * np.outer(ts, w)) * modes, v.T)
     n = len(ts)
     if n > 1 and ts[-1] < ts[0]:  # ascending, so the classical offsets exp(w dz r) stay <= 1
-        return propagate(op, x0, ts[::-1], site)[::-1]
+        return _evolve(op, x0, ts[::-1], site)[::-1]
     t0 = ts[0] if n else 0.0
     dz = (ts[-1] - t0) / (n - 1) if n > 1 else 0.0
     slack = 8 * np.finfo(float).eps * ts.max(initial=0.0)
@@ -471,7 +463,7 @@ def propagate(op: SpectralOperator, x0: np.ndarray, ts, site: int | None = None)
     if sign:  # S over the even modes; the odd ones add gamma[site] sign conj(S) (module docstring)
         half = len(w) // 2
         w, v, x0 = w[:half], v[:, :half], x0.real
-    modes = _matmul(v.T, x0)
+    modes = _real_product(v.T, x0)
     # t_j = t0 + dz (b q + r) for j = b q + r: rows carry the block starts, columns the offsets
     b = max(1, math.ceil(math.sqrt(n)))
     rows = np.exp(op.phase * np.outer(t0 + dz * b * np.arange(-(-n // b)), w))

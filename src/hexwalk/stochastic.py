@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hexwalk.graphs import Graph
+from hexwalk.graphs import Graph, _positive
 from hexwalk.quantum import Hamiltonian, WalkOperator
 
 #: Largest graph the density-matrix engine accepts: every state is a dense
@@ -64,10 +64,7 @@ class ClassicalGenerator(WalkOperator):
     diagonal = 1.0
 
     def __init__(self, graph: Graph, rate: float = 1.0):
-        rate = float(rate)
-        if not np.isfinite(rate) or rate <= 0.0:
-            raise ValueError(f"hop rate must be finite and > 0, got {rate}")
-        super().__init__(graph, rate, 1.0)
+        super().__init__(graph, _positive(float(rate), "hop rate"), 1.0)
 
 
 @dataclass(frozen=True)
@@ -85,8 +82,7 @@ class QswParams:
     def __post_init__(self):
         if not np.isfinite(self.omega) or not (0.0 <= self.omega <= 1.0):
             raise ValueError(f"mixing weight omega must lie in [0, 1], got {self.omega}")
-        if not np.isfinite(self.rate) or self.rate <= 0.0:
-            raise ValueError(f"hop rate must be finite and > 0, got {self.rate}")
+        _positive(self.rate, "hop rate")
 
 
 def density_from_state(psi: np.ndarray) -> np.ndarray:

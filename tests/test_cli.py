@@ -493,6 +493,28 @@ def test_analyze_leaves_numpy_ma_unimported(rendered_fixture, tmp_path):
     assert proc.stdout.splitlines()[-1] == "0 False", proc.stderr
 
 
+_DEPENDENCY_CHILD = """
+import sys
+from hexwalk.cli import main
+out = sys.argv[1]
+for argv in (
+    ["sweep", "--depths", "2..4"],
+    ["scan", "--graph", "hexagonal:n=2", "--dump-state"],
+    ["variance", "--sites", "41"],
+):
+    assert main([*argv, "--out", out]) == 0, argv
+test_only = {"scipy", "networkx", "hypothesis", "mpmath", "pytest"}
+print(sorted(test_only & {name.partition(".")[0] for name in sys.modules}))
+"""
+
+
+def test_the_commands_import_no_test_dependency(tmp_path):
+    # numpy is the one declared dependency; the test extra's packages must not leak in
+    proc = run_child(_DEPENDENCY_CHILD, str(tmp_path), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_analyze_header_records_only_what_analyze_uses(rendered_fixture, tmp_path):
     image_path, mask_path, _ = rendered_fixture
     assert main(["analyze", str(image_path), str(mask_path), "--out", str(tmp_path)]) == 0

@@ -257,6 +257,17 @@ def test_path_graph_rejects_short_chains():
         path_graph(1)
 
 
+@pytest.mark.parametrize("build", [hexagonal_graph, glued_tree, hypercube_graph, path_graph])
+def test_builders_read_sizes_as_graph_does(build):
+    # a numpy integer is the int it holds; a bool or a float is refused
+    g, ref = build(np.int64(3)), build(3)
+    assert repr(g.params) == repr(ref.params)
+    assert np.array_equal(g.edges, ref.edges)
+    for bad in (True, np.True_, 3.0, 2.5):
+        with pytest.raises(ValueError, match="is not an integer$"):
+            build(bad)
+
+
 # ---------------------------------------------------------------------------
 # Graph container validation
 # ---------------------------------------------------------------------------

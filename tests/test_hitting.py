@@ -473,6 +473,11 @@ def test_sweep_rejects_empty_range():
         depth_sweep([])
 
 
+def test_sweep_refuses_a_fractional_depth():
+    with pytest.raises(ValueError, match=r"^depth 2\.7 is not an integer$"):
+        depth_sweep([2.7, 3.2, 3])
+
+
 # ---------------------------------------------------------------------------
 # fits
 # ---------------------------------------------------------------------------
@@ -540,6 +545,12 @@ def test_classical_variance_grows_linearly():
     fit = variance_slope_1d(101, "classical")
     assert abs(fit.slope - 1.0) < 0.05
     assert fit.r_squared > 0.999
+
+
+def test_variance_takes_a_numpy_site_count():
+    fit, ref = variance_slope_1d(np.int64(101), "quantum"), variance_slope_1d(101, "quantum")
+    assert repr(fit) == repr(ref)
+    assert np.array_equal(fit.residuals, ref.residuals)
 
 
 def test_variance_rejects_even_chain_and_unknown_engine():
