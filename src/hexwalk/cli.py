@@ -352,8 +352,8 @@ def cmd_analyze(args) -> int:
             reason = getattr(exc, "strerror", None) or exc
             print(f"hexwalk: input error: cannot read input file {name}: {reason}", file=sys.stderr)
             return EXIT_INPUT
-    image = parse_image(texts[0])
-    mask = parse_mask(texts[1])
+    image = parse_image(texts.pop(0))  # the frame's text is let go once it is parsed
+    mask = parse_mask(texts.pop())
     result = extract_probabilities(image, mask, args.exit_node)
     header = _header(
         "analyze",

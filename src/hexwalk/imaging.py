@@ -18,6 +18,7 @@ distribution, which gives the readout path an end-to-end oracle.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -112,19 +113,37 @@ def parse_image(text: str) -> PixelImage:
     does not) the lines are walked again with ``float()``, which returns
     the matrix or raises the first error.
     """
-    lines = text.splitlines()
-    while lines and not lines[-1].strip():
-        lines.pop()
-    if not lines:
+    if not text or text.isspace():
         raise ImageParseError("image is empty", 1)
+    last = 0  # the 1-based number of the last non-blank line read
+
+    def counted():  # the lines go to numpy one at a time: no list of them is held
+        nonlocal last
+        for lineno, line in enumerate(_lines(text), start=1):
+            if line.strip():
+                last = lineno
+            yield line
+
     try:
-        image = PixelImage._adopt(np.loadtxt(lines, dtype=float, ndmin=2, comments=None))
+        image = PixelImage._adopt(np.loadtxt(counted(), dtype=float, ndmin=2, comments=None))
     except ValueError:  # a ragged row, a token numpy does not read, a bad value
         pass
     else:
-        if image.rows == len(lines):  # loadtxt skips blank rows
+        if image.rows == last:  # loadtxt skips blank rows
             return image
+    lines = text.splitlines()
+    while not lines[-1].strip():
+        lines.pop()
     return PixelImage._adopt(_walk_lines(lines))
+
+
+def _lines(text: str):
+    """Yield ``text.splitlines()`` one line at a time."""
+    start = 0
+    while start < len(text):  # a line feed ends a line and never opens a CR LF pair: cut after it
+        end = text.find("\n", start) + 1 or len(text)
+        yield from text[start:end].splitlines()
+        start = end
 
 
 def _walk_lines(lines: list[str]) -> np.ndarray:
@@ -187,9 +206,9 @@ class MaskSpec:
                 raise MaskError(f"node id must be >= 0, got {e.node_id}")
             if e.node_id >= 2**63:  # node ids are read back as int64
                 raise MaskError(f"node id must be below 2**63, got {e.node_id}")
-            if not np.isfinite(e.radius) or e.radius <= 0.0:
+            if not math.isfinite(e.radius) or e.radius <= 0.0:
                 raise MaskError(f"node {e.node_id}: radius must be > 0, got {e.radius}")
-            if not (np.isfinite(e.cx) and np.isfinite(e.cy)):
+            if not (math.isfinite(e.cx) and math.isfinite(e.cy)):
                 raise MaskError(f"node {e.node_id}: centre must be finite")
         self._entries = entries
         self._circles = np.array([(e.cx, e.cy, e.radius) for e in entries], dtype=float)

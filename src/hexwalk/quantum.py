@@ -401,8 +401,9 @@ def propagate(op: SpectralOperator, x0: np.ndarray, ts, site: int | None = None)
     :attr:`SpectralOperator.chirality` and x0 is real and of one parity.
     The coherent propagator is unitary and the classical one stochastic, so
     the norm, or the total probability, of x0 is kept to rounding.  An x0
-    with an entry that is not finite, or a ``site`` that is not an integer,
-    raises ``ValueError`` before any spectrum is built.
+    with an entry that is not finite, a ``site`` that is not an integer, or
+    an uneven grid with a ``site`` raises ``ValueError`` before any
+    spectrum is built.
 
     On a :class:`WalkOperator`, an x0 that equals itself read at one node of
     each cell of the entry partition is evolved as y = S^T x on
@@ -427,6 +428,13 @@ def propagate(op: SpectralOperator, x0: np.ndarray, ts, site: int | None = None)
         site = _integer(site, "site")
         if ts.ndim == 0 or not 0 <= site < op.dim:
             raise ValueError(f"site {site} needs a length grid and a node in 0..{op.dim - 1}")
+        n = len(ts)
+        if n > 1 and ts[-1] < ts[0]:  # ascending, so the classical offsets exp(w dz r) stay <= 1
+            return propagate(op, x0, ts[::-1], site)[::-1]
+        dz = (ts[-1] - ts[0]) / (n - 1) if n > 1 else 0.0
+        slack = 8 * np.finfo(float).eps * ts.max(initial=0.0)
+        if np.any(np.abs(ts - (ts[:1] + dz * np.arange(n))) > slack):
+            raise ValueError("a site curve needs an evenly spaced length grid")
     x = _evolve(op, x0, ts, site)
     if op.dtype is complex or x0.min() < 0.0:
         return x
@@ -451,13 +459,8 @@ def _evolve(op: SpectralOperator, x0: np.ndarray, ts: np.ndarray, site: int | No
             return _real_product(v, np.exp(op.phase * w * float(ts)) * modes)
         return _real_product(np.exp(op.phase * np.outer(ts, w)) * modes, v.T)
     n = len(ts)
-    if n > 1 and ts[-1] < ts[0]:  # ascending, so the classical offsets exp(w dz r) stay <= 1
-        return _evolve(op, x0, ts[::-1], site)[::-1]
     t0 = ts[0] if n else 0.0
     dz = (ts[-1] - t0) / (n - 1) if n > 1 else 0.0
-    slack = 8 * np.finfo(float).eps * ts.max(initial=0.0)
-    if np.any(np.abs(ts - (t0 + dz * np.arange(n))) > slack):
-        raise ValueError("a site curve needs an evenly spaced length grid")
     gamma = op.chirality
     sign = _parity_sign(gamma, x0)
     if sign:  # S over the even modes; the odd ones add gamma[site] sign conj(S) (module docstring)

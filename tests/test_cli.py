@@ -676,6 +676,37 @@ def test_non_utf8_input_exits_3(tmp_path, capsys, bad):
     assert not (tmp_path / "probabilities.csv").exists()
 
 
+def test_analyze_reads_any_line_break_and_names_a_late_bad_line(rendered_fixture, tmp_path, capsys):
+    image_path, mask_path, _ = rendered_fixture
+    lines = image_path.read_text().splitlines()
+
+    def analyze(name, text):
+        (tmp_path / name).mkdir()
+        frame = tmp_path / name / "image.txt"
+        frame.write_bytes(text.encode())
+        code = main(["analyze", str(frame), str(mask_path), "--out", str(tmp_path / name)])
+        out, err = capsys.readouterr()
+        csv = tmp_path / name / "probabilities.csv"
+        return code, out + err, csv.read_text() if csv.exists() else None
+
+    expected = analyze("plain", "\n".join(lines) + "\n")
+    assert expected[0] == 0
+    assert analyze("crlf", "\r\n".join(lines) + "\r\n") == expected
+    assert analyze("cr", "\r".join(lines) + "\r\n\r\n") == expected
+    n, width = len(lines), len(lines[0].split())
+    for k, (lineno, line, message) in enumerate(
+        (
+            (n - 1, " ".join(["x"] + lines[-2].split()[1:]), "non-numeric value 'x'"),
+            (n - 1, "", "blank row inside the pixel matrix"),
+            (n, lines[-1] + " 1", f"row has {width + 1} values, expected {width}"),
+        )
+    ):
+        edited = lines[: lineno - 1] + [line] + lines[lineno:]
+        assert analyze(f"bad{k}", "\r\n".join(edited) + "\r\n") == (
+            3, f"hexwalk: input error: line {lineno}: {message}\n", None
+        )
+
+
 def test_mask_node_id_beyond_int64_exits_3(tmp_path, capsys):
     img, msk = tmp_path / "image.txt", tmp_path / "mask.csv"
     img.write_text("0 1 0\n1 2 1\n0 1 0\n")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 import warnings
 
@@ -161,6 +162,30 @@ def test_edge_tokens_are_read_as_float_reads_them():
             assert str(caught.value) == error, repr(text)
 
 
+def test_lines_are_the_lines_splitlines_gives():
+    rng = np.random.default_rng(29)
+    alphabet = ("1",) + SEPARATORS + LINE_BREAKS + ("\u2029",)
+    for _ in range(20000):
+        text = "".join(rng.choice(alphabet, size=rng.integers(0, 16)))
+        assert list(imaging._lines(text)) == text.splitlines(), repr(text)
+
+
+def test_parsing_holds_no_list_of_the_lines():
+    rng = np.random.default_rng(5)
+    text = format_image(PixelImage(rng.random((600, 600))))
+    expected = np.array([[float(v) for v in line.split()] for line in text.splitlines()])
+    tracemalloc.start()
+    try:
+        got = parse_image(text).intensities
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, expected)
+    # a list of the lines would take more than the text, 13 bytes a value against the matrix's 8
+    assert len(text) > 1.4 * expected.nbytes
+    assert peak < 2.0 * expected.nbytes
+
+
 def test_format_parse_round_trip():
     img = PixelImage(np.array([[0.0, 1.25], [3.5, 10.0]]))
     again = parse_image(format_image(img))
@@ -189,6 +214,9 @@ def test_parsed_image_holds_the_matrix_the_reader_built(monkeypatch):
     monkeypatch.setattr(np, "loadtxt", lambda *a, **k: built.append(loadtxt(*a, **k)) or built[-1])
     image = parse_image("0 1.5\n2 3\n")
     assert image.intensities is built[0]
+    # trailing blank lines, which loadtxt skips, keep the reader's matrix
+    image = parse_image("0 1.5\r\n2 3\r\n\r\n \n")
+    assert image.intensities is built[1]
     assert not image.intensities.flags.writeable
     with pytest.raises(ValueError, match="negative intensity"):
         parse_image("0 -1\n")
@@ -233,6 +261,39 @@ def test_mask_names_the_smallest_duplicate_id():
     large.append(MaskEntry(19999, 0.0, 0.0, 1.0))
     with pytest.raises(MaskError, match="^duplicate node id 19999 in mask$"):
         MaskSpec(large)
+
+
+def first_entry_fault(entries):
+    """The message for the first faulty entry in node-id order, checked one entry at a time."""
+    for e in sorted(entries, key=lambda e: e.node_id):
+        if e.node_id < 0:
+            return f"node id must be >= 0, got {e.node_id}"
+        if e.node_id >= 2**63:
+            return f"node id must be below 2**63, got {e.node_id}"
+        if not math.isfinite(e.radius) or e.radius <= 0.0:
+            return f"node {e.node_id}: radius must be > 0, got {e.radius}"
+        if not (math.isfinite(e.cx) and math.isfinite(e.cy)):
+            return f"node {e.node_id}: centre must be finite"
+    return None
+
+
+def test_mask_names_its_first_faulty_entry_in_node_id_order():
+    rng = np.random.default_rng(63)
+    ids = (-(2**70), -(2**63) - 1, -3, 0, 1, 2, 7, 2**63 - 1, 2**63, 2**70)
+    fields = (1.0, 2.5, 0.0, -1.0, math.nan, math.inf, -math.inf)
+    for _ in range(400):
+        chosen = rng.choice(len(ids), size=rng.integers(1, 7), replace=False)
+        entries = [
+            MaskEntry(ids[i], *(float(rng.choice(fields, p=[0.4, 0.4] + [0.04] * 5)) for _ in "xyr"))
+            for i in chosen
+        ]
+        expected = first_entry_fault(entries)
+        if expected is None:
+            assert MaskSpec(entries).node_ids == tuple(sorted(ids[i] for i in chosen))
+        else:
+            with pytest.raises(MaskError) as caught:
+                MaskSpec(entries)
+            assert str(caught.value) == expected
 
 
 def test_mask_overlap_rejected_tangency_allowed():

@@ -204,6 +204,19 @@ def test_evolve_rejects_bad_lengths_and_shapes(kind):
             propagate(op, psi0, uneven, 0)
 
 
+@pytest.mark.parametrize("kind", sorted(OPERATORS))
+def test_an_uneven_site_grid_is_refused_before_any_spectrum(kind, monkeypatch):
+    g = hexagonal_graph(6)
+    make, launch, _, _ = OPERATORS[kind]
+    psi0 = launch(g)
+    sizes = count_eigh(monkeypatch)
+    for op in (make(g, 1.0), dense(make(g, 1.0))):
+        for zs in ([0.0, 1.0, 5.0], [5.0, 1.0, 0.0]):
+            with pytest.raises(ValueError, match="^a site curve needs an evenly spaced length grid$"):
+                propagate(op, psi0, zs, g.exit)
+    assert sizes == []
+
+
 # ---------------------------------------------------------------------------
 # probabilities and grids
 # ---------------------------------------------------------------------------
