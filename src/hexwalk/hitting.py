@@ -308,12 +308,13 @@ def classical_convergence_time(graph: Graph, rate: float = 1.0) -> ConvergenceRe
     :func:`hexwalk.quantum.propagate`): p(0) - 1/N lies in span(S),
     so only quotient modes enter it and the gap is taken among them.  The
     state is constant on cells, so the deviation is the maximum over cells
-    of |y_c / sqrt(|c|) - 1/N|, with the entry's modes projected once.
+    of |y_c / sqrt(|c|) - 1/N|.  The entry's modes are its row of V, the
+    projection of its cell's indicator (:meth:`hexwalk.quantum.Spectrum.project`),
+    and each deviation lifts them back through ``Spectrum.expand``.
     The zero mode carries exactly the 1/N, so the deviation gives it weight
-    0 and sums the nonzero modes only, through V whole rather than a copy
-    without its column: summing it from eigenvectors and subtracting 1/N
-    would leave an absolute rounding floor near 1e-16 instead of decaying
-    to 0.
+    0 and sums the nonzero modes only: summing it from eigenvectors and
+    subtracting 1/N would leave an absolute rounding floor near 1e-16
+    instead of decaying to 0.
 
     The same spectrum decides connectivity.  The null space of K is spanned
     by the indicators of the connected components (Fiedler 1973).  The cells
@@ -325,17 +326,19 @@ def classical_convergence_time(graph: Graph, rate: float = 1.0) -> ConvergenceRe
     :class:`ConvergenceError`.
     """
     op = ClassicalGenerator(graph, rate)
-    w, v = op.quotient.spectrum
+    spectrum = op.quotient.spectrum
+    w = spectrum.w
     zero = w >= -1.0e-12 * float(np.max(np.abs(w)))
     if np.count_nonzero(zero) > 1:
         raise ConvergenceError("graph is disconnected; the walk cannot reach uniformity")
     gap = -float(np.max(w[~zero]))
     p_uniform = 1.0 / graph.n_nodes
     lift = op.lift
-    modes = np.where(zero, 0.0, v[graph.entry_cells[graph.entry], :])
+    entry = np.eye(1, len(w), graph.entry_cells[graph.entry])[0]  # the entry cell's indicator
+    modes = np.where(zero, 0.0, spectrum.project(entry))
 
     def deviation(t: float) -> float:
-        return float(np.max(np.abs(lift * (v @ (np.exp(w * t) * modes)))))
+        return float(np.max(np.abs(lift * spectrum.expand(np.exp(w * t) * modes))))
 
     samples = {}  # every (t, D(t)) evaluated, shared by the three searches
     t_low, t_converge, t_high = (
@@ -448,7 +451,10 @@ def variance_slope_1d(
     (m - 1)^2 / (250 rate) for the classical one.  Samples where either end
     site already holds more than 1e-6 probability are dropped (the boundary
     would bend the growth law).  The coherent walk spreads ballistically
-    (exponent 2), the classical walk diffusively (exponent 1).
+    (exponent 2), the classical walk diffusively (exponent 1).  The
+    engine's own coupling or rate must be finite and > 0, as for
+    :class:`Hamiltonian` and :class:`ClassicalGenerator`; it is checked,
+    with their messages, before it sets the window.
 
     Raises :class:`WindowError` when no samples survive the windowing.
     """
@@ -458,6 +464,10 @@ def variance_slope_1d(
         raise ValueError(f"engine must be 'quantum' or 'classical', got {engine!r}")
     if m % 2 == 0:
         raise ValueError("site count m must be odd so the launch is centred")
+    if engine == "quantum":
+        _positive(float(coupling), "coupling")
+    else:
+        _positive(float(rate), "hop rate")
     g = path_graph(m)
     if z_max is None:
         z_max = (m - 1) / (8.0 * coupling) if engine == "quantum" else (m - 1) ** 2 / (250.0 * rate)

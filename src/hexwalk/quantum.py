@@ -45,11 +45,13 @@ splits into an even sector, the states with x[tau[i]] = x[i], and an odd
 sector, x[tau[i]] = -x[i], and M couples neither to the other.  The quotient
 inherits the mirror as r[cell[v]] = cell[tau[v]].  Each sector gets its own
 ``eigh`` of about k/2 rows, one more than k/2 for every cell the mirror
-fixes, and the eigenvectors are lifted back into one k x k orthonormal V
-(:attr:`SpectralOperator.spectrum`), so :func:`propagate` does not see the
-split.  A hexagonal patch, a hypercube and a glued tree with the identity
+fixes.  The eigenvectors stay in their sector blocks
+(:class:`Spectrum`): V's rows at a cell and at its image agree on the even
+columns and are opposite on the odd ones, so V is never formed, and
+:func:`propagate` applies V^T, V and one row of V as small products on the
+blocks.  A hexagonal patch, a hypercube and a glued tree with the identity
 gluing carry a mirror; a path, a random-cycle glued tree and a hand-built
-graph do not, and take one ``eigh`` of size k.
+graph do not, and take one ``eigh`` of size k, whose eigenvectors are V.
 
 The coherent walk on a patch, an identity-glued tree or an odd-dimensional
 hypercube takes one ``eigh`` in all.  Those graphs are connected and
@@ -58,8 +60,9 @@ bipartite, with Gamma = +-1 by the parity of the distance from the entry
 mirror maps every node, and every cell, to one of the opposite parity, so
 Gamma carries the even sector onto the odd one.  The odd sector's
 eigenpairs are then the even ones' with the eigenvalues negated and Gamma
-applied (:attr:`SpectralOperator.chirality`).  V stays complete, so every
-state evolves as before.  A site curve from a real start x0 of one parity,
+applied (:attr:`SpectralOperator.chirality`), and the products apply
+the odd block as Gamma and a column reversal of the even one, so it is
+never stored.  A site curve from a real start x0 of one parity,
 Gamma x0 = s x0, also needs only half the modes: with S the blocked sum
 over the even modes, the odd ones add sigma conj(S), sigma =
 Gamma[site] s.  At the exit, of the parity the entry does not have, the
@@ -68,12 +71,13 @@ amplitude is S - conj(S) = 2i Im S.  The classical walk keeps both
 
 No operator keeps a dense matrix beside its spectrum.  Each holds its
 entries as pairs (i, j, value), a walk operator its node pairs and its
-quotient the cell pairs; each sector block is scattered from them, goes to
-``eigh`` and is freed before the next is built, and V comes last.  So a
-spectrum peaks at about 1.55 k x k float arrays with a mirror and 5.2
-without (:func:`_spectrum_bytes`).  Every product of the real V with a
-complex state is two real products, with its real and its imaginary part,
-never through a complex copy of V.  A classical result from a start with
+quotient the cell pairs; each sector block is summed from them, goes to
+``eigh`` and is freed before the next is built.  So a spectrum peaks at
+about 1.55 k x k float arrays with a mirror and 5.2 without
+(:func:`_spectrum_bytes`), and keeps 0.5 of them with a mirror, 0.25
+where the odd block is derived.  Every product of a real block with a complex state is
+two real products, with its real and its imaginary part, never through a
+complex copy of the block.  A classical result from a start with
 no negative entry is clipped at 0 once, on every route, as it leaves
 :func:`propagate`.
 
@@ -105,7 +109,7 @@ _EIGH_ARRAYS = 5.2
 
 #: Resident bytes beside a spectrum's arrays: the graph, its cells and the
 #: curve, and freed blocks under glibc's 32 MiB mmap threshold that stay in
-#: its heap (about 0.6 k x k arrays at hexagonal n = 60, none at n = 100).
+#: its heap (about 0.2 k x k arrays at hexagonal n = 40, none at n = 60).
 _RESIDENT_SLACK = 128 * 2**20
 
 
@@ -113,34 +117,91 @@ def _spectrum_bytes(k: int, odd: int) -> float:
     """Peak resident bytes of a walk on k cells whose spectrum has ``odd`` odd rows.
 
     :attr:`SpectralOperator.spectrum` holds, one stage after another, the
-    even sector's ``eigh`` (e = k - odd rows), the odd sector's beside the
-    even eigenvectors, and V beside both: max(5.2 e^2, e^2 + 5.2 odd^2,
-    k^2 + e^2 + odd^2) floats.  Evolving a state adds vectors and
-    sqrt(T) x k mode factors only.  So a mirror that halves the cells
+    even sector's ``eigh`` (e = k - odd rows) and the odd sector's beside
+    the even eigenvectors: max(5.2 e^2, e^2 + 5.2 odd^2) floats.  No k x k
+    array follows (:class:`Spectrum`), and evolving a state adds vectors
+    and sqrt(T) x k mode factors only.  So a mirror that halves the cells
     needs 1.55 k x k arrays and a graph without one 5.2.  Against the peak
-    RSS of runs less the interpreter's: coherent and classical scans at
-    hexagonal n = 100 (k = 10300) took 1.53 arrays, the dense spectrum of
-    hexagonal n = 60 (7440 nodes) 1.53, and a path of 4000 cells 5.08.
-    A spectrum that derives its odd sector (:attr:`SpectralOperator.chirality`)
-    runs no odd ``eigh``, so for it the count is an upper bound.
+    RSS of fresh-process scans less the RSS before the spectrum, a
+    classical one took 1.72 arrays at hexagonal n = 40 (k = 1720), where
+    freed blocks stay in the heap, and 1.55 at n = 60; a coherent one 1.43
+    and 1.31.  A spectrum that derives its odd sector
+    (:attr:`SpectralOperator.chirality`) runs no odd ``eigh``, so for it
+    the count is an upper bound: its peak is the even ``eigh``.
     """
     even = k - odd
-    arrays = max(_EIGH_ARRAYS * even**2, even**2 + _EIGH_ARRAYS * odd**2, k**2 + even**2 + odd**2)
+    arrays = max(_EIGH_ARRAYS * even**2, even**2 + _EIGH_ARRAYS * odd**2)
     return 8.0 * arrays + _RESIDENT_SLACK
+
+
+class Spectrum:
+    """An eigendecomposition M = V diag(w) V^T held by mirror sector, V never formed.
+
+    ``w`` lists the eigenvalues, the even sector's first, ascending within
+    each.  V's rows at a pair cell p and at its image r[p] agree on the even
+    columns and are opposite on the odd ones, and a fixed cell's row is 0 on
+    the odd columns, so two blocks hold all of V: ``y_even``, its even
+    columns at the pair cells and then at the fixed cells, and ``y_odd``,
+    its odd columns at the pair cells.  They are the sector blocks'
+    eigenvectors with the pair rows scaled by 1/sqrt(2).  Under a chirality
+    Gamma the odd block is Gamma[p] times ``y_even`` with its columns
+    reversed, applied as such, and ``y_odd`` is None.  Without a mirror
+    every cell is fixed and ``y_even`` is V.  :meth:`project` and
+    :meth:`expand` give V^T x and V c from the blocks, in real products
+    (:func:`_real_product`); V[s] is the projection of the indicator of s.
+    """
+
+    def __init__(self, w, y_even, y_odd, pair, image, fixed, gamma):
+        self.w, self.y_even, self.y_odd = w, y_even, y_odd
+        self.pair, self.image, self.fixed = pair, image, fixed
+        self._gamma = gamma  # Gamma at the pair cells while y_odd is derived, else None
+        for part in (w, y_even, y_odd):
+            if part is not None:
+                part.flags.writeable = False
+
+    def project(self, x: np.ndarray) -> np.ndarray:
+        """V^T x: the modes of the state x, even sector first."""
+        p, q = self.pair, self.image
+        even = _real_product(self.y_even.T, np.concatenate([x[p] + x[q], x[self.fixed]]))
+        if not len(p):
+            return even
+        if self._gamma is None:
+            odd = _real_product(self.y_odd.T, x[p] - x[q])
+        else:
+            odd = _real_product(self.y_even.T, self._gamma * (x[p] - x[q]))[::-1]
+        return np.concatenate([even, odd])
+
+    def expand(self, c: np.ndarray) -> np.ndarray:
+        """V c for one vector of modes, c V^T for one row of modes per length."""
+        n, e = len(self.pair), len(self.y_even)
+        even = _apply(self.y_even, c[..., :e])
+        if not n:
+            return even
+        if self._gamma is None:
+            odd = _apply(self.y_odd, c[..., e:])
+        else:
+            odd = _apply(self.y_even, c[..., e:][..., ::-1]) * self._gamma
+        x = np.empty(c.shape, dtype=even.dtype)
+        x[..., self.fixed] = even[..., n:]
+        head = even[..., :n]
+        x[..., self.image] = head - odd
+        head += odd
+        x[..., self.pair] = head
+        return x
 
 
 class SpectralOperator:
     """Real symmetric matrix held as its entries, with its eigendecomposition cached.
 
-    ``pairs`` is three equal-length arrays (i, j, value) that list each
-    entry that may be nonzero once, the diagonal among them; a repeated
-    (i, j) is overwritten, not summed.  The spectrum scatters each sector
-    block straight from the pairs, and :attr:`matrix` forms the dense
-    ``dim`` x ``dim`` matrix anew, read-only, on each request.  ``phase``
-    multiplies the eigenvalues in the propagator's exponent: -1j for the
-    coherent walk, whose states are complex amplitudes, and 1 for the
-    classical walk, whose states are real probabilities.  The spectrum is
-    computed once on first use and reused for every evolution length.
+    ``pairs`` is three equal-length arrays (i, j, value) that list the
+    entries that may be nonzero, the diagonal among them; entries at a
+    repeated (i, j) are summed, as in the COO format.  The spectrum sums
+    each sector block straight from the pairs, and :attr:`matrix` forms the
+    dense ``dim`` x ``dim`` matrix anew, read-only, on each request.
+    ``phase`` multiplies the eigenvalues in the propagator's exponent: -1j
+    for the coherent walk, whose states are complex amplitudes, and 1 for
+    the classical walk, whose states are real probabilities.  The spectrum
+    is computed once on first use and reused for every evolution length.
     ``mirror``, an involution r of the indices with M[r[i], r[j]] =
     M[i, j], splits the spectrum into its two sectors; None stands for the
     identity.  ``parity``, a 0/1 label of the indices with M[i, j] = 0
@@ -191,25 +252,14 @@ class SpectralOperator:
 
     @property
     def matrix(self) -> np.ndarray:
-        m = self._block(np.arange(self.dim), np.arange(self.dim))
+        i, j, value = self.pairs
+        m = np.bincount(i * self.dim + j, value, minlength=self.dim**2).reshape(self.dim, self.dim)
         m.flags.writeable = False
         return m
 
-    def _block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """A new array of the entries M[rows[a], cols[b]], scattered from the pairs."""
-        i, j, value = self.pairs
-        at = np.full((2, self.dim), -1)  # each index's place among rows, and among cols
-        at[0, rows] = np.arange(len(rows))
-        at[1, cols] = np.arange(len(cols))
-        a, b = at[0, i], at[1, j]
-        (keep,) = np.nonzero((a >= 0) & (b >= 0))
-        out = np.zeros((len(rows), len(cols)))
-        out[a[keep], b[keep]] = value[keep]
-        return out
-
     @cached
-    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues and orthonormal eigenvectors of the matrix, even sector first.
+    def spectrum(self) -> Spectrum:
+        """Eigenvalues and eigenvectors of the matrix by mirror sector (:class:`Spectrum`).
 
         The eigenvalues ascend within each sector.  Cells i < r[i] pair with
         their mirror images; cells with r[i] = i are fixed.  The even sector
@@ -218,11 +268,13 @@ class SpectralOperator:
         no element between the two.  In those bases the blocks are
         [[A + B, sqrt(2) C], [sqrt(2) C^T, F]] and A - B, with A, B, C and F
         the blocks M[p, p], M[p, r[p]], M[p, f] and M[f, f] of pair cells p
-        and fixed cells f.  Each block is built, goes to its own ``eigh`` and
-        is freed before the next is built, and V is allocated last, so the
-        peak is the one :func:`_spectrum_bytes` counts.  Without a mirror
-        every cell is fixed, the even block is M itself and the empty odd
-        block's ``eigh`` is skipped.
+        and fixed cells f.  Each block is one ``np.bincount`` of the pairs
+        in the rows of pair cells, and of fixed cells for the even block,
+        each column folded onto its pair: an entry is at most one x + y or
+        x - y.  The even block goes to its ``eigh`` and is freed before the
+        odd one is built, so the peak is the one :func:`_spectrum_bytes`
+        counts.  Without a mirror every cell is fixed, the even block is M
+        itself and the empty odd block's ``eigh`` is skipped.
 
         With a :attr:`chirality` Gamma no cell is fixed, and Gamma on the
         pair cells gives A - B = -Gamma (A + B) Gamma (Coulson & Rushbrooke,
@@ -231,35 +283,33 @@ class SpectralOperator:
         and reversed, its eigenvectors Gamma times the even ones reversed.
         """
         k = self.dim
-        i = np.arange(k)
-        r = i if self.mirror is None else self.mirror
-        p, f = np.flatnonzero(i < r), np.flatnonzero(i == r)
-        n = len(p)
-        block = np.empty((k - n, k - n))
-        np.add(self._block(p, p), self._block(p, r[p]), out=block[:n, :n])
-        np.multiply(math.sqrt(2.0), self._block(p, f), out=block[:n, n:])
-        block[n:, :n] = block[:n, n:].T
-        block[n:, n:] = self._block(f, f)
-        w_even, y_even = np.linalg.eigh(block)
-        gamma = self.chirality
-        if gamma is None:
-            block = self._block(p, p)
-            block -= self._block(p, r[p])
-            w_odd, y_odd = np.linalg.eigh(block) if n else (w_even[:0], block)
-        else:
-            w_odd, y_odd = -w_even[::-1], gamma[p, None] * y_even[:, ::-1]
-        del block
-        v = np.zeros((k, k))
-        even, odd = v[:, : len(w_even)], v[:, len(w_even) :]
-        even[f] = y_even[n:]
-        y_even = y_even[:n]
-        y_even *= math.sqrt(0.5)
-        even[p] = even[r[p]] = y_even
-        y_odd *= math.sqrt(0.5)
-        odd[p] = y_odd
-        odd[r[p]] = np.negative(y_odd, out=y_odd)
-        del y_even, y_odd
-        return np.concatenate([w_even, w_odd]), v
+        cell = np.arange(k)
+        r = cell if self.mirror is None else self.mirror
+        p, f = np.flatnonzero(cell < r), np.flatnonzero(cell == r)
+        n, e = len(p), k - len(p)
+        place = np.empty(k, dtype=np.intp)  # each cell's row in its sector blocks
+        place[p] = place[r[p]] = np.arange(n)
+        place[f] = np.arange(n, e)
+        i, j, value = self.pairs
+        side_i, side_j = np.sign(r[i] - i), np.sign(r[j] - j)  # 1 pair cell, 0 fixed, -1 image
+
+        def block(keep: np.ndarray, weight: np.ndarray, size: int) -> np.ndarray:
+            at = place[i[keep]] * size + place[j[keep]]
+            return np.bincount(at, weight[keep], minlength=size * size).reshape(size, size)
+
+        # a fixed row takes its pair columns once, at the pair cell, with the sqrt(2) of C^T
+        keep = (side_i > 0) | ((side_i == 0) & (side_j >= 0))
+        w_even, y_even = np.linalg.eigh(
+            block(keep, np.where((side_i == 0) != (side_j == 0), math.sqrt(2.0), 1.0) * value, e)
+        )
+        y_even[:n] *= math.sqrt(0.5)
+        gamma, w_odd, y_odd = self.chirality, w_even[:0], np.empty((0, 0))
+        if gamma is not None:
+            gamma, w_odd, y_odd = gamma[p], -w_even[::-1], None
+        elif n:
+            w_odd, y_odd = np.linalg.eigh(block((side_i > 0) & (side_j != 0), side_j * value, n))
+            y_odd *= math.sqrt(0.5)
+        return Spectrum(np.concatenate([w_even, w_odd]), y_even, y_odd, p, r[p], f, gamma)
 
 
 class WalkOperator(SpectralOperator):
@@ -389,6 +439,11 @@ def _real_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _apply(y: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """y applied to the last axis of c: y c for a vector, c y^T for rows."""
+    return _real_product(y, c) if c.ndim == 1 else _real_product(c, y.T)
+
+
 def propagate(op: SpectralOperator, x0: np.ndarray, ts, site: int | None = None) -> np.ndarray:
     """Evolve the state x0 through the operator's cached spectrum.
 
@@ -452,26 +507,28 @@ def _evolve(op: SpectralOperator, x0: np.ndarray, ts: np.ndarray, site: int | No
             if site is not None:
                 return _evolve(q, y0, ts, cell[site]) * lift[cell[site]]
             return (_evolve(q, y0, ts, None) * lift)[..., cell]
-    w, v = op.spectrum
+    spectrum = op.spectrum
+    w = spectrum.w
     if site is None:
-        modes = _real_product(v.T, x0)
+        modes = spectrum.project(x0)
         if ts.ndim == 0:
-            return _real_product(v, np.exp(op.phase * w * float(ts)) * modes)
-        return _real_product(np.exp(op.phase * np.outer(ts, w)) * modes, v.T)
+            return spectrum.expand(np.exp(op.phase * w * float(ts)) * modes)
+        return spectrum.expand(np.exp(op.phase * np.outer(ts, w)) * modes)
     n = len(ts)
     t0 = ts[0] if n else 0.0
     dz = (ts[-1] - t0) / (n - 1) if n > 1 else 0.0
     gamma = op.chirality
     sign = _parity_sign(gamma, x0)
+    at_site = spectrum.project(np.eye(1, op.dim, site)[0])  # V[site], from the site's indicator
+    coeffs = at_site * spectrum.project(x0.real if sign else x0)
     if sign:  # S over the even modes; the odd ones add gamma[site] sign conj(S) (module docstring)
         half = len(w) // 2
-        w, v, x0 = w[:half], v[:, :half], x0.real
-    modes = _real_product(v.T, x0)
+        w, coeffs = w[:half], coeffs[:half]
     # t_j = t0 + dz (b q + r) for j = b q + r: rows carry the block starts, columns the offsets
     b = max(1, math.ceil(math.sqrt(n)))
     rows = np.exp(op.phase * np.outer(t0 + dz * b * np.arange(-(-n // b)), w))
     cols = np.exp(op.phase * np.outer(dz * np.arange(b), w))
-    curve = ((rows * (v[site, :] * modes)) @ cols.T).ravel()[:n]
+    curve = ((rows * coeffs) @ cols.T).ravel()[:n]
     if sign:
         curve += gamma[site] * sign * curve.conj()
     return curve

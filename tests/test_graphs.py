@@ -24,6 +24,7 @@ from hexwalk.hitting import ConvergenceError, classical_convergence_time
 from hexwalk.quantum import Hamiltonian
 from hexwalk.stochastic import ClassicalGenerator
 import graph_oracle
+from spectrum_oracle import dense_v
 from refinement_oracle import queue_distances, unique_row_cells, unseeded_cells
 
 
@@ -468,8 +469,13 @@ def test_classical_quotient_of_every_family_has_one_zero_mode():
         path_graph(6),
     ):
         assert len(bfs_layers(g, 0)) == g.n_nodes
-        w = ClassicalGenerator(g).quotient.spectrum[0]
-        assert np.count_nonzero(w >= -1e-12 * np.max(np.abs(w))) == 1
+        op = ClassicalGenerator(g)
+        w = op.quotient.spectrum.w
+        zero = w >= -1e-12 * np.max(np.abs(w))
+        assert np.count_nonzero(zero) == 1
+        # its eigenvector, lifted to the nodes, is uniform: 1/sqrt(N) up to its sign
+        node = dense_v(op.quotient)[g.entry_cells, np.argmax(zero)] * op.lift[g.entry_cells]
+        assert np.max(np.abs(np.sign(node[0]) * node - g.n_nodes**-0.5)) <= 1e-12
     two_parts = Graph("path", [(0, 0), (2, 0), (4, 0), (6, 0)], [(0, 1), (2, 3)], 0, 3)
     with pytest.raises(ConvergenceError, match="disconnected"):
         classical_convergence_time(two_parts)

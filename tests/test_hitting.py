@@ -29,6 +29,7 @@ from hexwalk.hitting import (
 )
 from hexwalk.quantum import Hamiltonian, SpectralOperator, WalkOperator, entry_state, propagate
 from hexwalk.stochastic import ClassicalGenerator
+from spectrum_oracle import dense_v
 
 
 def dense(op: WalkOperator) -> SpectralOperator:
@@ -431,12 +432,44 @@ def test_disconnected_graph_never_converges():
     two_parts = Graph("path", [(0, 0), (2, 0), (4, 0), (6, 0)], [(0, 1), (2, 3)], 0, 3)
     edgeless = Graph("path", [(0, 0), (2, 0)], [], 0, 1)
     two_hexagons = _two_hexagons(4)
-    w = ClassicalGenerator(two_hexagons).quotient.spectrum[0]
+    w = ClassicalGenerator(two_hexagons).quotient.spectrum.w
     assert (two_hexagons.n_nodes, len(w)) == (96, 42)
     assert np.count_nonzero(w >= -1e-12 * np.max(np.abs(w))) == 2
     for g in (two_parts, edgeless, two_hexagons):
         with pytest.raises(ConvergenceError, match="disconnected"):
             classical_convergence_time(g)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: hexagonal_graph(3),
+        lambda: hypercube_graph(4),  # its quotient's mirror fixes the middle layer
+        lambda: glued_tree(3, "identity"),
+        lambda: glued_tree(3, "random-cycle", seed=3),  # no mirror
+    ],
+    ids=["hexagonal-3", "hypercube-4", "glued-identity-3", "glued-random-3"],
+)
+def test_convergence_matches_a_search_through_the_dense_v_oracle(build):
+    # the entry row is read off V, and the deviation lifts the modes back through V whole
+    g = build()
+    op = ClassicalGenerator(g)
+    spectrum, v = op.quotient.spectrum, dense_v(op.quotient)
+    entry = g.entry_cells[g.entry]
+    assert np.array_equal(spectrum.project(np.eye(op.quotient.dim)[entry]), v[entry])
+    w = spectrum.w
+    zero = w >= -1.0e-12 * np.max(np.abs(w))
+    modes = np.where(zero, 0.0, v[entry])
+    gap = -np.max(w[~zero])
+
+    def deviation(t):
+        return float(np.max(np.abs(op.lift * (v @ (np.exp(w * t) * modes)))))
+
+    result = classical_convergence_time(g)
+    n = g.n_nodes
+    for tol, t in ((1e-3, result.t_low), (1e-4, result.t_converge), (1e-5, result.t_high)):
+        horizon = (math.log(n / tol) + math.log(n)) / gap
+        assert _settling_time(deviation, tol / n, horizon) == pytest.approx(t, rel=1e-9)
 
 
 def test_convergence_times_scale_inversely_with_any_valid_rate():
@@ -558,6 +591,26 @@ def test_variance_rejects_even_chain_and_unknown_engine():
         variance_slope_1d(100, "quantum")
     with pytest.raises(ValueError):
         variance_slope_1d(101, "semiclassical")
+
+
+@pytest.mark.parametrize(
+    "engine, parameter, label",
+    [
+        ("quantum", {"coupling": 0.0}, "coupling"),
+        ("quantum", {"coupling": -1.0}, "coupling"),
+        ("quantum", {"coupling": math.nan}, "coupling"),
+        ("classical", {"rate": 0.0}, "hop rate"),
+        ("classical", {"rate": math.inf}, "hop rate"),
+    ],
+)
+def test_variance_refuses_its_engines_parameter_before_the_window(engine, parameter, label):
+    # a zero coupling or rate once divided the default window by zero
+    with pytest.raises(ValueError, match=f"^{label} must be finite and > 0, got "):
+        variance_slope_1d(101, engine, **parameter)
+    # the engine that does not use the other parameter does not check it
+    other = {"rate": 0.0} if engine == "quantum" else {"coupling": 0.0}
+    fit = variance_slope_1d(101, engine, **other)
+    assert repr(fit) == repr(variance_slope_1d(101, engine))
 
 
 def test_variance_window_error_when_walk_hits_the_ends():

@@ -16,6 +16,7 @@ from hexwalk.graphs import Graph, glued_tree, hexagonal_graph, hypercube_graph, 
 from hexwalk.hitting import quantum_hitting_curve
 from hexwalk.quantum import Hamiltonian, SpectralOperator, WalkOperator, entry_state, propagate
 from hexwalk.stochastic import ClassicalGenerator
+from spectrum_oracle import dense_v, propagate_dense
 from test_hitting import _two_hexagons as two_hexagons, dense
 
 # Exit probability of the 6-node single-hexagon walk at C=1, z=1, computed
@@ -63,7 +64,7 @@ def test_model_defaults_and_validation():
 
 def test_spectrum_reconstructs_hamiltonian():
     h = Hamiltonian(hexagonal_graph(2))
-    w, v = h.spectrum
+    w, v = h.spectrum.w, dense_v(h)
     assert np.max(np.abs(v @ np.diag(w) @ v.T - h.matrix)) < 1e-9
     assert np.max(np.abs(v.T @ v - np.eye(h.dim))) < 1e-12
 
@@ -300,7 +301,7 @@ def test_site_curve_to_long_lengths_is_within_phase_rounding(kind):
     psi0 = launch(g)
     zs = np.linspace(0.0, 1e4, 1001)
     expected = np.array([propagate(dense(op), psi0, z)[g.exit] for z in zs], dtype=dtype)
-    bound = 10 * np.finfo(float).eps * np.abs(op.spectrum[0]).max() * zs[-1]
+    bound = 10 * np.finfo(float).eps * np.abs(op.spectrum.w).max() * zs[-1]
     assert np.max(np.abs(propagate(op, psi0, zs, g.exit) - expected)) < bound
 
 
@@ -337,7 +338,7 @@ def test_quotient_spectrum_and_a_site_curve_peak_below_three_cell_arrays(kind):
 def test_a_coherent_state_is_projected_without_a_complex_copy_of_v():
     g = hexagonal_graph(30)
     h = Hamiltonian(g)
-    v = h.quotient.spectrum[1]
+    v = dense_v(h.quotient)
     x0 = entry_state(g) * np.exp(0.3j)
     peak = peak_traced_bytes(lambda: propagate(h, x0, 1.0))
     assert peak <= 0.25 * v.nbytes
@@ -346,7 +347,7 @@ def test_a_coherent_state_is_projected_without_a_complex_copy_of_v():
 def test_a_coherent_grid_is_lifted_without_a_complex_copy_of_v():
     g = hexagonal_graph(30)
     h = Hamiltonian(g)
-    v = h.quotient.spectrum[1]
+    v = dense_v(h.quotient)
     grid = np.linspace(0.0, 47.0, 48)
     peak = peak_traced_bytes(lambda: propagate(h, entry_state(g), grid))
     assert peak <= 0.5 * v.nbytes
@@ -391,7 +392,7 @@ def test_a_curve_frees_its_operator_and_quotient_without_the_collector():
     try:
         curve = quantum_hitting_curve(g)
         operator = weakref.ref(curve.operator)
-        v = weakref.ref(curve.operator.quotient.spectrum[1])
+        v = weakref.ref(curve.operator.quotient.spectrum)
         del curve
         assert operator() is None
         assert v() is None
@@ -639,7 +640,7 @@ def sector_operator(kind: str, build, part: str):
 def test_sector_spectrum_rebuilds_its_matrix(kind, part, build):
     _, op = sector_operator(kind, build, part)
     m = op.matrix
-    w, v = op.spectrum
+    w, v = op.spectrum.w, dense_v(op)
     scale = np.max(np.abs(m))
     assert np.max(np.abs((v * w) @ v.T - m)) <= 1e-12 * scale
     assert np.max(np.abs(v.T @ v - np.eye(len(m)))) <= 1e-12
@@ -691,7 +692,7 @@ def test_spectrum_without_a_mirror_is_exactly_eigh(kind, build, part):
     # every cell is fixed, so the even block is the matrix itself: the same bits as eigh
     _, op = sector_operator(kind, build, part)
     assert op.mirror is None
-    w, v = op.spectrum
+    w, v = op.spectrum.w, dense_v(op)
     w_ref, v_ref = np.linalg.eigh(op.matrix)
     assert np.array_equal(w, w_ref)
     assert np.array_equal(v, v_ref)
@@ -730,7 +731,7 @@ def ix_block_spectrum(
 def test_spectrum_from_pairs_is_bit_for_bit_the_gathered_one(kind, part, build):
     _, op = sector_operator(kind, build, part)
     w_ref, v_ref = ix_block_spectrum(op.matrix, op.mirror, op.parity)
-    w, v = op.spectrum
+    w, v = op.spectrum.w, dense_v(op)
     assert np.array_equal(w, w_ref)
     assert np.array_equal(v, v_ref)
 
@@ -748,7 +749,7 @@ def test_derived_odd_sector_solves_the_odd_block(part, build):
     m, r = op.matrix, op.mirror
     p = np.flatnonzero(np.arange(len(m)) < r)
     odd_block = m[np.ix_(p, p)] - m[np.ix_(p, r[p])]
-    w, v = op.spectrum
+    w, v = op.spectrum.w, dense_v(op)
     w_odd, y = w[len(p) :], math.sqrt(2.0) * v[p, len(p) :]
     scale = np.max(np.abs(m))
     assert op.chirality is not None
@@ -783,7 +784,7 @@ def test_odd_sector_is_diagonalised_where_the_pairing_fails(kind, build, part, m
     _, op = sector_operator(kind, build, part)
     assert op.chirality is None
     sizes = count_eigh(monkeypatch)
-    w, v = op.spectrum
+    w, v = op.spectrum.w, dense_v(op)
     if op.mirror is None:
         assert sizes == [op.dim]
     else:
@@ -835,6 +836,81 @@ def test_entry_propagation_matches_the_dense_adjacency_spectrum(kind, build):
     assert np.max(np.abs(propagate(op, entry_state(g), zs) - oracle)) <= 1e-12
     for site in (g.exit, g.entry):
         assert np.max(np.abs(propagate(op, entry_state(g), zs, site) - oracle[:, site])) <= 1e-12
+
+
+def _within(got: np.ndarray, expected: np.ndarray, scale: np.ndarray) -> bool:
+    return bool(np.all(np.abs(got - expected) <= 1e-14 * scale))
+
+
+@pytest.mark.parametrize("kind", sorted(OPERATORS))
+@pytest.mark.parametrize("part", ["dense", "quotient"])
+@pytest.mark.parametrize("build", SECTOR_BUILDS, ids=SECTOR_IDS)
+def test_sector_products_match_the_dense_v_oracle(kind, part, build):
+    # a one-hot operand reads one row or one column of V, so it matches bit for bit; any other
+    # sums the same products in another order, to 1e-14 of the sum of their magnitudes
+    _, op = sector_operator(kind, build, part)
+    spectrum, v, k = op.spectrum, dense_v(op), op.dim
+    eye = np.eye(k)
+    for c in range(k):
+        assert np.array_equal(spectrum.project(eye[c]), v[c])
+        assert np.array_equal(spectrum.expand(eye[c]), v[:, c])
+    assert np.array_equal(spectrum.expand(eye), v.T)
+    rng = np.random.default_rng(k)
+    starts = [rng.standard_normal(k)]
+    if op.dtype is complex:
+        starts.append(rng.standard_normal(k) + 1j * rng.standard_normal(k))
+    zs = np.linspace(0.0, 1.0, 11)
+    sites = sorted({0, k // 2, k - 1})
+    for x0 in starts:
+        rows = rng.standard_normal((5, k)).astype(x0.dtype) * x0
+        assert _within(spectrum.project(x0), v.T @ x0, np.abs(v).T @ np.abs(x0))
+        assert _within(spectrum.expand(x0), v @ x0, np.abs(v) @ np.abs(x0))
+        assert _within(spectrum.expand(rows), rows @ v.T, np.abs(rows) @ np.abs(v).T)
+    # whole propagations: |exp(phase w t)| <= 1, so |V| |V^T| |x0| bounds every sum
+    for x0 in [eye[k // 2], *starts]:
+        if isinstance(op, WalkOperator):  # off the cells, so the walk runs on this node spectrum
+            x0 = x0 + 1e-3 * rng.standard_normal(k)
+        scale = np.abs(v) @ (np.abs(v).T @ np.abs(x0))
+        assert _within(propagate(op, x0, 0.7), propagate_dense(op, x0, 0.7), scale)
+        grid = propagate_dense(op, x0, zs)
+        assert _within(propagate(op, x0, zs), grid, scale)
+        for site in sites:
+            assert _within(propagate(op, x0, zs, site), grid[:, site], scale[site])
+
+
+@pytest.mark.parametrize("kind", sorted(OPERATORS))
+def test_a_quotient_spectrum_allocates_no_cell_by_cell_array(kind):
+    # k = 990 cells, 495 in each sector: each block and its eigenvectors are k^2 / 4 floats.
+    # The parent peaked at 1.5 and held 1.0 arrays of 8 k^2 bytes: V, beside both blocks
+    op = OPERATORS[kind][0](hexagonal_graph(30), 1.0).quotient
+    k = op.dim
+    tracemalloc.start()
+    try:
+        op.spectrum
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert k == 990
+    assert peak < 1.0 * 8 * k * k
+    # the coherent walk keeps the even eigenvectors only, the classical both sectors'
+    assert held < (0.3 if kind == "coherent" else 0.55) * 8 * k * k
+
+
+def test_a_repeated_pair_is_summed():
+    # entries at one (i, j) add up, as in the COO format: a second diagonal shifts M by I
+    g = hexagonal_graph(3)
+    op = ClassicalGenerator(g, 0.8)
+    i, j, value = op.pairs
+    cells = np.arange(op.dim)
+    shifted = SpectralOperator(
+        op.dim, (np.r_[i, cells], np.r_[j, cells], np.r_[value, np.ones(op.dim)]), 1.0, op.mirror
+    )
+    assert np.array_equal(shifted.matrix, op.matrix + np.eye(op.dim))
+    assert np.max(np.abs(shifted.spectrum.w - (op.spectrum.w + 1.0))) <= 1e-12
+    x0 = np.random.default_rng(3).random(op.dim)
+    zs = np.linspace(0.0, 2.0, 9)
+    expected = np.exp(zs)[:, None] * propagate(dense(op), x0, zs)
+    assert np.max(np.abs(propagate(shifted, x0, zs) - expected)) <= 1e-12 * np.exp(2.0) * x0.sum()
 
 
 @pytest.mark.parametrize("kind", sorted(OPERATORS))
