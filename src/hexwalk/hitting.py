@@ -9,8 +9,8 @@ max-norm deviation from uniform never increases and decays exponentially
 once the transient has passed, so each time is a root of its logarithm,
 found by safeguarded regula falsi below a horizon set by the spectral gap,
 the three searches sharing their samples.  Whether the walk can
-settle at all is read off the same entry-quotient spectrum: the graph is
-connected exactly when that spectrum has one zero mode.
+settle at all is read off the same spectrum on the entry cells: the graph
+is connected exactly when that spectrum has one zero mode.
 Depth sweeps collect both quantities across a family of hexagonal patches
 so their growth laws can be fitted: the optimal length grows linearly with
 depth while the classical convergence time grows roughly quadratically.
@@ -46,7 +46,7 @@ SCAN_STEP_FACTOR = 0.01
 MAX_SCAN_POINTS = 10**6
 
 #: Classical exit probability below which a sample is rounding residue of
-#: the spectral sum (about 1e-16 on quotients of up to 1720 cells).
+#: the spectral sum (about 1e-16 on spectra of up to 1720 cells).
 _RESIDUE_FLOOR = 1e-12
 
 #: Physical length (mm) at which the depth-2 patch's optimum is pinned when
@@ -304,13 +304,13 @@ def classical_convergence_time(graph: Graph, rate: float = 1.0) -> ConvergenceRe
     (ln(1/threshold) + ln N) / gap, where the spectral-gap decay
     e^(-gap t) of the Euclidean deviation already bounds the max-norm one.
 
-    The walk runs on the entry quotient (see
-    :func:`hexwalk.quantum.propagate`): p(0) - 1/N lies in span(S),
-    so only quotient modes enter it and the gap is taken among them.  The
-    state is constant on cells, so the deviation is the maximum over cells
-    of |y_c / sqrt(|c|) - 1/N|.  The entry's modes are its row of V, the
-    projection of its cell's indicator (:meth:`hexwalk.quantum.Spectrum.project`),
-    and each deviation lifts them back through ``Spectrum.expand``.
+    The walk runs on the spectrum of the entry cells,
+    :attr:`hexwalk.quantum.WalkOperator.entry_spectrum`: p(0) - 1/N is
+    constant on the cells, so only their modes enter it and the gap is
+    taken among them.  The entry's modes are its row of V, the projection
+    of its indicator (:meth:`hexwalk.quantum.Spectrum.project`), and the
+    deviation is the largest magnitude among the cell values
+    ``Spectrum.expand`` gives, each the value at every node of its cell.
     The zero mode carries exactly the 1/N, so the deviation gives it weight
     0 and sums the nonzero modes only: summing it from eigenvectors and
     subtracting 1/N would leave an absolute rounding floor near 1e-16
@@ -319,26 +319,24 @@ def classical_convergence_time(graph: Graph, rate: float = 1.0) -> ConvergenceRe
     The same spectrum decides connectivity.  The null space of K is spanned
     by the indicators of the connected components (Fiedler 1973).  The cells
     separate nodes by their distance from the entry, so the nodes the walk
-    can reach, and the rest, are unions of cells: both indicators lie in
-    span(S).  The quotient thus has one zero mode exactly when the graph is
-    connected; w counts as zero when w >= -1e-12 * max|w|.  A disconnected
-    graph, which has no uniform limit from a localised start, raises
-    :class:`ConvergenceError`.
+    can reach, and the rest, are unions of cells: both indicators are
+    constant on the cells.  The spectrum thus has one zero mode exactly
+    when the graph is connected; w counts as zero when
+    w >= -1e-12 * max|w|.  A disconnected graph, which has no uniform limit
+    from a localised start, raises :class:`ConvergenceError`.
     """
     op = ClassicalGenerator(graph, rate)
-    spectrum = op.quotient.spectrum
+    spectrum = op.entry_spectrum
     w = spectrum.w
     zero = w >= -1.0e-12 * float(np.max(np.abs(w)))
     if np.count_nonzero(zero) > 1:
         raise ConvergenceError("graph is disconnected; the walk cannot reach uniformity")
     gap = -float(np.max(w[~zero]))
     p_uniform = 1.0 / graph.n_nodes
-    lift = op.lift
-    entry = np.eye(1, len(w), graph.entry_cells[graph.entry])[0]  # the entry cell's indicator
-    modes = np.where(zero, 0.0, spectrum.project(entry))
+    modes = np.where(zero, 0.0, spectrum.project(entry_state(graph)))
 
     def deviation(t: float) -> float:
-        return float(np.max(np.abs(lift * spectrum.expand(np.exp(w * t) * modes))))
+        return float(np.max(np.abs(spectrum.expand(np.exp(w * t) * modes))))
 
     samples = {}  # every (t, D(t)) evaluated, shared by the three searches
     t_low, t_converge, t_high = (

@@ -22,36 +22,48 @@ exp(phase w (t0 + dz b q)) * exp(phase w dz r), so the curve is one
 O(T + sqrt(T) k) memory in place of T k of each.  For the classical walk
 w <= 0 and both factors lie in [0, 1], so nothing overflows.
 
-A walk launched at the entry never needs the N x N matrix.  Every symmetry
-of the graph that keeps the entry in place also keeps the launch state, so
-the state stays constant on the cells of the entry partition
+Every spectrum is built for a partition of the nodes into cells
+(:class:`Spectrum`); on the node route each node is its own cell.  A walk
+launched at the entry needs fewer.  Every symmetry of the graph that keeps
+the entry in place also keeps the launch state, so the state stays
+constant on the cells of the entry partition
 (:attr:`hexwalk.graphs.Graph.entry_cells`): the coarsest equitable
 partition with the entry alone in its cell (Krovi & Brun, PRA 75, 062332,
-2007).  With S the N x k cell indicator, columns scaled to unit norm, M
-maps span(S) into itself because degrees are constant on cells, so
-exp(phase M t) S = S exp(phase S^T M S t) exactly.  On a walk operator
-:func:`propagate` therefore runs every state constant on the cells, the
-launch state among them, on the k x k quotient S^T M S and lifts the
-result back.  A hexagonal patch halves (n^2 + 3n cells of 2n^2 + 4n
+2007).  Degrees are constant on its cells, so M maps the states constant
+on them into themselves, and on a walk operator :func:`propagate` runs
+every such state, the launch state among them, on the spectrum of M
+restricted to them.  A hexagonal patch halves (n^2 + 3n cells of 2n^2 + 4n
 nodes), a glued tree of depth d shrinks to 2d + 2 cells and a hypercube of
 dimension d to d + 1, so glued trees of depth 12 (16382 nodes) and larger
-scan without forming a dense matrix.  Any other state keeps the full
-spectrum.
+scan without forming a dense matrix.  Any other state takes the node route.
 
 A graph whose builder declares a mirror (:attr:`hexwalk.graphs.Graph.mirror`,
 an involutive automorphism tau that swaps entry and exit) halves each
 ``eigh`` once more.  M commutes with the permutation tau, so its spectrum
 splits into an even sector, the states with x[tau[i]] = x[i], and an odd
-sector, x[tau[i]] = -x[i], and M couples neither to the other.  The quotient
-inherits the mirror as r[cell[v]] = cell[tau[v]].  Each sector gets its own
-``eigh`` of about k/2 rows, one more than k/2 for every cell the mirror
-fixes.  The eigenvectors stay in their sector blocks
-(:class:`Spectrum`): V's rows at a cell and at its image agree on the even
-columns and are opposite on the odd ones, so V is never formed, and
-:func:`propagate` applies V^T, V and one row of V as small products on the
-blocks.  A hexagonal patch, a hypercube and a glued tree with the identity
-gluing carry a mirror; a path, a random-cycle glued tree and a hand-built
-graph do not, and take one ``eigh`` of size k, whose eigenvectors are V.
+sector, x[tau[i]] = -x[i], and M couples neither to the other.  The mirror
+carries to the cells as r[cell[v]] = cell[tau[v]] wherever tau maps every
+cell onto a cell, as it does whenever the exit is alone in its cell;
+otherwise the cells have no mirror and every cell is fixed.  The layout of
+every spectrum follows from the cell orbits {c, r[c]}:
+
+- the even sector has one column per orbit, the pair orbits (c < r[c]) first
+  in the order of c, then the fixed cells: the indicator of the orbit's nodes;
+- the odd sector has one column per pair orbit: +1 on the nodes of c and -1 on
+  those of r[c];
+- every column is divided by the square root of its node count, so the
+  columns are orthonormal.
+
+Each sector block is then one ``np.bincount`` of M's node pairs through
+node -> cell -> column and sign, and goes to its own ``eigh`` of about k/2
+rows, one more than k/2 for every fixed cell.  With the eigenvector rows
+divided by the same square roots, V^T x is the eigenvectors applied to the
+signed sums of x over each column's nodes, and V c at a cell is its
+column's even value plus its sign times the odd one: the value at every
+node of the cell.  So V is never formed, and :func:`propagate` gathers the
+cell values to the nodes once.  A hexagonal patch, a hypercube and a glued
+tree with the identity gluing carry a mirror; a path, a random-cycle glued
+tree and a hand-built graph do not, and take one ``eigh`` of size k.
 
 The coherent walk on a patch, an identity-glued tree or an odd-dimensional
 hypercube takes one ``eigh`` in all.  Those graphs are connected and
@@ -70,10 +82,10 @@ amplitude is S - conj(S) = 2i Im S.  The classical walk keeps both
 ``eigh`` calls: its diagonal -D breaks Gamma K Gamma = -K.
 
 No operator keeps a dense matrix beside its spectrum.  Each holds its
-entries as pairs (i, j, value), a walk operator its node pairs and its
-quotient the cell pairs; each sector block is summed from them, goes to
-``eigh`` and is freed before the next is built.  So a spectrum peaks at
-about 1.55 k x k float arrays with a mirror and 5.2 without
+entries as pairs (i, j, value), a walk operator makes its node pairs from
+the graph's edges on each request; each sector block is summed from them,
+goes to ``eigh`` and is freed before the next is built.  So a spectrum
+peaks at about 1.55 k x k float arrays with a mirror and 5.2 without
 (:func:`_spectrum_bytes`), and keeps 0.5 of them with a mirror, 0.25
 where the odd block is derived.  Every product of a real block with a complex state is
 two real products, with its real and its imaginary part, never through a
@@ -116,7 +128,7 @@ _RESIDENT_SLACK = 128 * 2**20
 def _spectrum_bytes(k: int, odd: int) -> float:
     """Peak resident bytes of a walk on k cells whose spectrum has ``odd`` odd rows.
 
-    :attr:`SpectralOperator.spectrum` holds, one stage after another, the
+    :class:`Spectrum` holds, one stage after another, the
     even sector's ``eigh`` (e = k - odd rows) and the odd sector's beside
     the even eigenvectors: max(5.2 e^2, e^2 + 5.2 odd^2) floats.  No k x k
     array follows (:class:`Spectrum`), and evolving a state adds vectors
@@ -135,58 +147,116 @@ def _spectrum_bytes(k: int, odd: int) -> float:
 
 
 class Spectrum:
-    """An eigendecomposition M = V diag(w) V^T held by mirror sector, V never formed.
+    """An eigendecomposition M = V diag(w) V^T on the cells of a node partition, V never formed.
 
-    ``w`` lists the eigenvalues, the even sector's first, ascending within
-    each.  V's rows at a pair cell p and at its image r[p] agree on the even
-    columns and are opposite on the odd ones, and a fixed cell's row is 0 on
-    the odd columns, so two blocks hold all of V: ``y_even``, its even
-    columns at the pair cells and then at the fixed cells, and ``y_odd``,
-    its odd columns at the pair cells.  They are the sector blocks'
-    eigenvectors with the pair rows scaled by 1/sqrt(2).  Under a chirality
-    Gamma the odd block is Gamma[p] times ``y_even`` with its columns
-    reversed, applied as such, and ``y_odd`` is None.  Without a mirror
-    every cell is fixed and ``y_even`` is V.  :meth:`project` and
-    :meth:`expand` give V^T x and V c from the blocks, in real products
+    Built from the operator's node pairs, mirror and
+    :attr:`SpectralOperator.chirality` for the partition ``cell`` (the cell
+    id of every node), to which it carries the mirror; the module docstring
+    gives the layout.  It keeps no reference to the operator.  ``w``
+    lists the eigenvalues, the even sector's first, ascending within each.
+    ``column`` and ``sign`` are the cell-to-sector map: every cell's column
+    in the even sector, the column of its orbit, and +1 or -1 on the two
+    cells of a pair orbit (its column in the odd sector) or 0 on a fixed
+    cell.  ``even`` and ``odd`` are the sector blocks' eigenvectors, rows
+    divided by the square root of their column's node count.  Where the odd
+    sector is derived, ``odd`` is None and ``chirality`` is the node Gamma;
+    otherwise ``chirality`` is None.  :meth:`project` gives V^T x of a node
+    state and :meth:`expand` V c at the cells, in real products
     (:func:`_real_product`); V[s] is the projection of the indicator of s.
+
+    A spectrum predicted to take more than :data:`MAX_SPECTRUM_BYTES` is
+    refused with ``ValueError`` before anything is allocated.  With a
+    chirality Gamma no cell is fixed, and Gamma on the pair orbits gives
+    the odd block as -Gamma (even block) Gamma (Coulson & Rushbrooke, Proc.
+    Camb. Phil. Soc. 36, 193, 1940): its eigenvalues are the even ones
+    negated and reversed, its eigenvectors Gamma times the even ones
+    reversed, and no odd ``eigh`` runs.
     """
 
-    def __init__(self, w, y_even, y_odd, pair, image, fixed, gamma):
-        self.w, self.y_even, self.y_odd = w, y_even, y_odd
-        self.pair, self.image, self.fixed = pair, image, fixed
-        self._gamma = gamma  # Gamma at the pair cells while y_odd is derived, else None
-        for part in (w, y_even, y_odd):
+    def __init__(self, op: SpectralOperator, cell: np.ndarray):
+        mirror, chirality = op.mirror, op.chirality
+        k = int(cell.max()) + 1
+        ids = np.arange(k)
+        r = ids
+        if mirror is not None:
+            r = np.empty(k, dtype=np.intp)
+            r[cell] = cell[mirror]
+            if not np.array_equal(r[cell], cell[mirror]):  # tau splits a cell: no mirror
+                r, chirality = ids, None
+        plus, fixed = np.flatnonzero(ids < r), np.flatnonzero(ids == r)
+        n = len(plus)
+        need = _spectrum_bytes(k, n)
+        if need > MAX_SPECTRUM_BYTES:
+            raise ValueError(
+                f"the walk spectrum on {k} cells would take about {need / 2**30:.3g} GiB, "
+                f"above the limit of {MAX_SPECTRUM_BYTES / 2**30:.3g} GiB"
+            )
+        e = k - n
+        self.cell, self._plus, self._minus = cell, plus, r[plus]  # the odd columns' cells
+        self.sign = np.zeros(k)
+        self.sign[plus], self.sign[self._minus] = 1.0, -1.0
+        self.column = np.empty(k, dtype=np.intp)
+        self.column[plus] = self.column[self._minus] = ids[:n]
+        self.column[fixed] = ids[n:e]
+        at, signs = self.column[cell], self.sign[cell]  # every node's column and sign
+        size = np.bincount(at, minlength=e)  # every column's node count
+        i, j, value = op.pairs
+        a, b = at[i], at[j]
+        value = value / np.sqrt(size[a] * size[b])
+        odd = None  # the odd block's entries, where it is diagonalised
+        if n and chirality is None:
+            s = signs[i] * signs[j]
+            keep = s != 0
+            odd = a[keep] * n + b[keep], (s * value)[keep]
+            del s, keep
+        even = np.bincount(a * e + b, value, e * e).reshape(e, e)
+        del i, j, a, b, value, at, signs  # no node array outlives the blocks
+        w, self.even = np.linalg.eigh(even)
+        del even
+        root = np.sqrt(size)[:, None]
+        self.even /= root
+        self.odd = self.chirality = None
+        if chirality is not None:
+            self.chirality, gamma = chirality, np.empty(k)
+            gamma[cell] = chirality
+            self._gamma, w = gamma[plus], np.concatenate([w, -w[::-1]])
+        elif odd is not None:
+            w_odd, self.odd = np.linalg.eigh(np.bincount(*odd, n * n).reshape(n, n))
+            self.odd /= root[:n]
+            w = np.concatenate([w, w_odd])
+        self.w = w
+        for part in (w, self.even, self.odd, self.cell, self.column, self.sign):
             if part is not None:
                 part.flags.writeable = False
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        """V^T x: the modes of the state x, even sector first."""
-        p, q = self.pair, self.image
-        even = _real_product(self.y_even.T, np.concatenate([x[p] + x[q], x[self.fixed]]))
-        if not len(p):
+        """V^T x: the modes of the node state x, even sector first."""
+        at, e, n = self.column[self.cell], len(self.even), len(self._plus)
+        even = _real_product(self.even.T, _sums(at, x, e))
+        if not n:
             return even
-        if self._gamma is None:
-            odd = _real_product(self.y_odd.T, x[p] - x[q])
+        signed = _sums(at, self.sign[self.cell] * x, e)[:n]
+        if self.odd is not None:
+            odd = _real_product(self.odd.T, signed)
         else:
-            odd = _real_product(self.y_even.T, self._gamma * (x[p] - x[q]))[::-1]
+            odd = _real_product(self.even.T, self._gamma * signed)[::-1]
         return np.concatenate([even, odd])
 
     def expand(self, c: np.ndarray) -> np.ndarray:
-        """V c for one vector of modes, c V^T for one row of modes per length."""
-        n, e = len(self.pair), len(self.y_even)
-        even = _apply(self.y_even, c[..., :e])
-        if not n:
-            return even
-        if self._gamma is None:
-            odd = _apply(self.y_odd, c[..., e:])
+        """V c at the cells for one vector of modes, c V^T for one row of modes per length."""
+        e = len(self.even)
+        even = _apply(self.even, c[..., :e])
+        if not len(self._plus):
+            return even  # every cell is fixed and is its own column
+        if self.odd is not None:
+            odd = _apply(self.odd, c[..., e:])
         else:
-            odd = _apply(self.y_even, c[..., e:][..., ::-1]) * self._gamma
-        x = np.empty(c.shape, dtype=even.dtype)
-        x[..., self.fixed] = even[..., n:]
-        head = even[..., :n]
-        x[..., self.image] = head - odd
-        head += odd
-        x[..., self.pair] = head
+            odd = _apply(self.even, c[..., e:][..., ::-1])
+            odd *= self._gamma
+        x = even[..., self.column]
+        del even
+        x.T[self._plus] += odd.T  # cells first, so a vector and rows index alike
+        x.T[self._minus] -= odd.T
         return x
 
 
@@ -194,10 +264,9 @@ class SpectralOperator:
     """Real symmetric matrix held as its entries, with its eigendecomposition cached.
 
     ``pairs`` is three equal-length arrays (i, j, value) that list the
-    entries that may be nonzero, the diagonal among them; entries at a
-    repeated (i, j) are summed, as in the COO format.  The spectrum sums
-    each sector block straight from the pairs, and :attr:`matrix` forms the
-    dense ``dim`` x ``dim`` matrix anew, read-only, on each request.
+    entries that may be nonzero; entries at a repeated (i, j) are summed,
+    as in the COO format.  The spectrum sums each sector block straight
+    from the pairs, and no dense ``dim`` x ``dim`` matrix is formed.
     ``phase`` multiplies the eigenvalues in the propagator's exponent: -1j
     for the coherent walk, whose states are complex amplitudes, and 1 for
     the classical walk, whose states are real probabilities.  The spectrum
@@ -242,85 +311,27 @@ class SpectralOperator:
         the opposite parity, else None (read-only, cached).
 
         Then Gamma M Gamma = -M and Gamma r = -r Gamma, so Gamma carries the
-        even mirror sector onto the odd one and the odd block is
-        -Gamma (even block) Gamma (:attr:`spectrum`).
+        even mirror sector onto the odd one, which :class:`Spectrum` derives.
         """
         parity, r = self.parity, self.mirror
         if parity is None or r is None or np.any(parity[r] == parity):
             return None
         return 1.0 - 2.0 * parity
 
-    @property
-    def matrix(self) -> np.ndarray:
-        i, j, value = self.pairs
-        m = np.bincount(i * self.dim + j, value, minlength=self.dim**2).reshape(self.dim, self.dim)
-        m.flags.writeable = False
-        return m
-
     @cached
     def spectrum(self) -> Spectrum:
-        """Eigenvalues and eigenvectors of the matrix by mirror sector (:class:`Spectrum`).
-
-        The eigenvalues ascend within each sector.  Cells i < r[i] pair with
-        their mirror images; cells with r[i] = i are fixed.  The even sector
-        has the basis (e_i + e_r[i]) / sqrt(2) for pairs and e_i for fixed
-        cells, the odd sector (e_i - e_r[i]) / sqrt(2) for pairs, and M has
-        no element between the two.  In those bases the blocks are
-        [[A + B, sqrt(2) C], [sqrt(2) C^T, F]] and A - B, with A, B, C and F
-        the blocks M[p, p], M[p, r[p]], M[p, f] and M[f, f] of pair cells p
-        and fixed cells f.  Each block is one ``np.bincount`` of the pairs
-        in the rows of pair cells, and of fixed cells for the even block,
-        each column folded onto its pair: an entry is at most one x + y or
-        x - y.  The even block goes to its ``eigh`` and is freed before the
-        odd one is built, so the peak is the one :func:`_spectrum_bytes`
-        counts.  Without a mirror every cell is fixed, the even block is M
-        itself and the empty odd block's ``eigh`` is skipped.
-
-        With a :attr:`chirality` Gamma no cell is fixed, and Gamma on the
-        pair cells gives A - B = -Gamma (A + B) Gamma (Coulson & Rushbrooke,
-        Proc. Camb. Phil. Soc. 36, 193, 1940).  The odd sector is then not
-        diagonalised but derived: its eigenvalues are the even ones negated
-        and reversed, its eigenvectors Gamma times the even ones reversed.
-        """
-        k = self.dim
-        cell = np.arange(k)
-        r = cell if self.mirror is None else self.mirror
-        p, f = np.flatnonzero(cell < r), np.flatnonzero(cell == r)
-        n, e = len(p), k - len(p)
-        place = np.empty(k, dtype=np.intp)  # each cell's row in its sector blocks
-        place[p] = place[r[p]] = np.arange(n)
-        place[f] = np.arange(n, e)
-        i, j, value = self.pairs
-        side_i, side_j = np.sign(r[i] - i), np.sign(r[j] - j)  # 1 pair cell, 0 fixed, -1 image
-
-        def block(keep: np.ndarray, weight: np.ndarray, size: int) -> np.ndarray:
-            at = place[i[keep]] * size + place[j[keep]]
-            return np.bincount(at, weight[keep], minlength=size * size).reshape(size, size)
-
-        # a fixed row takes its pair columns once, at the pair cell, with the sqrt(2) of C^T
-        keep = (side_i > 0) | ((side_i == 0) & (side_j >= 0))
-        w_even, y_even = np.linalg.eigh(
-            block(keep, np.where((side_i == 0) != (side_j == 0), math.sqrt(2.0), 1.0) * value, e)
-        )
-        y_even[:n] *= math.sqrt(0.5)
-        gamma, w_odd, y_odd = self.chirality, w_even[:0], np.empty((0, 0))
-        if gamma is not None:
-            gamma, w_odd, y_odd = gamma[p], -w_even[::-1], None
-        elif n:
-            w_odd, y_odd = np.linalg.eigh(block((side_i > 0) & (side_j != 0), side_j * value, n))
-            y_odd *= math.sqrt(0.5)
-        return Spectrum(np.concatenate([w_even, w_odd]), y_even, y_odd, p, r[p], f, gamma)
+        """The eigendecomposition with every index its own cell (:class:`Spectrum`)."""
+        return Spectrum(self, np.arange(self.dim))
 
 
 class WalkOperator(SpectralOperator):
     """Walk matrix M = scale * (A - diagonal * D) of a graph.
 
     The Hamiltonian has ``diagonal`` 0 and the rate matrix 1.  The operator
-    holds M as its node pairs, assembled on first use, and :attr:`quotient`
-    as the pairs of its entry cells; a state constant on the entry cells
-    runs on the quotient.  Both are the same assembly S^T M S, on singleton
-    cells for the nodes.
-    No dense matrix outlives a request for it.
+    makes M's node pairs from the graph's edges on each request, and keeps
+    two spectra of them: :attr:`spectrum` on the nodes and
+    :attr:`entry_spectrum` on the entry cells, where every state constant
+    on those cells runs.  No dense matrix is formed.
     """
 
     diagonal = 0.0
@@ -330,83 +341,27 @@ class WalkOperator(SpectralOperator):
         self.graph = graph
         self.scale = scale
 
-    def _assemble(
-        self, cell: np.ndarray, mirror: np.ndarray | None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The pairs (i, j, value) of S^T M S for an equitable partition into cells ``cell``.
-
-        S is the N x k indicator of the cells with each column divided by
-        sqrt(|cell|).  Cells a and b joined by e_ab edges meet at
-        e_ab / sqrt(|a| |b|), and D is constant on every cell because the
-        partition is equitable; the pairs come from those counts, and
-        every cell's diagonal entry is listed.  With one node per cell,
-        S = I and the pairs are M's.  A spectrum predicted to take more
-        than :data:`MAX_SPECTRUM_BYTES`, given the cells' ``mirror``, is
-        refused with ``ValueError`` before anything is allocated.
-        """
-        g = self.graph
-        size = np.bincount(cell)
-        k = len(size)
-        odd = 0 if mirror is None else int(np.count_nonzero(np.arange(k) < mirror))
-        need = _spectrum_bytes(k, odd)
-        if need > MAX_SPECTRUM_BYTES:
-            raise ValueError(
-                f"the walk spectrum on {k} cells would take about {need / 2**30:.3g} GiB, "
-                f"above the limit of {MAX_SPECTRUM_BYTES / 2**30:.3g} GiB"
-            )
-        a, b = cell[g.edges.T]
-        pair, links = np.unique(np.concatenate([a * k + b, b * k + a]), return_counts=True)
-        i, j = np.divmod(pair, k)
-        value = links / np.sqrt(size[i] * size[j])
-        degree = np.zeros(k)
-        degree[cell] = g.degrees
-        diagonal = np.zeros(k)
-        on = i == j
-        diagonal[i[on]] = value[on]
-        diagonal -= self.diagonal * degree
-        cells = np.arange(k)
-        i, j = np.concatenate([i[~on], cells]), np.concatenate([j[~on], cells])
-        return i, j, np.concatenate([value[~on], diagonal]) * self.scale
-
     @property
     def parity(self) -> np.ndarray | None:
         """The graph's :attr:`Graph.parity` for a walk without a diagonal, else None."""
         return None if self.diagonal else self.graph.parity
 
-    @cached
+    @property
     def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self._assemble(np.arange(self.dim), self.mirror)
-
-    @cached
-    def lift(self) -> np.ndarray:
-        """1 / sqrt(|c|) for every cell c of :attr:`Graph.entry_cells` (read-only,
-        cached): the quotient state y lifts to the node state y[cell(v)] * lift[cell(v)]."""
-        return 1.0 / np.sqrt(np.bincount(self.graph.entry_cells))
-
-    @cached
-    def quotient(self) -> SpectralOperator:
-        """S^T M S on the cells of :attr:`Graph.entry_cells`, held as its cell pairs.
-
-        Its mirror is the graph's, carried to the cells: r[cell[v]] =
-        cell[tau[v]].  That is well defined when tau maps every cell onto a
-        cell, as it does whenever the exit is alone in its cell; otherwise
-        the quotient has no mirror.  Cells lie within distance layers, so
-        the walk's :attr:`parity` carries to them too.  The quotient refers
-        to nothing of the walk operator, so both are freed as soon as the
-        last reference to either goes.
-        """
+        """M's entries: ``scale`` at (a, b) and (b, a) for every edge, then each node's
+        diagonal -diagonal * scale * degree."""
         g = self.graph
-        cell, tau, r, parity = g.entry_cells, g.mirror, None, None
-        k = int(cell.max()) + 1
-        if tau is not None:
-            r = np.empty(k, dtype=np.int64)
-            r[cell] = cell[tau]
-            if not np.array_equal(r[cell], cell[tau]):
-                r = None
-        if self.parity is not None:
-            parity = np.empty(k, dtype=np.int64)
-            parity[cell] = self.parity
-        return SpectralOperator(k, self._assemble(cell, r), self.phase, r, parity)
+        a, b = g.edges.T
+        nodes = np.arange(self.dim)
+        diagonal = -self.diagonal * self.scale * g.degrees
+        value = np.concatenate([np.full(2 * g.n_edges, self.scale), diagonal])
+        return np.concatenate([a, b, nodes]), np.concatenate([b, a, nodes]), value
+
+    @cached
+    def entry_spectrum(self) -> Spectrum:
+        """The eigendecomposition on the cells of :attr:`Graph.entry_cells`
+        (:class:`Spectrum`, cached).  It refers to nothing of the operator."""
+        return Spectrum(self, self.graph.entry_cells)
 
 
 class Hamiltonian(WalkOperator):
@@ -444,6 +399,15 @@ def _apply(y: np.ndarray, c: np.ndarray) -> np.ndarray:
     return _real_product(y, c) if c.ndim == 1 else _real_product(c, y.T)
 
 
+def _sums(index: np.ndarray, x: np.ndarray, size: int) -> np.ndarray:
+    """np.bincount(index, x, size) for a real or a complex x."""
+    if x.dtype != complex:
+        return np.bincount(index, x, size)
+    out = np.empty(size, dtype=complex)
+    out.real, out.imag = np.bincount(index, x.real, size), np.bincount(index, x.imag, size)
+    return out
+
+
 def propagate(op: SpectralOperator, x0: np.ndarray, ts, site: int | None = None) -> np.ndarray:
     """Evolve the state x0 through the operator's cached spectrum.
 
@@ -461,10 +425,9 @@ def propagate(op: SpectralOperator, x0: np.ndarray, ts, site: int | None = None)
     spectrum is built.
 
     On a :class:`WalkOperator`, an x0 that equals itself read at one node of
-    each cell of the entry partition is evolved as y = S^T x on
-    ``op.quotient`` and lifted back as x = S y: node i holds
-    y[cell(i)] / sqrt(|cell(i)|) (:attr:`WalkOperator.lift`).  Neither the
-    N x N matrix nor its spectrum is formed.  A real result from an x0 with no
+    each cell of the entry partition runs on
+    :attr:`WalkOperator.entry_spectrum`, whose cell values are gathered to
+    the nodes; the node spectrum is not formed.  A real result from an x0 with no
     negative entry is clipped at 0 on every route: spectral rounding leaves
     residues of order 1e-16 below 0 where the walk has not arrived yet.  A
     signed x0 is not clipped, as its true evolution can go negative.
@@ -498,26 +461,26 @@ def propagate(op: SpectralOperator, x0: np.ndarray, ts, site: int | None = None)
 
 def _evolve(op: SpectralOperator, x0: np.ndarray, ts: np.ndarray, site: int | None) -> np.ndarray:
     """:func:`propagate` for checked arguments, without the clip."""
+    cell = None
     if isinstance(op, WalkOperator):
-        cell, lift = op.graph.entry_cells, op.lift
-        node = np.empty(len(lift), dtype=np.intp)
-        node[cell] = np.arange(len(cell))  # some node of each cell
-        if np.array_equal(x0[node][cell], x0):
-            q, y0 = op.quotient, x0[node] / lift
-            if site is not None:
-                return _evolve(q, y0, ts, cell[site]) * lift[cell[site]]
-            return (_evolve(q, y0, ts, None) * lift)[..., cell]
-    spectrum = op.spectrum
+        cells = op.graph.entry_cells
+        node = np.empty(int(cells.max()) + 1, dtype=np.intp)
+        node[cells] = np.arange(len(cells))  # some node of each cell
+        if np.array_equal(x0[node][cells], x0):
+            cell = cells
+    spectrum = op.spectrum if cell is None else op.entry_spectrum
     w = spectrum.w
     if site is None:
         modes = spectrum.project(x0)
         if ts.ndim == 0:
-            return spectrum.expand(np.exp(op.phase * w * float(ts)) * modes)
-        return spectrum.expand(np.exp(op.phase * np.outer(ts, w)) * modes)
+            x = spectrum.expand(np.exp(op.phase * w * float(ts)) * modes)
+        else:  # the mode matrix is freed as expand returns, before the gather
+            x = spectrum.expand(np.exp(op.phase * np.outer(ts, w)) * modes)
+        return x if cell is None else x[..., cell]
     n = len(ts)
     t0 = ts[0] if n else 0.0
     dz = (ts[-1] - t0) / (n - 1) if n > 1 else 0.0
-    gamma = op.chirality
+    gamma = spectrum.chirality
     sign = _parity_sign(gamma, x0)
     at_site = spectrum.project(np.eye(1, op.dim, site)[0])  # V[site], from the site's indicator
     coeffs = at_site * spectrum.project(x0.real if sign else x0)

@@ -13,6 +13,7 @@ import numpy as np
 
 from hexwalk.quantum import Hamiltonian
 from hexwalk.stochastic import QswParams
+from spectrum_oracle import dense_matrix
 
 
 def lindblad_rhs(rho: np.ndarray, hamiltonian: Hamiltonian, params: QswParams) -> np.ndarray:
@@ -30,7 +31,7 @@ def lindblad_rhs(rho: np.ndarray, hamiltonian: Hamiltonian, params: QswParams) -
     omega = params.omega
     out = np.zeros_like(rho)
     if omega < 1.0:
-        h = hamiltonian.matrix
+        h = dense_matrix(hamiltonian)
         out += -(1.0 - omega) * 1j * (h @ rho - rho @ h)
     if omega > 0.0:
         gamma = params.rate

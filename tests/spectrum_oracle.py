@@ -1,46 +1,108 @@
-"""The dense eigenvector matrix V of a sector-held spectrum, for tests only.
+"""Dense forms of a spectral operator and of its spectra, for tests only.
 
-:class:`hexwalk.quantum.Spectrum` keeps V as two blocks and applies them in
-sector products.  :func:`dense_v` puts V together whole, from the mirror and
-the chirality of the operator rather than from the spectrum's own index
-arrays, so products with it check the sector products.
+:class:`hexwalk.quantum.SpectralOperator` keeps its matrix as pairs, and a
+:class:`hexwalk.quantum.Spectrum` keeps V as two sector blocks on the cells
+of a node partition.  These helpers put the matrix and V together whole.
+The layout of V, the cells' mirror, pairs and fixed cells, is worked out
+here from the operator's mirror and chirality and the partition rather than
+read from the spectrum's own maps, so products with it check the sector
+products.  ``entry`` picks the spectrum: the operator's node spectrum, or
+the one on the entry cells of a walk operator.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from hexwalk.quantum import SpectralOperator
+from hexwalk.quantum import SpectralOperator, Spectrum
 
 
-def dense_v(op: SpectralOperator) -> np.ndarray:
-    """The k x k eigenvector matrix of ``op.spectrum``, columns in the order of its ``w``.
+def dense_matrix(op: SpectralOperator) -> np.ndarray:
+    """The dim x dim matrix of the operator's pairs, entries at a repeated (i, j) summed."""
+    i, j, value = op.pairs
+    m = np.zeros((op.dim, op.dim))
+    np.add.at(m, (i, j), value)
+    return m
 
-    A pair cell p and its image r[p] share the even rows ``y_even[a]`` and
-    take the odd rows +-``y_odd[a]``; a fixed cell has its even row and 0 on
-    the odd columns.  A derived odd block is Gamma[p] times the even block
-    with its columns reversed.
+
+def cells_of(op: SpectralOperator, entry: bool) -> np.ndarray:
+    """The cell of every node: the entry cells, or every node its own."""
+    return op.graph.entry_cells if entry else np.arange(op.dim)
+
+
+def spectrum_of(op: SpectralOperator, entry: bool) -> Spectrum:
+    return op.entry_spectrum if entry else op.spectrum
+
+
+def indicator(cell: np.ndarray) -> np.ndarray:
+    """S, the N x k cell indicator with each column scaled to unit norm."""
+    s = (cell[:, None] == np.arange(cell.max() + 1)[None, :]).astype(float)
+    return s / np.sqrt(s.sum(axis=0))
+
+
+def cell_matrix(op: SpectralOperator, entry: bool) -> np.ndarray:
+    """S^T M S: the matrix in the orthonormal basis of the states constant on the cells."""
+    s = indicator(cells_of(op, entry))
+    return s.T @ dense_matrix(op) @ s
+
+
+def cell_mirror(op: SpectralOperator, entry: bool) -> np.ndarray | None:
+    """The mirror carried to the cells, r[cell[v]] = cell[tau[v]], or None where there
+    is none or where it splits a cell."""
+    cell, tau = cells_of(op, entry), op.mirror
+    if tau is None:
+        return None
+    r = np.zeros(cell.max() + 1, dtype=int)
+    for v in range(len(cell)):
+        r[cell[v]] = cell[tau[v]]
+    return r if np.array_equal(r[cell], cell[tau]) else None
+
+
+def orbits(op: SpectralOperator, entry: bool) -> tuple[np.ndarray, ...]:
+    """The cell of every node, the cells' mirror r (the identity where there is none),
+    the pair cells c < r[c] and the fixed cells."""
+    cell = cells_of(op, entry)
+    ids = np.arange(cell.max() + 1)
+    r = cell_mirror(op, entry)
+    r = ids if r is None else r
+    return cell, r, np.flatnonzero(ids < r), np.flatnonzero(ids == r)
+
+
+def dense_v(op: SpectralOperator, entry: bool = False) -> np.ndarray:
+    """The k x k eigenvector matrix of the spectrum, read at the cells: entry [c, m] is
+    mode m at every node of cell c, columns in the order of its ``w``.
+
+    A pair cell p and its image r[p] share the even rows ``even[a]`` and take
+    the odd rows +-``odd[a]``; a fixed cell has its even row and 0 on the odd
+    columns.  A derived odd block is Gamma[p] times the even block with its
+    columns reversed.  At the nodes, ``dense_v(op, entry)[cells_of(op, entry)]``
+    is V, N x k with orthonormal columns.
     """
-    spectrum, k = op.spectrum, op.dim
-    cell = np.arange(k)
-    r = cell if op.mirror is None else op.mirror
-    p, f = np.flatnonzero(cell < r), np.flatnonzero(cell == r)
-    n = len(p)
-    y_odd = spectrum.y_odd
-    if y_odd is None:
-        y_odd = op.chirality[p, None] * spectrum.y_even[:, ::-1]
+    spectrum, (cell, r, p, f) = spectrum_of(op, entry), orbits(op, entry)
+    k, n = len(r), len(p)
+    odd = spectrum.odd
+    if odd is None and n:
+        gamma = np.zeros(k)
+        gamma[cell] = op.chirality
+        odd = gamma[p, None] * spectrum.even[:, ::-1]
     v = np.zeros((k, k))
-    even, odd = v[:, : k - n], v[:, k - n :]
-    even[p] = even[r[p]] = spectrum.y_even[:n]
-    even[f] = spectrum.y_even[n:]
-    odd[p] = y_odd
-    odd[r[p]] = -y_odd
+    v_even, v_odd = v[:, : k - n], v[:, k - n :]
+    v_even[p] = v_even[r[p]] = spectrum.even[:n]
+    v_even[f] = spectrum.even[n:]
+    if n:
+        v_odd[p] = odd
+        v_odd[r[p]] = -odd
     return v
 
 
-def propagate_dense(op: SpectralOperator, x0: np.ndarray, ts) -> np.ndarray:
-    """V exp(phase w t) V^T x0 through :func:`dense_v`, at one length or one row per length."""
-    v, w = dense_v(op), op.spectrum.w
+def orthonormal_v(op: SpectralOperator, entry: bool = False) -> np.ndarray:
+    """:func:`dense_v` in the orthonormal cell basis of :func:`cell_matrix`."""
+    return dense_v(op, entry) * np.sqrt(np.bincount(cells_of(op, entry)))[:, None]
+
+
+def propagate_dense(op: SpectralOperator, x0: np.ndarray, ts, entry: bool = False) -> np.ndarray:
+    """V exp(phase w t) V^T x0 through V at the nodes, at one length or one row per length."""
+    v, w = dense_v(op, entry)[cells_of(op, entry)], spectrum_of(op, entry).w
     modes = v.T @ x0
     ts = np.asarray(ts, dtype=float)
     if ts.ndim == 0:

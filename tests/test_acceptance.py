@@ -34,6 +34,7 @@ from hexwalk.imaging import (
 from hexwalk.quantum import Hamiltonian, entry_state, propagate
 from hexwalk.stochastic import ClassicalGenerator, QswParams, density_from_state, evolve_qsw
 from lindblad_oracle import lindblad_rhs
+from spectrum_oracle import dense_matrix
 from test_hitting import dense
 
 # Best sample lengths in mm reported for depths 3 through 8; used in the
@@ -159,17 +160,19 @@ def test_criterion_07_engine_cross_validation():
                 jump[i, j] = math.sqrt(rate)
                 anti = jump.conj().T @ jump
                 dissipator += jump @ rho @ jump.conj().T - 0.5 * (anti @ rho + rho @ anti)
-        coherent_term = -1j * (h.matrix @ rho - rho @ h.matrix)
+        m = dense_matrix(h)
+        coherent_term = -1j * (m @ rho - rho @ m)
         assert np.max(np.abs(rhs - (1 - omega) * coherent_term - omega * dissipator)) < 1e-12
 
         # spectral propagator against a truncated series
         for g in (hexagonal_graph(1), hexagonal_graph(2)):
             h = Hamiltonian(g)
+            m = dense_matrix(h)
             psi0 = entry_state(g)
             series = psi0.astype(complex)
             term = psi0.astype(complex)
             for k in range(1, 41):
-                term = (-1j / k) * (h.matrix @ term)
+                term = (-1j / k) * (m @ term)
                 series = series + term
             assert np.max(np.abs(propagate(h, psi0, 1.0) - series)) < 1e-8
 

@@ -299,10 +299,10 @@ def test_scan_refuses_a_bad_walk_parameter_its_engine_does_not_use(
 
 
 def test_scan_runs_a_glued_tree_too_large_for_a_dense_matrix(tmp_path, capsys, monkeypatch):
-    # 16382 nodes: the dense H alone would take 2.1 GB; the walk lives on 26 cells
+    # 16382 nodes: the node spectrum alone would take 2.1 GB; the walk lives on 26 cells
     from hexwalk.quantum import WalkOperator
 
-    monkeypatch.setattr(WalkOperator, "matrix", property(lambda self: pytest.fail("dense matrix")))
+    monkeypatch.setattr(WalkOperator, "spectrum", property(lambda self: pytest.fail("node spectrum")))
     sizes = count_eigh(monkeypatch)
     assert main(["scan", "--graph", "glued-tree:d=12", "--dump-state", "--out", str(tmp_path)]) == 0
     assert sizes == [26]  # the random gluing has no mirror; the dump reuses the scan's spectrum

@@ -460,7 +460,7 @@ def test_adjacency_and_degrees_match_a_per_edge_loop(graph):
 
 
 def test_classical_quotient_of_every_family_has_one_zero_mode():
-    # the quotient has one zero mode exactly when the graph is connected
+    # the spectrum on the entry cells has one zero mode exactly when the graph is connected
     for g in (
         hexagonal_graph(3),
         glued_tree(2, gluing="identity"),
@@ -470,11 +470,11 @@ def test_classical_quotient_of_every_family_has_one_zero_mode():
     ):
         assert len(bfs_layers(g, 0)) == g.n_nodes
         op = ClassicalGenerator(g)
-        w = op.quotient.spectrum.w
+        w = op.entry_spectrum.w
         zero = w >= -1e-12 * np.max(np.abs(w))
         assert np.count_nonzero(zero) == 1
-        # its eigenvector, lifted to the nodes, is uniform: 1/sqrt(N) up to its sign
-        node = dense_v(op.quotient)[g.entry_cells, np.argmax(zero)] * op.lift[g.entry_cells]
+        # its eigenvector, read at the nodes, is uniform: 1/sqrt(N) up to its sign
+        node = dense_v(op, entry=True)[g.entry_cells, np.argmax(zero)]
         assert np.max(np.abs(np.sign(node[0]) * node - g.n_nodes**-0.5)) <= 1e-12
     two_parts = Graph("path", [(0, 0), (2, 0), (4, 0), (6, 0)], [(0, 1), (2, 3)], 0, 3)
     with pytest.raises(ConvergenceError, match="disconnected"):

@@ -432,7 +432,7 @@ def test_disconnected_graph_never_converges():
     two_parts = Graph("path", [(0, 0), (2, 0), (4, 0), (6, 0)], [(0, 1), (2, 3)], 0, 3)
     edgeless = Graph("path", [(0, 0), (2, 0)], [], 0, 1)
     two_hexagons = _two_hexagons(4)
-    w = ClassicalGenerator(two_hexagons).quotient.spectrum.w
+    w = ClassicalGenerator(two_hexagons).entry_spectrum.w
     assert (two_hexagons.n_nodes, len(w)) == (96, 42)
     assert np.count_nonzero(w >= -1e-12 * np.max(np.abs(w))) == 2
     for g in (two_parts, edgeless, two_hexagons):
@@ -444,26 +444,26 @@ def test_disconnected_graph_never_converges():
     "build",
     [
         lambda: hexagonal_graph(3),
-        lambda: hypercube_graph(4),  # its quotient's mirror fixes the middle layer
+        lambda: hypercube_graph(4),  # its mirror fixes the middle layer of cells
         lambda: glued_tree(3, "identity"),
         lambda: glued_tree(3, "random-cycle", seed=3),  # no mirror
     ],
     ids=["hexagonal-3", "hypercube-4", "glued-identity-3", "glued-random-3"],
 )
 def test_convergence_matches_a_search_through_the_dense_v_oracle(build):
-    # the entry row is read off V, and the deviation lifts the modes back through V whole
+    # the entry row is read off V, and the deviation expands the modes through V whole
     g = build()
     op = ClassicalGenerator(g)
-    spectrum, v = op.quotient.spectrum, dense_v(op.quotient)
+    spectrum, v = op.entry_spectrum, dense_v(op, entry=True)
     entry = g.entry_cells[g.entry]
-    assert np.array_equal(spectrum.project(np.eye(op.quotient.dim)[entry]), v[entry])
+    assert np.array_equal(spectrum.project(entry_state(g)), v[entry])
     w = spectrum.w
     zero = w >= -1.0e-12 * np.max(np.abs(w))
     modes = np.where(zero, 0.0, v[entry])
     gap = -np.max(w[~zero])
 
     def deviation(t):
-        return float(np.max(np.abs(op.lift * (v @ (np.exp(w * t) * modes)))))
+        return float(np.max(np.abs(v @ (np.exp(w * t) * modes))))
 
     result = classical_convergence_time(g)
     n = g.n_nodes

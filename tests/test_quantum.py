@@ -16,7 +16,17 @@ from hexwalk.graphs import Graph, glued_tree, hexagonal_graph, hypercube_graph, 
 from hexwalk.hitting import quantum_hitting_curve
 from hexwalk.quantum import Hamiltonian, SpectralOperator, WalkOperator, entry_state, propagate
 from hexwalk.stochastic import ClassicalGenerator
-from spectrum_oracle import dense_v, propagate_dense
+from spectrum_oracle import (
+    cell_matrix,
+    cell_mirror,
+    cells_of,
+    dense_matrix,
+    dense_v,
+    orbits,
+    orthonormal_v,
+    propagate_dense,
+    spectrum_of,
+)
 from test_hitting import _two_hexagons as two_hexagons, dense
 
 # Exit probability of the 6-node single-hexagon walk at C=1, z=1, computed
@@ -41,14 +51,14 @@ def taylor_evolve(matrix: np.ndarray, psi0: np.ndarray, z: float, terms: int = 4
 
 def test_two_site_hamiltonian_is_pauli_x():
     h = Hamiltonian(path_graph(2), 1.0)
-    assert np.array_equal(h.matrix, np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert np.array_equal(dense_matrix(h), np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
 def test_row_sums_equal_scaled_degrees():
     g = hexagonal_graph(2)
     c = 0.7
     h = Hamiltonian(g, c)
-    assert np.allclose(h.matrix.sum(axis=1), c * g.degrees)
+    assert np.allclose(dense_matrix(h).sum(axis=1), c * g.degrees)
 
 
 def test_model_defaults_and_validation():
@@ -65,14 +75,15 @@ def test_model_defaults_and_validation():
 def test_spectrum_reconstructs_hamiltonian():
     h = Hamiltonian(hexagonal_graph(2))
     w, v = h.spectrum.w, dense_v(h)
-    assert np.max(np.abs(v @ np.diag(w) @ v.T - h.matrix)) < 1e-9
+    assert np.max(np.abs(v @ np.diag(w) @ v.T - dense_matrix(h))) < 1e-9
     assert np.max(np.abs(v.T @ v - np.eye(h.dim))) < 1e-12
 
 
-def test_matrix_is_read_only():
+def test_spectrum_arrays_are_read_only():
     h = Hamiltonian(path_graph(3))
-    with pytest.raises(ValueError):
-        h.matrix[0, 0] = 9.0
+    for part in ("w", "even", "column", "sign"):
+        with pytest.raises(ValueError):
+            getattr(h.spectrum, part)[0] = 9
 
 
 def test_entry_state_is_entry_indicator():
@@ -141,7 +152,7 @@ def test_propagator_matches_series_oracle_on_small_graphs():
         h = Hamiltonian(g)
         psi0 = entry_state(g)
         spectral = propagate(h, psi0, 1.0)
-        series = taylor_evolve(h.matrix, psi0, 1.0)
+        series = taylor_evolve(dense_matrix(h), psi0, 1.0)
         assert np.max(np.abs(spectral - series)) < 1e-8
 
 
@@ -317,10 +328,11 @@ def test_million_point_scan_stays_small():
 
 
 @pytest.mark.parametrize("kind", sorted(OPERATORS))
-def test_dense_assembly_peaks_below_two_matrices(kind):
+def test_node_pairs_peak_below_twice_their_size(kind):
     op = OPERATORS[kind][0](hexagonal_graph(30), 1.0)
-    peak = peak_traced_bytes(lambda: op.matrix)
-    assert peak <= 2 * op.matrix.nbytes
+    op.graph.degrees
+    peak = peak_traced_bytes(lambda: op.pairs)
+    assert peak <= 2 * sum(part.nbytes for part in op.pairs)
 
 
 @pytest.mark.parametrize("kind", sorted(OPERATORS))
@@ -331,14 +343,14 @@ def test_quotient_spectrum_and_a_site_curve_peak_below_three_cell_arrays(kind):
     op = OPERATORS[kind][0](g, 1.0)
     grid = 0.01 * np.arange(12001)
     peak = peak_traced_bytes(lambda: propagate(op, entry_state(g), grid, g.exit))
-    assert op.quotient.dim == k == 990
+    assert len(op.entry_spectrum.w) == k == 990
     assert peak <= 3 * 8 * k * k
 
 
 def test_a_coherent_state_is_projected_without_a_complex_copy_of_v():
     g = hexagonal_graph(30)
     h = Hamiltonian(g)
-    v = dense_v(h.quotient)
+    v = dense_v(h, entry=True)
     x0 = entry_state(g) * np.exp(0.3j)
     peak = peak_traced_bytes(lambda: propagate(h, x0, 1.0))
     assert peak <= 0.25 * v.nbytes
@@ -347,10 +359,22 @@ def test_a_coherent_state_is_projected_without_a_complex_copy_of_v():
 def test_a_coherent_grid_is_lifted_without_a_complex_copy_of_v():
     g = hexagonal_graph(30)
     h = Hamiltonian(g)
-    v = dense_v(h.quotient)
+    v = dense_v(h, entry=True)
     grid = np.linspace(0.0, 47.0, 48)
     peak = peak_traced_bytes(lambda: propagate(h, entry_state(g), grid))
     assert peak <= 0.5 * v.nbytes
+
+
+@pytest.mark.parametrize("kind, bound", [("coherent", 1.86), ("classical", 1.84)])
+def test_a_grid_on_the_entry_cells_peaks_below_two_results(kind, bound):
+    # 990 cells of 1920 nodes: the mode matrix and the cell values are about half a result
+    # each, and the cell values go to the nodes once the mode matrix is freed
+    g = hexagonal_graph(30)
+    op = OPERATORS[kind][0](g, 1.0)
+    grid = np.linspace(0.0, 47.0, 48)
+    result = propagate(op, entry_state(g), grid)
+    peak = peak_traced_bytes(lambda: propagate(op, entry_state(g), grid))
+    assert peak <= bound * result.nbytes
 
 
 def test_a_classical_walk_off_the_quotient_is_never_negative():
@@ -386,13 +410,13 @@ def test_real_products_match_numpys_complex_ones(k):
 
 
 def test_a_curve_frees_its_operator_and_quotient_without_the_collector():
-    # a reference cycle between operator and quotient would keep both until gc runs
+    # a reference cycle between operator and spectrum would keep both until gc runs
     g = hexagonal_graph(4)
     gc.disable()
     try:
         curve = quantum_hitting_curve(g)
         operator = weakref.ref(curve.operator)
-        v = weakref.ref(curve.operator.quotient.spectrum)
+        v = weakref.ref(curve.operator.entry_spectrum)
         del curve
         assert operator() is None
         assert v() is None
@@ -405,13 +429,13 @@ def test_spectrum_limit_refuses_one_byte_over_the_prediction(kind, monkeypatch):
     # hexagonal_graph(3) has 18 entry cells, 9 of them in the odd sector
     need = quantum._spectrum_bytes(18, 9)
     monkeypatch.setattr(quantum, "MAX_SPECTRUM_BYTES", need)
-    assert OPERATORS[kind][0](hexagonal_graph(3), 1.0).quotient.dim == 18
+    assert len(OPERATORS[kind][0](hexagonal_graph(3), 1.0).entry_spectrum.w) == 18
     monkeypatch.setattr(quantum, "MAX_SPECTRUM_BYTES", need - 1)
     op = OPERATORS[kind][0](hexagonal_graph(3), 1.0)
     with pytest.raises(ValueError, match="the walk spectrum on 18 cells would take about"):
-        op.quotient
+        op.entry_spectrum
     with pytest.raises(ValueError, match="on 30 cells"):
-        op.matrix
+        op.spectrum
     # the default limit admits a depth-133 patch, 18088 cells, and no deeper one
     monkeypatch.undo()
     assert quantum._spectrum_bytes(18088, 9044) <= quantum.MAX_SPECTRUM_BYTES
@@ -436,7 +460,7 @@ edges = np.concatenate([np.column_stack((nodes, (nodes + 1) % n)), chords])
 g = Graph("path", np.column_stack((2 * nodes, 0 * nodes)), edges, 0, n // 2)
 print(g.entry_cells.max() + 1)
 try:
-    Hamiltonian(g).quotient
+    Hamiltonian(g).entry_spectrum
 except ValueError as exc:
     print(exc)
 """
@@ -481,21 +505,20 @@ def test_quotient_matches_dense_propagation(kind, build):
     for site in (g.exit, 0):
         assert np.max(np.abs(propagate(op, launch(g), zs, site) - reference[:, site])) < 1e-12
     assert np.max(np.abs(propagate(op, launch(g), zs[7]) - reference[7])) < 1e-12
-    # the quotient is S^T M S with S the cell indicator, columns scaled to unit norm
-    cell = g.entry_cells
-    s = (cell[:, None] == np.arange(cell.max() + 1)[None, :]).astype(float)
-    s /= np.sqrt(s.sum(axis=0))
-    assert np.max(np.abs(op.quotient.matrix - s.T @ op.matrix @ s)) < 1e-12
+    # the spectrum rebuilds S^T M S, S the cell indicator with columns scaled to unit norm
+    v = orthonormal_v(op, entry=True)
+    rebuilt = (v * op.entry_spectrum.w) @ v.T
+    assert np.max(np.abs(rebuilt - cell_matrix(op, entry=True))) < 1e-12
 
 
 @pytest.mark.parametrize("kind", sorted(OPERATORS))
 @pytest.mark.parametrize("build", [b for _, b in QUOTIENT_GRAPHS], ids=[n for n, _ in QUOTIENT_GRAPHS])
 def test_dense_matrix_is_scale_times_adjacency_minus_diagonal_degrees(kind, build):
-    # the dense matrix is the quotient's assembly on singleton cells
+    # the node pairs list M's entries
     g = build()
     op = OPERATORS[kind][0](g, 0.8)
     expected = op.scale * (g.adjacency - op.diagonal * np.diag(g.degrees.astype(float)))
-    assert np.array_equal(op.matrix, expected)
+    assert np.array_equal(dense_matrix(op), expected)
 
 
 def count_eigh(monkeypatch) -> list[int]:
@@ -507,7 +530,7 @@ def count_eigh(monkeypatch) -> list[int]:
 
 
 def forbid_dense_matrix(monkeypatch) -> None:
-    monkeypatch.setattr(WalkOperator, "matrix", property(lambda self: pytest.fail("dense matrix")))
+    monkeypatch.setattr(WalkOperator, "spectrum", property(lambda self: pytest.fail("node spectrum")))
 
 
 def entry_plus_exit(g: Graph) -> np.ndarray:
@@ -627,20 +650,24 @@ def paired(g: Graph) -> bool:
 
 
 def sector_operator(kind: str, build, part: str):
+    """The graph, the operator and whether its spectrum on the entry cells is meant.
+
+    "dense" is the walk operator's node spectrum, "quotient" its spectrum on
+    the entry cells and "reference" the tests' dense(op): node-level sectors
+    without the parity, so the odd sector is never derived.
+    """
     g = build()
     op = OPERATORS[kind][0](g, 0.8)
-    if part == "quotient":
-        return g, op.quotient
-    return g, (op if part == "dense" else dense(op))
+    return g, (dense(op) if part == "reference" else op), part == "quotient"
 
 
 @pytest.mark.parametrize("kind", sorted(OPERATORS))
 @pytest.mark.parametrize("part", ["dense", "quotient"])
 @pytest.mark.parametrize("build", SECTOR_BUILDS, ids=SECTOR_IDS)
 def test_sector_spectrum_rebuilds_its_matrix(kind, part, build):
-    _, op = sector_operator(kind, build, part)
-    m = op.matrix
-    w, v = op.spectrum.w, dense_v(op)
+    _, op, entry = sector_operator(kind, build, part)
+    m = cell_matrix(op, entry)
+    w, v = spectrum_of(op, entry).w, orthonormal_v(op, entry)
     scale = np.max(np.abs(m))
     assert np.max(np.abs((v * w) @ v.T - m)) <= 1e-12 * scale
     assert np.max(np.abs(v.T @ v - np.eye(len(m)))) <= 1e-12
@@ -651,13 +678,12 @@ def test_sector_spectrum_rebuilds_its_matrix(kind, part, build):
 @pytest.mark.parametrize("part", ["dense", "quotient", "reference"])
 @pytest.mark.parametrize("build", SECTOR_BUILDS, ids=SECTOR_IDS)
 def test_mirror_splits_eigh_into_two_sectors(kind, part, build, monkeypatch):
-    # "reference" is the tests' dense(op): node-level sectors, never the quotient's
-    g, op = sector_operator(kind, build, part)
-    assert isinstance(op, WalkOperator) == (part == "dense")
-    k = len(op.matrix)
+    g, op, entry = sector_operator(kind, build, part)
+    assert isinstance(op, WalkOperator) == (part != "reference")
+    k = int(cells_of(op, entry).max()) + 1
     assert k == (g.n_nodes if part != "quotient" else int(g.entry_cells.max()) + 1)
     sizes = count_eigh(monkeypatch)
-    op.spectrum
+    spectrum = spectrum_of(op, entry)
     if g.mirror is None:
         assert sizes == [k]
         return
@@ -670,7 +696,7 @@ def test_mirror_splits_eigh_into_two_sectors(kind, part, build, monkeypatch):
     assert f == int(g.family == "hypercube" and part == "quotient" and k % 2 == 1)
     # the coherent walk derives its odd sector where the mirror flips the parity
     derived = kind == "coherent" and part != "reference" and paired(g)
-    assert (op.chirality is not None) == derived
+    assert (spectrum.chirality is not None) == derived
     sectors = ((k + f) // 2, (k - f) // 2)[: 1 if derived else 2]
     assert sizes == [size for size in sectors if size]
 
@@ -689,39 +715,68 @@ def test_mirror_splits_eigh_into_two_sectors(kind, part, build, monkeypatch):
          "two-hexagons-quotient"],
 )
 def test_spectrum_without_a_mirror_is_exactly_eigh(kind, build, part):
-    # every cell is fixed, so the even block is the matrix itself: the same bits as eigh
-    _, op = sector_operator(kind, build, part)
-    assert op.mirror is None
-    w, v = op.spectrum.w, dense_v(op)
-    w_ref, v_ref = np.linalg.eigh(op.matrix)
+    # every cell is fixed, so the even block is the whole matrix on the cells: the same bits
+    # as eigh of it, summed from the node pairs in their order; on the nodes that is M itself
+    _, op, entry = sector_operator(kind, build, part)
+    assert cell_mirror(op, entry) is None
+    w, v = spectrum_of(op, entry).w, dense_v(op, entry)
+    m, _, size = scattered_blocks(op, entry)
+    if not entry:
+        assert np.array_equal(m, dense_matrix(op))
+    w_ref, v_ref = np.linalg.eigh(m)
     assert np.array_equal(w, w_ref)
-    assert np.array_equal(v, v_ref)
+    assert np.array_equal(v, v_ref / np.sqrt(size)[:, None])
 
 
-def ix_block_spectrum(
-    m: np.ndarray, mirror: np.ndarray | None, parity: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """The sector spectrum with its blocks gathered from the dense matrix by ``np.ix_``.
+def scattered_blocks(op, entry: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The even and the odd sector block, each summed by ``np.add.at`` over the node pairs
+    in their order, with the columns of the module docstring's layout, and the node count
+    of every even column."""
+    cell, r, p, f = orbits(op, entry)
+    k, n = len(r), len(p)
+    e = k - n
+    column, sign = np.empty(k, dtype=int), np.zeros(k)
+    column[p] = column[r[p]] = np.arange(n)
+    column[f] = np.arange(n, e)
+    sign[p], sign[r[p]] = 1.0, -1.0
+    at, signs = column[cell], sign[cell]
+    size = np.bincount(at, minlength=e)
+    i, j, value = op.pairs
+    a, b = at[i], at[j]
+    value = value / np.sqrt(size[a] * size[b])
+    even, odd = np.zeros((e, e)), np.zeros((n, n))
+    np.add.at(even, (a, b), value)
+    s = signs[i] * signs[j]
+    keep = s != 0
+    np.add.at(odd, (a[keep], b[keep]), (s * value)[keep])
+    return even, odd, size
 
-    Where the mirror maps every index to one of the opposite parity, the odd
-    sector is the even one with its eigenvalues negated and reversed and its
-    eigenvectors reversed and signed by (-1)^parity.
+
+def scattered_spectrum(op, entry: bool, derive: bool) -> tuple[np.ndarray, np.ndarray]:
+    """w and :func:`dense_v`'s V from :func:`scattered_blocks` and ``eigh``.
+
+    With ``derive``, where the mirror maps every cell to one of the opposite
+    parity, the odd sector is the even one with its eigenvalues negated and
+    reversed and its eigenvectors reversed and signed by (-1)^parity.
     """
-    i = np.arange(len(m))
-    r = i if mirror is None else mirror
-    p, f = np.flatnonzero(i < r), np.flatnonzero(i == r)
-    a, b, c = m[np.ix_(p, p)], m[np.ix_(p, r[p])], math.sqrt(2.0) * m[np.ix_(p, f)]
-    w_even, y_even = np.linalg.eigh(np.block([[a + b, c], [c.T, m[np.ix_(f, f)]]]))
-    if parity is not None and mirror is not None and np.all(parity[r] != parity):
+    cell, r, p, f = orbits(op, entry)
+    k, n = len(r), len(p)
+    parity = np.zeros(k, dtype=int)
+    if op.parity is not None:
+        parity[cell] = op.parity
+    even, odd, size = scattered_blocks(op, entry)
+    w_even, y_even = np.linalg.eigh(even)
+    if derive and op.parity is not None and n and np.all(parity[r] != parity):
         w_odd, y_odd = -w_even[::-1], np.where(parity[p, None] == 1, -1.0, 1.0) * y_even[:, ::-1]
     else:
-        w_odd, y_odd = np.linalg.eigh(a - b) if len(p) else (w_even[:0], a)
-    v = np.zeros(m.shape)
-    even, odd = v[:, : len(w_even)], v[:, len(w_even) :]
-    even[p] = even[r[p]] = math.sqrt(0.5) * y_even[: len(p)]
-    even[f] = y_even[len(p) :]
-    odd[p] = math.sqrt(0.5) * y_odd
-    odd[r[p]] = -odd[p]
+        w_odd, y_odd = np.linalg.eigh(odd) if n else (w_even[:0], odd)
+    root = np.sqrt(size)[:, None]
+    v = np.zeros((k, k))
+    v_even, v_odd = v[:, : len(w_even)], v[:, len(w_even) :]
+    v_even[p] = v_even[r[p]] = y_even[:n] / root[:n]
+    v_even[f] = y_even[n:] / root[n:]
+    v_odd[p] = y_odd / root[:n]
+    v_odd[r[p]] = -v_odd[p]
     return np.concatenate([w_even, w_odd]), v
 
 
@@ -729,9 +784,9 @@ def ix_block_spectrum(
 @pytest.mark.parametrize("part", ["dense", "quotient"])
 @pytest.mark.parametrize("build", SECTOR_BUILDS, ids=SECTOR_IDS)
 def test_spectrum_from_pairs_is_bit_for_bit_the_gathered_one(kind, part, build):
-    _, op = sector_operator(kind, build, part)
-    w_ref, v_ref = ix_block_spectrum(op.matrix, op.mirror, op.parity)
-    w, v = op.spectrum.w, dense_v(op)
+    _, op, entry = sector_operator(kind, build, part)
+    w_ref, v_ref = scattered_spectrum(op, entry, derive=True)
+    w, v = spectrum_of(op, entry).w, dense_v(op, entry)
     assert np.array_equal(w, w_ref)
     assert np.array_equal(v, v_ref)
 
@@ -745,14 +800,15 @@ PAIRED_GRAPHS = [(name, build) for name, build in SECTOR_GRAPHS if paired(build(
 )
 def test_derived_odd_sector_solves_the_odd_block(part, build):
     # oracle: an explicit eigh of the odd block A - B, in the basis (e_i - e_r[i]) / sqrt(2)
-    _, op = sector_operator("coherent", build, part)
-    m, r = op.matrix, op.mirror
+    _, op, entry = sector_operator("coherent", build, part)
+    m, r = cell_matrix(op, entry), cell_mirror(op, entry)
     p = np.flatnonzero(np.arange(len(m)) < r)
     odd_block = m[np.ix_(p, p)] - m[np.ix_(p, r[p])]
-    w, v = op.spectrum.w, dense_v(op)
+    spectrum, v = spectrum_of(op, entry), orthonormal_v(op, entry)
+    w = spectrum.w
     w_odd, y = w[len(p) :], math.sqrt(2.0) * v[p, len(p) :]
     scale = np.max(np.abs(m))
-    assert op.chirality is not None
+    assert spectrum.chirality is not None
     assert np.max(np.abs(w_odd - np.linalg.eigvalsh(odd_block))) <= 1e-12 * scale
     assert np.linalg.norm(odd_block @ y - y * w_odd) <= 1e-12 * scale
     assert np.array_equal(w_odd, -w[: len(p)][::-1])
@@ -780,16 +836,18 @@ UNPAIRED_CASES = (
 )
 def test_odd_sector_is_diagonalised_where_the_pairing_fails(kind, build, part, monkeypatch):
     # the classical walk has a diagonal; an even hypercube's mirror keeps the parity, and on its
-    # quotient fixes the middle layer; random glued trees and paths have no mirror at all
-    _, op = sector_operator(kind, build, part)
-    assert op.chirality is None
+    # entry cells fixes the middle layer; random glued trees and paths have no mirror at all
+    _, op, entry = sector_operator(kind, build, part)
+    k = int(cells_of(op, entry).max()) + 1
     sizes = count_eigh(monkeypatch)
-    w, v = op.spectrum.w, dense_v(op)
-    if op.mirror is None:
-        assert sizes == [op.dim]
+    spectrum = spectrum_of(op, entry)
+    assert spectrum.chirality is None
+    w, v = spectrum.w, dense_v(op, entry)
+    if cell_mirror(op, entry) is None:
+        assert sizes == [k]
     else:
-        assert len(sizes) == 2 and sum(sizes) == op.dim
-    w_ref, v_ref = ix_block_spectrum(op.matrix, op.mirror, None)
+        assert len(sizes) == 2 and sum(sizes) == k
+    w_ref, v_ref = scattered_spectrum(op, entry, derive=False)
     assert np.array_equal(w, w_ref)
     assert np.array_equal(v, v_ref)
 
@@ -847,12 +905,15 @@ def _within(got: np.ndarray, expected: np.ndarray, scale: np.ndarray) -> bool:
 @pytest.mark.parametrize("build", SECTOR_BUILDS, ids=SECTOR_IDS)
 def test_sector_products_match_the_dense_v_oracle(kind, part, build):
     # a one-hot operand reads one row or one column of V, so it matches bit for bit; any other
-    # sums the same products in another order, to 1e-14 of the sum of their magnitudes
-    _, op = sector_operator(kind, build, part)
-    spectrum, v, k = op.spectrum, dense_v(op), op.dim
+    # sums the same products in another order, to 1e-14 of the sum of their magnitudes.
+    # project reads V at the nodes, expand at the cells
+    _, op, entry = sector_operator(kind, build, part)
+    spectrum, v, cell = spectrum_of(op, entry), dense_v(op, entry), cells_of(op, entry)
+    nodes, n, k = v[cell], op.dim, len(v)
+    for node, x in enumerate(np.eye(n)):
+        assert np.array_equal(spectrum.project(x), nodes[node])
     eye = np.eye(k)
     for c in range(k):
-        assert np.array_equal(spectrum.project(eye[c]), v[c])
         assert np.array_equal(spectrum.expand(eye[c]), v[:, c])
     assert np.array_equal(spectrum.expand(eye), v.T)
     rng = np.random.default_rng(k)
@@ -860,19 +921,20 @@ def test_sector_products_match_the_dense_v_oracle(kind, part, build):
     if op.dtype is complex:
         starts.append(rng.standard_normal(k) + 1j * rng.standard_normal(k))
     zs = np.linspace(0.0, 1.0, 11)
-    sites = sorted({0, k // 2, k - 1})
-    for x0 in starts:
-        rows = rng.standard_normal((5, k)).astype(x0.dtype) * x0
-        assert _within(spectrum.project(x0), v.T @ x0, np.abs(v).T @ np.abs(x0))
-        assert _within(spectrum.expand(x0), v @ x0, np.abs(v) @ np.abs(x0))
+    sites = sorted({0, n // 2, n - 1})
+    for y in starts:
+        x0 = rng.standard_normal(n).astype(y.dtype) * y[cell]
+        rows = rng.standard_normal((5, k)).astype(y.dtype) * y
+        assert _within(spectrum.project(x0), nodes.T @ x0, np.abs(nodes).T @ np.abs(x0))
+        assert _within(spectrum.expand(y), v @ y, np.abs(v) @ np.abs(y))
         assert _within(spectrum.expand(rows), rows @ v.T, np.abs(rows) @ np.abs(v).T)
-    # whole propagations: |exp(phase w t)| <= 1, so |V| |V^T| |x0| bounds every sum
-    for x0 in [eye[k // 2], *starts]:
-        if isinstance(op, WalkOperator):  # off the cells, so the walk runs on this node spectrum
-            x0 = x0 + 1e-3 * rng.standard_normal(k)
-        scale = np.abs(v) @ (np.abs(v).T @ np.abs(x0))
-        assert _within(propagate(op, x0, 0.7), propagate_dense(op, x0, 0.7), scale)
-        grid = propagate_dense(op, x0, zs)
+    # whole propagations: |exp(phase w t)| <= 1, so |V| |V^T| |x0| bounds every sum.  A state
+    # off the cells runs on the node spectrum, one constant on them on the entry cells'
+    for y in [eye[k // 2], *starts]:
+        x0 = y[cell] if entry else y + 1e-3 * rng.standard_normal(k)
+        scale = np.abs(nodes) @ (np.abs(nodes).T @ np.abs(x0))
+        assert _within(propagate(op, x0, 0.7), propagate_dense(op, x0, 0.7, entry), scale)
+        grid = propagate_dense(op, x0, zs, entry)
         assert _within(propagate(op, x0, zs), grid, scale)
         for site in sites:
             assert _within(propagate(op, x0, zs, site), grid[:, site], scale[site])
@@ -882,11 +944,12 @@ def test_sector_products_match_the_dense_v_oracle(kind, part, build):
 def test_a_quotient_spectrum_allocates_no_cell_by_cell_array(kind):
     # k = 990 cells, 495 in each sector: each block and its eigenvectors are k^2 / 4 floats.
     # The parent peaked at 1.5 and held 1.0 arrays of 8 k^2 bytes: V, beside both blocks
-    op = OPERATORS[kind][0](hexagonal_graph(30), 1.0).quotient
-    k = op.dim
+    op = OPERATORS[kind][0](hexagonal_graph(30), 1.0)
+    k = int(op.graph.entry_cells.max()) + 1
+    op.graph.degrees
     tracemalloc.start()
     try:
-        op.spectrum
+        op.entry_spectrum
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -905,7 +968,7 @@ def test_a_repeated_pair_is_summed():
     shifted = SpectralOperator(
         op.dim, (np.r_[i, cells], np.r_[j, cells], np.r_[value, np.ones(op.dim)]), 1.0, op.mirror
     )
-    assert np.array_equal(shifted.matrix, op.matrix + np.eye(op.dim))
+    assert np.array_equal(dense_matrix(shifted), dense_matrix(op) + np.eye(op.dim))
     assert np.max(np.abs(shifted.spectrum.w - (op.spectrum.w + 1.0))) <= 1e-12
     x0 = np.random.default_rng(3).random(op.dim)
     zs = np.linspace(0.0, 2.0, 9)
@@ -921,10 +984,11 @@ def test_a_mirror_that_splits_a_cell_leaves_the_quotient_whole(kind, monkeypatch
     g = Graph("path", coords, edges, 1, 2, mirror=[0, 2, 1, 3])
     op = OPERATORS[kind][0](g, 0.8)
     sizes = count_eigh(monkeypatch)
-    assert op.quotient.mirror is None
+    assert cell_mirror(op, entry=True) is None
     zs = np.linspace(0.0, 6.0, 25)
     grid = propagate(op, entry_state(g), zs)
     assert sizes == [3]
+    assert not np.any(op.entry_spectrum.sign)  # every cell is fixed
     # the dense matrix keeps the mirror: nodes 0 and 3 are fixed, so the sectors have 3 and 1 rows
     assert np.max(np.abs(grid - propagate(dense(op), entry_state(g), zs))) <= 1e-12
     assert sizes == [3, 3, 1]
@@ -940,11 +1004,9 @@ CACHED_STAGES = [
     *((Graph, name, lambda: hexagonal_graph(2)) for name in (
         "coords", "adjacency", "degrees", "neighbours", "distances", "parity", "entry_cells"
     )),
-    (SpectralOperator, "spectrum", lambda: Hamiltonian(hexagonal_graph(2)).quotient),
+    (SpectralOperator, "spectrum", lambda: Hamiltonian(hexagonal_graph(2))),
     (SpectralOperator, "chirality", lambda: Hamiltonian(hexagonal_graph(2))),
-    *((WalkOperator, name, lambda: ClassicalGenerator(hexagonal_graph(2), 1.0)) for name in (
-        "pairs", "quotient", "lift"
-    )),
+    (WalkOperator, "entry_spectrum", lambda: ClassicalGenerator(hexagonal_graph(2), 1.0)),
 ]
 
 

@@ -15,6 +15,7 @@ from hexwalk.quantum import Hamiltonian, entry_state, propagate
 from hexwalk.stochastic import ClassicalGenerator, QswParams, density_from_state, evolve_qsw
 from child_process import run_child
 from lindblad_oracle import lindblad_rhs
+from spectrum_oracle import dense_matrix
 from test_hitting import dense
 
 
@@ -42,7 +43,7 @@ def test_generator_matrix_structure():
     g = hexagonal_graph(2)
     rate = 0.8
     gen = ClassicalGenerator(g, rate=rate)
-    k = gen.matrix
+    k = dense_matrix(gen)
     assert np.array_equal(k, k.T)
     assert np.allclose(k.sum(axis=0), 0.0, atol=1e-12)
     off = k - np.diag(np.diag(k))
@@ -163,7 +164,8 @@ def test_rhs_coherent_limit_is_commutator():
     h = Hamiltonian(g)
     rho = density_from_state(entry_state(g))
     rhs = lindblad_rhs(rho, h, QswParams(omega=0.0))
-    expected = -1j * (h.matrix @ rho - rho @ h.matrix)
+    m = dense_matrix(h)
+    expected = -1j * (m @ rho - rho @ m)
     assert np.array_equal(rhs, expected)
 
 
@@ -175,7 +177,7 @@ def test_rhs_classical_limit_on_populations():
     pops = np.array([0.4, 0.3, 0.1, 0.1, 0.05, 0.05])
     rho = np.diag(pops).astype(complex)
     rhs = lindblad_rhs(rho, h, QswParams(omega=1.0, rate=rate))
-    assert np.allclose(np.diag(rhs).real, gen.matrix @ pops, atol=1e-12)
+    assert np.allclose(np.diag(rhs).real, dense_matrix(gen) @ pops, atol=1e-12)
     assert np.max(np.abs(rhs - np.diag(np.diag(rhs)))) == 0.0
 
 
@@ -188,7 +190,8 @@ def test_rhs_matches_operator_sum_oracle():
     rho /= np.trace(rho).real
     omega, rate = 0.35, 1.2
     rhs = lindblad_rhs(rho, h, QswParams(omega=omega, rate=rate))
-    coherent = -1j * (h.matrix @ rho - rho @ h.matrix)
+    m = dense_matrix(h)
+    coherent = -1j * (m @ rho - rho @ m)
     expected = (1.0 - omega) * coherent + omega * brute_force_dissipator(rho, g.adjacency, rate)
     assert np.max(np.abs(rhs - expected)) < 1e-12
 
