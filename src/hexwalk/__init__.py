@@ -35,7 +35,6 @@ from hexwalk.imaging import (
     extract_probabilities,
     parse_image,
     parse_mask,
-    render_synthetic,
 )
 
 __version__ = "0.1.0"
@@ -73,6 +72,5 @@ __all__ = [
     "parse_image",
     "parse_mask",
     "extract_probabilities",
-    "render_synthetic",
     "__version__",
 ]

@@ -76,7 +76,7 @@ class Graph:
     and degree vector are derived from it, cached on first use and handed
     out read-only too, so a single graph can be shared freely between scan
     workers.  Coordinates, node ids, entry and exit must be integers,
-    numpy's included; any other value raises ``ValueError`` rather than
+    numpy's but not bools; any other value raises ``ValueError`` rather than
     being truncated, and so does a coordinate beyond int64.  The graph
     needs two nodes, unique coordinates, and no self-loop, edge outside
     0..N-1 or repeated edge; the ``ValueError`` names the first faulty edge
@@ -291,11 +291,13 @@ class Graph:
 
 
 def _integer(value, label: str) -> int:
-    """``value`` as an int, through ``__index__``: numpy integers pass, 1.5 and 2.0 do not."""
+    """``value`` as an int, through ``__index__``: numpy integers pass; a bool, 1.5, 2.0 do not."""
     try:
-        return operator.index(value)
+        if not isinstance(value, bool):
+            return operator.index(value)
     except TypeError:
-        raise ValueError(f"{label} {value!r} is not an integer") from None
+        pass
+    raise ValueError(f"{label} {value!r} is not an integer")
 
 
 def _positive(value, label: str):
@@ -409,9 +411,7 @@ def _checked_mirror(mirror, n: int, key: np.ndarray, entry: int, exit: int) -> n
 
 
 def _check_size(value, label: str, minimum: int) -> int:
-    """``value`` as an int of at least ``minimum``, read by :func:`_integer`; bools are refused."""
-    if isinstance(value, bool):
-        raise ValueError(f"{label} {value!r} is not an integer")
+    """``value`` as an int of at least ``minimum``, read by :func:`_integer`."""
     value = _integer(value, label)
     if value < minimum:
         raise ValueError(f"{label} must be >= {minimum}, got {value}")

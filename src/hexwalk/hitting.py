@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from hexwalk.graphs import Graph, _integer, _positive, depth_scale, hexagonal_graph, path_graph
-from hexwalk.quantum import Hamiltonian, SpectralOperator, entry_state, propagate
+from hexwalk.quantum import Hamiltonian, WalkOperator, entry_state, propagate
 from hexwalk.stochastic import ClassicalGenerator
 
 #: Default scan window, in units of depth / coupling.  Wide enough to bracket
@@ -89,7 +89,7 @@ class HittingCurve:
     kind: str
     z_max: float
     dz: float
-    operator: SpectralOperator = field(repr=False)
+    operator: WalkOperator = field(repr=False)
 
 
 @dataclass

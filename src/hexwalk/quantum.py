@@ -9,7 +9,7 @@ both are the same computation,
 
 with phase = -i for the Hamiltonian and phase = 1 for the rate matrix, so a
 single factorisation serves every length on a scan grid.
-:class:`SpectralOperator` holds the matrix and its spectrum and
+:class:`WalkOperator` holds a graph's walk matrix and its spectra and
 :func:`propagate` evaluates the formula at one length, on a grid, or at one
 site across a grid.
 
@@ -30,12 +30,12 @@ constant on the cells of the entry partition
 (:attr:`hexwalk.graphs.Graph.entry_cells`): the coarsest equitable
 partition with the entry alone in its cell (Krovi & Brun, PRA 75, 062332,
 2007).  Degrees are constant on its cells, so M maps the states constant
-on them into themselves, and on a walk operator :func:`propagate` runs
-every such state, the launch state among them, on the spectrum of M
-restricted to them.  A hexagonal patch halves (n^2 + 3n cells of 2n^2 + 4n
-nodes), a glued tree of depth d shrinks to 2d + 2 cells and a hypercube of
-dimension d to d + 1, so glued trees of depth 12 (16382 nodes) and larger
-scan without forming a dense matrix.  Any other state takes the node route.
+on them into themselves, and :func:`propagate` runs every such state,
+the launch state among them, on the spectrum of M restricted to them.  A
+hexagonal patch halves (n^2 + 3n cells of 2n^2 + 4n nodes), a glued tree
+of depth d shrinks to 2d + 2 cells and a hypercube of dimension d to
+d + 1, so glued trees of depth 12 (16382 nodes) and larger scan without
+forming a dense matrix.  Any other state takes the node route.
 
 A graph whose builder declares a mirror (:attr:`hexwalk.graphs.Graph.mirror`,
 an involutive automorphism tau that swaps entry and exit) halves each
@@ -72,7 +72,7 @@ bipartite, with Gamma = +-1 by the parity of the distance from the entry
 mirror maps every node, and every cell, to one of the opposite parity, so
 Gamma carries the even sector onto the odd one.  The odd sector's
 eigenpairs are then the even ones' with the eigenvalues negated and Gamma
-applied (:attr:`SpectralOperator.chirality`), and the products apply
+applied (:attr:`WalkOperator.chirality`), and the products apply
 the odd block as Gamma and a column reversal of the even one, so it is
 never stored.  A site curve from a real start x0 of one parity,
 Gamma x0 = s x0, also needs only half the modes: with S the blocked sum
@@ -81,10 +81,10 @@ Gamma[site] s.  At the exit, of the parity the entry does not have, the
 amplitude is S - conj(S) = 2i Im S.  The classical walk keeps both
 ``eigh`` calls: its diagonal -D breaks Gamma K Gamma = -K.
 
-No operator keeps a dense matrix beside its spectrum.  Each holds its
-entries as pairs (i, j, value), a walk operator makes its node pairs from
-the graph's edges on each request; each sector block is summed from them,
-goes to ``eigh`` and is freed before the next is built.  So a spectrum
+No operator keeps a dense matrix beside its spectrum.  It makes its node
+pairs (i, j, value) from the graph's edges on each request, each listed
+once; each sector block is summed from them, goes to ``eigh`` and is freed
+before the next is built.  So a spectrum
 peaks at about 1.55 k x k float arrays with a mirror and 5.2 without
 (:func:`_spectrum_bytes`), and keeps 0.5 of them with a mirror, 0.25
 where the odd block is derived.  Every product of a real block with a complex state is
@@ -138,7 +138,7 @@ def _spectrum_bytes(k: int, odd: int) -> float:
     classical one took 1.72 arrays at hexagonal n = 40 (k = 1720), where
     freed blocks stay in the heap, and 1.55 at n = 60; a coherent one 1.43
     and 1.31.  A spectrum that derives its odd sector
-    (:attr:`SpectralOperator.chirality`) runs no odd ``eigh``, so for it
+    (:attr:`WalkOperator.chirality`) runs no odd ``eigh``, so for it
     the count is an upper bound: its peak is the even ``eigh``.
     """
     even = k - odd
@@ -150,7 +150,7 @@ class Spectrum:
     """An eigendecomposition M = V diag(w) V^T on the cells of a node partition, V never formed.
 
     Built from the operator's node pairs, mirror and
-    :attr:`SpectralOperator.chirality` for the partition ``cell`` (the cell
+    :attr:`WalkOperator.chirality` for the partition ``cell`` (the cell
     id of every node), to which it carries the mirror; the module docstring
     gives the layout.  It keeps no reference to the operator.  ``w``
     lists the eigenvalues, the even sector's first, ascending within each.
@@ -173,7 +173,7 @@ class Spectrum:
     reversed, and no odd ``eigh`` runs.
     """
 
-    def __init__(self, op: SpectralOperator, cell: np.ndarray):
+    def __init__(self, op: WalkOperator, cell: np.ndarray):
         mirror, chirality = op.mirror, op.chirality
         k = int(cell.max()) + 1
         ids = np.arange(k)
@@ -260,37 +260,26 @@ class Spectrum:
         return x
 
 
-class SpectralOperator:
-    """Real symmetric matrix held as its entries, with its eigendecomposition cached.
+class WalkOperator:
+    """Walk matrix M = scale * (A - diagonal * D) of a graph, with its spectra cached.
 
-    ``pairs`` is three equal-length arrays (i, j, value) that list the
-    entries that may be nonzero; entries at a repeated (i, j) are summed,
-    as in the COO format.  The spectrum sums each sector block straight
-    from the pairs, and no dense ``dim`` x ``dim`` matrix is formed.
-    ``phase`` multiplies the eigenvalues in the propagator's exponent: -1j
-    for the coherent walk, whose states are complex amplitudes, and 1 for
-    the classical walk, whose states are real probabilities.  The spectrum
-    is computed once on first use and reused for every evolution length.
-    ``mirror``, an involution r of the indices with M[r[i], r[j]] =
-    M[i, j], splits the spectrum into its two sectors; None stands for the
-    identity.  ``parity``, a 0/1 label of the indices with M[i, j] = 0
-    wherever i and j share a label, lets the spectrum derive one sector
-    from the other when the mirror flips every label (:attr:`chirality`).
+    The Hamiltonian has ``diagonal`` 0 and ``phase`` -1j, for complex
+    amplitudes evolved by exp(-i M z); the rate matrix has ``diagonal`` 1
+    and ``phase`` 1, for real probabilities evolved by exp(M t).  M's node
+    pairs are made from the graph's edges on each request, and no dense
+    matrix is formed.  Two spectra are kept, each made on first use:
+    :attr:`spectrum` on the nodes and :attr:`entry_spectrum` on the entry
+    cells, where every state constant on those cells runs.
     """
 
-    def __init__(
-        self,
-        dim: int,
-        pairs: tuple[np.ndarray, np.ndarray, np.ndarray] | None,
-        phase: complex | float = 1.0,
-        mirror: np.ndarray | None = None,
-        parity: np.ndarray | None = None,
-    ):
-        self.dim = dim
-        self._pairs = pairs
+    diagonal = 0.0
+
+    def __init__(self, graph: Graph, scale: float, phase: complex | float):
+        self.graph = graph
+        self.dim = graph.n_nodes
+        self.mirror = graph.mirror
+        self.scale = scale
         self.phase = phase
-        self.mirror = mirror
-        self._parity = parity
 
     @property
     def dtype(self) -> type:
@@ -299,63 +288,33 @@ class SpectralOperator:
 
     @property
     def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self._pairs
-
-    @property
-    def parity(self) -> np.ndarray | None:
-        return self._parity
-
-    @cached
-    def chirality(self) -> np.ndarray | None:
-        """Gamma = (-1)^parity as floats when the mirror maps every index to one of
-        the opposite parity, else None (read-only, cached).
-
-        Then Gamma M Gamma = -M and Gamma r = -r Gamma, so Gamma carries the
-        even mirror sector onto the odd one, which :class:`Spectrum` derives.
-        """
-        parity, r = self.parity, self.mirror
-        if parity is None or r is None or np.any(parity[r] == parity):
-            return None
-        return 1.0 - 2.0 * parity
-
-    @cached
-    def spectrum(self) -> Spectrum:
-        """The eigendecomposition with every index its own cell (:class:`Spectrum`)."""
-        return Spectrum(self, np.arange(self.dim))
-
-
-class WalkOperator(SpectralOperator):
-    """Walk matrix M = scale * (A - diagonal * D) of a graph.
-
-    The Hamiltonian has ``diagonal`` 0 and the rate matrix 1.  The operator
-    makes M's node pairs from the graph's edges on each request, and keeps
-    two spectra of them: :attr:`spectrum` on the nodes and
-    :attr:`entry_spectrum` on the entry cells, where every state constant
-    on those cells runs.  No dense matrix is formed.
-    """
-
-    diagonal = 0.0
-
-    def __init__(self, graph: Graph, scale: float, phase: complex | float):
-        super().__init__(graph.n_nodes, None, phase, graph.mirror)
-        self.graph = graph
-        self.scale = scale
-
-    @property
-    def parity(self) -> np.ndarray | None:
-        """The graph's :attr:`Graph.parity` for a walk without a diagonal, else None."""
-        return None if self.diagonal else self.graph.parity
-
-    @property
-    def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """M's entries: ``scale`` at (a, b) and (b, a) for every edge, then each node's
-        diagonal -diagonal * scale * degree."""
+        """M's entries (i, j, value): ``scale`` at (a, b) and (b, a) for every edge,
+        then each node's diagonal -diagonal * scale * degree."""
         g = self.graph
         a, b = g.edges.T
         nodes = np.arange(self.dim)
         diagonal = -self.diagonal * self.scale * g.degrees
         value = np.concatenate([np.full(2 * g.n_edges, self.scale), diagonal])
         return np.concatenate([a, b, nodes]), np.concatenate([b, a, nodes]), value
+
+    @cached
+    def chirality(self) -> np.ndarray | None:
+        """Gamma = (-1)^parity of :attr:`Graph.parity` as floats for a walk without a
+        diagonal whose mirror maps every node to one of the opposite parity, else
+        None (read-only, cached).
+
+        Then Gamma M Gamma = -M and Gamma tau = -tau Gamma, so Gamma carries the
+        even mirror sector onto the odd one, which :class:`Spectrum` derives.
+        """
+        parity, r = None if self.diagonal else self.graph.parity, self.mirror
+        if parity is None or r is None or np.any(parity[r] == parity):
+            return None
+        return 1.0 - 2.0 * parity
+
+    @cached
+    def spectrum(self) -> Spectrum:
+        """The eigendecomposition with every node its own cell (:class:`Spectrum`, cached)."""
+        return Spectrum(self, np.arange(self.dim))
 
     @cached
     def entry_spectrum(self) -> Spectrum:
@@ -408,7 +367,7 @@ def _sums(index: np.ndarray, x: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-def propagate(op: SpectralOperator, x0: np.ndarray, ts, site: int | None = None) -> np.ndarray:
+def propagate(op: WalkOperator, x0: np.ndarray, ts, site: int | None = None) -> np.ndarray:
     """Evolve the state x0 through the operator's cached spectrum.
 
     A single length ``ts`` (finite, >= 0) gives the evolved state, shape
@@ -417,21 +376,28 @@ def propagate(op: SpectralOperator, x0: np.ndarray, ts, site: int | None = None)
     without forming the full states; that grid must be evenly spaced, from
     any start, and is evaluated as the blocked product described in the
     module docstring, over the even modes only when the operator has a
-    :attr:`SpectralOperator.chirality` and x0 is real and of one parity.
+    :attr:`WalkOperator.chirality` and x0 is real and of one parity.
     The coherent propagator is unitary and the classical one stochastic, so
     the norm, or the total probability, of x0 is kept to rounding.  An x0
-    with an entry that is not finite, a ``site`` that is not an integer, or
+    with an entry that is not finite, a classical x0 with a nonzero
+    imaginary part, a ``site`` that is not an integer (a bool included), or
     an uneven grid with a ``site`` raises ``ValueError`` before any
-    spectrum is built.
+    spectrum is built; a classical x0 whose imaginary part is zero is read
+    as its real part.
 
-    On a :class:`WalkOperator`, an x0 that equals itself read at one node of
-    each cell of the entry partition runs on
-    :attr:`WalkOperator.entry_spectrum`, whose cell values are gathered to
-    the nodes; the node spectrum is not formed.  A real result from an x0 with no
-    negative entry is clipped at 0 on every route: spectral rounding leaves
-    residues of order 1e-16 below 0 where the walk has not arrived yet.  A
-    signed x0 is not clipped, as its true evolution can go negative.
+    An x0 that equals itself read at one node of each cell of the entry
+    partition runs on :attr:`WalkOperator.entry_spectrum`, whose cell values
+    are gathered to the nodes; the node spectrum is not formed.  A real
+    result from an x0 with no negative entry is clipped at 0 on every route:
+    spectral rounding leaves residues of order 1e-16 below 0 where the walk
+    has not arrived yet.  A signed x0 is not clipped, as its true evolution
+    can go negative.
     """
+    x0 = np.asarray(x0)
+    if op.dtype is float and np.iscomplexobj(x0):
+        if np.any(x0.imag):
+            raise ValueError("state has a nonzero imaginary part, but the walk is real")
+        x0 = x0.real
     x0 = np.asarray(x0, dtype=op.dtype)
     if x0.shape != (op.dim,):
         raise ValueError(f"state has shape {x0.shape}, expected ({op.dim},)")
@@ -459,15 +425,12 @@ def propagate(op: SpectralOperator, x0: np.ndarray, ts, site: int | None = None)
     return np.maximum(x, 0.0, out=x)
 
 
-def _evolve(op: SpectralOperator, x0: np.ndarray, ts: np.ndarray, site: int | None) -> np.ndarray:
+def _evolve(op: WalkOperator, x0: np.ndarray, ts: np.ndarray, site: int | None) -> np.ndarray:
     """:func:`propagate` for checked arguments, without the clip."""
-    cell = None
-    if isinstance(op, WalkOperator):
-        cells = op.graph.entry_cells
-        node = np.empty(int(cells.max()) + 1, dtype=np.intp)
-        node[cells] = np.arange(len(cells))  # some node of each cell
-        if np.array_equal(x0[node][cells], x0):
-            cell = cells
+    cells = op.graph.entry_cells
+    node = np.empty(int(cells.max()) + 1, dtype=np.intp)
+    node[cells] = np.arange(len(cells))  # some node of each cell
+    cell = cells if np.array_equal(x0[node][cells], x0) else None
     spectrum = op.spectrum if cell is None else op.entry_spectrum
     w = spectrum.w
     if site is None:

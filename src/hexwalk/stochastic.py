@@ -2,7 +2,7 @@
 
 Two engines live here.  The first is the continuous-time classical walk
 generated by K = gamma * (A - D).  :class:`ClassicalGenerator` is the real
-half of the spectral operator in :mod:`hexwalk.quantum`: the same cached
+half of the walk operator in :mod:`hexwalk.quantum`: the same cached
 eigendecomposition and the same :func:`hexwalk.quantum.propagate` evolve
 p(t) = exp(K t) p(0), with phase 1 in place of the coherent walk's -i.  Its
 stationary distribution on a connected graph is uniform, which is what

@@ -1,36 +1,67 @@
-"""Dense forms of a spectral operator and of its spectra, for tests only.
+"""Dense forms of a walk operator and of its spectra, for tests only.
 
-:class:`hexwalk.quantum.SpectralOperator` keeps its matrix as pairs, and a
+:class:`hexwalk.quantum.WalkOperator` makes its matrix as node pairs, and a
 :class:`hexwalk.quantum.Spectrum` keeps V as two sector blocks on the cells
-of a node partition.  These helpers put the matrix and V together whole.
-The layout of V, the cells' mirror, pairs and fixed cells, is worked out
-here from the operator's mirror and chirality and the partition rather than
-read from the spectrum's own maps, so products with it check the sector
-products.  ``entry`` picks the spectrum: the operator's node spectrum, or
-the one on the entry cells of a walk operator.
+of a node partition.  These helpers put the matrix and V together whole,
+and exponentiate the matrix with scipy.  The layout of V, the cells'
+mirror, pairs and fixed cells, is worked out here from the operator's
+mirror and chirality and the partition rather than read from the
+spectrum's own maps, so products with it check the sector products.
+``entry`` picks the spectrum: the operator's node spectrum, or the one on
+its entry cells.  :class:`BothSectors` is a walk operator's node matrix
+without its chirality, so its node spectrum diagonalises both sectors.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
+from scipy.linalg import expm
 
-from hexwalk.quantum import SpectralOperator, Spectrum
+from hexwalk.quantum import Spectrum, WalkOperator
 
 
-def dense_matrix(op: SpectralOperator) -> np.ndarray:
-    """The dim x dim matrix of the operator's pairs, entries at a repeated (i, j) summed."""
+class BothSectors:
+    """A walk operator's node pairs, phase and mirror without its chirality: handed to
+    :class:`Spectrum` as its node spectrum, they run an ``eigh`` for each mirror sector."""
+
+    chirality = None
+
+    def __init__(self, op: WalkOperator):
+        self.dim, self.pairs, self.phase, self.mirror = op.dim, op.pairs, op.phase, op.mirror
+
+    @cached_property
+    def spectrum(self) -> Spectrum:
+        return Spectrum(self, np.arange(self.dim))
+
+
+Operator = WalkOperator | BothSectors
+
+
+def dense_matrix(op: Operator) -> np.ndarray:
+    """The dim x dim matrix of the operator's node pairs."""
     i, j, value = op.pairs
     m = np.zeros((op.dim, op.dim))
     np.add.at(m, (i, j), value)
     return m
 
 
-def cells_of(op: SpectralOperator, entry: bool) -> np.ndarray:
+def propagate_expm(op: Operator, x0: np.ndarray, ts) -> np.ndarray:
+    """exp(phase M t) x0 by scipy's ``expm`` of :func:`dense_matrix`, at one length or
+    one row per length of a grid."""
+    m = op.phase * dense_matrix(op)
+    ts = np.asarray(ts, dtype=float)
+    rows = [expm(t * m) @ x0 for t in ts.ravel()]
+    return rows[0] if ts.ndim == 0 else np.array(rows)
+
+
+def cells_of(op: Operator, entry: bool) -> np.ndarray:
     """The cell of every node: the entry cells, or every node its own."""
     return op.graph.entry_cells if entry else np.arange(op.dim)
 
 
-def spectrum_of(op: SpectralOperator, entry: bool) -> Spectrum:
+def spectrum_of(op: Operator, entry: bool) -> Spectrum:
     return op.entry_spectrum if entry else op.spectrum
 
 
@@ -40,13 +71,13 @@ def indicator(cell: np.ndarray) -> np.ndarray:
     return s / np.sqrt(s.sum(axis=0))
 
 
-def cell_matrix(op: SpectralOperator, entry: bool) -> np.ndarray:
+def cell_matrix(op: Operator, entry: bool) -> np.ndarray:
     """S^T M S: the matrix in the orthonormal basis of the states constant on the cells."""
     s = indicator(cells_of(op, entry))
     return s.T @ dense_matrix(op) @ s
 
 
-def cell_mirror(op: SpectralOperator, entry: bool) -> np.ndarray | None:
+def cell_mirror(op: Operator, entry: bool) -> np.ndarray | None:
     """The mirror carried to the cells, r[cell[v]] = cell[tau[v]], or None where there
     is none or where it splits a cell."""
     cell, tau = cells_of(op, entry), op.mirror
@@ -58,7 +89,7 @@ def cell_mirror(op: SpectralOperator, entry: bool) -> np.ndarray | None:
     return r if np.array_equal(r[cell], cell[tau]) else None
 
 
-def orbits(op: SpectralOperator, entry: bool) -> tuple[np.ndarray, ...]:
+def orbits(op: Operator, entry: bool) -> tuple[np.ndarray, ...]:
     """The cell of every node, the cells' mirror r (the identity where there is none),
     the pair cells c < r[c] and the fixed cells."""
     cell = cells_of(op, entry)
@@ -68,7 +99,7 @@ def orbits(op: SpectralOperator, entry: bool) -> tuple[np.ndarray, ...]:
     return cell, r, np.flatnonzero(ids < r), np.flatnonzero(ids == r)
 
 
-def dense_v(op: SpectralOperator, entry: bool = False) -> np.ndarray:
+def dense_v(op: Operator, entry: bool = False) -> np.ndarray:
     """The k x k eigenvector matrix of the spectrum, read at the cells: entry [c, m] is
     mode m at every node of cell c, columns in the order of its ``w``.
 
@@ -95,12 +126,12 @@ def dense_v(op: SpectralOperator, entry: bool = False) -> np.ndarray:
     return v
 
 
-def orthonormal_v(op: SpectralOperator, entry: bool = False) -> np.ndarray:
+def orthonormal_v(op: Operator, entry: bool = False) -> np.ndarray:
     """:func:`dense_v` in the orthonormal cell basis of :func:`cell_matrix`."""
     return dense_v(op, entry) * np.sqrt(np.bincount(cells_of(op, entry)))[:, None]
 
 
-def propagate_dense(op: SpectralOperator, x0: np.ndarray, ts, entry: bool = False) -> np.ndarray:
+def propagate_dense(op: Operator, x0: np.ndarray, ts, entry: bool = False) -> np.ndarray:
     """V exp(phase w t) V^T x0 through V at the nodes, at one length or one row per length."""
     v, w = dense_v(op, entry)[cells_of(op, entry)], spectrum_of(op, entry).w
     modes = v.T @ x0

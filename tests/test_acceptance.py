@@ -34,8 +34,7 @@ from hexwalk.imaging import (
 from hexwalk.quantum import Hamiltonian, entry_state, propagate
 from hexwalk.stochastic import ClassicalGenerator, QswParams, density_from_state, evolve_qsw
 from lindblad_oracle import lindblad_rhs
-from spectrum_oracle import dense_matrix
-from test_hitting import dense
+from spectrum_oracle import dense_matrix, propagate_expm
 
 # Best sample lengths in mm reported for depths 3 through 8; used in the
 # calibrated cross-check of criterion 4.
@@ -135,11 +134,11 @@ def test_criterion_07_engine_cross_validation():
             rho0 = density_from_state(entry_state(g))
 
             coherent = evolve_qsw(rho0, h, QswParams(omega=0.0), t)
-            psi = propagate(dense(h), entry_state(g), t)
+            psi = propagate_expm(h, entry_state(g), t)
             assert np.max(np.abs(np.diag(coherent).real - np.abs(psi) ** 2)) < 1e-6
 
             hopping = evolve_qsw(rho0, h, QswParams(omega=1.0), t)
-            p = propagate(dense(ClassicalGenerator(g)), entry_state(g), t)
+            p = propagate_expm(ClassicalGenerator(g), entry_state(g), t)
             assert np.max(np.abs(np.diag(hopping).real - p)) < 1e-6
 
         # closed-form dissipator against the explicit operator sum

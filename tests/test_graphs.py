@@ -20,8 +20,8 @@ from hexwalk.graphs import (
     parse_graph_selector,
     path_graph,
 )
-from hexwalk.hitting import ConvergenceError, classical_convergence_time
-from hexwalk.quantum import Hamiltonian
+from hexwalk.hitting import ConvergenceError, classical_convergence_time, depth_sweep
+from hexwalk.quantum import Hamiltonian, entry_state, propagate
 from hexwalk.stochastic import ClassicalGenerator
 import graph_oracle
 from spectrum_oracle import dense_v
@@ -267,6 +267,23 @@ def test_builders_read_sizes_as_graph_does(build):
     for bad in (True, np.True_, 3.0, 2.5):
         with pytest.raises(ValueError, match="is not an integer$"):
             build(bad)
+
+
+def test_a_bool_is_refused_wherever_an_integer_is_read():
+    # every integer the package reads refuses a bool, as the builders' sizes do
+    with pytest.raises(ValueError, match="^depth True is not an integer$"):
+        depth_sweep([True, 2, 3])
+    g = path_graph(3)
+    with pytest.raises(ValueError, match="^site True is not an integer$"):
+        propagate(Hamiltonian(g), entry_state(g), np.linspace(0.0, 1.0, 3), True)
+    line = [(0, 0), (2, 0)]
+    for coords, edges, entry, message in (
+        (line, [(0, True)], False, "node id True"),
+        (line, [(0, 1)], False, "entry node False"),
+        ([(0, 0), (True, 0)], [(0, 1)], 0, "coordinate True"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message} is not an integer$"):
+            Graph("path", coords, edges, entry, 1)
 
 
 # ---------------------------------------------------------------------------

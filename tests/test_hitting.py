@@ -27,14 +27,9 @@ from hexwalk.hitting import (
     _scan_grid,
     _settling_time,
 )
-from hexwalk.quantum import Hamiltonian, SpectralOperator, WalkOperator, entry_state, propagate
+from hexwalk.quantum import Hamiltonian, entry_state, propagate
 from hexwalk.stochastic import ClassicalGenerator
-from spectrum_oracle import dense_v
-
-
-def dense(op: WalkOperator) -> SpectralOperator:
-    """The walk's whole N x N operator, which propagates every state on the dense spectrum."""
-    return SpectralOperator(op.dim, op.pairs, op.phase, op.mirror)
+from spectrum_oracle import dense_v, propagate_dense, propagate_expm
 
 
 # Refined optimum of the single-hexagon walk at C=1 (the peak sits at 2pi/3).
@@ -69,7 +64,7 @@ def test_single_hexagon_refinement_matches_dense_scan():
     # brute-force oracle: dense scan at 1e-4 resolution over the same window
     h = Hamiltonian(g)
     zs = np.arange(0.0, curve.z[-1] + 1e-4, 1e-4)
-    dense_scan = np.abs(propagate(dense(h), entry_state(g), zs, g.exit)) ** 2
+    dense_scan = np.abs(propagate_dense(h, entry_state(g), zs)[:, g.exit]) ** 2
     k = int(np.argmax(dense_scan))
     assert abs(curve.z_opt - zs[k]) < 1e-3
     assert curve.p_opt >= dense_scan[k] - 1e-9
@@ -128,7 +123,7 @@ def test_scaling_coupling_rescales_the_optimum_on_the_quotient(build):
     assert abs(fast.z_opt - base.z_opt / 2.5) < 1e-9
     assert abs(fast.p_opt - base.p_opt) < 1e-9
     # and the optimum is the dense walk's
-    psi = propagate(dense(Hamiltonian(g)), entry_state(g), base.z_opt)
+    psi = propagate_expm(Hamiltonian(g), entry_state(g), base.z_opt)
     assert abs(abs(psi[g.exit]) ** 2 - base.p_opt) < 1e-12
 
 
@@ -161,10 +156,10 @@ def test_hand_built_graph_scans_with_an_explicit_window():
     # a graph built without a family size parameter has no default window
     g = Graph("path", [(0, 0), (2, 0), (4, 0), (6, 0)], [(0, 1), (1, 2), (2, 3)], 0, 3)
     quantum = quantum_hitting_curve(g, z_max=5.0, dz=0.01)
-    psi = propagate(dense(Hamiltonian(g)), entry_state(g), quantum.z_opt)
+    psi = propagate_expm(Hamiltonian(g), entry_state(g), quantum.z_opt)
     assert abs(psi[g.exit]) ** 2 == pytest.approx(quantum.p_opt, abs=1e-12)
     classical = classical_hitting_curve(g, 1.0, 5.0, 0.01)
-    p = propagate(dense(ClassicalGenerator(g)), entry_state(g), 5.0)
+    p = propagate_expm(ClassicalGenerator(g), entry_state(g), 5.0)
     assert classical.p_exit[-1] == pytest.approx(p[g.exit], abs=1e-12)
     for scan in (lambda: quantum_hitting_curve(g, dz=0.01), lambda: classical_hitting_curve(g)):
         with pytest.raises(ValueError, match="size parameter 'm'"):
@@ -244,7 +239,7 @@ def test_thirty_node_convergence_frozen_values():
 
 
 def _deviation_grid(g, ts, rate=1.0):
-    grid = propagate(dense(ClassicalGenerator(g, rate=rate)), entry_state(g), ts)
+    grid = propagate_dense(ClassicalGenerator(g, rate=rate), entry_state(g), ts)
     return np.max(np.abs(grid - 1.0 / g.n_nodes), axis=1)
 
 
@@ -271,9 +266,9 @@ def test_convergence_matches_dense_grid_oracle():
     g = hexagonal_graph(2)
     rate, eps = 1.0, 1e-4
     res = classical_convergence_time(g, rate=rate)
-    gen = dense(ClassicalGenerator(g, rate=rate))
+    gen = ClassicalGenerator(g, rate=rate)
     ts = np.linspace(0.0, 2.0 * res.t_converge, 20001)
-    grid = propagate(gen, entry_state(g), ts)
+    grid = propagate_dense(gen, entry_state(g), ts)
     dev = np.max(np.abs(grid - res.p_uniform), axis=1)
     passing = np.nonzero(dev <= eps * res.p_uniform)[0]
     oracle_t = ts[passing[0]]
@@ -283,11 +278,11 @@ def test_convergence_matches_dense_grid_oracle():
 def test_convergence_deviation_is_threshold_tight():
     g = hexagonal_graph(2)
     res = classical_convergence_time(g)
-    gen = dense(ClassicalGenerator(g))
-    at = np.max(np.abs(propagate(gen, entry_state(g), np.array([res.t_converge]))[0] - res.p_uniform))
+    gen = ClassicalGenerator(g)
+    at = np.max(np.abs(propagate_expm(gen, entry_state(g), res.t_converge) - res.p_uniform))
     assert at <= 1e-4 * res.p_uniform * (1.0 + 1e-6)
     just_before = res.t_converge * (1.0 - 1e-6)
-    before = np.max(np.abs(propagate(gen, entry_state(g), np.array([just_before]))[0] - res.p_uniform))
+    before = np.max(np.abs(propagate_expm(gen, entry_state(g), just_before) - res.p_uniform))
     assert before > 1e-4 * res.p_uniform * (1.0 - 1e-6)
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import math
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -14,9 +15,10 @@ from child_process import run_child
 from hexwalk import quantum
 from hexwalk.graphs import Graph, glued_tree, hexagonal_graph, hypercube_graph, path_graph
 from hexwalk.hitting import quantum_hitting_curve
-from hexwalk.quantum import Hamiltonian, SpectralOperator, WalkOperator, entry_state, propagate
+from hexwalk.quantum import Hamiltonian, WalkOperator, entry_state, propagate
 from hexwalk.stochastic import ClassicalGenerator
 from spectrum_oracle import (
+    BothSectors,
     cell_matrix,
     cell_mirror,
     cells_of,
@@ -25,9 +27,10 @@ from spectrum_oracle import (
     orbits,
     orthonormal_v,
     propagate_dense,
+    propagate_expm,
     spectrum_of,
 )
-from test_hitting import _two_hexagons as two_hexagons, dense
+from test_hitting import _two_hexagons as two_hexagons
 
 # Exit probability of the 6-node single-hexagon walk at C=1, z=1, computed
 # with a 40-term series expansion of the propagator and frozen here.
@@ -132,7 +135,7 @@ def test_scaling_coupling_rescales_length():
     slow = Hamiltonian(g, 1.0)
     fast = Hamiltonian(g, 2.0)
     z = 4.2
-    psi_slow = propagate(dense(slow), psi0, z)
+    psi_slow = propagate_expm(slow, psi0, z)
     psi_fast = propagate(fast, psi0, z / 2.0)
     assert np.max(np.abs(psi_slow - psi_fast)) < 1e-9
 
@@ -141,7 +144,7 @@ def test_evolution_composes():
     g = glued_tree(2, gluing="identity")
     h = Hamiltonian(g, 0.8)
     psi0 = entry_state(g)
-    direct = propagate(dense(h), psi0, 3.7)
+    direct = propagate_expm(h, psi0, 3.7)
     stepped = propagate(h, propagate(h, psi0, 1.4), 2.3)
     assert np.max(np.abs(direct - stepped)) < 1e-9
 
@@ -211,9 +214,8 @@ def test_evolve_rejects_bad_lengths_and_shapes(kind):
     with pytest.raises(ValueError):
         propagate(h, psi0, 1.0, 0)
     uneven = np.array([0.0, 1.0, 5.0])
-    for op in (h, dense(h)):
-        with pytest.raises(ValueError, match="evenly spaced"):
-            propagate(op, psi0, uneven, 0)
+    with pytest.raises(ValueError, match="evenly spaced"):
+        propagate(h, psi0, uneven, 0)
 
 
 @pytest.mark.parametrize("kind", sorted(OPERATORS))
@@ -222,10 +224,10 @@ def test_an_uneven_site_grid_is_refused_before_any_spectrum(kind, monkeypatch):
     make, launch, _, _ = OPERATORS[kind]
     psi0 = launch(g)
     sizes = count_eigh(monkeypatch)
-    for op in (make(g, 1.0), dense(make(g, 1.0))):
-        for zs in ([0.0, 1.0, 5.0], [5.0, 1.0, 0.0]):
-            with pytest.raises(ValueError, match="^a site curve needs an evenly spaced length grid$"):
-                propagate(op, psi0, zs, g.exit)
+    op = make(g, 1.0)
+    for zs in ([0.0, 1.0, 5.0], [5.0, 1.0, 0.0]):
+        with pytest.raises(ValueError, match="^a site curve needs an evenly spaced length grid$"):
+            propagate(op, psi0, zs, g.exit)
     assert sizes == []
 
 
@@ -238,7 +240,7 @@ def test_an_uneven_site_grid_is_refused_before_any_spectrum(kind, monkeypatch):
 def test_amplitude_grid_matches_single_shot_evolution(kind):
     g = hexagonal_graph(1)
     make, launch, dtype, _ = OPERATORS[kind]
-    h = dense(make(g, 1.3))
+    h = make(g, 1.3)
     psi0 = launch(g)
     zs = np.array([0.0, 0.5, 1.25, 4.0])
     grid = propagate(h, psi0, zs)
@@ -254,7 +256,7 @@ def test_amplitude_grid_matches_single_shot_evolution(kind):
 def test_site_probability_curve_matches_grid(kind):
     g = hexagonal_graph(2)
     make, launch, dtype, probability = OPERATORS[kind]
-    h = dense(make(g, 1.0))
+    h = make(g, 1.0)
     psi0 = launch(g)
     zs = np.linspace(0.0, 8.0, 33)
     site = propagate(h, psi0, zs, g.exit)
@@ -289,12 +291,12 @@ def test_site_curve_matches_scalar_propagation(kind, t0, n):
     op = make(g, 1.3)
     psi0 = launch(g)
     zs = t0 + 0.07 * np.arange(n)
-    expected = np.array([propagate(dense(op), psi0, z)[g.exit] for z in zs], dtype=dtype)
-    for curve in (propagate(dense(op), psi0, zs, g.exit), propagate(op, psi0, zs, g.exit)):
-        assert curve.shape == (n,)
-        assert curve.dtype == dtype
-        assert np.max(np.abs(curve - expected), initial=0.0) < 1e-12
-    descending = propagate(dense(op), psi0, zs[::-1], g.exit)
+    expected = np.array([propagate_expm(op, psi0, z)[g.exit] for z in zs], dtype=dtype)
+    curve = propagate(op, psi0, zs, g.exit)
+    assert curve.shape == (n,)
+    assert curve.dtype == dtype
+    assert np.max(np.abs(curve - expected), initial=0.0) < 1e-12
+    descending = propagate(op, psi0, zs[::-1], g.exit)
     assert np.max(np.abs(descending - expected[::-1]), initial=0.0) < 1e-12
 
 
@@ -311,7 +313,7 @@ def test_site_curve_to_long_lengths_is_within_phase_rounding(kind):
     op = make(g, 1.0)
     psi0 = launch(g)
     zs = np.linspace(0.0, 1e4, 1001)
-    expected = np.array([propagate(dense(op), psi0, z)[g.exit] for z in zs], dtype=dtype)
+    expected = propagate_dense(op, psi0, zs)[:, g.exit]
     bound = 10 * np.finfo(float).eps * np.abs(op.spectrum.w).max() * zs[-1]
     assert np.max(np.abs(propagate(op, psi0, zs, g.exit) - expected)) < bound
 
@@ -497,7 +499,7 @@ def test_quotient_matches_dense_propagation(kind, build):
     make, launch, dtype, _ = OPERATORS[kind]
     zs = np.linspace(0.0, 6.0, 25)
     op = make(g, 0.8)
-    reference = propagate(dense(op), launch(g), zs)
+    reference = propagate_expm(op, launch(g), zs)
     grid = propagate(op, launch(g), zs)
     assert grid.shape == reference.shape
     assert grid.dtype == dtype
@@ -550,7 +552,7 @@ def test_states_constant_on_the_cells_never_form_the_dense_matrix(kind, state, m
     g = hexagonal_graph(3)
     make, _, dtype, _ = OPERATORS[kind]
     zs = np.linspace(0.0, 6.0, 25)
-    reference = propagate(dense(make(g, 1.0)), state(g), zs)
+    reference = propagate_expm(make(g, 1.0), state(g), zs)
     op = make(g, 1.0)
     forbid_dense_matrix(monkeypatch)
     sizes = count_eigh(monkeypatch)
@@ -573,11 +575,14 @@ def test_a_state_not_constant_on_the_cells_takes_the_dense_spectrum(kind, monkey
     x0[node] = 1e-300
     op = OPERATORS[kind][0](g, 1.0)
     sizes = count_eigh(monkeypatch)
-    grid = propagate(op, x0, np.linspace(0.0, 2.0, 5))
+    zs = np.linspace(0.0, 2.0, 5)
+    grid = propagate(op, x0, zs)
     # the 30 nodes split into the two mirror sectors; the coherent odd sector is derived
     assert sizes == ([15] if kind == "coherent" else [15, 15])
-    whole = SpectralOperator(op.dim, op.pairs, op.phase, op.mirror, op.parity)
-    assert np.array_equal(grid, propagate(whole, x0, np.linspace(0.0, 2.0, 5)))
+    # the node spectrum's V exp(phase w t) V^T x0, as the module docstring writes it
+    spectrum = op.spectrum
+    whole = spectrum.expand(np.exp(op.phase * np.outer(zs, spectrum.w)) * spectrum.project(x0))
+    assert np.array_equal(grid, whole if kind == "coherent" else np.maximum(whole, 0.0))
 
 
 def test_a_signed_classical_state_is_not_clipped(monkeypatch):
@@ -585,7 +590,7 @@ def test_a_signed_classical_state_is_not_clipped(monkeypatch):
     g = hexagonal_graph(3)
     x0 = entry_state(g) - np.eye(g.n_nodes)[g.exit]
     zs = np.linspace(0.0, 6.0, 25)
-    reference = propagate(dense(ClassicalGenerator(g)), x0, zs)
+    reference = propagate_expm(ClassicalGenerator(g), x0, zs)
     op = ClassicalGenerator(g)
     forbid_dense_matrix(monkeypatch)
     sizes = count_eigh(monkeypatch)
@@ -653,12 +658,12 @@ def sector_operator(kind: str, build, part: str):
     """The graph, the operator and whether its spectrum on the entry cells is meant.
 
     "dense" is the walk operator's node spectrum, "quotient" its spectrum on
-    the entry cells and "reference" the tests' dense(op): node-level sectors
-    without the parity, so the odd sector is never derived.
+    the entry cells and "reference" its :class:`BothSectors`: node-level
+    sectors without the chirality, so the odd sector is never derived.
     """
     g = build()
     op = OPERATORS[kind][0](g, 0.8)
-    return g, (dense(op) if part == "reference" else op), part == "quotient"
+    return g, (BothSectors(op) if part == "reference" else op), part == "quotient"
 
 
 @pytest.mark.parametrize("kind", sorted(OPERATORS))
@@ -755,18 +760,20 @@ def scattered_blocks(op, entry: bool) -> tuple[np.ndarray, np.ndarray, np.ndarra
 def scattered_spectrum(op, entry: bool, derive: bool) -> tuple[np.ndarray, np.ndarray]:
     """w and :func:`dense_v`'s V from :func:`scattered_blocks` and ``eigh``.
 
-    With ``derive``, where the mirror maps every cell to one of the opposite
-    parity, the odd sector is the even one with its eigenvalues negated and
-    reversed and its eigenvectors reversed and signed by (-1)^parity.
+    With ``derive``, for a walk without a diagonal on a bipartite graph whose
+    mirror maps every cell to one of the opposite parity, the odd sector is
+    the even one with its eigenvalues negated and reversed and its
+    eigenvectors reversed and signed by (-1)^parity.
     """
     cell, r, p, f = orbits(op, entry)
     k, n = len(r), len(p)
+    node_parity = None if op.diagonal else op.graph.parity
     parity = np.zeros(k, dtype=int)
-    if op.parity is not None:
-        parity[cell] = op.parity
+    if node_parity is not None:
+        parity[cell] = node_parity
     even, odd, size = scattered_blocks(op, entry)
     w_even, y_even = np.linalg.eigh(even)
-    if derive and op.parity is not None and n and np.all(parity[r] != parity):
+    if derive and node_parity is not None and n and np.all(parity[r] != parity):
         w_odd, y_odd = -w_even[::-1], np.where(parity[p, None] == 1, -1.0, 1.0) * y_even[:, ::-1]
     else:
         w_odd, y_odd = np.linalg.eigh(odd) if n else (w_even[:0], odd)
@@ -871,10 +878,10 @@ def _node_of_parity(g: Graph, parity: int) -> int:
 def test_site_curves_over_half_the_modes_match_both_sectors(state, build):
     # a real start of one parity runs on the even modes only; any other start on all of them
     g = build(3)
-    op, reference = Hamiltonian(g, 0.8), dense(Hamiltonian(g, 0.8))
+    op, reference = Hamiltonian(g, 0.8), BothSectors(Hamiltonian(g, 0.8))
     assert op.chirality is not None and reference.chirality is None
     zs = np.linspace(0.5, 9.0, 37)
-    whole = propagate(reference, state(g), zs)
+    whole = propagate_dense(reference, state(g), zs)
     for site in (g.entry, g.exit, _node_of_parity(g, 0), _node_of_parity(g, 1)):
         curve = propagate(op, state(g), zs, site)
         assert curve.dtype == complex
@@ -959,23 +966,6 @@ def test_a_quotient_spectrum_allocates_no_cell_by_cell_array(kind):
     assert held < (0.3 if kind == "coherent" else 0.55) * 8 * k * k
 
 
-def test_a_repeated_pair_is_summed():
-    # entries at one (i, j) add up, as in the COO format: a second diagonal shifts M by I
-    g = hexagonal_graph(3)
-    op = ClassicalGenerator(g, 0.8)
-    i, j, value = op.pairs
-    cells = np.arange(op.dim)
-    shifted = SpectralOperator(
-        op.dim, (np.r_[i, cells], np.r_[j, cells], np.r_[value, np.ones(op.dim)]), 1.0, op.mirror
-    )
-    assert np.array_equal(dense_matrix(shifted), dense_matrix(op) + np.eye(op.dim))
-    assert np.max(np.abs(shifted.spectrum.w - (op.spectrum.w + 1.0))) <= 1e-12
-    x0 = np.random.default_rng(3).random(op.dim)
-    zs = np.linspace(0.0, 2.0, 9)
-    expected = np.exp(zs)[:, None] * propagate(dense(op), x0, zs)
-    assert np.max(np.abs(propagate(shifted, x0, zs) - expected)) <= 1e-12 * np.exp(2.0) * x0.sum()
-
-
 @pytest.mark.parametrize("kind", sorted(OPERATORS))
 def test_a_mirror_that_splits_a_cell_leaves_the_quotient_whole(kind, monkeypatch):
     # a star with centre 0: the mirror swaps the entry leaf 1 and the exit leaf 2, but the
@@ -990,7 +980,7 @@ def test_a_mirror_that_splits_a_cell_leaves_the_quotient_whole(kind, monkeypatch
     assert sizes == [3]
     assert not np.any(op.entry_spectrum.sign)  # every cell is fixed
     # the dense matrix keeps the mirror: nodes 0 and 3 are fixed, so the sectors have 3 and 1 rows
-    assert np.max(np.abs(grid - propagate(dense(op), entry_state(g), zs))) <= 1e-12
+    assert np.max(np.abs(grid - propagate_dense(op, entry_state(g), zs))) <= 1e-12
     assert sizes == [3, 3, 1]
 
 
@@ -1004,8 +994,8 @@ CACHED_STAGES = [
     *((Graph, name, lambda: hexagonal_graph(2)) for name in (
         "coords", "adjacency", "degrees", "neighbours", "distances", "parity", "entry_cells"
     )),
-    (SpectralOperator, "spectrum", lambda: Hamiltonian(hexagonal_graph(2))),
-    (SpectralOperator, "chirality", lambda: Hamiltonian(hexagonal_graph(2))),
+    (WalkOperator, "spectrum", lambda: Hamiltonian(hexagonal_graph(2))),
+    (WalkOperator, "chirality", lambda: Hamiltonian(hexagonal_graph(2))),
     (WalkOperator, "entry_spectrum", lambda: ClassicalGenerator(hexagonal_graph(2), 1.0)),
 ]
 
@@ -1055,6 +1045,24 @@ def test_a_start_that_is_not_finite_is_refused_before_any_spectrum(kind, bad, mo
         for args in ((1.0,), (zs,), (zs, g.exit)):
             with pytest.raises(ValueError, match="^state has entries that are not finite$"):
                 propagate(op, x0, *args)
-    with pytest.raises(ValueError, match="^state has entries that are not finite$"):
-        propagate(dense(op), np.full(g.n_nodes, bad), zs, g.exit)
     assert sizes == []
+
+
+def test_a_classical_start_with_an_imaginary_part_is_refused_before_any_spectrum(monkeypatch):
+    # a cast to float would drop a nonzero imaginary part, so it is refused
+    g = hexagonal_graph(3)
+    op = ClassicalGenerator(g)
+    sizes = count_eigh(monkeypatch)
+    zs = np.linspace(0.0, 1.0, 3)
+    calls = ((1.0,), (zs,), (zs, g.exit))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for args in calls:
+            with pytest.raises(ValueError, match="^state has a nonzero imaginary part, but the walk"):
+                propagate(op, entry_state(g) + 1j, *args)
+        assert sizes == []
+        # an imaginary part that is zero throughout is read as the real part
+        for args in calls:
+            got = propagate(op, entry_state(g) + 0j, *args)
+            assert got.dtype == float
+            assert np.array_equal(got, propagate(op, entry_state(g), *args))

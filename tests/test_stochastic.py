@@ -15,8 +15,7 @@ from hexwalk.quantum import Hamiltonian, entry_state, propagate
 from hexwalk.stochastic import ClassicalGenerator, QswParams, density_from_state, evolve_qsw
 from child_process import run_child
 from lindblad_oracle import lindblad_rhs
-from spectrum_oracle import dense_matrix
-from test_hitting import dense
+from spectrum_oracle import dense_matrix, propagate_expm
 
 
 def brute_force_dissipator(rho: np.ndarray, adjacency: np.ndarray, rate: float) -> np.ndarray:
@@ -268,12 +267,12 @@ def test_qsw_limits_reproduce_dedicated_engines(graph):
     rho0 = density_from_state(entry_state(graph))
 
     coherent = evolve_qsw(rho0, h, QswParams(omega=0.0), t)
-    psi = propagate(dense(h), entry_state(graph), t)
+    psi = propagate_expm(h, entry_state(graph), t)
     assert np.max(np.abs(np.diag(coherent).real - np.abs(psi) ** 2)) < 1e-6
 
     classical = evolve_qsw(rho0, h, QswParams(omega=1.0), t)
     gen = ClassicalGenerator(graph)
-    p = propagate(dense(gen), entry_state(graph), t)
+    p = propagate_expm(gen, entry_state(graph), t)
     assert np.max(np.abs(np.diag(classical).real - p)) < 1e-6
     off = classical - np.diag(np.diag(classical))
     assert np.max(np.abs(off)) == 0.0
@@ -466,11 +465,11 @@ def test_qsw_limits_equal_propagate_to_rounding(graph, t):
     start = entry_state(graph)
     rho0 = density_from_state(start)
 
-    psi = propagate(dense(h), start, t)
+    psi = propagate_expm(h, start, t)
     coherent = evolve_qsw(rho0, h, QswParams(omega=0.0, rate=1.3), t)
     assert np.max(np.abs(coherent - np.outer(psi, psi.conj()))) < 1e-12
 
-    p = propagate(dense(ClassicalGenerator(graph, 1.3)), start, t)
+    p = propagate_expm(ClassicalGenerator(graph, 1.3), start, t)
     classical = evolve_qsw(rho0, h, QswParams(omega=1.0, rate=1.3), t)
     assert np.max(np.abs(np.diag(classical) - p)) < 1e-12
     assert not np.any(classical - np.diag(np.diag(classical)))
