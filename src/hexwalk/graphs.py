@@ -102,7 +102,7 @@ class Graph:
     ):
         if family not in FAMILIES:
             raise ValueError(f"unknown graph family {family!r}")
-        xy, fault = _int64_pairs(coords, "coordinate", _wide_coordinate)
+        xy, fault = _int64_rows(coords, "coordinate")
         if fault is not None:
             raise fault
         n = len(xy)
@@ -111,7 +111,7 @@ class Graph:
         ranked = xy[np.lexsort((xy[:, 1], xy[:, 0]))]
         if np.any((ranked[1:] == ranked[:-1]).all(axis=1)):
             raise ValueError("node coordinates must be unique")
-        pairs, fault = _int64_pairs(edges, "node id", lambda a, b: _edge_fault(a, b, n))
+        pairs, fault = _int64_rows(edges, "node id", lambda a, b: _edge_fault(a, b, n))
         key = _edge_keys(pairs, n)
         del pairs
         if fault is not None:
@@ -209,14 +209,14 @@ class Graph:
 
     @cached
     def distances(self) -> np.ndarray:
-        """Distance of every node from the entry, in edges (read-only, cached).
+        """Distance of every node from the entry, in edges, or -1 for a node the
+        entry cannot reach (read-only, cached).  The graph is connected exactly
+        when no distance is -1.
 
         A breadth-first search, one frontier of nodes at a time through
-        :attr:`neighbours`.  Nodes the entry cannot reach sit in one layer
-        past the last, so the layers are the contiguous ids 0..L.  A node
-        that several frontier nodes reach joins the next frontier once: of
-        its places in the list of reached nodes, the one that ``owner``
-        keeps, whichever write lands last.
+        :attr:`neighbours`.  A node that several frontier nodes reach joins
+        the next frontier once: of its places in the list of reached nodes,
+        the one that ``owner`` keeps, whichever write lands last.
         """
         n, table = self.n_nodes, self.neighbours
         dist, owner = np.full(n + 1, -1), np.empty(n + 1, dtype=np.int64)
@@ -230,24 +230,22 @@ class Graph:
             owner[reached] = place
             frontier = reached[owner[reached] == place]
             dist[frontier] = layer
-        dist = dist[:n]
-        dist[dist < 0] = layer
-        return dist
+        return dist[:n]
 
     @cached
     def parity(self) -> np.ndarray | None:
-        """Distance from the entry mod 2 of every node when the graph is connected
-        and every edge joins an even and an odd layer, else None (read-only, cached).
+        """Distance from the entry mod 2 of every node when every node has a
+        distance and every edge joins an even and an odd layer, else None
+        (read-only, cached).
 
         Such a parity is the graph's 2-colouring: the adjacency matrix only
         couples nodes of opposite parity.
         """
+        if self.distances.min() < 0:
+            return None
         a, b = self._edges.T
         parity = self.distances % 2
-        # unreached nodes share one layer: an edge among them fails the first test,
-        # an isolated node the second
-        bipartite = np.all(parity[a] != parity[b]) and self.degrees.min() > 0
-        return parity if bipartite else None
+        return parity if np.all(parity[a] != parity[b]) else None
 
     @cached
     def entry_cells(self) -> np.ndarray:
@@ -261,7 +259,8 @@ class Graph:
         the distance layers (:attr:`distances`): by induction on the
         distance, the nodes of one cell have the same number of neighbours
         in each layer, so they lie in one layer.  Colour refinement therefore
-        starts from the layers: each round recolours a node by the rank of
+        starts from the layers, with the nodes the entry cannot reach as one
+        layer past the last: each round recolours a node by the rank of
         the row [own colour, sorted neighbour colours] among the distinct
         rows, in lexicographic order (one ``np.lexsort`` over the columns,
         then a running count of rows that differ from the one before).  Rows
@@ -272,7 +271,8 @@ class Graph:
         n = self.n_nodes
         table = self.neighbours
         colour = np.empty(n + 1, dtype=np.int64)
-        colour[:n] = self.distances
+        d = self.distances
+        colour[:n] = np.where(d < 0, d.max() + 1, d)
         colour[n] = -1  # the padding node's colour, which no node has
         cells = 0
         while colour.max() + 1 > cells:
@@ -310,39 +310,40 @@ def _positive(value, label: str):
 _INT64 = np.iinfo(np.int64)
 
 
-def _int64_pairs(rows, label: str, wide) -> tuple[np.ndarray, Exception | None]:
-    """``rows`` as an (R, 2) int64 array, and the error of the first row that is
-    not a pair of integers, or None.
+def _int64_rows(rows, label: str, wide=None, pairs=True) -> tuple[np.ndarray, Exception | None]:
+    """``rows`` as an (R, 2) int64 array, or with ``pairs`` false an (R,) one of
+    single values, and the error of the first row that is not a pair of
+    integers (not an integer), or None.
 
-    An integer ndarray of that shape whose values fit int64 is taken whole
-    (copied).  Anything else is read as ``for a, b in rows``, one value at a
-    time through :func:`_integer`, up to the first row that fails: the rows
-    before it come back with that row's error, which for a value beyond
-    int64 is ``wide(a, b)``.
+    An integer ndarray whose values fit int64 is taken whole (copied); for
+    pairs its shape must be (R, 2).  Anything else is read as
+    ``for a, b in rows`` (``for v in rows``), one value at a time through
+    :func:`_integer`, up to the first row that fails: the rows before it come
+    back with that row's error.  For a value beyond int64 that is
+    ``wide(a, b)``, or by default a ``ValueError`` naming the first such value.
     """
     if (
         isinstance(rows, np.ndarray)
         and rows.dtype.kind in "iu"
-        and rows.ndim == 2
-        and rows.shape[1] == 2
+        and (not pairs or (rows.ndim == 2 and rows.shape[1] == 2))
         and (rows.dtype.kind == "i" or rows.size == 0 or rows.max() <= _INT64.max)
     ):
         return rows.astype(np.int64), None
     done, fault = [], None
     try:
-        for a, b in rows:
-            a, b = _integer(a, label), _integer(b, label)
-            if not (_INT64.min <= a <= _INT64.max and _INT64.min <= b <= _INT64.max):
-                raise wide(a, b)
-            done.append((a, b))
+        for row in rows:
+            if pairs:
+                a, b = row  # a row that is no pair fails here, as unpacking does
+            row = (_integer(a, label), _integer(b, label)) if pairs else (_integer(row, label),)
+            far = [v for v in row if not _INT64.min <= v <= _INT64.max]
+            if far and wide:
+                raise wide(*row)
+            if far:
+                raise ValueError(f"{label} {far[0]} is outside the int64 range")
+            done.append(row)
     except (TypeError, ValueError) as exc:
         fault = exc
-    return np.array(done, dtype=np.int64).reshape(-1, 2), fault
-
-
-def _wide_coordinate(x: int, y: int) -> ValueError:
-    wide = y if _INT64.min <= x <= _INT64.max else x
-    return ValueError(f"coordinate {wide} is outside the int64 range")
+    return np.array(done, dtype=np.int64).reshape((-1, 2) if pairs else -1), fault
 
 
 def _edge_fault(a: int, b: int, n: int) -> ValueError:
@@ -379,16 +380,11 @@ def _checked_mirror(mirror, n: int, key: np.ndarray, entry: int, exit: int) -> n
     """``mirror`` as a read-only node permutation; ``ValueError`` naming the fault
     unless it is an involutive automorphism that maps ``entry`` to ``exit``.
     ``key`` holds the edges as ascending keys a * n + b with a < b."""
-    tau = np.asarray(mirror)
-    if tau.dtype.kind not in "iu":
-        items = [_integer(v, "mirror entry") for v in np.asarray(mirror, dtype=object).ravel()]
-        wide = [v for v in items if not _INT64.min <= v <= _INT64.max]
-        if wide:
-            raise ValueError(f"mirror entry {wide[0]} is outside the int64 range")
-        tau = np.array(items, dtype=np.int64)
+    tau, fault = _int64_rows(mirror, "mirror entry", pairs=False)
+    if fault is not None:
+        raise fault
     if tau.shape != (n,):
         raise ValueError(f"mirror has shape {tau.shape}, expected ({n},)")
-    tau = tau.astype(np.int64)
     if not np.array_equal(np.sort(tau), np.arange(n)):
         raise ValueError(f"mirror is not a permutation of the nodes 0..{n - 1}")
     moved = np.flatnonzero(tau[tau] != np.arange(n))

@@ -9,8 +9,9 @@ max-norm deviation from uniform never increases and decays exponentially
 once the transient has passed, so each time is a root of its logarithm,
 found by safeguarded regula falsi below a horizon set by the spectral gap,
 the three searches sharing their samples.  Whether the walk can
-settle at all is read off the same spectrum on the entry cells: the graph
-is connected exactly when that spectrum has one zero mode.
+settle at all is decided before any spectrum, by the breadth-first
+distances from the entry: the graph is connected exactly when every node
+has one.
 Depth sweeps collect both quantities across a family of hexagonal patches
 so their growth laws can be fitted: the optimal length grows linearly with
 depth while the classical convergence time grows roughly quadratically.
@@ -311,26 +312,22 @@ def classical_convergence_time(graph: Graph, rate: float = 1.0) -> ConvergenceRe
     of its indicator (:meth:`hexwalk.quantum.Spectrum.project`), and the
     deviation is the largest magnitude among the cell values
     ``Spectrum.expand`` gives, each the value at every node of its cell.
-    The zero mode carries exactly the 1/N, so the deviation gives it weight
-    0 and sums the nonzero modes only: summing it from eigenvectors and
-    subtracting 1/N would leave an absolute rounding floor near 1e-16
-    instead of decaying to 0.
+    On a connected graph every mode of K but the zero mode is negative, so
+    the zero mode is the largest w.  It carries exactly the 1/N, so the
+    deviation gives it weight 0 and sums the other modes only: summing it
+    from eigenvectors and subtracting 1/N would leave an absolute rounding
+    floor near 1e-16 instead of decaying to 0.
 
-    The same spectrum decides connectivity.  The null space of K is spanned
-    by the indicators of the connected components (Fiedler 1973).  The cells
-    separate nodes by their distance from the entry, so the nodes the walk
-    can reach, and the rest, are unions of cells: both indicators are
-    constant on the cells.  The spectrum thus has one zero mode exactly
-    when the graph is connected; w counts as zero when
-    w >= -1e-12 * max|w|.  A disconnected graph, which has no uniform limit
-    from a localised start, raises :class:`ConvergenceError`.
+    A disconnected graph, which has no uniform limit from a localised start,
+    raises :class:`ConvergenceError` before any spectrum is made: some node
+    has no distance from the entry (:attr:`hexwalk.graphs.Graph.distances`).
     """
     op = ClassicalGenerator(graph, rate)
+    if graph.distances.min() < 0:
+        raise ConvergenceError("graph is disconnected; the walk cannot reach uniformity")
     spectrum = op.entry_spectrum
     w = spectrum.w
-    zero = w >= -1.0e-12 * float(np.max(np.abs(w)))
-    if np.count_nonzero(zero) > 1:
-        raise ConvergenceError("graph is disconnected; the walk cannot reach uniformity")
+    zero = np.arange(len(w)) == np.argmax(w)
     gap = -float(np.max(w[~zero]))
     p_uniform = 1.0 / graph.n_nodes
     modes = np.where(zero, 0.0, spectrum.project(entry_state(graph)))

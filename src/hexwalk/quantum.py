@@ -263,23 +263,23 @@ class Spectrum:
 class WalkOperator:
     """Walk matrix M = scale * (A - diagonal * D) of a graph, with its spectra cached.
 
-    The Hamiltonian has ``diagonal`` 0 and ``phase`` -1j, for complex
-    amplitudes evolved by exp(-i M z); the rate matrix has ``diagonal`` 1
-    and ``phase`` 1, for real probabilities evolved by exp(M t).  M's node
+    ``diagonal`` and ``phase`` are class attributes.  The Hamiltonian keeps
+    the defaults, ``diagonal`` 0 and ``phase`` -1j, for complex amplitudes
+    evolved by exp(-i M z); the rate matrix sets ``diagonal`` 1 and
+    ``phase`` 1, for real probabilities evolved by exp(M t).  M's node
     pairs are made from the graph's edges on each request, and no dense
     matrix is formed.  Two spectra are kept, each made on first use:
     :attr:`spectrum` on the nodes and :attr:`entry_spectrum` on the entry
     cells, where every state constant on those cells runs.
     """
 
-    diagonal = 0.0
+    diagonal, phase = 0.0, -1j
 
-    def __init__(self, graph: Graph, scale: float, phase: complex | float):
+    def __init__(self, graph: Graph, scale: float):
         self.graph = graph
         self.dim = graph.n_nodes
         self.mirror = graph.mirror
         self.scale = scale
-        self.phase = phase
 
     @property
     def dtype(self) -> type:
@@ -332,7 +332,7 @@ class Hamiltonian(WalkOperator):
 
     def __init__(self, graph: Graph, coupling: float = 1.0):
         self.coupling = _positive(float(coupling), "coupling")
-        super().__init__(graph, self.coupling, -1j)
+        super().__init__(graph, self.coupling)
 
 
 def entry_state(graph: Graph) -> np.ndarray:

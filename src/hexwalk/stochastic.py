@@ -61,10 +61,10 @@ class ClassicalGenerator(WalkOperator):
     pins the stationary distribution of a connected graph at uniform.
     """
 
-    diagonal = 1.0
+    diagonal, phase = 1.0, 1.0
 
     def __init__(self, graph: Graph, rate: float = 1.0):
-        super().__init__(graph, _positive(float(rate), "hop rate"), 1.0)
+        super().__init__(graph, _positive(float(rate), "hop rate"))
 
 
 @dataclass(frozen=True)

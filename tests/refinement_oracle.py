@@ -21,8 +21,8 @@ from hexwalk.graphs import Graph
 
 
 def queue_distances(graph: Graph) -> np.ndarray:
-    """Distance of every node from the entry by a plain-queue search; the nodes
-    it cannot reach sit in one layer past the last."""
+    """Distance of every node from the entry by a plain-queue search, or -1 for
+    a node it cannot reach."""
     n = graph.n_nodes
     near = [[] for _ in range(n)]
     for a, b in graph.edges.tolist():
@@ -37,8 +37,7 @@ def queue_distances(graph: Graph) -> np.ndarray:
             if dist[nb] < 0:
                 dist[nb] = dist[node] + 1
                 queue.append(nb)
-    last = max(dist)
-    return np.array([d if d >= 0 else last + 1 for d in dist], dtype=np.int64)
+    return np.array(dist, dtype=np.int64)
 
 
 def _refine(graph: Graph, seed: np.ndarray) -> np.ndarray:
@@ -62,8 +61,10 @@ def _refine(graph: Graph, seed: np.ndarray) -> np.ndarray:
 
 
 def unique_row_cells(graph: Graph) -> np.ndarray:
-    """Cell id of every node in the entry partition, refined from the distance layers."""
-    return _refine(graph, queue_distances(graph))
+    """Cell id of every node in the entry partition, refined from the distance layers,
+    the nodes the entry cannot reach one layer past the last."""
+    dist = queue_distances(graph)
+    return _refine(graph, np.where(dist < 0, dist.max() + 1, dist))
 
 
 def unseeded_cells(graph: Graph) -> np.ndarray:

@@ -370,8 +370,17 @@ def test_graph_keeps_its_own_copy_of_the_mirror():
         ([5.0, 3, 4, 1, 2, 0], r"mirror entry 5\.0 is not an integer"),
         ([5, 3, 4, 1, 2**70, 0], r"mirror entry 1180591620717411303424 is outside the int64 range"),
         ([5, 3, 4, 1, -(2**63) - 1, 0], r"mirror entry -9223372036854775809 is outside the int64 range"),
+        ([5, 3, 4, 1, 2, False], r"mirror entry False is not an integer"),
+        (
+            np.array([[5, 3, 4], [1, 2, 0]], dtype=object),
+            r"mirror entry array\(\[5, 3, 4\], dtype=object\) is not an integer",
+        ),
+        (np.array([[5, 3, 4], [1, 2, 0]]), r"mirror has shape \(2, 3\), expected \(6,\)"),
     ],
-    ids=["length", "permutation", "involution", "edge", "entry", "fraction", "float", "wide", "wide-low"],
+    ids=[
+        "length", "permutation", "involution", "edge", "entry", "fraction", "float", "wide",
+        "wide-low", "bool", "object-rows", "integer-rows",
+    ],
 )
 def test_graph_refuses_a_mirror_that_does_not_swap_entry_and_exit(mirror, message):
     one = hexagonal_graph(1)
@@ -580,8 +589,7 @@ def test_distances_and_parity_match_networkx(build):
     h.add_nodes_from(range(g.n_nodes))
     h.add_edges_from(g.edges.tolist())
     reached = nx.single_source_shortest_path_length(h, g.entry)
-    last = max(reached.values())
-    expected = [reached.get(v, last + 1) for v in range(g.n_nodes)]
+    expected = [reached.get(v, -1) for v in range(g.n_nodes)]
     assert g.distances.dtype == np.int64 and g.distances.tolist() == expected
     assert np.array_equal(g.distances, queue_distances(g))
     bipartite = nx.is_connected(h) and nx.is_bipartite(h)

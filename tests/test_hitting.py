@@ -27,7 +27,7 @@ from hexwalk.hitting import (
     _scan_grid,
     _settling_time,
 )
-from hexwalk.quantum import Hamiltonian, entry_state, propagate
+from hexwalk.quantum import Hamiltonian, Spectrum, entry_state, propagate
 from hexwalk.stochastic import ClassicalGenerator
 from spectrum_oracle import dense_v, propagate_dense, propagate_expm
 
@@ -423,16 +423,35 @@ def _two_hexagons(n: int) -> Graph:
     return Graph("hexagonal", coords, edges, one.entry, one.exit)
 
 
-def test_disconnected_graph_never_converges():
+def _disconnected_graphs() -> tuple[Graph, Graph, Graph]:
     two_parts = Graph("path", [(0, 0), (2, 0), (4, 0), (6, 0)], [(0, 1), (2, 3)], 0, 3)
     edgeless = Graph("path", [(0, 0), (2, 0)], [], 0, 1)
-    two_hexagons = _two_hexagons(4)
+    return two_parts, edgeless, _two_hexagons(4)
+
+
+def test_disconnected_graph_never_converges():
+    graphs = _disconnected_graphs()
+    two_hexagons = graphs[2]
     w = ClassicalGenerator(two_hexagons).entry_spectrum.w
     assert (two_hexagons.n_nodes, len(w)) == (96, 42)
     assert np.count_nonzero(w >= -1e-12 * np.max(np.abs(w))) == 2
-    for g in (two_parts, edgeless, two_hexagons):
+    for g in graphs:
         with pytest.raises(ConvergenceError, match="disconnected"):
             classical_convergence_time(g)
+
+
+def test_a_disconnected_graph_is_refused_before_any_spectrum(monkeypatch):
+    # the breadth-first distances decide connectivity; no eigh runs and no Spectrum is made
+    graphs = _disconnected_graphs()
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: pytest.fail("eigh ran"))
+    monkeypatch.setattr(Spectrum, "__init__", lambda self, op, cell: pytest.fail("spectrum made"))
+    message = "^graph is disconnected; the walk cannot reach uniformity$"
+    for g in graphs:
+        with pytest.raises(ConvergenceError, match=message):
+            classical_convergence_time(g)
+    # the generator is built first, so a bad rate is still refused as such
+    with pytest.raises(ValueError, match="hop rate"):
+        classical_convergence_time(graphs[0], rate=0.0)
 
 
 @pytest.mark.parametrize(
