@@ -23,7 +23,6 @@ import argparse
 import contextlib
 import os
 import sys
-import tempfile
 import warnings
 from pathlib import Path
 
@@ -52,7 +51,8 @@ from hexwalk.imaging import (
     parse_image,
     parse_mask,
 )
-from hexwalk.quantum import entry_state, propagate
+from hexwalk.quantum import Hamiltonian, entry_state, propagate
+from hexwalk.stochastic import ClassicalGenerator
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -89,26 +89,25 @@ def _write_table(path: Path, header: str, columns: dict, dat: bool = False) -> N
 
     With ``dat`` the same table also goes to ``path`` with suffix ``.dat``, a
     space for every comma below the header line.  Rows stream a block at a
-    time into temp files, renamed into place once complete and given the
-    mode of a plain ``open``.  Each block is one ``%`` operation: the row
-    format repeated once per row, applied to the block's cells in row order.
-    Text cells are formatted by ``format(cell)`` first, as ``str.format``
-    would.
+    time into temp files, renamed into place once complete.  Each temp file
+    is created by ``open(temp, "x")`` under a random name beside its target,
+    so the operating system gives it the mode of a plain ``open`` under the
+    umask.  Each block is one ``%`` operation: the row format repeated once
+    per row, applied to the block's cells in row order.  Text cells are
+    formatted by ``format(cell)`` first, as ``str.format`` would.
     """
     values = [np.asarray(column) for column in columns.values()]
     row = ",".join(_CELL_FORMATS.get(v.dtype.kind, "%s") for v in values) + "\n"
     targets = [(path, ",")] + [(path.with_suffix(".dat"), " ")] * dat
-    umask = os.umask(0)
-    os.umask(umask)
     path.parent.mkdir(parents=True, exist_ok=True)
     temps = []
     try:
         with contextlib.ExitStack() as stack:
             files = []
             for target, sep in targets:
-                fd, temp = tempfile.mkstemp(dir=path.parent, prefix=target.name, suffix=".tmp")
-                temps.append(temp)
-                fh = stack.enter_context(os.fdopen(fd, "w"))
+                temp = target.with_name(f"{target.name}.{os.urandom(8).hex()}.tmp")
+                fh = stack.enter_context(open(temp, "x"))
+                temps.append(temp)  # only once made here: a name in use is not ours to remove
                 fh.write(f"{header}\n{sep.join(columns)}\n")
                 files.append((fh, sep))
             for start in range(0, len(values[0]), _BLOCK_ROWS):
@@ -121,12 +120,10 @@ def _write_table(path: Path, header: str, columns: dict, dat: bool = False) -> N
                 for fh, sep in files:
                     fh.write(text.replace(",", sep))
         for (target, _), temp in zip(targets, temps):
-            os.chmod(temp, 0o666 & ~umask)
             os.replace(temp, target)
     except BaseException:
         for temp in temps:
-            if os.path.exists(temp):
-                os.unlink(temp)
+            temp.unlink(missing_ok=True)
         raise
 
 
@@ -242,18 +239,19 @@ def cmd_scan(args) -> int:
     graph = parse_graph_selector(args.graph, args.seed)
     coupling, rate = _resolve_rates(args)
     if args.engine == "quantum":
-        curve = quantum_hitting_curve(graph, coupling, args.z_max, args.dz)
+        op, scan = Hamiltonian(graph, coupling), quantum_hitting_curve
     else:
-        curve = classical_hitting_curve(graph, rate, args.z_max, args.dz)
+        op, scan = ClassicalGenerator(graph, rate), classical_hitting_curve
+    curve = scan(op, args.z_max, args.dz)
     state = None
     if args.dump_state:
         ids = np.arange(graph.n_nodes)
-        x = propagate(curve.operator, entry_state(graph), curve.z_opt)
+        x = propagate(op, entry_state(graph), curve.z_opt)
         if args.engine == "quantum":
             state = {"node_id": ids, "re": x.real, "im": x.imag, "prob": np.abs(x) ** 2}
         else:
             state = {"node_id": ids, "probability": x}
-    curve.operator = None  # the tables need no spectrum: free it before they are written
+    del op  # the tables need no spectrum: free it before they are written
     out = Path(args.out)
     header = _header(
         "scan",

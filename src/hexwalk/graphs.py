@@ -26,6 +26,10 @@ GLUING_MODES = ("identity", "random-cycle")
 #: array is allocated.
 MAX_NODES = 10**6
 
+#: Most bytes a neighbour table, or a walk spectrum
+#: (:data:`hexwalk.quantum.MAX_SPECTRUM_BYTES`), may take.
+MAX_WALK_BYTES = 4 * 2**30
+
 #: The one place that knows each family: family -> (build, scale).
 #: ``build(take, seed)`` builds the graph from a selector, where
 #: ``take(key, default=None, cast=int)`` hands out one parameter and ``seed``
@@ -47,9 +51,9 @@ def cached(compute):
     """A read-only property whose value ``compute(self)`` makes on first read.
 
     The value is kept in the instance's ``__dict__`` under the property's own
-    name, an entry the property (a data descriptor) shadows.  Every ndarray
-    in it, or in the tuple it is, is made read-only.  The factory returns a
-    plain :class:`property`, so a wrapper around its ``fget`` sees every read.
+    name, an entry the property (a data descriptor) shadows.  A value that
+    is an ndarray is made read-only.  The factory returns a plain
+    :class:`property`, so a wrapper around its ``fget`` sees every read.
     """
     name = compute.__name__
 
@@ -57,9 +61,8 @@ def cached(compute):
         store = vars(self)
         if name not in store:
             store[name] = value = compute(self)
-            for part in value if isinstance(value, tuple) else (value,):
-                if isinstance(part, np.ndarray):
-                    part.flags.writeable = False
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
         return store[name]
 
     return property(get, doc=compute.__doc__)
@@ -197,8 +200,15 @@ class Graph:
     @cached
     def neighbours(self) -> np.ndarray:
         """Neighbour table, shape (N, max degree): row v lists the neighbours of
-        node v, padded with the node id N, which no node has (read-only, cached)."""
+        node v, padded with the node id N, which no node has (read-only, cached).
+        One over :data:`MAX_WALK_BYTES` raises ``ValueError`` before it is allocated."""
         n, deg = self.n_nodes, self.degrees
+        need = 8 * n * int(deg.max())
+        if need > MAX_WALK_BYTES:
+            raise ValueError(
+                f"the neighbour table of {n} nodes of degree up to {deg.max()} would take "
+                f"about {need / 2**30:.3g} GiB, above the limit of {MAX_WALK_BYTES / 2**30:.3g} GiB"
+            )
         a, b = self._edges.T
         src, dst = np.r_[a, b], np.r_[b, a]
         order = np.argsort(src, kind="stable")

@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from hexwalk.graphs import Graph, _integer, _positive, depth_scale, hexagonal_graph, path_graph
-from hexwalk.quantum import Hamiltonian, WalkOperator, entry_state, propagate
+from hexwalk.quantum import Hamiltonian, entry_state, propagate
 from hexwalk.stochastic import ClassicalGenerator
 
 #: Default scan window, in units of depth / coupling.  Wide enough to bracket
@@ -75,22 +75,18 @@ class WindowError(RuntimeError):
 class HittingCurve:
     """Exit-probability samples over an evolution grid plus the located optimum.
 
-    ``kind`` records which engine produced the curve; classical curves use
-    the same ``z`` axis for their evolution time.  ``z_max`` and ``dz`` are
-    the scan window as resolved, defaults filled in; the grid runs in steps
-    of ``dz`` to the nearest whole step to ``z_max``.  ``operator`` is the
-    walk operator the scan ran, its spectrum cached, so the state at the
-    optimum costs no second ``eigh``.
+    Classical curves use the same ``z`` axis for their evolution time.
+    ``z_max`` and ``dz`` are the scan window as resolved, defaults filled
+    in; the grid runs in steps of ``dz`` to the nearest whole step to
+    ``z_max``.  The curve holds numbers only, not the walk it scanned.
     """
 
     z: np.ndarray
     p_exit: np.ndarray
     z_opt: float
     p_opt: float
-    kind: str
     z_max: float
     dz: float
-    operator: WalkOperator = field(repr=False)
 
 
 @dataclass
@@ -165,28 +161,26 @@ def _refine_parabolic(z: np.ndarray, p: np.ndarray, i: int) -> float:
 
 
 def quantum_hitting_curve(
-    graph: Graph,
-    coupling: float = 1.0,
-    z_max: float | None = None,
-    dz: float | None = None,
+    h: Hamiltonian, z_max: float | None = None, dz: float | None = None
 ) -> HittingCurve:
-    """Scan the coherent walk's exit probability and locate its optimum.
+    """Scan the coherent walk ``h``'s exit probability and locate its optimum.
 
     The walk launches from the entry node.  The default window is
-    4 * depth / coupling with a step of 0.01 / coupling, so rescaling the
-    coupling rescales the grid with it and the located optimum obeys
-    z_opt -> z_opt / a under coupling -> a * coupling.
+    4 * depth / coupling with a step of 0.01 / coupling, for ``h.coupling``,
+    so rescaling the coupling rescales the grid with it and the located
+    optimum obeys z_opt -> z_opt / a under coupling -> a * coupling.  The
+    scan fills ``h``'s cached entry spectrum, which ``propagate(h, ...)``
+    reuses.  A walk without a ``coupling`` raises ``AttributeError`` first.
 
     The global grid maximum is refined by a parabola through its bracketing
     neighbours and the exit probability is re-evaluated at the refined
     length.  A maximum on the window edge cannot be refined; it is returned
     as-is under a :class:`BoundaryMaximumWarning`.
     """
-    h = Hamiltonian(graph, coupling)
-    zs, z_max, dz = _scan_grid(graph, coupling, z_max, dz)
+    zs, z_max, dz = _scan_grid(h.graph, h.coupling, z_max, dz)
 
     def exit_probability(lengths):
-        return np.abs(propagate(h, entry_state(graph), lengths, graph.exit)) ** 2
+        return np.abs(propagate(h, entry_state(h.graph), lengths, h.graph.exit)) ** 2
 
     p = exit_probability(zs)
     i = int(np.argmax(p))
@@ -197,24 +191,23 @@ def quantum_hitting_curve(
             BoundaryMaximumWarning,
             stacklevel=2,
         )
-        return HittingCurve(zs, p, float(zs[i]), float(p[i]), "quantum", z_max, dz, h)
+        return HittingCurve(zs, p, float(zs[i]), float(p[i]), z_max, dz)
     z_opt = _refine_parabolic(zs, p, i)
     p_opt = float(exit_probability(np.array([z_opt]))[0])
     if p_opt < p[i]:
         z_opt, p_opt = float(zs[i]), float(p[i])
-    return HittingCurve(zs, p, z_opt, p_opt, "quantum", z_max, dz, h)
+    return HittingCurve(zs, p, z_opt, p_opt, z_max, dz)
 
 
 def classical_hitting_curve(
-    graph: Graph,
-    rate: float = 1.0,
-    t_max: float | None = None,
-    dt: float | None = None,
+    gen: ClassicalGenerator, t_max: float | None = None, dt: float | None = None
 ) -> HittingCurve:
-    """Exit probability of the classical walk over a time grid.
+    """Exit probability of the classical walk ``gen`` over a time grid.
 
-    The curve rises monotonically towards the uniform share 1/N, so the
-    reported optimum is simply the best sampled point (the grid end once
+    The default window is the coherent one's for the rate ``gen.rate``, and
+    a walk without a ``rate`` raises ``AttributeError`` first.  The curve
+    rises monotonically towards the uniform share 1/N, so the reported
+    optimum is simply the best sampled point (the grid end once
     the walk has mixed).  The samples are clipped at 0 by
     :func:`hexwalk.quantum.propagate`.  Before the walk reaches the
     exit they are spectral rounding residue, of order 1e-16 and different
@@ -222,9 +215,8 @@ def classical_hitting_curve(
     :data:`_RESIDUE_FLOOR` = 1e-12 is returned as zeros with the optimum at
     the window end, p_opt = 0, under a :class:`BoundaryMaximumWarning`.
     """
-    gen = ClassicalGenerator(graph, rate)
-    ts, t_max, dt = _scan_grid(graph, rate, t_max, dt)
-    p = propagate(gen, entry_state(graph), ts, graph.exit)
+    ts, t_max, dt = _scan_grid(gen.graph, gen.rate, t_max, dt)
+    p = propagate(gen, entry_state(gen.graph), ts, gen.graph.exit)
     if p.max() < _RESIDUE_FLOOR:
         warnings.warn(
             f"exit probability stays below the rounding floor {_RESIDUE_FLOOR:g} "
@@ -232,9 +224,9 @@ def classical_hitting_curve(
             BoundaryMaximumWarning,
             stacklevel=2,
         )
-        return HittingCurve(ts, np.zeros_like(p), float(ts[-1]), 0.0, "classical", t_max, dt, gen)
+        return HittingCurve(ts, np.zeros_like(p), float(ts[-1]), 0.0, t_max, dt)
     i = int(np.argmax(p))
-    return HittingCurve(ts, p, float(ts[i]), float(p[i]), "classical", t_max, dt, gen)
+    return HittingCurve(ts, p, float(ts[i]), float(p[i]), t_max, dt)
 
 
 def _settling_time(
@@ -379,9 +371,9 @@ def depth_sweep(
     rows = []
     for n in depths:
         g = hexagonal_graph(n)
-        curve = quantum_hitting_curve(g, coupling)
+        curve = quantum_hitting_curve(Hamiltonian(g, coupling))  # the walk goes as it returns
         z_opt, p_opt = curve.z_opt, curve.p_opt
-        del curve  # and the coherent spectrum it holds, before the classical one is formed
+        del curve  # and the curve's grid, before the classical spectrum is formed
         conv = classical_convergence_time(g, rate)
         rows.append(SweepRow(n, z_opt, p_opt, **asdict(conv)))
     return rows
@@ -447,9 +439,8 @@ def variance_slope_1d(
     site already holds more than 1e-6 probability are dropped (the boundary
     would bend the growth law).  The coherent walk spreads ballistically
     (exponent 2), the classical walk diffusively (exponent 1).  The
-    engine's own coupling or rate must be finite and > 0, as for
-    :class:`Hamiltonian` and :class:`ClassicalGenerator`; it is checked,
-    with their messages, before it sets the window.
+    engine's walk is built before the window is set, so its coupling or
+    rate is checked by :class:`Hamiltonian` or :class:`ClassicalGenerator`.
 
     Raises :class:`WindowError` when no samples survive the windowing.
     """
@@ -459,18 +450,16 @@ def variance_slope_1d(
         raise ValueError(f"engine must be 'quantum' or 'classical', got {engine!r}")
     if m % 2 == 0:
         raise ValueError("site count m must be odd so the launch is centred")
-    if engine == "quantum":
-        _positive(float(coupling), "coupling")
-    else:
-        _positive(float(rate), "hop rate")
     g = path_graph(m)
-    if z_max is None:
-        z_max = (m - 1) / (8.0 * coupling) if engine == "quantum" else (m - 1) ** 2 / (250.0 * rate)
-    zs = np.linspace(z_max / 48.0, z_max, 48)
     if engine == "quantum":
-        dist = np.abs(propagate(Hamiltonian(g, coupling), entry_state(g), zs)) ** 2
+        op = Hamiltonian(g, coupling)
+        z_max = (m - 1) / (8.0 * op.scale) if z_max is None else z_max
     else:
-        dist = propagate(ClassicalGenerator(g, rate), entry_state(g), zs)
+        op = ClassicalGenerator(g, rate)
+        z_max = (m - 1) ** 2 / (250.0 * op.scale) if z_max is None else z_max
+    zs = np.linspace(z_max / 48.0, z_max, 48)
+    x = propagate(op, entry_state(g), zs)
+    dist = np.abs(x) ** 2 if op.dtype is complex else x
     offsets = np.arange(m) - g.entry
     variances = dist @ (offsets.astype(float) ** 2)
     keep = (variances > 0.0) & (dist[:, 0] < BOUNDARY_LEAK_TOL) & (dist[:, -1] < BOUNDARY_LEAK_TOL)
@@ -489,5 +478,5 @@ def calibrated_coupling() -> float:
     calibration just rescales the dimensionless optimum onto that physical
     length.
     """
-    curve = quantum_hitting_curve(hexagonal_graph(2))
+    curve = quantum_hitting_curve(Hamiltonian(hexagonal_graph(2)))
     return curve.z_opt / CALIBRATION_LENGTH_MM

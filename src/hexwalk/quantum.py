@@ -108,11 +108,11 @@ import math
 
 import numpy as np
 
-from hexwalk.graphs import Graph, _integer, _positive, cached
+from hexwalk.graphs import MAX_WALK_BYTES, Graph, _integer, _positive, cached
 
-#: Most bytes a walk spectrum may take (see :func:`_spectrum_bytes`).
-#: ``hexagonal_graph(133)`` (18088 cells, 3.9 GiB predicted) fits.
-MAX_SPECTRUM_BYTES = 4 * 2**30
+#: Most bytes a walk spectrum may take (see :func:`_spectrum_bytes`): the walk budget
+#: :data:`hexwalk.graphs.MAX_WALK_BYTES`.  ``hexagonal_graph(133)`` (18088 cells, 3.9 GiB) fits.
+MAX_SPECTRUM_BYTES = MAX_WALK_BYTES
 
 #: n x n float arrays an ``eigh`` of order n holds at its peak: its input,
 #: its result, and LAPACK's copy and workspace (``dsyevd``, 2 n^2 and more)

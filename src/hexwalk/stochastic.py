@@ -52,7 +52,7 @@ _THETA = 6.0
 
 
 class ClassicalGenerator(WalkOperator):
-    """Rate matrix K = gamma * (A - D) of the classical walk on a graph.
+    """Rate matrix K = gamma * (A - D) of the classical walk on a graph, gamma = ``rate``.
 
     K is symmetric because the walk hops along undirected edges at a uniform
     rate, so it shares the coherent walk's spectral propagator with a real
@@ -64,7 +64,8 @@ class ClassicalGenerator(WalkOperator):
     diagonal, phase = 1.0, 1.0
 
     def __init__(self, graph: Graph, rate: float = 1.0):
-        super().__init__(graph, _positive(float(rate), "hop rate"))
+        self.rate = _positive(float(rate), "hop rate")
+        super().__init__(graph, self.rate)
 
 
 @dataclass(frozen=True)

@@ -619,6 +619,25 @@ def test_written_files_get_the_umask_mode(tmp_path, umask, mode):
     assert {(tmp_path / name).stat().st_mode & 0o777 for name in written} == {mode}
 
 
+def test_write_table_never_changes_the_process_umask(tmp_path, monkeypatch):
+    # a umask round trip would leave the whole process at 0 for a moment, so the
+    # writer leaves the mode of each new file to the operating system
+    def refuse(mask):
+        raise AssertionError("the process umask was changed")
+
+    real = os.umask
+    old = real(0o027)
+    try:
+        monkeypatch.setattr(os, "umask", refuse)
+        _write_table(tmp_path / "t.csv", "# head", {"a": [1, 2]}, dat=True)
+    finally:
+        monkeypatch.undo()
+        real(old)
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["t.csv", "t.dat"]
+    assert {(tmp_path / name).stat().st_mode & 0o777 for name in ("t.csv", "t.dat")} == {0o640}
+    assert read(tmp_path / "t.dat") == "# head\na\n1\n2\n"
+
+
 # ---------------------------------------------------------------------------
 # failure modes and exit codes
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from hexwalk import graphs
+from hexwalk import graphs, quantum
 from hexwalk.graphs import (
     Graph,
     depth_scale,
@@ -806,3 +806,38 @@ def test_node_cap_admits_every_size_the_docs_name():
     assert hexagonal_graph(200).n_nodes == 80800 <= graphs.MAX_NODES
     for nodes in (2**14 - 2, 2**16 - 2, 2**14):  # glued d = 12 and 14, hypercube d = 14
         assert nodes <= graphs.MAX_NODES
+
+
+def _star(leaves: int) -> Graph:
+    """A hub, the entry, joined to ``leaves`` leaves in a row; the last leaf is the exit."""
+    coords = [(0, 0)] + [(2 * i, 2) for i in range(leaves)]
+    return Graph("path", coords, [(0, i) for i in range(1, leaves + 1)], 0, leaves)
+
+
+def test_a_neighbour_table_over_the_budget_is_refused_before_it_is_allocated(monkeypatch):
+    # 401 nodes of degree up to 400 take 401 * 400 * 8 = 1283200 bytes, above 1 MiB;
+    # the real budget is 4 GiB, and a table that large is never built here
+    need = 401 * 400 * 8
+    monkeypatch.setattr(graphs, "MAX_WALK_BYTES", need)
+    assert _star(400).neighbours.shape == (401, 400)
+    monkeypatch.setattr(graphs, "MAX_WALK_BYTES", 2**20)
+    message = (
+        "the neighbour table of 401 nodes of degree up to 400 would take about 0.0012 GiB, "
+        "above the limit of 0.000977 GiB"
+    )
+    g = _star(400)
+    g.degrees
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            g.neighbours
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < need // 10
+    # every stage that reads the table refuses the graph the same way
+    for stage in (lambda: g.distances, lambda: classical_convergence_time(g)):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            stage()
+    monkeypatch.undo()
+    assert quantum.MAX_SPECTRUM_BYTES == graphs.MAX_WALK_BYTES == 4 * 2**30  # one budget

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 
@@ -14,6 +15,7 @@ from hexwalk.hitting import (
     BoundaryMaximumWarning,
     ConvergenceError,
     FitError,
+    HittingCurve,
     MAX_SCAN_POINTS,
     WindowError,
     calibrated_coupling,
@@ -52,15 +54,14 @@ HEX3_T_HIGH = 91.808428
 
 
 def test_two_site_peak_is_exact():
-    curve = quantum_hitting_curve(path_graph(2), 1.0, z_max=math.pi)
+    curve = quantum_hitting_curve(Hamiltonian(path_graph(2), 1.0), z_max=math.pi)
     assert abs(curve.z_opt - math.pi / 2.0) < 1e-6
     assert abs(curve.p_opt - 1.0) < 1e-9
-    assert curve.kind == "quantum"
 
 
 def test_single_hexagon_refinement_matches_dense_scan():
     g = hexagonal_graph(1)
-    curve = quantum_hitting_curve(g)
+    curve = quantum_hitting_curve(Hamiltonian(g))
     # brute-force oracle: dense scan at 1e-4 resolution over the same window
     h = Hamiltonian(g)
     zs = np.arange(0.0, curve.z[-1] + 1e-4, 1e-4)
@@ -74,14 +75,14 @@ def test_single_hexagon_refinement_matches_dense_scan():
 
 
 def test_sixteen_node_frozen_optimum():
-    curve = quantum_hitting_curve(hexagonal_graph(2))
+    curve = quantum_hitting_curve(Hamiltonian(hexagonal_graph(2)))
     assert abs(curve.z_opt - HEX2_Z_OPT) < 1e-6
     assert abs(curve.p_opt - HEX2_P_OPT) < 1e-6
     assert 0.80 <= curve.p_opt <= 0.98
 
 
 def test_curve_arrays_cover_the_window():
-    curve = quantum_hitting_curve(hexagonal_graph(1), z_max=3.0, dz=0.01)
+    curve = quantum_hitting_curve(Hamiltonian(hexagonal_graph(1)), z_max=3.0, dz=0.01)
     assert curve.z[0] == 0.0
     assert abs(curve.z[-1] - 3.0) < 1e-9
     assert len(curve.z) == len(curve.p_exit) == 301
@@ -91,22 +92,22 @@ def test_curve_arrays_cover_the_window():
 def test_boundary_maximum_warns_and_reports_grid_point():
     # the two-site curve still rises at z=1 < pi/2, so the max is the edge
     with pytest.warns(BoundaryMaximumWarning):
-        curve = quantum_hitting_curve(path_graph(2), z_max=1.0)
+        curve = quantum_hitting_curve(Hamiltonian(path_graph(2)), z_max=1.0)
     assert abs(curve.z_opt - 1.0) < 1e-12
     assert abs(curve.p_opt - math.sin(1.0) ** 2) < 1e-12
 
 
 def test_refined_optimum_is_grid_phase_insensitive():
     g = hexagonal_graph(2)
-    a = quantum_hitting_curve(g, dz=0.010)
-    b = quantum_hitting_curve(g, dz=0.013)
+    a = quantum_hitting_curve(Hamiltonian(g), dz=0.010)
+    b = quantum_hitting_curve(Hamiltonian(g), dz=0.013)
     assert abs(a.z_opt - b.z_opt) < 0.001
 
 
 def test_doubling_coupling_halves_the_optimal_length():
     g = hexagonal_graph(2)
-    base = quantum_hitting_curve(g, 1.0)
-    double = quantum_hitting_curve(g, 2.0)
+    base = quantum_hitting_curve(Hamiltonian(g, 1.0))
+    double = quantum_hitting_curve(Hamiltonian(g, 2.0))
     assert abs(double.z_opt - base.z_opt / 2.0) < 1e-6
     assert abs(double.p_opt - base.p_opt) < 1e-6
 
@@ -118,8 +119,8 @@ def test_doubling_coupling_halves_the_optimal_length():
 )
 def test_scaling_coupling_rescales_the_optimum_on_the_quotient(build):
     g = build()
-    base = quantum_hitting_curve(g, 1.0)
-    fast = quantum_hitting_curve(g, 2.5)
+    base = quantum_hitting_curve(Hamiltonian(g, 1.0))
+    fast = quantum_hitting_curve(Hamiltonian(g, 2.5))
     assert abs(fast.z_opt - base.z_opt / 2.5) < 1e-9
     assert abs(fast.p_opt - base.p_opt) < 1e-9
     # and the optimum is the dense walk's
@@ -128,19 +129,19 @@ def test_scaling_coupling_rescales_the_optimum_on_the_quotient(build):
 
 
 def test_default_window_grows_with_depth():
-    three = quantum_hitting_curve(hexagonal_graph(3))
-    five = quantum_hitting_curve(hexagonal_graph(5))
+    three = quantum_hitting_curve(Hamiltonian(hexagonal_graph(3)))
+    five = quantum_hitting_curve(Hamiltonian(hexagonal_graph(5)))
     assert (three.z_max, three.dz) == (12.0, 0.01)
     assert (five.z_max, five.dz) == (20.0, 0.01)
-    fast = quantum_hitting_curve(hexagonal_graph(3), coupling=2.0)
+    fast = quantum_hitting_curve(Hamiltonian(hexagonal_graph(3), coupling=2.0))
     assert (fast.z_max, fast.dz) == (6.0, 0.005)
 
 
 def test_scan_rejects_bad_window():
     with pytest.raises(ValueError):
-        quantum_hitting_curve(path_graph(2), z_max=-1.0)
+        quantum_hitting_curve(Hamiltonian(path_graph(2)), z_max=-1.0)
     with pytest.raises(ValueError):
-        quantum_hitting_curve(path_graph(2), z_max=1.0, dz=0.9)
+        quantum_hitting_curve(Hamiltonian(path_graph(2)), z_max=1.0, dz=0.9)
 
 
 def test_scan_grid_refuses_a_window_over_the_point_budget():
@@ -155,31 +156,83 @@ def test_scan_grid_refuses_a_window_over_the_point_budget():
 def test_hand_built_graph_scans_with_an_explicit_window():
     # a graph built without a family size parameter has no default window
     g = Graph("path", [(0, 0), (2, 0), (4, 0), (6, 0)], [(0, 1), (1, 2), (2, 3)], 0, 3)
-    quantum = quantum_hitting_curve(g, z_max=5.0, dz=0.01)
+    quantum = quantum_hitting_curve(Hamiltonian(g), z_max=5.0, dz=0.01)
     psi = propagate_expm(Hamiltonian(g), entry_state(g), quantum.z_opt)
     assert abs(psi[g.exit]) ** 2 == pytest.approx(quantum.p_opt, abs=1e-12)
-    classical = classical_hitting_curve(g, 1.0, 5.0, 0.01)
+    classical = classical_hitting_curve(ClassicalGenerator(g, 1.0), 5.0, 0.01)
     p = propagate_expm(ClassicalGenerator(g), entry_state(g), 5.0)
     assert classical.p_exit[-1] == pytest.approx(p[g.exit], abs=1e-12)
-    for scan in (lambda: quantum_hitting_curve(g, dz=0.01), lambda: classical_hitting_curve(g)):
+    for scan in (
+        lambda: quantum_hitting_curve(Hamiltonian(g), dz=0.01),
+        lambda: classical_hitting_curve(ClassicalGenerator(g)),
+    ):
         with pytest.raises(ValueError, match="size parameter 'm'"):
             scan()
 
 
 def test_curve_carries_the_resolved_window():
     g = hexagonal_graph(1)
-    classical = classical_hitting_curve(g, 0.5)
+    classical = classical_hitting_curve(ClassicalGenerator(g, 0.5))
     assert (classical.z_max, classical.dz) == (8.0, 0.02)
-    quantum = quantum_hitting_curve(g, 1.0, z_max=3.0, dz=0.7)
+    quantum = quantum_hitting_curve(Hamiltonian(g, 1.0), z_max=3.0, dz=0.7)
     assert (quantum.z_max, quantum.dz) == (3.0, 0.7)
     assert quantum.z[-1] == pytest.approx(2.8)
 
 
 def test_calibrated_coupling_pins_the_diamond_peak():
     c = calibrated_coupling()
-    curve = quantum_hitting_curve(hexagonal_graph(2), c)
+    curve = quantum_hitting_curve(Hamiltonian(hexagonal_graph(2), c))
     assert abs(curve.z_opt - 25.2) < 1e-3
     assert 24.0 <= curve.z_opt <= 26.0
+
+
+def test_a_curve_holds_only_numbers():
+    assert [f.name for f in dataclasses.fields(HittingCurve)] == [
+        "z", "p_exit", "z_opt", "p_opt", "z_max", "dz"
+    ]
+    g = hexagonal_graph(1)
+    gen = ClassicalGenerator(g, 0.5)
+    assert (gen.rate, gen.scale) == (0.5, 0.5)
+    assert not hasattr(Hamiltonian(g), "rate") and not hasattr(gen, "coupling")
+
+
+@pytest.mark.parametrize("walk", ["quantum", "classical"])
+def test_the_state_at_the_optimum_reuses_the_scans_spectrum(walk, monkeypatch):
+    # the README's flow: scan a walk, then evolve the launch state on it to the optimum;
+    # hexagonal_graph(2) has 10 entry cells in 5 mirror pairs
+    g = hexagonal_graph(2)
+    sizes, eigh = [], np.linalg.eigh  # the order of every matrix given to eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: sizes.append(len(m)) or eigh(m))
+    if walk == "quantum":
+        op = Hamiltonian(g, 1.0)
+        curve = quantum_hitting_curve(op)
+    else:
+        op = ClassicalGenerator(g, 1.0)
+        curve = classical_hitting_curve(op)
+    x = propagate(op, entry_state(g), curve.z_opt)
+    # one eigh for the paired coherent walk, one per mirror sector for the classical one
+    assert sizes == ([5] if walk == "quantum" else [5, 5])
+    p_exit = np.abs(x[g.exit]) ** 2 if walk == "quantum" else x[g.exit]
+    assert p_exit == pytest.approx(curve.p_opt, abs=1e-12)
+
+
+def test_a_scan_refuses_a_walk_of_the_other_kind_before_any_spectrum(monkeypatch):
+    g = hexagonal_graph(2)
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: pytest.fail("eigh ran"))
+    monkeypatch.setattr(Spectrum, "__init__", lambda self, op, cell: pytest.fail("spectrum made"))
+    for scan, walk in (
+        (quantum_hitting_curve, ClassicalGenerator(g)),
+        (classical_hitting_curve, Hamiltonian(g)),
+        (quantum_hitting_curve, g),
+        (classical_hitting_curve, g),
+    ):
+        with pytest.raises(AttributeError):
+            scan(walk)
+    # the old (graph, scale) call shape as well
+    with pytest.raises(AttributeError):
+        quantum_hitting_curve(g, 1.0)
+    with pytest.raises(AttributeError):
+        classical_hitting_curve(g, 1.0, 5.0)
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +242,7 @@ def test_calibrated_coupling_pins_the_diamond_peak():
 
 def test_classical_curve_saturates_at_uniform_share():
     g = hexagonal_graph(2)
-    curve = classical_hitting_curve(g, t_max=300.0, dt=0.5)
-    assert curve.kind == "classical"
+    curve = classical_hitting_curve(ClassicalGenerator(g), t_max=300.0, dt=0.5)
     assert abs(curve.p_exit[-1] - 0.0625) < 1e-6
     assert curve.p_opt <= 0.0625 + 1e-9
 
@@ -198,7 +250,7 @@ def test_classical_curve_saturates_at_uniform_share():
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_classical_exit_curve_is_never_negative(n):
     # the exact curve starts at 0; spectral rounding must not show up below it
-    curve = classical_hitting_curve(hexagonal_graph(n))
+    curve = classical_hitting_curve(ClassicalGenerator(hexagonal_graph(n)))
     assert curve.p_exit.min() >= 0.0
 
 
@@ -207,7 +259,7 @@ def test_classical_window_short_of_the_exit_warns_and_reports_zero():
     # 1e-40: what the spectral sum leaves there is rounding residue
     g = hexagonal_graph(12)
     with pytest.warns(BoundaryMaximumWarning, match="below the rounding floor 1e-12"):
-        curve = classical_hitting_curve(g, 1.0, 3.0)
+        curve = classical_hitting_curve(ClassicalGenerator(g, 1.0), 3.0)
     assert not np.any(curve.p_exit)
     assert (curve.z_opt, curve.p_opt) == (curve.z[-1], 0.0) == (3.0, 0.0)
 
@@ -215,7 +267,7 @@ def test_classical_window_short_of_the_exit_warns_and_reports_zero():
 def test_classical_window_that_reaches_the_exit_does_not_warn():
     with warnings.catch_warnings():
         warnings.simplefilter("error", BoundaryMaximumWarning)
-        curve = classical_hitting_curve(hexagonal_graph(2), t_max=30.0)
+        curve = classical_hitting_curve(ClassicalGenerator(hexagonal_graph(2)), t_max=30.0)
     assert curve.p_opt == curve.p_exit.max() > 1e-12
 
 

@@ -323,7 +323,7 @@ def test_million_point_scan_stays_small():
     g = hexagonal_graph(12)
     curves = []
     peak = peak_traced_bytes(
-        lambda: curves.append(quantum_hitting_curve(g, 1.0, z_max=9999.98, dz=0.01))
+        lambda: curves.append(quantum_hitting_curve(Hamiltonian(g, 1.0), z_max=9999.98, dz=0.01))
     )
     assert len(curves[0].z) == 999_999
     assert peak < 64 * 2**20
@@ -411,17 +411,20 @@ def test_real_products_match_numpys_complex_ones(k):
         assert np.array_equal(quantum._real_product(rows.real, a), rows.real @ a)
 
 
+
+
 def test_a_curve_frees_its_operator_and_quotient_without_the_collector():
-    # a reference cycle between operator and spectrum would keep both until gc runs
-    g = hexagonal_graph(4)
+    # the curve keeps no reference to the walk it scanned, and a reference cycle
+    # between operator and spectrum would keep both until gc runs
+    h = Hamiltonian(hexagonal_graph(4))
     gc.disable()
     try:
-        curve = quantum_hitting_curve(g)
-        operator = weakref.ref(curve.operator)
-        v = weakref.ref(curve.operator.entry_spectrum)
-        del curve
+        operator, v = weakref.ref(h), weakref.ref(h.entry_spectrum)
+        curve = quantum_hitting_curve(h)
+        del h
         assert operator() is None
         assert v() is None
+        assert 0.0 < curve.p_opt < 1.0  # the curve itself lives on
     finally:
         gc.enable()
 
