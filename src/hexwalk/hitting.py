@@ -395,8 +395,11 @@ def _line_fit(x: np.ndarray, y: np.ndarray, model: str) -> FitResult:
         raise FitError("all x values are identical; the slope is undetermined")
     slope, intercept = np.polyfit(x, y, 1)
     residuals = y - (slope * x + intercept)
-    ss_res = float(np.sum(residuals**2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    # r^2 is scale-free, but squares of raw y under- or overflow: both sums run on y / 2^e,
+    # 2^e just above max |y| (exact), so they are in max |y|^2 units and 1e-30 is relative
+    e = np.frexp(np.max(np.abs(y)))[1]
+    ss_res = float(np.sum(np.ldexp(residuals, -e) ** 2))
+    ss_tot = float(np.sum(np.ldexp(y - np.mean(y), -e) ** 2))
     if ss_tot == 0.0:
         r_squared = 1.0 if ss_res <= 1.0e-30 else 0.0
     else:

@@ -40,13 +40,15 @@ from hexwalk.quantum import Hamiltonian, WalkOperator
 NODE_CAP = 64
 
 #: Most Taylor substeps one run may take (see :func:`evolve_qsw`).  The run's
-#: a-priori error bound s 2^-53 stays at 1.1e-12 and its work near 15 s for a
-#: 64-node graph on one core: up to 42 terms a substep, each two real 64 x 64
-#: products (about 36 us a term); the longest run in the tests takes 1334.
+#: a-priori error bound s 2^-53 stays at 1.1e-12 and its work near 16 s for a
+#: 64-node graph on one core: up to 39 terms a substep, each at most two real
+#: 64 x 64 products (about 42 us a term at omega = 0.5, 35 us at 0 and 12 us at
+#: 1, in the benchmark's calibrated seconds); the longest run in the tests
+#: takes 1334.
 SUBSTEP_CAP = 10**4
 
-#: Largest Taylor substep beta * tau (see :func:`evolve_qsw`).  Products per
-#: unit of beta * t, m / theta, fall as it grows (9.7 at 3, 7.0 at 6, 6.25 at
+#: Largest Taylor substep beta * tau (see :func:`evolve_qsw`).  Terms per
+#: unit of beta * t, m / theta, fall as it grows (9.0 at 3, 6.5 at 6, 5.6 at
 #: 8), but terms up to e^theta cancel: at 8 a run of beta t = 8000 rounds 3x worse.
 _THETA = 6.0
 
@@ -100,14 +102,22 @@ def density_from_state(psi: np.ndarray) -> np.ndarray:
 
 def _series_plan(beta_t: float) -> tuple[int, int]:
     """Substeps s and degree m of the Taylor series of exp(t L), for beta * t = ``beta_t``;
-    ``ValueError`` if s would exceed :data:`SUBSTEP_CAP` (or beta * t is not finite)."""
+    ``ValueError`` if s would exceed :data:`SUBSTEP_CAP` (or beta * t is not finite).
+
+    s = ceil(beta t / theta) with theta = :data:`_THETA`, and m is the smallest
+    degree with m + 2 > x and x^(m+1) / (m+1)! / (1 - x / (m+2)) <= 2^-53 for
+    x = beta t / s: the tail sum_{j>m} x^j / j! is at most its first term times
+    the geometric series of ratio x / (m+2), so it is within 2^-53 too.
+    """
     if not beta_t / _THETA <= SUBSTEP_CAP:
         raise ValueError(
             f"the series needs {beta_t / _THETA:.3g} substeps, above the cap of {SUBSTEP_CAP}"
         )
     s = math.ceil(beta_t / _THETA)
     theta, m = (beta_t / s if s else 0.0), 0
-    while theta ** (m + 1) / math.factorial(m + 1) * math.exp(theta) > 2.0**-53:
+    while m + 2 <= theta or (
+        theta ** (m + 1) / math.factorial(m + 1) > 2.0**-53 * (1.0 - theta / (m + 2))
+    ):
         m += 1
     return s, m
 
@@ -135,18 +145,20 @@ def evolve_qsw(
     shifted dissipator is omega * rate * (d_max - D + A), a nonnegative
     symmetric matrix with row sums d_max.  s = ceil(beta t / theta) substeps
     of tau = t / s, each e^(-r tau) times the degree-m Taylor series, where
-    m is the smallest degree with (beta tau)^(m+1) / (m+1)! e^(beta tau) <=
-    2^-53, are each within 2^-53 |rho| of exp(tau L) rho.  A symmetric A
+    m is the smallest degree whose geometric bound on the tail
+    sum_{j>m} (beta tau)^j / j! is at most 2^-53 (see :func:`_series_plan`),
+    are each within 2^-53 |rho| of exp(tau L) rho.  A symmetric A
     makes the semigroup unital as well as completely positive and
     trace-preserving, so it contracts the Frobenius norm and no substep
     amplifies the errors before it: the run is within s 2^-53 |rho0| of the
     exact solution, to first order, plus rounding.  At omega = 1 the
     coherent weight is an exact zero, so no commutator is formed and zero
-    coherences stay zero.  rho0 must be finite and Hermitian to 1e-12
-    of its largest entry; its Hermitian part is evolved, and returned as it
-    is when the series has no substeps.  Graphs above :data:`NODE_CAP`
-    nodes, and runs of more than :data:`SUBSTEP_CAP` substeps, are refused
-    before the series starts.
+    coherences stay zero; at omega = 0 the dissipator's weight is, so
+    neither its shift nor its population transfer is formed.  rho0 must be
+    finite and Hermitian to 1e-12 of its largest entry; its Hermitian part
+    is evolved, and returned as it is when the series has no substeps.
+    Graphs above :data:`NODE_CAP` nodes, and runs of more than
+    :data:`SUBSTEP_CAP` substeps, are refused before the series starts.
     """
     t = float(t)
     if not 0.0 <= t < np.inf:
@@ -170,17 +182,20 @@ def evolve_qsw(
     if s == 0:
         return rho
     tau, adj = t / s, hamiltonian.graph.adjacency
-    hop, shift = coherent * adj, r - 0.5 * omega * gamma * (deg[:, None] + deg)
+    hop, transfer = coherent * adj, (omega * gamma) * adj
+    shift = r - 0.5 * omega * gamma * (deg[:, None] + deg)
     state = rho.real + rho.imag
     for _ in range(s):
         term = state * math.exp(-r * tau)
         state = term.copy()
         for j in range(1, m + 1):
-            prev, term = term, shift * term
+            prev, term = term, 0.0
             if omega < 1.0:
-                term += prev.T @ hop
+                term = prev.T @ hop
                 term -= hop @ prev.T
-            term.flat[:: n + 1] += (omega * gamma) * (adj @ prev.diagonal())
+            if omega > 0.0:
+                term += shift * prev  # at omega = 1 the float 0.0 becomes a new array
+                term.reshape(-1)[:: n + 1] += transfer @ prev.diagonal()
             term *= tau / j
             state += term
     return 0.5 * (state + state.T) + 0.5j * (state - state.T)

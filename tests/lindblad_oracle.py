@@ -43,3 +43,14 @@ def lindblad_rhs(rho: np.ndarray, hamiltonian: Hamiltonian, params: QswParams) -
         damp = 0.5 * (deg[:, None] + deg[None, :])
         out += omega * gamma * (gain - damp * rho)
     return out
+
+
+def lindblad_generator(hamiltonian: Hamiltonian, params: QswParams) -> np.ndarray:
+    """The N^2 x N^2 matrix of :func:`lindblad_rhs` on row-major vec(rho), column by column."""
+    n = hamiltonian.dim
+    generator = np.zeros((n * n, n * n), dtype=complex)
+    for col in range(n * n):
+        unit = np.zeros(n * n, dtype=complex)
+        unit[col] = 1.0
+        generator[:, col] = lindblad_rhs(unit.reshape(n, n), hamiltonian, params).ravel()
+    return generator

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -390,6 +391,24 @@ def test_sweep_range_syntax_writes_fits(tmp_path, capsys):
     assert fits[1].startswith("power-law,")
     assert (tmp_path / "sweep.dat").exists()
     assert (tmp_path / "fit.dat").exists()
+
+
+def test_sweep_fit_r_squared_does_not_depend_on_the_coupling_scale(tmp_path):
+    # z_opt goes as 1 / C: at C = 1e200 its squares underflow, at 1e-160 they overflow
+    def fits(coupling):
+        out = tmp_path / coupling
+        argv = ["sweep", "--depths", "2..5", "--coupling", coupling, "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 0
+        return {row.split(",")[0]: float(row.split(",")[3]) for row in data_rows(out / "fit.csv")}
+
+    reference = fits("1")
+    for coupling in ("1e200", "1e-200", "1e160", "1e-160"):
+        scaled = fits(coupling)
+        assert scaled.keys() == reference.keys()
+        for model, r_squared in reference.items():
+            assert abs(scaled[model] - r_squared) < 1e-12, (coupling, model)
 
 
 @pytest.mark.parametrize("window", [[], ["--z-max", "5"]], ids=["default", "z-max-5"])

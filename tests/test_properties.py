@@ -30,7 +30,8 @@ from scipy.linalg import expm
 from hexwalk.graphs import Graph
 from hexwalk.hitting import ConvergenceError, classical_convergence_time
 from hexwalk.quantum import Hamiltonian, entry_state, propagate
-from hexwalk.stochastic import ClassicalGenerator
+from hexwalk.stochastic import ClassicalGenerator, QswParams, density_from_state, evolve_qsw
+from lindblad_oracle import lindblad_generator
 
 PROFILE = settings(max_examples=40, derandomize=True, database=None, deadline=None)
 
@@ -44,8 +45,8 @@ def _graph(n: int, edges, entry: int, exit: int, mirror=None) -> Graph:
 
 
 @st.composite
-def random_graphs(draw) -> Graph:
-    n = draw(st.integers(2, 20))
+def random_graphs(draw, max_nodes: int = 20) -> Graph:
+    n = draw(st.integers(2, max_nodes))
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     edges = draw(st.sets(st.sampled_from(pairs), max_size=2 * n))
     entry, exit = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
@@ -53,8 +54,8 @@ def random_graphs(draw) -> Graph:
 
 
 @st.composite
-def doubled_graphs(draw) -> Graph:
-    m = draw(st.integers(1, 8))
+def doubled_graphs(draw, max_copy: int = 8) -> Graph:
+    m = draw(st.integers(1, max_copy))
     coloured = draw(st.booleans())
     colour = draw(st.lists(st.integers(0, 1), min_size=m, max_size=m))
     inside = [(a, b) for a in range(m) for b in range(a + 1, m) if not coloured or colour[a] != colour[b]]
@@ -118,6 +119,44 @@ def test_convergence_fails_exactly_on_disconnected_graphs(family, data):
     else:
         with pytest.raises(ConvergenceError, match="disconnected"):
             classical_convergence_time(g)
+
+
+# the density-matrix walk on graphs of at most 10 nodes: its oracle is an N^2 x N^2 expm
+QSW_GRAPHS = {"random": random_graphs(max_nodes=10), "doubled": doubled_graphs(max_copy=4)}
+
+
+@pytest.mark.parametrize("family", sorted(QSW_GRAPHS))
+@PROFILE
+@given(data=st.data())
+def test_qsw_is_a_density_matrix_between_the_two_walks(family, data):
+    g = data.draw(QSW_GRAPHS[family])
+    n = g.n_nodes
+    omega = data.draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    rate = data.draw(st.floats(0.25, 2.0))
+    t = data.draw(st.floats(0.0, 4.0))
+    h, params = Hamiltonian(g), QswParams(omega=omega, rate=rate)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    psi0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    psi0 /= np.linalg.norm(psi0)
+    p0 = rng.random(n)
+    p0 /= p0.sum()
+    flow = expm(t * lindblad_generator(h, params))
+    rhos = []
+    for rho0 in (density_from_state(psi0), np.diag(p0).astype(complex)):
+        rho = evolve_qsw(rho0, h, params, t)
+        assert abs(np.trace(rho) - 1.0) <= 1e-12
+        assert np.array_equal(rho, rho.conj().T)
+        assert np.linalg.eigvalsh(rho).min() >= -1e-12
+        assert np.max(np.abs(rho - (flow @ rho0.ravel()).reshape(n, n))) <= 1e-12
+        rhos.append(rho)
+    pure, diagonal = rhos
+    if omega == 0.0:
+        psi = propagate(h, psi0, t)
+        assert np.max(np.abs(pure - np.outer(psi, psi.conj()))) <= 1e-12
+    if omega == 1.0:
+        p = propagate(ClassicalGenerator(g, rate), p0, t)
+        assert np.max(np.abs(np.diag(diagonal) - p)) <= 1e-12
+        assert not np.any(diagonal - np.diag(np.diag(diagonal)))
 
 
 def _splits_a_cell(g: Graph) -> bool:

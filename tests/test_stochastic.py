@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hexwalk.graphs import Graph, glued_tree, hexagonal_graph, hypercube_graph, 
 from hexwalk.quantum import Hamiltonian, entry_state, propagate
 from hexwalk.stochastic import ClassicalGenerator, QswParams, density_from_state, evolve_qsw
 from child_process import run_child
-from lindblad_oracle import lindblad_rhs
+from lindblad_oracle import lindblad_generator, lindblad_rhs
 from spectrum_oracle import dense_matrix, propagate_expm
 
 
@@ -284,8 +285,8 @@ def test_qsw_midpoint_agrees_with_finer_steps():
     h, params, t = Hamiltonian(g), QswParams(omega=0.5), 5.0
     whole = evolve_qsw(rho0, h, params, t)
     # beta = 2 d_max (1 - omega) C + omega rate d_max = 3: the whole run takes 3 substeps
-    # of degree 37, each half 2 finer substeps of degree 32, so the two plans differ
-    assert (stochastic._series_plan(3.0 * t), stochastic._series_plan(1.5 * t)) == ((3, 37), (2, 32))
+    # of degree 35, each half 2 finer substeps of degree 30, so the two plans differ
+    assert (stochastic._series_plan(3.0 * t), stochastic._series_plan(1.5 * t)) == ((3, 35), (2, 30))
     halves = evolve_qsw(evolve_qsw(rho0, h, params, t / 2), h, params, t / 2)
     assert np.max(np.abs(whole - halves)) < 1e-12
     # only C t and rate t enter: C = rate = 0.1 over 10 t is the same walk with the same plan
@@ -351,7 +352,7 @@ else:
 @pytest.mark.parametrize(
     "coupling, t, work",
     [
-        (1.0, 1e12, "7\\.5e\\+11 substeps"),  # beta t = 4.5e12: 7.5 10^11 substeps of 42 terms
+        (1.0, 1e12, "7\\.5e\\+11 substeps"),  # beta t = 4.5e12: 7.5 10^11 substeps of 39 terms
         (1e308, 1.0, "inf substeps"),  # beta overflows to inf
     ],
 )
@@ -404,13 +405,8 @@ def expm_scaling_squaring(a: np.ndarray) -> np.ndarray:
 
 def oracle_evolution(rho0: np.ndarray, h: Hamiltonian, params: QswParams, t: float) -> np.ndarray:
     """exp(t L) rho0 with L assembled column by column from the ``lindblad_rhs`` oracle."""
-    n = h.dim
-    generator = np.zeros((n * n, n * n), dtype=complex)
-    for col in range(n * n):
-        unit = np.zeros(n * n, dtype=complex)
-        unit[col] = 1.0
-        generator[:, col] = lindblad_rhs(unit.reshape(n, n), h, params).ravel()
-    return (expm_scaling_squaring(generator * t) @ rho0.ravel()).reshape(n, n)
+    generator = lindblad_generator(h, params)
+    return (expm_scaling_squaring(generator * t) @ rho0.ravel()).reshape(rho0.shape)
 
 
 @pytest.mark.parametrize("omega", [0.25, 0.5, 0.75])
@@ -478,18 +474,25 @@ def test_qsw_limits_equal_propagate_to_rounding(graph, t):
 @pytest.mark.parametrize("beta_t", [0.0, 1e-9, 0.4, 6.0, 6.000001, 48.0, 336.7, 8000.0])
 def test_series_plan_meets_its_truncation_bound(beta_t):
     s, m = stochastic._series_plan(beta_t)
-
-    def tail(theta, degree):
-        return theta ** (degree + 1) / math.factorial(degree + 1) * math.exp(theta)
-
     if beta_t == 0.0:
         assert (s, m) == (0, 0)
         return
     theta = beta_t / s
     assert theta <= stochastic._THETA
     assert s == 1 or beta_t / (s - 1) > stochastic._THETA
-    assert tail(theta, m) <= 2.0**-53
-    assert m == 0 or tail(theta, m - 1) > 2.0**-53
+    x, eps = Fraction(theta), Fraction(1, 2**53)
+
+    def geometric(degree):
+        # the plan's rule, exactly: x^(degree+1) / (degree+1)! over 1 - x / (degree+2)
+        if degree + 2 <= x:
+            return math.inf
+        return x ** (degree + 1) / math.factorial(degree + 1) / (1 - x / (degree + 2))
+
+    # the true tail sum_{j>m} x^j / j!: 40 more terms exactly, the rest bounded
+    tail = sum(x**j / math.factorial(j) for j in range(m + 1, m + 41)) + geometric(m + 40)
+    assert tail <= eps
+    assert geometric(m) <= eps
+    assert m == 0 or geometric(m - 1) > eps
 
 
 def test_series_plan_stops_at_the_substep_cap():
@@ -503,11 +506,11 @@ def test_series_plan_stops_at_the_substep_cap():
 
 def test_series_plan_at_the_benchmark_sizes():
     # beta = 2 d_max C at omega = 0: hexagonal n = 4 to t = 8, hypercube d = 6 to t = 3
-    assert stochastic._series_plan(2 * 3 * 8.0) == (8, 42)
-    assert stochastic._series_plan(2 * 6 * 3.0) == (6, 42)
+    assert stochastic._series_plan(2 * 3 * 8.0) == (8, 39)
+    assert stochastic._series_plan(2 * 6 * 3.0) == (6, 39)
     # the centred bound beta = rate d_max at omega = 1 halves the substeps
-    assert stochastic._series_plan(3 * 8.0) == (4, 42)
-    assert stochastic._series_plan(6 * 3.0) == (3, 42)
+    assert stochastic._series_plan(3 * 8.0) == (4, 39)
+    assert stochastic._series_plan(6 * 3.0) == (3, 39)
 
 
 def test_qsw_on_an_edgeless_graph_keeps_the_start():
