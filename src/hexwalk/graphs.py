@@ -86,11 +86,12 @@ class Graph:
     in input order.  An integer array is checked in one numpy pass; any
     other input is read one value at a time, with the same messages.
 
-    ``mirror``, when given, is an involution tau of the nodes (tau[v] is
-    the image of node v) that maps edges onto edges and the entry onto the
-    exit: the reflection that swaps the two ends of the walk.  Builders that
-    know one declare it; the graph checks it but never searches for one.
-    Walk operators split their spectra by it (see :mod:`hexwalk.quantum`).
+    Builders that know them declare ``mirror`` and ``cells``, which the graph
+    checks but never searches for.  ``mirror`` is an involution tau of the
+    nodes (tau[v] is the image of node v) mapping edges onto edges and the
+    entry onto the exit, the reflection swapping the walk's two ends, by
+    which walk operators split their spectra (:mod:`hexwalk.quantum`).
+    ``cells`` labels each node with its cell of :attr:`entry_cells`.
     """
 
     def __init__(
@@ -102,6 +103,7 @@ class Graph:
         exit: int,
         params: dict | None = None,
         mirror: np.ndarray | list[int] | None = None,
+        cells: np.ndarray | list[int] | None = None,
     ):
         if family not in FAMILIES:
             raise ValueError(f"unknown graph family {family!r}")
@@ -131,6 +133,7 @@ class Graph:
         if mirror is not None:
             mirror = _checked_mirror(mirror, n, key, entry, exit)
         self._mirror = mirror
+        self._cells = None if cells is None else _node_values(cells, n, "cells", "cell label")
         edge_array = np.column_stack((key // n, key % n))
         del key
         edge_array.flags.writeable = False
@@ -259,39 +262,25 @@ class Graph:
 
     @cached
     def entry_cells(self) -> np.ndarray:
-        """Cell id of every node in the entry partition (read-only, cached).
-
-        The entry partition is the coarsest equitable partition in which the
-        entry is alone in its cell: every node of a cell has the same number
-        of neighbours in each cell.  Every symmetry of the graph that keeps
-        the entry in place maps each cell onto itself, so a walk launched at
-        the entry stays constant on the cells.  Any such partition refines
-        the distance layers (:attr:`distances`): by induction on the
-        distance, the nodes of one cell have the same number of neighbours
-        in each layer, so they lie in one layer.  Colour refinement therefore
-        starts from the layers, with the nodes the entry cannot reach as one
-        layer past the last: each round recolours a node by the rank of
-        the row [own colour, sorted neighbour colours] among the distinct
-        rows, in lexicographic order (one ``np.lexsort`` over the columns,
-        then a running count of rows that differ from the one before).  Rows
-        are compared entry by entry, so the partition is exact; the
-        refinement stops when the cell count stops growing.  The own colour
-        leads each row, so cell ids ascend with the distance.
-        """
-        n = self.n_nodes
-        table = self.neighbours
-        colour = np.empty(n + 1, dtype=np.int64)
-        d = self.distances
-        colour[:n] = np.where(d < 0, d.max() + 1, d)
-        colour[n] = -1  # the padding node's colour, which no node has
-        cells = 0
-        while colour.max() + 1 > cells:
-            cells = colour.max() + 1
-            rows = np.column_stack((colour[:n], np.sort(colour[table], axis=1)))
-            order = np.lexsort(rows.T[::-1])
-            rows = rows[order]
-            colour[order] = np.cumsum(np.r_[False, np.any(rows[1:] != rows[:-1], axis=1)])
-        return colour[:n]
+        """Cell id of every node in the entry partition, equitable with the
+        entry alone: the declared labels numbered 0..k-1 in ascending order,
+        or ``np.arange(N)`` where none are declared (read-only, cached).  On
+        first read ``ValueError`` names the first node that shares the entry's
+        cell, or whose sorted neighbour cells differ from those of the first
+        node of its cell."""
+        if self._cells is None:
+            return np.arange(self.n_nodes)
+        e = self._entry
+        _, first, cell = np.unique(self._cells, return_index=True, return_inverse=True)
+        mates = np.flatnonzero(cell == cell[e])
+        if len(mates) > 1:
+            raise ValueError(f"the entry {e} shares its cell with node {mates[mates != e][0]}")
+        rows = np.sort(np.r_[cell, -1][self.neighbours], axis=1)  # the padding's cell is -1
+        broken = np.flatnonzero(np.any(rows != rows[first[cell]], axis=1))
+        if broken.size:
+            v, u = broken[0], first[cell[broken[0]]]
+            raise ValueError(f"cells are not equitable: node {v} differs from node {u} of its cell")
+        return cell
 
     def __repr__(self) -> str:
         return (
@@ -386,15 +375,19 @@ def _edge_keys(pairs: np.ndarray, n: int) -> np.ndarray:
     return key
 
 
+def _node_values(values, n: int, name: str, label: str) -> np.ndarray:
+    """``values`` as an (n,) int64 array, each read by :func:`_int64_rows` as a ``label``."""
+    array, fault = _int64_rows(values, label, pairs=False)
+    if fault is not None or array.shape != (n,):
+        raise fault or ValueError(f"{name} has shape {array.shape}, expected ({n},)")
+    return array
+
+
 def _checked_mirror(mirror, n: int, key: np.ndarray, entry: int, exit: int) -> np.ndarray:
     """``mirror`` as a read-only node permutation; ``ValueError`` naming the fault
     unless it is an involutive automorphism that maps ``entry`` to ``exit``.
     ``key`` holds the edges as ascending keys a * n + b with a < b."""
-    tau, fault = _int64_rows(mirror, "mirror entry", pairs=False)
-    if fault is not None:
-        raise fault
-    if tau.shape != (n,):
-        raise ValueError(f"mirror has shape {tau.shape}, expected ({n},)")
+    tau = _node_values(mirror, n, "mirror", "mirror entry")
     if not np.array_equal(np.sort(tau), np.arange(n)):
         raise ValueError(f"mirror is not a permutation of the nodes 0..{n - 1}")
     moved = np.flatnonzero(tau[tau] != np.arange(n))
@@ -449,7 +442,7 @@ def hexagonal_graph(n: int) -> Graph:
     has 2n**2 + 4n nodes and 3n**2 + 4n - 1 edges; a depth whose patch
     would exceed :data:`MAX_NODES` is refused.  Its mirror is the
     reflection X -> 6(n - 1) - X across the middle column, which swaps the
-    entry and exit corners.
+    entry and exit corners; its entry cells are the pairs (X, |Y|).
     """
     n = _check_size(n, "depth n", 1)
     _check_nodes(2 * n * n + 4 * n)
@@ -469,7 +462,8 @@ def hexagonal_graph(n: int) -> Graph:
     sides = sides[np.r_[True, sides[1:] != sides[:-1]]]  # each inner side once
     edges = np.column_stack((sides // count, sides % count))
     mirror = np.searchsorted(keys, (6 * n - 4 - coords[:, 0]) * span + coords[:, 1] + n)
-    return Graph("hexagonal", coords, edges, 0, count - 1, {"n": n}, mirror)
+    cells = (coords[:, 0] + 2) * span + np.abs(coords[:, 1])
+    return Graph("hexagonal", coords, edges, 0, count - 1, {"n": n}, mirror, cells)
 
 
 def glued_tree(depth: int, gluing: str = "random-cycle", seed: int = 0) -> Graph:
@@ -489,7 +483,7 @@ def glued_tree(depth: int, gluing: str = "random-cycle", seed: int = 0) -> Graph
     so that every parent sits midway between its children.  The identity
     gluing carries a mirror, which swaps node i of each level of the left
     tree with node i of the same level of the right tree; a random cycle
-    carries none.
+    carries none.  Either gluing's entry cells are the columns X.
     """
     depth = _check_size(depth, "depth", 1)
     if gluing not in GLUING_MODES:
@@ -524,7 +518,7 @@ def glued_tree(depth: int, gluing: str = "random-cycle", seed: int = 0) -> Graph
         glue = np.column_stack((lo, ro, ro, np.roll(lo, -1))).reshape(-1, 2)
         params["seed"] = seed
     edges = np.r_[trees, glue]
-    return Graph("glued-tree", coords, edges, 0, 2 * half - 1, params, mirror)
+    return Graph("glued-tree", coords, edges, 0, 2 * half - 1, params, mirror, coords[:, 0])
 
 
 def hypercube_graph(d: int) -> Graph:
@@ -534,8 +528,8 @@ def hypercube_graph(d: int) -> Graph:
     corner 0 and the exit the all-ones corner 2**d - 1, and the mirror is the
     complement v -> 2**d - 1 - v.  Coordinates are for display only
     (X = Hamming weight, layers spread in Y) and do not affect the id
-    assignment.  A dimension whose 2**d nodes exceed :data:`MAX_NODES` is
-    refused.
+    assignment.  The entry cells are the Hamming weights.  A dimension
+    whose 2**d nodes exceed :data:`MAX_NODES` is refused.
     """
     d = _check_size(d, "dimension d", 1)
     _check_nodes(2**d if d < 64 else f"2**{d}")
@@ -553,20 +547,22 @@ def hypercube_graph(d: int) -> Graph:
     del unset
     edges = np.column_stack((low, low | flip[b]))
     del low, b
-    return Graph("hypercube", coords, edges, 0, n - 1, {"d": d}, v[::-1])
+    return Graph("hypercube", coords, edges, 0, n - 1, {"d": d}, v[::-1], weight)
 
 
 def path_graph(m: int) -> Graph:
     """Path of m sites.  Spreading walks launch from the middle, so the
     entry is site (m - 1) // 2 and the exit the far end m - 1; taking the
     left-of-centre site for even m keeps entry and exit distinct down to
-    m = 2.  More than :data:`MAX_NODES` sites are refused."""
+    m = 2.  An odd m declares the entry cells |i - entry|; an even m, with
+    one site per cell, none.  More than :data:`MAX_NODES` sites are refused."""
     m = _check_size(m, "site count m", 2)
     _check_nodes(m)
     i = np.arange(m)
     coords = np.column_stack((2 * i, np.zeros_like(i)))
     edges = np.column_stack((i[:-1], i[1:]))
-    return Graph("path", coords, edges, (m - 1) // 2, m - 1, params={"m": m})
+    cells = np.abs(i - (m - 1) // 2) if m % 2 else None
+    return Graph("path", coords, edges, (m - 1) // 2, m - 1, {"m": m}, cells=cells)
 
 
 def _glued_tree_from(take, seed: int) -> Graph:

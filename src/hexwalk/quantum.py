@@ -29,13 +29,14 @@ the entry in place also keeps the launch state, so the state stays
 constant on the cells of the entry partition
 (:attr:`hexwalk.graphs.Graph.entry_cells`): the coarsest equitable
 partition with the entry alone in its cell (Krovi & Brun, PRA 75, 062332,
-2007).  Degrees are constant on its cells, so M maps the states constant
-on them into themselves, and :func:`propagate` runs every such state,
-the launch state among them, on the spectrum of M restricted to them.  A
+2007), which each builder declares.  Degrees are constant on its cells, so
+M maps the states constant on them into themselves, and :func:`propagate`
+runs every such state on the spectrum of M restricted to them.  A
 hexagonal patch halves (n^2 + 3n cells of 2n^2 + 4n nodes), a glued tree
 of depth d shrinks to 2d + 2 cells and a hypercube of dimension d to
 d + 1, so glued trees of depth 12 (16382 nodes) and larger scan without
-forming a dense matrix.  Any other state takes the node route.
+forming a dense matrix.  Any other state, and any state on a graph that
+declares no cells, takes the node route.
 
 A graph whose builder declares a mirror (:attr:`hexwalk.graphs.Graph.mirror`,
 an involutive automorphism tau that swaps entry and exit) halves each
@@ -319,8 +320,10 @@ class WalkOperator:
     @cached
     def entry_spectrum(self) -> Spectrum:
         """The eigendecomposition on the cells of :attr:`Graph.entry_cells`
-        (:class:`Spectrum`, cached).  It refers to nothing of the operator."""
-        return Spectrum(self, self.graph.entry_cells)
+        (:class:`Spectrum`, cached), or :attr:`spectrum` where every node is its
+        own cell, with its own id.  It refers to nothing of the operator."""
+        cell = self.graph.entry_cells
+        return self.spectrum if np.array_equal(cell, np.arange(self.dim)) else Spectrum(self, cell)
 
 
 class Hamiltonian(WalkOperator):

@@ -1,14 +1,19 @@
-"""Colour refinement by whole-row ``np.unique``, as a test oracle.
+"""Colour refinement by whole-row ``np.unique``: the oracle for declared entry cells.
 
-``Graph.entry_cells`` seeds its refinement with the distance layers from
-the entry and ranks each round's rows with one ``np.lexsort``.  This
-module keeps the form it replaced: ``np.unique(axis=0)`` sorts the rows as
-structured records, compared field by field, and hands back each row's
-rank among the distinct rows.  Both orders are lexicographic, so with the
-same seed the two must give the same cell ids, not merely the same
-partition.  :func:`unique_row_cells` takes its layers from a plain-queue
-breadth-first search of its own; :func:`unseeded_cells` starts from
-{entry} | rest, as the refinement did before it was seeded.
+Every builder declares its graph's entry partition in closed form, and
+``Graph.entry_cells`` checks that a declared partition is equitable with
+the entry alone, not that it is the coarsest.  This module finds the
+coarsest by refinement, and the tests hold each declaration to it, as a
+partition (:func:`same_partition`).  Each round recolours a node by the
+rank of its row [own colour, sorted neighbour colours] among the distinct
+rows, which ``np.unique(axis=0)`` hands back, until the cell count stops
+growing.  :func:`unique_row_cells` starts from the distance layers of a
+plain-queue breadth-first search of its own, since every equitable
+partition with the entry alone lies within them; :func:`unseeded_cells`
+starts from {entry} | rest, and the two must agree.
+:func:`with_oracle_cells` hands a graph that declares no cells, such as a
+hand-built one, the oracle's partition, so that its walks run on the
+entry cells.
 """
 
 from __future__ import annotations
@@ -65,6 +70,18 @@ def unique_row_cells(graph: Graph) -> np.ndarray:
     the nodes the entry cannot reach one layer past the last."""
     dist = queue_distances(graph)
     return _refine(graph, np.where(dist < 0, dist.max() + 1, dist))
+
+
+def with_oracle_cells(g: Graph) -> Graph:
+    """The same graph with :func:`unique_row_cells` declared as its cells."""
+    cells = unique_row_cells(g)
+    return Graph(g.family, g.coord_array, g.edges, g.entry, g.exit, g.params, g.mirror, cells)
+
+
+def same_partition(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two cell labellings of the same nodes group them alike, whatever the ids."""
+    pairs = np.unique(np.column_stack((a, b)), axis=0)
+    return len(pairs) == len(np.unique(a)) == len(np.unique(b))
 
 
 def unseeded_cells(graph: Graph) -> np.ndarray:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import re
 import time
 import tracemalloc
+import warnings
 from collections import deque
 
 import numpy as np
@@ -20,12 +21,19 @@ from hexwalk.graphs import (
     parse_graph_selector,
     path_graph,
 )
-from hexwalk.hitting import ConvergenceError, classical_convergence_time, depth_sweep
-from hexwalk.quantum import Hamiltonian, entry_state, propagate
+from hexwalk.hitting import (
+    BoundaryMaximumWarning,
+    ConvergenceError,
+    classical_convergence_time,
+    classical_hitting_curve,
+    depth_sweep,
+    quantum_hitting_curve,
+)
+from hexwalk.quantum import Hamiltonian, WalkOperator, entry_state, propagate
 from hexwalk.stochastic import ClassicalGenerator
 import graph_oracle
 from spectrum_oracle import dense_v
-from refinement_oracle import queue_distances, unique_row_cells, unseeded_cells
+from refinement_oracle import queue_distances, same_partition, unique_row_cells, unseeded_cells
 
 
 def bfs_layers(g: Graph, start: int) -> dict[int, int]:
@@ -542,43 +550,59 @@ def test_entry_partition_is_equitable_with_the_entry_alone(build, cells):
         cell[0] = 5
 
 
-# The partition cases, three graphs of the benchmark's size, two
-# disconnected graphs and a long path, whose layers the unseeded refinement
-# found one round at a time.
-REFINEMENT_CASES = (
-    [c[:2] for c in PARTITION_CASES]
-    + [
-        (name, lambda spec=spec: parse_graph_selector(spec))
-        for name, spec in (
-            ("hexagonal-24", "hexagonal:n=24"),
-            ("glued-random-9", "glued-tree:d=9,seed=1"),
-            ("hypercube-9", "hypercube:d=9"),
-        )
-    ]
-    + [
-        ("two-parts", lambda: Graph("path", [(0, 0), (2, 0), (4, 0), (6, 0)], [(0, 1), (2, 3)], 0, 3)),
-        ("edgeless", lambda: Graph("path", [(0, 0), (2, 0)], [], 0, 1)),
-        ("path-1001", lambda: path_graph(1001)),
-    ]
-)
+# The partition cases, three graphs of the benchmark's size and a long path,
+# whose layers the unseeded refinement found one round at a time, and two
+# disconnected graphs built by hand, which declare no cells.
+BUILT_CASES = [c[:2] for c in PARTITION_CASES] + [
+    (name, lambda spec=spec: parse_graph_selector(spec))
+    for name, spec in (
+        ("hexagonal-24", "hexagonal:n=24"),
+        ("glued-random-9", "glued-tree:d=9,seed=1"),
+        ("hypercube-9", "hypercube:d=9"),
+        ("path-1001", "path:m=1001"),
+    )
+]
+HAND_BUILT_CASES = [
+    ("two-parts", lambda: Graph("path", [(0, 0), (2, 0), (4, 0), (6, 0)], [(0, 1), (2, 3)], 0, 3)),
+    ("edgeless", lambda: Graph("path", [(0, 0), (2, 0)], [], 0, 1)),
+]
+REFINEMENT_CASES = BUILT_CASES + HAND_BUILT_CASES
 REFINEMENT_IDS = [name for name, _ in REFINEMENT_CASES]
 REFINEMENT_BUILDS = [build for _, build in REFINEMENT_CASES]
 
 
-@pytest.mark.parametrize("build", REFINEMENT_BUILDS, ids=REFINEMENT_IDS)
+@pytest.mark.parametrize("build", [b for _, b in BUILT_CASES], ids=[name for name, _ in BUILT_CASES])
 def test_entry_cells_equal_the_whole_row_refinement(build):
-    # the same lexicographic ranks as np.unique over whole rows: the same ids, not just the same cells
+    # the declared cells group the nodes as the oracle's refinement does, whatever their ids
     g = build()
-    assert np.array_equal(g.entry_cells, unique_row_cells(g))
+    assert same_partition(g.entry_cells, unique_row_cells(g))
+
+
+# Every builder at the sizes its declaration is held to the oracle at.
+DECLARED_SIZES = {
+    "hexagonal": lambda: (hexagonal_graph(n) for n in range(1, 41)),
+    "glued-tree": lambda: (
+        glued_tree(d, gluing, seed)
+        for d in range(1, 10)
+        for gluing, seeds in (("identity", [0]), ("random-cycle", range(5)))
+        for seed in seeds
+    ),
+    "hypercube": lambda: (hypercube_graph(d) for d in range(1, 13)),
+    "path": lambda: (path_graph(m) for m in range(2, 201)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(DECLARED_SIZES))
+def test_every_declared_partition_is_the_coarsest(family):
+    for g in DECLARED_SIZES[family]():
+        assert same_partition(g.entry_cells, unique_row_cells(g)), g
 
 
 @pytest.mark.parametrize("build", REFINEMENT_BUILDS, ids=REFINEMENT_IDS)
 def test_distance_seed_gives_the_unseeded_partition(build):
     # every equitable partition with the entry alone refines the distance layers
     g = build()
-    seeded, unseeded = g.entry_cells, unseeded_cells(g)
-    pairs = np.unique(np.column_stack((seeded, unseeded)), axis=0)
-    assert len(pairs) == len(np.unique(seeded)) == len(np.unique(unseeded))
+    assert same_partition(unique_row_cells(g), unseeded_cells(g))
 
 
 @pytest.mark.parametrize("build", REFINEMENT_BUILDS, ids=REFINEMENT_IDS)
@@ -608,19 +632,129 @@ def test_distances_and_parity_match_networkx(build):
 def test_building_a_graph_and_its_walk_runs_no_search(monkeypatch):
     # the density-matrix walk builds both and needs neither distances nor cells
     monkeypatch.setattr(Graph, "distances", property(lambda self: pytest.fail("distances")))
+    monkeypatch.setattr(Graph, "neighbours", property(lambda self: pytest.fail("neighbours")))
     g = hexagonal_graph(3)
     h = Hamiltonian(g)
     assert len(h.pairs[0]) == g.n_nodes + 2 * g.n_edges
 
 
-def test_a_long_path_refines_in_one_round():
-    # seeded with its layers, a path is equitable at once: 50001 cells in well under a second
+def test_a_long_path_checks_its_declared_cells_at_once():
+    # an odd path declares its distances from the entry: 50001 cells, checked in well under a second
     g = path_graph(100001)
     start = time.perf_counter()
     cells = g.entry_cells
     assert time.perf_counter() - start < 5.0
     assert cells.max() + 1 == 50001
     assert np.array_equal(cells, g.distances)
+
+
+_HAND_HEXAGON = hexagonal_graph(3)
+
+
+def _by_hand(cells=None) -> Graph:
+    """A depth-3 patch built by hand from the builder's arrays, with the given cells."""
+    g = _HAND_HEXAGON
+    return Graph("hexagonal", g.coord_array, g.edges, g.entry, g.exit, mirror=g.mirror, cells=cells)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [b for _, b in HAND_BUILT_CASES] + [_by_hand],
+    ids=[name for name, _ in HAND_BUILT_CASES] + ["hexagonal-3"],
+)
+def test_a_graph_without_cells_takes_the_node_route(build, monkeypatch):
+    # every node is its own cell, so the entry spectrum is the node spectrum: a scan and a
+    # state constant on no coarser cells share its eigh, one per sector the walk diagonalises
+    g = build()
+    assert np.array_equal(g.entry_cells, np.arange(g.n_nodes))
+    assert not g.entry_cells.flags.writeable
+    sizes = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: sizes.append(len(m)) or eigh(m))
+    x0 = np.sin(np.arange(g.n_nodes))
+    for op, scan in ((Hamiltonian(g), quantum_hitting_curve), (ClassicalGenerator(g), classical_hitting_curve)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BoundaryMaximumWarning)
+            scan(op, 6.0, 0.1)
+        propagate(op, x0, 1.0)
+        assert op.entry_spectrum is op.spectrum
+    # the patch's coherent walk derives its odd sector; its classical walk takes both
+    assert sizes == ([g.n_nodes] * 2 if g.mirror is None else [g.n_nodes // 2] * 3)
+
+
+def test_a_hand_built_graph_with_the_oracles_cells_runs_on_them(monkeypatch):
+    plain = _by_hand()
+    cells = unique_row_cells(plain)
+    g = _by_hand(cells)
+    walks = (Hamiltonian, ClassicalGenerator)
+    expected = [propagate(make(plain), entry_state(plain), 2.5) for make in walks]
+    monkeypatch.setattr(WalkOperator, "spectrum", property(lambda self: pytest.fail("node spectrum")))
+    for make, x in zip(walks, expected):
+        op = make(g)
+        assert len(op.entry_spectrum.w) == int(cells.max()) + 1 == 18
+        assert np.max(np.abs(propagate(op, entry_state(g), 2.5) - x)) <= 1e-12
+
+
+def test_nodes_as_cells_in_another_order_get_a_spectrum_of_their_own():
+    # an even path has one site per cell; labels in reverse number its cells backwards, so
+    # the node spectrum, whose cell ids are the node ids, cannot serve as the entry spectrum
+    g = path_graph(6)
+    backwards = Graph("path", g.coord_array, g.edges, g.entry, g.exit, cells=np.arange(6)[::-1])
+    assert backwards.entry_cells.tolist() == [5, 4, 3, 2, 1, 0]
+    zs = np.linspace(0.0, 2.0, 5)
+    for make in (Hamiltonian, ClassicalGenerator):
+        op, reference = make(backwards), make(g)
+        assert op.entry_spectrum is not op.spectrum
+        for got, expected in (
+            (propagate(op, entry_state(g), zs), propagate(reference, entry_state(g), zs)),
+            (propagate(op, entry_state(g), zs, g.exit), propagate(reference, entry_state(g), zs, g.exit)),
+        ):
+            assert np.max(np.abs(got - expected)) <= 1e-12
+
+
+def test_declared_cells_are_renumbered_in_the_order_of_their_labels():
+    g = Graph("path", [(0, 0), (2, 0), (4, 0)], [(0, 1), (1, 2)], 1, 2, cells=[-7, 40, -7])
+    assert g.entry_cells.tolist() == [0, 1, 0]
+    assert g.entry_cells.dtype == np.intp and not g.entry_cells.flags.writeable
+
+
+# A path 0 - 1 - 2 - 3 - 4 entered at its centre 2, and cell labellings it refuses.
+_PATH5 = ([(2 * i, 0) for i in range(5)], [(0, 1), (1, 2), (2, 3), (3, 4)], 2, 4)
+
+
+@pytest.mark.parametrize(
+    "cells, message",
+    [
+        # {0, 4} and {1, 3} merged: the ends have one neighbour, 1 and 3 two
+        ([0, 0, 1, 0, 0], r"^cells are not equitable: node 1 differs from node 0 of its cell$"),
+        # the entry's cell merged with the ends
+        ([0, 1, 0, 1, 0], r"^the entry 2 shares its cell with node 0$"),
+        # 1 and 3 apart, but 0 and 4 together: 0 sees cell 1, 4 sees cell 2
+        ([0, 1, 3, 2, 0], r"^cells are not equitable: node 4 differs from node 0 of its cell$"),
+    ],
+    ids=["not-equitable", "entry-shares", "mixed-ends"],
+)
+def test_a_declared_partition_that_fails_is_refused_on_first_read(cells, message):
+    g = Graph("path", *_PATH5, cells=cells)  # built: the check waits for a read
+    for _ in range(2):  # the failure is not cached
+        with pytest.raises(ValueError, match=message):
+            g.entry_cells
+
+
+@pytest.mark.parametrize(
+    "cells, message",
+    [
+        ([0, 1, 2, 1], r"^cells has shape \(4,\), expected \(5,\)$"),
+        (np.array([[0, 1, 2, 1, 0]]), r"^cells has shape \(1, 5\), expected \(5,\)$"),
+        ([0, 1, 2, 1, 0.5], r"^cell label 0.5 is not an integer$"),
+        ([0, 1, 2, 1, True], r"^cell label True is not an integer$"),
+    ],
+    ids=["short", "two-dimensional", "fraction", "bool"],
+)
+def test_cells_of_the_wrong_shape_or_type_are_refused_at_once(cells, message):
+    with pytest.raises(ValueError, match=message):
+        Graph("path", *_PATH5, cells=cells)
+    assert Graph("path", *_PATH5, cells=[2, 1, 0, 1, 2]).entry_cells.tolist() == [2, 1, 0, 1, 2]
 
 
 # ---------------------------------------------------------------------------

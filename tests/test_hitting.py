@@ -31,6 +31,7 @@ from hexwalk.hitting import (
 )
 from hexwalk.quantum import Hamiltonian, Spectrum, entry_state, propagate
 from hexwalk.stochastic import ClassicalGenerator
+from refinement_oracle import with_oracle_cells
 from spectrum_oracle import dense_v, propagate_dense, propagate_expm
 
 
@@ -472,7 +473,7 @@ def _two_hexagons(n: int) -> Graph:
     shift = one.coords[-1][0] + 4
     coords = list(one.coords) + [(x + shift, y) for x, y in one.coords]
     edges = list(one.edges) + [(a + one.n_nodes, b + one.n_nodes) for a, b in one.edges]
-    return Graph("hexagonal", coords, edges, one.entry, one.exit)
+    return with_oracle_cells(Graph("hexagonal", coords, edges, one.entry, one.exit))
 
 
 def _disconnected_graphs() -> tuple[Graph, Graph, Graph]:

@@ -32,6 +32,7 @@ from hexwalk.hitting import ConvergenceError, classical_convergence_time
 from hexwalk.quantum import Hamiltonian, entry_state, propagate
 from hexwalk.stochastic import ClassicalGenerator, QswParams, density_from_state, evolve_qsw
 from lindblad_oracle import lindblad_generator
+from refinement_oracle import same_partition, unique_row_cells, with_oracle_cells
 
 PROFILE = settings(max_examples=40, derandomize=True, database=None, deadline=None)
 
@@ -41,7 +42,9 @@ set_hypothesis_home_dir(os.devnull)
 
 
 def _graph(n: int, edges, entry: int, exit: int, mirror=None) -> Graph:
-    return Graph("path", [(2 * v, 0) for v in range(n)], sorted(edges), entry, exit, mirror=mirror)
+    """The graph, with the refinement oracle's entry partition declared as its cells."""
+    plain = Graph("path", [(2 * v, 0) for v in range(n)], sorted(edges), entry, exit, mirror=mirror)
+    return with_oracle_cells(plain)
 
 
 @st.composite
@@ -119,6 +122,35 @@ def test_convergence_fails_exactly_on_disconnected_graphs(family, data):
     else:
         with pytest.raises(ConvergenceError, match="disconnected"):
             classical_convergence_time(g)
+
+
+@pytest.mark.parametrize("family", sorted(GRAPHS))
+@PROFILE
+@given(data=st.data())
+def test_declared_cells_are_accepted_and_a_merge_of_unlike_cells_is_refused(family, data):
+    # the oracle's partition runs the entry state on its k cells, as expm does on the nodes;
+    # two of its cells whose nodes count their neighbours in the cells differently merge
+    # into a partition the graph refuses on first read
+    g = data.draw(GRAPHS[family])
+    cell = g.entry_cells
+    k = int(cell.max()) + 1
+    assert same_partition(cell, unique_row_cells(g))
+    t = data.draw(st.sampled_from([0.4, 1.3]))
+    for make, matrix in WALKS.values():
+        op = make(g)
+        assert len(op.entry_spectrum.w) == k
+        expected = expm(op.phase * t * matrix(g)) @ entry_state(g)
+        assert np.max(np.abs(propagate(op, entry_state(g), t) - expected)) <= 1e-12
+    counts = g.adjacency @ (cell[:, None] == np.arange(k))
+    rows = counts[np.unique(cell, return_index=True)[1]]  # one node of each cell
+    unlike = [(a, b) for a in range(k) for b in range(a + 1, k) if np.any(rows[a] != rows[b])]
+    if unlike:
+        a, b = data.draw(st.sampled_from(unlike))
+        merged = np.where(cell == b, a, cell)
+        bad = Graph(g.family, g.coord_array, g.edges, g.entry, g.exit, mirror=g.mirror, cells=merged)
+        refusal = "^the entry .* shares its cell" if cell[g.entry] in (a, b) else "^cells are not equitable"
+        with pytest.raises(ValueError, match=refusal):
+            bad.entry_cells
 
 
 # the density-matrix walk on graphs of at most 10 nodes: its oracle is an N^2 x N^2 expm

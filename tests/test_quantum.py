@@ -17,6 +17,7 @@ from hexwalk.graphs import Graph, glued_tree, hexagonal_graph, hypercube_graph, 
 from hexwalk.hitting import quantum_hitting_curve
 from hexwalk.quantum import Hamiltonian, WalkOperator, entry_state, propagate
 from hexwalk.stochastic import ClassicalGenerator
+from refinement_oracle import with_oracle_cells
 from spectrum_oracle import (
     BothSectors,
     cell_matrix,
@@ -974,7 +975,7 @@ def test_a_mirror_that_splits_a_cell_leaves_the_quotient_whole(kind, monkeypatch
     # a star with centre 0: the mirror swaps the entry leaf 1 and the exit leaf 2, but the
     # exit shares its entry cell {2, 3} with leaf 3, so the cells are not mapped onto cells
     coords, edges = [(0, 0), (-2, 0), (2, 0), (0, 2)], [(0, 1), (0, 2), (0, 3)]
-    g = Graph("path", coords, edges, 1, 2, mirror=[0, 2, 1, 3])
+    g = with_oracle_cells(Graph("path", coords, edges, 1, 2, mirror=[0, 2, 1, 3]))
     op = OPERATORS[kind][0](g, 0.8)
     sizes = count_eigh(monkeypatch)
     assert cell_mirror(op, entry=True) is None
