@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 import hexwalk
-from hexwalk.graphs import _positive, parse_graph_selector
+from hexwalk.graphs import _positive, parse_graph_selector, path_graph
 from hexwalk.hitting import (
     BoundaryMaximumWarning,
     ConvergenceError,
@@ -213,9 +213,11 @@ def _resolve_rates(args) -> tuple[float, float]:
     return _positive(coupling, "coupling"), _positive(rate, "hop rate")
 
 
-def _walk_pairs(engine: str, coupling: float, rate: float) -> dict:
-    """Header pairs of the one walk parameter the engine uses."""
-    return {"coupling": coupling} if engine == "quantum" else {"rate": rate}
+def _walk(engine: str, graph, coupling: float, rate: float) -> tuple:
+    """The walk ``--engine`` names on ``graph``, and the header pair of its one parameter."""
+    if engine == "quantum":
+        return Hamiltonian(graph, coupling), {"coupling": coupling}
+    return ClassicalGenerator(graph, rate), {"rate": rate}
 
 
 def cmd_generate(args) -> int:
@@ -237,11 +239,8 @@ def cmd_generate(args) -> int:
 
 def cmd_scan(args) -> int:
     graph = parse_graph_selector(args.graph, args.seed)
-    coupling, rate = _resolve_rates(args)
-    if args.engine == "quantum":
-        op, scan = Hamiltonian(graph, coupling), quantum_hitting_curve
-    else:
-        op, scan = ClassicalGenerator(graph, rate), classical_hitting_curve
+    op, pairs = _walk(args.engine, graph, *_resolve_rates(args))
+    scan = quantum_hitting_curve if args.engine == "quantum" else classical_hitting_curve
     curve = scan(op, args.z_max, args.dz)
     state = None
     if args.dump_state:
@@ -256,7 +255,7 @@ def cmd_scan(args) -> int:
     header = _header(
         "scan",
         graph=args.graph,
-        **_walk_pairs(args.engine, coupling, rate),
+        **pairs,
         omega=0.0 if args.engine == "quantum" else 1.0,
         z_max=curve.z_max,
         dz=curve.dz,
@@ -327,10 +326,11 @@ def cmd_sweep(args) -> int:
 
 def cmd_variance(args) -> int:
     coupling, rate = _resolve_rates(args)
-    fit = variance_slope_1d(args.sites, args.engine, args.z_max, coupling=coupling, rate=rate)
+    walk, pairs = _walk(args.engine, path_graph(args.sites), coupling, rate)
+    fit = variance_slope_1d(walk, args.z_max)
     header = _header(
         "variance",
-        **_walk_pairs(args.engine, coupling, rate),
+        **pairs,
         z_max=args.z_max,
         calibrate=args.calibrate,
         engine=args.engine,

@@ -15,6 +15,8 @@ has one.
 Depth sweeps collect both quantities across a family of hexagonal patches
 so their growth laws can be fitted: the optimal length grows linearly with
 depth while the classical convergence time grows roughly quadratically.
+Every routine but the sweep and the calibration takes the walk it runs
+from its caller, so the routines run on one walk share its cached spectra.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from hexwalk.graphs import Graph, _integer, _positive, depth_scale, hexagonal_graph, path_graph
+from hexwalk.graphs import Graph, _integer, _positive, depth_scale, hexagonal_graph
 from hexwalk.quantum import Hamiltonian, entry_state, propagate
 from hexwalk.stochastic import ClassicalGenerator
 
@@ -282,8 +284,8 @@ def _settling_time(
     return hi
 
 
-def classical_convergence_time(graph: Graph, rate: float = 1.0) -> ConvergenceResult:
-    """Times for the classical walk to settle onto the uniform distribution.
+def classical_convergence_time(gen: ClassicalGenerator) -> ConvergenceResult:
+    """Times for the classical walk ``gen`` to settle onto the uniform distribution.
 
     Convergence at relative tolerance tol means every site's probability is
     within tol * (1/N) of the uniform value 1/N; ``t_converge`` takes
@@ -313,11 +315,14 @@ def classical_convergence_time(graph: Graph, rate: float = 1.0) -> ConvergenceRe
     A disconnected graph, which has no uniform limit from a localised start,
     raises :class:`ConvergenceError` before any spectrum is made: some node
     has no distance from the entry (:attr:`hexwalk.graphs.Graph.distances`).
+    So does a walk without a ``rate``, with ``AttributeError``.  The search
+    shares ``gen``'s cached entry spectrum with its scans and ``propagate``.
     """
-    op = ClassicalGenerator(graph, rate)
+    gen.rate  # a coherent walk has no rate and no uniform limit
+    graph = gen.graph
     if graph.distances.min() < 0:
         raise ConvergenceError("graph is disconnected; the walk cannot reach uniformity")
-    spectrum = op.entry_spectrum
+    spectrum = gen.entry_spectrum
     w = spectrum.w
     zero = np.arange(len(w)) == np.argmax(w)
     gap = -float(np.max(w[~zero]))
@@ -374,7 +379,7 @@ def depth_sweep(
         curve = quantum_hitting_curve(Hamiltonian(g, coupling))  # the walk goes as it returns
         z_opt, p_opt = curve.z_opt, curve.p_opt
         del curve  # and the curve's grid, before the classical spectrum is formed
-        conv = classical_convergence_time(g, rate)
+        conv = classical_convergence_time(ClassicalGenerator(g, rate))  # freed as it returns
         rows.append(SweepRow(n, z_opt, p_opt, **asdict(conv)))
     return rows
 
@@ -426,45 +431,38 @@ BOUNDARY_LEAK_TOL = 1.0e-6
 
 
 def variance_slope_1d(
-    m: int,
-    engine: str,
-    z_max: float | None = None,
-    coupling: float = 1.0,
-    rate: float = 1.0,
+    walk: Hamiltonian | ClassicalGenerator, z_max: float | None = None
 ) -> FitResult:
     """Growth exponent of the positional variance of a centred 1D walk.
 
-    Runs the chosen engine on an m-site path from the central site over the
-    48 evenly spaced lengths z_max / 48, ..., z_max and fits
+    Runs ``walk`` on ``path_graph(m)``, m odd, from the central site over
+    the 48 evenly spaced lengths z_max / 48, ..., z_max and fits
     Var(x) = sum_i p_i (i - i_entry)^2 against them as a power law.  An
-    unset ``z_max`` takes (m - 1) / (8 coupling) for the coherent walk and
-    (m - 1)^2 / (250 rate) for the classical one.  Samples where either end
-    site already holds more than 1e-6 probability are dropped (the boundary
-    would bend the growth law).  The coherent walk spreads ballistically
-    (exponent 2), the classical walk diffusively (exponent 1).  The
-    engine's walk is built before the window is set, so its coupling or
-    rate is checked by :class:`Hamiltonian` or :class:`ClassicalGenerator`.
+    unset ``z_max`` takes (m - 1) / (8 walk.scale) for the coherent walk and
+    (m - 1)^2 / (250 walk.scale) for the classical one, told apart by
+    ``walk.dtype``.  Samples where either end site already holds more than
+    1e-6 probability are dropped (the boundary would bend the growth law).
+    The coherent walk spreads ballistically (exponent 2), the classical walk
+    diffusively (exponent 1).  A walk on another graph, or on an even path,
+    raises ``ValueError`` before any spectrum is made.
 
     Raises :class:`WindowError` when no samples survive the windowing.
     """
     if z_max is not None:
         _positive(z_max, "--z-max")
-    if engine not in ("quantum", "classical"):
-        raise ValueError(f"engine must be 'quantum' or 'classical', got {engine!r}")
+    g, m = walk.graph, walk.dim
+    i = np.arange(m)
+    if g.entry != (m - 1) // 2 or not np.array_equal(g.edges, np.column_stack((i[:-1], i[1:]))):
+        raise ValueError(f"variance needs a walk on path_graph(m), not on this {g.family} graph")
     if m % 2 == 0:
         raise ValueError("site count m must be odd so the launch is centred")
-    g = path_graph(m)
-    if engine == "quantum":
-        op = Hamiltonian(g, coupling)
-        z_max = (m - 1) / (8.0 * op.scale) if z_max is None else z_max
-    else:
-        op = ClassicalGenerator(g, rate)
-        z_max = (m - 1) ** 2 / (250.0 * op.scale) if z_max is None else z_max
+    coherent = walk.dtype is complex
+    if z_max is None:
+        z_max = (m - 1) / (8.0 * walk.scale) if coherent else (m - 1) ** 2 / (250.0 * walk.scale)
     zs = np.linspace(z_max / 48.0, z_max, 48)
-    x = propagate(op, entry_state(g), zs)
-    dist = np.abs(x) ** 2 if op.dtype is complex else x
-    offsets = np.arange(m) - g.entry
-    variances = dist @ (offsets.astype(float) ** 2)
+    x = propagate(walk, entry_state(g), zs)
+    dist = np.abs(x) ** 2 if coherent else x
+    variances = dist @ ((i - g.entry).astype(float) ** 2)
     keep = (variances > 0.0) & (dist[:, 0] < BOUNDARY_LEAK_TOL) & (dist[:, -1] < BOUNDARY_LEAK_TOL)
     if not np.any(keep):
         raise WindowError(

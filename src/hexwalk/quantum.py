@@ -411,6 +411,7 @@ def propagate(op: WalkOperator, x0: np.ndarray, ts, site: int | None = None) -> 
         raise ValueError("length grid must be one-dimensional")
     if ts.size and not (0.0 <= ts.min() and ts.max() < np.inf):
         raise ValueError("evolution lengths must be finite and >= 0")
+    t0 = dz = 0.0  # a site curve's grid t0 + j dz
     if site is not None:
         site = _integer(site, "site")
         if ts.ndim == 0 or not 0 <= site < op.dim:
@@ -418,18 +419,21 @@ def propagate(op: WalkOperator, x0: np.ndarray, ts, site: int | None = None) -> 
         n = len(ts)
         if n > 1 and ts[-1] < ts[0]:  # ascending, so the classical offsets exp(w dz r) stay <= 1
             return propagate(op, x0, ts[::-1], site)[::-1]
-        dz = (ts[-1] - ts[0]) / (n - 1) if n > 1 else 0.0
+        if n:
+            t0, dz = ts[0], (ts[-1] - ts[0]) / max(n - 1, 1)
         slack = 8 * np.finfo(float).eps * ts.max(initial=0.0)
-        if np.any(np.abs(ts - (ts[:1] + dz * np.arange(n))) > slack):
+        if np.any(np.abs(ts - (t0 + dz * np.arange(n))) > slack):
             raise ValueError("a site curve needs an evenly spaced length grid")
-    x = _evolve(op, x0, ts, site)
+    x = _evolve(op, x0, ts, site, t0, dz)
     if op.dtype is complex or x0.min() < 0.0:
         return x
     return np.maximum(x, 0.0, out=x)
 
 
-def _evolve(op: WalkOperator, x0: np.ndarray, ts: np.ndarray, site: int | None) -> np.ndarray:
-    """:func:`propagate` for checked arguments, without the clip."""
+def _evolve(
+    op: WalkOperator, x0: np.ndarray, ts: np.ndarray, site: int | None, t0: float, dz: float
+) -> np.ndarray:
+    """:func:`propagate` for checked arguments, without the clip; a site grid is t0 + j dz."""
     cells = op.graph.entry_cells
     node = np.empty(int(cells.max()) + 1, dtype=np.intp)
     node[cells] = np.arange(len(cells))  # some node of each cell
@@ -437,15 +441,10 @@ def _evolve(op: WalkOperator, x0: np.ndarray, ts: np.ndarray, site: int | None) 
     spectrum = op.spectrum if cell is None else op.entry_spectrum
     w = spectrum.w
     if site is None:
-        modes = spectrum.project(x0)
-        if ts.ndim == 0:
-            x = spectrum.expand(np.exp(op.phase * w * float(ts)) * modes)
-        else:  # the mode matrix is freed as expand returns, before the gather
-            x = spectrum.expand(np.exp(op.phase * np.outer(ts, w)) * modes)
+        # one length or a grid; the mode matrix is freed as expand returns, before the gather
+        x = spectrum.expand(np.exp(op.phase * np.multiply.outer(ts, w)) * spectrum.project(x0))
         return x if cell is None else x[..., cell]
     n = len(ts)
-    t0 = ts[0] if n else 0.0
-    dz = (ts[-1] - t0) / (n - 1) if n > 1 else 0.0
     gamma = spectrum.chirality
     sign = _parity_sign(gamma, x0)
     at_site = spectrum.project(np.eye(1, op.dim, site)[0])  # V[site], from the site's indicator

@@ -118,8 +118,8 @@ def test_criterion_05_quadratic_classical_scaling(sweep_rows):
 
 def test_criterion_06_ballistic_vs_diffusive():
     with criterion(6, "ballistic vs diffusive 1D"):
-        quantum = variance_slope_1d(101, "quantum")
-        classical = variance_slope_1d(101, "classical")
+        quantum = variance_slope_1d(Hamiltonian(path_graph(101)))
+        classical = variance_slope_1d(ClassicalGenerator(path_graph(101)))
         assert abs(quantum.slope - 2.0) <= 0.05
         assert abs(classical.slope - 1.0) <= 0.05
 

@@ -512,7 +512,7 @@ def test_classical_quotient_of_every_family_has_one_zero_mode():
         assert np.max(np.abs(np.sign(node[0]) * node - g.n_nodes**-0.5)) <= 1e-12
     two_parts = Graph("path", [(0, 0), (2, 0), (4, 0), (6, 0)], [(0, 1), (2, 3)], 0, 3)
     with pytest.raises(ConvergenceError, match="disconnected"):
-        classical_convergence_time(two_parts)
+        classical_convergence_time(ClassicalGenerator(two_parts))
 
 
 # ---------------------------------------------------------------------------
@@ -970,7 +970,7 @@ def test_a_neighbour_table_over_the_budget_is_refused_before_it_is_allocated(mon
         tracemalloc.stop()
     assert peak < need // 10
     # every stage that reads the table refuses the graph the same way
-    for stage in (lambda: g.distances, lambda: classical_convergence_time(g)):
+    for stage in (lambda: g.distances, lambda: classical_convergence_time(ClassicalGenerator(g))):
         with pytest.raises(ValueError, match=re.escape(message)):
             stage()
     monkeypatch.undo()

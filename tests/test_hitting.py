@@ -274,7 +274,7 @@ def test_classical_window_that_reaches_the_exit_does_not_warn():
 
 def test_two_site_convergence_is_analytic():
     rate = 0.7
-    res = classical_convergence_time(path_graph(2), rate=rate)
+    res = classical_convergence_time(ClassicalGenerator(path_graph(2), rate))
     # deviation from 1/2 decays as e^{-2 rate t}/2, and P_a = 1/2
     for t, tol in ((res.t_low, 1e-3), (res.t_converge, 1e-4), (res.t_high, 1e-5)):
         assert abs(t - math.log(1.0 / tol) / (2.0 * rate)) < 1e-6
@@ -283,7 +283,7 @@ def test_two_site_convergence_is_analytic():
 
 
 def test_thirty_node_convergence_frozen_values():
-    res = classical_convergence_time(hexagonal_graph(3))
+    res = classical_convergence_time(ClassicalGenerator(hexagonal_graph(3)))
     assert abs(res.t_converge - HEX3_T_CONVERGE) < 1e-3
     assert abs(res.t_low - HEX3_T_LOW) < 1e-3
     assert abs(res.t_high - HEX3_T_HIGH) < 1e-3
@@ -310,7 +310,7 @@ def test_max_norm_deviation_never_increases(name):
     # exp(K s) is doubly stochastic, so each entry of p(t + s) - u is a convex
     # combination of the entries of p(t) - u: the settling search relies on this
     g = SMALL_GRAPHS[name]()
-    t_end = classical_convergence_time(g).t_high * 1.5
+    t_end = classical_convergence_time(ClassicalGenerator(g)).t_high * 1.5
     dev = _deviation_grid(g, np.linspace(0.0, t_end, 5001))
     assert np.max(np.diff(dev)) <= 1e-15
 
@@ -318,7 +318,7 @@ def test_max_norm_deviation_never_increases(name):
 def test_convergence_matches_dense_grid_oracle():
     g = hexagonal_graph(2)
     rate, eps = 1.0, 1e-4
-    res = classical_convergence_time(g, rate=rate)
+    res = classical_convergence_time(ClassicalGenerator(g, rate))
     gen = ClassicalGenerator(g, rate=rate)
     ts = np.linspace(0.0, 2.0 * res.t_converge, 20001)
     grid = propagate_dense(gen, entry_state(g), ts)
@@ -330,7 +330,7 @@ def test_convergence_matches_dense_grid_oracle():
 
 def test_convergence_deviation_is_threshold_tight():
     g = hexagonal_graph(2)
-    res = classical_convergence_time(g)
+    res = classical_convergence_time(ClassicalGenerator(g))
     gen = ClassicalGenerator(g)
     at = np.max(np.abs(propagate_expm(gen, entry_state(g), res.t_converge) - res.p_uniform))
     assert at <= 1e-4 * res.p_uniform * (1.0 + 1e-6)
@@ -342,7 +342,7 @@ def test_convergence_deviation_is_threshold_tight():
 @pytest.mark.parametrize("name", ["glued-tree-4", "hypercube-5"])
 def test_convergence_matches_dense_grid_oracle_beyond_hexagons(name):
     g = SMALL_GRAPHS[name]()
-    res = classical_convergence_time(g)
+    res = classical_convergence_time(ClassicalGenerator(g))
     ts = np.linspace(0.0, 2.0 * res.t_converge, 20001)
     passing = np.nonzero(_deviation_grid(g, ts) <= 1e-4 * res.p_uniform)[0]
     assert abs(res.t_converge - ts[passing[0]]) <= ts[1] - ts[0] + 1e-9
@@ -351,7 +351,7 @@ def test_convergence_matches_dense_grid_oracle_beyond_hexagons(name):
 @pytest.mark.parametrize("name", ["glued-tree-4", "hypercube-5"])
 def test_convergence_is_threshold_tight_beyond_hexagons(name):
     g = SMALL_GRAPHS[name]()
-    res = classical_convergence_time(g)
+    res = classical_convergence_time(ClassicalGenerator(g))
     at, before = _deviation_grid(g, np.array([res.t_converge, res.t_converge * (1.0 - 1e-6)]))
     assert at <= 1e-4 * res.p_uniform * (1.0 + 1e-6)
     assert before > 1e-4 * res.p_uniform * (1.0 - 1e-6)
@@ -427,7 +427,7 @@ def test_settling_times_carry_their_certificate(name, monkeypatch):
         return t
 
     monkeypatch.setattr(hitting, "_settling_time", recording)
-    res = classical_convergence_time(SMALL_GRAPHS[name]())
+    res = classical_convergence_time(ClassicalGenerator(SMALL_GRAPHS[name]()))
     assert [t for *_, t, _ in searches] == [res.t_low, res.t_converge, res.t_high]
     for deviation, threshold, t, samples in searches:
         assert deviation(t * (1.0 - 1e-12)) > threshold >= deviation(t)
@@ -446,7 +446,7 @@ def test_settling_deviation_decays_below_the_rounding_of_one_over_n(n, monkeypat
         return _settling_time(deviation, threshold, horizon, samples)
 
     monkeypatch.setattr(hitting, "_settling_time", recording)
-    res = classical_convergence_time(hexagonal_graph(n))
+    res = classical_convergence_time(ClassicalGenerator(hexagonal_graph(n)))
     assert deviations and all(d(3.0 * res.t_high) < 1e-16 for d in deviations)
 
 
@@ -463,7 +463,7 @@ def test_depth_sweep_evaluates_the_deviation_a_few_times_per_search(monkeypatch)
 
 
 def test_convergence_bracket_ordering_and_uniform_share():
-    res = classical_convergence_time(hexagonal_graph(2))
+    res = classical_convergence_time(ClassicalGenerator(hexagonal_graph(2)))
     assert res.p_uniform == 0.0625
     assert res.t_low <= res.t_converge <= res.t_high
 
@@ -490,7 +490,7 @@ def test_disconnected_graph_never_converges():
     assert np.count_nonzero(w >= -1e-12 * np.max(np.abs(w))) == 2
     for g in graphs:
         with pytest.raises(ConvergenceError, match="disconnected"):
-            classical_convergence_time(g)
+            classical_convergence_time(ClassicalGenerator(g))
 
 
 def test_a_disconnected_graph_is_refused_before_any_spectrum(monkeypatch):
@@ -501,10 +501,35 @@ def test_a_disconnected_graph_is_refused_before_any_spectrum(monkeypatch):
     message = "^graph is disconnected; the walk cannot reach uniformity$"
     for g in graphs:
         with pytest.raises(ConvergenceError, match=message):
-            classical_convergence_time(g)
-    # the generator is built first, so a bad rate is still refused as such
+            classical_convergence_time(ClassicalGenerator(g))
+    # the caller builds the generator, which refuses a bad rate as such
     with pytest.raises(ValueError, match="hop rate"):
-        classical_convergence_time(graphs[0], rate=0.0)
+        classical_convergence_time(ClassicalGenerator(graphs[0], 0.0))
+
+
+def test_a_coherent_walk_is_refused_before_any_spectrum(monkeypatch):
+    # the coherent walk has no rate and no uniform limit to settle onto
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: pytest.fail("eigh ran"))
+    monkeypatch.setattr(Spectrum, "__init__", lambda self, op, cell: pytest.fail("spectrum made"))
+    with pytest.raises(AttributeError, match="rate"):
+        classical_convergence_time(Hamiltonian(hexagonal_graph(3)))
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_GRAPHS))
+def test_a_scan_and_a_settling_search_share_one_spectrum(name, monkeypatch):
+    # the caller owns the generator: the scan fills its entry spectrum, and neither the
+    # settling search nor propagate at the optimum diagonalises anything more
+    g = SMALL_GRAPHS[name]()
+    gen, calls = ClassicalGenerator(g), []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(len(m)) or eigh(m))
+    curve = classical_hitting_curve(gen, t_max=30.0)
+    scanned = list(calls)
+    assert scanned
+    res = classical_convergence_time(gen)
+    propagate(gen, entry_state(g), curve.z_opt)
+    assert calls == scanned
+    assert repr(res) == repr(classical_convergence_time(ClassicalGenerator(g)))
 
 
 @pytest.mark.parametrize(
@@ -532,7 +557,7 @@ def test_convergence_matches_a_search_through_the_dense_v_oracle(build):
     def deviation(t):
         return float(np.max(np.abs(v @ (np.exp(w * t) * modes))))
 
-    result = classical_convergence_time(g)
+    result = classical_convergence_time(ClassicalGenerator(g))
     n = g.n_nodes
     for tol, t in ((1e-3, result.t_low), (1e-4, result.t_converge), (1e-5, result.t_high)):
         horizon = (math.log(n / tol) + math.log(n)) / gap
@@ -541,8 +566,8 @@ def test_convergence_matches_a_search_through_the_dense_v_oracle(build):
 
 def test_convergence_times_scale_inversely_with_any_valid_rate():
     g = hexagonal_graph(2)
-    base = classical_convergence_time(g)
-    slow = classical_convergence_time(g, rate=1e-13)
+    base = classical_convergence_time(ClassicalGenerator(g))
+    slow = classical_convergence_time(ClassicalGenerator(g, 1e-13))
     for name in ("t_converge", "t_low", "t_high"):
         assert getattr(slow, name) * 1e-13 == pytest.approx(getattr(base, name), rel=1e-9)
 
@@ -636,50 +661,87 @@ def test_fit_errors():
 
 
 def test_quantum_variance_grows_quadratically():
-    fit = variance_slope_1d(101, "quantum")
+    fit = variance_slope_1d(Hamiltonian(path_graph(101)))
     assert abs(fit.slope - 2.0) < 0.05
     assert fit.r_squared > 0.999
 
 
 def test_classical_variance_grows_linearly():
-    fit = variance_slope_1d(101, "classical")
+    fit = variance_slope_1d(ClassicalGenerator(path_graph(101)))
     assert abs(fit.slope - 1.0) < 0.05
     assert fit.r_squared > 0.999
 
 
 def test_variance_takes_a_numpy_site_count():
-    fit, ref = variance_slope_1d(np.int64(101), "quantum"), variance_slope_1d(101, "quantum")
+    fit = variance_slope_1d(Hamiltonian(path_graph(np.int64(101))))
+    ref = variance_slope_1d(Hamiltonian(path_graph(101)))
     assert repr(fit) == repr(ref)
     assert np.array_equal(fit.residuals, ref.residuals)
 
 
-def test_variance_rejects_even_chain_and_unknown_engine():
+def test_variance_rejects_even_chain():
     with pytest.raises(ValueError):
-        variance_slope_1d(100, "quantum")
-    with pytest.raises(ValueError):
-        variance_slope_1d(101, "semiclassical")
+        variance_slope_1d(Hamiltonian(path_graph(100)))
 
 
 @pytest.mark.parametrize(
-    "engine, parameter, label",
+    "walk, scale, label",
     [
-        ("quantum", {"coupling": 0.0}, "coupling"),
-        ("quantum", {"coupling": -1.0}, "coupling"),
-        ("quantum", {"coupling": math.nan}, "coupling"),
-        ("classical", {"rate": 0.0}, "hop rate"),
-        ("classical", {"rate": math.inf}, "hop rate"),
+        (Hamiltonian, 0.0, "coupling"),
+        (Hamiltonian, -1.0, "coupling"),
+        (Hamiltonian, math.nan, "coupling"),
+        (ClassicalGenerator, 0.0, "hop rate"),
+        (ClassicalGenerator, math.inf, "hop rate"),
     ],
 )
-def test_variance_refuses_its_engines_parameter_before_the_window(engine, parameter, label):
+def test_variance_refuses_its_engines_parameter_before_the_window(walk, scale, label):
     # a zero coupling or rate once divided the default window by zero
     with pytest.raises(ValueError, match=f"^{label} must be finite and > 0, got "):
-        variance_slope_1d(101, engine, **parameter)
-    # the engine that does not use the other parameter does not check it
-    other = {"rate": 0.0} if engine == "quantum" else {"coupling": 0.0}
-    fit = variance_slope_1d(101, engine, **other)
-    assert repr(fit) == repr(variance_slope_1d(101, engine))
+        variance_slope_1d(walk(path_graph(101), scale))
+
+
+@pytest.mark.parametrize("walk", [Hamiltonian, ClassicalGenerator])
+@pytest.mark.parametrize(
+    "graph, message",
+    [
+        (lambda: path_graph(100), r"^site count m must be odd so the launch is centred$"),
+        (
+            lambda: hexagonal_graph(2),
+            r"^variance needs a walk on path_graph\(m\), not on this hexagonal graph$",
+        ),
+        # three path sites out of order: the middle one is an end
+        (
+            lambda: Graph("path", [(0, 0), (2, 0), (4, 0)], [(0, 2), (1, 2)], 1, 2),
+            r"^variance needs a walk on path_graph\(m\), not on this path graph$",
+        ),
+    ],
+    ids=["even-path", "hexagonal", "shuffled-path"],
+)
+def test_variance_refuses_a_walk_off_an_odd_path_before_any_spectrum(
+    walk, graph, message, monkeypatch
+):
+    op = walk(graph())
+    monkeypatch.setattr(Spectrum, "__init__", lambda self, op, cell: pytest.fail("spectrum made"))
+    with pytest.raises(ValueError, match=message):
+        variance_slope_1d(op)
+    with pytest.raises(ValueError, match="^--z-max must be finite and > 0, got 0.0$"):
+        variance_slope_1d(op, z_max=0.0)  # the window is checked first, as in the CLI
+
+
+@pytest.mark.parametrize(
+    "walk, z_max",
+    [
+        (Hamiltonian(path_graph(41), 2.0), 40 / (8.0 * 2.0)),  # (m - 1) / (8 C)
+        (ClassicalGenerator(path_graph(41), 0.5), 40**2 / (250.0 * 0.5)),  # (m - 1)^2 / (250 rate)
+    ],
+    ids=["coherent", "classical"],
+)
+def test_variance_reads_its_default_window_from_the_walk(walk, z_max):
+    fit, ref = variance_slope_1d(walk), variance_slope_1d(walk, z_max)
+    assert repr(fit) == repr(ref)
+    assert np.array_equal(fit.residuals, ref.residuals)
 
 
 def test_variance_window_error_when_walk_hits_the_ends():
     with pytest.raises(WindowError):
-        variance_slope_1d(5, "quantum", z_max=20.0)
+        variance_slope_1d(Hamiltonian(path_graph(5)), z_max=20.0)

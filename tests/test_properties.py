@@ -117,11 +117,11 @@ def test_convergence_fails_exactly_on_disconnected_graphs(family, data):
     reference.add_nodes_from(range(g.n_nodes))
     reference.add_edges_from(g.edges.tolist())
     if nx.is_connected(reference):
-        result = classical_convergence_time(g)
+        result = classical_convergence_time(ClassicalGenerator(g))
         assert 0.0 < result.t_low <= result.t_converge <= result.t_high
     else:
         with pytest.raises(ConvergenceError, match="disconnected"):
-            classical_convergence_time(g)
+            classical_convergence_time(ClassicalGenerator(g))
 
 
 @pytest.mark.parametrize("family", sorted(GRAPHS))
