@@ -19,7 +19,9 @@ from hexwalk.hitting import (
     FitResult,
     HittingCurve,
     WindowError,
+    calibrated_coupling,
     classical_convergence_time,
+    classical_hitting_curve,
     depth_sweep,
     fit_linear,
     fit_power,
@@ -59,7 +61,9 @@ __all__ = [
     "WindowError",
     "BoundaryMaximumWarning",
     "quantum_hitting_curve",
+    "classical_hitting_curve",
     "classical_convergence_time",
+    "calibrated_coupling",
     "depth_sweep",
     "fit_linear",
     "fit_power",

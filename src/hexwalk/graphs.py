@@ -26,8 +26,8 @@ GLUING_MODES = ("identity", "random-cycle")
 #: array is allocated.
 MAX_NODES = 10**6
 
-#: Most bytes a neighbour table, or a walk spectrum
-#: (:data:`hexwalk.quantum.MAX_SPECTRUM_BYTES`), may take.
+#: Most bytes a neighbour table, or a walk spectrum, may take; read when each is checked
+#: (:func:`_within_budget`).  ``hexagonal_graph(133)`` (18088 cells, 3.9 GiB) fits.
 MAX_WALK_BYTES = 4 * 2**30
 
 #: The one place that knows each family: family -> (build, scale).
@@ -206,12 +206,8 @@ class Graph:
         node v, padded with the node id N, which no node has (read-only, cached).
         One over :data:`MAX_WALK_BYTES` raises ``ValueError`` before it is allocated."""
         n, deg = self.n_nodes, self.degrees
-        need = 8 * n * int(deg.max())
-        if need > MAX_WALK_BYTES:
-            raise ValueError(
-                f"the neighbour table of {n} nodes of degree up to {deg.max()} would take "
-                f"about {need / 2**30:.3g} GiB, above the limit of {MAX_WALK_BYTES / 2**30:.3g} GiB"
-            )
+        stage = f"the neighbour table of {n} nodes of degree up to {deg.max()}"
+        _within_budget(stage, 8 * n * int(deg.max()))
         a, b = self._edges.T
         src, dst = np.r_[a, b], np.r_[b, a]
         order = np.argsort(src, kind="stable")
@@ -297,6 +293,13 @@ def _integer(value, label: str) -> int:
     except TypeError:
         pass
     raise ValueError(f"{label} {value!r} is not an integer")
+
+
+def _within_budget(stage: str, need: float) -> None:
+    """``ValueError`` naming ``stage`` if ``need`` bytes are above :data:`MAX_WALK_BYTES` now."""
+    if need > MAX_WALK_BYTES:
+        size = f"about {need / 2**30:.3g} GiB, above the limit of {MAX_WALK_BYTES / 2**30:.3g} GiB"
+        raise ValueError(f"{stage} would take {size}")
 
 
 def _positive(value, label: str):
@@ -474,7 +477,7 @@ def glued_tree(depth: int, gluing: str = "random-cycle", seed: int = 0) -> Graph
     other (each leaf gains one edge); with ``gluing="random-cycle"`` the
     leaves are joined by a seeded alternating cycle through both leaf sets,
     so every leaf gains exactly two edges and ends up with degree 3.  The
-    cycle is a deterministic function of ``seed``.  The graph has
+    cycle is a deterministic function of the integer ``seed``.  The graph has
     2**(depth + 2) - 2 nodes; a depth whose graph would exceed
     :data:`MAX_NODES` is refused.
 
@@ -512,11 +515,11 @@ def glued_tree(depth: int, gluing: str = "random-cycle", seed: int = 0) -> Graph
         mirror = np.empty(2 * half, dtype=np.int64)
         mirror[h], mirror[right] = right, h
     else:
+        params["seed"] = seed = _integer(seed, "seed")
         rng = random.Random(seed)
         lo = left_leaf[rng.sample(range(leaves), leaves)]
         ro = right_leaf[rng.sample(range(leaves), leaves)]
         glue = np.column_stack((lo, ro, ro, np.roll(lo, -1))).reshape(-1, 2)
-        params["seed"] = seed
     edges = np.r_[trees, glue]
     return Graph("glued-tree", coords, edges, 0, 2 * half - 1, params, mirror, coords[:, 0])
 

@@ -87,12 +87,12 @@ pairs (i, j, value) from the graph's edges on each request, each listed
 once; each sector block is summed from them, goes to ``eigh`` and is freed
 before the next is built.  So a spectrum
 peaks at about 1.55 k x k float arrays with a mirror and 5.2 without
-(:func:`_spectrum_bytes`), and keeps 0.5 of them with a mirror, 0.25
-where the odd block is derived.  Every product of a real block with a complex state is
-two real products, with its real and its imaginary part, never through a
-complex copy of the block.  A classical result from a start with
-no negative entry is clipped at 0 once, on every route, as it leaves
-:func:`propagate`.
+(:func:`_spectrum_bytes`; one above :data:`hexwalk.graphs.MAX_WALK_BYTES`
+is refused before any block is built), and keeps 0.5 of them with a mirror,
+0.25 where the odd block is derived.  Every product of a real block with a
+complex state is two real products, never through a complex copy of the
+block.  A classical result from a start with no negative entry is clipped
+at 0 once, on every route, as it leaves :func:`propagate`.
 
 The Hamiltonian couples neighbouring sites with a uniform strength C (units
 1/mm, so the evolution parameter z is a propagation length in mm) and has
@@ -109,11 +109,7 @@ import math
 
 import numpy as np
 
-from hexwalk.graphs import MAX_WALK_BYTES, Graph, _integer, _positive, cached
-
-#: Most bytes a walk spectrum may take (see :func:`_spectrum_bytes`): the walk budget
-#: :data:`hexwalk.graphs.MAX_WALK_BYTES`.  ``hexagonal_graph(133)`` (18088 cells, 3.9 GiB) fits.
-MAX_SPECTRUM_BYTES = MAX_WALK_BYTES
+from hexwalk.graphs import Graph, _integer, _positive, _within_budget, cached
 
 #: n x n float arrays an ``eigh`` of order n holds at its peak: its input,
 #: its result, and LAPACK's copy and workspace (``dsyevd``, 2 n^2 and more)
@@ -165,8 +161,8 @@ class Spectrum:
     state and :meth:`expand` V c at the cells, in real products
     (:func:`_real_product`); V[s] is the projection of the indicator of s.
 
-    A spectrum predicted to take more than :data:`MAX_SPECTRUM_BYTES` is
-    refused with ``ValueError`` before anything is allocated.  With a
+    A spectrum predicted to take more than :data:`hexwalk.graphs.MAX_WALK_BYTES`,
+    read as it is built, is refused with ``ValueError`` before any allocation.  With a
     chirality Gamma no cell is fixed, and Gamma on the pair orbits gives
     the odd block as -Gamma (even block) Gamma (Coulson & Rushbrooke, Proc.
     Camb. Phil. Soc. 36, 193, 1940): its eigenvalues are the even ones
@@ -186,12 +182,7 @@ class Spectrum:
                 r, chirality = ids, None
         plus, fixed = np.flatnonzero(ids < r), np.flatnonzero(ids == r)
         n = len(plus)
-        need = _spectrum_bytes(k, n)
-        if need > MAX_SPECTRUM_BYTES:
-            raise ValueError(
-                f"the walk spectrum on {k} cells would take about {need / 2**30:.3g} GiB, "
-                f"above the limit of {MAX_SPECTRUM_BYTES / 2**30:.3g} GiB"
-            )
+        _within_budget(f"the walk spectrum on {k} cells", _spectrum_bytes(k, n))
         e = k - n
         self.cell, self._plus, self._minus = cell, plus, r[plus]  # the odd columns' cells
         self.sign = np.zeros(k)

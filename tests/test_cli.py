@@ -326,9 +326,7 @@ def test_scan_dump_state_diagonalises_nothing_more(engine, tmp_path, monkeypatch
 
 
 def test_scan_refuses_a_spectrum_over_the_memory_limit(tmp_path, capsys, monkeypatch):
-    from hexwalk import quantum
-
-    monkeypatch.setattr(quantum, "MAX_SPECTRUM_BYTES", 2**20)
+    monkeypatch.setattr(hexwalk.graphs, "MAX_WALK_BYTES", 2**20)
     assert main(["scan", "--graph", "hexagonal:n=12", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == (
         "hexwalk: the walk spectrum on 180 cells would take about 0.125 GiB, "

@@ -11,7 +11,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from hexwalk import graphs, quantum
+from hexwalk import graphs
 from hexwalk.graphs import (
     Graph,
     depth_scale,
@@ -187,6 +187,16 @@ def test_glued_tree_random_cycle_is_seed_deterministic():
     assert np.array_equal(a.edges, b.edges)
     assert a.coords == b.coords
     assert not np.array_equal(c.edges, a.edges)
+
+
+def test_glued_tree_reads_its_seed_as_an_integer():
+    # a numpy integer seeds the same cycle as the int it holds; a bool, float or str is refused
+    g, ref = glued_tree(3, seed=np.int64(3)), glued_tree(3, seed=3)
+    assert repr(g.params) == repr(ref.params)
+    assert np.array_equal(g.edges, ref.edges)
+    for bad in (True, np.True_, 3.0, 2.5, "x"):
+        with pytest.raises(ValueError, match=f"^seed {re.escape(repr(bad))} is not an integer$"):
+            glued_tree(3, seed=bad)
 
 
 def test_glued_tree_random_cycle_alternates_sides():
@@ -974,4 +984,4 @@ def test_a_neighbour_table_over_the_budget_is_refused_before_it_is_allocated(mon
         with pytest.raises(ValueError, match=re.escape(message)):
             stage()
     monkeypatch.undo()
-    assert quantum.MAX_SPECTRUM_BYTES == graphs.MAX_WALK_BYTES == 4 * 2**30  # one budget
+    assert graphs.MAX_WALK_BYTES == 4 * 2**30  # one budget, for the table and every spectrum

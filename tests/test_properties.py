@@ -127,6 +127,20 @@ def test_convergence_fails_exactly_on_disconnected_graphs(family, data):
 @pytest.mark.parametrize("family", sorted(GRAPHS))
 @PROFILE
 @given(data=st.data())
+def test_settling_deviation_never_increases(family, data):
+    # exp(K s) is doubly stochastic, so each entry of p(t + s) - 1/N is a convex combination
+    # of those of p(t) - 1/N, connected or not.  A connected graph's gap is above 4 / N^2
+    # (Mohar, Graphs Combin. 7, 53, 1991), so the grid to 5 N^2 runs past settling
+    g = data.draw(GRAPHS[family])
+    ts = np.linspace(0.0, 5.0 * g.n_nodes**2, 1001)
+    p = propagate(ClassicalGenerator(g), entry_state(g), ts)
+    deviation = np.max(np.abs(p - 1.0 / g.n_nodes), axis=1)
+    assert np.max(np.diff(deviation)) <= 1e-15
+
+
+@pytest.mark.parametrize("family", sorted(GRAPHS))
+@PROFILE
+@given(data=st.data())
 def test_declared_cells_are_accepted_and_a_merge_of_unlike_cells_is_refused(family, data):
     # the oracle's partition runs the entry state on its k cells, as expm does on the nodes;
     # two of its cells whose nodes count their neighbours in the cells differently merge

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from child_process import run_child
-from hexwalk import quantum
+from hexwalk import graphs, quantum
 from hexwalk.graphs import Graph, glued_tree, hexagonal_graph, hypercube_graph, path_graph
 from hexwalk.hitting import quantum_hitting_curve
 from hexwalk.quantum import Hamiltonian, WalkOperator, entry_state, propagate
@@ -434,9 +434,9 @@ def test_a_curve_frees_its_operator_and_quotient_without_the_collector():
 def test_spectrum_limit_refuses_one_byte_over_the_prediction(kind, monkeypatch):
     # hexagonal_graph(3) has 18 entry cells, 9 of them in the odd sector
     need = quantum._spectrum_bytes(18, 9)
-    monkeypatch.setattr(quantum, "MAX_SPECTRUM_BYTES", need)
+    monkeypatch.setattr(graphs, "MAX_WALK_BYTES", need)
     assert len(OPERATORS[kind][0](hexagonal_graph(3), 1.0).entry_spectrum.w) == 18
-    monkeypatch.setattr(quantum, "MAX_SPECTRUM_BYTES", need - 1)
+    monkeypatch.setattr(graphs, "MAX_WALK_BYTES", need - 1)
     op = OPERATORS[kind][0](hexagonal_graph(3), 1.0)
     with pytest.raises(ValueError, match="the walk spectrum on 18 cells would take about"):
         op.entry_spectrum
@@ -444,8 +444,23 @@ def test_spectrum_limit_refuses_one_byte_over_the_prediction(kind, monkeypatch):
         op.spectrum
     # the default limit admits a depth-133 patch, 18088 cells, and no deeper one
     monkeypatch.undo()
-    assert quantum._spectrum_bytes(18088, 9044) <= quantum.MAX_SPECTRUM_BYTES
-    assert quantum._spectrum_bytes(18358, 9179) > quantum.MAX_SPECTRUM_BYTES
+    assert quantum._spectrum_bytes(18088, 9044) <= graphs.MAX_WALK_BYTES
+    assert quantum._spectrum_bytes(18358, 9179) > graphs.MAX_WALK_BYTES
+
+
+@pytest.mark.parametrize("kind", sorted(OPERATORS))
+def test_the_walk_budget_is_read_when_a_spectrum_is_predicted(kind, monkeypatch):
+    # hexagonal_graph(3): a 720-byte neighbour table, and 18 entry cells whose spectrum
+    # is predicted at 128 MiB; a budget of 1 MiB set after import lies between the two
+    g = hexagonal_graph(3)
+    op = OPERATORS[kind][0](g, 1.0)
+    monkeypatch.setattr(graphs, "MAX_WALK_BYTES", 2**20)
+    assert g.neighbours.nbytes == 720
+    sizes = count_eigh(monkeypatch)
+    with pytest.raises(ValueError, match="^the walk spectrum on 18 cells would take about 0.125 GiB"):
+        op.entry_spectrum
+    assert sizes == []  # refused before any block went to eigh
+    assert not hasattr(quantum, "MAX_SPECTRUM_BYTES")  # the one budget is graphs.MAX_WALK_BYTES
 
 
 # A ring of 40000 nodes with a seeded chord matching: no two nodes look alike from the

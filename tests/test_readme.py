@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import builtins
 import re
 import shlex
 from pathlib import Path
@@ -57,3 +58,10 @@ def test_every_exported_name_resolves():
     assert len(hexwalk.__all__) == len(set(hexwalk.__all__))
     for name in hexwalk.__all__:
         getattr(hexwalk, name)
+
+
+def test_every_name_the_library_section_calls_is_exported():
+    section = README.read_text().split("## Library", 1)[1].split("\n## ", 1)[0]
+    called = set(re.findall(r"`([A-Za-z_]\w*)\(", section)) - set(dir(builtins))
+    assert "classical_hitting_curve" in called
+    assert called - set(hexwalk.__all__) == set()
