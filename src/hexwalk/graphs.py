@@ -571,12 +571,11 @@ def path_graph(m: int) -> Graph:
 def _glued_tree_from(take, seed: int) -> Graph:
     """A glued tree from its selector; only the random gluing takes a seed."""
     depth, glue = take("d"), take("glue", "random", str)
-    gluing = "random-cycle" if glue == "random" else glue
-    if gluing not in GLUING_MODES:
-        raise ValueError(f"glue must be 'identity' or 'random', got {gluing!r}")
-    if gluing == "identity":
-        return glued_tree(depth, gluing)
-    return glued_tree(depth, gluing, take("seed", seed))
+    if glue not in ("identity", "random"):
+        raise ValueError(f"glue must be 'identity' or 'random', got {glue!r}")
+    if glue == "identity":
+        return glued_tree(depth, glue)
+    return glued_tree(depth, "random-cycle", take("seed", seed))
 
 
 def parse_graph_selector(text: str, default_seed: int = 0) -> Graph:

@@ -73,14 +73,14 @@ bipartite, with Gamma = +-1 by the parity of the distance from the entry
 mirror maps every node, and every cell, to one of the opposite parity, so
 Gamma carries the even sector onto the odd one.  The odd sector's
 eigenpairs are then the even ones' with the eigenvalues negated and Gamma
-applied (:attr:`WalkOperator.chirality`), and the products apply
-the odd block as Gamma and a column reversal of the even one, so it is
-never stored.  A site curve from a real start x0 of one parity,
-Gamma x0 = s x0, also needs only half the modes: with S the blocked sum
-over the even modes, the odd ones add sigma conj(S), sigma =
-Gamma[site] s.  At the exit, of the parity the entry does not have, the
-amplitude is S - conj(S) = 2i Im S.  The classical walk keeps both
-``eigh`` calls: its diagonal -D breaks Gamma K Gamma = -K.
+applied (:attr:`WalkOperator.chirality`), so the odd block is the even
+array itself, its rows signed by Gamma, and is stored once.  A site curve
+from a real start x0 of one parity, Gamma x0 = s x0, also needs only half
+the modes: with S the blocked sum over the even modes, the odd ones add
+sigma conj(S), sigma = Gamma[site] s.  At the exit, of the parity the
+entry does not have, the amplitude is S - conj(S) = 2i Im S.  The
+classical walk keeps both ``eigh`` calls: its diagonal -D breaks
+Gamma K Gamma = -K.
 
 No operator keeps a dense matrix beside its spectrum.  It makes its node
 pairs (i, j, value) from the graph's edges on each request, each listed
@@ -150,15 +150,18 @@ class Spectrum:
     :attr:`WalkOperator.chirality` for the partition ``cell`` (the cell
     id of every node), to which it carries the mirror; the module docstring
     gives the layout.  It keeps no reference to the operator.  ``w``
-    lists the eigenvalues, the even sector's first, ascending within each.
+    lists the eigenvalues: the even sector's ascending, then the odd
+    sector's in the column order of its block.
     ``column`` and ``sign`` are the cell-to-sector map: every cell's column
     in the even sector, the column of its orbit, and +1 or -1 on the two
     cells of a pair orbit (its column in the odd sector) or 0 on a fixed
     cell.  ``even`` and ``odd`` are the sector blocks' eigenvectors, rows
-    divided by the square root of their column's node count.  Where the odd
-    sector is derived, ``odd`` is None and ``chirality`` is the node Gamma;
-    otherwise ``chirality`` is None.  :meth:`project` gives V^T x of a node
-    state and :meth:`expand` V c at the cells, in real products
+    divided by the square root of their column's node count, and each odd
+    row has a sign: 1 where the odd sector has its own ``eigh`` (``odd`` 0 x
+    0 without a pair orbit), and Gamma of its pair cell where it is derived.
+    Then ``odd`` is the ``even`` array itself and ``chirality`` the node
+    Gamma; otherwise ``chirality`` is None.  :meth:`project` gives V^T x of
+    a node state and :meth:`expand` V c at the cells, in real products
     (:func:`_real_product`); V[s] is the projection of the indicator of s.
 
     A spectrum predicted to take more than :data:`hexwalk.graphs.MAX_WALK_BYTES`,
@@ -166,8 +169,8 @@ class Spectrum:
     chirality Gamma no cell is fixed, and Gamma on the pair orbits gives
     the odd block as -Gamma (even block) Gamma (Coulson & Rushbrooke, Proc.
     Camb. Phil. Soc. 36, 193, 1940): its eigenvalues are the even ones
-    negated and reversed, its eigenvectors Gamma times the even ones
-    reversed, and no odd ``eigh`` runs.
+    negated, its eigenvectors Gamma times the even ones in the same order,
+    and no odd ``eigh`` runs.
     """
 
     def __init__(self, op: WalkOperator, cell: np.ndarray):
@@ -207,46 +210,32 @@ class Spectrum:
         del even
         root = np.sqrt(size)[:, None]
         self.even /= root
-        self.odd = self.chirality = None
-        if chirality is not None:
-            self.chirality, gamma = chirality, np.empty(k)
+        gamma = np.ones(k)
+        if chirality is not None:  # the odd modes are Gamma times the even ones, at -w
             gamma[cell] = chirality
-            self._gamma, w = gamma[plus], np.concatenate([w, -w[::-1]])
+            w_odd, self.odd = -w, self.even
         elif odd is not None:
             w_odd, self.odd = np.linalg.eigh(np.bincount(*odd, n * n).reshape(n, n))
             self.odd /= root[:n]
-            w = np.concatenate([w, w_odd])
-        self.w = w
-        for part in (w, self.even, self.odd, self.cell, self.column, self.sign):
-            if part is not None:
-                part.flags.writeable = False
+        else:  # no pair orbit: an empty odd sector
+            w_odd, self.odd = w[:0], self.even[:0, :0]
+        self.chirality, self._gamma, self.w = chirality, gamma[plus], np.concatenate([w, w_odd])
+        for part in (self.w, self.even, self.odd, self.cell, self.column, self.sign):
+            part.flags.writeable = False
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """V^T x: the modes of the node state x, even sector first."""
-        at, e, n = self.column[self.cell], len(self.even), len(self._plus)
+        at, e = self.column[self.cell], len(self.even)
         even = _real_product(self.even.T, _sums(at, x, e))
-        if not n:
-            return even
-        signed = _sums(at, self.sign[self.cell] * x, e)[:n]
-        if self.odd is not None:
-            odd = _real_product(self.odd.T, signed)
-        else:
-            odd = _real_product(self.even.T, self._gamma * signed)[::-1]
-        return np.concatenate([even, odd])
+        signed = _sums(at, self.sign[self.cell] * x, e)[: len(self.odd)]
+        return np.concatenate([even, _real_product(self.odd.T, self._gamma * signed)])
 
     def expand(self, c: np.ndarray) -> np.ndarray:
         """V c at the cells for one vector of modes, c V^T for one row of modes per length."""
         e = len(self.even)
-        even = _apply(self.even, c[..., :e])
-        if not len(self._plus):
-            return even  # every cell is fixed and is its own column
-        if self.odd is not None:
-            odd = _apply(self.odd, c[..., e:])
-        else:
-            odd = _apply(self.even, c[..., e:][..., ::-1])
-            odd *= self._gamma
-        x = even[..., self.column]
-        del even
+        x = _real_product(c[..., :e], self.even.T)[..., self.column]
+        odd = _real_product(c[..., e:], self.odd.T)
+        odd *= self._gamma
         x.T[self._plus] += odd.T  # cells first, so a vector and rows index alike
         x.T[self._minus] -= odd.T
         return x
@@ -297,9 +286,11 @@ class WalkOperator:
 
         Then Gamma M Gamma = -M and Gamma tau = -tau Gamma, so Gamma carries the
         even mirror sector onto the odd one, which :class:`Spectrum` derives.
+        The parity is read only for a walk without a diagonal that has a mirror.
         """
-        parity, r = None if self.diagonal else self.graph.parity, self.mirror
-        if parity is None or r is None or np.any(parity[r] == parity):
+        r = self.mirror
+        parity = None if self.diagonal or r is None else self.graph.parity
+        if parity is None or np.any(parity[r] == parity):
             return None
         return 1.0 - 2.0 * parity
 
@@ -345,11 +336,6 @@ def _real_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = np.empty(re.shape, dtype=complex)
     out.real, out.imag = re, im
     return out
-
-
-def _apply(y: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """y applied to the last axis of c: y c for a vector, c y^T for rows."""
-    return _real_product(y, c) if c.ndim == 1 else _real_product(c, y.T)
 
 
 def _sums(index: np.ndarray, x: np.ndarray, size: int) -> np.ndarray:

@@ -105,17 +105,16 @@ def dense_v(op: Operator, entry: bool = False) -> np.ndarray:
 
     A pair cell p and its image r[p] share the even rows ``even[a]`` and take
     the odd rows +-``odd[a]``; a fixed cell has its even row and 0 on the odd
-    columns.  A derived odd block is Gamma[p] times the even block with its
-    columns reversed.  At the nodes, ``dense_v(op, entry)[cells_of(op, entry)]``
+    columns.  A derived odd block is Gamma[p] times ``odd``, the even block itself.  At the nodes, ``dense_v(op, entry)[cells_of(op, entry)]``
     is V, N x k with orthonormal columns.
     """
     spectrum, (cell, r, p, f) = spectrum_of(op, entry), orbits(op, entry)
     k, n = len(r), len(p)
     odd = spectrum.odd
-    if odd is None and n:
+    if op.chirality is not None and n:
         gamma = np.zeros(k)
         gamma[cell] = op.chirality
-        odd = gamma[p, None] * spectrum.even[:, ::-1]
+        odd = gamma[p, None] * odd
     v = np.zeros((k, k))
     v_even, v_odd = v[:, : k - n], v[:, k - n :]
     v_even[p] = v_even[r[p]] = spectrum.even[:n]

@@ -668,6 +668,9 @@ def test_bad_graph_parameters_exit_2(tmp_path, capsys):
     assert "hexwalk:" in err
     assert main(["generate", "--graph", "hexagonal:n=4,n=5", "--out", str(tmp_path)]) == 2
     assert "repeats parameter 'n'" in capsys.readouterr().err
+    for glue in ("random-cycle", "Random", "cycle"):  # the library's gluing name included
+        assert main(["generate", "--graph", f"glued-tree:d=3,glue={glue}", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"hexwalk: glue must be 'identity' or 'random', got {glue!r}\n"
     assert not (tmp_path / "nodes.csv").exists()
 
 

@@ -141,6 +141,32 @@ def test_settling_deviation_never_increases(family, data):
 @pytest.mark.parametrize("family", sorted(GRAPHS))
 @PROFILE
 @given(data=st.data())
+def test_parity_and_chirality_match_networkx(family, data):
+    # the parity is the 2-colouring of a connected bipartite graph, the entry coloured 0;
+    # the coherent walk is chiral exactly where the mirror swaps the two colours
+    g = data.draw(GRAPHS[family])
+    reference = nx.Graph()
+    reference.add_nodes_from(range(g.n_nodes))
+    reference.add_edges_from(g.edges.tolist())
+    two_coloured = nx.is_connected(reference) and nx.is_bipartite(reference)
+    parity = g.parity
+    assert (parity is not None) == two_coloured
+    swapped = False
+    if two_coloured:
+        a, b = g.edges.T
+        assert parity[g.entry] == 0 and np.all(parity[a] != parity[b])
+        colour = nx.bipartite.color(reference)
+        swapped = g.mirror is not None and all(colour[int(g.mirror[v])] != colour[v] for v in colour)
+    chirality = Hamiltonian(g).chirality
+    assert (chirality is not None) == swapped
+    if swapped:
+        assert np.array_equal(chirality, 1.0 - 2.0 * parity)
+    assert ClassicalGenerator(g).chirality is None
+
+
+@pytest.mark.parametrize("family", sorted(GRAPHS))
+@PROFILE
+@given(data=st.data())
 def test_declared_cells_are_accepted_and_a_merge_of_unlike_cells_is_refused(family, data):
     # the oracle's partition runs the entry state on its k cells, as expm does on the nodes;
     # two of its cells whose nodes count their neighbours in the cells differently merge

@@ -708,6 +708,13 @@ def test_mirror_splits_eigh_into_two_sectors(kind, part, build, monkeypatch):
     assert k == (g.n_nodes if part != "quotient" else int(g.entry_cells.max()) + 1)
     sizes = count_eigh(monkeypatch)
     spectrum = spectrum_of(op, entry)
+    # one layout: an n x n odd block for n pair orbits, 0 x 0 without one; a derived block
+    # is the even array itself, not a copy, at the even eigenvalues negated in their order
+    n = len(orbits(op, entry)[2])
+    assert spectrum.odd.shape == (n, n)
+    assert (spectrum.odd is spectrum.even) == (spectrum.chirality is not None)
+    if spectrum.chirality is not None:
+        assert np.array_equal(spectrum.w[n:], -spectrum.w[:n])
     if g.mirror is None:
         assert sizes == [k]
         return
@@ -723,6 +730,40 @@ def test_mirror_splits_eigh_into_two_sectors(kind, part, build, monkeypatch):
     assert (spectrum.chirality is not None) == derived
     sectors = ((k + f) // 2, (k - f) // 2)[: 1 if derived else 2]
     assert sizes == [size for size in sectors if size]
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: path_graph(5), lambda: glued_tree(3), lambda: two_hexagons(2)], ids=["path", "glued", "hand"]
+)
+def test_a_walk_without_a_mirror_never_reads_the_parity(build):
+    # the chirality needs a mirror, so a mirrorless graph runs no breadth-first search for it
+    g = build()
+    assert g.mirror is None
+    op = Hamiltonian(g)
+    assert op.entry_spectrum.chirality is None and op.chirality is None
+    assert "distances" not in vars(g) and "parity" not in vars(g)
+
+
+# the chiral graphs: patches, odd-dimensional hypercubes and identity-glued trees
+CHIRAL_GRAPHS = (
+    [(f"hexagonal-{n}", lambda n=n: hexagonal_graph(n)) for n in range(1, 9)]
+    + [(f"hypercube-{d}", lambda d=d: hypercube_graph(d)) for d in (1, 3, 5, 7)]
+    + [(f"glued-identity-{d}", lambda d=d: glued_tree(d, "identity")) for d in range(1, 6)]
+)
+
+
+@pytest.mark.parametrize("build", [b for _, b in CHIRAL_GRAPHS], ids=[n for n, _ in CHIRAL_GRAPHS])
+def test_a_coherent_entry_state_is_exactly_real_and_imaginary_by_parity(build):
+    # both sectors run the same product on the same block at eigenvalues +-w, so the
+    # entry's parity keeps a real amplitude and the other parity an imaginary one, exactly
+    g = build()
+    op = Hamiltonian(g, 0.7)
+    assert op.chirality is not None
+    zs = np.array([0.0, 0.37, 1.9, 5.5, 13.0, 41.3])
+    even = g.parity == 0
+    for psi in [propagate(op, entry_state(g), z) for z in zs] + list(propagate(op, entry_state(g), zs)):
+        assert not np.any(psi.imag[even])
+        assert not np.any(psi.real[~even])
 
 
 @pytest.mark.parametrize("kind", sorted(OPERATORS))
@@ -781,8 +822,8 @@ def scattered_spectrum(op, entry: bool, derive: bool) -> tuple[np.ndarray, np.nd
 
     With ``derive``, for a walk without a diagonal on a bipartite graph whose
     mirror maps every cell to one of the opposite parity, the odd sector is
-    the even one with its eigenvalues negated and reversed and its
-    eigenvectors reversed and signed by (-1)^parity.
+    the even one with its eigenvalues negated and its eigenvectors signed by
+    (-1)^parity.
     """
     cell, r, p, f = orbits(op, entry)
     k, n = len(r), len(p)
@@ -793,7 +834,7 @@ def scattered_spectrum(op, entry: bool, derive: bool) -> tuple[np.ndarray, np.nd
     even, odd, size = scattered_blocks(op, entry)
     w_even, y_even = np.linalg.eigh(even)
     if derive and node_parity is not None and n and np.all(parity[r] != parity):
-        w_odd, y_odd = -w_even[::-1], np.where(parity[p, None] == 1, -1.0, 1.0) * y_even[:, ::-1]
+        w_odd, y_odd = -w_even, np.where(parity[p, None] == 1, -1.0, 1.0) * y_even
     else:
         w_odd, y_odd = np.linalg.eigh(odd) if n else (w_even[:0], odd)
     root = np.sqrt(size)[:, None]
@@ -835,9 +876,9 @@ def test_derived_odd_sector_solves_the_odd_block(part, build):
     w_odd, y = w[len(p) :], math.sqrt(2.0) * v[p, len(p) :]
     scale = np.max(np.abs(m))
     assert spectrum.chirality is not None
-    assert np.max(np.abs(w_odd - np.linalg.eigvalsh(odd_block))) <= 1e-12 * scale
+    assert np.max(np.abs(np.sort(w_odd) - np.linalg.eigvalsh(odd_block))) <= 1e-12 * scale
     assert np.linalg.norm(odd_block @ y - y * w_odd) <= 1e-12 * scale
-    assert np.array_equal(w_odd, -w[: len(p)][::-1])
+    assert np.array_equal(w_odd, -w[: len(p)])
 
 
 # (id, kind, build, part) where the odd sector keeps its own eigh, or where there is none
