@@ -109,6 +109,33 @@ def test_propagate_matches_expm_on_both_routes(kind, family, data):
 
 
 @pytest.mark.parametrize("family", sorted(GRAPHS))
+@pytest.mark.parametrize("kind", sorted(WALKS))
+@PROFILE
+@given(data=st.data())
+def test_propagate_keeps_the_norm_or_the_probability_on_both_routes(kind, family, data):
+    # the entry state runs on the entry cells, a random unit state (a random distribution)
+    # on the nodes: exp(-iHz) keeps |x|, and exp(Kt) the total probability, with no
+    # entry left negative by the clip
+    g = data.draw(GRAPHS[family])
+    op = WALKS[kind][0](g, data.draw(st.sampled_from([0.5, 1.0, 1.7])))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    ts = np.linspace(0.0, data.draw(st.sampled_from([0.3, 2.5, 40.0])), 7)
+    if kind == "coherent":
+        node = rng.standard_normal(g.n_nodes) + 1j * rng.standard_normal(g.n_nodes)
+        node /= np.linalg.norm(node)
+    else:
+        node = rng.random(g.n_nodes)
+        node /= node.sum()
+    for x0 in (entry_state(g), node):
+        x = propagate(op, x0, ts)
+        if kind == "coherent":
+            assert np.max(np.abs(np.linalg.norm(x, axis=1) - 1.0)) <= 1e-12
+        else:
+            assert np.max(np.abs(x.sum(axis=1) - 1.0)) <= 1e-12
+            assert x.min() >= 0.0
+
+
+@pytest.mark.parametrize("family", sorted(GRAPHS))
 @PROFILE
 @given(data=st.data())
 def test_convergence_fails_exactly_on_disconnected_graphs(family, data):

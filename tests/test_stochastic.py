@@ -5,10 +5,12 @@ from __future__ import annotations
 import math
 import re
 import warnings
-from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.linalg import expm
+from scipy.special import ive, jv
 
 from hexwalk import stochastic
 from hexwalk.graphs import Graph, glued_tree, hexagonal_graph, hypercube_graph, path_graph
@@ -284,9 +286,10 @@ def test_qsw_midpoint_agrees_with_finer_steps():
     rho0 = density_from_state(entry_state(g))
     h, params, t = Hamiltonian(g), QswParams(omega=0.5), 5.0
     whole = evolve_qsw(rho0, h, params, t)
-    # beta = 2 d_max (1 - omega) C + omega rate d_max = 3: the whole run takes 3 substeps
-    # of degree 35, each half 2 finer substeps of degree 30, so the two plans differ
-    assert (stochastic._series_plan(3.0 * t), stochastic._series_plan(1.5 * t)) == ((3, 35), (2, 30))
+    # r t = omega rate d_max t = 5 and q t = 2 d_max (1 - omega) C t = 10: the whole run is
+    # one series of degree 51, each half one of degree 35, so the two plans differ
+    whole_plan, half_plan = stochastic._chebyshev_plan(5.0, 10.0), stochastic._chebyshev_plan(2.5, 5.0)
+    assert (whole_plan[0], len(whole_plan[3]) - 1, half_plan[0], len(half_plan[3]) - 1) == (1, 51, 1, 35)
     halves = evolve_qsw(evolve_qsw(rho0, h, params, t / 2), h, params, t / 2)
     assert np.max(np.abs(whole - halves)) < 1e-12
     # only C t and rate t enter: C = rate = 0.1 over 10 t is the same walk with the same plan
@@ -352,8 +355,8 @@ else:
 @pytest.mark.parametrize(
     "coupling, t, work",
     [
-        (1.0, 1e12, "7\\.5e\\+11 substeps"),  # beta t = 4.5e12: 7.5 10^11 substeps of 39 terms
-        (1e308, 1.0, "inf substeps"),  # beta overflows to inf
+        (1.0, 1e12, "1\\.2e\\+10 substeps"),  # r t = 1.5e12, q t = 3e12: 1.2 10^10 substeps
+        (1e308, 1.0, "inf substeps"),  # q t overflows to inf
     ],
 )
 def test_qsw_refuses_a_run_above_the_substep_cap(coupling, t, work):
@@ -373,7 +376,7 @@ def test_qsw_with_an_overflowing_bound_still_runs_for_no_time():
 
 def test_qsw_coarse_step_stays_a_density_matrix():
     g = hexagonal_graph(1)
-    # C t = 2000 and rate t = 50: at omega = 0, beta t = 8000 in 1334 substeps
+    # C t = 2000 and rate t = 50: at omega = 0, q t = 8000 in 9 substeps of degree 996
     h = Hamiltonian(g, 20000.0)
     rho0 = density_from_state(entry_state(g))
     # a run this long for its coupling still gives a finite, trace-one
@@ -471,46 +474,126 @@ def test_qsw_limits_equal_propagate_to_rounding(graph, t):
     assert not np.any(classical - np.diag(np.diag(classical)))
 
 
-@pytest.mark.parametrize("beta_t", [0.0, 1e-9, 0.4, 6.0, 6.000001, 48.0, 336.7, 8000.0])
-def test_series_plan_meets_its_truncation_bound(beta_t):
-    s, m = stochastic._series_plan(beta_t)
-    if beta_t == 0.0:
-        assert (s, m) == (0, 0)
-        return
-    theta = beta_t / s
-    assert theta <= stochastic._THETA
-    assert s == 1 or beta_t / (s - 1) > stochastic._THETA
-    x, eps = Fraction(theta), Fraction(1, 2**53)
+@pytest.mark.parametrize("omega", [0.0, 0.25, 0.5, 0.75, 1.0])
+def test_qsw_in_several_substeps_matches_expm(omega):
+    # C t = 480 and rate t = 780 on the hexagon: every omega but 1 takes several substeps,
+    # whose errors add; scipy's expm of the whole generator is the reference
+    g = hexagonal_graph(1)
+    h, params, t = Hamiltonian(g, 0.8), QswParams(omega=omega, rate=1.3), 600.0
+    substeps = stochastic._chebyshev_plan(omega * 1.3 * 2 * t, 2 * 2 * (1 - omega) * 0.8 * t)[0]
+    assert substeps > 1 or omega == 1.0
+    rho0 = density_from_state(entry_state(g))
+    exact = (expm(t * lindblad_generator(h, params)) @ rho0.ravel()).reshape(rho0.shape)
+    assert np.max(np.abs(evolve_qsw(rho0, h, params, t) - exact)) < 1e-12
 
-    def geometric(degree):
-        # the plan's rule, exactly: x^(degree+1) / (degree+1)! over 1 - x / (degree+2)
-        if degree + 2 <= x:
-            return math.inf
-        return x ** (degree + 1) / math.factorial(degree + 1) / (1 - x / (degree + 2))
 
-    # the true tail sum_{j>m} x^j / j!: 40 more terms exactly, the rest bounded
-    tail = sum(x**j / math.factorial(j) for j in range(m + 1, m + 41)) + geometric(m + 40)
-    assert tail <= eps
-    assert geometric(m) <= eps
-    assert m == 0 or geometric(m - 1) > eps
+# (r t, q t) of the benchmark's runs, hexagonal n = 4 to t = 8 and hypercube d = 6 to t = 3 at
+# omega = 0, 0.25, 0.5, 0.75 and 1, and of a long run, a tiny one and a circle
+_PLANS = [(w * d * t, 2 * d * (1 - w) * t) for d, t in ((3, 8.0), (6, 3.0)) for w in (0, 0.25, 0.5, 0.75, 1)]
+_PLANS += [(90.0, 180.0), (1e-9, 3e-9), (2.0, 2.0)]
+
+
+@pytest.mark.parametrize("x, y", _PLANS)
+def test_series_plan_meets_its_truncation_bound(x, y):
+    # every coefficient a_k rho^k to 30 digits: the tail bound holds, the tail beyond the
+    # degree meets the target, one degree less would not, the amplification is within the
+    # cap, and the ellipse passes through the corner of the substep's rectangle
+    s, a, b, coef = stochastic._chebyshev_plan(x, y)
+    with mpmath.workdps(30):
+        m, xs, a, b = len(coef) - 1, mpmath.mpf(x) / s, mpmath.mpf(a), mpmath.mpf(b)
+        c = mpmath.sqrt(abs(a - b) * (a + b))
+
+        def exact(k):
+            if c == 0:  # a circle: the Taylor series
+                return mpmath.exp(-xs) * ((a + b) / 2) ** k / mpmath.factorial(k)
+            bessel = mpmath.besseli(k, c) if a > b else mpmath.besselj(k, c)
+            return mpmath.exp(-xs) * bessel * ((a + b) / c) ** k
+
+        terms = [abs(exact(0))]
+        while len(terms) <= m + 10 or terms[-1] > mpmath.mpf(10) ** -60:  # then they fall faster still
+            terms.append(2 * abs(exact(len(terms))))
+        for k in range(max(math.ceil(b), 1), m + 10):  # the bound the plan searches with
+            assert stochastic._tail_bound(k, float(xs), float(a), float(b)) >= mpmath.fsum(terms[k:])
+        tail, target = mpmath.fsum(terms[m + 1 :]), mpmath.mpf(2) ** -53 / (1 + mpmath.sqrt(2))
+        assert tail <= target
+        assert m == 0 or tail + terms[m] > target
+        assert mpmath.fsum(terms[: m + 1]) <= stochastic._AMPLIFICATION_CAP * (1 + 1e-12)
+        assert np.max(np.abs(np.abs(coef) - np.array(terms[: m + 1], dtype=float))) <= 1e-14 * float(max(terms))
+        corner = (xs / a) ** 2 if a else 0.0
+        corner += (mpmath.mpf(y) / s / b) ** 2 if b else 0.0
+        assert abs(corner - 1) <= 1e-12
+
+
+_BESSEL_RECTANGLES = [
+    (0.0, 1e-300),
+    (1e-300, 0.0),
+    (1e-300, 3e-300),
+    (2e-10, 1e-10),
+    (0.3, 1.0),
+    (6.0, 36.0),
+    (24.0, 0.0),
+    (0.0, 48.0),
+    (40.0, 400.0),
+    (1000.0, 0.0),
+    (0.0, 1000.0),
+]
+
+
+@pytest.mark.parametrize("x, y", _BESSEL_RECTANGLES)
+def test_miller_coefficients_match_scipy(x, y):
+    # e^-x (2 - [k = 0]) I_k(c) rho^k, or J_k(c) rho^k, for c from 1e-300 to 1e3 and every
+    # k up to the planned degree; scipy's own J_k(1000) is good to 3e-13 of the largest
+    a, b = stochastic._ellipse(x, y, stochastic._AMPLIFICATION_CAP)
+    m = stochastic._degree(x, a, b, stochastic._TAIL)
+    got = stochastic._coefficients(x, a, b, stochastic._degree(x, a, b, stochastic._TAIL * 2.0**-20))
+    k = np.arange(m + 1)
+    c = math.sqrt(abs(a - b)) * math.sqrt(a + b)
+    bessel = math.exp(c - x) * ive(k, c) if a > b else math.exp(-x) * jv(k, c)
+    want = np.where(k == 0, 1.0, 2.0) * bessel * ((a + b) / c) ** k
+    assert 1e-300 <= c <= 1e3 + 1e-9
+    assert np.max(np.abs(got[: m + 1] - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_series_plan_stops_at_the_substep_cap():
+    # at omega = 0 the fewest substeps whose degrees fit the cap are the plan: find the
+    # largest q t that still runs, in 10^4 substeps, and the next float is refused
     cap = stochastic.SUBSTEP_CAP
-    assert stochastic._series_plan(cap * stochastic._THETA)[0] == cap
-    with pytest.raises(ValueError, match=f"above the cap of {cap}"):
-        stochastic._series_plan(math.nextafter(cap * stochastic._THETA, math.inf))
-    with pytest.raises(ValueError, match="needs nan substeps"):
-        stochastic._series_plan(math.nan)
+
+    def runs(y):
+        try:
+            return stochastic._chebyshev_plan(0.0, y)
+        except ValueError as exc:
+            assert str(exc).endswith(f"substeps, above the cap of {cap}")
+            return None
+
+    lo, hi = 1e6, 1e8
+    assert runs(lo) and not runs(hi)
+    while math.nextafter(lo, math.inf) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if runs(mid) else (lo, mid)
+    assert runs(lo)[0] == cap
+    assert runs(math.nextafter(lo, math.inf)) is None
+    for bad, shown in ((math.inf, "inf"), (math.nan, "nan")):
+        with pytest.raises(ValueError, match=f"needs {shown} substeps"):
+            stochastic._chebyshev_plan(bad, 1.0)
 
 
 def test_series_plan_at_the_benchmark_sizes():
-    # beta = 2 d_max C at omega = 0: hexagonal n = 4 to t = 8, hypercube d = 6 to t = 3
-    assert stochastic._series_plan(2 * 3 * 8.0) == (8, 39)
-    assert stochastic._series_plan(2 * 6 * 3.0) == (6, 39)
-    # the centred bound beta = rate d_max at omega = 1 halves the substeps
-    assert stochastic._series_plan(3 * 8.0) == (4, 39)
-    assert stochastic._series_plan(6 * 3.0) == (3, 39)
+    # one substep each, of the degrees below: 724 terms over the benchmark's ten runs
+    plans = [stochastic._chebyshev_plan(x, y) for x, y in _PLANS[:10]]
+    assert [(s, len(coef) - 1) for s, _, _, coef in plans] == [
+        (1, 89),
+        (1, 95),
+        (1, 87),
+        (1, 73),
+        (1, 45),
+        (1, 74),
+        (1, 78),
+        (1, 72),
+        (1, 61),
+        (1, 40),
+    ]
+    assert sum(s * len(coef) for s, _, _, coef in plans) == 724
 
 
 def test_qsw_on_an_edgeless_graph_keeps_the_start():
