@@ -20,7 +20,6 @@ prints one ``hexwalk: warning: ...`` line on stderr and still exits 0.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import os
 import sys
 import warnings
@@ -29,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 import hexwalk
-from hexwalk.graphs import _positive, parse_graph_selector, path_graph
+from hexwalk.graphs import _hexagonal_depth, _positive, parse_graph_selector, path_graph
 from hexwalk.hitting import (
     BoundaryMaximumWarning,
     ConvergenceError,
@@ -84,46 +83,35 @@ _BLOCK_ROWS = 4096
 _CELL_FORMATS = {"b": "%d", "i": "%d", "u": "%d", "f": "%.12g"}
 
 
-def _write_table(path: Path, header: str, columns: dict, dat: bool = False) -> None:
+def _write_table(path: Path, header: str, columns: dict) -> None:
     """Write ``header``, the names of ``columns`` (name -> values), then one line per row.
 
-    With ``dat`` the same table also goes to ``path`` with suffix ``.dat``, a
-    space for every comma below the header line.  Rows stream a block at a
-    time into temp files, renamed into place once complete.  Each temp file
-    is created by ``open(temp, "x")`` under a random name beside its target,
-    so the operating system gives it the mode of a plain ``open`` under the
-    umask.  Each block is one ``%`` operation: the row format repeated once
-    per row, applied to the block's cells in row order.  Text cells are
-    formatted by ``format(cell)`` first, as ``str.format`` would.
+    Rows stream a block at a time into a temp file, renamed into place once
+    complete.  The temp file is created by ``open(temp, "x")`` under a random
+    name beside ``path``, so the operating system gives it the mode of a
+    plain ``open`` under the umask.  Each block is one ``%`` operation: the
+    row format repeated once per row, applied to the block's cells in row
+    order.  Text cells are formatted by ``format(cell)`` first, as
+    ``str.format`` would.
     """
     values = [np.asarray(column) for column in columns.values()]
     row = ",".join(_CELL_FORMATS.get(v.dtype.kind, "%s") for v in values) + "\n"
-    targets = [(path, ",")] + [(path.with_suffix(".dat"), " ")] * dat
     path.parent.mkdir(parents=True, exist_ok=True)
-    temps = []
+    temp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fh = open(temp, "x")  # before the try: a name already in use is not ours to remove
     try:
-        with contextlib.ExitStack() as stack:
-            files = []
-            for target, sep in targets:
-                temp = target.with_name(f"{target.name}.{os.urandom(8).hex()}.tmp")
-                fh = stack.enter_context(open(temp, "x"))
-                temps.append(temp)  # only once made here: a name in use is not ours to remove
-                fh.write(f"{header}\n{sep.join(columns)}\n")
-                files.append((fh, sep))
+        with fh:
+            fh.write(f"{header}\n{','.join(columns)}\n")
             for start in range(0, len(values[0]), _BLOCK_ROWS):
                 block = [v[start : start + _BLOCK_ROWS].tolist() for v in values]
                 cells = [None] * (len(values) * len(block[0]))
                 for j, (v, column) in enumerate(zip(values, block)):
                     text_cells = v.dtype.kind not in _CELL_FORMATS
                     cells[j :: len(values)] = map(format, column) if text_cells else column
-                text = row * len(block[0]) % tuple(cells)
-                for fh, sep in files:
-                    fh.write(text.replace(",", sep))
-        for (target, _), temp in zip(targets, temps):
-            os.replace(temp, target)
+                fh.write(row * len(block[0]) % tuple(cells))
+        os.replace(temp, path)
     except BaseException:
-        for temp in temps:
-            temp.unlink(missing_ok=True)
+        temp.unlink(missing_ok=True)
         raise
 
 
@@ -170,7 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also write the walker state at the located optimum",
     )
-    p.add_argument("--dat", action="store_true", help="also write a gnuplot-style .dat mirror")
     _add_common(p)
     p.set_defaults(func=cmd_scan)
 
@@ -178,9 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--depths",
         default="2..8",
-        help="depth range 'lo..hi' (or 'lo:hi') or comma list (default 2..8)",
+        help="depth range 'lo..hi' or comma list (default 2..8)",
     )
-    p.add_argument("--dat", action="store_true", help="also write gnuplot-style .dat mirrors")
     _add_common(p)
     p.set_defaults(func=cmd_sweep)
 
@@ -263,7 +249,7 @@ def cmd_scan(args) -> int:
         calibrate=args.calibrate,
         engine=args.engine,
     )
-    _write_table(out / "curve.csv", header, {"z": curve.z, "p_exit": curve.p_exit}, args.dat)
+    _write_table(out / "curve.csv", header, {"z": curve.z, "p_exit": curve.p_exit})
     if state is not None:
         _write_table(out / "state.csv", header, state)
     print(f"z_opt={_fmt(curve.z_opt)} p_opt={_fmt(curve.p_opt)}")
@@ -279,14 +265,17 @@ def _parse_depths(text: str) -> list[int]:
         except ValueError:
             raise ValueError(f"--depths {text!r}: {chunk.strip()!r} is not an integer") from None
 
-    for sep in ("..", ":"):
-        if sep in text:
-            lo_s, _, hi_s = text.partition(sep)
-            lo, hi = depth(lo_s), depth(hi_s)
-            if hi < lo:
-                raise ValueError(f"empty depth range {text!r}")
-            return list(range(lo, hi + 1))
-    return [depth(chunk) for chunk in text.split(",") if chunk.strip()]
+    lo_s, dots, hi_s = text.partition("..")
+    if dots:
+        lo, hi = depth(lo_s), depth(hi_s)
+        if hi < lo:
+            raise ValueError(f"empty depth range {text!r}")
+        depths = range(lo, hi + 1)
+    else:
+        depths = sorted(depth(chunk) for chunk in text.split(",") if chunk.strip())
+    for n in [*depths[:1], *depths[-1:]]:  # the ends, before a range is listed or a depth runs
+        _hexagonal_depth(n)
+    return list(depths)
 
 
 def _fit_columns(*fits) -> dict:
@@ -310,11 +299,11 @@ def cmd_sweep(args) -> int:
     names = ("n", "z_opt", "p_opt", "t_converge", "t_low", "t_high", "P_a")
     cells = [(r.n, r.z_opt, r.p_opt, r.t_converge, r.t_low, r.t_high, r.p_uniform) for r in rows]
     table = dict(zip(names, zip(*cells)))
-    _write_table(out / "sweep.csv", header, table, args.dat)
+    _write_table(out / "sweep.csv", header, table)
     if len(rows) >= 3:
         linear = fit_linear([(r.n, r.z_opt) for r in rows])
         power = fit_power([(r.n, r.t_converge) for r in rows])
-        _write_table(out / "fit.csv", header, _fit_columns(linear, power), args.dat)
+        _write_table(out / "fit.csv", header, _fit_columns(linear, power))
         print(
             f"linear z_opt(n): slope={_fmt(linear.slope)} r2={_fmt(linear.r_squared)}; "
             f"power t_converge(n): exponent={_fmt(power.slope)} r2={_fmt(power.r_squared)}"

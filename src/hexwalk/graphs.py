@@ -20,7 +20,7 @@ import random
 
 import numpy as np
 
-GLUING_MODES = ("identity", "random-cycle")
+GLUING_MODES = ("identity", "random")
 
 #: Largest node count a builder makes; a larger graph is refused before any
 #: array is allocated.
@@ -432,6 +432,13 @@ def _check_nodes(count: int | str) -> None:
 _HEX_CORNERS = np.array(((2, 0), (1, 1), (-1, 1), (-2, 0), (-1, -1), (1, -1)))
 
 
+def _hexagonal_depth(n) -> int:
+    """``n`` as a depth >= 1 whose patch of 2n**2 + 4n nodes is within :data:`MAX_NODES`."""
+    n = _check_size(n, "depth n", 1)
+    _check_nodes(2 * n * n + 4 * n)
+    return n
+
+
 def hexagonal_graph(n: int) -> Graph:
     """Diamond-shaped polyhex patch that is n hexagons tall at its waist.
 
@@ -447,8 +454,7 @@ def hexagonal_graph(n: int) -> Graph:
     reflection X -> 6(n - 1) - X across the middle column, which swaps the
     entry and exit corners; its entry cells are the pairs (X, |Y|).
     """
-    n = _check_size(n, "depth n", 1)
-    _check_nodes(2 * n * n + 4 * n)
+    n = _hexagonal_depth(n)
     rows = n - np.abs(np.arange(2 * n - 1) - (n - 1))  # hexagons per column
     col = np.repeat(np.arange(2 * n - 1), rows)
     j = np.arange(n * n) - np.repeat(np.cumsum(rows) - rows, rows)
@@ -469,28 +475,28 @@ def hexagonal_graph(n: int) -> Graph:
     return Graph("hexagonal", coords, edges, 0, count - 1, {"n": n}, mirror, cells)
 
 
-def glued_tree(depth: int, gluing: str = "random-cycle", seed: int = 0) -> Graph:
+def glued_tree(depth: int, gluing: str = "random", seed: int = 0) -> Graph:
     """Two complete binary trees of the given depth joined leaf-to-leaf.
 
     The left tree's root is the entry and the right tree's root the exit.
     With ``gluing="identity"`` leaf i of one tree is joined to leaf i of the
-    other (each leaf gains one edge); with ``gluing="random-cycle"`` the
+    other (each leaf gains one edge); with ``gluing="random"`` the
     leaves are joined by a seeded alternating cycle through both leaf sets,
     so every leaf gains exactly two edges and ends up with degree 3.  The
     cycle is a deterministic function of the integer ``seed``.  The graph has
-    2**(depth + 2) - 2 nodes; a depth whose graph would exceed
-    :data:`MAX_NODES` is refused.
+    2**(depth + 2) - 2 nodes.  Any other gluing is refused, before the depth
+    is read, and so is a depth whose graph would exceed :data:`MAX_NODES`.
 
     Coordinates are a layered drawing: the left tree occupies X = 0..depth,
     the mirrored right tree X = depth+1..2*depth+1, and siblings spread in Y
     so that every parent sits midway between its children.  The identity
     gluing carries a mirror, which swaps node i of each level of the left
-    tree with node i of the same level of the right tree; a random cycle
+    tree with node i of the same level of the right tree; a random gluing
     carries none.  Either gluing's entry cells are the columns X.
     """
-    depth = _check_size(depth, "depth", 1)
     if gluing not in GLUING_MODES:
-        raise ValueError(f"gluing must be one of {GLUING_MODES}, got {gluing!r}")
+        raise ValueError(f"glue must be 'identity' or 'random', got {gluing!r}")
+    depth = _check_size(depth, "depth", 1)
     _check_nodes(2 ** (depth + 2) - 2 if depth < 64 else f"2**{depth + 2} - 2")
     half = 2 ** (depth + 1) - 1  # nodes per tree
     leaves = 2**depth
@@ -571,11 +577,7 @@ def path_graph(m: int) -> Graph:
 def _glued_tree_from(take, seed: int) -> Graph:
     """A glued tree from its selector; only the random gluing takes a seed."""
     depth, glue = take("d"), take("glue", "random", str)
-    if glue not in ("identity", "random"):
-        raise ValueError(f"glue must be 'identity' or 'random', got {glue!r}")
-    if glue == "identity":
-        return glued_tree(depth, glue)
-    return glued_tree(depth, "random-cycle", take("seed", seed))
+    return glued_tree(depth, glue, take("seed", seed) if glue == "random" else 0)
 
 
 def parse_graph_selector(text: str, default_seed: int = 0) -> Graph:

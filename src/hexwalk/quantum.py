@@ -63,7 +63,7 @@ signed sums of x over each column's nodes, and V c at a cell is its
 column's even value plus its sign times the odd one: the value at every
 node of the cell.  So V is never formed, and :func:`propagate` gathers the
 cell values to the nodes once.  A hexagonal patch, a hypercube and a glued
-tree with the identity gluing carry a mirror; a path, a random-cycle glued
+tree with the identity gluing carry a mirror; a path, a random glued
 tree and a hand-built graph do not, and take one ``eigh`` of size k.
 
 The coherent walk on a patch, an identity-glued tree or an odd-dimensional

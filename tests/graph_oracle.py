@@ -83,10 +83,10 @@ def hexagonal_graph(n: int) -> LoopGraph:
     return LoopGraph("hexagonal", coords, edges, 0, len(coords) - 1, {"n": n}, mirror)
 
 
-def glued_tree(depth: int, gluing: str = "random-cycle", seed: int = 0) -> LoopGraph:
-    _check_size(depth, "depth", 1)
+def glued_tree(depth: int, gluing: str = "random", seed: int = 0) -> LoopGraph:
     if gluing not in GLUING_MODES:
-        raise ValueError(f"gluing must be one of {GLUING_MODES}, got {gluing!r}")
+        raise ValueError(f"glue must be 'identity' or 'random', got {gluing!r}")
+    _check_size(depth, "depth", 1)
     leaves = 2**depth
     coords_by_key: dict[tuple[str, int, int], tuple[int, int]] = {}
     for level in range(depth + 1):
@@ -117,7 +117,7 @@ def glued_tree(depth: int, gluing: str = "random-cycle", seed: int = 0) -> LoopG
     edges = [(index[a], index[b]) for a, b in pairs]
     params = {"depth": depth, "gluing": gluing}
     mirror = None
-    if gluing == "random-cycle":
+    if gluing == "random":
         params["seed"] = seed
     else:
         mirror = [index[("R" if side == "L" else "L", level, i)] for side, level, i in order]

@@ -44,7 +44,7 @@ SMALL_GRAPHS = [
     hexagonal_graph(1),
     hexagonal_graph(2),
     glued_tree(2, gluing="identity"),
-    glued_tree(2, gluing="random-cycle", seed=4),
+    glued_tree(2, gluing="random", seed=4),
     hypercube_graph(3),
     hypercube_graph(4),
     path_graph(9),

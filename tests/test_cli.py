@@ -187,6 +187,32 @@ def test_generate_refuses_a_graph_above_the_node_cap(tmp_path):
     assert not any(tmp_path.iterdir())
 
 
+# Runs ``sweep`` on each depth list after the first argument (the output
+# directory) and prints each exit code.  Its sweep fails if any depth runs.
+_SWEEP_CHILD = """
+import sys
+from hexwalk import cli
+def no_sweep(*args):
+    raise AssertionError("a depth ran")
+cli.depth_sweep = no_sweep
+for depths in sys.argv[2:]:
+    print(cli.main(["sweep", "--depths", depths, "--out", sys.argv[1]]), flush=True)
+"""
+
+
+def test_sweep_refuses_a_depth_above_the_node_cap_before_any_depth_runs(tmp_path):
+    # in a child with a deadline: a range listed before it is checked may never come back
+    counts = {"2..10000000000000": 2 * 10**26 + 4 * 10**13, "2,3,707": 2 * 707**2 + 4 * 707}
+    proc = run_child(_SWEEP_CHILD, str(tmp_path), *counts, timeout=10)
+    assert proc.stdout == "2\n" * len(counts), proc.stderr
+    cap = hexwalk.graphs.MAX_NODES
+    assert proc.stderr == "".join(
+        f"hexwalk: graph would have {count} nodes, above the cap of {cap}\n"
+        for count in counts.values()
+    )
+    assert not any(tmp_path.iterdir())
+
+
 # ---------------------------------------------------------------------------
 # scan
 # ---------------------------------------------------------------------------
@@ -350,18 +376,16 @@ def test_scan_reruns_are_byte_identical(tmp_path):
     assert read(a / "curve.csv") == read(b / "curve.csv")
 
 
-def test_scan_dat_mirror_is_whitespace_separated(tmp_path):
-    assert main(["scan", "--graph", "hexagonal:n=1", "--dat", "--out", str(tmp_path)]) == 0
-    dat = data_rows(tmp_path / "curve.dat")
-    assert "," not in dat[0]
-    assert len(dat[0].split()) == 2
-    assert main(["sweep", "--depths", "2..4", "--dat", "--out", str(tmp_path)]) == 0
-    for name in ("curve", "sweep", "fit"):
-        csv = read(tmp_path / f"{name}.csv").split("\n")
-        dat = read(tmp_path / f"{name}.dat").split("\n")
-        # the header line records the run, commas and all
-        assert dat[0] == csv[0]
-        assert dat[1:] == [line.replace(",", " ") for line in csv[1:]]
+def test_dat_mirrors_and_the_colon_range_exit_2(tmp_path, capsys):
+    # each table is one CSV, which gnuplot reads with `set datafile separator comma`
+    for argv in (["scan", "--graph", "hexagonal:n=1", "--dat"], ["sweep", "--dat"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --dat" in capsys.readouterr().err
+    assert main(["sweep", "--depths", "2:4", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "hexwalk: --depths '2:4': '2:4' is not an integer\n"
+    assert not any(tmp_path.iterdir())
 
 
 # ---------------------------------------------------------------------------
@@ -381,14 +405,12 @@ def test_sweep_two_depths_skips_fits(tmp_path, capsys):
 
 
 def test_sweep_range_syntax_writes_fits(tmp_path, capsys):
-    code = main(["sweep", "--depths", "2..4", "--dat", "--out", str(tmp_path)])
+    code = main(["sweep", "--depths", "2..4", "--out", str(tmp_path)])
     assert code == 0
     assert len(data_rows(tmp_path / "sweep.csv")) == 3
     fits = data_rows(tmp_path / "fit.csv")
     assert fits[0].startswith("linear,")
     assert fits[1].startswith("power-law,")
-    assert (tmp_path / "sweep.dat").exists()
-    assert (tmp_path / "fit.dat").exists()
 
 
 def test_sweep_fit_r_squared_does_not_depend_on_the_coupling_scale(tmp_path):
@@ -574,9 +596,8 @@ def test_write_table_formats_each_column_by_its_type(tmp_path):
     assert expected[4] == "10000000000000,-inf,-3,-0,e"
     assert expected[6] == "9007199254740993,0.333333333333,0,2.5e+12,g"
 
-    _write_table(tmp_path / "empty.csv", "# head", {"a": [], "b": []}, dat=True)
+    _write_table(tmp_path / "empty.csv", "# head", {"a": [], "b": []})
     assert read(tmp_path / "empty.csv") == "# head\na,b\n"
-    assert read(tmp_path / "empty.dat") == "# head\na b\n"
 
 
 # Builds the columns of a million-row table, writes it only when told to, and
@@ -617,9 +638,19 @@ def test_write_table_failure_keeps_the_old_file_and_leaves_no_temp(tmp_path):
     # the bad cell sits in the second block, after the first was written
     cells = [0] * 5000 + [Unprintable()]
     with pytest.raises(RuntimeError, match="unprintable cell"):
-        _write_table(tmp_path / "t.csv", "# head", {"a": range(5001), "b": cells}, dat=True)
+        _write_table(tmp_path / "t.csv", "# head", {"a": range(5001), "b": cells})
     assert [path.name for path in tmp_path.iterdir()] == ["t.csv"]
     assert read(tmp_path / "t.csv") == "old\n"
+
+
+def test_write_table_leaves_a_temp_name_already_in_use_alone(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "urandom", lambda size: bytes(size))
+    taken = tmp_path / f"t.csv.{bytes(8).hex()}.tmp"
+    taken.write_text("not ours\n")
+    with pytest.raises(FileExistsError):
+        _write_table(tmp_path / "t.csv", "# head", {"a": [1, 2]})
+    assert [path.name for path in tmp_path.iterdir()] == [taken.name]
+    assert read(taken) == "not ours\n"
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
@@ -627,12 +658,12 @@ def test_written_files_get_the_umask_mode(tmp_path, umask, mode):
     old = os.umask(umask)
     try:
         assert main(["generate", "--graph", "hexagonal:n=1", "--out", str(tmp_path)]) == 0
-        scan = ["scan", "--graph", "hexagonal:n=1", "--dat", "--dump-state"]
+        scan = ["scan", "--graph", "hexagonal:n=1", "--dump-state"]
         assert main(scan + ["--out", str(tmp_path)]) == 0
     finally:
         os.umask(old)
     written = sorted(path.name for path in tmp_path.iterdir())
-    assert written == ["curve.csv", "curve.dat", "edges.csv", "nodes.csv", "state.csv"]
+    assert written == ["curve.csv", "edges.csv", "nodes.csv", "state.csv"]
     assert {(tmp_path / name).stat().st_mode & 0o777 for name in written} == {mode}
 
 
@@ -646,13 +677,13 @@ def test_write_table_never_changes_the_process_umask(tmp_path, monkeypatch):
     old = real(0o027)
     try:
         monkeypatch.setattr(os, "umask", refuse)
-        _write_table(tmp_path / "t.csv", "# head", {"a": [1, 2]}, dat=True)
+        _write_table(tmp_path / "t.csv", "# head", {"a": [1, 2]})
     finally:
         monkeypatch.undo()
         real(old)
-    assert sorted(path.name for path in tmp_path.iterdir()) == ["t.csv", "t.dat"]
-    assert {(tmp_path / name).stat().st_mode & 0o777 for name in ("t.csv", "t.dat")} == {0o640}
-    assert read(tmp_path / "t.dat") == "# head\na\n1\n2\n"
+    assert [path.name for path in tmp_path.iterdir()] == ["t.csv"]
+    assert (tmp_path / "t.csv").stat().st_mode & 0o777 == 0o640
+    assert read(tmp_path / "t.csv") == "# head\na\n1\n2\n"
 
 
 # ---------------------------------------------------------------------------
@@ -668,7 +699,7 @@ def test_bad_graph_parameters_exit_2(tmp_path, capsys):
     assert "hexwalk:" in err
     assert main(["generate", "--graph", "hexagonal:n=4,n=5", "--out", str(tmp_path)]) == 2
     assert "repeats parameter 'n'" in capsys.readouterr().err
-    for glue in ("random-cycle", "Random", "cycle"):  # the library's gluing name included
+    for glue in ("random-cycle", "Random", "cycle"):
         assert main(["generate", "--graph", f"glued-tree:d=3,glue={glue}", "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == f"hexwalk: glue must be 'identity' or 'random', got {glue!r}\n"
     assert not (tmp_path / "nodes.csv").exists()

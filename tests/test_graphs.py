@@ -162,7 +162,7 @@ def test_glued_tree_leaf_degrees_by_mode():
     d = 3
     leaves_per_side = 2**d
     ident = glued_tree(d, gluing="identity")
-    cyc = glued_tree(d, gluing="random-cycle", seed=3)
+    cyc = glued_tree(d, gluing="random", seed=3)
     # identity gluing: each leaf keeps its tree edge plus one matching edge
     ident_leaf_degs = sorted(ident.degrees)[: 2 * leaves_per_side]
     assert all(deg == 2 for deg in ident_leaf_degs)
@@ -181,9 +181,9 @@ def test_glued_tree_entry_exit_distance():
 
 
 def test_glued_tree_random_cycle_is_seed_deterministic():
-    a = glued_tree(3, gluing="random-cycle", seed=7)
-    b = glued_tree(3, gluing="random-cycle", seed=7)
-    c = glued_tree(3, gluing="random-cycle", seed=8)
+    a = glued_tree(3, gluing="random", seed=7)
+    b = glued_tree(3, gluing="random", seed=7)
+    c = glued_tree(3, gluing="random", seed=8)
     assert np.array_equal(a.edges, b.edges)
     assert a.coords == b.coords
     assert not np.array_equal(c.edges, a.edges)
@@ -200,7 +200,7 @@ def test_glued_tree_reads_its_seed_as_an_integer():
 
 
 def test_glued_tree_random_cycle_alternates_sides():
-    g = glued_tree(2, gluing="random-cycle", seed=0)
+    g = glued_tree(2, gluing="random", seed=0)
     dist = bfs_layers(g, g.entry)
     left_leaves = {i for i, d_ in dist.items() if d_ == 2 and g.coords[i][0] == 2}
     # each left leaf must connect to exactly two right leaves
@@ -212,8 +212,9 @@ def test_glued_tree_random_cycle_alternates_sides():
 def test_glued_tree_rejects_bad_arguments():
     with pytest.raises(ValueError):
         glued_tree(0)
-    with pytest.raises(ValueError):
-        glued_tree(2, gluing="staircase")
+    for gluing in ("staircase", "random-cycle"):
+        with pytest.raises(ValueError, match=f"^glue must be 'identity' or 'random', got '{gluing}'$"):
+            glued_tree(2, gluing=gluing)
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +455,7 @@ def test_unknown_family_error_lists_every_family():
 
 def test_glued_tree_selector_defaults_and_seed_fallback():
     g = parse_graph_selector("glued-tree:d=3", default_seed=5)
-    assert g.params == {"depth": 3, "gluing": "random-cycle", "seed": 5}
+    assert g.params == {"depth": 3, "gluing": "random", "seed": 5}
     assert parse_graph_selector("glued-tree:d=3,seed=2", default_seed=5).params["seed"] == 2
 
 
@@ -475,7 +476,7 @@ def test_adjacency_matches_edge_list_and_is_frozen():
     "graph",
     [
         hexagonal_graph(3),
-        glued_tree(3, gluing="random-cycle", seed=2),
+        glued_tree(3, gluing="random", seed=2),
         glued_tree(2, gluing="identity"),
         hypercube_graph(4),
         path_graph(7),
@@ -594,7 +595,7 @@ DECLARED_SIZES = {
     "glued-tree": lambda: (
         glued_tree(d, gluing, seed)
         for d in range(1, 10)
-        for gluing, seeds in (("identity", [0]), ("random-cycle", range(5)))
+        for gluing, seeds in (("identity", [0]), ("random", range(5)))
         for seed in seeds
     ),
     "hypercube": lambda: (hypercube_graph(d) for d in range(1, 13)),
@@ -775,7 +776,7 @@ ORACLE_CASES = (
     [(f"hexagonal-{n}", "hexagonal_graph", (n,)) for n in range(1, 41)]
     + [(f"glued-identity-{d}", "glued_tree", (d, "identity")) for d in range(1, 13)]
     + [
-        (f"glued-random-{d}-seed{s}", "glued_tree", (d, "random-cycle", s))
+        (f"glued-random-{d}-seed{s}", "glued_tree", (d, "random", s))
         for d in range(1, 13)
         for s in range(10)
     ]

@@ -299,7 +299,7 @@ def _deviation_grid(g, ts, rate=1.0):
 # One small graph per family, each with a few hundred modes or fewer.
 SMALL_GRAPHS = {
     "hexagonal-3": lambda: hexagonal_graph(3),
-    "glued-tree-4": lambda: glued_tree(4, gluing="random-cycle", seed=1),
+    "glued-tree-4": lambda: glued_tree(4, gluing="random", seed=1),
     "hypercube-5": lambda: hypercube_graph(5),
     "path-21": lambda: path_graph(21),
 }
@@ -538,7 +538,7 @@ def test_a_scan_and_a_settling_search_share_one_spectrum(name, monkeypatch):
         lambda: hexagonal_graph(3),
         lambda: hypercube_graph(4),  # its mirror fixes the middle layer of cells
         lambda: glued_tree(3, "identity"),
-        lambda: glued_tree(3, "random-cycle", seed=3),  # no mirror
+        lambda: glued_tree(3, "random", seed=3),  # no mirror
     ],
     ids=["hexagonal-3", "hypercube-4", "glued-identity-3", "glued-random-3"],
 )

@@ -135,6 +135,35 @@ def test_propagate_keeps_the_norm_or_the_probability_on_both_routes(kind, family
             assert x.min() >= 0.0
 
 
+@pytest.mark.parametrize("kind", sorted(WALKS))
+@PROFILE
+@given(data=st.data())
+def test_the_walk_from_the_exit_is_the_mirror_image_of_the_walk_from_the_entry(kind, data):
+    # the mirror commutes with the walk, so exp(phase M t) e_exit is the entry's state read
+    # through the mirror: the exit indicator runs on the nodes, the entry on the entry cells
+    g = data.draw(GRAPHS["doubled"])
+    op = WALKS[kind][0](g, data.draw(st.sampled_from([0.5, 1.0, 1.7])))
+    ts = np.linspace(0.0, data.draw(st.sampled_from([0.3, 2.5, 10.0])), 7)
+    exit_state = np.zeros(g.n_nodes)
+    exit_state[g.exit] = 1.0
+    expected = propagate(op, entry_state(g), ts)[:, g.mirror]
+    assert np.max(np.abs(propagate(op, exit_state, ts) - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize("family", sorted(GRAPHS))
+@pytest.mark.parametrize("kind", sorted(WALKS))
+@PROFILE
+@given(data=st.data())
+def test_the_exit_curve_depends_on_the_scale_only_through_scale_times_length(kind, family, data):
+    # the walk at scale a over lengths z / a is the walk at scale 1 over z
+    g = data.draw(GRAPHS[family])
+    make = WALKS[kind][0]
+    a = data.draw(st.floats(1e-2, 1e2))
+    zs = np.linspace(0.0, data.draw(st.sampled_from([0.3, 2.5, 10.0])), 9)
+    curve = propagate(make(g, 1.0), entry_state(g), zs, g.exit)
+    assert np.max(np.abs(propagate(make(g, a), entry_state(g), zs / a, g.exit) - curve)) <= 1e-12
+
+
 @pytest.mark.parametrize("family", sorted(GRAPHS))
 @PROFILE
 @given(data=st.data())

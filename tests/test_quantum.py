@@ -505,7 +505,7 @@ def test_an_oversized_quotient_is_refused_before_it_is_allocated():
 QUOTIENT_GRAPHS = (
     [(f"hexagonal-{n}", lambda n=n: hexagonal_graph(n)) for n in range(1, 7)]
     + [(f"glued-{glue}-{d}", lambda d=d, glue=glue: glued_tree(d, glue, seed=d))
-       for d in range(1, 6) for glue in ("identity", "random-cycle")]
+       for d in range(1, 6) for glue in ("identity", "random")]
     + [(f"hypercube-{d}", lambda d=d: hypercube_graph(d)) for d in range(1, 7)]
     + [(f"path-{m}", lambda m=m: path_graph(m)) for m in (2, 9, 10)]
 )
@@ -658,7 +658,7 @@ SECTOR_GRAPHS = (
     + [(f"glued-identity-{d}", lambda d=d: glued_tree(d, "identity")) for d in range(1, 5)]
     + [
         ("path-9", lambda: path_graph(9)),
-        ("glued-random-cycle-3", lambda: glued_tree(3, "random-cycle", seed=3)),
+        ("glued-random-3", lambda: glued_tree(3, "random", seed=3)),
         ("two-hexagons", lambda: two_hexagons(2)),  # built by hand
     ]
 )
@@ -772,11 +772,11 @@ def test_a_coherent_entry_state_is_exactly_real_and_imaginary_by_parity(build):
     [
         (lambda: path_graph(9), "dense"),
         (lambda: path_graph(9), "quotient"),
-        (lambda: glued_tree(4, "random-cycle", seed=5), "quotient"),
+        (lambda: glued_tree(4, "random", seed=5), "quotient"),
         (lambda: two_hexagons(2), "dense"),
         (lambda: two_hexagons(2), "quotient"),
     ],
-    ids=["path-9-dense", "path-9-quotient", "glued-random-cycle-4", "two-hexagons-dense",
+    ids=["path-9-dense", "path-9-quotient", "glued-random-4", "two-hexagons-dense",
          "two-hexagons-quotient"],
 )
 def test_spectrum_without_a_mirror_is_exactly_eigh(kind, build, part):
@@ -890,7 +890,7 @@ UNPAIRED_CASES = (
         for part in ("dense", "quotient")
     ]
     + [
-        (f"glued-random-{s}-{part}", "coherent", lambda s=s: glued_tree(4, "random-cycle", seed=s), part)
+        (f"glued-random-{s}-{part}", "coherent", lambda s=s: glued_tree(4, "random", seed=s), part)
         for s in (1, 2)
         for part in ("dense", "quotient")
     ]

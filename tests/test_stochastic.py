@@ -86,7 +86,7 @@ def test_sixteen_node_diamond_reaches_uniform():
 
 def test_simplex_is_preserved():
     rng = np.random.default_rng(5)
-    g = glued_tree(2, gluing="random-cycle", seed=1)
+    g = glued_tree(2, gluing="random", seed=1)
     gen = ClassicalGenerator(g, rate=1.3)
     for _ in range(10):
         p0 = rng.random(g.n_nodes)
@@ -257,7 +257,7 @@ def test_qsw_zero_time_copies_input():
         hexagonal_graph(1),
         hexagonal_graph(2),
         glued_tree(2, gluing="identity"),
-        glued_tree(2, gluing="random-cycle", seed=4),
+        glued_tree(2, gluing="random", seed=4),
         hypercube_graph(3),
         path_graph(9),
     ],
@@ -429,7 +429,7 @@ def test_qsw_matches_exponential_of_lindblad_rhs(omega):
     # hex2 has nodes of degree 2 and 3, so the centring shift differs between entries
     [
         (hexagonal_graph(1), 2.0),
-        (glued_tree(1, gluing="random-cycle", seed=2), 5.0),
+        (glued_tree(1, gluing="random", seed=2), 5.0),
         (hexagonal_graph(2), 2.0),
     ],
     ids=["hex1", "glued1", "hex2"],
@@ -444,7 +444,7 @@ def test_qsw_series_matches_oracle_exponential_to_rounding(graph, t, omega):
 
 _LIMIT_GRAPHS = {
     "hex2": hexagonal_graph(2),
-    "glued-cycle": glued_tree(2, gluing="random-cycle", seed=4),
+    "glued-cycle": glued_tree(2, gluing="random", seed=4),
     "cube4": hypercube_graph(4),
     "path9": path_graph(9),
 }
